@@ -12,6 +12,7 @@ package systolic_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"systolic"
 )
@@ -119,4 +120,71 @@ func TestAllocGateParallel(t *testing.T) {
 	// path: must hold the original budget, proving the refactor did
 	// not tax the Workers=1 hot path with allocations.
 	allocGate(t, "wide-linear-256/workers=1", 48, a, systolic.ExecOptions{Capacity: 2})
+}
+
+// pipelinedSort builds the sorting-network family the analysis gates
+// scale: cells and messages both grow with width.
+func pipelinedSort(t *testing.T, width int) *systolic.Workload {
+	t.Helper()
+	w, err := systolic.PipelinedSortNetwork(systolic.PipelinedSortOptions{Width: width, Rounds: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestAllocGateAnalyze gates the allocation count of one Analyze at a
+// constant per cell and per message: routes and the Theorem 1 report
+// own a few small slices per message (measured ~2.4 per cell+message
+// on this network), and the crossing-off pass and the labeler
+// allocate a fixed number of program-sized arrays. A second
+// crossing-off pass, a per-cell map or a slice grown by append per
+// class puts the count well above the budget.
+func TestAllocGateAnalyze(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are not meaningful under -race")
+	}
+	w := pipelinedSort(t, 2000)
+	budget := 3 * float64(w.Program.NumCells()+w.Program.NumMessages())
+	got := testing.AllocsPerRun(3, func() {
+		a, err := systolic.Analyze(w.Program, w.Topology, systolic.AnalyzeOptions{})
+		if err != nil || !a.DeadlockFree {
+			t.Fatalf("analyze: %v", err)
+		}
+	})
+	if got > budget {
+		t.Errorf("pipesort-2000: %v allocs per Analyze, budget %v (3 per cell and message)", got, budget)
+	}
+}
+
+// TestAnalyzeScalesLinearly gates the shape of the analysis cost: a
+// sorting network four times as wide may cost at most eight times as
+// much to analyze (linear gives ~4x; the quadratic rule-1c scan this
+// guards against gives ~16x or worse). Best of three on each side, so
+// a scheduling hiccup on a shared runner does not decide it.
+func TestAnalyzeScalesLinearly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing ratios are not meaningful under -race")
+	}
+	best := func(width int) time.Duration {
+		w := pipelinedSort(t, width)
+		var min time.Duration
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			a, err := systolic.Analyze(w.Program, w.Topology, systolic.AnalyzeOptions{})
+			d := time.Since(start)
+			if err != nil || !a.DeadlockFree {
+				t.Fatalf("analyze width %d: %v", width, err)
+			}
+			if i == 0 || d < min {
+				min = d
+			}
+		}
+		return min
+	}
+	small, large := best(4000), best(16000)
+	if large > 8*small {
+		t.Errorf("Analyze: width 16000 took %v, width 4000 %v: ratio %.1f, want ≤ 8",
+			large, small, float64(large)/float64(small))
+	}
 }

@@ -6,7 +6,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// EXPERIMENTS.md records the paper-vs-measured correspondence.
+// These are working benchmarks for one layer at a time; the numbers the
+// repository commits to come from tools/perf (see tools/perf/README.md).
 package systolic_test
 
 import (

@@ -4,8 +4,7 @@
 //	figures          # all figures
 //	figures -fig 7   # one figure
 //
-// Output is text in the style of the paper; EXPERIMENTS.md records the
-// correspondence.
+// Output is text in the style of the paper.
 package main
 
 import (

@@ -131,8 +131,14 @@ func Analyze(p *model.Program, t topology.Topology, opts AnalyzeOptions) (*Analy
 	if budget == nil && opts.Lookahead {
 		budget = crossoff.BudgetFromRoutes(routes, opts.Capacity)
 	}
-	copts := crossoff.Options{Lookahead: opts.Lookahead, Budget: budget, Picker: opts.Picker}
-	res := crossoff.Run(p, copts)
+	// One crossing-off pass answers everything: label.Run attaches the
+	// §6 labeler to it as the observer, so the verdict, the blocked
+	// fronts and the labeling all come from the same pick sequence.
+	res, lab := label.Run(p, label.Options{
+		Lookahead: opts.Lookahead,
+		Budget:    budget,
+		Picker:    opts.Picker,
+	})
 	if opts.Lookahead {
 		a.Strict = crossoff.Classify(p, crossoff.Options{Picker: opts.Picker})
 	} else {
@@ -145,15 +151,6 @@ func Analyze(p *model.Program, t topology.Topology, opts AnalyzeOptions) (*Analy
 	a.Blocked = res.Blocked
 	if !a.DeadlockFree {
 		return a, nil
-	}
-
-	lab, err := label.Assign(p, label.Options{
-		Lookahead: opts.Lookahead,
-		Budget:    budget,
-		Picker:    opts.Picker,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: labeling: %w", err)
 	}
 	if err := label.Check(p, lab.ByMessage); err != nil {
 		return nil, fmt.Errorf("core: labeling scheme produced an inconsistent labeling: %w", err)

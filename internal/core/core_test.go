@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"systolic/internal/crossoff"
 	"systolic/internal/model"
 	"systolic/internal/sim"
 	"systolic/internal/topology"
@@ -28,6 +29,40 @@ func TestAnalyzeFig2(t *testing.T) {
 	}
 	if a.MinQueuesDynamic < 1 || a.MinQueuesStatic < a.MinQueuesDynamic {
 		t.Fatalf("queue requirements dyn=%d static=%d", a.MinQueuesDynamic, a.MinQueuesStatic)
+	}
+}
+
+// TestAnalyzeSinglePass counts crossing-off passes through the picker:
+// a pass over a program that crosses off completely picks once per
+// pair. A strict analysis is one pass (verdict, blocked fronts and
+// labeling all come from it); lookahead adds the strict classification
+// it reports alongside, and nothing else.
+func TestAnalyzeSinglePass(t *testing.T) {
+	w := workload.Fig2()
+	pairs := w.Program.TotalOps() / 2
+	for _, tc := range []struct {
+		name   string
+		opts   AnalyzeOptions
+		passes int
+	}{
+		{"strict", AnalyzeOptions{}, 1},
+		{"lookahead", AnalyzeOptions{Lookahead: true, Capacity: 1}, 2},
+	} {
+		picks := 0
+		tc.opts.Picker = func(candidates []crossoff.Pair) crossoff.Pair {
+			picks++
+			return crossoff.ByMessageID(candidates)
+		}
+		a, err := Analyze(w.Program, w.Topology, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !a.DeadlockFree || !a.Strict || len(a.Labeling.Dense) != w.Program.NumMessages() {
+			t.Fatalf("%s: Fig 2 not approved and labeled: %+v", tc.name, a)
+		}
+		if picks != tc.passes*pairs {
+			t.Errorf("%s: %d picks over %d pairs, want %d crossing-off pass(es)", tc.name, picks, pairs, tc.passes)
+		}
 	}
 }
 

@@ -15,6 +15,17 @@
 // message will cross" (rule R2). Skipped writes stay in the program and
 // are crossed later, which is exactly the paper's model of words parked
 // in queue buffers.
+//
+// Run keeps the set of executable pairs up to date incrementally and
+// allocates what the program's size determines up front (one crossed
+// flag per op, one candidate slot per message, the pick order at
+// ops/2). Under the strict rules a message is executable iff both its
+// endpoint fronts are ops on it, so a crossed pair can only enable the
+// messages at the two new fronts: O(1) per pair whatever the cell
+// degree, O(ops·log messages) per run with the default picker's heap.
+// Lookahead re-examines every message incident to the two cells,
+// O(degree) per pair. The analysis makes one such run (see
+// label.Run); Options.Observer is where the §6 labeler rides along.
 package crossoff
 
 import (
@@ -138,28 +149,35 @@ func BudgetFromRoutes(routes [][]topology.Hop, capacity int) func(model.MessageI
 
 // state tracks crossing progress over a program.
 type state struct {
-	p       *model.Program
-	opts    Options
-	crossed [][]bool
+	p    *model.Program
+	opts Options
+	// crossed flags every op of the program in one slice; cell c's ops
+	// start at off[c].
+	crossed []bool
+	off     []int
 	cursor  []int // first uncrossed index per cell (may point past crossed holes lazily)
 	left    int
+	// skipCount is withinBudget's per-message scratch, all zero between
+	// calls; allocated on the first budgeted skip set.
+	skipCount []int
 }
 
 func newState(p *model.Program, opts Options) *state {
 	s := &state{p: p, opts: opts}
-	s.crossed = make([][]bool, p.NumCells())
+	s.off = make([]int, p.NumCells())
 	s.cursor = make([]int, p.NumCells())
-	for c := 0; c < p.NumCells(); c++ {
-		s.crossed[c] = make([]bool, len(p.Code(model.CellID(c))))
+	for c := range s.off {
+		s.off[c] = s.left
 		s.left += len(p.Code(model.CellID(c)))
 	}
+	s.crossed = make([]bool, s.left)
 	return s
 }
 
 // advance moves a cell's cursor past crossed ops.
 func (s *state) advance(c model.CellID) {
-	code := s.p.Code(c)
-	for s.cursor[c] < len(code) && s.crossed[c][s.cursor[c]] {
+	crossed := s.crossed[s.off[c] : s.off[c]+len(s.p.Code(c))]
+	for s.cursor[c] < len(crossed) && crossed[s.cursor[c]] {
 		s.cursor[c]++
 	}
 }
@@ -183,7 +201,7 @@ func (s *state) locate(c model.CellID, kind model.OpKind, msg model.MessageID) (
 	code := s.p.Code(c)
 	var skipped []Skip
 	for i := s.cursor[c]; i < len(code); i++ {
-		if s.crossed[c][i] {
+		if s.crossed[s.off[c]+i] {
 			continue
 		}
 		op := code[i]
@@ -206,16 +224,20 @@ func (s *state) withinBudget(skipped []Skip) bool {
 	if !s.opts.Lookahead || s.opts.Budget == nil || len(skipped) == 0 {
 		return true
 	}
-	perMsg := make(map[model.MessageID]int)
-	for _, sk := range skipped {
-		perMsg[sk.Msg]++
+	if s.skipCount == nil {
+		s.skipCount = make([]int, s.p.NumMessages())
 	}
-	for m, n := range perMsg {
-		if n > s.opts.Budget(m) {
-			return false
+	ok := true
+	for _, sk := range skipped {
+		s.skipCount[sk.Msg]++
+		if s.skipCount[sk.Msg] > s.opts.Budget(sk.Msg) {
+			ok = false
 		}
 	}
-	return true
+	for _, sk := range skipped {
+		s.skipCount[sk.Msg] = 0
+	}
+	return ok
 }
 
 // candidateFor builds the executable pair for message m, if one exists
@@ -257,8 +279,8 @@ func (s *state) candidates() []Pair {
 
 // cross marks a pair's two ops as executed.
 func (s *state) cross(pr Pair) {
-	s.crossed[pr.WriteCell][pr.WriteIdx] = true
-	s.crossed[pr.ReadCell][pr.ReadIdx] = true
+	s.crossed[s.off[pr.WriteCell]+pr.WriteIdx] = true
+	s.crossed[s.off[pr.ReadCell]+pr.ReadIdx] = true
 	s.left -= 2
 }
 
@@ -277,50 +299,109 @@ func (s *state) blocked() []BlockedOp {
 // is a pure function of the crossed state of m's two endpoint cells,
 // so after crossing a pair only messages incident to the pair's write
 // and read cells can gain or lose candidacy — everything else is
-// untouched. This turns Run from O(pairs × messages) rescanning into
-// O(pairs × degree) maintenance, which is what lets 10k-cell operator
-// graphs through Analyze in milliseconds instead of minutes.
+// untouched. Under the strict rules it is narrower still: a message is
+// a candidate iff both endpoint fronts are ops on it, so the only
+// messages that can gain candidacy are the ones at the two new fronts,
+// and the only one that loses it is the crossed message. Strict runs
+// therefore cost O(1) maintenance per pair whatever the cell degree;
+// lookahead runs rescan the incident messages, O(degree) per pair.
 type tracker struct {
-	s      *state
-	msgs   []model.Message
-	byCell [][]int // cell → indexes into msgs with that cell as an endpoint
-	cand   []Pair  // current candidate per message (valid iff live)
+	s    *state
+	msgs []model.Message
+	// byCell maps a cell to the indexes into msgs of the messages with
+	// that cell as an endpoint; built only for lookahead runs.
+	byCell [][]int
+	cand   []Pair // current candidate per message (valid iff live)
 	live   []bool
 	nLive  int
+	// heap orders the live messages for the default picker: every live
+	// index is in it at least once, pushed when it turns live; dead and
+	// duplicate entries are discarded at pop time against live. nil
+	// when a custom picker chooses from slice() instead.
+	heap *minHeap
 }
 
 func newTracker(s *state) *tracker {
 	t := &tracker{s: s, msgs: s.p.Messages()}
-	t.byCell = make([][]int, s.p.NumCells())
-	for i, m := range t.msgs {
-		t.byCell[m.Sender] = append(t.byCell[m.Sender], i)
-		if m.Receiver != m.Sender {
-			t.byCell[m.Receiver] = append(t.byCell[m.Receiver], i)
+	if s.opts.Picker == nil {
+		t.heap = new(minHeap)
+	}
+	if s.opts.Lookahead {
+		// Count, then fill: one backing array for every cell's list.
+		degree := make([]int, s.p.NumCells())
+		for _, m := range t.msgs {
+			degree[m.Sender]++
+			if m.Receiver != m.Sender {
+				degree[m.Receiver]++
+			}
+		}
+		flat := make([]int, 0, 2*len(t.msgs))
+		t.byCell = make([][]int, s.p.NumCells())
+		for c, d := range degree {
+			t.byCell[c] = flat[len(flat) : len(flat) : len(flat)+d]
+			flat = flat[:len(flat)+d]
+		}
+		for i, m := range t.msgs {
+			t.byCell[m.Sender] = append(t.byCell[m.Sender], i)
+			if m.Receiver != m.Sender {
+				t.byCell[m.Receiver] = append(t.byCell[m.Receiver], i)
+			}
 		}
 	}
 	t.cand = make([]Pair, len(t.msgs))
 	t.live = make([]bool, len(t.msgs))
-	for i, m := range t.msgs {
-		if c, ok := s.candidateFor(m); ok {
-			t.cand[i], t.live[i] = c, true
-			t.nLive++
-		}
+	for i := range t.msgs {
+		t.update(i)
 	}
 	return t
+}
+
+// update recomputes message i's candidacy.
+func (t *tracker) update(i int) {
+	pr, ok := t.s.candidateFor(t.msgs[i])
+	if ok != t.live[i] {
+		if ok {
+			t.nLive++
+			if t.heap != nil {
+				t.heap.push(i)
+			}
+		} else {
+			t.nLive--
+		}
+	}
+	t.cand[i], t.live[i] = pr, ok
+}
+
+// updateFront recomputes candidacy for the message at cell c's front.
+func (t *tracker) updateFront(c model.CellID) {
+	if op, _, ok := t.s.front(c); ok {
+		t.update(int(op.Msg))
+	}
 }
 
 // refresh recomputes candidacy for every message incident to cell c.
 func (t *tracker) refresh(c model.CellID) {
 	for _, i := range t.byCell[c] {
-		pr, ok := t.s.candidateFor(t.msgs[i])
-		if ok != t.live[i] {
-			if ok {
-				t.nLive++
-			} else {
-				t.nLive--
-			}
-		}
-		t.cand[i], t.live[i] = pr, ok
+		t.update(i)
+	}
+}
+
+// crossed brings the candidate set up to date after pr was crossed.
+func (t *tracker) crossed(pr Pair) {
+	// The pair's two ops are gone; the update below re-admits the
+	// message (and re-pushes it) if its next word is executable too.
+	if i := int(pr.Msg); t.live[i] {
+		t.live[i] = false
+		t.nLive--
+	}
+	if !t.s.opts.Lookahead {
+		t.updateFront(pr.WriteCell)
+		t.updateFront(pr.ReadCell)
+		return
+	}
+	t.refresh(pr.WriteCell)
+	if pr.ReadCell != pr.WriteCell {
+		t.refresh(pr.ReadCell)
 	}
 }
 
@@ -336,9 +417,27 @@ func (t *tracker) slice() []Pair {
 	return out
 }
 
-// minHeap is a binary min-heap of message indexes with lazy deletion:
-// entries are re-pushed on every refresh-to-live, and stale or dead
-// entries are discarded at pop time against tracker.live.
+// pick returns the next pair to cross, or false when none is
+// executable. The default picker, ByMessageID, always selects the live
+// candidate with the smallest message id (there is exactly one
+// candidate per message, so the write-index tie-break never fires);
+// the heap finds it without materializing the slice.
+func (t *tracker) pick() (Pair, bool) {
+	if t.heap == nil {
+		if t.nLive == 0 {
+			return Pair{}, false
+		}
+		return t.s.opts.Picker(t.slice()), true
+	}
+	for len(*t.heap) > 0 {
+		if i := t.heap.pop(); t.live[i] {
+			return t.cand[i], true
+		}
+	}
+	return Pair{}, false
+}
+
+// minHeap is a binary min-heap of message indexes.
 type minHeap []int
 
 func (h *minHeap) push(v int) {
@@ -385,71 +484,18 @@ func (h *minHeap) pop() int {
 func Run(p *model.Program, opts Options) Result {
 	s := newState(p, opts)
 	t := newTracker(s)
-	var order []Pair
-
-	if opts.Picker == nil {
-		// Fast path for the deterministic default: ByMessageID always
-		// selects the live candidate with the smallest message id
-		// (there is exactly one candidate per message, so the
-		// write-index tie-break never fires). A lazy min-heap of
-		// message indexes finds it without materializing the slice.
-		var h minHeap
-		for i, ok := range t.live {
-			if ok {
-				h.push(i)
-			}
+	order := make([]Pair, 0, s.left/2)
+	for s.left > 0 {
+		pr, ok := t.pick()
+		if !ok {
+			break
 		}
-		for s.left > 0 {
-			best := -1
-			for len(h) > 0 {
-				i := h.pop()
-				if t.live[i] {
-					best = i
-					break
-				}
-			}
-			if best < 0 {
-				break
-			}
-			pr := t.cand[best]
-			if opts.Observer != nil {
-				opts.Observer(pr)
-			}
-			s.cross(pr)
-			order = append(order, pr)
-			t.refresh(pr.WriteCell)
-			if pr.ReadCell != pr.WriteCell {
-				t.refresh(pr.ReadCell)
-			}
-			for _, i := range t.byCell[pr.WriteCell] {
-				if t.live[i] {
-					h.push(i)
-				}
-			}
-			if pr.ReadCell != pr.WriteCell {
-				for _, i := range t.byCell[pr.ReadCell] {
-					if t.live[i] {
-						h.push(i)
-					}
-				}
-			}
+		if opts.Observer != nil {
+			opts.Observer(pr)
 		}
-	} else {
-		for s.left > 0 {
-			if t.nLive == 0 {
-				break
-			}
-			pr := opts.Picker(t.slice())
-			if opts.Observer != nil {
-				opts.Observer(pr)
-			}
-			s.cross(pr)
-			order = append(order, pr)
-			t.refresh(pr.WriteCell)
-			if pr.ReadCell != pr.WriteCell {
-				t.refresh(pr.ReadCell)
-			}
-		}
+		s.cross(pr)
+		order = append(order, pr)
+		t.crossed(pr)
 	}
 	return Result{
 		DeadlockFree: s.left == 0,

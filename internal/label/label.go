@@ -18,6 +18,18 @@
 //	    receive A's label;
 //	1d. with lookahead, messages whose writes were skipped while
 //	    locating A's pair receive A's label (§8.2).
+//
+// The scheme is the observer of a crossing-off pass, and there is one
+// such pass per analysis: Run owns it, attaches the labeler, and hands
+// back the pass's verdict together with the labeling, so core.Analyze
+// (which wants both) and Assign (which wants the labeling) share one
+// implementation and neither crosses the program off twice. The
+// labeler keeps its state dense — the related classes as one flat
+// index, one remaining-word counter per message, one min-heap of
+// pending labels per cell in a shared array — so labeling a pass costs
+// O(ops + messages·log degree) and a fixed number of allocations, on
+// top of Related's one scan of the program (each op visits the ops
+// since the previous one on its message: the interleaving depth).
 package label
 
 import (
@@ -75,22 +87,72 @@ func Trivial(p *model.Program) Labeling {
 // to a class representative.
 func Related(p *model.Program) *UnionFind {
 	uf := NewUnionFind(p.NumMessages())
+	// Within one cell all ops on a given message share a kind (the cell
+	// is its sender or its receiver), so the position of the previous op
+	// per message suffices. last holds it as 1 + the op's position in
+	// the concatenation of all cell programs; base is where the current
+	// cell starts there, so an entry at or below base is another cell's.
+	last := make([]int, p.NumMessages())
+	base := 0
 	for c := 0; c < p.NumCells(); c++ {
 		code := p.Code(model.CellID(c))
-		// Within one cell all ops on a given message share a kind
-		// (the cell is its sender or its receiver), so tracking the
-		// previous op index per message suffices.
-		prev := make(map[model.MessageID]int)
 		for i, op := range code {
-			if j, ok := prev[op.Msg]; ok {
-				for k := j + 1; k < i; k++ {
+			if j := last[op.Msg] - base; j > 0 {
+				for k := j; k < i; k++ {
 					uf.Union(int(op.Msg), int(code[k].Msg))
 				}
 			}
-			prev[op.Msg] = i
+			last[op.Msg] = base + i + 1
 		}
+		base += len(code)
 	}
 	return uf
+}
+
+// classIndex is the related-messages partition in compressed-row form:
+// class k's members are members[start[k]:start[k+1]], ascending.
+type classIndex struct {
+	classOf []int32 // message → class
+	start   []int32
+	members []int32
+}
+
+func newClassIndex(uf *UnionFind) classIndex {
+	n := len(uf.parent)
+	ix := classIndex{classOf: make([]int32, n), members: make([]int32, n)}
+	// Number the classes in order of their smallest member. next maps a
+	// representative to 1 + its class here, and a class to its fill
+	// position below.
+	next := make([]int32, n)
+	classes := int32(0)
+	for i := range ix.classOf {
+		r := uf.Find(i)
+		if next[r] == 0 {
+			classes++
+			next[r] = classes
+		}
+		ix.classOf[i] = next[r] - 1
+	}
+	ix.start = make([]int32, classes+1)
+	for _, k := range ix.classOf {
+		ix.start[k+1]++
+	}
+	for k := int32(0); k < classes; k++ {
+		ix.start[k+1] += ix.start[k]
+	}
+	next = next[:classes]
+	copy(next, ix.start)
+	for i, k := range ix.classOf {
+		ix.members[next[k]] = int32(i)
+		next[k]++
+	}
+	return ix
+}
+
+// class returns the members of msg's class.
+func (ix classIndex) class(msg model.MessageID) []int32 {
+	k := ix.classOf[msg]
+	return ix.members[ix.start[k]:ix.start[k+1]]
 }
 
 // Assign produces a consistent labeling. It runs the paper's §6
@@ -101,159 +163,246 @@ func Related(p *model.Program) *UnionFind {
 // the order-based construction of AssignByOrder, which cannot fail,
 // and records the fallback in Warnings. It returns an error only when
 // the program is not deadlock-free under the selected variant.
+//
+// Assign is Run for callers that want only the labeling.
 func Assign(p *model.Program, opts Options) (Labeling, error) {
-	lab, err := assignGreedy(p, opts)
-	if err == nil && Check(p, lab.ByMessage) == nil {
-		return lab, nil
-	}
-	if !crossoff.Classify(p, crossoff.Options{Lookahead: opts.Lookahead, Budget: opts.Budget, Picker: opts.Picker}) {
+	res, lab := Run(p, opts)
+	if !res.DeadlockFree {
 		return Labeling{}, fmt.Errorf("label: program is not deadlock-free: %s",
-			crossoff.DescribeBlocked(p, crossoff.Run(p, crossoff.Options{Lookahead: opts.Lookahead, Budget: opts.Budget}).Blocked))
+			crossoff.DescribeBlocked(p, res.Blocked))
+	}
+	return lab, nil
+}
+
+// Run makes the one crossing-off pass of the analysis (§3.2) with the
+// §6 labeler attached as its observer, and returns the pass's result
+// alongside the labeling it produced. A program that is not
+// deadlock-free under the selected variant yields the zero Labeling:
+// the verdict and the blocked fronts are in the result.
+func Run(p *model.Program, opts Options) (crossoff.Result, Labeling) {
+	l := newLabeler(p)
+	res := crossoff.Run(p, crossoff.Options{
+		Lookahead: opts.Lookahead,
+		Budget:    opts.Budget,
+		Picker:    opts.Picker,
+		Observer:  l.observe,
+	})
+	if !res.DeadlockFree {
+		return res, Labeling{}
+	}
+	lab, err := l.labeling()
+	if err == nil && Check(p, lab.ByMessage) == nil {
+		return res, lab
 	}
 	var eqs [][2]model.MessageID
 	if opts.Lookahead {
 		eqs = LookaheadEqualities(p, opts.Budget) // §8.2 rule 1d
 	}
-	fallback, err2 := AssignByOrder(p, eqs)
-	if err2 != nil {
-		return Labeling{}, err2
-	}
+	// The pass above crossed everything off, so the order-based
+	// construction needs no verdict of its own.
+	fallback := assignByOrder(p, eqs)
 	reason := "greedy §6 scheme produced an inconsistent labeling"
 	if err != nil {
 		reason = err.Error()
 	}
 	fallback.Warnings = append(fallback.Warnings,
 		fmt.Sprintf("label: fell back to order-based labeling (%s)", reason))
-	return fallback, nil
+	return res, fallback
 }
 
-// assignGreedy is the literal §6 algorithm: label during a
-// crossing-off pass, steps 1a–1d.
-func assignGreedy(p *model.Program, opts Options) (Labeling, error) {
-	uf := Related(p)
+// labeler is the literal §6 algorithm, steps 1a–1d, as the observer of
+// a crossing-off pass. Every step is O(1) or O(log degree) per pair
+// except rule 1c, which visits a related class once, when its first
+// member is labeled: O(ops + messages·log degree) for the whole pass.
+type labeler struct {
+	p       *model.Program
+	classes classIndex
 
-	labels := make([]rational.R, p.NumMessages())
-	labeled := make([]bool, p.NumMessages())
-	lastTouched := make([]rational.R, p.NumCells()) // zero = "nothing yet" (labels are ≥ 1)
-	maxInUse := rational.FromInt(0)
-	var warnings []string
-	var schemeErr error
+	labels   []rational.R
+	labeled  []bool
+	maxInUse rational.R
+	// lastTouched is the label of the last pair crossed at each cell;
+	// zero = "nothing yet" (labels are ≥ 1).
+	lastTouched []rational.R
+	// left counts each message's words not yet crossed. Both endpoint
+	// cells "will read from or write to" the message (steps 1a/1b)
+	// exactly while it is positive, since a pair crosses one op at each.
+	left []int32
+	// pending holds, per cell, a min-heap by label of the labeled
+	// messages incident to the cell: cell c's heap is
+	// pending[heapStart[c]:heapStart[c]+heapLen[c]]. A message enters
+	// both endpoint heaps once, when it is labeled, so the room each
+	// cell needs is its degree. Entries whose message has no words left
+	// are dropped when they reach the top.
+	pending   []int32
+	heapStart []int32
+	heapLen   []int32
 
-	// Remaining-op bookkeeping for the "will read from or write to"
-	// scans of steps 1a/1b: per cell, the multiset of message ids in
-	// its uncrossed suffix. We maintain counts and decrement as pairs
-	// cross.
-	remaining := make([]map[model.MessageID]int, p.NumCells())
+	warnings  []string
+	schemeErr error
+}
+
+func newLabeler(p *model.Program) *labeler {
+	l := &labeler{
+		p:           p,
+		classes:     newClassIndex(Related(p)),
+		labels:      make([]rational.R, p.NumMessages()),
+		labeled:     make([]bool, p.NumMessages()),
+		maxInUse:    rational.FromInt(0),
+		lastTouched: make([]rational.R, p.NumCells()),
+		left:        make([]int32, p.NumMessages()),
+		pending:     make([]int32, 2*p.NumMessages()),
+		heapStart:   make([]int32, p.NumCells()+1),
+		heapLen:     make([]int32, p.NumCells()),
+	}
+	for _, m := range p.Messages() {
+		l.left[m.ID] = int32(m.Words)
+		l.heapStart[m.Sender+1]++
+		l.heapStart[m.Receiver+1]++
+	}
 	for c := 0; c < p.NumCells(); c++ {
-		remaining[c] = make(map[model.MessageID]int)
-		for _, op := range p.Code(model.CellID(c)) {
-			remaining[c][op.Msg]++
+		l.heapStart[c+1] += l.heapStart[c]
+	}
+	return l
+}
+
+// setLabel labels msg and enters it into its endpoints' pending heaps.
+func (l *labeler) setLabel(msg model.MessageID, lab rational.R) {
+	l.labels[msg] = lab
+	l.labeled[msg] = true
+	l.maxInUse = rational.Max(l.maxInUse, lab)
+	m := l.p.Message(msg)
+	l.push(m.Sender, msg)
+	l.push(m.Receiver, msg)
+}
+
+// heap returns cell c's pending heap.
+func (l *labeler) heap(c model.CellID) []int32 {
+	return l.pending[l.heapStart[c] : l.heapStart[c]+l.heapLen[c]]
+}
+
+func (l *labeler) push(c model.CellID, msg model.MessageID) {
+	l.heapLen[c]++
+	h := l.heap(c)
+	i := len(h) - 1
+	h[i] = int32(msg)
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !l.labels[h[i]].Less(l.labels[h[parent]]) {
+			break
 		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
 	}
+}
 
-	// pendingMin returns the smallest label among already-labeled
-	// messages still appearing in cell c's remaining ops, excluding
-	// message self.
-	pendingMin := func(c model.CellID, self model.MessageID) (rational.R, bool) {
-		var min rational.R
-		found := false
-		for msg, n := range remaining[c] {
-			if n <= 0 || msg == self || !labeled[msg] {
-				continue
-			}
-			if !found || labels[msg].Less(min) {
-				min = labels[msg]
-				found = true
-			}
+// pop drops the top of cell c's pending heap.
+func (l *labeler) pop(c model.CellID) {
+	h := l.heap(c)
+	n := len(h) - 1
+	h[0] = h[n]
+	l.heapLen[c]--
+	for i := 0; ; {
+		small := i
+		if a := 2*i + 1; a < n && l.labels[h[a]].Less(l.labels[h[small]]) {
+			small = a
 		}
-		return min, found
-	}
-
-	setLabel := func(msg model.MessageID, lab rational.R) {
-		labels[msg] = lab
-		labeled[msg] = true
-		maxInUse = rational.Max(maxInUse, lab)
-	}
-
-	observer := func(pr crossoff.Pair) {
-		defer func() {
-			// The pair is crossed after observation: account for it.
-			remaining[pr.WriteCell][pr.Msg]--
-			remaining[pr.ReadCell][pr.Msg]--
-			lastTouched[pr.WriteCell] = labels[pr.Msg]
-			lastTouched[pr.ReadCell] = labels[pr.Msg]
-		}()
-		if labeled[pr.Msg] {
+		if b := 2*i + 2; b < n && l.labels[h[b]].Less(l.labels[h[small]]) {
+			small = b
+		}
+		if small == i {
 			return
 		}
-		m := p.Message(pr.Msg)
-		uS, okS := pendingMin(m.Sender, pr.Msg)
-		uR, okR := pendingMin(m.Receiver, pr.Msg)
-		var lab rational.R
-		switch {
-		case !okS && !okR:
-			// Step 1a: larger than every label in use.
-			lab = rational.FromInt(maxInUse.Floor() + 1)
-		default:
-			// Step 1b: between the last labels touched and the
-			// smallest pending labeled message.
-			upper := uS
-			if !okS || (okR && uR.Less(upper)) {
-				upper = uR
-			}
-			lower := rational.Max(lastTouched[m.Sender], lastTouched[m.Receiver])
-			if !lower.Less(upper) {
-				if schemeErr == nil {
-					schemeErr = fmt.Errorf(
-						"label: empty window for message %s: last touched %v, pending %v",
-						m.Name, lower, upper)
-				}
-				lower = upper.Sub(rational.FromInt(1)) // degrade; Check will judge
-			}
-			lab = lower.Mid(upper)
-		}
-		// Steps 1c/1d share the label across the related class and
-		// the skipped-over messages.
-		for other := 0; other < p.NumMessages(); other++ {
-			if uf.Find(other) == uf.Find(int(pr.Msg)) && !labeled[other] {
-				setLabel(model.MessageID(other), lab)
-			}
-		}
-		for _, sk := range pr.Skipped {
-			if !labeled[sk.Msg] {
-				setLabel(sk.Msg, lab)
-			} else if !labels[sk.Msg].Equal(lab) {
-				warnings = append(warnings, fmt.Sprintf(
-					"label: skipped message %s already labeled %v, wanted %v (rule 1d)",
-					p.Message(sk.Msg).Name, labels[sk.Msg], lab))
-			}
-		}
-		if !labeled[pr.Msg] { // not covered by its own class loop? (always is; defensive)
-			setLabel(pr.Msg, lab)
-		}
+		h[i], h[small] = h[small], h[i]
+		i = small
 	}
+}
 
-	res := crossoff.Run(p, crossoff.Options{
-		Lookahead: opts.Lookahead,
-		Budget:    opts.Budget,
-		Picker:    opts.Picker,
-		Observer:  observer,
-	})
-	if !res.DeadlockFree {
-		return Labeling{}, fmt.Errorf("label: program is not deadlock-free: %s",
-			crossoff.DescribeBlocked(p, res.Blocked))
+// pendingMin returns the smallest label among already-labeled messages
+// still appearing in cell c's remaining ops. The message being labeled
+// never counts: it has no label yet.
+func (l *labeler) pendingMin(c model.CellID) (rational.R, bool) {
+	for l.heapLen[c] > 0 {
+		if top := l.heap(c)[0]; l.left[top] > 0 {
+			return l.labels[top], true
+		}
+		l.pop(c)
 	}
-	if schemeErr != nil {
-		return Labeling{}, schemeErr
+	return rational.R{}, false
+}
+
+// observe sees each pair immediately before it is crossed.
+func (l *labeler) observe(pr crossoff.Pair) {
+	if !l.labeled[pr.Msg] {
+		l.label(pr)
 	}
-	for i, ok := range labeled {
+	// The pair is crossed after observation: account for it.
+	l.left[pr.Msg]--
+	l.lastTouched[pr.WriteCell] = l.labels[pr.Msg]
+	l.lastTouched[pr.ReadCell] = l.labels[pr.Msg]
+}
+
+// label applies steps 1a–1d to a pair whose message has no label yet.
+func (l *labeler) label(pr crossoff.Pair) {
+	m := l.p.Message(pr.Msg)
+	uS, okS := l.pendingMin(m.Sender)
+	uR, okR := l.pendingMin(m.Receiver)
+	var lab rational.R
+	switch {
+	case !okS && !okR:
+		// Step 1a: larger than every label in use.
+		lab = rational.FromInt(l.maxInUse.Floor() + 1)
+	default:
+		// Step 1b: between the last labels touched and the
+		// smallest pending labeled message.
+		upper := uS
+		if !okS || (okR && uR.Less(upper)) {
+			upper = uR
+		}
+		lower := rational.Max(l.lastTouched[m.Sender], l.lastTouched[m.Receiver])
+		if !lower.Less(upper) {
+			if l.schemeErr == nil {
+				l.schemeErr = fmt.Errorf(
+					"label: empty window for message %s: last touched %v, pending %v",
+					m.Name, lower, upper)
+			}
+			lower = upper.Sub(rational.FromInt(1)) // degrade; Check will judge
+		}
+		lab = lower.Mid(upper)
+	}
+	// Steps 1c/1d share the label across the related class and
+	// the skipped-over messages. Rule 1d may have labeled some of the
+	// class already, one message at a time.
+	for _, other := range l.classes.class(pr.Msg) {
+		if !l.labeled[other] {
+			l.setLabel(model.MessageID(other), lab)
+		}
+	}
+	for _, sk := range pr.Skipped {
+		if !l.labeled[sk.Msg] {
+			l.setLabel(sk.Msg, lab)
+		} else if !l.labels[sk.Msg].Equal(lab) {
+			l.warnings = append(l.warnings, fmt.Sprintf(
+				"label: skipped message %s already labeled %v, wanted %v (rule 1d)",
+				l.p.Message(sk.Msg).Name, l.labels[sk.Msg], lab))
+		}
+	}
+}
+
+// labeling returns what the scheme produced over a pass that crossed
+// every operation off.
+func (l *labeler) labeling() (Labeling, error) {
+	if l.schemeErr != nil {
+		return Labeling{}, l.schemeErr
+	}
+	for i, ok := range l.labeled {
 		if !ok {
 			// Unreachable for validated programs (every message has a
 			// crossed pair), kept as a hard failure.
-			return Labeling{}, fmt.Errorf("label: message %s never labeled", p.Message(model.MessageID(i)).Name)
+			return Labeling{}, fmt.Errorf("label: message %s never labeled", l.p.Message(model.MessageID(i)).Name)
 		}
 	}
-	return Labeling{ByMessage: labels, Dense: densify(labels), Warnings: warnings}, nil
+	return Labeling{ByMessage: l.labels, Dense: densify(l.labels), Warnings: l.warnings}, nil
 }
 
 // densify converts exact labels to 1-based integer ranks preserving

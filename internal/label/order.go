@@ -39,6 +39,12 @@ func AssignByOrder(p *model.Program, extraEqualities [][2]model.MessageID) (Labe
 		return Labeling{}, fmt.Errorf("label: program is not deadlock-free: %s",
 			crossoff.DescribeBlocked(p, res.Blocked))
 	}
+	return assignByOrder(p, extraEqualities), nil
+}
+
+// assignByOrder is AssignByOrder for a program already known to cross
+// off completely.
+func assignByOrder(p *model.Program, extraEqualities [][2]model.MessageID) Labeling {
 	n := p.NumMessages()
 	adj := make([][]int, n) // u → v means label(u) ≤ label(v)
 	addEdge := func(u, v model.MessageID) {
@@ -99,7 +105,7 @@ func AssignByOrder(p *model.Program, extraEqualities [][2]model.MessageID) (Labe
 		lab.ByMessage[m] = rational.FromInt(int64(rank[comp[m]]))
 	}
 	lab.Dense = densify(lab.ByMessage)
-	return lab, nil
+	return lab
 }
 
 // sccKosaraju returns the component id of each node, with component

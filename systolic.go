@@ -141,7 +141,10 @@ type (
 	Rational = rational.R
 )
 
-// AssignLabels runs the §6 consistent labeling scheme.
+// AssignLabels runs the §6 consistent labeling scheme: one crossing-off
+// pass with the labeler as its observer — the same pass, and the same
+// code, Analyze takes its verdict and its labeling from. It fails only
+// for a program that is not deadlock-free under the selected variant.
 func AssignLabels(p *Program, opts LabelOptions) (Labeling, error) { return label.Assign(p, opts) }
 
 // TrivialLabels labels every message 1 — always consistent, maximally
@@ -153,7 +156,9 @@ func TrivialLabels(p *Program) Labeling { return label.Trivial(p) }
 func CheckLabels(p *Program, l Labeling) error { return label.Check(p, l.ByMessage) }
 
 // RelatedMessages computes the §6 related-message classes
-// (interleaved reads or writes at a cell, closed transitively).
+// (interleaved reads or writes at a cell, closed transitively), each
+// keyed by a representative member and sorted ascending. Rule 1c of the
+// labeling scheme hands every class one label.
 func RelatedMessages(p *Program) map[int][]int { return label.Related(p).Classes() }
 
 // Engine pipeline (Analyze / Execute) and run-time types.
