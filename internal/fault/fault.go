@@ -20,6 +20,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -398,6 +399,49 @@ func (l *Lowered) LinkOpen(lk topology.LinkID, cycle int) bool {
 	return cycle%int(f) == 0
 }
 
+// Never is the next-open cycle of a gate that stays closed for good (a
+// dead cell, a severed link): later than any cycle a run can reach.
+const Never = math.MaxInt
+
+// nextOpen is the shared body of CellNextOpen and LinkNextOpen: the
+// first cycle ≥ cycle on which a gate with the given factor encoding
+// is open, assuming the gate's effective-from cycle has been reached
+// whenever the gate is closed on cycle.
+//
+//sysvet:hotpath
+func nextOpen(f int32, from int32, cycle int) int {
+	if f == 0 || cycle < int(from) {
+		return cycle
+	}
+	if f < 0 {
+		return Never
+	}
+	if r := cycle % int(f); r != 0 {
+		return cycle + int(f) - r
+	}
+	return cycle
+}
+
+// CellNextOpen returns the first cycle ≥ cycle on which cell c's gate
+// is open once its fault is in effect: cycle itself when CellOpen
+// holds, the next multiple of the slowdown factor otherwise, Never for
+// a dead cell. The engines' idle-cycle fast-forward uses it as the
+// earliest cycle a closed gate can stop being the reason an operation
+// is held back.
+//
+//sysvet:hotpath
+func (l *Lowered) CellNextOpen(c model.CellID, cycle int) int {
+	return nextOpen(l.cellFactor[c], l.cellFrom[c], cycle)
+}
+
+// LinkNextOpen is CellNextOpen for link lk's gate; Never for a
+// severed link.
+//
+//sysvet:hotpath
+func (l *Lowered) LinkNextOpen(lk topology.LinkID, cycle int) int {
+	return nextOpen(l.linkFactor[lk], l.linkFrom[lk], cycle)
+}
+
 // AllPeriodicOpen reports whether every periodic gate is open on
 // cycle. A no-event cycle that satisfies this is a true deadlock:
 // dead and severed elements never reopen, every slowed element was
@@ -411,6 +455,29 @@ func (l *Lowered) AllPeriodicOpen(cycle int) bool {
 		}
 	}
 	return true
+}
+
+// NextAllOpen returns the first cycle in [from, limit) on which
+// AllPeriodicOpen holds, or limit when there is none. Such a cycle is
+// a multiple of every factor in effect at from, so the search visits
+// only multiples of the largest of them; gates that come into effect
+// later can only rule candidates out, which the per-candidate test
+// handles.
+func (l *Lowered) NextAllOpen(from, limit int) int {
+	step := 1
+	for _, g := range l.periodic {
+		if from >= g.from && g.factor > step {
+			step = g.factor
+		}
+	}
+	// from ≤ t ends the search should t wrap past the top of the int
+	// range (a caller-set limit may sit there).
+	for t := from + (step-from%step)%step; from <= t && t < limit; t += step {
+		if l.AllPeriodicOpen(t) {
+			return t
+		}
+	}
+	return limit
 }
 
 // MaxFactor returns the largest periodic factor in the plan (≥ 1):

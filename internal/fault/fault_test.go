@@ -275,3 +275,53 @@ func TestParseSpecEdgeCases(t *testing.T) {
 		t.Errorf("cell and link sharing an index rejected: %v", err)
 	}
 }
+
+// TestNextOpenAgreesWithStepping holds the closed-form next-open
+// queries the engines' idle-cycle fast-forward jumps by to the
+// definition they replace: stepping cycle by cycle until the gate (or
+// every periodic gate) is open.
+func TestNextOpenAgreesWithStepping(t *testing.T) {
+	plan := &Plan{
+		Cells: []CellFault{{Cell: 0, Factor: 7}, {Cell: 1, Factor: 13, From: 40}, {Cell: 2, Dead: true, From: 5}},
+		Links: []LinkFault{{Link: 0, Factor: 10, From: 3}, {Link: 1, Severed: true}},
+	}
+	l := Lower(plan, 4, 3)
+	const horizon = 2000
+	step := func(open func(int) bool, from int) int {
+		for c := from; c < horizon; c++ {
+			if open(c) {
+				return c
+			}
+		}
+		return Never
+	}
+	for cyc := 0; cyc < 200; cyc++ {
+		for c := model.CellID(0); c < 4; c++ {
+			want := step(func(x int) bool { return l.CellOpen(c, x) }, cyc)
+			if got := l.CellNextOpen(c, cyc); got != want {
+				t.Fatalf("CellNextOpen(%d, %d) = %d, want %d", c, cyc, got, want)
+			}
+		}
+		for lk := topology.LinkID(0); lk < 3; lk++ {
+			want := step(func(x int) bool { return l.LinkOpen(lk, x) }, cyc)
+			if got := l.LinkNextOpen(lk, cyc); got != want {
+				t.Fatalf("LinkNextOpen(%d, %d) = %d, want %d", lk, cyc, got, want)
+			}
+		}
+		// 7, 10 and 13 are pairwise coprime: every gate in effect, the
+		// first all-open cycle is a multiple of 910.
+		for _, limit := range []int{cyc, cyc + 1, 69, 910, 911, horizon} {
+			want := step(l.AllPeriodicOpen, cyc)
+			if want > limit || limit < cyc {
+				want = limit
+			}
+			if got := l.NextAllOpen(cyc, limit); got != want {
+				t.Fatalf("NextAllOpen(%d, %d) = %d, want %d", cyc, limit, got, want)
+			}
+		}
+	}
+	// A bound at the top of the int range must not wrap the search.
+	if got := l.NextAllOpen(Never-5, Never); got != Never {
+		t.Fatalf("NextAllOpen near MaxInt = %d, want the limit", got)
+	}
+}

@@ -71,6 +71,20 @@ import (
 // run (per cell: cycles elapsed while unfinished minus ops issued)
 // instead of a per-cycle scan; the result is bit-identical to the
 // reference engine's counter.
+//
+// Host time follows events, not simulated cycles. The ready sets make
+// an empty cycle cheap; the idle-cycle fast-forward makes a run of
+// them free. A cycle with no event leaves every ready set empty, so it
+// is a fixpoint of everything but time, and only three predicates
+// depend on time: a link's busy window (lmNextFree), a periodic fault
+// gate, an extension-penalty cooldown. The gate sites that test them
+// fold the cycle at which each can flip into exec.wake (noteWake,
+// noteGated), and after a no-event cycle that is not a deadlock the
+// loop jumps there (fastForward) instead of stepping, adding the
+// skipped cycles' gated-op counts and cooldown ticks in bulk. Cycle
+// counts, deadlock cycles and every other Result byte are those of
+// the stepping loop; the reference engine in internal/sim still steps
+// and stays the oracle for it.
 
 // queueInst is one physical queue in a link's pool.
 type queueInst struct {
@@ -244,7 +258,21 @@ type exec struct {
 	stats Stats
 	now   int
 	moved bool // any event this cycle
+	// wake is the earliest cycle at which a time-dependent predicate
+	// that held a candidate back this cycle can flip (noWake when none
+	// did); reset every cycle, folded at the gate sites, and consumed
+	// by fastForward after a no-event cycle. executed counts the cycles
+	// the loop actually ran — res.Cycles minus the fast-forwarded ones —
+	// for the in-package tests and benchmarks; it never reaches Result.
+	wake     int
+	executed int
 }
+
+// noWake is the wake value of a cycle in which no candidate was held
+// back by a predicate that time alone can flip. It equals fault.Never,
+// so a dead cell's or severed link's next-open cycle folds to "no
+// wake" without a special case.
+const noWake = fault.Never
 
 // deliver appends a received word. Each message's slice is a window
 // into one per-run arena, installed on first delivery (so messages
@@ -422,6 +450,8 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 	e.stats = Stats{}
 	e.now = 0
 	e.moved = false
+	e.wake = noWake
+	e.executed = 0
 }
 
 // release clears every reference that escaped into the returned
@@ -517,15 +547,33 @@ func (e *exec) lmEndCycle() {
 	e.lmDirty = e.lmDirty[:0]
 }
 
-// noteGated counts one operation held back by a fault gate.
+// noteWake folds cycle t into this cycle's wake minimum: some
+// candidate is held back by a predicate that cannot flip before t.
+// Sharded mode defers through the sink (min commutes, so every worker
+// count folds the same value).
 //
 //sysvet:hotpath
-func (e *exec) noteGated(sk *sink) {
+func (e *exec) noteWake(t int, sk *sink) {
+	if e.direct {
+		e.wake = min(e.wake, t)
+		return
+	}
+	sk.wake = min(sk.wake, t)
+}
+
+// noteGated counts one operation held back by a fault gate that
+// cannot reopen before cycle reopen (fault.Never for a dead cell or a
+// severed link).
+//
+//sysvet:hotpath
+func (e *exec) noteGated(sk *sink, reopen int) {
 	if e.direct {
 		e.stats.GatedOps++
+		e.wake = min(e.wake, reopen)
 		return
 	}
 	sk.gated++
+	sk.wake = min(sk.wake, reopen)
 }
 
 // pool returns the queue instances of pool p.
@@ -732,9 +780,12 @@ func (e *exec) advancePC(c int, sk *sink) {
 
 // run executes the scheduler loop. The cycle structure — tick,
 // collect, grant, transfer, release, deadlock check — is the
-// reference engine's, with each phase visiting only its ready set.
-// The gang (when present) is torn down on every exit path, so a
-// pooled exec never strands goroutines.
+// reference engine's, with each phase visiting only its ready set,
+// and with one departure in host time only: after a no-event cycle
+// that is not a deadlock the loop does not step through the cycles
+// that would repeat it but jumps to the first one that can differ
+// (fastForward). The gang (when present) is torn down on every exit
+// path, so a pooled exec never strands goroutines.
 func (e *exec) run(maxCycles int) {
 	defer func() {
 		if e.gang != nil {
@@ -754,7 +805,10 @@ func (e *exec) run(maxCycles int) {
 			default:
 			}
 		}
+		e.executed++
 		e.moved = false
+		e.wake = noWake
+		gated := e.stats.GatedOps
 		e.tickCooling()
 		e.collectRequests()
 		e.grantPhase()
@@ -763,7 +817,10 @@ func (e *exec) run(maxCycles int) {
 		if e.lm != nil {
 			e.lmEndCycle()
 		}
-		if !e.moved && !e.anyCooling() && (e.faults == nil || e.faults.AllPeriodicOpen(e.now)) &&
+		if e.moved {
+			continue
+		}
+		if !e.anyCooling() && (e.faults == nil || e.faults.AllPeriodicOpen(e.now)) &&
 			(e.lm == nil || e.now >= e.lmBusyMax) {
 			// A no-event cycle proves deadlock only if every periodic
 			// fault gate was open: a closed gate may be the sole reason
@@ -778,7 +835,67 @@ func (e *exec) run(maxCycles int) {
 			e.res.Blocked = e.blockedReport()
 			break
 		}
+		e.fastForward(maxCycles, e.stats.GatedOps-gated)
 	}
+}
+
+// fastForward runs after a no-event cycle that is not a deadlock and
+// skips the cycles that would repeat it. Such a cycle is a fixpoint of
+// everything but time: it leaves dirty, reqSet, armed, movedSet and
+// issuedList empty, so until some time-dependent predicate flips,
+// every following cycle visits the same candidates, holds each back
+// for the same reason and gates the same gated operations. The first
+// cycle that can differ is the earliest of
+//
+//   - e.wake: the gate sites' minimum over the busy windows
+//     (lmNextFree) and closed periodic fault gates (next multiple of
+//     the factor) that held a candidate back this cycle — dead cells
+//     and severed links contribute nothing;
+//   - now + cooldown for every queue on the cooling list.
+//
+// No cycle before that one can be declared a deadlock either: the
+// predicate needs the very gate open, now ≥ lmBusyMax ≥ that window's
+// end, or no cooldown running. When nothing time-dependent holds a
+// candidate (work parked behind a dead cell, say) the run is stalled
+// for good and only the deadlock predicate itself is waiting — for
+// the last busy window to close and for a cycle on which every
+// periodic gate is open — so the jump goes straight to the first cycle
+// that satisfies it. Either way the target cycle is executed normally,
+// which is what declares the deadlock, at the reference engine's
+// cycle.
+//
+// The skipped cycles' only lasting effects are applied in bulk: each
+// would have counted gated more GatedOps and ticked every running
+// cooldown once. The target is clamped to maxCycles so a run that
+// times out inside a window still reports Cycles == MaxCycles.
+//
+//sysvet:hotpath
+func (e *exec) fastForward(maxCycles, gated int) {
+	target := e.wake
+	for _, slot := range e.cooling {
+		if c := e.queues[slot].q.Cooldown(); c > 0 {
+			target = min(target, e.now+c)
+		}
+	}
+	if target == noWake {
+		target = e.now + 1
+		if e.lm != nil {
+			target = max(target, e.lmBusyMax)
+		}
+		if e.faults != nil {
+			target = e.faults.NextAllOpen(target, maxCycles)
+		}
+	}
+	target = min(target, maxCycles)
+	skipped := target - (e.now + 1)
+	if skipped <= 0 {
+		return
+	}
+	e.stats.GatedOps += gated * skipped
+	for _, slot := range e.cooling {
+		e.queues[slot].q.TickN(skipped)
+	}
+	e.now += skipped // the loop's increment lands on target
 }
 
 // tickCooling advances extension-penalty cooldowns, compacting
@@ -1116,7 +1233,7 @@ func (e *exec) readShard(s int) {
 			continue
 		}
 		if e.faults != nil && !e.faults.CellOpen(cell, e.now) {
-			e.noteGated(sk)
+			e.noteGated(sk, e.faults.CellNextOpen(cell, e.now))
 			continue
 		}
 		word := qi.q.Pop()
@@ -1151,10 +1268,11 @@ func (e *exec) advanceShard(s int) {
 				if e.lm != nil && !e.linkFree(e.hopLink(id, hop+1)) {
 					// Busy-link stalls are timing, not degradation: no
 					// GatedOps.
+					e.noteWake(e.lmNextFree[e.hopLink(id, hop+1)], sk)
 					continue
 				}
 				if e.faults != nil && !e.faults.LinkOpen(e.hopLink(id, hop+1), e.now) {
-					e.noteGated(sk)
+					e.noteGated(sk, e.faults.LinkNextOpen(e.hopLink(id, hop+1), e.now))
 					continue
 				}
 				dst.q.Push(src.q.Pop())
@@ -1211,10 +1329,13 @@ func (e *exec) writeShard(s int) {
 			continue
 		}
 		if e.lm != nil && !e.linkFree(qi.link) {
+			e.noteWake(e.lmNextFree[qi.link], sk)
 			continue
 		}
 		if e.faults != nil && (!e.faults.CellOpen(cell, e.now) || !e.faults.LinkOpen(qi.link, e.now)) {
-			e.noteGated(sk)
+			// The write needs both gates open at once, so it cannot go
+			// before the later of their next-open cycles.
+			e.noteGated(sk, max(e.faults.CellNextOpen(cell, e.now), e.faults.LinkNextOpen(qi.link, e.now)))
 			continue
 		}
 		qi.q.Push(e.logic.Produce(cell, id, ms.written))
@@ -1263,12 +1384,15 @@ func (e *exec) rendezvous(sk *sink) {
 			continue
 		}
 		if e.lm != nil && !e.linkFree(ms.queues[0].link) {
+			e.noteWake(e.lmNextFree[ms.queues[0].link], sk)
 			continue
 		}
 		if e.faults != nil && (!e.faults.CellOpen(e.m.sender[id], e.now) ||
 			!e.faults.CellOpen(e.m.receiver[id], e.now) ||
 			!e.faults.LinkOpen(ms.queues[0].link, e.now)) {
-			e.noteGated(sk)
+			e.noteGated(sk, max(e.faults.CellNextOpen(e.m.sender[id], e.now),
+				e.faults.CellNextOpen(e.m.receiver[id], e.now),
+				e.faults.LinkNextOpen(ms.queues[0].link, e.now)))
 			continue
 		}
 		w := e.logic.Produce(e.m.sender[id], id, ms.written)

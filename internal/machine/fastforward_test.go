@@ -1,0 +1,143 @@
+package machine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"systolic/internal/fault"
+	"systolic/internal/linkmodel"
+	"systolic/internal/model"
+	"systolic/internal/topology"
+)
+
+// sparseChain builds a daisy chain over a linear array: cell i reads
+// all of message i-1 before writing message i, so about two messages
+// are ever live and, under a slow link model, nearly every cycle is
+// empty for every cell (tools/perf's run-sparse chain).
+func sparseChain(t testing.TB, cells, words int) *model.Program {
+	t.Helper()
+	b := model.NewBuilder()
+	ids := make([]model.CellID, cells)
+	for i := range ids {
+		ids[i] = b.AddCell(fmt.Sprintf("C%d", i))
+	}
+	msgs := make([]model.MessageID, cells-1)
+	for i := range msgs {
+		msgs[i] = b.DeclareMessage(fmt.Sprintf("M%d", i), ids[i], ids[i+1], words)
+	}
+	b.WriteN(ids[0], msgs[0], words)
+	for i := 1; i < cells-1; i++ {
+		b.ReadN(ids[i], msgs[i-1], words)
+		b.WriteN(ids[i], msgs[i], words)
+	}
+	b.ReadN(ids[cells-1], msgs[cells-2], words)
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func mustLinkModel(t testing.TB, spec string) *linkmodel.Plan {
+	t.Helper()
+	p, err := linkmodel.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func mustFaults(t testing.TB, spec string) *fault.Plan {
+	t.Helper()
+	p, err := fault.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestIdleCyclesSkipped is the executed-cycle gate for the idle-cycle
+// fast-forward: host work must follow events, not simulated cycles,
+// exactly where a link model or a fault plan stretches the schedule —
+// and nowhere else.
+func TestIdleCyclesSkipped(t *testing.T) {
+	cells := 1024
+	if raceEnabled {
+		cells = 128
+	}
+	chainM := mustCompile(t, sparseChain(t, cells, 4), topology.Linear(cells))
+
+	t.Run("delay64 chain executes at most an eighth of its cycles", func(t *testing.T) {
+		ex := chainM.NewExec()
+		opts := fcfs(2, 2)
+		opts.LinkModel = mustLinkModel(t, "fixed,delay=64")
+		res, err := ex.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed {
+			t.Fatalf("outcome: completed=%v deadlocked=%v timedOut=%v", res.Completed, res.Deadlocked, res.TimedOut)
+		}
+		if ex.e.executed > res.Cycles/8 {
+			t.Fatalf("executed %d of %d simulated cycles, want ≤ 1/8", ex.e.executed, res.Cycles)
+		}
+		t.Logf("executed %d of %d simulated cycles", ex.e.executed, res.Cycles)
+	})
+
+	t.Run("unit latency executes every cycle", func(t *testing.T) {
+		ex := chainM.NewExec()
+		res, err := ex.Run(fcfs(2, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed || ex.e.executed != res.Cycles {
+			t.Fatalf("completed=%v, executed %d of %d simulated cycles, want all", res.Completed, ex.e.executed, res.Cycles)
+		}
+	})
+
+	pipeM := mustCompile(t, pipeline(t, 3, 3), topology.Linear(3))
+
+	t.Run("stall behind a dead cell skips the slow gate's period", func(t *testing.T) {
+		ex := pipeM.NewExec()
+		opts := fcfs(2, 1)
+		opts.Faults = mustFaults(t, "cell:2:dead,link:0:slow=1048576")
+		res, err := ex.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// C0's three words cross link 0 on its gate's first three open
+		// cycles (0, 2²⁰, 2·2²⁰) and park behind dead C2; with no
+		// candidate left for time to release, the deadlock is provable
+		// on the gate's next open cycle.
+		if !res.Deadlocked || res.Cycles != 3<<20 {
+			t.Fatalf("deadlocked=%v at cycle %d, want a deadlock at %d", res.Deadlocked, res.Cycles, 3<<20)
+		}
+		if ex.e.executed >= 100 {
+			t.Fatalf("executed %d cycles to report the stall, want < 100", ex.e.executed)
+		}
+	})
+
+	t.Run("cancellation still lands on a huge delay", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		opts := fcfs(2, 1)
+		opts.LinkModel = mustLinkModel(t, "fixed,delay=1048576")
+		opts.Context = ctx
+		if _, err := pipeM.Run(opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("pre-cancelled run: err = %v, want context.Canceled", err)
+		}
+		// And the same run, not cancelled, completes in a handful of
+		// executed cycles.
+		ex := pipeM.NewExec()
+		opts.Context = context.Background()
+		res, err := ex.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed || ex.e.executed >= 100 {
+			t.Fatalf("completed=%v after %d executed of %d simulated cycles, want completion in < 100", res.Completed, ex.e.executed, res.Cycles)
+		}
+	})
+}

@@ -584,22 +584,20 @@ func (m *Machine) Run(opts ExecOptions) (*Result, error) {
 	return out, nil
 }
 
-// Measured crossover for AutoWorkers, from the committed
-// BENCH_parallel.json trajectory on the CI-class host (numbers are
-// ns/op for machine.Run; workers=4 measured with GOMAXPROCS ≥ 4):
-//
-//	workload          cells  workers=1   workers=4   verdict
-//	wide-linear-1024   1024   65.7 ms     91.6 ms    sharding loses
-//	mesh-32x32         1024    2.2 ms      3.2 ms    sharding loses
-//
-// Both workloads keep essentially every cell active each cycle —
-// the best case for sharding — and still lose at 1024 cells: six
-// phase barriers per cycle (a channel handoff per worker each way)
-// outweigh the per-shard work until the ready sets are several
-// thousand entries deep. autoWorkersMinCells therefore sits at 4x
-// the measured losing size, and autoWorkersCellsPerShard keeps each
-// shard at least ~2048 cells so added workers arrive with enough
-// work to amortize their barrier share.
+// AutoWorkers thresholds. The rule: sharding must not be chosen where
+// it has been measured to lose. On the two all-active 1024-cell
+// workloads (wide-linear-1024, mesh-32x32) — every cell busy every
+// cycle, the best case for sharding — workers=4 is slower than
+// workers=1, because six phase barriers per cycle (a channel handoff
+// per worker each way) outweigh the per-shard work until the ready
+// sets are several thousand entries deep. The current ratio is the
+// machine.shard4_vs_1 row tools/perf reports on run-busy and
+// run-sparse (1.8 and 2.6 on the committed reference run,
+// tools/perf/results/reference.json; above 1 = sharding loses).
+// autoWorkersMinCells therefore sits at 4x the measured losing size,
+// and autoWorkersCellsPerShard keeps each shard at least ~2048 cells
+// so added workers arrive with enough work to amortize their barrier
+// share.
 const (
 	autoWorkersMinCells      = 4096
 	autoWorkersCellsPerShard = 2048
@@ -608,7 +606,7 @@ const (
 // AutoWorkers returns the shard count RunParallel uses when
 // ExecOptions.Workers is 0: single-threaded unless the machine is
 // large enough for sharding to pay for its barriers (see the
-// measured table above), then roughly one worker per
+// thresholds above), then roughly one worker per
 // autoWorkersCellsPerShard active-code cells, capped at
 // runtime.GOMAXPROCS(0). Every choice produces byte-identical
 // Results, so the heuristic only moves wall-clock time.

@@ -137,6 +137,7 @@ type sink struct {
 	wordsMoved     int
 	releases       int
 	gated          int
+	wake           int // this shard's share of exec.wake; noWake when empty
 	anyEvent       bool
 }
 
@@ -160,6 +161,7 @@ func (sk *sink) reset() {
 	sk.wordsMoved = 0
 	sk.releases = 0
 	sk.gated = 0
+	sk.wake = noWake
 	sk.anyEvent = false
 }
 
@@ -296,6 +298,7 @@ func (e *exec) mergeSinks() {
 		e.remaining += sk.remainingDelta
 		e.stats.WordsMoved += sk.wordsMoved
 		e.stats.GatedOps += sk.gated
+		e.wake = min(e.wake, sk.wake)
 		if sk.anyEvent {
 			e.moved = true
 		}

@@ -144,10 +144,20 @@ func (q *Queue) Tick() {
 	}
 }
 
+// TickN is n calls to Tick: the scheduler's idle-cycle fast-forward
+// uses it to carry cooldowns across a window of skipped cycles.
+func (q *Queue) TickN(n int) {
+	q.cooldown = max(q.cooldown-n, 0)
+}
+
 // Cooling reports whether an extension-access cooldown is still
 // running: the queue is not stuck, it is waiting out the penalty. The
 // simulator's deadlock detector must treat this as pending progress.
 func (q *Queue) Cooling() bool { return q.cooldown > 0 }
+
+// Cooldown returns the number of Ticks left before the front word
+// becomes available again; 0 when no cooldown is running.
+func (q *Queue) Cooldown() int { return q.cooldown }
 
 // Reset empties the queue for reassignment to a new message ("a queue
 // … can be assigned to another message only after the last word in the

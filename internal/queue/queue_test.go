@@ -167,3 +167,24 @@ func TestQuickFIFOProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestTickNMatchesRepeatedTick(t *testing.T) {
+	for n := 0; n <= 7; n++ {
+		a, b := New(1, 2, 5), New(1, 2, 5)
+		for _, q := range []*Queue{a, b} {
+			q.Push(1)
+			q.Push(2)
+			q.Pop() // extension access: arms the 5-cycle cooldown
+		}
+		if a.Cooldown() != 5 {
+			t.Fatalf("Cooldown after extension pop = %d, want 5", a.Cooldown())
+		}
+		a.TickN(n)
+		for i := 0; i < n; i++ {
+			b.Tick()
+		}
+		if a.Cooldown() != b.Cooldown() || a.Cooling() != b.Cooling() || a.FrontReady() != b.FrontReady() {
+			t.Fatalf("TickN(%d): cooldown %d, %d Ticks: cooldown %d", n, a.Cooldown(), n, b.Cooldown())
+		}
+	}
+}

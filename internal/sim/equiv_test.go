@@ -39,6 +39,15 @@ func mustLinkModel(spec string) *linkmodel.Plan {
 	return p
 }
 
+// mustFaultPlan parses a fault spec for the config matrix.
+func mustFaultPlan(spec string) *fault.Plan {
+	p, err := fault.ParseSpec(spec)
+	if err != nil {
+		panic(fmt.Sprintf("equiv_test: bad fault spec %q: %v", spec, err))
+	}
+	return p
+}
+
 // equivCase is one (scenario seed, generation knobs) input. faultClass
 // selects a degraded-array regime: 0 runs the perfect array, 1 a
 // seeded periodic-only fault plan, 2 a seeded plan with terminal
@@ -177,6 +186,39 @@ func equivConfigs(labels []int) []Config {
 	latch := base(assign.Naive(assign.FCFS, 0), 1, 0)
 	latch.LinkModel = mustLinkModel("fixed,delay=2")
 	cfgs = append(cfgs, latch)
+	// Wide-window rows: delays, penalties and fault factors large
+	// enough that most cycles have no event, so the machine's
+	// idle-cycle fast-forward fires on nearly every scenario while the
+	// reference engine steps through the same cycles one by one. Each
+	// wake source is covered alone and composed: busy windows (fixed
+	// and congestion), §8.1 cooldowns under a busy window, periodic
+	// gates with coprime factors — one coming into effect mid-run —
+	// under a busy window, the rendezvous gate site, and a cycle bound
+	// that lands inside a window.
+	for _, spec := range []string{
+		"fixed,delay=37,credit=2",
+		"congestion,delay=9,threshold=2,max=5",
+	} {
+		wide := base(assign.Naive(assign.FCFS, 0), 2, 1)
+		wide.LinkModel = mustLinkModel(spec)
+		cfgs = append(cfgs, wide)
+	}
+	cool := base(assign.Naive(assign.FCFS, 0), 1, 1)
+	cool.ExtCapacity = 2
+	cool.ExtPenalty = 9
+	cool.LinkModel = mustLinkModel("fixed,delay=5")
+	cfgs = append(cfgs, cool)
+	gates := base(assign.Naive(assign.FCFS, 0), 2, 1)
+	gates.Faults = mustFaultPlan("cell:1:slow=13@40,link:0:slow=1000")
+	gates.LinkModel = mustLinkModel("fixed,delay=37")
+	cfgs = append(cfgs, gates)
+	wideLatch := base(assign.Naive(assign.FCFS, 0), 1, 0)
+	wideLatch.LinkModel = mustLinkModel("fixed,delay=37")
+	cfgs = append(cfgs, wideLatch)
+	cutOff := base(assign.Naive(assign.FCFS, 0), 2, 1)
+	cutOff.LinkModel = mustLinkModel("fixed,delay=37")
+	cutOff.MaxCycles = 50
+	cfgs = append(cfgs, cutOff)
 	return cfgs
 }
 
@@ -236,7 +278,12 @@ func runEquivCase(t *testing.T, ec equivCase) bool {
 	}
 	for i, cfg := range equivConfigs(labels) {
 		cfg.Topology = sc.Topology
-		cfg.Faults = plan
+		if cfg.Faults == nil {
+			// Rows that carry their own plan keep it; a plan that does
+			// not fit the scenario is rejected identically by both
+			// engines, which the error comparison below covers.
+			cfg.Faults = plan
+		}
 		ref, refErr := referenceRun(p, freshPolicy(cfg))
 		got, gotErr := Run(p, freshPolicy(cfg))
 		name := fmt.Sprintf("seed=%d mut=%d cyclic=%v faults=%d cfg=%d (%s q=%d cap=%d dir=%v)",
