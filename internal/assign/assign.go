@@ -93,10 +93,15 @@ type Policy interface {
 	// across runs is encouraged.
 	Setup(ctx *Context) error
 	// Grant returns the messages to bind to free queues on link now.
-	// free is the number of unbound queues; pending lists messages
-	// with outstanding requests in arrival order. Grant must return
-	// at most free messages, each either pending or (for reserving
-	// policies) competing on the link and never granted before.
+	// free is the number of unbound queues; pending lists the messages
+	// with outstanding requests — requested on this link and not yet
+	// granted there — in arrival order. A message a reserving policy
+	// granted ahead of its request never appears: once its header
+	// arrives there is nothing left to ask for, so pending holds at
+	// most one entry per message still waiting and never a message
+	// already bound. Grant must return at most free messages, each
+	// either pending or (for reserving policies) competing on the link
+	// and never granted before.
 	Grant(now int, link topology.LinkID, free int, pending []model.MessageID) []model.MessageID
 }
 

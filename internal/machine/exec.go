@@ -20,11 +20,12 @@ import (
 // cycle, precisely the entities whose observable state an event could
 // have changed since their last visit:
 //
-//   - cells: a cell's front op only changes when the cell issues, so
-//     first-hop queue requests are re-examined only for cells whose pc
-//     advanced ("dirty cells", processed in cell-id order — the same
-//     relative order as the reference full scan, which skips unchanged
-//     cells as no-ops);
+//   - cells: a cell's front op only changes when the cell issues, and
+//     only a front op that is a W on a message still to ask for its
+//     first hop has a request to register, so first-hop requests are
+//     re-examined only for cells that issued onto such a W ("dirty
+//     cells", processed in cell-id order — the same relative order as
+//     the reference full scan, which skips the others as no-ops);
 //   - reads and interior advances visit only messages with words
 //     buffered on their route (the "transport" set: written > read);
 //   - sender writes and capacity-0 rendezvous visit only messages
@@ -32,10 +33,10 @@ import (
 //     (the "writer" set, maintained by the grant and pc-advance
 //     hooks);
 //   - interior queue requests re-check only messages pushed into
-//     since the last collect (the "reqCheck" set);
-//   - queue releases re-check only messages with a departure event
-//     this cycle (the "moved" set) — a queue is releasable exactly
-//     when its last word departs;
+//     since the last collect (the "reqSet");
+//   - queue releases re-check only messages whose last word departed
+//     a hop this cycle (the "movedSet") — a queue is releasable
+//     exactly then;
 //   - pools: Grant is re-invoked only when a pool's free count or
 //     pending list changed since its previous invocation ("armed
 //     pools", visited in ascending pool order). Policies are pure
@@ -43,7 +44,14 @@ import (
 //     assign.Policy contract — so skipped invocations are exactly the
 //     ones that could neither grant nor mutate policy state;
 //   - queues: cooldown ticks touch only queues with an armed
-//     extension penalty ("cooling list").
+//     extension penalty ("cooling list");
+//   - hops: within a visited message, the phases look only at the
+//     occupied-hop window (msgState.tail, msgState.head) — advances
+//     at head down to tail, a release at tail, a new request at
+//     head+1 — never at the whole route;
+//   - the one-op-per-cycle issue slot is a stamp (issued[c] == now+1)
+//     that goes stale by itself: nothing is listed or cleared per
+//     cycle.
 //
 // Every ready set is a word-packed bitset (bitset.go) whose
 // TrailingZeros64 iteration visits members in ascending id order by
@@ -101,6 +109,16 @@ type queueInst struct {
 
 // msgState tracks one message's transport progress. The per-hop
 // slices are windows into the exec's flat arenas.
+//
+// tail and head bound the occupied-hop window, the only hops a
+// per-cycle phase has to look at. Words cross a route in order, so hop
+// i+1 never has more departures than hop i: the released hops (all
+// words departed, queue handed back) are a prefix [0, tail), every
+// buffered word sits in a hop of [tail, head], and the hops beyond head
+// hold nothing yet — bound early by a reserving policy or not at all.
+// Every hop of the window is bound (a word entered it and it is not
+// released), and the header, buffered at head, can ask for hop head+1
+// only.
 type msgState struct {
 	queues    []*queueInst // per hop; nil until granted
 	granted   []bool
@@ -108,6 +126,8 @@ type msgState struct {
 	departed  []int // words that have left hop i (last hop: read by receiver)
 	written   int   // words pushed by the sender
 	read      int   // words consumed by the receiver
+	tail      int32 // hops released so far
+	head      int32 // furthest hop a word has entered; -1 before the first write
 }
 
 // exec holds all mutable state of one run. Everything that does not
@@ -131,9 +151,11 @@ type exec struct {
 	hopFlags []bool       // flat backing for granted + requested
 	hopInts  []int        // flat backing for departed
 
-	pc         []int
-	issued     []bool
-	issuedList []int // cells issued this cycle, to clear cheaply
+	pc []int
+	// issued[c] is the stamp now+1 of the cycle cell c last issued in
+	// (0 = never): a cell issues at most one op per cycle, and a stamp
+	// goes stale by itself, so nothing is cleared between cycles.
+	issued     []int
 	finishedAt []int // per cell: cycle of its final issue
 	remaining  int   // cells with ops left
 
@@ -143,7 +165,8 @@ type exec struct {
 	// coordinator flips bits, at init, between phase barriers, and in
 	// mergeSinks.
 
-	// dirty holds the cells whose pc advanced since the last collect.
+	// dirty holds the cells whose pc advanced, since the last collect,
+	// onto a W of a message that has not asked for its first hop yet.
 	dirty bitset
 	// transport holds the messages with words buffered somewhere on
 	// their route (written > read): the only messages reads and
@@ -166,8 +189,8 @@ type exec struct {
 	// reqSet holds the messages pushed into since the last collect:
 	// the only candidates for new interior-hop queue requests.
 	reqSet bitset
-	// movedSet holds the messages with a departure event this cycle:
-	// the only candidates for queue release.
+	// movedSet holds the messages whose last word departed a hop this
+	// cycle: the only candidates for queue release.
 	movedSet bitset
 	// armed holds the pools to visit next grantPhase. The grant phase
 	// swaps it with armedScratch so pools re-armed while granting land
@@ -363,6 +386,7 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 			granted:   e.hopFlags[off:end:end],
 			requested: e.hopFlags[int32(totalHops)+off : int32(totalHops)+end : int32(totalHops)+end],
 			departed:  e.hopInts[off:end:end],
+			head:      -1,
 		}
 	}
 
@@ -373,7 +397,6 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 	clear(e.pc)
 	clear(e.issued)
 	clear(e.finishedAt)
-	e.issuedList = e.issuedList[:0]
 	e.remaining = m.codeCells
 
 	// Every cell and every pool starts "dirty": cycle 0 of the
@@ -411,6 +434,7 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 	e.sinks = grow(e.sinks, workers)
 	for i := range e.sinks {
 		e.sinks[i].reset()
+		e.sinks[i].visits = visitCounts{}
 	}
 	if workers > 1 {
 		e.recvShard = grow(e.recvShard, msgs)
@@ -681,17 +705,15 @@ func (e *exec) noteReqCheck(id model.MessageID, sk *sink) {
 	sk.reqCheck = append(sk.reqCheck, id)
 }
 
-// noteMoved records a departure event: one of id's queues may now be
-// releasable. Dedup happens at the bitset merge, with the same tail
-// check as noteReqCheck for intra-message repeats.
+// noteMoved records that id's last word departed a hop: that hop's
+// queue is now releasable. The last word leaves one hop per cycle, so
+// the sink sees each id at most once and the bitset merge needs no
+// dedup.
 //
 //sysvet:hotpath
 func (e *exec) noteMoved(id model.MessageID, sk *sink) {
 	if e.direct {
-		e.movedSet.add(int(id)) // idempotent; no dedup needed
-		return
-	}
-	if n := len(sk.moved); n > 0 && sk.moved[n-1] == id {
+		e.movedSet.add(int(id))
 		return
 	}
 	sk.moved = append(sk.moved, id)
@@ -728,10 +750,11 @@ func (e *exec) noteCooling(qi *queueInst, sk *sink) {
 	}
 }
 
-// markCellDirty records a cell whose pc advanced. A cell issues at
-// most once per cycle (the issued flag guards every advancePC call
-// site), so the sink sees each cell at most once and the bitset
-// merge needs no worker-side flag.
+// markCellDirty records a cell whose pc advanced onto a W that still
+// has its first hop to ask for. A cell issues at most once per cycle
+// (the issue stamp guards every advancePC call site), so the sink sees
+// each cell at most once and the bitset merge needs no worker-side
+// flag.
 //
 //sysvet:hotpath
 func (e *exec) markCellDirty(c int, sk *sink) {
@@ -742,21 +765,24 @@ func (e *exec) markCellDirty(c int, sk *sink) {
 	sk.dirty = append(sk.dirty, c)
 }
 
-// advancePC issues cell c's front op: one op per cell per cycle. When
-// the new front op is a write on an already-granted message, the
-// message joins the writer set directly; otherwise the dirty-cell
-// pass handles any first-hop queue request. Only c's owning shard may
-// call this.
+// issuedNow reports whether cell c has already issued its one op of
+// this cycle.
+//
+//sysvet:hotpath
+func (e *exec) issuedNow(c int) bool {
+	return e.issued[c] == e.now+1
+}
+
+// advancePC issues cell c's front op: one op per cell per cycle. Only
+// a new front op that is a write wakes anything: the dirty-cell pass
+// if the message has yet to ask for its first hop, the writer set if
+// that hop is already bound (a reserving policy can make both true at
+// once). Only c's owning shard may call this.
 //
 //sysvet:hotpath
 func (e *exec) advancePC(c int, sk *sink) {
 	e.pc[c]++
-	e.issued[c] = true
-	if e.direct {
-		e.issuedList = append(e.issuedList, c)
-	} else {
-		sk.issued = append(sk.issued, c)
-	}
+	e.issued[c] = e.now + 1
 	if e.pc[c] >= len(e.m.code(c)) {
 		e.finishedAt[c] = e.now
 		if e.direct {
@@ -766,13 +792,20 @@ func (e *exec) advancePC(c int, sk *sink) {
 		}
 		return
 	}
-	e.markCellDirty(c, sk)
 	if op := e.m.code(c)[e.pc[c]]; op.Kind == model.Write {
 		ms := &e.msgs[op.Msg]
-		// Reading another message's queue-pointer table is safe here:
-		// bindings only change in the grant and release phases, which
-		// never overlap a phase that advances program counters.
-		if len(ms.queues) > 0 && ms.queues[0] != nil {
+		if len(ms.queues) == 0 {
+			return
+		}
+		// Reading another message's request flag and queue-pointer table
+		// is safe here: requests are only registered in the collect
+		// phase and bindings only change in the grant and release
+		// phases, none of which overlaps a phase that advances program
+		// counters.
+		if !ms.requested[0] {
+			e.markCellDirty(c, sk)
+		}
+		if ms.queues[0] != nil {
 			e.noteWriter(op.Msg, sk)
 		}
 	}
@@ -841,8 +874,8 @@ func (e *exec) run(maxCycles int) {
 
 // fastForward runs after a no-event cycle that is not a deadlock and
 // skips the cycles that would repeat it. Such a cycle is a fixpoint of
-// everything but time: it leaves dirty, reqSet, armed, movedSet and
-// issuedList empty, so until some time-dependent predicate flips,
+// everything but time: it leaves dirty, reqSet, armed and movedSet
+// empty, so until some time-dependent predicate flips,
 // every following cycle visits the same candidates, holds each back
 // for the same reason and gates the same gated operations. The first
 // cycle that can differ is the earliest of
@@ -932,13 +965,18 @@ func (e *exec) anyCooling() bool {
 
 // collectRequests registers queue requests: a message asks for its
 // first hop when its sender reaches a W on it, and for hop i>0 when
-// its header is buffered at the cell feeding that hop (§5). First-hop
-// checks run over dirty cells in cell order, then interior checks
-// over live messages in message order — the same relative append
-// order the reference full scan produces. Both sub-phases split the
-// key space into contiguous id ranges, one per shard; bitset
-// iteration is ascending within a range, so the shard-order merge
-// restores the full ascending append order for any worker count.
+// its header is buffered at the cell feeding that hop (§5). A request
+// joins its pool's pending list — the *outstanding* requests of the
+// assign.Policy contract — unless a reserving policy has granted the
+// hop already, in which case there is nothing left to ask for: the
+// request is marked and dropped, and the pool's state, unchanged, does
+// not arm. First-hop checks run over dirty cells in cell order, then
+// interior checks over live messages in message order — the same
+// relative append order the reference full scan produces. Both
+// sub-phases split the key space into contiguous id ranges, one per
+// shard; bitset iteration is ascending within a range, so the
+// shard-order merge restores the full ascending append order for any
+// worker count.
 //
 //sysvet:hotpath
 func (e *exec) collectRequests() {
@@ -986,6 +1024,7 @@ func (e *exec) collectFirstHopShard(s int) {
 	sk := &e.sinks[s]
 	lo, hi := chunk(len(e.pc), e.workers, s)
 	for c := e.dirty.next(lo); c >= 0 && c < hi; c = e.dirty.next(c + 1) {
+		sk.visits.firstHop++
 		code := e.m.code(c)
 		if e.pc[c] >= len(code) {
 			continue
@@ -997,22 +1036,36 @@ func (e *exec) collectFirstHopShard(s int) {
 		ms := &e.msgs[op.Msg]
 		if len(ms.queues) > 0 && !ms.requested[0] {
 			ms.requested[0] = true
-			pool := e.poolOf(op.Msg, 0)
-			if e.direct {
-				e.pending[pool] = append(e.pending[pool], op.Msg)
-				e.armed.add(pool)
-			} else {
-				sk.pending = append(sk.pending, pendReq{pool: pool, msg: op.Msg})
+			if !ms.granted[0] {
+				e.notePending(e.poolOf(op.Msg, 0), op.Msg, sk)
 			}
 		}
 	}
 }
 
-// collectInteriorShard checks shard s's id range of the reqSet:
-// only messages pushed into since the last collect can have a newly
-// non-empty queue; requested flags make re-checks of older non-empty
-// queues no-ops, so this subset in ascending order appends to the
-// pending lists exactly as the full message scan did.
+// notePending registers msg's outstanding request on pool; the request
+// changes the pool's pending list, so the pool arms.
+//
+//sysvet:hotpath
+func (e *exec) notePending(pool int, msg model.MessageID, sk *sink) {
+	if e.direct {
+		e.pending[pool] = append(e.pending[pool], msg)
+		e.armed.add(pool)
+		return
+	}
+	sk.pending = append(sk.pending, pendReq{pool: pool, msg: msg})
+}
+
+// collectInteriorShard checks shard s's id range of the reqSet: only
+// messages pushed into since the last collect can have a newly
+// non-empty queue, and of their hops only head+1 can be new to ask
+// for — every hop up to head was asked for before a word could enter
+// it or, bound early, the collect after the header reached the hop
+// before it marked it. If head+1 is still unmarked the header was
+// pushed into head since the last collect and is buffered there now
+// (nothing moves between a transfer phase and the next collect), which
+// is §5's condition. This subset in ascending order appends to the
+// pending lists exactly as the full message scan does.
 //
 //sysvet:hotpath
 func (e *exec) collectInteriorShard(s int) {
@@ -1020,20 +1073,14 @@ func (e *exec) collectInteriorShard(s int) {
 	lo, hi := chunk(len(e.msgs), e.workers, s)
 	for id := e.reqSet.next(lo); id >= 0 && id < hi; id = e.reqSet.next(id + 1) {
 		ms := &e.msgs[id]
-		for hop := 1; hop < len(ms.queues); hop++ {
-			if ms.requested[hop] || ms.queues[hop-1] == nil {
-				continue
-			}
-			if ms.queues[hop-1].q.Len() > 0 {
-				ms.requested[hop] = true
-				pool := e.poolOf(model.MessageID(id), hop)
-				if e.direct {
-					e.pending[pool] = append(e.pending[pool], model.MessageID(id))
-					e.armed.add(pool)
-				} else {
-					sk.pending = append(sk.pending, pendReq{pool: pool, msg: model.MessageID(id)})
-				}
-			}
+		sk.visits.hops++
+		hop := int(ms.head) + 1
+		if hop == len(ms.queues) || ms.requested[hop] {
+			continue
+		}
+		ms.requested[hop] = true
+		if !ms.granted[hop] {
+			e.notePending(e.poolOf(model.MessageID(id), hop), model.MessageID(id), sk)
 		}
 	}
 }
@@ -1085,7 +1132,11 @@ func (e *exec) grantPhase() {
 			free--
 			e.moved = true
 			e.stats.Grants++
-			e.removePending(pid, msg)
+			if ms.requested[hop] {
+				// An outstanding request is met; a grant ahead of the
+				// request (reserving policies) never entered the list.
+				e.removePending(pid, msg)
+			}
 			e.armPool(pid)
 			if hop == 0 {
 				// The sender may already be parked at W(msg) waiting
@@ -1136,10 +1187,6 @@ func (e *exec) removePending(pool int, msg model.MessageID) {
 //
 //sysvet:hotpath
 func (e *exec) cellAndTransferPhase() {
-	for _, c := range e.issuedList {
-		e.issued[c] = false
-	}
-	e.issuedList = e.issuedList[:0]
 	// Snapshot (and compact) the writer set up front: entries added
 	// mid-cycle belong to cells that have already issued, so deferring
 	// them to the next cycle is exactly what the issued-flag check in
@@ -1221,7 +1268,7 @@ func (e *exec) readShard(s int) {
 		cell := e.m.receiver[id]
 		c := int(cell)
 		code := e.m.code(c)
-		if e.issued[c] || e.pc[c] >= len(code) {
+		if e.issuedNow(c) || e.pc[c] >= len(code) {
 			continue
 		}
 		op := code[e.pc[c]]
@@ -1241,16 +1288,19 @@ func (e *exec) readShard(s int) {
 		e.logic.OnRead(cell, id, ms.read, word)
 		e.deliver(id, word)
 		ms.read++
-		ms.departed[last]++
-		e.noteMoved(id, sk)
+		if ms.departed[last]++; ms.departed[last] == e.m.words[id] {
+			e.noteMoved(id, sk)
+		}
 		e.advancePC(c, sk)
 		e.noteEvent(sk, 1)
 	}
 }
 
 // advanceShard moves words between interior queues for shard s's id
-// range of the transport set. Every touched queue is bound to the
-// range's own message, so shards never contend.
+// range of the transport set, over each message's occupied-hop window:
+// a hop before tail is released and a hop after head has no word to
+// give, so neither can be the source of a move. Every touched queue is
+// bound to the range's own message, so shards never contend.
 //
 //sysvet:hotpath
 func (e *exec) advanceShard(s int) {
@@ -1259,9 +1309,10 @@ func (e *exec) advanceShard(s int) {
 	for i := e.transport.next(lo); i >= 0 && i < hi; i = e.transport.next(i + 1) {
 		id := model.MessageID(i)
 		ms := &e.msgs[id]
-		for hop := len(ms.queues) - 2; hop >= 0; hop-- {
+		for hop := min(int(ms.head), len(ms.queues)-2); hop >= int(ms.tail); hop-- {
+			sk.visits.hops++
 			src, dst := ms.queues[hop], ms.queues[hop+1]
-			if src == nil || dst == nil {
+			if dst == nil {
 				continue
 			}
 			if src.q.FrontReady() && dst.q.CanAccept() {
@@ -1280,8 +1331,10 @@ func (e *exec) advanceShard(s int) {
 					e.noteLinkHit(e.hopLink(id, hop+1), sk)
 				}
 				e.noteCooling(src, sk)
-				ms.departed[hop]++
-				e.noteMoved(id, sk)
+				ms.head = max(ms.head, int32(hop+1))
+				if ms.departed[hop]++; ms.departed[hop] == e.m.words[id] {
+					e.noteMoved(id, sk)
+				}
 				e.noteReqCheck(id, sk)
 				e.noteEvent(sk, 1)
 			}
@@ -1321,7 +1374,7 @@ func (e *exec) writeShard(s int) {
 			e.writeReady[id] = false
 			continue
 		}
-		if e.issued[c] {
+		if e.issuedNow(c) {
 			continue
 		}
 		qi := ms.queues[0]
@@ -1343,6 +1396,7 @@ func (e *exec) writeShard(s int) {
 			e.noteLinkHit(qi.link, sk)
 		}
 		ms.written++
+		ms.head = max(ms.head, 0)
 		e.noteTransport(id, sk)
 		e.noteReqCheck(id, sk)
 		e.advancePC(c, sk)
@@ -1369,7 +1423,7 @@ func (e *exec) rendezvous(sk *sink) {
 			continue
 		}
 		sc, rc := int(e.m.sender[id]), int(e.m.receiver[id])
-		if e.issued[sc] || e.issued[rc] {
+		if e.issuedNow(sc) || e.issuedNow(rc) {
 			continue
 		}
 		sCode, rCode := e.m.code(sc), e.m.code(rc)
@@ -1403,8 +1457,10 @@ func (e *exec) rendezvous(sk *sink) {
 		}
 		ms.written++
 		ms.read++
-		ms.departed[0]++
-		e.noteMoved(id, sk)
+		ms.head = 0
+		if ms.departed[0]++; ms.departed[0] == e.m.words[id] {
+			e.noteMoved(id, sk)
+		}
 		e.advancePC(sc, sk)
 		e.advancePC(rc, sk)
 		e.noteEvent(sk, 1)
@@ -1430,8 +1486,10 @@ func (e *exec) releasePhase() {
 // releaseShard frees the releasable queues of shard s's id range of
 // the moved set. A queue becomes releasable exactly on the cycle its
 // message's last word departs it (the queue is empty at that same
-// instant), so the messages with departure events this cycle are the
-// only release candidates.
+// instant), so the messages whose last word departed a hop this cycle
+// are the only release candidates, and the hop is the front of the
+// occupied window: hops complete in route order, so the scan starts at
+// tail and stops at the first hop still waiting for words.
 //
 //sysvet:hotpath
 func (e *exec) releaseShard(s int) {
@@ -1441,30 +1499,31 @@ func (e *exec) releaseShard(s int) {
 		id := model.MessageID(i)
 		ms := &e.msgs[id]
 		words := e.m.words[id]
-		for hop := range ms.queues {
-			if !ms.granted[hop] || ms.queues[hop] == nil {
+		sk.visits.releases++
+		for hop := int(ms.tail); hop <= int(ms.head); hop++ {
+			sk.visits.hops++
+			qi := ms.queues[hop]
+			if ms.departed[hop] != words || !qi.q.Empty() {
+				break
+			}
+			qi.bound = false
+			qi.q.Reset()
+			ms.queues[hop] = nil // keep granted=true: the message had its turn
+			ms.tail = int32(hop + 1)
+			if e.direct {
+				// armed is consumed by next cycle's grantPhase, never
+				// read during this scan, so in-place arming is safe.
+				e.stats.Releases++
+				e.armed.add(e.poolOf(id, hop))
+				if e.recordTimeline {
+					e.res.Timeline = append(e.res.Timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
+				}
 				continue
 			}
-			if ms.departed[hop] == words && ms.queues[hop].q.Empty() {
-				qi := ms.queues[hop]
-				qi.bound = false
-				qi.q.Reset()
-				ms.queues[hop] = nil // keep granted=true: the message had its turn
-				if e.direct {
-					// armed is consumed by next cycle's grantPhase, never
-					// read during this scan, so in-place arming is safe.
-					e.stats.Releases++
-					e.armed.add(e.poolOf(id, hop))
-					if e.recordTimeline {
-						e.res.Timeline = append(e.res.Timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
-					}
-					continue
-				}
-				sk.releases++
-				sk.armed = append(sk.armed, e.poolOf(id, hop))
-				if e.recordTimeline {
-					sk.timeline = append(sk.timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
-				}
+			sk.releases++
+			sk.armed = append(sk.armed, e.poolOf(id, hop))
+			if e.recordTimeline {
+				sk.timeline = append(sk.timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
 			}
 		}
 	}

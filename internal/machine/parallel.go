@@ -123,7 +123,6 @@ type sink struct {
 	// ordered things).
 	drops    []model.MessageID
 	cooling  []int
-	issued   []int
 	dirty    []int
 	timeline []BindEvent
 	// linkHits holds one entry per word that crossed a link on this
@@ -139,6 +138,34 @@ type sink struct {
 	gated          int
 	wake           int // this shard's share of exec.wake; noWake when empty
 	anyEvent       bool
+
+	// visits is this shard's tally of ready-set entries examined. It
+	// lives here so that sharded phases never share a counter, is
+	// zeroed per run rather than per cycle (reset leaves it alone), and
+	// is summed by exec.visits.
+	visits visitCounts
+}
+
+// visitCounts tallies the entries the phase loops examined: the
+// clock-free measure of scheduler cost the work-proportionality tests
+// hold against the work a run actually did. Like exec.executed it
+// never reaches a Result.
+type visitCounts struct {
+	hops     int // route hops examined by advance, release and interior collect
+	releases int // moved-set messages examined by releaseShard
+	firstHop int // dirty cells examined by collectFirstHopShard
+}
+
+// visits sums the shards' tallies for the run so far.
+func (e *exec) visits() visitCounts {
+	var v visitCounts
+	for i := range e.sinks {
+		sv := &e.sinks[i].visits
+		v.hops += sv.hops
+		v.releases += sv.releases
+		v.firstHop += sv.firstHop
+	}
+	return v
 }
 
 // reset empties a sink, keeping its backing arrays.
@@ -153,7 +180,6 @@ func (sk *sink) reset() {
 	sk.moved = sk.moved[:0]
 	sk.drops = sk.drops[:0]
 	sk.cooling = sk.cooling[:0]
-	sk.issued = sk.issued[:0]
 	sk.dirty = sk.dirty[:0]
 	sk.timeline = sk.timeline[:0]
 	sk.linkHits = sk.linkHits[:0]
@@ -285,7 +311,6 @@ func (e *exec) mergeSinks() {
 			e.movedSet.add(int(id))
 		}
 		e.cooling = append(e.cooling, sk.cooling...)
-		e.issuedList = append(e.issuedList, sk.issued...)
 		for _, c := range sk.dirty {
 			e.dirty.add(c)
 		}

@@ -7,6 +7,14 @@
 //     extended into the receiving cell's local memory (the iWarp
 //     "queue extension", §8.1) at the price of a per-access latency
 //     penalty.
+//
+// A Queue stores its words in a ring: Push and Pop are O(1) and move no
+// other word. The ring's storage grows lazily — the first Push that
+// finds it full while smaller than capacity + extension allocates the
+// full size at once — and Init keeps it, whatever the new capacity, so
+// a queue that is reinitialized run after run (the simulator's pooled
+// state, with the capacity varying per run) allocates at most when a
+// run actually buffers more words than any run before it.
 package queue
 
 // Word is the unit of transfer. Real systolic machines move fixed-size
@@ -35,7 +43,12 @@ type Queue struct {
 	ext        int // extension capacity beyond base (0 = none)
 	extPenalty int // extra ready-delay per pop while extension in use
 
+	// buf is the ring's storage, all of it addressable (len == cap);
+	// the n buffered words sit at head, head+1, … modulo len(buf).
+	// len(buf) may be smaller than capacity+ext (not grown yet) or
+	// larger (kept from a roomier Init).
 	buf      []Word
+	head, n  int32
 	cooldown int // cycles before the front word becomes available
 	stats    Stats
 }
@@ -51,8 +64,8 @@ func New(capacity, ext, extPenalty int) *Queue {
 }
 
 // Init (re)initializes a queue in place to the pristine state New would
-// produce, keeping the buffer's backing array so pooled simulator state
-// can be reused across runs without reallocating.
+// produce, keeping the ring's storage so pooled simulator state can be
+// reused across runs without reallocating.
 func (q *Queue) Init(capacity, ext, extPenalty int) {
 	if capacity < 0 {
 		capacity = 0
@@ -66,7 +79,7 @@ func (q *Queue) Init(capacity, ext, extPenalty int) {
 	q.capacity = capacity
 	q.ext = ext
 	q.extPenalty = extPenalty
-	q.buf = q.buf[:0]
+	q.head, q.n = 0, 0
 	q.cooldown = 0
 	q.stats = Stats{}
 }
@@ -78,16 +91,16 @@ func (q *Queue) Capacity() int { return q.capacity }
 func (q *Queue) TotalCapacity() int { return q.capacity + q.ext }
 
 // Len returns the number of buffered words.
-func (q *Queue) Len() int { return len(q.buf) }
+func (q *Queue) Len() int { return int(q.n) }
 
 // Empty reports whether no words are buffered.
-func (q *Queue) Empty() bool { return len(q.buf) == 0 }
+func (q *Queue) Empty() bool { return q.n == 0 }
 
 // CanAccept reports whether a Push would succeed. A capacity-0 latch
 // can never hold a word across cycles, so it only "accepts" via the
 // simulator's rendezvous path, never via Push.
 func (q *Queue) CanAccept() bool {
-	return len(q.buf) < q.capacity+q.ext
+	return int(q.n) < q.capacity+q.ext
 }
 
 // Push appends a word; it reports false (and buffers nothing) if the
@@ -96,18 +109,26 @@ func (q *Queue) Push(w Word) bool {
 	if !q.CanAccept() {
 		return false
 	}
-	if len(q.buf) == cap(q.buf) && cap(q.buf) < q.capacity+q.ext {
-		// Grow straight to the full capacity: one allocation per queue
-		// lifetime instead of append's doubling chain, and a reused
-		// queue (Init keeps the backing array) never grows again.
-		nb := make([]Word, len(q.buf), q.capacity+q.ext)
-		copy(nb, q.buf)
-		q.buf = nb
+	if int(q.n) == len(q.buf) {
+		// The ring is physically full but below capacity: grow straight
+		// to the full capacity — one allocation per queue lifetime
+		// instead of a doubling chain, and a reused queue (Init keeps the
+		// storage) never grows again — unrolling the buffered words to
+		// the front of the new storage.
+		nb := make([]Word, q.capacity+q.ext)
+		k := copy(nb, q.buf[q.head:])
+		copy(nb[k:], q.buf[:q.head])
+		q.buf, q.head = nb, 0
 	}
-	q.buf = append(q.buf, w)
+	i := int(q.head) + int(q.n)
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = w
+	q.n++
 	q.stats.WordsPassed++
-	if len(q.buf) > q.stats.MaxOccupancy {
-		q.stats.MaxOccupancy = len(q.buf)
+	if int(q.n) > q.stats.MaxOccupancy {
+		q.stats.MaxOccupancy = int(q.n)
 	}
 	return true
 }
@@ -116,20 +137,22 @@ func (q *Queue) Push(w Word) bool {
 // It is false when the queue is empty or when an extension-access
 // cooldown is still running.
 func (q *Queue) FrontReady() bool {
-	return len(q.buf) > 0 && q.cooldown == 0
+	return q.n > 0 && q.cooldown == 0
 }
 
 // Front returns the front word; it must only be called when FrontReady.
-func (q *Queue) Front() Word { return q.buf[0] }
+func (q *Queue) Front() Word { return q.buf[q.head] }
 
 // Pop removes and returns the front word. It must only be called when
 // FrontReady. Popping while the occupancy exceeds the base capacity
 // counts as an extension access and arms the penalty cooldown.
 func (q *Queue) Pop() Word {
-	w := q.buf[0]
-	copy(q.buf, q.buf[1:])
-	q.buf = q.buf[:len(q.buf)-1]
-	if len(q.buf)+1 > q.capacity && q.ext > 0 {
+	w := q.buf[q.head]
+	if q.head++; int(q.head) == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	if int(q.n)+1 > q.capacity && q.ext > 0 {
 		q.stats.ExtAccesses++
 		q.cooldown = q.extPenalty
 	}
@@ -164,7 +187,7 @@ func (q *Queue) Cooldown() int { return q.cooldown }
 // current message has passed", §2.3 — the simulator only resets empty
 // queues; Reset tolerates leftovers for unit tests).
 func (q *Queue) Reset() {
-	q.buf = q.buf[:0]
+	q.head, q.n = 0, 0
 	q.cooldown = 0
 	q.stats.Rebinds++
 }

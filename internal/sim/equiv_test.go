@@ -150,6 +150,20 @@ func equivConfigs(labels []int) []Config {
 	timeline := base(assign.Naive(assign.FCFS, 0), 2, 1)
 	timeline.RecordTimeline = true
 	cfgs = append(cfgs, timeline)
+	// Reserving policies under RecordTimeline: whole routes are bound
+	// before any word moves, so the machine's occupied-hop windows
+	// (head, tail) and its release order run against bound-but-empty
+	// queues ahead of every header, with each bind and release in the
+	// compared bytes — the second row with extension accesses cooling
+	// inside the window.
+	reserved := base(assign.Static(), 3, 1)
+	reserved.RecordTimeline = true
+	cfgs = append(cfgs, reserved)
+	reservedExt := base(assign.Compatible(), 2, 2)
+	reservedExt.RecordTimeline = true
+	reservedExt.ExtCapacity = 2
+	reservedExt.ExtPenalty = 2
+	cfgs = append(cfgs, reservedExt)
 	directional := base(assign.Compatible(), 1, 1)
 	directional.DirectionalPools = true
 	cfgs = append(cfgs, directional)

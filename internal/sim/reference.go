@@ -467,7 +467,9 @@ func (r *runner) tickQueues() {
 // collectRequests registers queue requests: a message asks for its
 // first hop when its sender reaches a W on it, and for hop i>0 when its
 // header is buffered at the cell feeding that hop (§5: "when the
-// header of a message arrives at a cell").
+// header of a message arrives at a cell"). pending holds the
+// outstanding requests only (the assign.Policy contract): a request for
+// a hop a reserving policy has granted already is marked and dropped.
 func (r *runner) collectRequests() {
 	for c := 0; c < r.p.NumCells(); c++ {
 		code := r.p.Code(model.CellID(c))
@@ -481,8 +483,10 @@ func (r *runner) collectRequests() {
 		ms := &r.msgs[op.Msg]
 		if len(ms.route) > 0 && !ms.requested[0] {
 			ms.requested[0] = true
-			pool := r.poolOf(ms.route[0])
-			r.pending[pool] = append(r.pending[pool], op.Msg)
+			if !ms.granted[0] {
+				pool := r.poolOf(ms.route[0])
+				r.pending[pool] = append(r.pending[pool], op.Msg)
+			}
 		}
 	}
 	for id := range r.msgs {
@@ -493,8 +497,10 @@ func (r *runner) collectRequests() {
 			}
 			if ms.queues[hop-1].q.Len() > 0 {
 				ms.requested[hop] = true
-				pool := r.poolOf(ms.route[hop])
-				r.pending[pool] = append(r.pending[pool], model.MessageID(id))
+				if !ms.granted[hop] {
+					pool := r.poolOf(ms.route[hop])
+					r.pending[pool] = append(r.pending[pool], model.MessageID(id))
+				}
 			}
 		}
 	}
@@ -547,7 +553,9 @@ func (r *runner) grantPhase() {
 			free--
 			r.moved = true
 			r.stats.Grants++
-			r.removePending(link, msg)
+			if ms.requested[hop] {
+				r.removePending(link, msg)
+			}
 			if r.cfg.RecordTimeline {
 				// Record the real link (qi.link), not the pool id:
 				// under DirectionalPools pool ids are synthetic and
