@@ -157,6 +157,44 @@ func TestAllocGateAnalyze(t *testing.T) {
 	}
 }
 
+// TestAllocGateParse gates the front end's allocation count: one
+// ParseDSL of the pipesort-2000 text may allocate at most 0.5 times per
+// declaration (cell or message; measured 0.21 — one op slice per cell
+// plus a fixed handful of tables — where the line-splitting parser
+// spent 2.4), and the count must not follow the op count: twice the
+// rounds is twice the ops and twice the messages per cell, yet the
+// allocations, which are per cell, may grow by less than 10 %. A
+// []string per line or per code line, or a slice grown per op, fails
+// one or the other.
+func TestAllocGateParse(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are not meaningful under -race")
+	}
+	parseAllocs := func(rounds int) (allocs float64, decls int) {
+		w, err := systolic.PipelinedSortNetwork(systolic.PipelinedSortOptions{Width: 2000, Rounds: rounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := systolic.FormatDSL(w.Program, w.Topology)
+		allocs = testing.AllocsPerRun(3, func() {
+			p, _, err := systolic.ParseDSL(src)
+			if err != nil || p.TotalOps() != w.Program.TotalOps() {
+				t.Fatalf("parse: %v", err)
+			}
+		})
+		return allocs, w.Program.NumCells() + w.Program.NumMessages()
+	}
+	base, decls := parseAllocs(4)
+	if budget := 0.5 * float64(decls); base > budget {
+		t.Errorf("pipesort-2000: %v allocs per ParseDSL, budget %v (0.5 per cell and message)", base, budget)
+	}
+	doubled, _ := parseAllocs(8)
+	t.Logf("pipesort-2000: %v allocs per ParseDSL over %d declarations (%.2f each); %v at twice the rounds", base, decls, base/float64(decls), doubled)
+	if doubled > 1.1*base {
+		t.Errorf("pipesort-2000: %v allocs per ParseDSL at 8 rounds, %v at 4: allocations follow the op count", doubled, base)
+	}
+}
+
 // TestAnalyzeScalesLinearly gates the shape of the analysis cost: a
 // sorting network four times as wide may cost at most eight times as
 // much to analyze (linear gives ~4x; the quadratic rule-1c scan this

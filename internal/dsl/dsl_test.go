@@ -1,6 +1,7 @@
 package dsl
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -190,5 +191,57 @@ func TestCommentsAndBlankLines(t *testing.T) {
 	}
 	if f.Program.NumCells() != 2 {
 		t.Fatal("comment handling broke parsing")
+	}
+}
+
+// TestParseTopologySizes: Parse constructs the topology eagerly, so the
+// sizes of a topology directive are checked first — below 1, or an
+// array above MaxTopologyCells (which is also how a rows×cols product
+// that would overflow int is caught) — and the error names the
+// directive's line. The body is a valid two-cell program, so only the
+// directive decides.
+func TestParseTopologySizes(t *testing.T) {
+	const body = "\ncell A\ncell B\nmessage M A B 1\ncode A: W(M)\ncode B: R(M)\n"
+	max := strconv.Itoa(MaxTopologyCells)
+	cases := []struct {
+		directive string
+		want      string // "" = parses, topology name in name
+		name      string
+	}{
+		{"topology linear 2", "", "linear(2)"},
+		{"topology ring 3", "", "ring(3)"},
+		{"topology mesh 1 2", "", "mesh(1x2)"},
+		{"topology mesh 256 256", "", "mesh(256x256)"}, // exactly MaxTopologyCells
+		{"topology linear -3", "dsl: line 2: topology size -3 is less than 1", ""},
+		{"topology linear 0", "dsl: line 2: topology size 0 is less than 1", ""},
+		{"topology ring 0", "dsl: line 2: topology size 0 is less than 1", ""},
+		{"topology mesh 0 5", "dsl: line 2: topology size 0 is less than 1", ""},
+		{"topology mesh 5 0", "dsl: line 2: topology size 0 is less than 1", ""},
+		{"topology mesh -1 -1", "dsl: line 2: topology size -1 is less than 1", ""},
+		{"topology mesh 3037000500 3037000500", "dsl: line 2: topology mesh declares more than " + max + " cells", ""},
+		{"topology mesh 4294967296 4294967296", "dsl: line 2: topology mesh declares more than " + max + " cells", ""},
+		{"topology mesh 256 257", "dsl: line 2: topology mesh declares more than " + max + " cells", ""},
+		{"topology linear " + strconv.Itoa(MaxTopologyCells+1), "dsl: line 2: topology linear declares more than " + max + " cells", ""},
+		{"topology ring 9223372036854775807", "dsl: line 2: topology ring declares more than " + max + " cells", ""},
+		// Arity and kind errors keep their old text and win over sizes.
+		{"topology linear 2 -1", "dsl: topology linear needs one size", ""},
+		{"topology mesh -4", "dsl: topology mesh needs rows and cols", ""},
+		{"topology torus -4 -4", `dsl: unknown topology "torus"`, ""},
+	}
+	for _, c := range cases {
+		f, err := Parse("# sizes\n" + c.directive + body)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.directive, err)
+		case c.want == "" && f.Topology.Name() != c.name:
+			t.Errorf("%s: topology %s, want %s", c.directive, f.Topology.Name(), c.name)
+		case c.want != "" && (err == nil || err.Error() != c.want):
+			t.Errorf("%s: error %v, want %q", c.directive, err, c.want)
+		}
+	}
+	// The last directive wins, as it always has: a bad one that is
+	// overridden is not an error.
+	if _, err := Parse("topology mesh 0 0\ntopology linear 2" + body); err != nil {
+		t.Errorf("overridden bad directive: %v", err)
 	}
 }

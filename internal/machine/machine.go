@@ -21,10 +21,11 @@
 package machine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -386,40 +387,63 @@ func Compile(p *model.Program, t topology.Topology, routes [][]topology.Hop, lab
 	return m, nil
 }
 
-// buildPoolTable derives one regime's competing sets (in the exact
-// message-ascending append order the per-run construction used to
-// produce) and, when labels exist, the label-sorted grant order.
+// buildPoolTable derives one regime's competing sets (each in
+// message-ascending order, the order the per-run construction used to
+// append them in) and, when labels exist, the label-sorted grant order.
+// Both are count-then-fill over one backing array each: a pool's set is
+// a segment of it, so the table costs a handful of allocations however
+// many pools there are. A pool no route crosses keeps a nil entry.
 func (m *Machine) buildPoolTable(flavor, numPools int) poolTable {
-	tbl := poolTable{
-		numPools:        numPools,
-		competing:       make(map[topology.LinkID][]model.MessageID),
-		competingByPool: make([][]model.MessageID, numPools),
+	// end[p] starts as the beginning of pool p's segment and the fill
+	// advances it to the segment's end.
+	end := make([]int32, numPools+1)
+	for i := range m.hops {
+		end[m.hops[i].pool[flavor]+1]++
 	}
+	used := 0
+	for pool := 0; pool < numPools; pool++ {
+		if end[pool+1] > 0 {
+			used++
+		}
+		end[pool+1] += end[pool]
+	}
+	byMessage := make([]model.MessageID, len(m.hops))
 	for id := range m.routes {
 		for _, h := range m.msgHops(model.MessageID(id)) {
 			pool := h.pool[flavor]
-			tbl.competingByPool[pool] = append(tbl.competingByPool[pool], model.MessageID(id))
+			byMessage[end[pool]] = model.MessageID(id)
+			end[pool]++
 		}
 	}
-	for pool, msgs := range tbl.competingByPool {
-		if len(msgs) > 0 {
-			tbl.competing[topology.LinkID(pool)] = msgs
-		}
+	tbl := poolTable{
+		numPools:        numPools,
+		competing:       make(map[topology.LinkID][]model.MessageID, used),
+		competingByPool: make([][]model.MessageID, numPools),
 	}
+	var byLabel []model.MessageID
 	if m.labels != nil {
+		byLabel = slices.Clone(byMessage)
 		tbl.labelOrder = make([][]model.MessageID, numPools)
-		for pool, msgs := range tbl.competingByPool {
-			if len(msgs) == 0 {
-				continue
-			}
-			sorted := append([]model.MessageID(nil), msgs...)
-			sort.Slice(sorted, func(i, j int) bool {
-				li, lj := m.labels[sorted[i]], m.labels[sorted[j]]
-				if li != lj {
-					return li < lj
-				}
-				return sorted[i] < sorted[j]
-			})
+	}
+	byLabelThenID := func(a, b model.MessageID) int {
+		if c := cmp.Compare(m.labels[a], m.labels[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	start := int32(0)
+	for pool := 0; pool < numPools; pool++ {
+		lo, hi := start, end[pool]
+		start = hi
+		if lo == hi {
+			continue
+		}
+		msgs := byMessage[lo:hi:hi]
+		tbl.competingByPool[pool] = msgs
+		tbl.competing[topology.LinkID(pool)] = msgs
+		if byLabel != nil {
+			sorted := byLabel[lo:hi:hi]
+			slices.SortFunc(sorted, byLabelThenID)
 			tbl.labelOrder[pool] = sorted
 		}
 	}

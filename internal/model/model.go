@@ -5,11 +5,21 @@
 // A Program is the unit every other package operates on. It is
 // immutable after Build; analysis packages (crossoff, label) and the
 // run-time packages (assign, sim) consume it without copying.
+//
+// A Builder is the only way to make one. It owns the cell and message
+// name tables while a program is assembled (the DSL parser resolves
+// names against them), every declaration and op is O(1), and Build
+// hands its storage to the Program rather than copying it — the builder
+// copies it back before its next mutation, so a built Program never
+// changes and a builder can go on to build a larger one.
 package model
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -162,20 +172,74 @@ func (p *Program) Clone() *Program {
 
 // Builder assembles a Program incrementally and validates it on Build.
 // The zero Builder is ready to use.
+//
+// The builder owns the two name tables of a program under construction
+// (cell names and message names; CellByName and MessageByName read
+// them), keeps code as one slice per cell, and every mutation is O(1)
+// amortized, so assembling a program is linear in its size. Build hands
+// the builder's storage to the Program instead of copying it; the first
+// mutation after a successful Build copies that storage back first, so
+// a built Program never changes and Build can be called again.
 type Builder struct {
 	cells    []Cell
 	messages []Message
-	code     map[CellID][]Op
+	code     [][]Op // indexed by CellID, grown with cells
+	cellID   map[string]CellID
 	byName   map[string]MessageID
-	errs     []error
+	err      error // first declaration error; Build reports it
+	// shared is set once Build has handed cells, messages, code and
+	// byName to a Program; own undoes it before the next mutation.
+	shared bool
 }
 
 // NewBuilder returns an empty builder.
-func NewBuilder() *Builder {
-	return &Builder{
-		code:   make(map[CellID][]Op),
-		byName: make(map[string]MessageID),
+func NewBuilder() *Builder { return new(Builder) }
+
+// NewSizedBuilder returns an empty builder with room for the given
+// number of cells and messages, for callers (the DSL parser) that can
+// count their declarations up front: exact counts make Build's
+// hand-over exact-length, with no append slack for the Program to
+// retain. The counts are hints; exceeding them is not an error.
+func NewSizedBuilder(cells, messages int) *Builder {
+	b := new(Builder)
+	if cells > 0 {
+		b.cells = make([]Cell, 0, cells)
+		b.code = make([][]Op, 0, cells)
+		b.cellID = make(map[string]CellID, cells)
 	}
+	// A program without messages keeps a nil message slice, as one
+	// assembled on NewBuilder does.
+	if messages > 0 {
+		b.messages = make([]Message, 0, messages)
+		b.byName = make(map[string]MessageID, messages)
+	}
+	return b
+}
+
+// fail records a declaration error; the first one wins.
+func (b *Builder) fail(format string, args ...any) {
+	if b.err == nil {
+		b.err = fmt.Errorf(format, args...)
+	}
+}
+
+// own makes the builder's storage private again after Build shared it
+// with a Program. Every mutator calls it first.
+func (b *Builder) own() {
+	if b.shared {
+		b.unshare()
+	}
+}
+
+func (b *Builder) unshare() {
+	b.shared = false
+	b.cells = slices.Clone(b.cells)
+	b.messages = slices.Clone(b.messages)
+	b.code = slices.Clone(b.code)
+	for c, ops := range b.code {
+		b.code[c] = slices.Clone(ops)
+	}
+	b.byName = maps.Clone(b.byName)
 }
 
 // AddCell declares a cell and returns its id. Cell names must be
@@ -190,16 +254,23 @@ func (b *Builder) AddHost(name string) CellID {
 }
 
 func (b *Builder) addCell(name string, host bool) CellID {
+	b.own()
 	if name == "" {
-		b.errs = append(b.errs, fmt.Errorf("model: empty cell name"))
+		b.fail("model: empty cell name")
 	}
-	for _, c := range b.cells {
-		if c.Name == name {
-			b.errs = append(b.errs, fmt.Errorf("model: duplicate cell name %q", name))
-		}
+	if b.cellID == nil {
+		b.cellID = make(map[string]CellID)
 	}
 	id := CellID(len(b.cells))
 	b.cells = append(b.cells, Cell{ID: id, Name: name, Host: host})
+	b.code = append(b.code, nil)
+	// One hash of the name, not a lookup and then a store: a store
+	// that does not grow the table overwrote an earlier declaration.
+	before := len(b.cellID)
+	b.cellID[name] = id
+	if len(b.cellID) == before {
+		b.fail("model: duplicate cell name %q", name)
+	}
 	return id
 }
 
@@ -207,57 +278,105 @@ func (b *Builder) addCell(name string, host bool) CellID {
 func (b *Builder) AddCells(prefix string, n int) []CellID {
 	ids := make([]CellID, n)
 	for i := range ids {
-		ids[i] = b.AddCell(fmt.Sprintf("%s%d", prefix, i+1))
+		ids[i] = b.AddCell(prefix + strconv.Itoa(i+1))
 	}
 	return ids
+}
+
+// CellByName looks a declared cell up by name (the latest declaration,
+// should a name have been declared twice — Build rejects that program
+// anyway).
+func (b *Builder) CellByName(name string) (CellID, bool) {
+	id, ok := b.cellID[name]
+	return id, ok
+}
+
+// MessageByName looks a declared message up by name, with the same
+// duplicate rule as CellByName.
+func (b *Builder) MessageByName(name string) (MessageID, bool) {
+	id, ok := b.byName[name]
+	return id, ok
 }
 
 // DeclareMessage declares a message with the given name, endpoints and
 // word count, returning its id. Word count must be positive; names
 // must be unique.
 func (b *Builder) DeclareMessage(name string, sender, receiver CellID, words int) MessageID {
-	if name == "" {
-		b.errs = append(b.errs, fmt.Errorf("model: empty message name"))
-	}
-	if _, dup := b.byName[name]; dup {
-		b.errs = append(b.errs, fmt.Errorf("model: duplicate message name %q", name))
-	}
-	if words <= 0 {
-		b.errs = append(b.errs, fmt.Errorf("model: message %q: word count %d not positive", name, words))
-	}
-	if sender == receiver {
-		b.errs = append(b.errs, fmt.Errorf("model: message %q: sender and receiver are both cell %d", name, sender))
+	b.own()
+	if b.byName == nil {
+		b.byName = make(map[string]MessageID)
 	}
 	id := MessageID(len(b.messages))
+	before := len(b.byName)
+	b.byName[name] = id // as in addCell: no growth means a duplicate
+	if name == "" {
+		b.fail("model: empty message name")
+	}
+	if len(b.byName) == before {
+		b.fail("model: duplicate message name %q", name)
+	}
+	if words <= 0 {
+		b.fail("model: message %q: word count %d not positive", name, words)
+	}
+	if sender == receiver {
+		b.fail("model: message %q: sender and receiver are both cell %d", name, sender)
+	}
 	b.messages = append(b.messages, Message{ID: id, Name: name, Sender: sender, Receiver: receiver, Words: words})
-	b.byName[name] = id
 	return id
 }
 
-// Write appends a W(msg) op to cell c's program.
-func (b *Builder) Write(c CellID, msg MessageID) *Builder {
-	b.code[c] = append(b.code[c], Op{Kind: Write, Msg: msg})
+// declared reports whether c is a declared cell, recording the builder
+// error for an op on one that is not: code is stored per declared cell,
+// so such an op has nowhere to go, and dropping it silently would
+// surface later as an unrelated word-count mismatch.
+func (b *Builder) declared(c CellID) bool {
+	if c < 0 || int(c) >= len(b.code) {
+		b.fail("model: op on undeclared cell %d", c)
+		return false
+	}
+	return true
+}
+
+// AppendOps appends ops, in order, to cell c's program: the bulk form
+// of Write and Read. The builder copies ops; the caller may reuse it.
+func (b *Builder) AppendOps(c CellID, ops []Op) *Builder {
+	b.own()
+	if b.declared(c) {
+		b.code[c] = append(b.code[c], ops...)
+	}
 	return b
 }
 
-// Read appends an R(msg) op to cell c's program.
+// Write appends a W(msg) op to cell c's program. The cell must have
+// been declared.
+func (b *Builder) Write(c CellID, msg MessageID) *Builder {
+	return b.AppendOps(c, []Op{{Kind: Write, Msg: msg}})
+}
+
+// Read appends an R(msg) op to cell c's program. The cell must have
+// been declared.
 func (b *Builder) Read(c CellID, msg MessageID) *Builder {
-	b.code[c] = append(b.code[c], Op{Kind: Read, Msg: msg})
-	return b
+	return b.AppendOps(c, []Op{{Kind: Read, Msg: msg}})
 }
 
 // WriteN appends n W(msg) ops.
 func (b *Builder) WriteN(c CellID, msg MessageID, n int) *Builder {
-	for i := 0; i < n; i++ {
-		b.Write(c, msg)
-	}
-	return b
+	return b.repeat(c, Op{Kind: Write, Msg: msg}, n)
 }
 
 // ReadN appends n R(msg) ops.
 func (b *Builder) ReadN(c CellID, msg MessageID, n int) *Builder {
-	for i := 0; i < n; i++ {
-		b.Read(c, msg)
+	return b.repeat(c, Op{Kind: Read, Msg: msg}, n)
+}
+
+func (b *Builder) repeat(c CellID, op Op, n int) *Builder {
+	b.own()
+	if n > 0 && b.declared(c) {
+		ops := slices.Grow(b.code[c], n)
+		for ; n > 0; n-- {
+			ops = append(ops, op)
+		}
+		b.code[c] = ops
 	}
 	return b
 }
@@ -270,25 +389,24 @@ func (b *Builder) ReadN(c CellID, msg MessageID, n int) *Builder {
 //   - the number of W(X) ops equals the number of R(X) ops equals X's
 //     declared word count (each op moves exactly one word);
 //   - cell and message references are in range.
+//
+// On success the Program takes over the builder's slices and its
+// message-name table without a copy (see Builder).
 func (b *Builder) Build() (*Program, error) {
-	if len(b.errs) > 0 {
-		return nil, b.errs[0]
+	if b.err != nil {
+		return nil, b.err
 	}
 	if len(b.cells) == 0 {
 		return nil, fmt.Errorf("model: program has no cells")
 	}
-	code := make([][]Op, len(b.cells))
-	for c := range code {
-		code[c] = append([]Op(nil), b.code[CellID(c)]...)
-	}
 	writes := make([]int, len(b.messages))
 	reads := make([]int, len(b.messages))
-	for c, ops := range code {
+	for c, ops := range b.code {
 		for i, op := range ops {
 			if int(op.Msg) < 0 || int(op.Msg) >= len(b.messages) {
 				return nil, fmt.Errorf("model: cell %s op %d references unknown message %d", b.cells[c].Name, i, op.Msg)
 			}
-			m := b.messages[op.Msg]
+			m := &b.messages[op.Msg]
 			switch op.Kind {
 			case Write:
 				if m.Sender != CellID(c) {
@@ -315,16 +433,11 @@ func (b *Builder) Build() (*Program, error) {
 			return nil, fmt.Errorf("model: message %s declares %d words but receiver reads %d", m.Name, m.Words, reads[id])
 		}
 	}
-	byName := make(map[string]MessageID, len(b.byName))
-	for k, v := range b.byName {
-		byName[k] = v
+	if b.byName == nil {
+		b.byName = make(map[string]MessageID)
 	}
-	return &Program{
-		cells:    append([]Cell(nil), b.cells...),
-		messages: append([]Message(nil), b.messages...),
-		code:     code,
-		byName:   byName,
-	}, nil
+	b.shared = true
+	return &Program{cells: b.cells, messages: b.messages, code: b.code, byName: b.byName}, nil
 }
 
 // MustBuild is Build that panics on error; for tests and fixed example

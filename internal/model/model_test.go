@@ -1,8 +1,13 @@
 package model
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // twoCell builds a minimal valid program: A: C1→C2, 2 words.
@@ -240,4 +245,168 @@ func TestMustBuildPanicsOnInvalid(t *testing.T) {
 	b.AddCell("X")
 	b.AddCell("X")
 	b.MustBuild()
+}
+
+// TestOpOnUndeclaredCell: code is stored per declared cell, so an op on
+// a cell id that was never declared has nowhere to go. It used to be
+// dropped silently (and surface as an unrelated "sender writes 0"); it
+// is a builder error now, and declaring the cell afterwards does not
+// redeem it — the first builder error wins, as for the others.
+func TestOpOnUndeclaredCell(t *testing.T) {
+	for name, op := range map[string]func(b *Builder, c CellID, m MessageID){
+		"Write":     func(b *Builder, c CellID, m MessageID) { b.Write(c, m) },
+		"Read":      func(b *Builder, c CellID, m MessageID) { b.Read(c, m) },
+		"WriteN":    func(b *Builder, c CellID, m MessageID) { b.WriteN(c, m, 2) },
+		"ReadN":     func(b *Builder, c CellID, m MessageID) { b.ReadN(c, m, 2) },
+		"AppendOps": func(b *Builder, c CellID, m MessageID) { b.AppendOps(c, []Op{{Kind: Write, Msg: m}}) },
+	} {
+		for _, c := range []CellID{2, -1} {
+			b := NewBuilder()
+			c1 := b.AddCell("C1")
+			c2 := b.AddCell("C2")
+			a := b.DeclareMessage("A", c1, c2, 1)
+			b.Write(c1, a).Read(c2, a)
+			op(b, c, a)
+			b.AddCell("C3") // too late
+			_, err := b.Build()
+			want := fmt.Sprintf("model: op on undeclared cell %d", c)
+			if err == nil || err.Error() != want {
+				t.Errorf("%s on cell %d: Build error %v, want %q", name, c, err, want)
+			}
+		}
+	}
+	// An earlier builder error still wins.
+	b := NewBuilder()
+	b.AddCell("X")
+	b.AddCell("X")
+	b.Write(7, 0)
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "duplicate cell") {
+		t.Errorf("first error should win, got %v", err)
+	}
+}
+
+// TestZeroBuilderIsUsable holds the doc comment to its word.
+func TestZeroBuilderIsUsable(t *testing.T) {
+	var b Builder
+	c1 := b.AddCell("C1")
+	c2 := b.AddHost("C2")
+	a := b.DeclareMessage("A", c1, c2, 1)
+	b.Write(c1, a).Read(c2, a)
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.MessageByName("A"); !ok || p.TotalOps() != 2 {
+		t.Fatalf("zero Builder built %v", p)
+	}
+}
+
+// TestBuilderLookups: the builder's name tables answer for what has
+// been declared so far — they are what the DSL parser resolves against.
+func TestBuilderLookups(t *testing.T) {
+	b := NewSizedBuilder(2, 1)
+	if _, ok := b.CellByName("C1"); ok {
+		t.Fatal("empty builder knows C1")
+	}
+	c1 := b.AddCell("C1")
+	c2 := b.AddCell("C2")
+	a := b.DeclareMessage("A", c1, c2, 1)
+	if id, ok := b.CellByName("C2"); !ok || id != c2 {
+		t.Fatalf("CellByName(C2) = %d, %v", id, ok)
+	}
+	if id, ok := b.MessageByName("A"); !ok || id != a {
+		t.Fatalf("MessageByName(A) = %d, %v", id, ok)
+	}
+	if _, ok := b.MessageByName("C1"); ok {
+		t.Fatal("cell name found among messages: the namespaces are separate")
+	}
+}
+
+// TestBuildHandsOverAndStaysRepeatable pins the hand-over contract:
+// Build gives the Program the builder's own storage (no copy), a built
+// Program never changes whatever the builder does next, a failed Build
+// hands nothing over, and Build after further mutation sees everything.
+func TestBuildHandsOverAndStaysRepeatable(t *testing.T) {
+	b := NewBuilder()
+	c1 := b.AddCell("C1")
+	c2 := b.AddCell("C2")
+	a := b.DeclareMessage("A", c1, c2, 2)
+	b.WriteN(c1, a, 2).Read(c2, a)
+	if _, err := b.Build(); err == nil {
+		t.Fatal("one read short, yet Build succeeded")
+	}
+	b.Read(c2, a) // repair after the failed Build
+	p1, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &p1.cells[0] != &b.cells[0] || &p1.code[0][0] != &b.code[0][0] {
+		t.Error("Build copied the builder's storage instead of handing it over")
+	}
+	p1again, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p1, p1again) {
+		t.Error("a second Build with no mutation in between built a different program")
+	}
+	snapshot := p1.Clone()
+
+	// Grow the program: a third cell, a second message, more code on
+	// an existing cell.
+	c3 := b.AddCell("C3")
+	m2 := b.DeclareMessage("B", c2, c3, 1)
+	b.Write(c2, m2).Read(c3, m2)
+	p2, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p1, snapshot) {
+		t.Errorf("mutating the builder after Build changed the built program:\n%v\nwas\n%v", p1, snapshot)
+	}
+	if _, ok := p1.MessageByName("B"); ok {
+		t.Error("the first program's name table sees a message declared after it was built")
+	}
+	if p2.NumCells() != 3 || p2.NumMessages() != 2 || len(p2.Code(c2)) != 3 || p2.TotalOps() != 6 {
+		t.Errorf("second Build lost or duplicated declarations:\n%v", p2)
+	}
+	if &p2.cells[0] == &p1.cells[0] || &p2.code[0][0] == &p1.code[0][0] {
+		t.Error("the second program shares storage with the first")
+	}
+}
+
+// TestBuilderAddCellLinear is the clock-relative gate on the duplicate
+// check: AddCell used to rescan every earlier name, so 4× the cells
+// cost 16× the time. Linear is 4×; the gate allows 8× (best of three,
+// to shrug off a GC cycle or a noisy neighbour).
+func TestBuilderAddCellLinear(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing ratio is not meaningful under -race")
+	}
+	names := make([]string, 64<<10)
+	for i := range names {
+		names[i] = "P" + strconv.Itoa(i)
+	}
+	best := func(n int) time.Duration {
+		min := time.Duration(math.MaxInt64)
+		for try := 0; try < 3; try++ {
+			start := time.Now()
+			b := NewBuilder()
+			for _, name := range names[:n] {
+				b.AddCell(name)
+			}
+			if d := time.Since(start); d < min {
+				min = d
+			}
+			if b.err != nil {
+				t.Fatal(b.err)
+			}
+		}
+		return min
+	}
+	small, large := best(16<<10), best(64<<10)
+	t.Logf("AddCell ×16384: %v, ×65536: %v (ratio %.1f)", small, large, float64(large)/float64(small))
+	if large > 8*small {
+		t.Errorf("64k AddCell took %v, more than 8× the %v of 16k: the duplicate check is not O(1)", large, small)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // relayDSL is a small deadlock-free three-cell relay used throughout
@@ -548,6 +549,37 @@ func TestRequestErrors(t *testing.T) {
 				t.Fatalf("status %d, want %d", resp.StatusCode, tc.wantCode)
 			}
 		})
+	}
+}
+
+// TestRunRejectsOversizedTopology: the body bound limits the text, not
+// what the text asks for — a 40-byte topology directive used to make
+// the parser build a multi-gigabyte array before anything looked at the
+// sizes. The parser rejects it from the directive's line, so the
+// daemon's answer is a prompt 400 carrying the parse error.
+func TestRunRejectsOversizedTopology(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	cases := []struct{ directive, want string }{
+		{"topology mesh 3037000500 3037000500", "line 1: topology mesh declares more than 65536 cells"},
+		{"topology linear -3", "line 1: topology size -3 is less than 1"},
+	}
+	for _, tc := range cases {
+		start := time.Now()
+		resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{
+			Program: tc.directive + "\ncell a\ncell b\nmessage m a b 1\ncode a: W(m)\ncode b: R(m)\n",
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", tc.directive, resp.StatusCode, body)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s: error body %s (%v), want it to carry %q", tc.directive, body, err, tc.want)
+		}
+		// Building the array would take minutes (or the process); the
+		// bound only has to tell "rejected" from "attempted".
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("%s: rejected only after %v", tc.directive, d)
+		}
 	}
 }
 

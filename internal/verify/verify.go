@@ -8,7 +8,7 @@ package verify
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"systolic/internal/crossoff"
 	"systolic/internal/label"
@@ -44,41 +44,67 @@ func CheckPreconditions(p *model.Program, t topology.Topology, dense []int, queu
 // CheckPreconditionsRoutes is CheckPreconditions over precomputed
 // routes, for pipelines (core.Analyze) that have already routed the
 // program and should not pay for routing twice. Links and labels are
-// visited in sorted order so Violations is deterministic: the report
+// visited in ascending order so Violations is deterministic: the report
 // flows into core.Analysis and from there into wire responses, which
 // must be byte-identical run to run.
+//
+// The labels crossing each link are grouped count-then-fill into one
+// flat array (link ids index it, as they index Topology.Links), each
+// link's segment is sorted in place, and equal-label groups are its
+// runs: two allocations for the whole report, not a map and a key
+// slice per link.
 func CheckPreconditionsRoutes(routes [][]topology.Hop, dense []int, queuesPerLink int) PreconditionReport {
 	var rep PreconditionReport
-	competing := topology.Competing(routes)
-	links := make([]topology.LinkID, 0, len(competing))
-	for link := range competing {
-		links = append(links, link)
+	numLinks := 0
+	for _, route := range routes {
+		for _, h := range route {
+			if int(h.Link) >= numLinks {
+				numLinks = int(h.Link) + 1
+			}
+		}
 	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-	for _, link := range links {
-		msgs := competing[link]
-		if len(msgs) > rep.MaxCompeting {
-			rep.MaxCompeting = len(msgs)
+	// Count, prefix-sum, fill: off[l] starts as the beginning of link
+	// l's segment of labs and the fill advances it to the segment's
+	// end, so afterwards segment l is labs[off[l-1]:off[l]].
+	off := make([]int, numLinks+1)
+	for _, route := range routes {
+		for _, h := range route {
+			off[h.Link+1]++
 		}
-		groups := make(map[int]int)
-		for _, m := range msgs {
-			groups[dense[m]]++
+	}
+	for l := 0; l < numLinks; l++ {
+		off[l+1] += off[l]
+	}
+	labs := make([]int, off[numLinks])
+	for id, route := range routes {
+		for _, h := range route {
+			labs[off[h.Link]] = dense[id]
+			off[h.Link]++
 		}
-		labs := make([]int, 0, len(groups))
-		for lab := range groups {
-			labs = append(labs, lab)
+	}
+	start := 0
+	for link := 0; link < numLinks; link++ {
+		seg := labs[start:off[link]]
+		start = off[link]
+		if len(seg) > rep.MaxCompeting {
+			rep.MaxCompeting = len(seg)
 		}
-		sort.Ints(labs)
-		for _, lab := range labs {
-			n := groups[lab]
+		slices.Sort(seg)
+		for i := 0; i < len(seg); {
+			j := i + 1
+			for j < len(seg) && seg[j] == seg[i] {
+				j++
+			}
+			n := j - i
 			if n > rep.MaxGroup {
 				rep.MaxGroup = n
 			}
 			if n > queuesPerLink {
 				rep.Violations = append(rep.Violations, fmt.Sprintf(
 					"link %d: %d competing messages share label %d but only %d queues",
-					link, n, lab, queuesPerLink))
+					link, n, seg[i], queuesPerLink))
 			}
+			i = j
 		}
 	}
 	return rep
