@@ -65,13 +65,13 @@ func BenchmarkServeCacheHit(b *testing.B) {
 	ctx := context.Background()
 	req := &RunRequest{Program: relayDSL, Queues: 1, Capacity: 1}
 	var resp RunResponse
-	if err := s.executeRun(ctx, req, &resp); err != nil { // warm the cache
+	if _, err := s.executeRun(ctx, req, &resp); err != nil { // warm the cache
 		b.Fatalf("warm-up: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.executeRun(ctx, req, &resp); err != nil {
+		if _, err := s.executeRun(ctx, req, &resp); err != nil {
 			b.Fatalf("run: %v", err)
 		}
 		if resp.Outcome != "completed" {
@@ -80,6 +80,24 @@ func BenchmarkServeCacheHit(b *testing.B) {
 	}
 	if s.cache.misses.Load() != 1 {
 		b.Fatalf("benchmark was not pure cache hits: %d misses", s.cache.misses.Load())
+	}
+}
+
+// BenchmarkServeReplyHit measures the level above: a repeated identical
+// request through the whole handler — routing, body read, one hash, the
+// body-level probe, the reply document, result retention — which runs
+// nothing. Compare with BenchmarkServeCacheHit, which is the simulation
+// alone and what a repeat cost before replies were recorded.
+func BenchmarkServeReplyHit(b *testing.B) {
+	s, hit := replyHitHarness(b)
+	before := s.cache.replyHits.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit()
+	}
+	if got := s.cache.replyHits.Load() - before; got != int64(b.N) {
+		b.Fatalf("benchmark was not pure reply hits: %d of %d", got, b.N)
 	}
 }
 
@@ -97,11 +115,11 @@ func TestServeCacheHitAllocGate(t *testing.T) {
 	ctx := context.Background()
 	req := &RunRequest{Program: relayDSL, Queues: 1, Capacity: 1}
 	var resp RunResponse
-	if err := s.executeRun(ctx, req, &resp); err != nil {
+	if _, err := s.executeRun(ctx, req, &resp); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 	hit := testing.AllocsPerRun(200, func() {
-		if err := s.executeRun(ctx, req, &resp); err != nil {
+		if _, err := s.executeRun(ctx, req, &resp); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 	})

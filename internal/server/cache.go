@@ -25,8 +25,18 @@ type entry struct {
 	ready    chan struct{}
 	a        *core.Analysis
 	err      error
-	scenario string   // hex ScenarioKey(program, topology) for responses
-	srcKeys  []string // source-level aliases registered for this entry
+	scenario string     // hex ScenarioKey(program, topology) for responses
+	srcKeys  []string   // source-level aliases registered for this entry
+	bodyKeys []cacheKey // body-level replies recorded for this entry, oldest first
+}
+
+// reply is one recorded answer of the body level: the encoded response
+// document after its "id" value, immutable once recorded, and the entry
+// it was computed from — whose LRU position a hit refreshes and whose
+// eviction drops the reply.
+type reply struct {
+	el   *list.Element
+	tail []byte
 }
 
 // wait blocks until the entry's compile has finished.
@@ -41,23 +51,29 @@ func (e *entry) wait() (*core.Analysis, error) {
 // machine.ScenarioKey) — so two textually different programs that
 // parse to the same scenario share one compile. On top of that sits a
 // source-level alias index: the raw (request text, options) hash maps
-// straight to its entry, so the steady-state hit path for repeated
-// identical requests is one sha256 and one map probe, with no parsing
-// at all.
+// straight to its entry, so a request for a resident program under new
+// run options is one sha256 and one map probe away from its pooled run,
+// with no parsing at all. And on top of that sits the body level: the
+// hash of a whole request body (with its route and the tenant's cycle
+// bound) maps to the encoded reply a run of it produced, so a repeated
+// identical request is not decoded and runs nothing — a run is a pure
+// function of its request.
 //
 // Concurrent misses on the same key are deduplicated singleflight
 // style: the first request inserts an in-flight entry and compiles;
 // everyone else finds the entry and waits on its ready channel. The
 // LRU bound counts canonical entries; evicting one removes its
-// aliases with it.
+// aliases and its replies with it.
 type scenarioCache struct {
 	mu      sync.Mutex
 	max     int
 	ll      *list.List // front = most recently used; values are *entry
 	byCanon map[cacheKey]*list.Element
 	bySrc   map[cacheKey]*list.Element // source-alias fast path
+	byBody  map[cacheKey]reply         // whole-request replies
 
 	hits, misses, evictions atomic.Int64
+	replyHits               atomic.Int64 // the hits that byBody answered
 }
 
 func newScenarioCache(max int) *scenarioCache {
@@ -69,6 +85,7 @@ func newScenarioCache(max int) *scenarioCache {
 		ll:      list.New(),
 		byCanon: make(map[cacheKey]*list.Element),
 		bySrc:   make(map[cacheKey]*list.Element),
+		byBody:  make(map[cacheKey]reply),
 	}
 }
 
@@ -163,6 +180,47 @@ func (c *scenarioCache) lookupSrc(src cacheKey) (*entry, bool) {
 	return el.Value.(*entry), true
 }
 
+// lookupBody is the body level's probe: a hit returns the recorded
+// reply tail, refreshes its entry's LRU position and counts as a cache
+// hit exactly as an alias hit does. nil is a miss.
+func (c *scenarioCache) lookupBody(key cacheKey) []byte {
+	c.mu.Lock()
+	r, ok := c.byBody[key]
+	if !ok {
+		c.mu.Unlock()
+		return nil
+	}
+	c.ll.MoveToFront(r.el)
+	c.mu.Unlock()
+	c.hits.Add(1)
+	c.replyHits.Add(1)
+	return r.tail
+}
+
+// recordReply files the reply a request body got under the entry it was
+// computed from, unless that entry has left the cache meanwhile: no
+// reply outlives its entry. An entry keeps its maxReplies most recently
+// recorded bodies, so a flood of one-off option mixes cannot grow
+// memory unboundedly, nor shut a later hot body out.
+func (c *scenarioCache) recordReply(e *entry, key cacheKey, tail []byte) {
+	const maxReplies = 64
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byCanon[e.canon]
+	if !ok || el.Value.(*entry) != e {
+		return
+	}
+	if _, dup := c.byBody[key]; dup {
+		return
+	}
+	if len(e.bodyKeys) >= maxReplies {
+		delete(c.byBody, e.bodyKeys[0])
+		e.bodyKeys = append(e.bodyKeys[:0], e.bodyKeys[1:]...)
+	}
+	c.byBody[key] = reply{el: el, tail: tail}
+	e.bodyKeys = append(e.bodyKeys, key)
+}
+
 // getOrCompile returns the entry for a canonical key, compiling it via
 // compile() exactly once no matter how many requests race here. src is
 // registered as an alias so the next textually identical request skips
@@ -215,7 +273,8 @@ func (c *scenarioCache) addAliasLocked(el *list.Element, src cacheKey) {
 	e.srcKeys = append(e.srcKeys, string(src[:]))
 }
 
-// evictLocked drops the least recently used entry and its aliases.
+// evictLocked drops the least recently used entry, its aliases and its
+// replies.
 func (c *scenarioCache) evictLocked() {
 	el := c.ll.Back()
 	if el == nil {
@@ -248,11 +307,16 @@ func (c *scenarioCache) dropLocked(el *list.Element) {
 		}
 	}
 	e.srcKeys = nil
+	for _, k := range e.bodyKeys {
+		delete(c.byBody, k)
+	}
+	e.bodyKeys = nil
 }
 
-// len reports the number of cached canonical entries.
-func (c *scenarioCache) len() int {
+// len reports the number of cached canonical entries and of replies
+// recorded under them.
+func (c *scenarioCache) len() (entries, replies int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.ll.Len(), len(c.byBody)
 }

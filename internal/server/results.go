@@ -1,17 +1,18 @@
 package server
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // resultStore retains the marshaled response documents of prior
 // /v1/analyze, /v1/run, and /v1/sweep requests, bounded FIFO, so
 // GET /v1/results/{id} can replay exactly what the submitter saw.
 type resultStore struct {
+	seq   atomic.Int64 // last reserved id; outside mu so reserving one takes no lock
 	mu    sync.Mutex
 	max   int
-	seq   int64
 	order []string // insertion order; front is the oldest retained id
 	items map[string][]byte
 }
@@ -23,12 +24,15 @@ func newResultStore(max int) *resultStore {
 	return &resultStore{max: max, items: make(map[string][]byte)}
 }
 
-// nextID reserves a result identifier.
+// nextID reserves a result identifier: "r-" and the sequence number,
+// zero-padded to eight digits — fmt's "r-%08d", built on the stack.
 func (s *resultStore) nextID() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seq++
-	return fmt.Sprintf("r-%08d", s.seq)
+	const pad = "r-00000000"
+	var digits [20]byte
+	n := strconv.AppendInt(digits[:0], s.seq.Add(1), 10)
+	var id [len(pad) + len(digits)]byte
+	b := append(id[:0], pad[:max(len("r-"), len(pad)-len(n))]...)
+	return string(append(b, n...))
 }
 
 // save retains a response document under its id, evicting the oldest

@@ -7,8 +7,10 @@
 // cache (see cache.go): every request's scenario — program, topology,
 // analysis options — is canonically hashed, cache hits skip parsing,
 // Analyze, and machine compilation entirely and go straight to a
-// pooled machine.Run, concurrent identical compiles are deduplicated
-// singleflight style, and an LRU bound caps residency. A shared
+// pooled machine.Run, a repeated identical /v1/run or /v1/analyze body
+// skips even that and is answered with the bytes its last run encoded,
+// concurrent identical compiles are deduplicated singleflight style,
+// and an LRU bound caps residency. A shared
 // sweep.Limiter bounds simultaneous simulations across every
 // endpoint, so a burst of /v1/run traffic and a wide /v1/sweep grid
 // draw from one -max-concurrency budget.
@@ -24,7 +26,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -34,6 +39,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -163,7 +169,7 @@ func ListenAndServe(ctx context.Context, opts Options) error {
 		fmt.Fprintf(opts.Log, "sysdl serve: listening on http://%s (cache %d scenarios, %d concurrent runs, %d waiters, %d tenants)\n",
 			ln.Addr(), s.cache.max, s.limiter.Cap(), s.adm.waitCap, s.tenants.count())
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer(s.Handler(), readHeaderTimeout, idleTimeout)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -178,6 +184,23 @@ func ListenAndServe(ctx context.Context, opts Options) error {
 	case err := <-errc:
 		return fmt.Errorf("server: %w", err)
 	}
+}
+
+// Listener timeouts: a connection that does not finish its request
+// headers, or sits idle between keep-alive requests, for this long is
+// closed.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the listener configuration of ListenAndServe. It
+// bounds how long a client may take over its headers and how long an
+// idle keep-alive connection is held; it sets no WriteTimeout, because
+// a streamed sweep's response legitimately stays open as long as its
+// grid runs, and the body is bounded by size (maxBodyBytes) instead.
+func newHTTPServer(h http.Handler, readHeader, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
 }
 
 // statusError carries an HTTP status with an error; retryAfter > 0
@@ -266,24 +289,95 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 // enough that one bad client cannot exhaust the daemon's memory.
 const maxBodyBytes = 8 << 20
 
-// decode reads a JSON request body strictly and size-bounded.
-func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// Route tags: the endpoint a body was posted to, first byte of the
+// body-level cache key. /v1/sweep is deliberately not memoized — it
+// makes one scenario lookup per lookahead, and the cache counters are
+// exact counts of those.
+const (
+	routeAnalyze byte = 'a'
+	routeRun     byte = 'r'
+	routeSweep   byte = 's'
+)
+
+// keyHeader is what precedes the body in a request buffer: the route
+// tag and the tenant tier's cycle bound, which is the one thing outside
+// the body that a reply depends on. Buffer = header ‖ body is the
+// preimage of the body-level key, so the key is one sha256 over
+// memory the body had to be read into anyway.
+const keyHeader = 1 + 8
+
+// bodyPool recycles request buffers. One over maxPooledBody is left to
+// the collector instead: a single multi-megabyte program must not pin
+// its buffer for the life of the daemon.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 64 << 10
+
+// accept is the one reader of request bodies. It reads the body once,
+// size-bounded, and either answers it on the spot — a body this route
+// has answered before under the same cycle bound gets the recorded
+// reply: no decode, no run slot, no simulation — or decodes it strictly
+// into v. ok false means the reply (the recorded one, or an error) has
+// been written and the handler is done; otherwise key is what the
+// handler records its own reply under. The tenant gate (API key, rate
+// limit) has already passed by the time a handler calls this; a
+// recorded reply runs nothing, so it claims neither a limiter slot nor
+// one of the tenant's concurrent runs.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, route byte, v any) (key cacheKey, ok bool) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	var header [keyHeader]byte
+	header[0] = route
+	binary.LittleEndian.PutUint64(header[1:], uint64(tenantFrom(r.Context()).cycleBound()))
+	buf.Write(header[:])
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return &statusError{code: http.StatusRequestEntityTooLarge, err: fmt.Errorf("request body over %d bytes", tooBig.Limit)}
+			err = &statusError{code: http.StatusRequestEntityTooLarge, err: fmt.Errorf("request body over %d bytes", tooBig.Limit)}
+		} else {
+			err = badRequest(fmt.Errorf("bad request body: %w", err))
 		}
-		return badRequest(fmt.Errorf("bad request body: %w", err))
+		s.writeError(w, err)
+		return key, false
+	}
+	if route != routeSweep {
+		key = sha256.Sum256(buf.Bytes())
+		if tail := s.cache.lookupBody(key); tail != nil {
+			s.replay(w, tail)
+			return key, false
+		}
+	}
+	if err := decodeStrict(buf.Bytes()[keyHeader:], v); err != nil {
+		s.writeError(w, badRequest(fmt.Errorf("bad request body: %w", err)))
+		return key, false
+	}
+	return key, true
+}
+
+// decodeStrict decodes a request body that must be exactly one JSON
+// value of v's shape: no unknown fields, nothing but whitespace after
+// the value.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("unexpected %q after the request object", rest[:min(len(rest), 16)])
 	}
 	return nil
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, err)
+	key, ok := s.accept(w, r, routeAnalyze, &req)
+	if !ok {
 		return
 	}
 	e, cached, err := s.lookup(req.Program, runKey(req.Analyze))
@@ -314,7 +408,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	s.store(w, resp.ID, resp)
+	s.storeReply(w, e, key, resp.ID, resp.Cached, resp)
 }
 
 // slotGuard releases one limiter slot exactly once. It lives on the
@@ -333,46 +427,48 @@ func (g *slotGuard) release() {
 }
 
 // executeRun is the submit-to-result core of POST /v1/run, shared with
-// BenchmarkServeCacheHit: everything except HTTP/JSON framing and
-// result retention. On the steady-state hit path it performs one
-// source hash, one cache probe, a limiter acquire, and a pooled
-// machine.Run — nothing else.
-func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunResponse) error {
+// BenchmarkServeCacheHit: everything except HTTP/JSON framing, the
+// body-level reply lookup in front of it (accept) and result retention.
+// For a resident program it parses the request's policy, fault and
+// link-model specs, hashes the source, probes the cache, passes
+// admission and makes a pooled machine.Run; it returns the cache entry
+// the run came from, for the reply to be recorded under.
+func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunResponse) (*entry, error) {
 	kind := core.DynamicCompatible
 	if req.Policy != "" {
 		var err error
 		kind, err = core.ParsePolicy(req.Policy)
 		if err != nil {
-			return badRequest(err)
+			return nil, badRequest(err)
 		}
 	}
 	if req.Workers < 0 {
-		return badRequest(fmt.Errorf("negative workers %d (0 = single-threaded)", req.Workers))
+		return nil, badRequest(fmt.Errorf("negative workers %d (0 = single-threaded)", req.Workers))
 	}
 	plan, err := fault.ParseSpec(req.Faults)
 	if err != nil {
-		return badRequest(err)
+		return nil, badRequest(err)
 	}
 	var lplan *linkmodel.Plan
 	if req.LinkModel != "" {
 		lplan, err = linkmodel.ParseSpec(req.LinkModel)
 		if err != nil {
-			return badRequest(err)
+			return nil, badRequest(err)
 		}
 	}
 	e, cached, err := s.lookup(req.Program, runKey(req.Analyze))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	a, err := e.wait()
 	if err != nil {
-		return badRequest(err)
+		return nil, badRequest(err)
 	}
 	// Admission replaces a bare limiter Acquire: a bounded pool of
 	// waiters, then load shedding with 429 + Retry-After (see
 	// admission.go). On success we hold one slot.
 	if err := s.adm.admit(ctx); err != nil {
-		return err
+		return nil, err
 	}
 	// The release is defer-guarded: core.Execute re-raises panics from
 	// buggy policies to its caller, and before this guard a panic —
@@ -406,7 +502,7 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunRespo
 	})
 	guard.release()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp.Scenario = e.scenario
 	resp.Cached = cached
@@ -429,13 +525,13 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunRespo
 	if lplan != nil {
 		resp.LinkModel = lplan.String()
 	}
-	return nil
+	return e, nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, err)
+	key, ok := s.accept(w, r, routeRun, &req)
+	if !ok {
 		return
 	}
 	t := tenantFrom(r.Context())
@@ -451,18 +547,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.endRun()
 	var resp RunResponse
-	if err := s.executeRun(r.Context(), &req, &resp); err != nil {
+	e, err := s.executeRun(r.Context(), &req, &resp)
+	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	resp.ID = s.results.nextID()
-	s.store(w, resp.ID, &resp)
+	s.storeReply(w, e, key, resp.ID, resp.Cached, &resp)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decode(w, r, &req); err != nil {
-		s.writeError(w, err)
+	if _, ok := s.accept(w, r, routeSweep, &req); !ok {
 		return
 	}
 	stream, err := streamParam(r)
@@ -664,11 +760,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // statsSnapshot assembles the live counters.
 func (s *Server) statsSnapshot() StatsResponse {
+	entries, replies := s.cache.len()
 	return StatsResponse{
 		CacheHits:      s.cache.hits.Load(),
 		CacheMisses:    s.cache.misses.Load(),
 		CacheEvictions: s.cache.evictions.Load(),
-		CacheEntries:   s.cache.len(),
+		CacheEntries:   entries,
+		ReplyHits:      s.cache.replyHits.Load(),
+		ReplyEntries:   replies,
 		// The limiter sees every simulation — single runs and sweep
 		// grid points alike — so its occupancy is the saturation
 		// signal, not a per-endpoint counter.
@@ -685,19 +784,50 @@ func (s *Server) statsSnapshot() StatsResponse {
 	}
 }
 
+// idOpen is how every response document starts; the id value follows.
+const idOpen = `{"id":"`
+
 // store marshals a response document, retains it under id, and writes
 // it as the HTTP reply. The retained bytes include the framing
-// newline, so GET /v1/results/{id} replays the response exactly.
-func (s *Server) store(w http.ResponseWriter, id string, v any) {
+// newline, so GET /v1/results/{id} replays the response exactly. It
+// returns the document, nil if it could not be encoded.
+func (s *Server) store(w http.ResponseWriter, id string, v any) []byte {
 	body, err := json.Marshal(v)
 	if err != nil {
 		s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
-		return
+		return nil
 	}
 	body = append(body, '\n')
-	s.results.save(id, body)
+	s.send(w, id, body)
+	return body
+}
+
+// storeReply is store for the two memoized routes: a reply in its
+// repeat form ("cached": true — what every later post of the same body
+// must be told) is also recorded under the body's key, minus the id. A
+// first-contact reply says "cached": false and is not recorded; the
+// body's next post is an alias hit, and that one is.
+func (s *Server) storeReply(w http.ResponseWriter, e *entry, key cacheKey, id string, cached bool, v any) {
+	if body := s.store(w, id, v); body != nil && cached {
+		s.cache.recordReply(e, key, body[len(idOpen)+len(id):])
+	}
+}
+
+// replay answers a request with a recorded reply under a fresh id. The
+// one document built here is both what the client is sent and what
+// GET /v1/results/{id} replays.
+func (s *Server) replay(w http.ResponseWriter, tail []byte) {
+	id := s.results.nextID()
+	doc := make([]byte, 0, len(idOpen)+len(id)+len(tail))
+	doc = append(append(append(doc, idOpen...), id...), tail...)
+	s.send(w, id, doc)
+}
+
+// send retains an encoded response document under id and writes it.
+func (s *Server) send(w http.ResponseWriter, id string, doc []byte) {
+	s.results.save(id, doc)
 	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(body); err != nil {
+	if _, err := w.Write(doc); err != nil {
 		s.logf("result %s: response write: %v", id, err)
 	}
 }

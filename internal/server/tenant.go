@@ -319,18 +319,30 @@ func (t *tenant) checkGrid(points int) error {
 // requests above it are refused, an unset request (0) is clamped to
 // the bound so "use the default" can never exceed the tier.
 func (t *tenant) cycleBudget(requested int) (int, error) {
-	if t == nil || t.tier.MaxCycles <= 0 {
+	bound := t.cycleBound()
+	if bound == 0 {
 		return requested, nil
 	}
-	if requested > t.tier.MaxCycles {
+	if requested > bound {
 		t.reg.rejects.Add(1)
 		return 0, &statusError{
 			code: http.StatusTooManyRequests,
-			err:  fmt.Errorf("tenant %q cycle budget %d exceeds its tier's %d", t.name, requested, t.tier.MaxCycles),
+			err:  fmt.Errorf("tenant %q cycle budget %d exceeds its tier's %d", t.name, requested, bound),
 		}
 	}
 	if requested == 0 {
-		return t.tier.MaxCycles, nil
+		return bound, nil
 	}
 	return requested, nil
+}
+
+// cycleBound is the tier's per-run cycle bound, 0 for none (and for the
+// anonymous caller). Two callers with different bounds can get
+// different replies to the same body, so it is part of the body-level
+// cache key.
+func (t *tenant) cycleBound() int {
+	if t == nil || t.tier.MaxCycles <= 0 {
+		return 0
+	}
+	return t.tier.MaxCycles
 }

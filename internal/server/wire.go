@@ -190,6 +190,13 @@ type StatsResponse struct {
 	CacheMisses    int64 `json:"cacheMisses"`
 	CacheEvictions int64 `json:"cacheEvictions"`
 	CacheEntries   int   `json:"cacheEntries"`
+	// ReplyHits counts the cache hits answered from a recorded reply —
+	// a /v1/run or /v1/analyze body seen before, replied to without
+	// decoding or running it; each is also counted in CacheHits.
+	// ReplyEntries is the number of recorded replies; they live and die
+	// with the cache entry they were computed from.
+	ReplyHits    int64 `json:"replyHits"`
+	ReplyEntries int   `json:"replyEntries"`
 	// InFlightRuns is the number of simulations executing right now;
 	// MaxConcurrency is the limiter bound they share.
 	InFlightRuns   int64 `json:"inFlightRuns"`

@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
-# Serve smoke test: boot the daemon, drive /v1/run twice with the same
-# program, and assert the second request is a cache hit via /v1/stats.
+# Serve smoke test: boot the daemon, drive /v1/run three times with the
+# same body, and assert via /v1/stats that the second request is a
+# cache hit and the third is answered from the reply the second
+# recorded — and that its id replays exactly the bytes curl received.
 # A second round boots with -max-concurrency 1 -queue-wait -1 and
 # asserts the admission gate sheds a concurrent run with 429 +
 # Retry-After instead of queueing it. CI runs this on every push; it
@@ -18,11 +20,13 @@ PROG="$(mktemp)"
 SLOW="$(mktemp)"
 SHEDBODY="$(mktemp)"
 HDRS="$(mktemp)"
+THIRD="$(mktemp)"
 
 cleanup() {
     [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null || true
     rm -f "$LOG" "$BODY" "$PROG" "$SLOW" "$SLOW.2" "$SHEDBODY" \
-        "$SHEDBODY.c1" "$SHEDBODY.c2" "$HDRS" "$HDRS.1" "$HDRS.2"
+        "$SHEDBODY.c1" "$SHEDBODY.c2" "$HDRS" "$HDRS.1" "$HDRS.2" \
+        "$THIRD" "$THIRD.replay"
 }
 trap cleanup EXIT INT TERM
 
@@ -69,11 +73,25 @@ SECOND="$(curl -fsS -X POST --data-binary @"$BODY" "http://$ADDR/v1/run")"
 echo "$SECOND"
 echo "$SECOND" | grep -q '"cached":true' || { echo "FAIL: second identical request was not a cache hit" >&2; exit 1; }
 
-echo "==> /v1/stats (expect cacheHits:1, cacheMisses:1)"
+echo "==> /v1/stats (expect cacheHits:1, cacheMisses:1, replyHits:0)"
 STATS="$(curl -fsS "http://$ADDR/v1/stats")"
 echo "$STATS"
-echo "$STATS" | grep -q '"cacheHits":1' || { echo "FAIL: stats do not show exactly one hit" >&2; exit 1; }
-echo "$STATS" | grep -q '"cacheMisses":1' || { echo "FAIL: stats do not show exactly one miss" >&2; exit 1; }
+echo "$STATS" | grep -q '"cacheHits":1,' || { echo "FAIL: stats do not show exactly one hit" >&2; exit 1; }
+echo "$STATS" | grep -q '"cacheMisses":1,' || { echo "FAIL: stats do not show exactly one miss" >&2; exit 1; }
+echo "$STATS" | grep -q '"replyHits":0,' || { echo "FAIL: a reply hit before any reply was recorded" >&2; exit 1; }
+
+echo "==> third identical /v1/run (expect cached:true, served from the recorded reply)"
+curl -fsS -o "$THIRD" -X POST --data-binary @"$BODY" "http://$ADDR/v1/run"
+cat "$THIRD"
+grep -q '"cached":true' "$THIRD" || { echo "FAIL: third identical request does not say cached" >&2; exit 1; }
+STATS="$(curl -fsS "http://$ADDR/v1/stats")"
+echo "$STATS"
+echo "$STATS" | grep -q '"replyHits":1,' || { echo "FAIL: third identical request was not a reply hit" >&2; exit 1; }
+echo "$STATS" | grep -q '"cacheHits":2,' || { echo "FAIL: a reply hit must also count as a cache hit" >&2; exit 1; }
+echo "$STATS" | grep -q '"cacheMisses":1,' || { echo "FAIL: a repeat recompiled" >&2; exit 1; }
+ID3="$(sed -n 's/.*"id":"\([^"]*\)".*/\1/p' "$THIRD")"
+curl -fsS -o "$THIRD.replay" "http://$ADDR/v1/results/$ID3"
+cmp "$THIRD" "$THIRD.replay" || { echo "FAIL: GET /v1/results/$ID3 is not the reply curl received" >&2; exit 1; }
 
 echo "==> result retention"
 ID="$(echo "$FIRST" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
