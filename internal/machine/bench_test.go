@@ -1,9 +1,14 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
+	"systolic/internal/assign"
+	"systolic/internal/label"
+	"systolic/internal/model"
 	"systolic/internal/topology"
+	"systolic/internal/verify"
 )
 
 // BenchmarkChainDelay64 is the delay-64 chain the ROADMAP's event-wheel
@@ -37,4 +42,120 @@ func BenchmarkChainDelay64(b *testing.B) {
 	b.ReportMetric(float64(executed), "executed-cycles")
 	b.ReportMetric(perRun/float64(cycles), "ns/sim-cycle")
 	b.ReportMetric(perRun/float64(executed), "ns/executed-cycle")
+}
+
+// busyScenario is one of tools/perf's run-busy programs, rebuilt here
+// because that tool is package main.
+type busyScenario struct {
+	name string
+	p    *model.Program
+	topo topology.Topology
+}
+
+// meshFlow sends one message along every row and every column of a
+// mesh: rows+cols multi-hop messages advancing at once, the
+// interior-advance-heavy scenario.
+func meshFlow(t testing.TB, rows, cols, words int) *model.Program {
+	t.Helper()
+	b := model.NewBuilder()
+	ids := b.AddCells("P", rows*cols)
+	flow := func(name string, from, to model.CellID) {
+		m := b.DeclareMessage(name, from, to, words)
+		b.WriteN(from, m, words)
+		b.ReadN(to, m, words)
+	}
+	for r := 0; r < rows; r++ {
+		flow(fmt.Sprintf("ROW%d", r), ids[r*cols], ids[r*cols+cols-1])
+	}
+	for c := 0; c < cols; c++ {
+		flow(fmt.Sprintf("COL%d", c), ids[c], ids[(rows-1)*cols+c])
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// stencil is internal/workload's diffusion stencil (which this package
+// cannot import): every iteration each horizontal and then each
+// vertical neighbor pair exchanges one word each way, so queues bind
+// and release constantly.
+func stencil(t testing.TB, rows, cols, iters int) *model.Program {
+	t.Helper()
+	b := model.NewBuilder()
+	ids := b.AddCells("S", rows*cols)
+	pair := func(name string, a, bb model.CellID) {
+		e := b.DeclareMessage(name+"e", a, bb, 1)
+		f := b.DeclareMessage(name+"f", bb, a, 1)
+		b.Write(a, e).Read(bb, e).Write(bb, f).Read(a, f)
+	}
+	for k := 0; k < iters; k++ {
+		for i := 0; i < rows; i++ {
+			for j := 0; j+1 < cols; j++ {
+				pair(fmt.Sprintf("H%d.%d.%d", k, i, j), ids[i*cols+j], ids[i*cols+j+1])
+			}
+		}
+		for i := 0; i+1 < rows; i++ {
+			for j := 0; j < cols; j++ {
+				pair(fmt.Sprintf("V%d.%d.%d", k, i, j), ids[i*cols+j], ids[(i+1)*cols+j])
+			}
+		}
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// BenchmarkBusy runs the four run-busy scenarios of tools/perf the way
+// that workload does — labeled, compatible policy, the analysis'
+// minimum queues, capacity 2, through the pooled Machine.Run — one
+// sub-benchmark each, so a scheduler profile is
+//
+//	go test -run '^$' -bench 'Busy/fft' -cpuprofile cpu.prof ./internal/machine
+//
+// ns/cell-cycle is host time per cell per simulated cycle (tools/perf's
+// machine.ns_per_cell_cycle); words/s is hop traversals per second.
+func BenchmarkBusy(b *testing.B) {
+	fft, fftTopo := butterfly(b, 8)
+	for _, sc := range []busyScenario{
+		// Every cell issues every cycle: the op-fetch-heavy scenario.
+		{"wide-linear-1024x512", pipeline(b, 1024, 512), topology.Linear(1024)},
+		{"mesh-flow-32x32x64", meshFlow(b, 32, 32, 64), topology.Mesh2D(32, 32)},
+		{"fft-8", fft, fftTopo},
+		{"stencil-24x24x8", stencil(b, 24, 24, 8), topology.Mesh2D(24, 24)},
+	} {
+		b.Run(sc.name, func(b *testing.B) {
+			routes, err := topology.Routes(sc.p, sc.topo)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, lab := label.Run(sc.p, label.Options{})
+			if !res.DeadlockFree {
+				b.Fatal("not deadlock-free")
+			}
+			m, err := Compile(sc.p, sc.topo, routes, lab.Dense)
+			if err != nil {
+				b.Fatal(err)
+			}
+			queues := max(1, verify.CheckPreconditionsRoutes(routes, lab.Dense, 1<<30).MaxGroup)
+			var cycles, words int
+			for b.Loop() {
+				res, err := m.Run(ExecOptions{Policy: assign.Compatible(), QueuesPerLink: queues, Capacity: 2})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Completed {
+					b.Fatalf("completed=%v deadlocked=%v timedOut=%v", res.Completed, res.Deadlocked, res.TimedOut)
+				}
+				cycles, words = res.Cycles, res.Stats.WordsMoved
+			}
+			perRun := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(float64(cycles), "sim-cycles")
+			b.ReportMetric(perRun/float64(cycles)/float64(sc.p.NumCells()), "ns/cell-cycle")
+			b.ReportMetric(float64(words)/(perRun/1e9), "words/s")
+		})
+	}
 }

@@ -11,32 +11,72 @@ package machine
 // over every message is 1–2 cache lines instead of a pointer-chased
 // pair of slices.
 //
+// Above the member words sits one summary level: bit w of the summary
+// is set exactly when words[w] is non-zero. A scan reads the summary
+// to find the next non-empty word, so a set with two members out of
+// 4096 costs one summary word and two member words to walk, not 64
+// words; a dense set pays one scan step per 64 members.
+//
+// Iteration contract. Every phase loop is word-granular:
+//
+//	for w, word := s.scan(lo, hi, &v); word != 0; w, word = s.scan((w+1)<<6, hi, &v) {
+//		for ; word != 0; word &= word - 1 {
+//			i := w<<6 | bits.TrailingZeros64(word)
+//			...
+//		}
+//	}
+//
+// scan hands out a *copy* of the next non-empty word, masked to
+// [lo, hi), and the inner loop consumes that copy in a register. The
+// members visited are therefore ascending, and what a loop observes of
+// changes made to the set while it runs is decided per word, at the
+// moment scan returns it:
+//
+//   - dropping the current member or any already-visited one is safe
+//     and changes nothing about the rest of the walk;
+//   - a member of the current word that is dropped before the loop
+//     reaches it is still visited, and one added to the current word is
+//     not (the copy is already taken);
+//   - members added to or dropped from a later word are seen as they
+//     stand when the walk gets there; changes behind the cursor are
+//     never observed.
+//
+// The scheduler only ever relies on the first rule (readShard, in
+// direct mode, drops the member it stands on); every other phase
+// mutates sets other than the one it walks.
+//
 // Concurrency contract: bits in one word are NOT independent memory
 // locations, so a bitset is only ever mutated by the coordinator —
 // at init, between phase barriers, and while merging shard sinks.
-// Worker shards treat every bitset as read-only and defer their
-// membership changes through their sink, exactly as they already
-// defer every other shared-structure effect (see parallel.go). The
-// byte-granular flag arrays that shards do write in place (issued,
-// writeReady, the per-hop requested flags) stay []bool for exactly
-// this reason.
+// Worker shards treat every bitset as read-only (scan reads, and
+// tallies into the caller's own counter) and defer their membership
+// changes through their sink, exactly as they already defer every
+// other shared-structure effect (see parallel.go). The byte-granular
+// flag arrays that shards do write in place (issued, writeReady, the
+// per-hop requested flags) stay []bool for exactly this reason.
 
 import "math/bits"
 
 // bitset is a set of small non-negative integers with a cached
-// cardinality. The zero value is an empty set of capacity 0; sizeTo
-// prepares it for a run. All methods are coordinator-only (see the
-// package comment above).
+// cardinality and a one-level summary. The zero value is an empty set
+// of capacity 0; sizeTo prepares it for a run. All mutating methods are
+// coordinator-only (see the package comment above).
 type bitset struct {
+	// words holds the members; sum holds one bit per word, set exactly
+	// when that word is non-zero. Both are windows of one allocation,
+	// words first, so a set costs one allocation.
 	words []uint64
+	sum   []uint64
 	count int
 }
 
 // sizeTo empties the set and sizes it for members in [0, n).
 func (b *bitset) sizeTo(n int) {
 	w := (n + 63) >> 6
-	b.words = grow(b.words, w)
-	clear(b.words)
+	s := (w + 63) >> 6
+	buf := grow(b.words, w+s)
+	clear(buf)
+	b.words, b.sum = buf[:w], buf[w:w+s]
 	b.count = 0
 }
 
@@ -47,6 +87,7 @@ func (b *bitset) add(i int) {
 	w, bit := i>>6, uint64(1)<<(i&63)
 	if b.words[w]&bit == 0 {
 		b.words[w] |= bit
+		b.sum[w>>6] |= uint64(1) << (w & 63)
 		b.count++
 	}
 }
@@ -58,6 +99,9 @@ func (b *bitset) drop(i int) {
 	w, bit := i>>6, uint64(1)<<(i&63)
 	if b.words[w]&bit != 0 {
 		b.words[w] &^= bit
+		if b.words[w] == 0 {
+			b.sum[w>>6] &^= uint64(1) << (w & 63)
+		}
 		b.count--
 	}
 }
@@ -74,65 +118,113 @@ func (b *bitset) has(i int) bool {
 //sysvet:hotpath
 func (b *bitset) len() int { return b.count }
 
-// clearAll empties the set, keeping its capacity.
+// clearAll empties the set, keeping its capacity. It zeroes the words
+// the summary names, so emptying a sparse set costs its members, not
+// its capacity.
 //
 //sysvet:hotpath
 func (b *bitset) clearAll() {
 	if b.count == 0 {
 		return
 	}
-	clear(b.words)
+	for s, m := range b.sum {
+		for ; m != 0; m &= m - 1 {
+			b.words[s<<6|bits.TrailingZeros64(m)] = 0
+		}
+		b.sum[s] = 0
+	}
 	b.count = 0
 }
 
 // fill makes the set exactly [0, n). The set must be sized for n.
 func (b *bitset) fill(n int) {
-	clear(b.words)
-	for i := 0; i < n>>6; i++ {
-		b.words[i] = ^uint64(0)
-	}
-	if r := n & 63; r != 0 {
-		b.words[n>>6] = (uint64(1) << r) - 1
-	}
+	fillPrefix(b.words, n)
+	fillPrefix(b.sum, (n+63)>>6)
 	b.count = n
 }
 
-// copyFrom makes b an exact copy of src, reusing b's backing array.
+// fillPrefix sets bits [0, n) of the bit array ws and clears the rest.
+func fillPrefix(ws []uint64, n int) {
+	full := n >> 6
+	for i := range ws[:full] {
+		ws[i] = ^uint64(0)
+	}
+	clear(ws[full:])
+	if r := n & 63; r != 0 {
+		ws[full] = uint64(1)<<r - 1
+	}
+}
+
+// copyFrom makes b an exact copy of src, which must be sized like b.
+// Like clearAll it follows the summaries, so the copy costs the two
+// sets' non-empty words.
 //
 //sysvet:hotpath
 func (b *bitset) copyFrom(src *bitset) {
-	b.words = grow(b.words, len(src.words))
-	copy(b.words, src.words)
+	b.clearAll()
+	for s, m := range src.sum {
+		b.sum[s] = m
+		for ; m != 0; m &= m - 1 {
+			w := s<<6 | bits.TrailingZeros64(m)
+			b.words[w] = src.words[w]
+		}
+	}
 	b.count = src.count
 }
 
-// next returns the smallest member ≥ i, or -1. The canonical
-// ascending iteration — the order every ready-set phase must visit
-// entries in — is
+// scan is the outer step of the iteration idiom in the header: it
+// finds the first word with members in [from, hi) and returns its
+// index and a copy of it masked to that range; a zero word means the
+// range is exhausted. Empty words are skipped through the summary, so
+// a walk costs one step per non-empty word however large the set. A
+// chunk of the key space (chunk in parallel.go) is walked by starting
+// at its lo and passing its hi: the mask trims the chunk's first and
+// last word, which a neighboring shard shares. tally counts the
+// summary and member words read, for the clock-free scan-cost test; it
+// is the caller's own counter, so concurrent shards scanning one set
+// never share it.
 //
-//	for i := s.next(0); i >= 0; i = s.next(i + 1) { ... }
-//
-// Dropping already-visited members (or the current one) mid-loop is
-// safe; adding members behind the cursor is not observed.
+// scan itself is small enough to inline: the step past a range's end —
+// every walk takes one, and a one-word set's walk is little else —
+// costs a compare, not a call.
 //
 //sysvet:hotpath
-func (b *bitset) next(i int) int {
-	if i < 0 {
-		i = 0
+func (b *bitset) scan(from, hi int, tally *int) (int, uint64) {
+	if from >= hi {
+		return 0, 0
 	}
-	w := i >> 6
-	if w >= len(b.words) {
-		return -1
-	}
-	word := b.words[w] &^ ((uint64(1) << (i & 63)) - 1)
-	for {
+	return b.scanFrom(from, hi, tally)
+}
+
+// scanFrom is scan's out-of-line body; from < hi.
+//
+//sysvet:hotpath
+func (b *bitset) scanFrom(from, hi int, tally *int) (int, uint64) {
+	w := from >> 6
+	for w<<6 < hi {
+		s := w >> 6
+		*tally++
+		rest := b.sum[s] >> (w & 63) << (w & 63)
+		if rest == 0 {
+			w = (s + 1) << 6
+			continue
+		}
+		w = s<<6 | bits.TrailingZeros64(rest)
+		if w<<6 >= hi {
+			break
+		}
+		*tally++
+		word := b.words[w]
+		if base := w << 6; from > base {
+			word = word >> uint(from-base) << uint(from-base)
+		}
+		if last := uint(hi - w<<6); last < 64 {
+			word &= uint64(1)<<last - 1
+		}
 		if word != 0 {
-			return w<<6 + bits.TrailingZeros64(word)
+			return w, word
 		}
 		w++
-		if w >= len(b.words) {
-			return -1
-		}
-		word = b.words[w]
 	}
+	return 0, 0
 }

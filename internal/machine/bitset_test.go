@@ -1,25 +1,41 @@
 package machine
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// collect iterates b the canonical way and returns the members.
-func collect(b *bitset) []int {
+// collectRange walks b's members in [lo, hi) with the phase loops'
+// idiom and returns them.
+func collectRange(b *bitset, lo, hi int) []int {
 	var out []int
-	for i := b.next(0); i >= 0; i = b.next(i + 1) {
-		out = append(out, i)
+	var seen int
+	for w, word := b.scan(lo, hi, &seen); word != 0; w, word = b.scan((w+1)<<6, hi, &seen) {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6|bits.TrailingZeros64(word))
+		}
 	}
 	return out
+}
+
+// collect returns every member of b.
+func collect(b *bitset) []int { return collectRange(b, 0, len(b.words)<<6) }
+
+// nextFrom returns the smallest member ≥ i, or -1.
+func nextFrom(b *bitset, i int) int {
+	if got := collectRange(b, max(i, 0), len(b.words)<<6); len(got) > 0 {
+		return got[0]
+	}
+	return -1
 }
 
 func TestBitsetBasics(t *testing.T) {
 	var b bitset
 	b.sizeTo(200)
-	if b.len() != 0 || b.next(0) != -1 {
-		t.Fatalf("fresh set not empty: len=%d next=%d", b.len(), b.next(0))
+	if b.len() != 0 || nextFrom(&b, 0) != -1 {
+		t.Fatalf("fresh set not empty: len=%d next=%d", b.len(), nextFrom(&b, 0))
 	}
 	for _, i := range []int{0, 63, 64, 65, 127, 128, 199} {
 		b.add(i)
@@ -41,7 +57,7 @@ func TestBitsetBasics(t *testing.T) {
 		t.Fatalf("after drop: len=%d has(64)=%v", b.len(), b.has(64))
 	}
 	b.clearAll()
-	if b.len() != 0 || b.next(0) != -1 {
+	if b.len() != 0 || nextFrom(&b, 0) != -1 {
 		t.Fatalf("clearAll left members: len=%d", b.len())
 	}
 }
@@ -55,7 +71,7 @@ func TestBitsetNextFrom(t *testing.T) {
 		{-3, 5}, {0, 5}, {5, 5}, {6, 170}, {170, 170}, {171, -1}, {299, -1}, {1000, -1},
 	}
 	for _, c := range cases {
-		if got := b.next(c.from); got != c.want {
+		if got := nextFrom(&b, c.from); got != c.want {
 			t.Errorf("next(%d) = %d, want %d", c.from, got, c.want)
 		}
 	}
@@ -99,39 +115,216 @@ func TestBitsetCopyFrom(t *testing.T) {
 	}
 }
 
+// checkSummary holds b to its layout invariants: bit w of the summary
+// is set exactly when words[w] is non-zero, the cached count is the
+// population, and words and sum are windows of one allocation.
+func checkSummary(t *testing.T, b *bitset) {
+	t.Helper()
+	pop := 0
+	for w, word := range b.words {
+		pop += bits.OnesCount64(word)
+		if got := b.sum[w>>6]>>(w&63)&1 != 0; got != (word != 0) {
+			t.Fatalf("summary bit %d = %v, words[%d] = %#x", w, got, w, word)
+		}
+	}
+	if pop != b.len() {
+		t.Fatalf("len = %d, population %d", b.len(), pop)
+	}
+	if len(b.sum) != (len(b.words)+63)>>6 {
+		t.Fatalf("%d summary words for %d words", len(b.sum), len(b.words))
+	}
+	if len(b.sum) > 0 && &b.words[:len(b.words)+1][len(b.words)] != &b.sum[0] {
+		t.Fatal("summary does not follow the words in their allocation")
+	}
+}
+
+// setSizes are one-word, exactly-full-summary-word and
+// multi-summary-word sets, each with its off-by-one neighbors.
+var setSizes = []int{1, 63, 64, 65, 4096, 4097, 70_000}
+
 // TestBitsetVsMap drives a bitset and a map with the same random
-// operation stream and checks membership, count, and ascending
-// iteration agree throughout.
+// operation stream — add, drop, fill, copyFrom, clearAll — and checks
+// that membership, count, the summary and ascending iteration agree
+// throughout.
 func TestBitsetVsMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 500
-	var b bitset
-	b.sizeTo(n)
-	ref := map[int]bool{}
-	for step := 0; step < 20000; step++ {
-		i := rng.Intn(n)
-		switch rng.Intn(3) {
-		case 0:
-			b.add(i)
-			ref[i] = true
-		case 1:
-			b.drop(i)
-			delete(ref, i)
-		default:
-			if b.has(i) != ref[i] {
-				t.Fatalf("step %d: has(%d) = %v, want %v", step, i, b.has(i), ref[i])
+	for _, n := range setSizes {
+		rng := rand.New(rand.NewSource(int64(n)))
+		var b, other bitset
+		b.sizeTo(n)
+		other.sizeTo(n)
+		ref := map[int]bool{}
+		members := func() []int {
+			want := make([]int, 0, len(ref))
+			for i := range ref {
+				want = append(want, i)
+			}
+			slices.Sort(want)
+			return want
+		}
+		// The whole set is compared every few steps; on the large sets
+		// that comparison is the test's cost, so it runs less often.
+		steps, every := 4000, 50
+		if n > 4096 {
+			steps, every = 1500, 100
+		}
+		for step := 0; step < steps; step++ {
+			i := rng.Intn(n)
+			switch op := rng.Intn(400); {
+			case op < 180:
+				b.add(i)
+				ref[i] = true
+			case op < 340:
+				b.drop(i)
+				delete(ref, i)
+			case op < 360:
+				b.clearAll()
+				clear(ref)
+			case op < 362:
+				b.fill(n)
+				for k := 0; k < n; k++ {
+					ref[k] = true
+				}
+			case op < 390:
+				// Round-trip through a second set that holds something
+				// else first: the copy must replace, not merge.
+				other.clearAll()
+				other.add(rng.Intn(n))
+				other.copyFrom(&b)
+				b.clearAll()
+				b.add(rng.Intn(n))
+				b.copyFrom(&other)
+				checkSummary(t, &other)
+			default:
+				if b.has(i) != ref[i] {
+					t.Fatalf("n=%d step %d: has(%d) = %v, want %v", n, step, i, b.has(i), ref[i])
+				}
+			}
+			if b.len() != len(ref) {
+				t.Fatalf("n=%d step %d: len = %d, want %d", n, step, b.len(), len(ref))
+			}
+			if step%every == 0 {
+				checkSummary(t, &b)
+				if got, want := collect(&b), members(); !slices.Equal(got, want) {
+					t.Fatalf("n=%d step %d: members diverge: got %d, want %d", n, step, len(got), len(want))
+				}
 			}
 		}
-		if b.len() != len(ref) {
-			t.Fatalf("step %d: len = %d, want %d", step, b.len(), len(ref))
+		checkSummary(t, &b)
+		if got, want := collect(&b), members(); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: final members diverge: got %d members, want %d", n, len(got), len(want))
 		}
 	}
-	want := make([]int, 0, len(ref))
-	for i := range ref {
-		want = append(want, i)
+}
+
+// TestBitsetChunkedScan: for every chunking the sharded phases use,
+// walking the chunks [lo, hi) in shard order visits exactly the members
+// a full walk visits, each chunk only its own — chunk bounds fall inside
+// words, so neighbors share one and the masks must split it.
+func TestBitsetChunkedScan(t *testing.T) {
+	for _, n := range setSizes {
+		rng := rand.New(rand.NewSource(int64(n)))
+		for _, density := range []int{1, 3, 40} { // members per 64 ids, roughly
+			var b bitset
+			b.sizeTo(n)
+			for k := 0; k < 1+n*density/64; k++ {
+				b.add(rng.Intn(n))
+			}
+			b.add(0)
+			b.add(n - 1)
+			full := collect(&b)
+			for _, workers := range []int{1, 2, 4, 7} {
+				var joined []int
+				for s := 0; s < workers; s++ {
+					lo, hi := chunk(n, workers, s)
+					part := collectRange(&b, lo, hi)
+					for _, i := range part {
+						if i < lo || i >= hi {
+							t.Fatalf("n=%d workers=%d: shard %d [%d,%d) visited %d", n, workers, s, lo, hi, i)
+						}
+					}
+					joined = append(joined, part...)
+				}
+				if !slices.Equal(joined, full) {
+					t.Fatalf("n=%d workers=%d density=%d: chunks visit %d members, full walk %d", n, workers, density, len(joined), len(full))
+				}
+			}
+		}
 	}
-	slices.Sort(want)
-	if got := collect(&b); !slices.Equal(got, want) {
-		t.Fatalf("final members diverge: got %d members, want %d", len(got), len(want))
+}
+
+// TestBitsetDropWhileScanning pins the one mutation the phase loops
+// make to the set they walk: dropping the member they stand on
+// (readShard does, in direct mode). Every member is still visited once,
+// including across a word whose last member was just dropped, and the
+// set ends empty with a clean summary.
+func TestBitsetDropWhileScanning(t *testing.T) {
+	for _, n := range setSizes {
+		var b bitset
+		b.sizeTo(n)
+		var want []int
+		for i := 0; i < n; i += 1 + i%7*9 {
+			b.add(i)
+			want = append(want, i)
+		}
+		var got []int
+		var seen int
+		for w, word := b.scan(0, n, &seen); word != 0; w, word = b.scan((w+1)<<6, n, &seen) {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				got = append(got, i)
+				b.drop(i)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: visited %d members while dropping, want %d", n, len(got), len(want))
+		}
+		if b.len() != 0 {
+			t.Fatalf("n=%d: %d members left", n, b.len())
+		}
+		checkSummary(t, &b)
+	}
+}
+
+// TestBitsetSwap replays grantPhase's armed/armedScratch exchange: the
+// two sets swap by value, the old armed set is walked and then emptied
+// while new members land in the other, round after round. A set's words
+// and summary are windows of one allocation, so both must travel with
+// the struct.
+func TestBitsetSwap(t *testing.T) {
+	for _, n := range setSizes {
+		rng := rand.New(rand.NewSource(int64(n)))
+		var armed, scratch bitset
+		armed.sizeTo(n)
+		armed.fill(n)
+		scratch.sizeTo(n)
+		want := make([]int, n) // round 0 visits everything, as cycle 0 does
+		for i := range want {
+			want[i] = i
+		}
+		for round := 0; round < 6; round++ {
+			armed, scratch = scratch, armed
+			var next []int
+			for k, i := range collect(&scratch) {
+				if i != want[k] {
+					t.Fatalf("n=%d round %d: visit %d is %d, want %d", n, round, k, i, want[k])
+				}
+				// Re-arm some pools mid-walk, the visited one included:
+				// they belong to the next round.
+				for _, j := range []int{i, rng.Intn(n)} {
+					if rng.Intn(3) == 0 && !armed.has(j) {
+						armed.add(j)
+						next = append(next, j)
+					}
+				}
+			}
+			if got := scratch.len(); got != len(want) {
+				t.Fatalf("n=%d round %d: walked set holds %d, want %d", n, round, got, len(want))
+			}
+			scratch.clearAll()
+			checkSummary(t, &armed)
+			checkSummary(t, &scratch)
+			slices.Sort(next)
+			want = next
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math/bits"
 	"strconv"
 
 	"systolic/internal/assign"
@@ -30,10 +31,10 @@ import (
 //     buffered on their route (the "transport" set: written > read);
 //   - sender writes and capacity-0 rendezvous visit only messages
 //     whose sender is parked at W(msg) with the first-hop queue bound
-//     (the "writer" set, maintained by the grant and pc-advance
-//     hooks);
-//   - interior queue requests re-check only messages pushed into
-//     since the last collect (the "reqSet");
+//     (the "writer" set: entered through the grant and pc-advance
+//     hooks, left when a write shard finds the sender moved on);
+//   - interior queue requests re-check only messages whose header
+//     entered a new hop since the last collect (the "reqSet");
 //   - queue releases re-check only messages whose last word departed
 //     a hop this cycle (the "movedSet") — a queue is releasable
 //     exactly then;
@@ -53,12 +54,19 @@ import (
 //     that goes stale by itself: nothing is listed or cleared per
 //     cycle.
 //
-// Every ready set is a word-packed bitset (bitset.go) whose
-// TrailingZeros64 iteration visits members in ascending id order by
-// construction, matching the reference engine's message-order scans
-// with no per-cycle sorting; set membership is a superset of the
-// entries the reference scan could act on, so skipped entries are
-// exactly its no-ops.
+// Every ready set is a word-packed bitset with a summary level
+// (bitset.go). A phase walks one word by word — bitset.scan finds the
+// next non-empty word through the summary, the phase consumes a copy of
+// it in a register with TrailingZeros64 and word &= word-1 — so a walk
+// costs its members, not the set's capacity, and visits them in
+// ascending id order by construction, matching the reference engine's
+// message-order scans with no per-cycle sorting; set membership is a
+// superset of the entries the reference scan could act on, so skipped
+// entries are exactly its no-ops. The cells' programs are one packed
+// stream of 4-byte ops (machine.go's packedOp), indexed directly by
+// the program counters: fetching a front op, which every issuing cell
+// does every cycle, is one load from a stream a quarter the size of
+// []model.Op.
 //
 // Since the deterministic-sharding refactor every ready-set phase is
 // written against a shard: fn(s) visits only the entries shard s owns
@@ -151,7 +159,10 @@ type exec struct {
 	hopFlags []bool       // flat backing for granted + requested
 	hopInts  []int        // flat backing for departed
 
-	pc []int
+	// pc[c] is cell c's program counter as an index into the machine's
+	// flat op stream: it starts at opOff[c] and the cell is done at
+	// opOff[c+1], so fetching the front op is one load off the stream.
+	pc []int32
 	// issued[c] is the stamp now+1 of the cycle cell c last issued in
 	// (0 = never): a cell issues at most one op per cycle, and a stamp
 	// goes stale by itself, so nothing is cleared between cycles.
@@ -177,17 +188,19 @@ type exec struct {
 	transport bitset
 	// writers holds the messages whose sender is parked at W(msg)
 	// with the first-hop queue bound: the only candidates for sender
-	// writes and capacity-0 rendezvous. Maintained by the grant and
-	// pc-advance hooks; writerSnap snapshots it each cycle so
-	// mid-cycle insertions target the real set. writeReady stays a
-	// byte-flag array because write shards clear entries in place
-	// mid-phase, and bits within one bitset word are not independent
-	// memory locations.
+	// writes and capacity-0 rendezvous. Entered by the grant and
+	// pc-advance hooks, left when a write shard finds the sender has
+	// moved on (dropWriter); writerSnap snapshots it each cycle so
+	// mid-cycle insertions target the real set. writeReady is the same
+	// membership as a byte-flag array, because shards test and flip it
+	// in place mid-phase, and bits within one bitset word are not
+	// independent memory locations.
 	writers    bitset
 	writerSnap bitset
 	writeReady []bool
-	// reqSet holds the messages pushed into since the last collect:
-	// the only candidates for new interior-hop queue requests.
+	// reqSet holds the messages whose header entered a new hop since
+	// the last collect: the only candidates for new interior-hop queue
+	// requests.
 	reqSet bitset
 	// movedSet holds the messages whose last word departed a hop this
 	// cycle: the only candidates for queue release.
@@ -392,9 +405,9 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 
 	cells := m.prog.NumCells()
 	e.pc = grow(e.pc, cells)
+	copy(e.pc, m.opOff)
 	e.issued = grow(e.issued, cells)
 	e.finishedAt = grow(e.finishedAt, cells)
-	clear(e.pc)
 	clear(e.issued)
 	clear(e.finishedAt)
 	e.remaining = m.codeCells
@@ -628,17 +641,13 @@ func (e *exec) armPool(p int) {
 	e.armed.add(p)
 }
 
-// noteTransport records that id now has buffered words. Reading the
-// transport set is safe mid-phase (nothing mutates it inside a
-// phase, and the drop pass ran before this phase); the insertion is
-// deferred to the merge. A sender writes at most one word per cycle,
-// so the sink sees each id at most once.
+// noteTransport records that id, which had nothing buffered, now has a
+// word on its route. A sender writes at most one word per cycle, so
+// the sink sees each id at most once; an id that is still a member
+// (drained this cycle, not yet dropped) collapses in the merge's add.
 //
 //sysvet:hotpath
 func (e *exec) noteTransport(id model.MessageID, sk *sink) {
-	if e.transport.has(int(id)) {
-		return
-	}
 	if e.direct {
 		// Safe in place: the write phase is the only caller, and the
 		// transport set's iterations (reads, advances) ran earlier in
@@ -670,6 +679,24 @@ func (e *exec) noteWriter(id model.MessageID, sk *sink) {
 	sk.writers = append(sk.writers, id)
 }
 
+// dropWriter retires id from the writer set: its sender is no longer
+// parked at W(id) over a bound first hop. Only the write shard that
+// owns the sender calls it, while walking the snapshot, so the real
+// set is free to change under it in direct mode; a sharded run defers
+// the drop like every other set change. The sender may come back to
+// W(id) later in the same phase (noteWriter), which is why the merge
+// applies a sink's drops before its insertions.
+//
+//sysvet:hotpath
+func (e *exec) dropWriter(id model.MessageID, sk *sink) {
+	e.writeReady[id] = false
+	if e.direct {
+		e.writers.drop(int(id))
+		return
+	}
+	sk.writerDrops = append(sk.writerDrops, id)
+}
+
 // noteWriterNow is noteWriter for the coordinator-only grant phase,
 // which must insert immediately: the writer snapshot taken at the top
 // of the same cycle's transfer phase has to see grants made this
@@ -683,23 +710,18 @@ func (e *exec) noteWriterNow(id model.MessageID) {
 	}
 }
 
-// noteReqCheck records a push into one of id's queues: its next hop
-// may now be requestable. On machines where every route is a single
-// hop there are no interior hops to request, so the set stays empty
-// and the interior phases are skipped outright. The merge dedups via
-// the bitset; the tail check only folds the back-to-back repeats the
-// interior advance loop produces for one multi-hop message.
+// noteReqCheck records that id's header entered a new hop (head
+// advanced): the hop after it may now be requestable. Only that event
+// can make one — collectInteriorShard marks head+1 the first time it
+// sees it — and the header advances at most one hop per cycle, so the
+// sink sees each id at most once. Callers keep the set empty on
+// machines where every route is a single hop, whose interior phases
+// are skipped outright.
 //
 //sysvet:hotpath
 func (e *exec) noteReqCheck(id model.MessageID, sk *sink) {
-	if !e.hasInterior {
-		return
-	}
 	if e.direct {
-		e.reqSet.add(int(id)) // idempotent; no dedup needed
-		return
-	}
-	if n := len(sk.reqCheck); n > 0 && sk.reqCheck[n-1] == id {
+		e.reqSet.add(int(id))
 		return
 	}
 	sk.reqCheck = append(sk.reqCheck, id)
@@ -773,6 +795,23 @@ func (e *exec) issuedNow(c int) bool {
 	return e.issued[c] == e.now+1
 }
 
+// front returns cell c's front op; ok is false once the cell has
+// issued its whole program.
+//
+//sysvet:hotpath
+func (e *exec) front(c int) (op packedOp, ok bool) {
+	if pc := e.pc[c]; pc < e.m.opOff[c+1] {
+		return e.m.ops[pc], true
+	}
+	return 0, false
+}
+
+// issuedOps returns how many ops cell c has issued: its front op's
+// index in the cell's own program.
+func (e *exec) issuedOps(c int) int {
+	return int(e.pc[c] - e.m.opOff[c])
+}
+
 // advancePC issues cell c's front op: one op per cell per cycle. Only
 // a new front op that is a write wakes anything: the dirty-cell pass
 // if the message has yet to ask for its first hop, the writer set if
@@ -783,7 +822,8 @@ func (e *exec) issuedNow(c int) bool {
 func (e *exec) advancePC(c int, sk *sink) {
 	e.pc[c]++
 	e.issued[c] = e.now + 1
-	if e.pc[c] >= len(e.m.code(c)) {
+	op, ok := e.front(c)
+	if !ok {
 		e.finishedAt[c] = e.now
 		if e.direct {
 			e.remaining--
@@ -792,8 +832,9 @@ func (e *exec) advancePC(c int, sk *sink) {
 		}
 		return
 	}
-	if op := e.m.code(c)[e.pc[c]]; op.Kind == model.Write {
-		ms := &e.msgs[op.Msg]
+	if op.isWrite() {
+		id := op.msg()
+		ms := &e.msgs[id]
 		if len(ms.queues) == 0 {
 			return
 		}
@@ -806,7 +847,7 @@ func (e *exec) advancePC(c int, sk *sink) {
 			e.markCellDirty(c, sk)
 		}
 		if ms.queues[0] != nil {
-			e.noteWriter(op.Msg, sk)
+			e.noteWriter(id, sk)
 		}
 	}
 }
@@ -998,7 +1039,7 @@ func (e *exec) collectRequests() {
 // mergeCollect drains the collect shards' sinks, which only ever
 // carry pending requests; the requested pool arms as a consequence of
 // the request itself. A dedicated merge spares the collect phases —
-// two of the cycle's barriers — the full 11-field sink sweep.
+// two of the cycle's barriers — the full sink sweep.
 //
 //sysvet:hotpath
 func (e *exec) mergeCollect() {
@@ -1023,21 +1064,22 @@ func (e *exec) mergeCollect() {
 func (e *exec) collectFirstHopShard(s int) {
 	sk := &e.sinks[s]
 	lo, hi := chunk(len(e.pc), e.workers, s)
-	for c := e.dirty.next(lo); c >= 0 && c < hi; c = e.dirty.next(c + 1) {
-		sk.visits.firstHop++
-		code := e.m.code(c)
-		if e.pc[c] >= len(code) {
-			continue
-		}
-		op := code[e.pc[c]]
-		if op.Kind != model.Write {
-			continue
-		}
-		ms := &e.msgs[op.Msg]
-		if len(ms.queues) > 0 && !ms.requested[0] {
-			ms.requested[0] = true
-			if !ms.granted[0] {
-				e.notePending(e.poolOf(op.Msg, 0), op.Msg, sk)
+	set, seen := &e.dirty, &sk.visits.setWords
+	for w, word := set.scan(lo, hi, seen); word != 0; w, word = set.scan((w+1)<<6, hi, seen) {
+		for ; word != 0; word &= word - 1 {
+			c := w<<6 | bits.TrailingZeros64(word)
+			sk.visits.firstHop++
+			op, ok := e.front(c)
+			if !ok || !op.isWrite() {
+				continue
+			}
+			id := op.msg()
+			ms := &e.msgs[id]
+			if len(ms.queues) > 0 && !ms.requested[0] {
+				ms.requested[0] = true
+				if !ms.granted[0] {
+					e.notePending(e.poolOf(id, 0), id, sk)
+				}
 			}
 		}
 	}
@@ -1057,9 +1099,9 @@ func (e *exec) notePending(pool int, msg model.MessageID, sk *sink) {
 }
 
 // collectInteriorShard checks shard s's id range of the reqSet: only
-// messages pushed into since the last collect can have a newly
-// non-empty queue, and of their hops only head+1 can be new to ask
-// for — every hop up to head was asked for before a word could enter
+// messages whose header entered a new hop since the last collect can
+// have a hop newly worth asking for, and it is head+1 — every hop up
+// to head was asked for before a word could enter
 // it or, bound early, the collect after the header reached the hop
 // before it marked it. If head+1 is still unmarked the header was
 // pushed into head since the last collect and is buffered there now
@@ -1071,16 +1113,20 @@ func (e *exec) notePending(pool int, msg model.MessageID, sk *sink) {
 func (e *exec) collectInteriorShard(s int) {
 	sk := &e.sinks[s]
 	lo, hi := chunk(len(e.msgs), e.workers, s)
-	for id := e.reqSet.next(lo); id >= 0 && id < hi; id = e.reqSet.next(id + 1) {
-		ms := &e.msgs[id]
-		sk.visits.hops++
-		hop := int(ms.head) + 1
-		if hop == len(ms.queues) || ms.requested[hop] {
-			continue
-		}
-		ms.requested[hop] = true
-		if !ms.granted[hop] {
-			e.notePending(e.poolOf(model.MessageID(id), hop), model.MessageID(id), sk)
+	set, seen := &e.reqSet, &sk.visits.setWords
+	for w, word := set.scan(lo, hi, seen); word != 0; w, word = set.scan((w+1)<<6, hi, seen) {
+		for ; word != 0; word &= word - 1 {
+			id := model.MessageID(w<<6 | bits.TrailingZeros64(word))
+			ms := &e.msgs[id]
+			sk.visits.hops++
+			hop := int(ms.head) + 1
+			if hop == len(ms.queues) || ms.requested[hop] {
+				continue
+			}
+			ms.requested[hop] = true
+			if !ms.granted[hop] {
+				e.notePending(e.poolOf(id, hop), id, sk)
+			}
 		}
 	}
 }
@@ -1094,70 +1140,80 @@ func (e *exec) collectInteriorShard(s int) {
 //
 //sysvet:hotpath
 func (e *exec) grantPhase() {
+	if e.armed.len() == 0 {
+		return
+	}
 	// Swap the armed set with the (empty) scratch set: pools re-armed
-	// while granting — by armPool below or a shard sink next phase —
-	// land in the fresh set and are visited next grantPhase, never
-	// the one being iterated.
+	// while granting — by grantPool or a shard sink next phase — land in
+	// the fresh set and are visited next grantPhase, never the one being
+	// iterated.
 	e.armed, e.armedScratch = e.armedScratch, e.armed
-	for pid := e.armedScratch.next(0); pid >= 0; pid = e.armedScratch.next(pid + 1) {
-		pool := e.pool(pid)
-		free := 0
-		for i := range pool {
-			if !pool[i].bound {
-				free++
-			}
-		}
-		grants := e.policy.Grant(e.now, topology.LinkID(pid), free, e.pending[pid])
-		for _, msg := range grants {
-			if free == 0 {
-				break // policy over-granted; ignore the excess
-			}
-			hop := e.hopOn(pid, msg)
-			if hop < 0 || e.msgs[msg].granted[hop] {
-				continue
-			}
-			var qi *queueInst
-			for i := range pool {
-				if !pool[i].bound {
-					qi = &pool[i]
-					break
-				}
-			}
-			qi.bound = true
-			qi.msg = msg
-			qi.hop = hop
-			ms := &e.msgs[msg]
-			ms.granted[hop] = true
-			ms.queues[hop] = qi
-			free--
-			e.moved = true
-			e.stats.Grants++
-			if ms.requested[hop] {
-				// An outstanding request is met; a grant ahead of the
-				// request (reserving policies) never entered the list.
-				e.removePending(pid, msg)
-			}
-			e.armPool(pid)
-			if hop == 0 {
-				// The sender may already be parked at W(msg) waiting
-				// for exactly this grant.
-				c := int(e.m.sender[msg])
-				code := e.m.code(c)
-				if e.pc[c] < len(code) {
-					if op := code[e.pc[c]]; op.Kind == model.Write && op.Msg == msg {
-						e.noteWriterNow(msg)
-					}
-				}
-			}
-			if e.recordTimeline {
-				// Record the real link (qi.link), not the pool id:
-				// under DirectionalPools pool ids are synthetic and
-				// release events already use the real link.
-				e.res.Timeline = append(e.res.Timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: msg, Bound: true})
-			}
+	set, seen := &e.armedScratch, &e.sinks[0].visits.setWords
+	for w, word := set.scan(0, e.numPools, seen); word != 0; w, word = set.scan((w+1)<<6, e.numPools, seen) {
+		for ; word != 0; word &= word - 1 {
+			e.grantPool(w<<6 | bits.TrailingZeros64(word))
 		}
 	}
-	e.armedScratch.clearAll()
+	set.clearAll()
+}
+
+// grantPool is grantPhase's visit to one armed pool: one Grant call and
+// the bindings it asks for.
+//
+//sysvet:hotpath
+func (e *exec) grantPool(pid int) {
+	pool := e.pool(pid)
+	free := 0
+	for i := range pool {
+		if !pool[i].bound {
+			free++
+		}
+	}
+	grants := e.policy.Grant(e.now, topology.LinkID(pid), free, e.pending[pid])
+	for _, msg := range grants {
+		if free == 0 {
+			break // policy over-granted; ignore the excess
+		}
+		hop := e.hopOn(pid, msg)
+		if hop < 0 || e.msgs[msg].granted[hop] {
+			continue
+		}
+		var qi *queueInst
+		for i := range pool {
+			if !pool[i].bound {
+				qi = &pool[i]
+				break
+			}
+		}
+		qi.bound = true
+		qi.msg = msg
+		qi.hop = hop
+		ms := &e.msgs[msg]
+		ms.granted[hop] = true
+		ms.queues[hop] = qi
+		free--
+		e.moved = true
+		e.stats.Grants++
+		if ms.requested[hop] {
+			// An outstanding request is met; a grant ahead of the
+			// request (reserving policies) never entered the list.
+			e.removePending(pid, msg)
+		}
+		e.armPool(pid)
+		if hop == 0 {
+			// The sender may already be parked at W(msg) waiting
+			// for exactly this grant.
+			if op, ok := e.front(int(e.m.sender[msg])); ok && op == writeOf(msg) {
+				e.noteWriterNow(msg)
+			}
+		}
+		if e.recordTimeline {
+			// Record the real link (qi.link), not the pool id:
+			// under DirectionalPools pool ids are synthetic and
+			// release events already use the real link.
+			e.res.Timeline = append(e.res.Timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: msg, Bound: true})
+		}
+	}
 }
 
 //sysvet:hotpath
@@ -1187,17 +1243,10 @@ func (e *exec) removePending(pool int, msg model.MessageID) {
 //
 //sysvet:hotpath
 func (e *exec) cellAndTransferPhase() {
-	// Snapshot (and compact) the writer set up front: entries added
-	// mid-cycle belong to cells that have already issued, so deferring
-	// them to the next cycle is exactly what the issued-flag check in
-	// the full-scan engine did. Entries whose writeReady flag was
-	// cleared by a write shard last cycle are dropped here, on the
-	// coordinator — the one place the writers bitset may be mutated.
-	for id := e.writers.next(0); id >= 0; id = e.writers.next(id + 1) {
-		if !e.writeReady[id] {
-			e.writers.drop(id)
-		}
-	}
+	// Snapshot the writer set up front: entries added mid-cycle belong
+	// to cells that have already issued, so deferring them to the next
+	// cycle is exactly what the issued-flag check in the full-scan
+	// engine did.
 	e.writerSnap.copyFrom(&e.writers)
 
 	// 1. Receiver reads from buffered last-hop queues, sharded by
@@ -1245,54 +1294,55 @@ func (e *exec) cellAndTransferPhase() {
 //sysvet:hotpath
 func (e *exec) readShard(s int) {
 	sk := &e.sinks[s]
-	for i := e.transport.next(0); i >= 0; i = e.transport.next(i + 1) {
-		id := model.MessageID(i)
-		if !e.owns(s, e.recvShard, id) {
-			continue
-		}
-		ms := &e.msgs[id]
-		if ms.written == ms.read {
-			if e.direct {
-				// Dropping the current member mid-iteration is safe,
-				// and every later sub-phase must see the post-drop set.
-				e.transport.drop(i)
-			} else {
-				sk.drops = append(sk.drops, id)
+	set, seen := &e.transport, &sk.visits.setWords
+	for w, word := set.scan(0, len(e.msgs), seen); word != 0; w, word = set.scan((w+1)<<6, len(e.msgs), seen) {
+		for ; word != 0; word &= word - 1 {
+			id := model.MessageID(w<<6 | bits.TrailingZeros64(word))
+			if !e.owns(s, e.recvShard, id) {
+				continue
 			}
-			continue
+			ms := &e.msgs[id]
+			if ms.written == ms.read {
+				if e.direct {
+					// Dropping the current member mid-iteration is safe,
+					// and every later sub-phase must see the post-drop set.
+					e.transport.drop(int(id))
+				} else {
+					sk.drops = append(sk.drops, id)
+				}
+				continue
+			}
+			last := len(ms.queues) - 1
+			if last < 0 || ms.queues[last] == nil {
+				continue
+			}
+			cell := e.m.receiver[id]
+			c := int(cell)
+			if e.issuedNow(c) {
+				continue
+			}
+			if op, ok := e.front(c); !ok || op != readOf(id) {
+				continue
+			}
+			qi := ms.queues[last]
+			if !qi.q.FrontReady() {
+				continue
+			}
+			if e.faults != nil && !e.faults.CellOpen(cell, e.now) {
+				e.noteGated(sk, e.faults.CellNextOpen(cell, e.now))
+				continue
+			}
+			got := qi.q.Pop()
+			e.noteCooling(qi, sk)
+			e.logic.OnRead(cell, id, ms.read, got)
+			e.deliver(id, got)
+			ms.read++
+			if ms.departed[last]++; ms.departed[last] == e.m.words[id] {
+				e.noteMoved(id, sk)
+			}
+			e.advancePC(c, sk)
+			e.noteEvent(sk, 1)
 		}
-		last := len(ms.queues) - 1
-		if last < 0 || ms.queues[last] == nil {
-			continue
-		}
-		cell := e.m.receiver[id]
-		c := int(cell)
-		code := e.m.code(c)
-		if e.issuedNow(c) || e.pc[c] >= len(code) {
-			continue
-		}
-		op := code[e.pc[c]]
-		if op.Kind != model.Read || op.Msg != id {
-			continue
-		}
-		qi := ms.queues[last]
-		if !qi.q.FrontReady() {
-			continue
-		}
-		if e.faults != nil && !e.faults.CellOpen(cell, e.now) {
-			e.noteGated(sk, e.faults.CellNextOpen(cell, e.now))
-			continue
-		}
-		word := qi.q.Pop()
-		e.noteCooling(qi, sk)
-		e.logic.OnRead(cell, id, ms.read, word)
-		e.deliver(id, word)
-		ms.read++
-		if ms.departed[last]++; ms.departed[last] == e.m.words[id] {
-			e.noteMoved(id, sk)
-		}
-		e.advancePC(c, sk)
-		e.noteEvent(sk, 1)
 	}
 }
 
@@ -1306,37 +1356,42 @@ func (e *exec) readShard(s int) {
 func (e *exec) advanceShard(s int) {
 	sk := &e.sinks[s]
 	lo, hi := chunk(len(e.msgs), e.workers, s)
-	for i := e.transport.next(lo); i >= 0 && i < hi; i = e.transport.next(i + 1) {
-		id := model.MessageID(i)
-		ms := &e.msgs[id]
-		for hop := min(int(ms.head), len(ms.queues)-2); hop >= int(ms.tail); hop-- {
-			sk.visits.hops++
-			src, dst := ms.queues[hop], ms.queues[hop+1]
-			if dst == nil {
-				continue
-			}
-			if src.q.FrontReady() && dst.q.CanAccept() {
-				if e.lm != nil && !e.linkFree(e.hopLink(id, hop+1)) {
-					// Busy-link stalls are timing, not degradation: no
-					// GatedOps.
-					e.noteWake(e.lmNextFree[e.hopLink(id, hop+1)], sk)
+	set, seen := &e.transport, &sk.visits.setWords
+	for w, word := set.scan(lo, hi, seen); word != 0; w, word = set.scan((w+1)<<6, hi, seen) {
+		for ; word != 0; word &= word - 1 {
+			id := model.MessageID(w<<6 | bits.TrailingZeros64(word))
+			ms := &e.msgs[id]
+			for hop := min(int(ms.head), len(ms.queues)-2); hop >= int(ms.tail); hop-- {
+				sk.visits.hops++
+				src, dst := ms.queues[hop], ms.queues[hop+1]
+				if dst == nil {
 					continue
 				}
-				if e.faults != nil && !e.faults.LinkOpen(e.hopLink(id, hop+1), e.now) {
-					e.noteGated(sk, e.faults.LinkNextOpen(e.hopLink(id, hop+1), e.now))
-					continue
+				if src.q.FrontReady() && dst.q.CanAccept() {
+					if e.lm != nil && !e.linkFree(e.hopLink(id, hop+1)) {
+						// Busy-link stalls are timing, not degradation: no
+						// GatedOps.
+						e.noteWake(e.lmNextFree[e.hopLink(id, hop+1)], sk)
+						continue
+					}
+					if e.faults != nil && !e.faults.LinkOpen(e.hopLink(id, hop+1), e.now) {
+						e.noteGated(sk, e.faults.LinkNextOpen(e.hopLink(id, hop+1), e.now))
+						continue
+					}
+					dst.q.Push(src.q.Pop())
+					if e.lm != nil {
+						e.noteLinkHit(e.hopLink(id, hop+1), sk)
+					}
+					e.noteCooling(src, sk)
+					if h := int32(hop + 1); h > ms.head {
+						ms.head = h
+						e.noteReqCheck(id, sk)
+					}
+					if ms.departed[hop]++; ms.departed[hop] == e.m.words[id] {
+						e.noteMoved(id, sk)
+					}
+					e.noteEvent(sk, 1)
 				}
-				dst.q.Push(src.q.Pop())
-				if e.lm != nil {
-					e.noteLinkHit(e.hopLink(id, hop+1), sk)
-				}
-				e.noteCooling(src, sk)
-				ms.head = max(ms.head, int32(hop+1))
-				if ms.departed[hop]++; ms.departed[hop] == e.m.words[id] {
-					e.noteMoved(id, sk)
-				}
-				e.noteReqCheck(id, sk)
-				e.noteEvent(sk, 1)
 			}
 		}
 	}
@@ -1349,58 +1404,61 @@ func (e *exec) advanceShard(s int) {
 //sysvet:hotpath
 func (e *exec) writeShard(s int) {
 	sk := &e.sinks[s]
-	for i := e.writerSnap.next(0); i >= 0; i = e.writerSnap.next(i + 1) {
-		id := model.MessageID(i)
-		if !e.owns(s, e.sendShard, id) {
-			continue
+	set, seen := &e.writerSnap, &sk.visits.setWords
+	for w, word := set.scan(0, len(e.msgs), seen); word != 0; w, word = set.scan((w+1)<<6, len(e.msgs), seen) {
+		for ; word != 0; word &= word - 1 {
+			id := model.MessageID(w<<6 | bits.TrailingZeros64(word))
+			if !e.owns(s, e.sendShard, id) {
+				continue
+			}
+			ms := &e.msgs[id]
+			if len(ms.queues) == 0 || ms.queues[0] == nil {
+				e.dropWriter(id, sk)
+				continue
+			}
+			cell := e.m.sender[id]
+			c := int(cell)
+			if op, ok := e.front(c); !ok || op != writeOf(id) {
+				e.dropWriter(id, sk)
+				continue
+			}
+			if e.issuedNow(c) {
+				continue
+			}
+			qi := ms.queues[0]
+			if !qi.q.CanAccept() {
+				continue
+			}
+			if e.lm != nil && !e.linkFree(qi.link) {
+				e.noteWake(e.lmNextFree[qi.link], sk)
+				continue
+			}
+			if e.faults != nil && (!e.faults.CellOpen(cell, e.now) || !e.faults.LinkOpen(qi.link, e.now)) {
+				// The write needs both gates open at once, so it cannot go
+				// before the later of their next-open cycles.
+				e.noteGated(sk, max(e.faults.CellNextOpen(cell, e.now), e.faults.LinkNextOpen(qi.link, e.now)))
+				continue
+			}
+			qi.q.Push(e.logic.Produce(cell, id, ms.written))
+			if e.lm != nil {
+				e.noteLinkHit(qi.link, sk)
+			}
+			if ms.written == ms.read {
+				// Nothing was buffered, so the message may have been
+				// dropped from the transport set; with words buffered it
+				// is a member already.
+				e.noteTransport(id, sk)
+			}
+			ms.written++
+			if ms.head < 0 {
+				ms.head = 0
+				if e.hasInterior {
+					e.noteReqCheck(id, sk)
+				}
+			}
+			e.advancePC(c, sk)
+			e.noteEvent(sk, 0)
 		}
-		if !e.writeReady[id] {
-			continue
-		}
-		ms := &e.msgs[id]
-		if len(ms.queues) == 0 || ms.queues[0] == nil {
-			e.writeReady[id] = false
-			continue
-		}
-		cell := e.m.sender[id]
-		c := int(cell)
-		code := e.m.code(c)
-		if e.pc[c] >= len(code) {
-			e.writeReady[id] = false
-			continue
-		}
-		op := code[e.pc[c]]
-		if op.Kind != model.Write || op.Msg != id {
-			e.writeReady[id] = false
-			continue
-		}
-		if e.issuedNow(c) {
-			continue
-		}
-		qi := ms.queues[0]
-		if !qi.q.CanAccept() {
-			continue
-		}
-		if e.lm != nil && !e.linkFree(qi.link) {
-			e.noteWake(e.lmNextFree[qi.link], sk)
-			continue
-		}
-		if e.faults != nil && (!e.faults.CellOpen(cell, e.now) || !e.faults.LinkOpen(qi.link, e.now)) {
-			// The write needs both gates open at once, so it cannot go
-			// before the later of their next-open cycles.
-			e.noteGated(sk, max(e.faults.CellNextOpen(cell, e.now), e.faults.LinkNextOpen(qi.link, e.now)))
-			continue
-		}
-		qi.q.Push(e.logic.Produce(cell, id, ms.written))
-		if e.lm != nil {
-			e.noteLinkHit(qi.link, sk)
-		}
-		ms.written++
-		ms.head = max(ms.head, 0)
-		e.noteTransport(id, sk)
-		e.noteReqCheck(id, sk)
-		e.advancePC(c, sk)
-		e.noteEvent(sk, 0)
 	}
 }
 
@@ -1413,57 +1471,52 @@ func (e *exec) rendezvous(sk *sink) {
 	// A rendezvous needs the sender parked at W(id) over a bound
 	// latch — precisely the writer set (capacity 0 admits only
 	// single-hop routes, so every entry here is a latch candidate).
-	for i := e.writerSnap.next(0); i >= 0; i = e.writerSnap.next(i + 1) {
-		id := model.MessageID(i)
-		if !e.writeReady[id] {
-			continue
+	set, seen := &e.writerSnap, &sk.visits.setWords
+	for w, word := set.scan(0, len(e.msgs), seen); word != 0; w, word = set.scan((w+1)<<6, len(e.msgs), seen) {
+		for ; word != 0; word &= word - 1 {
+			id := model.MessageID(w<<6 | bits.TrailingZeros64(word))
+			ms := &e.msgs[id]
+			if len(ms.queues) != 1 || ms.queues[0] == nil {
+				continue
+			}
+			sc, rc := int(e.m.sender[id]), int(e.m.receiver[id])
+			if e.issuedNow(sc) || e.issuedNow(rc) {
+				continue
+			}
+			if op, ok := e.front(sc); !ok || op != writeOf(id) {
+				continue
+			}
+			if op, ok := e.front(rc); !ok || op != readOf(id) {
+				continue
+			}
+			if e.lm != nil && !e.linkFree(ms.queues[0].link) {
+				e.noteWake(e.lmNextFree[ms.queues[0].link], sk)
+				continue
+			}
+			if e.faults != nil && (!e.faults.CellOpen(e.m.sender[id], e.now) ||
+				!e.faults.CellOpen(e.m.receiver[id], e.now) ||
+				!e.faults.LinkOpen(ms.queues[0].link, e.now)) {
+				e.noteGated(sk, max(e.faults.CellNextOpen(e.m.sender[id], e.now),
+					e.faults.CellNextOpen(e.m.receiver[id], e.now),
+					e.faults.LinkNextOpen(ms.queues[0].link, e.now)))
+				continue
+			}
+			val := e.logic.Produce(e.m.sender[id], id, ms.written)
+			e.logic.OnRead(e.m.receiver[id], id, ms.read, val)
+			e.deliver(id, val)
+			if e.lm != nil {
+				e.noteLinkHit(ms.queues[0].link, sk)
+			}
+			ms.written++
+			ms.read++
+			ms.head = 0
+			if ms.departed[0]++; ms.departed[0] == e.m.words[id] {
+				e.noteMoved(id, sk)
+			}
+			e.advancePC(sc, sk)
+			e.advancePC(rc, sk)
+			e.noteEvent(sk, 1)
 		}
-		ms := &e.msgs[id]
-		if len(ms.queues) != 1 || ms.queues[0] == nil {
-			continue
-		}
-		sc, rc := int(e.m.sender[id]), int(e.m.receiver[id])
-		if e.issuedNow(sc) || e.issuedNow(rc) {
-			continue
-		}
-		sCode, rCode := e.m.code(sc), e.m.code(rc)
-		if e.pc[sc] >= len(sCode) || e.pc[rc] >= len(rCode) {
-			continue
-		}
-		sOp, rOp := sCode[e.pc[sc]], rCode[e.pc[rc]]
-		if sOp.Kind != model.Write || sOp.Msg != id {
-			continue
-		}
-		if rOp.Kind != model.Read || rOp.Msg != id {
-			continue
-		}
-		if e.lm != nil && !e.linkFree(ms.queues[0].link) {
-			e.noteWake(e.lmNextFree[ms.queues[0].link], sk)
-			continue
-		}
-		if e.faults != nil && (!e.faults.CellOpen(e.m.sender[id], e.now) ||
-			!e.faults.CellOpen(e.m.receiver[id], e.now) ||
-			!e.faults.LinkOpen(ms.queues[0].link, e.now)) {
-			e.noteGated(sk, max(e.faults.CellNextOpen(e.m.sender[id], e.now),
-				e.faults.CellNextOpen(e.m.receiver[id], e.now),
-				e.faults.LinkNextOpen(ms.queues[0].link, e.now)))
-			continue
-		}
-		w := e.logic.Produce(e.m.sender[id], id, ms.written)
-		e.logic.OnRead(e.m.receiver[id], id, ms.read, w)
-		e.deliver(id, w)
-		if e.lm != nil {
-			e.noteLinkHit(ms.queues[0].link, sk)
-		}
-		ms.written++
-		ms.read++
-		ms.head = 0
-		if ms.departed[0]++; ms.departed[0] == e.m.words[id] {
-			e.noteMoved(id, sk)
-		}
-		e.advancePC(sc, sk)
-		e.advancePC(rc, sk)
-		e.noteEvent(sk, 1)
 	}
 }
 
@@ -1495,35 +1548,38 @@ func (e *exec) releasePhase() {
 func (e *exec) releaseShard(s int) {
 	sk := &e.sinks[s]
 	lo, hi := chunk(len(e.msgs), e.workers, s)
-	for i := e.movedSet.next(lo); i >= 0 && i < hi; i = e.movedSet.next(i + 1) {
-		id := model.MessageID(i)
-		ms := &e.msgs[id]
-		words := e.m.words[id]
-		sk.visits.releases++
-		for hop := int(ms.tail); hop <= int(ms.head); hop++ {
-			sk.visits.hops++
-			qi := ms.queues[hop]
-			if ms.departed[hop] != words || !qi.q.Empty() {
-				break
-			}
-			qi.bound = false
-			qi.q.Reset()
-			ms.queues[hop] = nil // keep granted=true: the message had its turn
-			ms.tail = int32(hop + 1)
-			if e.direct {
-				// armed is consumed by next cycle's grantPhase, never
-				// read during this scan, so in-place arming is safe.
-				e.stats.Releases++
-				e.armed.add(e.poolOf(id, hop))
-				if e.recordTimeline {
-					e.res.Timeline = append(e.res.Timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
+	set, seen := &e.movedSet, &sk.visits.setWords
+	for w, word := set.scan(lo, hi, seen); word != 0; w, word = set.scan((w+1)<<6, hi, seen) {
+		for ; word != 0; word &= word - 1 {
+			id := model.MessageID(w<<6 | bits.TrailingZeros64(word))
+			ms := &e.msgs[id]
+			words := e.m.words[id]
+			sk.visits.releases++
+			for hop := int(ms.tail); hop <= int(ms.head); hop++ {
+				sk.visits.hops++
+				qi := ms.queues[hop]
+				if ms.departed[hop] != words || !qi.q.Empty() {
+					break
 				}
-				continue
-			}
-			sk.releases++
-			sk.armed = append(sk.armed, e.poolOf(id, hop))
-			if e.recordTimeline {
-				sk.timeline = append(sk.timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
+				qi.bound = false
+				qi.q.Reset()
+				ms.queues[hop] = nil // keep granted=true: the message had its turn
+				ms.tail = int32(hop + 1)
+				if e.direct {
+					// armed is consumed by next cycle's grantPhase, never
+					// read during this scan, so in-place arming is safe.
+					e.stats.Releases++
+					e.armed.add(e.poolOf(id, hop))
+					if e.recordTimeline {
+						e.res.Timeline = append(e.res.Timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
+					}
+					continue
+				}
+				sk.releases++
+				sk.armed = append(sk.armed, e.poolOf(id, hop))
+				if e.recordTimeline {
+					sk.timeline = append(sk.timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
+				}
 			}
 		}
 	}
@@ -1566,13 +1622,13 @@ func (e *exec) result() Result {
 		if n == 0 {
 			continue
 		}
-		if e.pc[c] >= n {
+		if e.issuedOps(c) >= n {
 			// Unfinished through its final-issue cycle inclusive,
 			// issuing in n of those cycles (the last of which is the
 			// final-issue cycle itself, never counted as blocked).
 			blocked[c] = e.finishedAt[c] + 1 - n
 		} else {
-			blocked[c] = accounted - e.pc[c]
+			blocked[c] = accounted - e.issuedOps(c)
 		}
 	}
 	e.stats.BlockedCycles = blocked
@@ -1604,13 +1660,12 @@ func (e *exec) blockedReport() []CellBlock {
 		out = e.cellBlockBuf[:0]
 	}
 	for c := 0; c < e.m.prog.NumCells(); c++ {
-		cell := model.CellID(c)
-		code := e.m.code(c)
-		if e.pc[c] >= len(code) {
+		front, ok := e.front(c)
+		if !ok {
 			continue
 		}
-		op := code[e.pc[c]]
-		out = append(out, CellBlock{Cell: cell, Op: op, OpIdx: e.pc[c], Reason: e.blockReason(op)})
+		op := front.op()
+		out = append(out, CellBlock{Cell: model.CellID(c), Op: op, OpIdx: e.issuedOps(c), Reason: e.blockReason(op)})
 	}
 	if e.reuse {
 		e.cellBlockBuf = out

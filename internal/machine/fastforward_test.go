@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"systolic/internal/fault"
 	"systolic/internal/linkmodel"
@@ -140,4 +143,57 @@ func TestIdleCyclesSkipped(t *testing.T) {
 			t.Fatalf("completed=%v after %d executed of %d simulated cycles, want completion in < 100", res.Completed, ex.e.executed, res.Cycles)
 		}
 	})
+}
+
+// cancelAfterJump is SyntheticLogic that, once cell has written its
+// third word — by which time a slow=K gate on it has made the run jump
+// at least twice — arms a timer that cancels the run shortly after.
+type cancelAfterJump struct {
+	SyntheticLogic
+	cell   model.CellID
+	delay  time.Duration
+	cancel context.CancelFunc
+	once   sync.Once
+}
+
+func (l *cancelAfterJump) Produce(cell model.CellID, msg model.MessageID, index int) Word {
+	if cell == l.cell && index == 2 {
+		l.once.Do(func() { time.AfterFunc(l.delay, l.cancel) })
+	}
+	return l.SyntheticLogic.Produce(cell, msg, index)
+}
+
+// TestCancelLandsAcrossFastForward: the loop polls its context once per
+// executed cycle, however many simulated cycles the fast-forward put
+// between two of them. A 64-cell wavefront whose middle cell issues
+// once every 2³⁰ cycles spends its life jumping — about 8 200 jumps,
+// 2⁴³ simulated cycles and a fifth of a second of host time if left
+// alone — so a cancellation a few milliseconds after the first jumps
+// finds the run deep in them, and the run must come back with the
+// context's error rather than ride the jumps to completion. Workers 4
+// spawns the gang on cycle 0's 64-cell scan; no worker may outlive the
+// cancelled run.
+func TestCancelLandsAcrossFastForward(t *testing.T) {
+	const cells, words, slow = 64, 4096, 1 << 30
+	m := mustCompile(t, pipeline(t, cells, words), topology.Linear(cells))
+	faults := mustFaults(t, fmt.Sprintf("cell:%d:slow=%d", cells/2, slow))
+	for _, workers := range []int{1, 4} {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		opts := fcfs(1, 2)
+		opts.Workers = workers
+		opts.Faults = faults
+		opts.Context = ctx
+		opts.Logic = &cancelAfterJump{cell: cells / 2, delay: 3 * time.Millisecond, cancel: cancel}
+		res, err := m.Run(opts)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: res=%v err=%v, want the context's error", workers, res != nil, err)
+		}
+		var at int
+		if _, serr := fmt.Sscanf(err.Error(), "machine: run cancelled after %d cycles", &at); serr != nil || at < 2*slow {
+			t.Fatalf("workers=%d: %q: want a cancellation past the first two %d-cycle jumps", workers, err, slow)
+		}
+		goroutinesSettle(t, base)
+	}
 }

@@ -24,6 +24,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -230,6 +231,59 @@ type ExecOptions struct {
 	Context context.Context
 }
 
+// packedOp is one statement of a cell program as the compiled stream
+// stores it: the message id in the upper 31 bits and the kind in bit 0
+// (model.Read = 0, model.Write = 1). Four bytes against model.Op's
+// sixteen is the point: every issuing cell fetches its next op every
+// cycle from its own place in the stream, so the stream's size is the
+// scheduler's cache footprint on a busy array. "Is the front op
+// R(id)?" is one compare against readOf(id).
+type packedOp uint32
+
+//sysvet:hotpath
+func packOp(op model.Op) packedOp { return packedOp(op.Msg)<<1 | packedOp(op.Kind) }
+
+// readOf and writeOf are the packed forms of R(id) and W(id).
+//
+//sysvet:hotpath
+func readOf(id model.MessageID) packedOp { return packedOp(id) << 1 }
+
+//sysvet:hotpath
+func writeOf(id model.MessageID) packedOp { return packedOp(id)<<1 | 1 }
+
+//sysvet:hotpath
+func (o packedOp) isWrite() bool { return o&1 != 0 }
+
+//sysvet:hotpath
+func (o packedOp) msg() model.MessageID { return model.MessageID(o >> 1) }
+
+// op rebuilds the model form, for reports.
+func (o packedOp) op() model.Op {
+	return model.Op{Kind: model.OpKind(o & 1), Msg: o.msg()}
+}
+
+// checkIRBounds rejects a scenario whose flat IR would not fit its
+// index types: opOff, hopOff and wordOff are int32 prefix sums, and a
+// packed op has 31 bits for the message id. The totals are checked as
+// ints before any table is allocated, so an oversized scenario is a
+// typed error rather than a silently wrapped offset.
+func checkIRBounds(ops, hops, words, msgs int) error {
+	for _, b := range []struct {
+		field, what string
+		n           int
+	}{
+		{"Program", "ops", ops},
+		{"Routes", "route hops", hops},
+		{"Program", "message words", words},
+		{"Program", "messages", msgs},
+	} {
+		if b.n > math.MaxInt32 {
+			return &ConfigError{Field: b.field, Reason: fmt.Sprintf("%d %s exceed the compiled form's limit of %d", b.n, b.what, math.MaxInt32)}
+		}
+	}
+	return nil
+}
+
 // hopRef is one compiled route hop: the physical link plus the queue
 // pool serving it under each pool regime (index 0 = shared pool,
 // index 1 = directional pools).
@@ -264,7 +318,7 @@ type Machine struct {
 	links  []topology.Link
 
 	// Flat per-cell op streams: cell c's code is ops[opOff[c]:opOff[c+1]].
-	ops   []model.Op
+	ops   []packedOp
 	opOff []int32
 
 	// Flat per-message hop tables: message m's hops are
@@ -314,33 +368,46 @@ func Compile(p *model.Program, t topology.Topology, routes [][]topology.Hop, lab
 		return nil, &ConfigError{Field: "Labels", Reason: fmt.Sprintf("%d labels for %d messages", len(labels), p.NumMessages())}
 	}
 
+	cells, msgs := p.NumCells(), p.NumMessages()
+	totalOps := p.TotalOps()
+	var totalHops, totalWords int
+	for _, rt := range routes {
+		totalHops += len(rt)
+	}
+	for _, decl := range p.Messages() {
+		totalWords += decl.Words
+	}
+	if err := checkIRBounds(totalOps, totalHops, totalWords, msgs); err != nil {
+		return nil, err
+	}
+
 	m := &Machine{
 		prog:        p,
 		topo:        t,
 		routes:      routes,
 		labels:      labels,
 		links:       t.Links(),
+		totalWords:  totalWords,
+		totalHops:   totalHops,
 		multiHopMsg: -1,
 	}
 
-	// Per-cell op streams.
-	cells := p.NumCells()
+	// Per-cell op streams, packed.
 	m.opOff = make([]int32, cells+1)
+	m.ops = make([]packedOp, 0, totalOps)
 	for c := 0; c < cells; c++ {
 		code := p.Code(model.CellID(c))
-		m.opOff[c+1] = m.opOff[c] + int32(len(code))
+		for _, op := range code {
+			m.ops = append(m.ops, packOp(op))
+		}
+		m.opOff[c+1] = int32(len(m.ops))
 		if len(code) > 0 {
 			m.codeCells++
 		}
 	}
-	m.ops = make([]model.Op, m.opOff[cells])
-	for c := 0; c < cells; c++ {
-		copy(m.ops[m.opOff[c]:m.opOff[c+1]], p.Code(model.CellID(c)))
-	}
 
 	// Per-message declarations and hop tables with precomputed pool
 	// ids for both pool regimes.
-	msgs := p.NumMessages()
 	m.words = make([]int, msgs)
 	m.sender = make([]model.CellID, msgs)
 	m.receiver = make([]model.CellID, msgs)
@@ -350,14 +417,12 @@ func Compile(p *model.Program, t topology.Topology, routes [][]topology.Hop, lab
 		m.words[decl.ID] = decl.Words
 		m.sender[decl.ID] = decl.Sender
 		m.receiver[decl.ID] = decl.Receiver
-		m.totalWords += decl.Words
 	}
 	for id := 0; id < msgs; id++ {
 		m.wordOff[id+1] = m.wordOff[id] + int32(m.words[id])
 	}
 	for id, rt := range routes {
 		m.hopOff[id+1] = m.hopOff[id] + int32(len(rt))
-		m.totalHops += len(rt)
 		if len(rt) > m.maxRouteLen {
 			m.maxRouteLen = len(rt)
 		}
@@ -451,7 +516,7 @@ func (m *Machine) buildPoolTable(flavor, numPools int) poolTable {
 }
 
 // code returns cell c's op stream.
-func (m *Machine) code(c int) []model.Op {
+func (m *Machine) code(c int) []packedOp {
 	return m.ops[m.opOff[c]:m.opOff[c+1]]
 }
 

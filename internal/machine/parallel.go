@@ -113,14 +113,17 @@ type sink struct {
 	armed     []int
 	transport []model.MessageID
 	writers   []model.MessageID
-	reqCheck  []model.MessageID
-	moved     []model.MessageID
+	// writerDrops holds the writer-set entries a write shard retired;
+	// mergeSinks applies them before writers, so an entry retired and
+	// re-entered in one phase stays a member.
+	writerDrops []model.MessageID
+	reqCheck    []model.MessageID
+	moved       []model.MessageID
 	// drops holds transport entries a read shard found fully drained;
 	// the coordinator removes them from the transport bitset right
-	// after the read barrier (not in mergeSinks — the write phase of
-	// the same cycle must observe the post-drop set so a re-buffered
-	// message is re-added, exactly as the old keep-flag compaction
-	// ordered things).
+	// after the read barrier (not in mergeSinks — a message the write
+	// phase of the same cycle re-buffers is re-inserted there, and the
+	// insertion has to land after the drop).
 	drops    []model.MessageID
 	cooling  []int
 	dirty    []int
@@ -154,6 +157,7 @@ type visitCounts struct {
 	hops     int // route hops examined by advance, release and interior collect
 	releases int // moved-set messages examined by releaseShard
 	firstHop int // dirty cells examined by collectFirstHopShard
+	setWords int // ready-set words, summary and member, read by the phase loops' scans
 }
 
 // visits sums the shards' tallies for the run so far.
@@ -164,6 +168,7 @@ func (e *exec) visits() visitCounts {
 		v.hops += sv.hops
 		v.releases += sv.releases
 		v.firstHop += sv.firstHop
+		v.setWords += sv.setWords
 	}
 	return v
 }
@@ -176,6 +181,7 @@ func (sk *sink) reset() {
 	sk.armed = sk.armed[:0]
 	sk.transport = sk.transport[:0]
 	sk.writers = sk.writers[:0]
+	sk.writerDrops = sk.writerDrops[:0]
 	sk.reqCheck = sk.reqCheck[:0]
 	sk.moved = sk.moved[:0]
 	sk.drops = sk.drops[:0]
@@ -300,6 +306,9 @@ func (e *exec) mergeSinks() {
 		sk := &e.sinks[s]
 		for _, id := range sk.transport {
 			e.transport.add(int(id))
+		}
+		for _, id := range sk.writerDrops {
+			e.writers.drop(int(id))
 		}
 		for _, id := range sk.writers {
 			e.writers.add(int(id))

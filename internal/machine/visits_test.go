@@ -85,3 +85,29 @@ func TestBusySetsExact(t *testing.T) {
 		t.Errorf("%d first-hop visits, want ≤ %d cells + %d messages", v.firstHop, cells, msgs)
 	}
 }
+
+// TestSetScanFollowsMembers is the clock-free gate on the ready sets'
+// summary level: a daisy chain keeps about two messages live whatever
+// its length, so walking its ready sets must cost the same number of
+// set words per executed cycle on a 4096-cell chain as on a 1024-cell
+// one. A scan that steps over every word of a set reads 4× the words
+// on the longer chain; through the summary it reads one summary word
+// and the non-empty member words.
+func TestSetScanFollowsMembers(t *testing.T) {
+	perCycle := func(cells int) float64 {
+		ex := mustCompile(t, sparseChain(t, cells, 4), topology.Linear(cells)).NewExec()
+		res, err := ex.Run(fcfs(2, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed {
+			t.Fatalf("%d cells: completed=%v deadlocked=%v timedOut=%v", cells, res.Completed, res.Deadlocked, res.TimedOut)
+		}
+		return float64(ex.e.visits().setWords) / float64(ex.e.executed)
+	}
+	short, long := perCycle(1024), perCycle(4096)
+	t.Logf("set words read per executed cycle: %.2f at 1024 cells, %.2f at 4096", short, long)
+	if long > 1.25*short {
+		t.Errorf("%.2f set words per cycle at 4096 cells against %.2f at 1024: more than 1.25×, the scans are walking empty words", long, short)
+	}
+}
