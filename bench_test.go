@@ -289,10 +289,13 @@ func BenchmarkTheorem1_Pipeline(b *testing.B) {
 // single-shard execution, policy-instance reuse, one-shot queue-buffer
 // growth) then took the same grid from 0.70 ms / 2187 allocs/op to
 // ~0.35 ms / 914 allocs/op steady-state — 2× end to end, ~6.4 allocs
-// per grid point (TestAllocGateSweepBatch pins that). Identical
+// per grid point. Planning the grid (one run per distinct machine and
+// effective config: this grid's 144 points are 54 executions) brought
+// it to 471 allocs/op, ~3.2 per grid point (TestAllocGateSweepBatch
+// pins that; BENCH_sweep.json carries the committed numbers). Identical
 // simulated cycle counts throughout: all refactors are
 // behavior-preserving; the engine-equivalence suite in internal/sim
-// and the batched-vs-per-point suite in internal/sweep enforce
+// and the planned-vs-per-point suite in internal/sweep enforce
 // byte-identical results.
 func BenchmarkSweep(b *testing.B) {
 	f7 := systolic.Fig7Workload(systolic.Fig7Options{})

@@ -15,6 +15,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"systolic/internal/assign"
@@ -105,6 +106,18 @@ func (a *Analysis) Machine() (*machine.Machine, error) {
 		a.machine, a.machineErr = machine.Compile(a.Program, a.Topology, a.Routes, a.Labeling.Dense)
 	})
 	return a.machine, a.machineErr
+}
+
+// SameMachine reports whether a and b, two deadlock-free analyses of
+// one (program, topology) pair, compile to interchangeable machines:
+// besides the pair itself, Machine reads only the routes and the dense
+// labels, so when those compare equal every run on one machine is
+// byte-identical to the same run on the other. The sweep engine uses
+// this to run a case's lookahead columns on one machine when the budget
+// changed nothing.
+func (a *Analysis) SameMachine(b *Analysis) bool {
+	return slices.Equal(a.Labeling.Dense, b.Labeling.Dense) &&
+		slices.EqualFunc(a.Routes, b.Routes, slices.Equal[[]topology.Hop])
 }
 
 // Analyze classifies, labels, and sizes a program over a topology.

@@ -612,7 +612,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.endRun()
 	// Request-level admission: the sweep engine acquires the limiter
-	// per grid point, so the request itself only probes — an
+	// per simulated execution, so the request itself only probes — an
 	// overloaded daemon sheds the whole sweep with 429 up front.
 	if err := s.adm.probe(r.Context()); err != nil {
 		s.writeError(w, err)

@@ -44,9 +44,10 @@ type streamRow struct {
 
 // streamSweep runs a prepared sweep with a streaming response. The
 // engine runs in its own goroutine, handing completed grid points
-// over a channel via Options.OnOutcome (after each point's limiter
-// slot is released, so a slow client never pins the simulation
-// budget); this goroutine reorders them by index and writes NDJSON.
+// over a channel via Options.OnOutcome (after the limiter slot of the
+// execution behind them is released, so a slow client never pins the
+// simulation budget); this goroutine reorders them by index and writes
+// NDJSON.
 // The buffered-form response document is still retained under the
 // result ID, so GET /v1/results/{id} replays the sweep as if it had
 // not been streamed.
@@ -120,7 +121,8 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, job *sweepJ
 		}
 		return
 	}
-	resp := &SweepResponse{ID: s.results.nextID(), Scenario: job.scenario, Cached: job.cached, Table: rep.Table()}
+	table := rep.Table()
+	resp := &SweepResponse{ID: s.results.nextID(), Scenario: job.scenario, Cached: job.cached, Table: table}
 	for _, o := range rep.Outcomes {
 		resp.Outcomes = append(resp.Outcomes, wireOutcome(o))
 	}
@@ -136,7 +138,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, job *sweepJ
 		Rows:     len(resp.Outcomes),
 		Scenario: job.scenario,
 		Cached:   job.cached,
-		Table:    rep.Table(),
+		Table:    table,
 	}
 	if err := enc.Encode(sum); err != nil {
 		s.logf("sweep stream: encode summary: %v", err)

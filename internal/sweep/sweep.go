@@ -17,9 +17,13 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"unicode/utf8"
 
 	"systolic/internal/core"
 	"systolic/internal/fault"
@@ -150,27 +154,24 @@ func (a Axes) WithDefaults() Axes {
 // so callers that stream results can refuse a bad grid before any
 // response bytes are committed.
 func (a Axes) Validate() error {
-	a = a.WithDefaults()
+	_, err := a.WithDefaults().check()
+	return err
+}
+
+// check validates the (already defaulted) axes and returns the parsed
+// link-model axis, spec → plan: the one parse Run and Validate need. The
+// empty spec maps to a nil plan — the unit-latency interconnect.
+func (a Axes) check() (map[string]*linkmodel.Plan, error) {
 	for _, q := range a.Queues {
 		if q < 0 {
-			return fmt.Errorf("sweep: negative queue budget %d", q)
+			return nil, fmt.Errorf("sweep: negative queue budget %d", q)
 		}
 	}
 	for _, cp := range a.Capacities {
 		if cp < 1 {
-			return fmt.Errorf("sweep: capacity %d < 1 (the latch regime needs a dedicated run, not a grid)", cp)
+			return nil, fmt.Errorf("sweep: capacity %d < 1 (the latch regime needs a dedicated run, not a grid)", cp)
 		}
 	}
-	if _, err := a.linkPlans(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// linkPlans parses the (already defaulted or explicit) link-model axis
-// once: specs[i] lowers to plans[spec]. The empty spec maps to a nil
-// plan — the unit-latency interconnect.
-func (a Axes) linkPlans() (map[string]*linkmodel.Plan, error) {
 	plans := make(map[string]*linkmodel.Plan, len(a.LinkModels))
 	for _, spec := range a.LinkModels {
 		if spec == "" {
@@ -235,8 +236,8 @@ func (o Outcome) deadlocked() bool { return o.Result == "deadlocked" }
 type Options struct {
 	// Workers bounds the pool; ≤ 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// RunWorkers, when > 1, shards each grid point's simulation across
-	// up to that many workers (machine.ExecOptions.Workers). Combined
+	// RunWorkers, when > 1, shards each simulation across up to that
+	// many workers (machine.ExecOptions.Workers). Combined
 	// with Limiter the product of sweep-level and run-level
 	// concurrency stays globally bounded: each extra shard must win a
 	// limiter slot (non-blocking), and a run that gets fewer — or none
@@ -252,34 +253,37 @@ type Options struct {
 	// degradation. Plans that do not fit a case's cell/link counts
 	// surface as per-point errors.
 	Faults *fault.Plan
-	// Limiter, when non-nil, additionally gates every grid point on a
-	// process-wide concurrency budget shared with other engines (the
-	// serving layer passes its -max-concurrency limiter here, so
-	// concurrent sweeps and single runs draw from one pool).
+	// Limiter, when non-nil, additionally gates every simulated
+	// execution (not every grid point: see Run) on a process-wide
+	// concurrency budget shared with other engines (the serving layer
+	// passes its -max-concurrency limiter here, so concurrent sweeps and
+	// single runs draw from one pool).
 	Limiter *Limiter
 	// OnOutcome, when non-nil, is called once per grid point as it
-	// completes, from the worker goroutine that ran it, after the
-	// point's limiter slot has been released — a slow consumer (a
-	// streaming HTTP client) therefore never pins the process-wide
-	// simulation budget. Indices arrive in completion order, not
+	// completes: for a simulated point and those sharing its execution,
+	// from the worker goroutine that ran it, after the limiter slot has
+	// been released — a slow consumer (a streaming HTTP client)
+	// therefore never pins the process-wide simulation budget; for
+	// rejected and analysis-error points, from Run's own goroutine before
+	// any run. Indices arrive in completion order, not
 	// enumeration order; the outcome passed is exactly the value the
 	// final report carries at that index, so a caller that re-sorts by
 	// index reconstructs the report's order-stable outcome list.
 	// The callback must be safe for concurrent use. Grid points
 	// abandoned by cancellation are never reported.
 	OnOutcome func(index int, o Outcome)
-	// PerPoint disables column batching: every grid point runs
-	// through core.Execute against the machine's shared scratch pool
-	// instead of a per-column core.Runner with retained buffers. The
-	// batched driver produces byte-identical reports (the equivalence
-	// suite replays grids through both paths); PerPoint is the escape
-	// hatch and the comparison baseline for that suite and for
-	// benchmarks.
+	// PerPoint disables planning: every grid point is its own
+	// core.Execute against the machine's shared scratch pool, sharing
+	// nothing with other points but the analysis. The planned driver
+	// produces byte-identical reports (the equivalence suite replays
+	// grids through both paths); PerPoint is the escape hatch and the
+	// comparison baseline for that suite and for benchmarks.
 	PerPoint bool
 	// Analysis, when non-nil, replaces the engine's own per-(case,
 	// lookahead) analysis step: the engine calls it exactly once per
-	// distinct (case index, lookahead budget) pair during warm-up and
-	// shares the result across the whole grid. The serving layer uses
+	// distinct (case index, lookahead budget) pair — from the worker
+	// pool, so possibly concurrently — and shares the result across the
+	// whole grid. The serving layer uses
 	// this to route sweep analyses through its content-addressed
 	// compiled-machine cache, so repeated sweeps of one program skip
 	// Analyze and machine compilation entirely. An error is reported
@@ -287,14 +291,17 @@ type Options struct {
 	Analysis func(caseIdx, lookahead int) (*core.Analysis, error)
 
 	// linkPlans maps each link-model axis spec to its parsed plan ("" →
-	// nil, the unit interconnect). Run fills it from Axes.LinkModels
+	// nil, the unit interconnect). Run fills it from Axes.check
 	// before fanning out, so runOne never re-parses on the hot path.
 	linkPlans map[string]*linkmodel.Plan
+	// executions, when non-nil, counts simulations started, for tests. It
+	// must stay out of Report: the two drivers' reports would differ.
+	executions *atomic.Int64
 }
 
 // Report is the order-stable result of a sweep: Outcomes[i] is grid
-// point i in enumeration order (case-major, then lookahead, capacity,
-// policy, queues).
+// point i in enumeration order (case-major, then lookahead, link model,
+// capacity, policy, queues).
 type Report struct {
 	Cases    []string
 	Outcomes []Outcome
@@ -303,6 +310,13 @@ type Report struct {
 // Run sweeps the grid. The returned report is identical for any
 // worker count. Cancelling ctx abandons unstarted grid points and
 // returns ctx.Err().
+//
+// A Result is a pure function of (compiled machine, run options), so
+// Run plans before it runs: a case's lookahead columns whose analyses
+// compile to the same machine form one class, a class's points with one
+// effective configuration — policy, resolved queues, capacity, link
+// model — share one execution, and its result is scattered to every
+// point that asked for it. Options.PerPoint runs each point instead.
 func Run(ctx context.Context, cases []Case, axes Axes, opts Options) (*Report, error) {
 	if len(cases) == 0 {
 		return nil, fmt.Errorf("sweep: no cases")
@@ -312,12 +326,14 @@ func Run(ctx context.Context, cases []Case, axes Axes, opts Options) (*Report, e
 			return nil, fmt.Errorf("sweep: case %d (%q) missing program or topology", i, c.Name)
 		}
 	}
-	if err := axes.Validate(); err != nil {
+	axes = axes.WithDefaults()
+	var err error
+	if opts.linkPlans, err = axes.check(); err != nil {
 		return nil, err
 	}
-	axes = axes.WithDefaults()
 
-	// Enumerate the grid in a fixed order; the report inherits it.
+	// Enumerate the grid in a fixed order; the report inherits it. Each
+	// (case, lookahead) pair is a contiguous column of `block` points.
 	configs := make([]Config, 0, axes.Size(len(cases)))
 	for ci := range cases {
 		for _, la := range axes.Lookaheads {
@@ -335,43 +351,33 @@ func Run(ctx context.Context, cases []Case, axes Axes, opts Options) (*Report, e
 			}
 		}
 	}
-	// Validate parsed the axis already; re-parse here for the plan map
-	// runOne consults (one parse per distinct spec, not per point).
-	linkPlans, err := axes.linkPlans()
-	if err != nil {
+	g := &grid{
+		cases: cases, configs: configs, opts: opts,
+		block:    len(configs) / (len(cases) * len(axes.Lookaheads)),
+		outcomes: make([]Outcome, len(configs)),
+	}
+	if g.cols, err = analyseColumns(ctx, cases, axes.Lookaheads, opts); err != nil {
 		return nil, err
 	}
-	opts.linkPlans = linkPlans
 
-	cache := newAnalysisCache(cases, opts.Analysis)
-	for _, cfg := range configs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cache.warm(cfg.Case, cfg.Lookahead)
+	// Spans keep a worker on one machine. Outcomes land in
+	// enumeration-order slots, so the report is byte-identical for any
+	// worker count and either driver.
+	run, sizes := g.runPoints, slices.Repeat([]int{g.block}, len(g.cols))
+	if !opts.PerPoint {
+		run, sizes = g.runSpan, g.plan()
 	}
-
-	// Worker-affine column batching: the enumeration order above makes
-	// every (case, lookahead) pair a contiguous block of
-	// |capacities|×|policies|×|queues| grid points sharing one analysis
-	// and one compiled machine. Handing each worker whole blocks (split
-	// into sub-columns when the grid has fewer blocks than workers)
-	// lets it replay its column through one retained core.Runner —
-	// scratch arenas, ready sets, and result buffers survive from point
-	// to point instead of round-tripping through the machine's
-	// sync.Pool. Outcomes still land in enumeration-order slots, so the
-	// report stays byte-identical for any worker count and either
-	// driver (see Options.PerPoint).
-	block := len(axes.LinkModels) * len(axes.Capacities) * len(axes.Policies) * len(axes.Queues)
-	spans := splitColumns(len(configs), block, opts.Workers)
-	outcomes := make([]Outcome, len(configs))
-	if err := ForEach(ctx, len(spans), opts.Workers, func(si int) {
-		runSpan(ctx, cases, configs, spans[si], cache, outcomes, opts)
-	}); err != nil {
+	spans := splitSpans(sizes, opts.Workers)
+	// Largest first: the pool hands spans out in order, so the uneven
+	// classes of a mixed grid pack onto the workers longest-job-first.
+	// The first span stays put: it holds the grid's first simulated point,
+	// which an in-order consumer (the streaming endpoint) is waiting for.
+	slices.SortStableFunc(spans[min(1, len(spans)):], func(a, b span) int { return (b.hi - b.lo) - (a.hi - a.lo) })
+	if err := ForEach(ctx, len(spans), opts.Workers, func(si int) { run(ctx, spans[si]) }); err != nil {
 		return nil, err
 	}
 	// A cancellation that struck while a worker waited on the shared
-	// limiter leaves its outcome unwritten; refuse to return a partial
+	// limiter leaves its outcomes unwritten; refuse to return a partial
 	// report.
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -381,148 +387,88 @@ func Run(ctx context.Context, cases []Case, axes Axes, opts Options) (*Report, e
 	for i, c := range cases {
 		names[i] = c.Name
 	}
-	return &Report{Cases: names, Outcomes: outcomes}, nil
+	return &Report{Cases: names, Outcomes: g.outcomes}, nil
 }
 
-// span is one worker-affine unit of grid work: a contiguous index
-// range [lo, hi) of configs whose points all share one (case,
-// lookahead) analysis.
-type span struct{ lo, hi int }
-
-// splitColumns carves n grid points into worker-affine spans. Each
-// (case, lookahead) column is `block` contiguous points; when the grid
-// has at least as many columns as workers each column is one span, and
-// when it has fewer, every column is split into equal-as-possible
-// sub-columns so all workers stay busy. Splitting never crosses a
-// column boundary — a span's points always share an analysis.
-func splitColumns(n, block, workers int) []span {
-	if block <= 0 {
-		block = 1
-	}
-	cols := n / block
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	parts := 1
-	if cols < workers {
-		parts = (workers + cols - 1) / cols
-		if parts > block {
-			parts = block
-		}
-	}
-	spans := make([]span, 0, cols*parts)
-	for c := 0; c < cols; c++ {
-		lo := c * block
-		for p := 0; p < parts; p++ {
-			s := lo + p*block/parts
-			e := lo + (p+1)*block/parts
-			if s < e {
-				spans = append(spans, span{s, e})
-			}
-		}
-	}
-	return spans
+// grid is one Run's shared state. classes and next are the plan (unset
+// under PerPoint): classes[k].execs are class k's distinct executions,
+// and next[i] is the next point sharing point i's execution, or -1.
+type grid struct {
+	cases    []Case
+	configs  []Config
+	opts     Options
+	block    int      // grid points per column
+	cols     []column // cols[i/block] is point i's analysis
+	outcomes []Outcome
+	classes  []class
+	next     []int32
 }
 
-// runSpan replays one span's grid points back-to-back on the worker
-// that owns it, creating the span's core.Runner lazily on the first
-// simulated point (rejected and errored points never need one). Each
-// point still acquires its own limiter slot, and the slot is released
-// before OnOutcome fires, so a slow consumer stalls this worker but
-// never the process-wide simulation budget. A cancelled Acquire
-// abandons the rest of the span; Run refuses to return the partial
-// report. Release is called without defer — the loop holds at most
-// one slot at a time, and a panicking run is fatal anyway.
-//
-//sysvet:hotpath
-func runSpan(ctx context.Context, cases []Case, configs []Config, sp span, cache *analysisCache, outcomes []Outcome, opts Options) {
-	var runner *core.Runner
-	for i := sp.lo; i < sp.hi; i++ {
-		cfg := configs[i]
-		if err := opts.Limiter.Acquire(ctx); err != nil {
+// column is one (case, lookahead) pair: the analysis — routes, labels,
+// queue requirements — its block of grid points shares. The other axes
+// never reach the analysis. (Capacity affects it only through the
+// derived R2 budget, which the explicit lookahead axis always overrides.)
+type column struct {
+	a   *core.Analysis
+	err error
+}
+
+// live reports whether the column's points are simulated at all.
+func (c column) live() bool { return c.err == nil && c.a.DeadlockFree }
+
+// class is the columns of one case whose analyses compile to the same
+// machine — compared with core.Analysis.SameMachine, never assumed from
+// the lookahead values. a is the first such column's analysis, and its
+// machine runs every execution of the class; execs holds the first grid
+// point of each distinct execution, the head of its chain in grid.next.
+type class struct {
+	a     *core.Analysis
+	execs []int32
+}
+
+// execKey is what a run's result depends on within one Run: the machine
+// and the point's run options after queue resolution. Seed, faults,
+// cycle bound and run workers are sweep-wide constants.
+type execKey struct {
+	class, queues, capacity int
+	policy                  core.PolicyKind
+	linkModel               string
+}
+
+// analyseColumns analyses every distinct (case, lookahead) pair exactly
+// once, across the worker pool — through opts.Analysis when installed —
+// and returns one column per pair in enumeration order. A budget
+// repeated on the axis shares its first column's analysis.
+func analyseColumns(ctx context.Context, cases []Case, lookaheads []int, opts Options) ([]column, error) {
+	nl := len(lookaheads)
+	first := make([]int, nl) // first axis position holding the same budget
+	seen := make(map[int]int, nl)
+	for li, la := range lookaheads {
+		if _, dup := seen[la]; !dup {
+			seen[la] = li
+		}
+		first[li] = seen[la]
+	}
+	cols := make([]column, len(cases)*nl)
+	err := ForEach(ctx, len(cols), opts.Workers, func(j int) {
+		ci, li := j/nl, j%nl
+		if first[li] != li {
 			return
 		}
-		a, aerr := cache.get(cfg.Case, cfg.Lookahead)
-		if runner == nil && !opts.PerPoint && aerr == nil && a != nil && a.DeadlockFree {
-			runner = core.NewRunner(a)
+		if opts.Analysis != nil {
+			cols[j].a, cols[j].err = opts.Analysis(ci, lookaheads[li])
+		} else {
+			cols[j].a, cols[j].err = analyze(cases[ci], lookaheads[li])
 		}
-		outcomes[i] = runOne(ctx, cases[cfg.Case], cfg, a, aerr, runner, opts)
-		opts.Limiter.Release()
-		if opts.OnOutcome != nil {
-			opts.OnOutcome(i, outcomes[i])
-		}
+	})
+	for j := range cols {
+		cols[j] = cols[j-j%nl+first[j%nl]]
 	}
-}
-
-// akey is the memoization key: the analysis (routes, labels, queue
-// requirements) and its compiled machine depend only on the case and
-// the lookahead budget — the policy, queue, and capacity axes all
-// share one compile. (Capacity affects analysis only through the
-// derived R2 budget, which the sweep's explicit lookahead axis always
-// overrides.)
-type akey struct{ caseIdx, lookahead int }
-
-// analysisCache memoizes Analyze per (case, lookahead) and pre-warms
-// each analysis' compiled machine, so the worker pool runs the entire
-// grid as pure simulation: zero route computations, zero labelings,
-// zero machine compiles per grid point. When a provider is installed
-// (Options.Analysis), it replaces the in-engine analyze step and the
-// cache merely memoizes its results.
-type analysisCache struct {
-	cases    []Case
-	provider func(caseIdx, lookahead int) (*core.Analysis, error)
-	analyses map[akey]*core.Analysis
-	errs     map[akey]error
-}
-
-func newAnalysisCache(cases []Case, provider func(int, int) (*core.Analysis, error)) *analysisCache {
-	return &analysisCache{
-		cases:    cases,
-		provider: provider,
-		analyses: make(map[akey]*core.Analysis),
-		errs:     make(map[akey]error),
-	}
-}
-
-// warm computes and caches the analysis for one key, compiling its
-// machine eagerly so concurrent workers never race to compile. It is
-// not safe for concurrent use; Run warms the whole grid up front.
-func (c *analysisCache) warm(caseIdx, lookahead int) {
-	k := akey{caseIdx, lookahead}
-	if _, seen := c.analyses[k]; seen {
-		return
-	}
-	if _, seen := c.errs[k]; seen {
-		return
-	}
-	var a *core.Analysis
-	var err error
-	if c.provider != nil {
-		a, err = c.provider(caseIdx, lookahead)
-	} else {
-		a, err = analyze(c.cases[caseIdx], lookahead)
-	}
-	if err != nil {
-		c.errs[k] = err
-		return
-	}
-	if a.DeadlockFree {
-		// Compile once here rather than lazily under the first
-		// worker; a compile failure surfaces per grid point via
-		// Execute exactly as before.
-		_, _ = a.Machine()
-	}
-	c.analyses[k] = a
-}
-
-// get returns the cached analysis or error for a key.
-func (c *analysisCache) get(caseIdx, lookahead int) (*core.Analysis, error) {
-	k := akey{caseIdx, lookahead}
-	return c.analyses[k], c.errs[k]
+	return cols, err
 }
 
 // analyze runs the compile-time pipeline for one (case, lookahead)
-// key. The explicit budget override makes AnalyzeOptions.Capacity
+// pair. The explicit budget override makes AnalyzeOptions.Capacity
 // irrelevant, so capacities share one analysis.
 func analyze(c Case, lookahead int) (*core.Analysis, error) {
 	opts := core.AnalyzeOptions{}
@@ -533,43 +479,191 @@ func analyze(c Case, lookahead int) (*core.Analysis, error) {
 	return core.Analyze(c.Program, c.Topology, opts)
 }
 
-// runOne executes one grid point. A non-nil runner routes the run
-// through the span's retained execution context; nil falls back to
-// core.Execute (the PerPoint path, and points whose analysis failed).
-// Only scalars are copied out of the Result, so the runner's aliased
-// Result buffers are safe to reuse on the next point.
+// plan sorts the grid into classes and distinct executions and returns
+// each class's execution count. Rejected and analysis-error columns
+// need no run: their points are delivered here.
+func (g *grid) plan() []int {
+	g.next = make([]int32, len(g.configs))
+	last := make(map[execKey]int32, g.block) // the latest point that asked for each execution
+	perCase := len(g.cols) / len(g.cases)
+	caseStart := 0 // the current case's first class
+	for j, col := range g.cols {
+		if j%perCase == 0 {
+			caseStart = len(g.classes)
+		}
+		lo, hi := j*g.block, (j+1)*g.block
+		if !col.live() {
+			for i := lo; i < hi; i++ {
+				o, _ := g.describe(i)
+				g.deliver(i, o)
+			}
+			continue
+		}
+		k := caseStart
+		for k < len(g.classes) && !g.classes[k].a.SameMachine(col.a) {
+			k++
+		}
+		if k == len(g.classes) {
+			g.classes = append(g.classes, class{a: col.a, execs: make([]int32, 0, g.block)})
+		}
+		for i := lo; i < hi; i++ {
+			o, _ := g.describe(i)
+			key := execKey{k, o.QueuesUsed, o.Capacity, o.Policy, o.LinkModel}
+			if prev, dup := last[key]; dup {
+				g.next[prev] = int32(i)
+			} else {
+				g.classes[k].execs = append(g.classes[k].execs, int32(i))
+			}
+			g.next[i], last[key] = -1, int32(i)
+		}
+	}
+	sizes := make([]int, len(g.classes))
+	for k, cl := range g.classes {
+		sizes[k] = len(cl.execs)
+	}
+	return sizes
+}
+
+// span is one worker-affine unit of grid work: items [lo, hi) of one
+// unit — a class's executions, or under PerPoint a column's points.
+type span struct{ unit, lo, hi int }
+
+// splitSpans carves units of the given sizes into spans. With at least
+// as many units as workers each unit is one span; with fewer, every
+// unit is split into equal-as-possible parts so all workers stay busy.
+// A span never crosses a unit boundary — its work shares one machine.
+func splitSpans(sizes []int, workers int) []span {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	parts := 1
+	if n := len(sizes); 0 < n && n < workers {
+		parts = (workers + n - 1) / n
+	}
+	spans := make([]span, 0, len(sizes)*parts)
+	for u, size := range sizes {
+		p := min(parts, size)
+		for k := 0; k < p; k++ {
+			spans = append(spans, span{u, k * size / p, (k + 1) * size / p})
+		}
+	}
+	return spans
+}
+
+// runSpan replays a run of one class's executions back-to-back through
+// one retained core.Runner — scratch arenas, ready sets and result
+// buffers survive from run to run instead of round-tripping through the
+// machine's sync.Pool — and scatters each result to the points that
+// asked for it. The machine is compiled before any slot is taken. Each
+// execution holds one limiter slot, released before its callbacks fire,
+// so a slow consumer stalls this worker but never the process-wide
+// simulation budget. A cancelled Acquire abandons the rest of the span;
+// Run refuses to return the partial report. Release is called without
+// defer — the loop holds at most one slot at a time, and a panicking run
+// is fatal anyway.
 //
 //sysvet:hotpath
-func runOne(ctx context.Context, c Case, cfg Config, a *core.Analysis, aerr error, runner *core.Runner, opts Options) Outcome {
+func (g *grid) runSpan(ctx context.Context, sp span) {
+	cl := &g.classes[sp.unit]
+	runner := core.NewRunner(cl.a)
+	_, _ = cl.a.Machine() // a compile failure surfaces per point via Execute
+	for _, first := range cl.execs[sp.lo:sp.hi] {
+		if err := g.opts.Limiter.Acquire(ctx); err != nil {
+			return
+		}
+		ran := g.runOne(ctx, int(first), runner)
+		g.opts.Limiter.Release()
+		// Only what the run produced is shared; the rest of an outcome
+		// comes from the point's own config and analysis.
+		for i := int(first); i >= 0; i = int(g.next[i]) {
+			o, _ := g.describe(i)
+			o.Result, o.Cycles, o.MaxQueueDepth, o.Err = ran.Result, ran.Cycles, ran.MaxQueueDepth, ran.Err
+			g.deliver(i, o)
+		}
+	}
+}
+
+// runPoints is the PerPoint driver's span: a run of one column's points,
+// each an independent core.Execute under its own limiter slot.
+//
+//sysvet:hotpath
+func (g *grid) runPoints(ctx context.Context, sp span) {
+	if col := g.cols[sp.unit]; col.live() {
+		_, _ = col.a.Machine()
+	}
+	for i := sp.unit*g.block + sp.lo; i < sp.unit*g.block+sp.hi; i++ {
+		if err := g.opts.Limiter.Acquire(ctx); err != nil {
+			return
+		}
+		o := g.runOne(ctx, i, nil)
+		g.opts.Limiter.Release()
+		g.deliver(i, o)
+	}
+}
+
+// deliver writes point i's final outcome to its report slot and hands
+// it to the streaming hook.
+func (g *grid) deliver(i int, o Outcome) {
+	g.outcomes[i] = o
+	if g.opts.OnOutcome != nil {
+		g.opts.OnOutcome(i, o)
+	}
+}
+
+// describe fills in what point i's outcome takes from its own config
+// and analysis — everything but the run's result — and reports whether
+// the point is to be simulated: analysis errors and rejected programs
+// are final here.
+func (g *grid) describe(i int) (Outcome, bool) {
+	cfg, col := g.configs[i], g.cols[i/g.block]
 	// QueuesUsed starts as the requested budget so rejected/error rows
 	// still report which configuration they were; simulated rows below
 	// resolve 0 to the analysis minimum.
-	o := Outcome{Config: cfg, CaseName: c.Name, QueuesUsed: cfg.Queues}
-	if aerr != nil {
+	o := Outcome{Config: cfg, CaseName: g.cases[cfg.Case].Name, QueuesUsed: cfg.Queues}
+	if col.err != nil {
 		o.Result = "error"
-		o.Err = aerr.Error()
-		return o
+		o.Err = col.err.Error()
+		return o, false
 	}
-	o.DeadlockFree = a.DeadlockFree
-	if !a.DeadlockFree {
+	o.DeadlockFree = col.a.DeadlockFree
+	if !col.a.DeadlockFree {
 		o.Result = "rejected"
+		return o, false
+	}
+	o.MinQueues = col.a.MinQueues(cfg.Policy)
+	o.QueuesUsed = col.a.ResolveQueues(cfg.Policy, cfg.Queues)
+	return o, true
+}
+
+// runOne executes grid point i. A non-nil runner routes the run through
+// the span's retained execution context — over the point's class, whose
+// analysis may be another column's; nil falls back to core.Execute on
+// the point's own analysis (the PerPoint path). Only scalars are copied
+// out of the Result, so the runner's aliased Result buffers are safe to
+// reuse on the next run.
+//
+//sysvet:hotpath
+func (g *grid) runOne(ctx context.Context, i int, runner *core.Runner) Outcome {
+	o, live := g.describe(i)
+	if !live {
 		return o
 	}
-	o.MinQueues = a.MinQueues(cfg.Policy)
-	o.QueuesUsed = a.ResolveQueues(cfg.Policy, cfg.Queues)
-	// Intra-run sharding against the grid point's limiter slot; see
+	if g.opts.executions != nil {
+		g.opts.executions.Add(1)
+	}
+	// Intra-run sharding against the execution's limiter slot; see
 	// Limiter.ShardBudget for the budget discipline.
-	workers, releaseShards := opts.Limiter.ShardBudget(opts.RunWorkers)
+	workers, releaseShards := g.opts.Limiter.ShardBudget(g.opts.RunWorkers)
 	defer releaseShards()
 	eopts := core.ExecOptions{
-		Policy:        cfg.Policy,
+		Policy:        o.Policy,
 		QueuesPerLink: o.QueuesUsed,
-		Capacity:      cfg.Capacity,
-		Seed:          cfg.Seed,
-		MaxCycles:     opts.MaxCycles,
+		Capacity:      o.Capacity,
+		Seed:          o.Seed,
+		MaxCycles:     g.opts.MaxCycles,
 		Workers:       workers,
-		Faults:        opts.Faults,
-		LinkModel:     opts.linkPlans[cfg.LinkModel],
+		Faults:        g.opts.Faults,
+		LinkModel:     g.opts.linkPlans[o.LinkModel],
 		// Context threads the sweep's cancellation into the run itself:
 		// without it a cancelled caller (a dropped /v1/sweep client)
 		// only stops unstarted grid points while every in-flight
@@ -584,7 +678,7 @@ func runOne(ctx context.Context, c Case, cfg Config, a *core.Analysis, aerr erro
 	if runner != nil {
 		res, err = runner.Execute(eopts)
 	} else {
-		res, err = core.Execute(a, eopts)
+		res, err = core.Execute(g.cols[i/g.block].a, eopts)
 	}
 	if err != nil {
 		o.Result = "error"
@@ -683,29 +777,60 @@ func linkModelLabel(spec string) string {
 	return spec
 }
 
+// cell appends s padded with spaces to |width| runes, flush left when
+// width is negative — what fmt's %-Ns and %Ns print — and then sep.
+func cell(b *strings.Builder, s string, width int, sep byte) {
+	pad := max(width, -width) - utf8.RuneCountInString(s)
+	if width < 0 {
+		b.WriteString(s)
+	}
+	for ; pad > 0; pad-- {
+		b.WriteByte(' ')
+	}
+	if width > 0 {
+		b.WriteString(s)
+	}
+	b.WriteByte(sep)
+}
+
+// intCell is cell for a number, formatted on the stack.
+func intCell(b *strings.Builder, v, width int, sep byte) {
+	var num [20]byte
+	cell(b, string(strconv.AppendInt(num[:0], int64(v), 10)), width, sep)
+}
+
 // Table renders the report as a fixed-width text table, one row per
 // grid point in enumeration order, followed by a per-case summary of
 // deadlock counts and safe budgets. The rendering is deterministic:
-// equal reports produce byte-identical tables.
+// equal reports produce byte-identical tables. Rows go into one
+// pre-grown builder without fmt: every /v1/sweep reply carries the table.
 func (r *Report) Table() string {
 	var b strings.Builder
+	b.Grow((len(r.Outcomes) + 1) * 108)
 	fmt.Fprintf(&b, "%-12s %-18s %7s %9s %10s %-14s %12s %7s %9s\n",
 		"case", "policy", "queues", "capacity", "lookahead", "link-model", "result", "cycles", "max-depth")
 	for _, o := range r.Outcomes {
-		queues := fmt.Sprintf("%d", o.QueuesUsed)
+		queues := strconv.Itoa(o.QueuesUsed)
 		if o.Queues == 0 {
 			if o.Result == "rejected" || o.Result == "error" {
 				queues = "auto" // never resolved: the run was not simulated
 			} else {
-				queues = fmt.Sprintf("auto(%d)", o.QueuesUsed)
+				queues = "auto(" + queues + ")"
 			}
 		}
 		result := o.Result
 		if o.Result == "error" {
 			result = "error*"
 		}
-		fmt.Fprintf(&b, "%-12s %-18s %7s %9d %10d %-14s %12s %7d %9d\n",
-			o.CaseName, o.Policy.String(), queues, o.Capacity, o.Lookahead, linkModelLabel(o.LinkModel), result, o.Cycles, o.MaxQueueDepth)
+		cell(&b, o.CaseName, -12, ' ')
+		cell(&b, o.Policy.String(), -18, ' ')
+		cell(&b, queues, 7, ' ')
+		intCell(&b, o.Capacity, 9, ' ')
+		intCell(&b, o.Lookahead, 10, ' ')
+		cell(&b, linkModelLabel(o.LinkModel), -14, ' ')
+		cell(&b, result, 12, ' ')
+		intCell(&b, o.Cycles, 7, ' ')
+		intCell(&b, o.MaxQueueDepth, 9, '\n')
 	}
 	for _, o := range r.Outcomes {
 		if o.Result == "error" {

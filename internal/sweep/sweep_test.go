@@ -542,16 +542,21 @@ func TestRunOneObservesContext(t *testing.T) {
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
-	cfg := Config{Case: 0, Policy: core.DynamicCompatible, Capacity: 1, Seed: 1}
+	g := &grid{
+		cases:   cases,
+		configs: []Config{{Case: 0, Policy: core.DynamicCompatible, Capacity: 1, Seed: 1}},
+		cols:    []column{{a: a}},
+		block:   1,
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	o := runOne(ctx, cases[0], cfg, a, aerr, nil, Options{})
+	o := g.runOne(ctx, 0, nil)
 	if o.Result != "error" || !strings.Contains(o.Err, "cancelled") {
 		t.Fatalf("runOne under a cancelled ctx returned %q (err %q); want the cancellation to reach the machine", o.Result, o.Err)
 	}
 
-	if got := runOne(context.Background(), cases[0], cfg, a, aerr, nil, Options{}); got.Result != "completed" {
+	if got := g.runOne(context.Background(), 0, nil); got.Result != "completed" {
 		t.Fatalf("runOne under a live ctx returned %q (err %q), want completed", got.Result, got.Err)
 	}
 }
