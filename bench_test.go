@@ -266,37 +266,17 @@ func BenchmarkTheorem1_Pipeline(b *testing.B) {
 // BenchmarkSweep measures the concurrent parameter-sweep engine over a
 // 144-point grid (Figs 7 and 8 × 3 policies × 4 queue budgets × 3
 // capacities × 2 lookaheads), single-worker vs all cores. Run with
-// -benchmem: the grid re-runs the same analyzed configurations over
-// and over, which is exactly the repeated-Run pattern the sim hot path
-// was refactored for (pooled runner scratch, precomputed routes).
-//
-// Hot-path allocation counts across the two hot-path refactors (PR 1
-// pooled the runner scratch; PR 3 replaced the engine with the
-// compile-once machine + ready-set scheduler), measured with
-// `go test -bench 'SimThroughput|Fig07' -benchmem -benchtime 200x`:
-//
-//	BenchmarkFig07_Avoidance/naive-fcfs     82 → 31 → 16 allocs/op
-//	BenchmarkFig07_Avoidance/compatible     91 → 39 →  8 allocs/op
-//	BenchmarkSimThroughput/k=3,n=64        155 → 74 →  8 allocs/op
-//	BenchmarkSimThroughput/k=8,n=256       413 → 217 → 8 allocs/op
-//	BenchmarkSimThroughput/k=16,n=1024     876 → 502 → 9 allocs/op
-//
-// and at the sweep level (this benchmark, workers=1, -benchtime 20x):
-// 4542 → 2187 allocs/op, 551 → 206 KB/op, 1.61 → 0.70 ms/op — the
-// compile-once machine makes per-run allocations O(1) in steady state
-// (TestAllocGate* pins this). The batched-grid-execution pass
-// (column-batched sweep driver with per-span core.Runner, direct-mode
-// single-shard execution, policy-instance reuse, one-shot queue-buffer
-// growth) then took the same grid from 0.70 ms / 2187 allocs/op to
-// ~0.35 ms / 914 allocs/op steady-state — 2× end to end, ~6.4 allocs
-// per grid point. Planning the grid (one run per distinct machine and
-// effective config: this grid's 144 points are 54 executions) brought
-// it to 471 allocs/op, ~3.2 per grid point (TestAllocGateSweepBatch
-// pins that; BENCH_sweep.json carries the committed numbers). Identical
-// simulated cycle counts throughout: all refactors are
-// behavior-preserving; the engine-equivalence suite in internal/sim
-// and the planned-vs-per-point suite in internal/sweep enforce
-// byte-identical results.
+// -benchmem: the grid's 144 points are 54 distinct (machine, effective
+// config) executions, each column analysed once and replayed on a
+// retained core.Runner, so allocs/op is the figure that moves when a
+// per-run, per-point or per-analysis allocation comes back.
+// BENCH_sweep.json carries the committed allocs/op and B/op (CI compares
+// against it with tools/benchjson), TestAllocGateSweepBatch gates the
+// same grid at ~1.5× that per grid point, and the end-to-end view is
+// tools/perf's sweep-grid workload (ops_per_s, allocs_per_op,
+// sweep.us_per_point). Simulated cycle counts never change: the
+// engine-equivalence suite in internal/sim and the planned-vs-per-point
+// suite in internal/sweep enforce byte-identical results.
 func BenchmarkSweep(b *testing.B) {
 	f7 := systolic.Fig7Workload(systolic.Fig7Options{})
 	f8 := systolic.Fig8Workload()

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"systolic/internal/assign"
 	"systolic/internal/crossoff"
+	"systolic/internal/gen"
 	"systolic/internal/label"
 	"systolic/internal/model"
 	"systolic/internal/sim"
@@ -143,4 +145,45 @@ func TestSection8ModifiedLabelingRunsLookaheadPrograms(t *testing.T) {
 		t.Fatal("never found a lookahead-only program; test is vacuous")
 	}
 	t.Logf("validated %d lookahead-only programs", checked)
+}
+
+// TestLookaheadRelabelsStrictCompletePrograms settles whether one
+// strict analysis can stand in for a case's lookahead columns (ROADMAP
+// item 6(b)): it cannot. The generated program below is deadlock-free
+// under the strict procedure, so no lookahead run is ever stuck on it,
+// and still every lookahead budget labels it differently — lookahead
+// widens the set of executable pairs, the picker takes another order,
+// and rule 1d merges the labels of skipped messages — so the two
+// analyses compile to different machines. It is the common case, not a
+// corner: over gen seeds 1–3000 with one mutation, 3 852 of the 7 641
+// strict-complete (program, budget ∈ {1,2,4}) pairs differ like this.
+func TestLookaheadRelabelsStrictCompletePrograms(t *testing.T) {
+	sc, err := gen.Generate(1, gen.Options{Mutations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict, err := Analyze(sc.Program, sc.Topology, AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{7, 1, 1, 3, 7, 7, 5, 2, 6, 4, 5}; !strict.DeadlockFree || !slices.Equal(strict.Labeling.Dense, want) {
+		t.Fatalf("strict analysis: deadlock-free %v, labels %v, want %v", strict.DeadlockFree, strict.Labeling.Dense, want)
+	}
+	for _, k := range []int{1, 2, 4} {
+		for name, opts := range map[string]AnalyzeOptions{
+			"capacity":       {Lookahead: true, Capacity: k},
+			"uniform budget": {Lookahead: true, BudgetOverride: crossoff.UniformBudget(k)},
+		} {
+			la, err := Analyze(sc.Program, sc.Topology, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []int{4, 1, 1, 3, 4, 4, 4, 2, 4, 4, 4}; !la.DeadlockFree || !la.Strict || !slices.Equal(la.Labeling.Dense, want) {
+				t.Errorf("lookahead %d (%s): deadlock-free %v, strict %v, labels %v, want %v", k, name, la.DeadlockFree, la.Strict, la.Labeling.Dense, want)
+			}
+			if strict.SameMachine(la) {
+				t.Errorf("lookahead %d (%s): same machine as the strict analysis", k, name)
+			}
+		}
+	}
 }

@@ -1,0 +1,146 @@
+package crossoff
+
+import (
+	"runtime"
+	"strconv"
+	"testing"
+	"unsafe"
+
+	"systolic/internal/model"
+)
+
+// sortNetwork is the shape of the pipelined sorting network the analysis
+// gates scale: rounds of compare-exchange between neighbouring cells —
+// two one-word messages a pair — then, with collect, one message per
+// cell to the host, so cells, messages and ops all grow with width.
+func sortNetwork(t testing.TB, width, rounds int, collect bool) *model.Program {
+	t.Helper()
+	b := model.NewBuilder()
+	host := b.AddHost("Host")
+	cells := b.AddCells("C", width)
+	for r := 0; r < rounds; r++ {
+		for i := r % 2; i+1 < width; i += 2 {
+			left, right := cells[i], cells[i+1]
+			at := strconv.Itoa(r) + "." + strconv.Itoa(i)
+			e := b.DeclareMessage("E"+at, left, right, 1)
+			f := b.DeclareMessage("F"+at, right, left, 1)
+			b.Write(left, e).Read(left, f)
+			b.Read(right, e).Write(right, f)
+		}
+	}
+	for i := 0; collect && i < width; i++ {
+		v := b.DeclareMessage("V"+strconv.Itoa(i), cells[i], host, 1)
+		b.Write(cells[i], v).Read(host, v)
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestTrackerUpdatesLinearInOps is the clock-free gate on the pass's
+// bookkeeping: keeping the set of executable pairs up to date must cost
+// candidacy checks in proportion to the ops crossed, whatever the
+// width. A strict run checks the message at each of the two new fronts
+// per pair; a lookahead run re-examines the messages of the pair's two
+// cells — a constant without the host, whose degree is the width. A
+// tracker that rescans every message per pair checks width × ops of them.
+func TestTrackerUpdatesLinearInOps(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		collect bool
+		perOp   int
+	}{
+		{"strict", Options{}, true, 2},
+		{"lookahead", Options{Lookahead: true, Budget: UniformBudget(2)}, false, 12},
+	} {
+		for _, width := range []int{4000, 16000} {
+			p := sortNetwork(t, width, 4, tc.collect)
+			s, _ := cross(p, tc.opts, nil)
+			if s.left != 0 {
+				t.Fatalf("%s, width %d: %d ops left uncrossed", tc.name, width, s.left)
+			}
+			ops := p.TotalOps()
+			t.Logf("%s, width %d: %d candidacy checks for %d ops (%.2f each)", tc.name, width, s.updates, ops, float64(s.updates)/float64(ops))
+			if s.updates > tc.perOp*ops {
+				t.Errorf("%s, width %d: %d candidacy checks for %d ops, want ≤ %d per op", tc.name, width, s.updates, ops, tc.perOp)
+			}
+		}
+	}
+}
+
+// fanOut is a hub that writes words words to each of msgs receivers,
+// one message after the other. Under lookahead with a budget below
+// words, the probe for every message but the current one (and, on its
+// last word, the next) skips more writes of the current message than
+// rule R2 allows — and crossing a pair re-probes all of them.
+func fanOut(t testing.TB, msgs, words int) *model.Program {
+	t.Helper()
+	b := model.NewBuilder()
+	hub := b.AddCell("Hub")
+	for i := 0; i < msgs; i++ {
+		c := b.AddCell("C" + strconv.Itoa(i))
+		m := b.DeclareMessage("M"+strconv.Itoa(i), hub, c, words)
+		b.WriteN(hub, m, words).ReadN(c, m, words)
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestAllocGateFailedProbes: locate records skipped writes in the
+// state's scratch and only a pair that passes rule R2 copies them out,
+// so a lookahead run whose probes mostly fail allocates for the pairs
+// that carry skips — one per message here — not for the probes, of
+// which there are msgs per pair crossed.
+func TestAllocGateFailedProbes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const words = 4
+	for _, msgs := range []int{20, 40} {
+		p := fanOut(t, msgs, words)
+		opts := Options{Lookahead: true, Budget: UniformBudget(1)}
+		s, _ := cross(p, opts, nil)
+		if s.left != 0 {
+			t.Fatalf("%d messages: %d ops left uncrossed", msgs, s.left)
+		}
+		allocs := testing.AllocsPerRun(5, func() { Classify(p, opts) })
+		t.Logf("%d messages: %d probes, %v allocations", msgs, s.updates, allocs)
+		if budget := float64(16 + 4*msgs); allocs > budget {
+			t.Errorf("%d messages: %v allocations for %d probes, budget %v (a few per message)", msgs, allocs, s.updates, budget)
+		}
+	}
+}
+
+// TestClassifyKeepsNoOrder: Classify answers one bool, so it must not
+// materialise what Run reports — against a Run of the same program it
+// saves at least the order slice, one Pair per pair crossed.
+func TestClassifyKeepsNoOrder(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	p := sortNetwork(t, 4000, 4, true)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run := allocated(func() { Run(p, Options{}) })
+	classify := allocated(func() {
+		if !Classify(p, Options{}) {
+			t.Fatal("sorting network rejected")
+		}
+	})
+	order := uint64(p.TotalOps()/2) * uint64(unsafe.Sizeof(Pair{}))
+	t.Logf("Run allocates %d bytes, Classify %d; the order is %d", run, classify, order)
+	if classify+order > run {
+		t.Errorf("Classify allocates %d bytes against Run's %d: less than the order's %d apart", classify, run, order)
+	}
+}

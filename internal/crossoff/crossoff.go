@@ -30,6 +30,7 @@ package crossoff
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -160,6 +161,11 @@ type state struct {
 	// skipCount is withinBudget's per-message scratch, all zero between
 	// calls; allocated on the first budgeted skip set.
 	skipCount []int
+	// skips is candidateFor's scratch: locate records skipped writes
+	// here and only a pair that passes rule R2 copies them out, so a
+	// probe that fails allocates nothing.
+	skips   []Skip
+	updates int // tracker.update calls: the pass's clock-free cost, for tests
 }
 
 func newState(p *model.Program, opts Options) *state {
@@ -194,29 +200,28 @@ func (s *state) front(c model.CellID) (model.Op, int, bool) {
 
 // locate finds the earliest uncrossed op of the wanted kind on message
 // msg in cell c's program, subject to lookahead rules. It returns the
-// op index, the writes skipped to reach it, and whether it was found
-// within the rules.
-func (s *state) locate(c model.CellID, kind model.OpKind, msg model.MessageID) (int, []Skip, bool) {
+// op index and whether it was found within the rules, and appends the
+// writes skipped to reach it to s.skips.
+func (s *state) locate(c model.CellID, kind model.OpKind, msg model.MessageID) (int, bool) {
 	s.advance(c)
 	code := s.p.Code(c)
-	var skipped []Skip
 	for i := s.cursor[c]; i < len(code); i++ {
 		if s.crossed[s.off[c]+i] {
 			continue
 		}
 		op := code[i]
 		if op.Kind == kind && op.Msg == msg {
-			return i, skipped, true
+			return i, true
 		}
 		if !s.opts.Lookahead {
-			return 0, nil, false // strict: only the front qualifies
+			return 0, false // strict: only the front qualifies
 		}
 		if op.Kind == model.Read {
-			return 0, nil, false // rule R1: reads are never skipped
+			return 0, false // rule R1: reads are never skipped
 		}
-		skipped = append(skipped, Skip{Cell: c, Idx: i, Msg: op.Msg})
+		s.skips = append(s.skips, Skip{Cell: c, Idx: i, Msg: op.Msg})
 	}
-	return 0, nil, false
+	return 0, false
 }
 
 // withinBudget applies rule R2 to a candidate's skip set.
@@ -243,17 +248,18 @@ func (s *state) withinBudget(skipped []Skip) bool {
 // candidateFor builds the executable pair for message m, if one exists
 // under the current rules.
 func (s *state) candidateFor(m model.Message) (Pair, bool) {
-	wIdx, wSkips, ok := s.locate(m.Sender, model.Write, m.ID)
+	s.skips = s.skips[:0]
+	wIdx, ok := s.locate(m.Sender, model.Write, m.ID)
 	if !ok {
 		return Pair{}, false
 	}
-	rIdx, rSkips, ok := s.locate(m.Receiver, model.Read, m.ID)
-	if !ok {
+	rIdx, ok := s.locate(m.Receiver, model.Read, m.ID)
+	if !ok || !s.withinBudget(s.skips) {
 		return Pair{}, false
 	}
-	skipped := append(append([]Skip(nil), wSkips...), rSkips...)
-	if !s.withinBudget(skipped) {
-		return Pair{}, false
+	var skipped []Skip
+	if len(s.skips) > 0 {
+		skipped = slices.Clone(s.skips)
 	}
 	return Pair{
 		Msg:       m.ID,
@@ -358,6 +364,7 @@ func newTracker(s *state) *tracker {
 
 // update recomputes message i's candidacy.
 func (t *tracker) update(i int) {
+	t.s.updates++
 	pr, ok := t.s.candidateFor(t.msgs[i])
 	if ok != t.live[i] {
 		if ok {
@@ -478,13 +485,12 @@ func (h *minHeap) pop() int {
 	return v
 }
 
-// Run performs the crossing-off procedure one pair at a time until no
-// executable pair remains, and reports whether the program is
-// deadlock-free (§3.2).
-func Run(p *model.Program, opts Options) Result {
+// cross is the crossing-off loop: pick, observe, cross, update, until no
+// executable pair remains. The pairs are appended to order in the order
+// they were crossed, unless order is nil.
+func cross(p *model.Program, opts Options, order []Pair) (*state, []Pair) {
 	s := newState(p, opts)
 	t := newTracker(s)
-	order := make([]Pair, 0, s.left/2)
 	for s.left > 0 {
 		pr, ok := t.pick()
 		if !ok {
@@ -494,9 +500,19 @@ func Run(p *model.Program, opts Options) Result {
 			opts.Observer(pr)
 		}
 		s.cross(pr)
-		order = append(order, pr)
+		if order != nil {
+			order = append(order, pr)
+		}
 		t.crossed(pr)
 	}
+	return s, order
+}
+
+// Run performs the crossing-off procedure one pair at a time until no
+// executable pair remains, and reports whether the program is
+// deadlock-free (§3.2).
+func Run(p *model.Program, opts Options) Result {
+	s, order := cross(p, opts, make([]Pair, 0, p.TotalOps()/2))
 	return Result{
 		DeadlockFree: s.left == 0,
 		Order:        order,
@@ -505,10 +521,11 @@ func Run(p *model.Program, opts Options) Result {
 	}
 }
 
-// Classify is Run without trace bookkeeping concerns: it answers only
-// the deadlock-free question.
+// Classify answers only the deadlock-free question: the same pass as
+// Run, observer included, without the order and the blocked report.
 func Classify(p *model.Program, opts Options) bool {
-	return Run(p, opts).DeadlockFree
+	s, _ := cross(p, opts, nil)
+	return s.left == 0
 }
 
 // Round is one step of the simultaneous schedule: all pairs executable

@@ -230,10 +230,11 @@ func wideSpaceWidth(s string) int {
 }
 
 // countDeclarations counts the lines that start with "cell" and with
-// "message", to size the builder before the parse. It is a cheap
+// "message", and the '(' on the lines that start with "code" (one per
+// op), to size the builder before the parse. It is a cheap
 // over-approximation by prefix, not a parse: a miscount costs only
 // spare capacity or one regrowth.
-func countDeclarations(src string) (cells, messages int) {
+func countDeclarations(src string) (cells, messages, ops int) {
 	for rest, more := src, true; more; {
 		var line string
 		line, rest, more = strings.Cut(rest, "\n")
@@ -243,9 +244,11 @@ func countDeclarations(src string) (cells, messages int) {
 			cells++
 		case strings.HasPrefix(line, "message"):
 			messages++
+		case strings.HasPrefix(line, "code"):
+			ops += strings.Count(line, "(")
 		}
 	}
-	return cells, messages
+	return cells, messages, ops
 }
 
 func parseOp(tok string) (model.OpKind, string, error) {

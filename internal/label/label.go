@@ -240,6 +240,7 @@ type labeler struct {
 
 	warnings  []string
 	schemeErr error
+	visits    int // messages rules 1c and 1d looked at: clock-free cost, for tests
 }
 
 func newLabeler(p *model.Program) *labeler {
@@ -373,6 +374,7 @@ func (l *labeler) label(pr crossoff.Pair) {
 	// Steps 1c/1d share the label across the related class and
 	// the skipped-over messages. Rule 1d may have labeled some of the
 	// class already, one message at a time.
+	l.visits += len(l.classes.class(pr.Msg)) + len(pr.Skipped)
 	for _, other := range l.classes.class(pr.Msg) {
 		if !l.labeled[other] {
 			l.setLabel(model.MessageID(other), lab)
@@ -461,6 +463,7 @@ func CheckDense(p *model.Program, dense []int) error {
 type UnionFind struct {
 	parent []int
 	rank   []int
+	unions int // Union calls, for the cost tests
 }
 
 // NewUnionFind returns n singleton sets.
@@ -483,6 +486,7 @@ func (u *UnionFind) Find(x int) int {
 
 // Union merges the sets containing x and y.
 func (u *UnionFind) Union(x, y int) {
+	u.unions++
 	rx, ry := u.Find(x), u.Find(y)
 	if rx == ry {
 		return

@@ -153,6 +153,9 @@ type exec struct {
 	numPools int
 	queues   []queueInst         // pool p occupies [p*Q : (p+1)*Q]
 	pending  [][]model.MessageID // per pool, outstanding requests
+	// pendingBuf backs the pending lists: a pool's segment has room for
+	// its whole competing set, which its outstanding requests are among.
+	pendingBuf []model.MessageID
 
 	msgs     []msgState
 	hopQ     []*queueInst // flat backing for msgState.queues
@@ -358,6 +361,10 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 	q := opts.QueuesPerLink
 	e.numPools = tbl.numPools
 	e.queues = grow(e.queues, e.numPools*q)
+	// Queues that can be bound this run (see poolTable.binds) and lack a
+	// ring of its size are counted here and given one out of a single
+	// array below; a warm exec has them all.
+	ring, short := opts.Capacity+opts.ExtCapacity, 0
 	for i := range e.queues {
 		qi := &e.queues[i]
 		pool := i / q
@@ -377,10 +384,25 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 		qi.hop = 0
 		qi.cooling = false
 		qi.q.Init(opts.Capacity, opts.ExtCapacity, opts.ExtPenalty)
+		if qi.q.RingLen() < ring && tbl.binds(i, q) {
+			short++
+		}
+	}
+	if short > 0 {
+		rings := make([]Word, short*ring)
+		for i := range e.queues {
+			if qq := &e.queues[i].q; qq.RingLen() < ring && tbl.binds(i, q) {
+				qq.Provision(rings[:ring:ring])
+				rings = rings[ring:]
+			}
+		}
 	}
 	e.pending = grow(e.pending, e.numPools)
-	for i := range e.pending {
-		e.pending[i] = e.pending[i][:0]
+	e.pendingBuf = grow(e.pendingBuf, m.totalHops)
+	for p, at := 0, 0; p < e.numPools; p++ {
+		end := at + len(tbl.competingByPool[p])
+		e.pending[p] = e.pendingBuf[at:at:end]
+		at = end
 	}
 
 	totalHops := m.totalHops

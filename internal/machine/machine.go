@@ -307,6 +307,13 @@ type poolTable struct {
 	labelOrder [][]model.MessageID
 }
 
+// binds reports whether queue slot i of a run with q queues per pool can
+// ever be bound: a pool binds its lowest free queue, each to one hop of
+// its competing set, so it never reaches past that many queues.
+func (tbl *poolTable) binds(i, q int) bool {
+	return i%q < len(tbl.competingByPool[i/q])
+}
+
 // Machine is the immutable compiled form of one analyzed scenario.
 // Compile it once; Run it as many times as the parameter grid needs,
 // concurrently if desired.

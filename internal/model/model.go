@@ -82,7 +82,10 @@ type Cell struct {
 type Program struct {
 	cells    []Cell
 	messages []Message
-	code     [][]Op
+	// ops is every cell's code, cell after cell; cell c's is
+	// ops[off[c]:off[c+1]].
+	ops []Op
+	off []int
 
 	byName map[string]MessageID
 }
@@ -116,19 +119,14 @@ func (p *Program) MessageByName(name string) (Message, bool) {
 	return p.messages[id], true
 }
 
-// Code returns the op sequence of one cell. The returned slice must
-// not be modified.
-func (p *Program) Code(c CellID) []Op { return p.code[c] }
+// Code returns the op sequence of one cell: a view of the program's one
+// op array, clipped to the cell's segment. The returned slice must not
+// be modified.
+func (p *Program) Code(c CellID) []Op { return p.ops[p.off[c]:p.off[c+1]:p.off[c+1]] }
 
 // TotalOps returns the total number of read and write operations in
 // the program.
-func (p *Program) TotalOps() int {
-	n := 0
-	for _, ops := range p.code {
-		n += len(ops)
-	}
-	return n
-}
+func (p *Program) TotalOps() int { return len(p.ops) }
 
 // OpString formats an op using the program's message names, e.g.
 // "W(XA)".
@@ -140,9 +138,9 @@ func (p *Program) OpString(op Op) string {
 // paper's figures.
 func (p *Program) String() string {
 	var b strings.Builder
-	for c, ops := range p.code {
+	for c := range p.cells {
 		fmt.Fprintf(&b, "%s:", p.cells[c].Name)
-		for _, op := range ops {
+		for _, op := range p.Code(CellID(c)) {
 			b.WriteByte(' ')
 			b.WriteString(p.OpString(op))
 		}
@@ -155,19 +153,13 @@ func (p *Program) String() string {
 // Program, but generators that derive variants (e.g. mutation-based
 // deadlock injection in internal/verify) start from a clone.
 func (p *Program) Clone() *Program {
-	q := &Program{
-		cells:    append([]Cell(nil), p.cells...),
-		messages: append([]Message(nil), p.messages...),
-		code:     make([][]Op, len(p.code)),
-		byName:   make(map[string]MessageID, len(p.byName)),
+	return &Program{
+		cells:    slices.Clone(p.cells),
+		messages: slices.Clone(p.messages),
+		ops:      slices.Clone(p.ops),
+		off:      slices.Clone(p.off),
+		byName:   maps.Clone(p.byName),
 	}
-	for i, ops := range p.code {
-		q.code[i] = append([]Op(nil), ops...)
-	}
-	for k, v := range p.byName {
-		q.byName[k] = v
-	}
-	return q
 }
 
 // Builder assembles a Program incrementally and validates it on Build.
@@ -175,36 +167,53 @@ func (p *Program) Clone() *Program {
 //
 // The builder owns the two name tables of a program under construction
 // (cell names and message names; CellByName and MessageByName read
-// them), keeps code as one slice per cell, and every mutation is O(1)
-// amortized, so assembling a program is linear in its size. Build hands
-// the builder's storage to the Program instead of copying it; the first
-// mutation after a successful Build copies that storage back first, so
-// a built Program never changes and Build can be called again.
+// them) and keeps the code as a log: every op in the order it was
+// appended, whichever cell it belongs to, in chunks that are never
+// copied as the log grows — O(1) amortized per op, O(log ops)
+// allocations per program. Build lays the log out cell by cell in one
+// array — or, when the ops arrived in that order in one chunk (the DSL
+// parser's case), hands the chunk over as it is, with the declarations;
+// the first mutation after a successful Build copies that storage back,
+// so a built Program never changes and Build can be called again.
 type Builder struct {
 	cells    []Cell
 	messages []Message
-	code     [][]Op // indexed by CellID, grown with cells
+	log      [][]Op // every op, in append order
+	runs     []run  // which cell appended each stretch of the log
+	logged   int    // ops in log
+	words    int    // declared words of all messages: a valid program has twice as many ops
 	cellID   map[string]CellID
 	byName   map[string]MessageID
 	err      error // first declaration error; Build reports it
-	// shared is set once Build has handed cells, messages, code and
-	// byName to a Program; own undoes it before the next mutation.
+	// shared is set once Build has handed cells, messages, byName and
+	// possibly the log's chunk to a Program; own undoes it before the
+	// next mutation.
 	shared bool
 }
+
+// run is a stretch of n consecutive log entries appended to one cell.
+type run struct {
+	cell CellID
+	n    int
+}
+
+// minChunk is the room, in ops, of a log chunk of unknown need.
+const minChunk = 64
 
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder { return new(Builder) }
 
 // NewSizedBuilder returns an empty builder with room for the given
-// number of cells and messages, for callers (the DSL parser) that can
-// count their declarations up front: exact counts make Build's
+// number of cells, messages and ops, for callers (the DSL parser) that
+// can count their declarations up front: exact counts make Build's
 // hand-over exact-length, with no append slack for the Program to
-// retain. The counts are hints; exceeding them is not an error.
-func NewSizedBuilder(cells, messages int) *Builder {
+// retain, and an op count that is not too low keeps the code in one
+// chunk. The counts are hints; exceeding them is not an error.
+func NewSizedBuilder(cells, messages, ops int) *Builder {
 	b := new(Builder)
 	if cells > 0 {
 		b.cells = make([]Cell, 0, cells)
-		b.code = make([][]Op, 0, cells)
+		b.runs = make([]run, 0, cells) // a parsed cell's code arrives in one stretch
 		b.cellID = make(map[string]CellID, cells)
 	}
 	// A program without messages keeps a nil message slice, as one
@@ -212,6 +221,9 @@ func NewSizedBuilder(cells, messages int) *Builder {
 	if messages > 0 {
 		b.messages = make([]Message, 0, messages)
 		b.byName = make(map[string]MessageID, messages)
+	}
+	if ops > 0 {
+		b.log = [][]Op{make([]Op, 0, ops)}
 	}
 	return b
 }
@@ -235,9 +247,8 @@ func (b *Builder) unshare() {
 	b.shared = false
 	b.cells = slices.Clone(b.cells)
 	b.messages = slices.Clone(b.messages)
-	b.code = slices.Clone(b.code)
-	for c, ops := range b.code {
-		b.code[c] = slices.Clone(ops)
+	if len(b.log) == 1 {
+		b.log[0] = slices.Clone(b.log[0]) // a lone chunk may be the Program's op array
 	}
 	b.byName = maps.Clone(b.byName)
 }
@@ -263,7 +274,6 @@ func (b *Builder) addCell(name string, host bool) CellID {
 	}
 	id := CellID(len(b.cells))
 	b.cells = append(b.cells, Cell{ID: id, Name: name, Host: host})
-	b.code = append(b.code, nil)
 	// One hash of the name, not a lookup and then a store: a store
 	// that does not grow the table overwrote an earlier declaration.
 	before := len(b.cellID)
@@ -322,19 +332,47 @@ func (b *Builder) DeclareMessage(name string, sender, receiver CellID, words int
 		b.fail("model: message %q: sender and receiver are both cell %d", name, sender)
 	}
 	b.messages = append(b.messages, Message{ID: id, Name: name, Sender: sender, Receiver: receiver, Words: words})
+	b.words += max(words, 0)
 	return id
 }
 
 // declared reports whether c is a declared cell, recording the builder
-// error for an op on one that is not: code is stored per declared cell,
-// so such an op has nowhere to go, and dropping it silently would
-// surface later as an unrelated word-count mismatch.
+// error for an op on one that is not: a Program has code only for its
+// declared cells, so such an op has nowhere to go, and dropping it
+// silently would surface later as an unrelated word-count mismatch.
 func (b *Builder) declared(c CellID) bool {
-	if c < 0 || int(c) >= len(b.code) {
+	if c < 0 || int(c) >= len(b.cells) {
 		b.fail("model: op on undeclared cell %d", c)
 		return false
 	}
 	return true
+}
+
+// extend logs n more ops for cell c and returns the first stretch of
+// them for the caller to fill: what the log's last chunk has room for,
+// starting a new chunk when it has none. A new chunk at most doubles
+// the log and takes no more than the declared messages still call for:
+// exact for a valid program, never sized on a declaration alone.
+func (b *Builder) extend(c CellID, n int) []Op {
+	last := len(b.log) - 1
+	if last < 0 || len(b.log[last]) == cap(b.log[last]) {
+		room := max(b.logged, minChunk)
+		if rest := 2*b.words - b.logged; rest > 0 {
+			room = min(room, rest)
+		}
+		b.log = append(b.log, make([]Op, 0, max(n, room)))
+		last++
+	}
+	chunk := b.log[last]
+	n = min(n, cap(chunk)-len(chunk))
+	b.log[last] = chunk[:len(chunk)+n]
+	b.logged += n
+	if k := len(b.runs) - 1; k >= 0 && b.runs[k].cell == c {
+		b.runs[k].n += n
+	} else {
+		b.runs = append(b.runs, run{c, n})
+	}
+	return chunk[len(chunk) : len(chunk)+n]
 }
 
 // AppendOps appends ops, in order, to cell c's program: the bulk form
@@ -342,7 +380,9 @@ func (b *Builder) declared(c CellID) bool {
 func (b *Builder) AppendOps(c CellID, ops []Op) *Builder {
 	b.own()
 	if b.declared(c) {
-		b.code[c] = append(b.code[c], ops...)
+		for len(ops) > 0 {
+			ops = ops[copy(b.extend(c, len(ops)), ops):]
+		}
 	}
 	return b
 }
@@ -372,13 +412,49 @@ func (b *Builder) ReadN(c CellID, msg MessageID, n int) *Builder {
 func (b *Builder) repeat(c CellID, op Op, n int) *Builder {
 	b.own()
 	if n > 0 && b.declared(c) {
-		ops := slices.Grow(b.code[c], n)
-		for ; n > 0; n-- {
-			ops = append(ops, op)
+		for n > 0 {
+			stretch := b.extend(c, n)
+			for i := range stretch {
+				stretch[i] = op
+			}
+			n -= len(stretch)
 		}
-		b.code[c] = ops
 	}
 	return b
+}
+
+// layout returns the program's op array and each cell's offset in it:
+// the log's one chunk when the ops arrived cell by cell in cell order,
+// otherwise a new array of exactly the log's size, gathered by cell.
+func (b *Builder) layout() (ops []Op, off []int) {
+	off = make([]int, len(b.cells)+1)
+	inOrder := len(b.log) <= 1
+	for i, r := range b.runs {
+		off[r.cell+1] += r.n
+		inOrder = inOrder && (i == 0 || b.runs[i-1].cell < r.cell)
+	}
+	for c := range b.cells {
+		off[c+1] += off[c]
+	}
+	if inOrder {
+		if b.logged > 0 {
+			ops = b.log[0][:b.logged:b.logged]
+		}
+		return ops, off
+	}
+	ops = make([]Op, b.logged)
+	next := slices.Clone(off[:len(b.cells)])
+	chunk, at := 0, 0
+	for _, r := range b.runs {
+		for n := r.n; n > 0; {
+			if at == len(b.log[chunk]) {
+				chunk, at = chunk+1, 0
+			}
+			k := copy(ops[next[r.cell]:next[r.cell]+n], b.log[chunk][at:])
+			next[r.cell], at, n = next[r.cell]+k, at+k, n-k
+		}
+	}
+	return ops, off
 }
 
 // Build validates and freezes the program. Validation enforces the
@@ -390,7 +466,7 @@ func (b *Builder) repeat(c CellID, op Op, n int) *Builder {
 //     declared word count (each op moves exactly one word);
 //   - cell and message references are in range.
 //
-// On success the Program takes over the builder's slices and its
+// On success the Program takes over the builder's declarations and its
 // message-name table without a copy (see Builder).
 func (b *Builder) Build() (*Program, error) {
 	if b.err != nil {
@@ -401,8 +477,9 @@ func (b *Builder) Build() (*Program, error) {
 	}
 	writes := make([]int, len(b.messages))
 	reads := make([]int, len(b.messages))
-	for c, ops := range b.code {
-		for i, op := range ops {
+	ops, off := b.layout()
+	for c := range b.cells {
+		for i, op := range ops[off[c]:off[c+1]] {
 			if int(op.Msg) < 0 || int(op.Msg) >= len(b.messages) {
 				return nil, fmt.Errorf("model: cell %s op %d references unknown message %d", b.cells[c].Name, i, op.Msg)
 			}
@@ -437,7 +514,7 @@ func (b *Builder) Build() (*Program, error) {
 		b.byName = make(map[string]MessageID)
 	}
 	b.shared = true
-	return &Program{cells: b.cells, messages: b.messages, code: b.code, byName: b.byName}, nil
+	return &Program{cells: b.cells, messages: b.messages, ops: ops, off: off, byName: b.byName}, nil
 }
 
 // MustBuild is Build that panics on error; for tests and fixed example

@@ -194,7 +194,7 @@ func TestAddCellsNames(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	p := twoCell(t)
 	q := p.Clone()
-	q.code[0][0] = Op{Kind: Read, Msg: 0}
+	q.ops[0] = Op{Kind: Read, Msg: 0}
 	if p.Code(0)[0].Kind != Write {
 		t.Fatal("Clone shares op storage with original")
 	}
@@ -304,7 +304,7 @@ func TestZeroBuilderIsUsable(t *testing.T) {
 // TestBuilderLookups: the builder's name tables answer for what has
 // been declared so far — they are what the DSL parser resolves against.
 func TestBuilderLookups(t *testing.T) {
-	b := NewSizedBuilder(2, 1)
+	b := NewSizedBuilder(2, 1, 2)
 	if _, ok := b.CellByName("C1"); ok {
 		t.Fatal("empty builder knows C1")
 	}
@@ -340,7 +340,7 @@ func TestBuildHandsOverAndStaysRepeatable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &p1.cells[0] != &b.cells[0] || &p1.code[0][0] != &b.code[0][0] {
+	if &p1.cells[0] != &b.cells[0] || &p1.ops[0] != &b.log[0][0] {
 		t.Error("Build copied the builder's storage instead of handing it over")
 	}
 	p1again, err := b.Build()
@@ -370,7 +370,7 @@ func TestBuildHandsOverAndStaysRepeatable(t *testing.T) {
 	if p2.NumCells() != 3 || p2.NumMessages() != 2 || len(p2.Code(c2)) != 3 || p2.TotalOps() != 6 {
 		t.Errorf("second Build lost or duplicated declarations:\n%v", p2)
 	}
-	if &p2.cells[0] == &p1.cells[0] || &p2.code[0][0] == &p1.code[0][0] {
+	if &p2.cells[0] == &p1.cells[0] || &p2.ops[0] == &p1.ops[0] {
 		t.Error("the second program shares storage with the first")
 	}
 }

@@ -9,10 +9,11 @@
 //     penalty.
 //
 // A Queue stores its words in a ring: Push and Pop are O(1) and move no
-// other word. The ring's storage grows lazily — the first Push that
-// finds it full while smaller than capacity + extension allocates the
-// full size at once — and Init keeps it, whatever the new capacity, so
-// a queue that is reinitialized run after run (the simulator's pooled
+// other word. The ring's storage is handed over by the queue's owner
+// (Provision) or grows lazily — the first Push that finds it full while
+// smaller than capacity + extension allocates the full size at once —
+// and Init keeps it, whatever the new capacity, so a queue that is
+// reinitialized run after run (the simulator's pooled
 // state, with the capacity varying per run) allocates at most when a
 // run actually buffers more words than any run before it.
 package queue
@@ -83,6 +84,13 @@ func (q *Queue) Init(capacity, ext, extPenalty int) {
 	q.cooldown = 0
 	q.stats = Stats{}
 }
+
+// RingLen returns how many words the ring's storage holds; Push
+// allocates only to go beyond it.
+func (q *Queue) RingLen() int { return len(q.buf) }
+
+// Provision replaces the storage of an empty queue's ring.
+func (q *Queue) Provision(ring []Word) { q.buf, q.head = ring, 0 }
 
 // Capacity returns the base capacity.
 func (q *Queue) Capacity() int { return q.capacity }

@@ -188,3 +188,49 @@ func TestTickNMatchesRepeatedTick(t *testing.T) {
 		}
 	}
 }
+
+// TestProvisionedRing: a queue handed its ring uses it — words wrap
+// around inside the caller's array and nowhere else — keeps it across
+// Init, and falls back to growing its own when a later Init asks for
+// more words than the ring holds.
+func TestProvisionedRing(t *testing.T) {
+	backing := make([]Word, 6)
+	q := New(2, 1, 0)
+	q.Provision(backing[2:5:5])
+	if q.RingLen() != 3 {
+		t.Fatalf("RingLen = %d, want 3", q.RingLen())
+	}
+	next := Word(1)
+	for round := 0; round < 5; round++ {
+		for q.CanAccept() {
+			q.Push(next)
+			next++
+		}
+		if q.Len() != 3 || q.Pop() != next-3 || q.Pop() != next-2 {
+			t.Fatalf("round %d: queue lost its order", round)
+		}
+	}
+	if backing[0] != 0 || backing[1] != 0 || backing[5] != 0 {
+		t.Errorf("words written outside the provisioned ring: %v", backing)
+	}
+	if backing[2] == 0 || backing[3] == 0 || backing[4] == 0 {
+		t.Errorf("provisioned ring not used: %v", backing)
+	}
+	q.Init(5, 0, 0)
+	if q.RingLen() != 3 {
+		t.Fatalf("Init dropped the ring: RingLen = %d", q.RingLen())
+	}
+	for w := Word(1); w <= 5; w++ {
+		if !q.Push(w) {
+			t.Fatalf("push %v refused below capacity", w)
+		}
+	}
+	for w := Word(1); w <= 5; w++ {
+		if got := q.Pop(); got != w {
+			t.Fatalf("popped %v, want %v", got, w)
+		}
+	}
+	if q.RingLen() != 5 {
+		t.Errorf("RingLen = %d after outgrowing the ring, want 5", q.RingLen())
+	}
+}

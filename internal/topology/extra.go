@@ -10,7 +10,7 @@ import (
 // with dimension-ordered routing that takes the shorter way around
 // each dimension, ties broken toward increasing coordinates.
 func Torus2D(rows, cols int) Topology {
-	g := &graph{name: fmt.Sprintf("torus(%dx%d)", rows, cols), n: rows * cols, linkAt: make(map[[2]model.CellID]LinkID)}
+	g := newGraph(fmt.Sprintf("torus(%dx%d)", rows, cols), rows*cols)
 	id := func(r, c int) model.CellID { return model.CellID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -33,11 +33,9 @@ func Torus2D(rows, cols int) Topology {
 		}
 		return (cur - 1 + size) % size
 	}
-	g.routeFn = func(g *graph, from, to model.CellID) ([]Hop, error) {
-		fr, fc := int(from)/cols, int(from)%cols
+	return g.seal(stateless(func(path []model.CellID, from, to model.CellID) ([]model.CellID, error) {
+		r, c := int(from)/cols, int(from)%cols
 		tr, tc := int(to)/cols, int(to)%cols
-		path := []model.CellID{from}
-		r, c := fr, fc
 		for c != tc { // X dimension first
 			c = step(c, tc, cols)
 			path = append(path, id(r, c))
@@ -46,9 +44,8 @@ func Torus2D(rows, cols int) Topology {
 			r = step(r, tr, rows)
 			path = append(path, id(r, c))
 		}
-		return g.hopsAlong(path)
-	}
-	return g
+		return path, nil
+	}))
 }
 
 // Hypercube returns a 2^dim-cell hypercube with e-cube (dimension
@@ -56,14 +53,13 @@ func Torus2D(rows, cols int) Topology {
 // Cosmic Cube machines the paper contrasts with (§1, refs 6 and 11).
 func Hypercube(dim int) Topology {
 	n := 1 << dim
-	g := &graph{name: fmt.Sprintf("hypercube(%d)", dim), n: n, linkAt: make(map[[2]model.CellID]LinkID)}
+	g := newGraph(fmt.Sprintf("hypercube(%d)", dim), n)
 	for c := 0; c < n; c++ {
 		for d := 0; d < dim; d++ {
 			g.addLink(model.CellID(c), model.CellID(c^(1<<d)))
 		}
 	}
-	g.routeFn = func(g *graph, from, to model.CellID) ([]Hop, error) {
-		path := []model.CellID{from}
+	return g.seal(stateless(func(path []model.CellID, from, to model.CellID) ([]model.CellID, error) {
 		cur := int(from)
 		for cur != int(to) {
 			diff := cur ^ int(to)
@@ -71,23 +67,21 @@ func Hypercube(dim int) Topology {
 			cur ^= bit
 			path = append(path, model.CellID(cur))
 		}
-		return g.hopsAlong(path)
-	}
-	return g
+		return path, nil
+	}))
 }
 
 // Star returns a hub-and-spoke topology: cell 0 is the hub, cells
 // 1..n-1 are leaves; leaf-to-leaf routes pass through the hub.
 func Star(n int) Topology {
-	g := &graph{name: fmt.Sprintf("star(%d)", n), n: n, linkAt: make(map[[2]model.CellID]LinkID)}
+	g := newGraph(fmt.Sprintf("star(%d)", n), n)
 	for c := 1; c < n; c++ {
 		g.addLink(0, model.CellID(c))
 	}
-	g.routeFn = func(g *graph, from, to model.CellID) ([]Hop, error) {
-		if from == 0 || to == 0 {
-			return g.hopsAlong([]model.CellID{from, to})
+	return g.seal(stateless(func(path []model.CellID, from, to model.CellID) ([]model.CellID, error) {
+		if from != 0 && to != 0 {
+			path = append(path, 0)
 		}
-		return g.hopsAlong([]model.CellID{from, 0, to})
-	}
-	return g
+		return append(path, to), nil
+	}))
 }

@@ -10,7 +10,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"systolic/internal/model"
 )
@@ -50,13 +52,34 @@ type Topology interface {
 	Name() string
 }
 
-// graph is the shared implementation: adjacency plus a routing policy.
+// graph is the shared implementation: links, a per-cell adjacency table
+// to look them up in, and a routing policy.
 type graph struct {
-	name    string
-	n       int
-	links   []Link
-	linkAt  map[[2]model.CellID]LinkID
-	routeFn func(g *graph, from, to model.CellID) ([]Hop, error)
+	name  string
+	n     int
+	links []Link
+	// linkAt dedupes links while a constructor adds them; seal drops it.
+	linkAt map[[2]model.CellID]LinkID
+	// Cell c's neighbours are adj[adjOff[c]:adjOff[c+1]], ascending.
+	adj    []neighbour
+	adjOff []int32
+	// newPather returns the routing policy with its scratch. A graph is
+	// shared by every goroutine that routes over it, so the scratch is
+	// the caller's: Route makes a pather per call, Routes one per program.
+	newPather func() pather
+}
+
+// neighbour is an adjacent cell and the link to it; 32-bit fields halve
+// the table, and a topology outgrows memory long before it outgrows them.
+type neighbour struct{ cell, link int32 }
+
+// A pather appends to path the cells a route visits after from, ending
+// with to; both are in range and differ. It allocates nothing beyond
+// growing path.
+type pather func(path []model.CellID, from, to model.CellID) ([]model.CellID, error)
+
+func newGraph(name string, n int) *graph {
+	return &graph{name: name, n: n, linkAt: make(map[[2]model.CellID]LinkID)}
 }
 
 func (g *graph) NumCells() int { return g.n }
@@ -76,16 +99,64 @@ func (g *graph) addLink(a, b model.CellID) {
 	g.linkAt[key] = id
 }
 
+// seal ends construction: it builds the adjacency table from the links,
+// count-then-fill into one array, and installs the routing policy.
+func (g *graph) seal(newPather func() pather) Topology {
+	g.linkAt = nil
+	// off[c+1] counts cell c's links, then holds the beginning of its
+	// segment, and the fill advances it to the segment's end — which is
+	// where cell c+1's begins.
+	off := make([]int32, g.n+1)
+	for _, l := range g.links {
+		off[l.A+1]++
+		off[l.B+1]++
+	}
+	for c, at := 0, int32(0); c < g.n; c++ {
+		off[c+1], at = at, at+off[c+1]
+	}
+	g.adj = make([]neighbour, 2*len(g.links))
+	for _, l := range g.links {
+		g.adj[off[l.A+1]] = neighbour{int32(l.B), int32(l.ID)}
+		off[l.A+1]++
+		g.adj[off[l.B+1]] = neighbour{int32(l.A), int32(l.ID)}
+		off[l.B+1]++
+	}
+	g.adjOff = off
+	for c := 0; c < g.n; c++ {
+		slices.SortFunc(g.adj[g.adjOff[c]:g.adjOff[c+1]], func(a, b neighbour) int { return cmp.Compare(a.cell, b.cell) })
+	}
+	g.newPather = newPather
+	return g
+}
+
+// stateless is the newPather of a policy that keeps no scratch.
+func stateless(p pather) func() pather { return func() pather { return p } }
+
 // linkBetween returns the link joining a and b, if adjacent.
 func (g *graph) linkBetween(a, b model.CellID) (LinkID, bool) {
-	if a > b {
-		a, b = b, a
+	nbrs := g.adj[g.adjOff[a]:g.adjOff[a+1]]
+	i, ok := slices.BinarySearchFunc(nbrs, int32(b), func(n neighbour, c int32) int { return cmp.Compare(n.cell, c) })
+	if !ok {
+		return 0, false
 	}
-	id, ok := g.linkAt[[2]model.CellID{a, b}]
-	return id, ok
+	return LinkID(nbrs[i].link), true
 }
 
 func (g *graph) Route(from, to model.CellID) ([]Hop, error) {
+	path, err := g.path(g.newPather(), nil, from, to)
+	if err != nil {
+		return nil, err
+	}
+	hops := make([]Hop, len(path)-1)
+	if err := g.fillHops(hops, path); err != nil {
+		return nil, err
+	}
+	return hops, nil
+}
+
+// path validates the endpoints and returns the cells of the route, from
+// first, in path's storage.
+func (g *graph) path(route pather, path []model.CellID, from, to model.CellID) ([]model.CellID, error) {
 	if err := g.check(from); err != nil {
 		return nil, err
 	}
@@ -95,7 +166,7 @@ func (g *graph) Route(from, to model.CellID) ([]Hop, error) {
 	if from == to {
 		return nil, fmt.Errorf("topology: route from cell %d to itself", from)
 	}
-	return g.routeFn(g, from, to)
+	return route(append(path[:0], from), from, to)
 }
 
 func (g *graph) check(c model.CellID) error {
@@ -105,70 +176,93 @@ func (g *graph) check(c model.CellID) error {
 	return nil
 }
 
-// hopsAlong converts a cell path into hops, validating adjacency.
-func (g *graph) hopsAlong(path []model.CellID) ([]Hop, error) {
-	hops := make([]Hop, 0, len(path)-1)
-	for i := 0; i+1 < len(path); i++ {
+// fillHops converts a cell path into its len(path)-1 hops, validating
+// adjacency.
+func (g *graph) fillHops(hops []Hop, path []model.CellID) error {
+	for i := range hops {
 		id, ok := g.linkBetween(path[i], path[i+1])
 		if !ok {
-			return nil, fmt.Errorf("topology: cells %d and %d not adjacent", path[i], path[i+1])
+			return fmt.Errorf("topology: cells %d and %d not adjacent", path[i], path[i+1])
 		}
-		hops = append(hops, Hop{Link: id, From: path[i], To: path[i+1]})
+		hops[i] = Hop{Link: id, From: path[i], To: path[i+1]}
 	}
-	return hops, nil
+	return nil
+}
+
+// routes is Routes over a graph: one pather, one path buffer and one
+// hop array for the program. A first pass sizes the array exactly, the
+// second fills it; a route is a view of its segment, clipped so that
+// appending to it cannot reach the next.
+func (g *graph) routes(p *model.Program) ([][]Hop, error) {
+	route, msgs := g.newPather(), p.Messages()
+	off := make([]int, len(msgs)+1)
+	var path []model.CellID
+	for i, m := range msgs {
+		var err error
+		if path, err = g.path(route, path, m.Sender, m.Receiver); err != nil {
+			return nil, fmt.Errorf("topology: message %s: %w", m.Name, err)
+		}
+		off[i+1] = off[i] + len(path) - 1
+	}
+	flat := make([]Hop, off[len(msgs)])
+	routes := make([][]Hop, len(msgs))
+	for i, m := range msgs {
+		path, _ = g.path(route, path, m.Sender, m.Receiver)
+		routes[i] = flat[off[i]:off[i+1]:off[i+1]]
+		if err := g.fillHops(routes[i], path); err != nil {
+			return nil, fmt.Errorf("topology: message %s: %w", m.Name, err)
+		}
+	}
+	return routes, nil
 }
 
 // Linear returns a 1-D array of n cells 0—1—…—n-1. Minimum-length
 // routes are the only routes, so the intervals a message crosses are
 // completely determined by its endpoints (§2.3).
 func Linear(n int) Topology {
-	g := &graph{name: fmt.Sprintf("linear(%d)", n), n: n, linkAt: make(map[[2]model.CellID]LinkID)}
+	g := newGraph(fmt.Sprintf("linear(%d)", n), n)
 	for i := 0; i+1 < n; i++ {
 		g.addLink(model.CellID(i), model.CellID(i+1))
 	}
-	g.routeFn = func(g *graph, from, to model.CellID) ([]Hop, error) {
+	return g.seal(stateless(func(path []model.CellID, from, to model.CellID) ([]model.CellID, error) {
 		step := model.CellID(1)
 		if to < from {
 			step = -1
 		}
-		path := []model.CellID{from}
 		for c := from; c != to; {
 			c += step
 			path = append(path, c)
 		}
-		return g.hopsAlong(path)
-	}
-	return g
+		return path, nil
+	}))
 }
 
 // Ring returns a ring of n cells; routes take the shorter arc,
 // breaking ties clockwise (increasing cell id).
 func Ring(n int) Topology {
-	g := &graph{name: fmt.Sprintf("ring(%d)", n), n: n, linkAt: make(map[[2]model.CellID]LinkID)}
+	g := newGraph(fmt.Sprintf("ring(%d)", n), n)
 	for i := 0; i < n; i++ {
 		g.addLink(model.CellID(i), model.CellID((i+1)%n))
 	}
-	g.routeFn = func(g *graph, from, to model.CellID) ([]Hop, error) {
+	return g.seal(stateless(func(path []model.CellID, from, to model.CellID) ([]model.CellID, error) {
 		cw := (int(to) - int(from) + n) % n
 		ccw := n - cw
 		step := 1
 		if ccw < cw {
 			step = -1
 		}
-		path := []model.CellID{from}
 		for c := int(from); model.CellID(c) != to; {
 			c = (c + step + n) % n
 			path = append(path, model.CellID(c))
 		}
-		return g.hopsAlong(path)
-	}
-	return g
+		return path, nil
+	}))
 }
 
 // Mesh2D returns a rows×cols mesh with deterministic XY (row-first)
 // dimension-ordered routing. Cell (r,c) has id r*cols+c.
 func Mesh2D(rows, cols int) Topology {
-	g := &graph{name: fmt.Sprintf("mesh(%dx%d)", rows, cols), n: rows * cols, linkAt: make(map[[2]model.CellID]LinkID)}
+	g := newGraph(fmt.Sprintf("mesh(%dx%d)", rows, cols), rows*cols)
 	id := func(r, c int) model.CellID { return model.CellID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -180,11 +274,9 @@ func Mesh2D(rows, cols int) Topology {
 			}
 		}
 	}
-	g.routeFn = func(g *graph, from, to model.CellID) ([]Hop, error) {
-		fr, fc := int(from)/cols, int(from)%cols
+	return g.seal(stateless(func(path []model.CellID, from, to model.CellID) ([]model.CellID, error) {
+		r, c := int(from)/cols, int(from)%cols
 		tr, tc := int(to)/cols, int(to)%cols
-		path := []model.CellID{from}
-		r, c := fr, fc
 		for c != tc { // X first
 			if c < tc {
 				c++
@@ -201,70 +293,75 @@ func Mesh2D(rows, cols int) Topology {
 			}
 			path = append(path, id(r, c))
 		}
-		return g.hopsAlong(path)
-	}
-	return g
+		return path, nil
+	}))
 }
 
 // Graph returns an arbitrary topology from an explicit edge list, with
-// BFS shortest-path routing (ties broken toward lower-id neighbors, so
-// routes are deterministic).
+// BFS shortest-path routing (a cell's neighbours are tried in the order
+// the edge list first names them, so routes are deterministic). A
+// pather keeps the tree of every sender it has routed from: a program's
+// routes cost one search per distinct sender.
 func Graph(n int, edges [][2]model.CellID) Topology {
-	g := &graph{name: fmt.Sprintf("graph(%d cells, %d edges)", n, len(edges)), n: n, linkAt: make(map[[2]model.CellID]LinkID)}
+	g := newGraph(fmt.Sprintf("graph(%d cells, %d edges)", n, len(edges)), n)
 	for _, e := range edges {
 		g.addLink(e[0], e[1])
 	}
-	adj := make([][]model.CellID, n)
+	order := make([][]model.CellID, n) // neighbours in link order, the BFS visiting order
 	for _, l := range g.links {
-		adj[l.A] = append(adj[l.A], l.B)
-		adj[l.B] = append(adj[l.B], l.A)
+		order[l.A] = append(order[l.A], l.B)
+		order[l.B] = append(order[l.B], l.A)
 	}
-	g.routeFn = func(g *graph, from, to model.CellID) ([]Hop, error) {
-		prev := make([]model.CellID, n)
-		seen := make([]bool, n)
-		for i := range prev {
-			prev[i] = -1
-		}
-		queue := []model.CellID{from}
-		seen[from] = true
-		for len(queue) > 0 && !seen[to] {
-			c := queue[0]
-			queue = queue[1:]
-			for _, nb := range adj[c] {
-				if !seen[nb] {
-					seen[nb] = true
-					prev[nb] = c
-					queue = append(queue, nb)
+	return g.seal(func() pather {
+		// trees[s][c] is the cell before c on the route from s, -1 where
+		// the search from s did not reach.
+		trees := make(map[model.CellID][]model.CellID)
+		var queue []model.CellID
+		return func(path []model.CellID, from, to model.CellID) ([]model.CellID, error) {
+			prev, ok := trees[from]
+			if !ok {
+				prev = make([]model.CellID, n)
+				for i := range prev {
+					prev[i] = -1
 				}
+				prev[from] = from
+				queue = append(queue[:0], from)
+				for head := 0; head < len(queue); head++ {
+					for _, nb := range order[queue[head]] {
+						if prev[nb] < 0 {
+							prev[nb] = queue[head]
+							queue = append(queue, nb)
+						}
+					}
+				}
+				trees[from] = prev
 			}
-		}
-		if !seen[to] {
-			return nil, fmt.Errorf("topology: no path from cell %d to cell %d", from, to)
-		}
-		var rev []model.CellID
-		for c := to; c != -1; c = prev[c] {
-			rev = append(rev, c)
-			if c == from {
-				break
+			if prev[to] < 0 {
+				return nil, fmt.Errorf("topology: no path from cell %d to cell %d", from, to)
 			}
+			start := len(path)
+			for c := to; c != from; c = prev[c] {
+				path = append(path, c)
+			}
+			slices.Reverse(path[start:])
+			return path, nil
 		}
-		path := make([]model.CellID, len(rev))
-		for i, c := range rev {
-			path[len(rev)-1-i] = c
-		}
-		return g.hopsAlong(path)
-	}
-	return g
+	})
 }
 
 // Routes computes the route of every message of p over t. The result
-// is indexed by MessageID.
+// is indexed by MessageID. Over this package's topologies all routes
+// share one backing array (see graph.routes); any other Topology is
+// asked for one Route per message.
 func Routes(p *model.Program, t Topology) ([][]Hop, error) {
 	if t == nil {
 		return nil, fmt.Errorf("topology: nil topology")
 	}
 	if p.NumCells() > t.NumCells() {
 		return nil, fmt.Errorf("topology: program has %d cells but %s has only %d", p.NumCells(), t.Name(), t.NumCells())
+	}
+	if g, ok := t.(*graph); ok {
+		return g.routes(p)
 	}
 	routes := make([][]Hop, p.NumMessages())
 	for _, m := range p.Messages() {
