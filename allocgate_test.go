@@ -107,20 +107,14 @@ func TestAllocGateSweepBatch(t *testing.T) {
 	}
 }
 
-// TestAllocGateParallel gates the sharded runner's steady state: a
-// 4-shard run on an all-active 256-cell wavefront may spend a fixed
-// extra budget per run (the run-scoped gang — goroutines, two
-// channels — plus shard bookkeeping) but must stay flat in both the
-// array size and the cycle count; per-cycle sink traffic has to reuse
-// pooled buffers. The budget is ~3x the measured steady state (~30),
-// mirroring the single-threaded gates above.
+// TestAllocGateParallel gates a run with every ready set busy: an
+// all-active 256-cell wavefront holds the budget of the gates above, so
+// per-cycle set traffic allocates nothing — also with the deprecated
+// Workers field set, which is ignored and must cost nothing.
 func TestAllocGateParallel(t *testing.T) {
 	a := wideLinearWorkload(t, 256, 4)
-	allocGate(t, "wide-linear-256/workers=4", 96, a, systolic.ExecOptions{Capacity: 2, Workers: 4})
-	// Same machine, single-threaded through the same sharded code
-	// path: must hold the original budget, proving the refactor did
-	// not tax the Workers=1 hot path with allocations.
-	allocGate(t, "wide-linear-256/workers=1", 48, a, systolic.ExecOptions{Capacity: 2})
+	allocGate(t, "wide-linear-256", 48, a, systolic.ExecOptions{Capacity: 2})
+	allocGate(t, "wide-linear-256/workers=4", 48, a, systolic.ExecOptions{Capacity: 2, Workers: 4})
 }
 
 // pipelinedSort builds the sorting-network family the analysis gates

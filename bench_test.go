@@ -18,8 +18,6 @@ import (
 	"testing"
 
 	"systolic"
-	"systolic/internal/assign"
-	"systolic/internal/machine"
 	"systolic/internal/verify"
 )
 
@@ -617,13 +615,12 @@ func BenchmarkLargeLinear(b *testing.B) {
 	}
 }
 
-// wideLinearProgram builds the busy counterpart of
-// largeLinearWorkload: every interior cell word-interleaves
-// R(M[i-1]) with W(M[i]), so once the wavefront fills, nearly all
-// cells issue and nearly all messages are in flight every cycle —
-// the per-cycle ready sets scale with the array, which is the regime
-// sharded execution exists for.
-func wideLinearProgram(b testing.TB, cells, words int) (*systolic.Program, systolic.Topology) {
+// wideLinearWorkload is the busy counterpart of largeLinearWorkload:
+// every interior cell word-interleaves R(M[i-1]) with W(M[i]), so once
+// the wavefront fills, nearly all cells issue and nearly all messages
+// are in flight every cycle — the per-cycle ready sets scale with the
+// array.
+func wideLinearWorkload(b testing.TB, cells, words int) *systolic.Analysis {
 	b.Helper()
 	bd := systolic.NewProgram()
 	ids := make([]systolic.CellID, cells)
@@ -646,107 +643,9 @@ func wideLinearProgram(b testing.TB, cells, words int) (*systolic.Program, systo
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p, systolic.LinearArray(cells)
-}
-
-// wideLinearWorkload is wideLinearProgram through the full Analyze
-// pipeline, for the gates that exercise the public Execute path.
-func wideLinearWorkload(b testing.TB, cells, words int) *systolic.Analysis {
-	b.Helper()
-	p, topo := wideLinearProgram(b, cells, words)
-	a, err := systolic.Analyze(p, topo, systolic.AnalyzeOptions{})
+	a, err := systolic.Analyze(p, systolic.LinearArray(cells), systolic.AnalyzeOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return a
-}
-
-// meshFlowProgram sends one message along every row and every column
-// of a rows×cols mesh (XY routing keeps them on disjoint links), so
-// the transport phase advances ~rows+cols multi-hop messages across
-// ~rows·cols queue pools concurrently — the interior-advance-heavy
-// counterpart to wideLinearProgram's issue-heavy wavefront.
-func meshFlowProgram(b testing.TB, rows, cols, words int) (*systolic.Program, systolic.Topology) {
-	b.Helper()
-	bd := systolic.NewProgram()
-	ids := make([]systolic.CellID, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			ids[r*cols+c] = bd.AddCell(fmt.Sprintf("P%d_%d", r, c))
-		}
-	}
-	for r := 0; r < rows; r++ {
-		m := bd.DeclareMessage(fmt.Sprintf("ROW%d", r), ids[r*cols], ids[r*cols+cols-1], words)
-		bd.WriteN(ids[r*cols], m, words)
-		bd.ReadN(ids[r*cols+cols-1], m, words)
-	}
-	for c := 0; c < cols; c++ {
-		m := bd.DeclareMessage(fmt.Sprintf("COL%d", c), ids[c], ids[(rows-1)*cols+c], words)
-		bd.WriteN(ids[c], m, words)
-		bd.ReadN(ids[(rows-1)*cols+c], m, words)
-	}
-	p, err := bd.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p, systolic.Mesh(rows, cols)
-}
-
-// BenchmarkRunParallel is the perf gate for deterministic sharded
-// execution: the 1024-cell all-active wavefront and a 32×32 mesh
-// flood, single-threaded vs 4 shards. The workloads are compiled
-// directly (machine.Compile; the naive-FCFS policy needs no labels)
-// because crossing-off a million-op program is analysis cost, not
-// runner cost, and this benchmark measures the runner. The
-// interesting figures are ns/sim-cycle per worker count and the
-// allocs/op staying flat — the Results are byte-identical by
-// construction, so this benchmark is purely about wall clock. On a
-// single-CPU host the worker counts should roughly tie (the gang's
-// barrier cost is a few µs against tens of µs of per-cycle work); the
-// CI bench-smoke job records both sides in BENCH_parallel.json so the
-// trajectory is tracked wherever it runs.
-func BenchmarkRunParallel(b *testing.B) {
-	build := func(p *systolic.Program, topo systolic.Topology) *machine.Machine {
-		m, err := machine.Compile(p, topo, nil, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m
-	}
-	// 512 words give each cell a ~1024-cycle activity window, so once
-	// the wavefront fills, essentially the whole 1024-cell array
-	// issues every cycle.
-	wp, wt := wideLinearProgram(b, 1024, 512)
-	mp, mt := meshFlowProgram(b, 32, 32, 64)
-	workloads := []struct {
-		name string
-		m    *machine.Machine
-	}{
-		{"wide-linear-1024", build(wp, wt)},
-		{"mesh-32x32", build(mp, mt)},
-	}
-	for _, wl := range workloads {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", wl.name, workers), func(b *testing.B) {
-				var cycles int
-				for b.Loop() {
-					res, err := wl.m.Run(machine.ExecOptions{
-						Policy:        assign.Naive(assign.FCFS, 0),
-						QueuesPerLink: 1,
-						Capacity:      2,
-						Workers:       workers,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !res.Completed {
-						b.Fatal(res.Outcome())
-					}
-					cycles = res.Cycles
-				}
-				b.ReportMetric(float64(cycles), "sim-cycles")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/sim-cycle")
-			})
-		}
-	}
 }

@@ -112,12 +112,11 @@ func TestSysdlLabelPlanRunRender(t *testing.T) {
 	}
 }
 
-// TestSysdlRunWorkers: `sysdl run -workers N` must print exactly the
-// single-threaded bytes for every N — the CLI face of deterministic
-// sharded execution — including timeline and stats rendering.
+// TestSysdlRunWorkers: `sysdl run -workers N` is deprecated and
+// ignored — the same bytes for every N, timeline and stats included.
 func TestSysdlRunWorkers(t *testing.T) {
 	var first string
-	for _, workers := range []int{0, 1, 2, 4, 7} {
+	for _, workers := range []int{0, 1, 4, -1} {
 		opts := DefaultSysdlOptions()
 		opts.Workers = workers
 		opts.Timeline = true

@@ -36,9 +36,8 @@ type SysdlOptions struct {
 	LinkModel string
 
 	// sweep-verb flags: comma-separated axis values ("" = defaults)
-	// and the worker-pool bound (0 = GOMAXPROCS). Workers doubles as
-	// the run verb's intra-run shard count (deterministic: every
-	// count produces byte-identical output).
+	// and the worker-pool bound (0 = GOMAXPROCS). The run verb accepts
+	// -workers and ignores it (deprecated: a run is single-threaded).
 	SweepPolicies   string
 	SweepQueues     string
 	SweepCapacities string
@@ -50,9 +49,9 @@ type SysdlOptions struct {
 
 	// fuzz-verb flags: scenario count and generation knobs. The fuzz
 	// verb also reuses -seed (base seed), -queues (> 0 forces an
-	// absolute under-budget probe) and -workers; -run-workers N > 1
-	// additionally cross-checks every simulation against a sharded
-	// re-run (the parallel-equivalence oracle).
+	// absolute under-budget probe) and -workers. RunWorkers backs the
+	// deprecated -run-workers flag: parsed, ignored, removed next
+	// release.
 	FuzzN          int
 	FuzzMutations  int
 	FuzzCyclic     bool
@@ -106,7 +105,7 @@ func (o *SysdlOptions) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.SweepCapacities, "sweep-capacities", o.SweepCapacities, "sweep: comma-separated capacities (default 1,2)")
 	fs.StringVar(&o.SweepLookaheads, "sweep-lookaheads", o.SweepLookaheads, "sweep: comma-separated lookahead budgets, 0 = strict (default 0,2)")
 	fs.StringVar(&o.SweepLinkModels, "sweep-link-models", o.SweepLinkModels, "sweep: semicolon-separated link-timing specs, empty element = unit latency (default unit only)")
-	fs.IntVar(&o.Workers, "workers", o.Workers, "run: intra-run shards (byte-identical output for any count); sweep/fuzz: worker-pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.Workers, "workers", o.Workers, "sweep/fuzz: worker-pool size (0 = GOMAXPROCS); run: deprecated, ignored")
 	fs.IntVar(&o.FuzzN, "n", o.FuzzN, "fuzz: number of scenarios (seeds seed..seed+n-1)")
 	fs.IntVar(&o.FuzzMutations, "fuzz-mutations", o.FuzzMutations, "fuzz: adjacent-op swaps per scenario (0 = deadlock-free by construction)")
 	fs.BoolVar(&o.FuzzCyclic, "fuzz-cyclic", o.FuzzCyclic, "fuzz: allow cyclic data flow")
@@ -115,8 +114,8 @@ func (o *SysdlOptions) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.FuzzTopology, "fuzz-topology", o.FuzzTopology, "fuzz: auto|linear|ring|mesh")
 	fs.IntVar(&o.FuzzLookahead, "fuzz-lookahead", o.FuzzLookahead, "fuzz: §8 analysis budget (0 = strict)")
 	fs.BoolVar(&o.FuzzFaults, "faults", o.FuzzFaults, "fuzz: additionally check each scenario degraded by a seeded fault plan")
-	fs.BoolVar(&o.FuzzLinkModels, "link-models", o.FuzzLinkModels, "fuzz: additionally check each scenario under retimed link models (noop-equivalence, completion, parallel equivalence)")
-	fs.IntVar(&o.RunWorkers, "run-workers", o.RunWorkers, "sweep: shard each grid point across this many workers (limiter-bounded); fuzz: cross-check each simulation against a sharded re-run")
+	fs.BoolVar(&o.FuzzLinkModels, "link-models", o.FuzzLinkModels, "fuzz: additionally check each scenario under retimed link models (noop-equivalence, completion)")
+	fs.IntVar(&o.RunWorkers, "run-workers", o.RunWorkers, "deprecated: accepted and ignored (every simulation is single-threaded); removed next release")
 	fs.StringVar(&o.Addr, "addr", o.Addr, "serve: listen address")
 	fs.IntVar(&o.CacheSize, "cache-size", o.CacheSize, "serve: compiled-scenario cache bound (entries)")
 	fs.IntVar(&o.MaxConcurrency, "max-concurrency", o.MaxConcurrency, "serve: concurrent simulations (0 = GOMAXPROCS)")
@@ -237,7 +236,6 @@ func Sysdl(w io.Writer, cmd, src string, opts SysdlOptions) (int, error) {
 			Seed:           opts.Seed,
 			RecordTimeline: opts.Timeline,
 			Force:          opts.Force,
-			Workers:        opts.Workers,
 			Faults:         plan,
 			LinkModel:      lplan,
 		})
@@ -290,7 +288,7 @@ func Sysdl(w io.Writer, cmd, src string, opts SysdlOptions) (int, error) {
 		}
 		cases := []systolic.SweepCase{{Name: "program", Program: p, Topology: topo}}
 		rep, err := systolic.Sweep(context.Background(), cases, axes,
-			systolic.SweepOptions{Workers: opts.Workers, RunWorkers: opts.RunWorkers, Faults: plan})
+			systolic.SweepOptions{Workers: opts.Workers, Faults: plan})
 		if err != nil {
 			return 1, err
 		}
@@ -330,7 +328,6 @@ func Fuzz(w io.Writer, opts SysdlOptions) (int, error) {
 		QueueOverride: opts.Queues,
 		Lookahead:     opts.FuzzLookahead,
 		Workers:       opts.Workers,
-		RunWorkers:    opts.RunWorkers,
 		Faults:        plan,
 		SeedFaults:    opts.FuzzFaults,
 		LinkModels:    opts.FuzzLinkModels,

@@ -280,10 +280,10 @@ type ExecOptions struct {
 	// deliberately under-provisioned runs (used to demonstrate the
 	// failure modes the theorem excludes).
 	Force bool
-	// Workers selects deterministic sharded execution (0 or 1 =
-	// single-threaded). Every worker count produces byte-identical
-	// results; see machine.ExecOptions.Workers for the contract,
-	// including the concurrent-Logic caveat.
+	// Workers is ignored: a run is single-threaded.
+	//
+	// Deprecated: sharded execution was removed; the field is accepted
+	// for one release and then goes. Negative is still an OptionError.
 	Workers int
 	// Context, when non-nil, cancels the run between simulated cycles;
 	// Execute then returns the wrapped context error.
@@ -372,7 +372,7 @@ func lower(a *Analysis, opts ExecOptions) (*machine.Machine, machine.ExecOptions
 		return nil, none, &OptionError{Op: "Execute", Field: "MaxCycles", Reason: fmt.Sprintf("negative cycle bound %d", opts.MaxCycles)}
 	}
 	if opts.Workers < 0 {
-		return nil, none, &OptionError{Op: "Execute", Field: "Workers", Reason: fmt.Sprintf("negative worker count %d (0 = single-threaded)", opts.Workers)}
+		return nil, none, &OptionError{Op: "Execute", Field: "Workers", Reason: fmt.Sprintf("negative worker count %d", opts.Workers)}
 	}
 	if opts.Faults != nil {
 		if ferr := opts.Faults.Validate(a.Program.NumCells(), len(a.Topology.Links())); ferr != nil {
@@ -427,7 +427,6 @@ func lower(a *Analysis, opts ExecOptions) (*machine.Machine, machine.ExecOptions
 		Logic:            opts.Logic,
 		MaxCycles:        opts.MaxCycles,
 		RecordTimeline:   opts.RecordTimeline,
-		Workers:          opts.Workers,
 		Context:          opts.Context,
 		Faults:           opts.Faults,
 		LinkModel:        opts.LinkModel,

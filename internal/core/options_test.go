@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"systolic/internal/model"
 	"systolic/internal/sim"
 	"systolic/internal/topology"
+	"systolic/internal/workload"
 )
 
 func optProgram(t *testing.T) *model.Program {
@@ -85,6 +88,38 @@ func TestExecuteOptionErrors(t *testing.T) {
 				t.Errorf("Op = %q, want Execute", oe.Op)
 			}
 		})
+	}
+}
+
+// TestWorkersFieldIsInert: the deprecated Workers field changes
+// nothing — the same Result for every value, no goroutine started on
+// its account — except that a negative value is still refused.
+func TestWorkersFieldIsInert(t *testing.T) {
+	w, err := workload.PipelinedSort(workload.PipelinedSortOptions{Width: 256, Rounds: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := analyzeWorkload(t, w)
+	var want *sim.Result
+	for _, workers := range []int{0, 1, 4, 64} {
+		before := runtime.NumGoroutine()
+		got, err := Execute(a, ExecOptions{Capacity: 2, Workers: workers})
+		if err != nil || !got.Completed {
+			t.Fatalf("Workers=%d: %v %v", workers, got, err)
+		}
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("Workers=%d: %d goroutines after the run, %d before", workers, n, before)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(want, got) {
+			t.Errorf("Workers=%d changed the Result", workers)
+		}
+	}
+	_, err = Execute(a, ExecOptions{Workers: -1})
+	var oe *OptionError
+	if !errors.As(err, &oe) || oe.Field != "Workers" {
+		t.Fatalf("Workers=-1: err = %v, want an OptionError on Workers", err)
 	}
 }
 

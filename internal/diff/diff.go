@@ -76,24 +76,15 @@ type Options struct {
 	MaxCycles int
 	// Workers bounds Run's pool (≤ 0 = GOMAXPROCS).
 	Workers int
-	// RunWorkers, when > 1, turns every simulation into a differential
-	// pair: the oracle executes each configuration single-threaded and
-	// again sharded across RunWorkers workers, and any byte-level
-	// divergence between the two results is a "parallel-equivalence"
-	// violation. This is the sysdl fuzz -run-workers knob.
-	RunWorkers int
 	// ShrinkBudget caps property evaluations spent minimizing one
 	// counterexample (0 = 200).
 	ShrinkBudget int
 	// Faults, when non-nil, adds the degraded-array invariants to every
 	// approved scenario: fault-noop-equivalence (an all-factor-1 plan is
-	// byte-identical to no plan), degraded-completion (under the
+	// byte-identical to no plan) and degraded-completion (under the
 	// periodic-only projection of the plan the run must still complete
-	// — slowdowns delay, they never remove progress), and
-	// fault-parallel-equivalence (the full plan, terminal faults
-	// included, produces byte-identical results single-threaded and
-	// sharded). Plans that do not fit a scenario's cell/link counts are
-	// skipped for that scenario.
+	// — slowdowns delay, they never remove progress). Plans that do not
+	// fit a scenario's cell/link counts are skipped for that scenario.
 	Faults *fault.Plan
 	// SeedFaults derives a per-scenario random fault plan
 	// (gen.RandomFaults from the scenario seed) when Faults is nil —
@@ -101,13 +92,11 @@ type Options struct {
 	SeedFaults bool
 	// LinkModels, when true, adds the link-timing invariants to every
 	// approved scenario: linkmodel-noop-equivalence (a delay-1 fixed
-	// plan is byte-identical to unit-latency execution),
+	// plan is byte-identical to unit-latency execution) and
 	// linkmodel-completion (an analyzer-approved configuration still
 	// completes under a fixed slowdown and under congestion
 	// backpressure — every shipped model is delay-only, so retiming
-	// stretches schedules but never removes progress), and
-	// linkmodel-parallel-equivalence (each model produces
-	// byte-identical results single-threaded and sharded). This is the
+	// stretches schedules but never removes progress). This is the
 	// sysdl fuzz -link-models knob.
 	LinkModels bool
 }
@@ -143,13 +132,12 @@ type Finding struct {
 	Seed int64
 	// Invariant names what was checked: "theorem1-completion",
 	// "stream-equality", "stream-integrity", "label-consistency",
-	// "under-budget-deadlock", "parallel-equivalence",
+	// "under-budget-deadlock",
 	// "analyze-error", "exec-error", "generate-error",
 	// "fault-noop-equivalence", "degraded-completion",
-	// "fault-parallel-equivalence", "fault-exec-error",
-	// "fault-spec-roundtrip",
+	// "fault-exec-error", "fault-spec-roundtrip",
 	// "linkmodel-noop-equivalence", "linkmodel-completion",
-	// "linkmodel-parallel-equivalence", "linkmodel-exec-error".
+	// "linkmodel-exec-error".
 	Invariant string
 	// Expected marks anticipated findings (under-budget deadlocks);
 	// everything else is a violation.
@@ -295,38 +283,6 @@ func Check(sc *gen.Scenario, opts Options) Result {
 					fail(cfg)
 					continue
 				}
-				// Parallel-equivalence: with a run-worker count set,
-				// every simulation is executed a second time, sharded,
-				// and must reproduce the single-threaded result byte
-				// for byte (the Theorem 1 oracle doubling as the
-				// determinism oracle for machine.RunParallel).
-				if opts.RunWorkers > 1 {
-					rp, perr := core.Execute(a, core.ExecOptions{
-						Policy:        pol,
-						QueuesPerLink: q,
-						Capacity:      capacity,
-						MaxCycles:     opts.MaxCycles,
-						Workers:       opts.RunWorkers,
-						Force:         true,
-					})
-					res.Runs++
-					if perr == nil && rp.Completed {
-						res.Completed++
-					}
-					switch {
-					case perr != nil:
-						pcfg := cfg
-						pcfg.Invariant = "parallel-equivalence"
-						pcfg.Detail = fmt.Sprintf("sharded run (workers=%d) errored where single-threaded succeeded: %v", opts.RunWorkers, perr)
-						fail(pcfg)
-					case !reflect.DeepEqual(r, rp):
-						pcfg := cfg
-						pcfg.Invariant = "parallel-equivalence"
-						pcfg.Detail = fmt.Sprintf("sharded run (workers=%d) diverged from single-threaded run: %s vs %s after %d vs %d cycles",
-							opts.RunWorkers, rp.Outcome(), r.Outcome(), rp.Cycles, r.Cycles)
-						fail(pcfg)
-					}
-				}
 				switch {
 				case r.Completed:
 					res.Completed++
@@ -403,14 +359,13 @@ func linkModelChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Resu
 		q = 1
 	}
 	cfg := Finding{Policy: pol.String(), Queues: q, MinQueues: a.MinQueues(pol), Capacity: capacity}
-	exec := func(p *linkmodel.Plan, workers int) (*sim.Result, error) {
+	exec := func(p *linkmodel.Plan) (*sim.Result, error) {
 		res.Runs++
 		r, err := core.Execute(a, core.ExecOptions{
 			Policy:        pol,
 			QueuesPerLink: q,
 			Capacity:      capacity,
 			MaxCycles:     opts.MaxCycles,
-			Workers:       workers,
 			LinkModel:     p,
 			Force:         true,
 		})
@@ -422,8 +377,8 @@ func linkModelChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Resu
 
 	// Invariant: a fixed plan with delay 1 and no credit is unit timing
 	// in disguise — it must be byte-identical to running with no model.
-	clean, cleanErr := exec(nil, 0)
-	rNoop, noopErr := exec(linkmodel.FixedPlan(1, 0), 0)
+	clean, cleanErr := exec(nil)
+	rNoop, noopErr := exec(linkmodel.FixedPlan(1, 0))
 	switch {
 	case (cleanErr == nil) != (noopErr == nil):
 		f := cfg
@@ -438,45 +393,24 @@ func linkModelChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Resu
 		fail(f)
 	}
 
-	// Invariants: every shipped model is delay-only, so an
-	// analyzer-approved configuration must still complete under it —
-	// and each model must be byte-identical single-threaded and
-	// sharded.
-	workers := opts.RunWorkers
-	if workers <= 1 {
-		workers = 4
-	}
+	// Invariant: every shipped model is delay-only, so an
+	// analyzer-approved configuration must still complete under it.
 	for _, plan := range []*linkmodel.Plan{
 		linkmodel.FixedPlan(3, 0),
 		linkmodel.CongestionPlan(1, 2, 4),
 	} {
-		r1, err1 := exec(plan, 0)
+		r1, err1 := exec(plan)
 		switch {
 		case err1 != nil:
 			f := cfg
 			f.Invariant = "linkmodel-exec-error"
 			f.Detail = fmt.Sprintf("model %s: %v", plan, err1)
 			fail(f)
-			continue
 		case !r1.Completed:
 			f := cfg
 			f.Invariant = "linkmodel-completion"
 			f.Detail = fmt.Sprintf("%s after %d cycles under model %s: %s",
 				r1.Outcome(), r1.Cycles, plan, blockedCells(sc.Program, r1.Blocked))
-			fail(f)
-		}
-		rw, errw := exec(plan, workers)
-		switch {
-		case errw != nil:
-			f := cfg
-			f.Invariant = "linkmodel-parallel-equivalence"
-			f.Detail = fmt.Sprintf("model %s: sharded run (workers=%d) errored where single-threaded succeeded: %v", plan, workers, errw)
-			fail(f)
-		case !reflect.DeepEqual(r1, rw):
-			f := cfg
-			f.Invariant = "linkmodel-parallel-equivalence"
-			f.Detail = fmt.Sprintf("model %s: workers=%d diverged from single-threaded: %s vs %s after %d vs %d cycles",
-				plan, workers, rw.Outcome(), r1.Outcome(), rw.Cycles, r1.Cycles)
 			fail(f)
 		}
 	}
@@ -528,14 +462,13 @@ func faultChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, 
 			fail(f)
 		}
 	}
-	exec := func(p *fault.Plan, workers int) (*sim.Result, error) {
+	exec := func(p *fault.Plan) (*sim.Result, error) {
 		res.Runs++
 		r, err := core.Execute(a, core.ExecOptions{
 			Policy:        pol,
 			QueuesPerLink: q,
 			Capacity:      capacity,
 			MaxCycles:     opts.MaxCycles,
-			Workers:       workers,
 			Faults:        p,
 			Force:         true,
 		})
@@ -551,8 +484,8 @@ func faultChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, 
 	for c := 0; c < numCells; c++ {
 		noop.Cells = append(noop.Cells, fault.CellFault{Cell: model.CellID(c), Factor: 1})
 	}
-	clean, cleanErr := exec(nil, 0)
-	rNoop, noopErr := exec(noop, 0)
+	clean, cleanErr := exec(nil)
+	rNoop, noopErr := exec(noop)
 	switch {
 	case (cleanErr == nil) != (noopErr == nil):
 		f := cfg
@@ -588,7 +521,7 @@ func faultChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, 
 			periodic.Links = append(periodic.Links, l)
 		}
 	}
-	rp, perr := exec(periodic, 0)
+	rp, perr := exec(periodic)
 	switch {
 	case perr != nil:
 		f := cfg
@@ -600,28 +533,6 @@ func faultChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, 
 		f.Invariant = "degraded-completion"
 		f.Detail = fmt.Sprintf("%s after %d cycles under periodic plan %s: %s",
 			rp.Outcome(), rp.Cycles, periodic, blockedCells(sc.Program, rp.Blocked))
-		fail(f)
-	}
-
-	// Invariant: the full plan — terminal faults included — produces
-	// byte-identical results single-threaded and sharded.
-	workers := opts.RunWorkers
-	if workers <= 1 {
-		workers = 4
-	}
-	r1, err1 := exec(plan, 0)
-	rw, errw := exec(plan, workers)
-	switch {
-	case (err1 == nil) != (errw == nil):
-		f := cfg
-		f.Invariant = "fault-parallel-equivalence"
-		f.Detail = fmt.Sprintf("plan %s: error outcome differs between workers 1 and %d: %v vs %v", plan, workers, err1, errw)
-		fail(f)
-	case err1 == nil && !reflect.DeepEqual(r1, rw):
-		f := cfg
-		f.Invariant = "fault-parallel-equivalence"
-		f.Detail = fmt.Sprintf("plan %s: workers=%d diverged from single-threaded: %s vs %s after %d vs %d cycles",
-			plan, workers, rw.Outcome(), r1.Outcome(), rw.Cycles, r1.Cycles)
 		fail(f)
 	}
 }

@@ -4,7 +4,7 @@
 // it into dense per-cell and per-link gate tables that both execution
 // engines (the compiled machine and the full-scan reference) consult
 // at identical points, so degraded runs stay byte-identical across
-// engines and worker counts.
+// engines.
 //
 // Determinism argument: every gate is a pure function of (static
 // plan, cycle number). A slowed element with factor k accepts work
@@ -311,7 +311,7 @@ type periodicGate struct {
 // Lowered is a Plan compiled against a concrete array: dense per-cell
 // and per-link tables the engines' hot paths index directly. Factor
 // encoding: 0 = no fault, ≥ 2 = periodic factor, -1 = dead/severed.
-// Immutable after Lower; safe to share read-only across shards.
+// Immutable after Lower; safe to share read-only across concurrent runs.
 type Lowered struct {
 	cellFactor []int32
 	cellFrom   []int32

@@ -5,8 +5,7 @@
 // declarative description; Lower compiles it into dense per-link
 // delay and credit tables that both execution engines (the compiled
 // machine and the full-scan reference) consult at identical points,
-// so non-unit-latency runs stay byte-identical across engines and
-// worker counts.
+// so non-unit-latency runs stay byte-identical across engines.
 //
 // Timing semantics (the occupancy model): a link that served w words
 // on cycle t is busy — no further word may enter its queues — until
@@ -24,14 +23,13 @@
 //
 // Determinism argument: during a cycle's phases the busy state is
 // read-only — a pure function of per-link next-free cycles computed
-// at the END of the previous cycle by the coordinating goroutine.
-// Per-cycle word tallies accumulate commutatively (shards append
-// link hits to their private sinks; the merge sums them), so the
-// next-free table is identical for every worker count. Deadlock
-// detection waits for a no-event cycle on which every link is free
-// again: busy windows are finite (≤ the tallied words × max factor),
-// so a frozen system reaches an all-free cycle and the no-event
-// argument of the fault-free engine applies unchanged.
+// at the END of the previous cycle. Per-cycle word tallies are sums,
+// so the next-free table does not depend on the order in which an
+// engine visits the words that crossed. Deadlock detection waits for a
+// no-event cycle on which every link is free again: busy windows are
+// finite (≤ the tallied words × max factor), so a frozen system reaches
+// an all-free cycle and the no-event argument of the fault-free engine
+// applies unchanged.
 package linkmodel
 
 import (
@@ -368,7 +366,7 @@ func ParseSpec(spec string) (*Plan, error) {
 // Lowered is a Plan compiled against a concrete topology: dense
 // per-link delay and credit tables the engines' hot paths index
 // directly, plus the congestion feedback parameters. Immutable after
-// Lower; safe to share read-only across shards.
+// Lower; safe to share read-only across concurrent runs.
 type Lowered struct {
 	delay      []int32
 	credit     []int32

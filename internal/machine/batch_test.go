@@ -77,7 +77,6 @@ func TestExecValidationMatchesRun(t *testing.T) {
 		{QueuesPerLink: 1, Capacity: 1}, // nil policy
 		fcfs(0, 1),                      // zero queues
 		fcfs(1, -1),                     // negative capacity
-		{Policy: assign.Naive(assign.FCFS, 0), QueuesPerLink: 1, Workers: -1}, // negative workers
 	}
 	for i, opts := range bad {
 		_, runErr := m.Run(opts)

@@ -19,18 +19,17 @@ package machine
 //
 // Iteration contract. Every phase loop is word-granular:
 //
-//	for w, word := s.scan(lo, hi, &v); word != 0; w, word = s.scan((w+1)<<6, hi, &v) {
+//	for w, word := s.scan(0, &v); word != 0; w, word = s.scan(w+1, &v) {
 //		for ; word != 0; word &= word - 1 {
 //			i := w<<6 | bits.TrailingZeros64(word)
 //			...
 //		}
 //	}
 //
-// scan hands out a *copy* of the next non-empty word, masked to
-// [lo, hi), and the inner loop consumes that copy in a register. The
-// members visited are therefore ascending, and what a loop observes of
-// changes made to the set while it runs is decided per word, at the
-// moment scan returns it:
+// scan hands out a *copy* of the next non-empty word and the inner
+// loop consumes that copy in a register. The members visited are
+// therefore ascending, and what a loop observes of changes made to the
+// set while it runs is decided per word, at the moment scan returns it:
 //
 //   - dropping the current member or any already-visited one is safe
 //     and changes nothing about the rest of the walk;
@@ -41,26 +40,16 @@ package machine
 //     stand when the walk gets there; changes behind the cursor are
 //     never observed.
 //
-// The scheduler only ever relies on the first rule (readShard, in
-// direct mode, drops the member it stands on); every other phase
-// mutates sets other than the one it walks.
-//
-// Concurrency contract: bits in one word are NOT independent memory
-// locations, so a bitset is only ever mutated by the coordinator —
-// at init, between phase barriers, and while merging shard sinks.
-// Worker shards treat every bitset as read-only (scan reads, and
-// tallies into the caller's own counter) and defer their membership
-// changes through their sink, exactly as they already defer every
-// other shared-structure effect (see parallel.go). The byte-granular
-// flag arrays that shards do write in place (issued, writeReady, the
-// per-hop requested flags) stay []bool for exactly this reason.
+// The scheduler only ever relies on the first rule (readPhase drops the
+// member it stands on); every other phase mutates sets other than the
+// one it walks. A bitset is not safe for concurrent use; a run is one
+// goroutine.
 
 import "math/bits"
 
 // bitset is a set of small non-negative integers with a cached
 // cardinality and a one-level summary. The zero value is an empty set
-// of capacity 0; sizeTo prepares it for a run. All mutating methods are
-// coordinator-only (see the package comment above).
+// of capacity 0; sizeTo prepares it for a run.
 type bitset struct {
 	// words holds the members; sum holds one bit per word, set exactly
 	// when that word is non-zero. Both are windows of one allocation,
@@ -173,35 +162,32 @@ func (b *bitset) copyFrom(src *bitset) {
 }
 
 // scan is the outer step of the iteration idiom in the header: it
-// finds the first word with members in [from, hi) and returns its
-// index and a copy of it masked to that range; a zero word means the
-// range is exhausted. Empty words are skipped through the summary, so
-// a walk costs one step per non-empty word however large the set. A
-// chunk of the key space (chunk in parallel.go) is walked by starting
-// at its lo and passing its hi: the mask trims the chunk's first and
-// last word, which a neighboring shard shares. tally counts the
-// summary and member words read, for the clock-free scan-cost test; it
-// is the caller's own counter, so concurrent shards scanning one set
-// never share it.
+// finds the first non-empty word at index w or later and returns its
+// index and a copy of it; a zero word means the set is exhausted. Empty
+// words are skipped through the summary, so a walk costs one step per
+// non-empty word however large the set. tally counts the summary and
+// member words read, for the clock-free scan-cost test.
 //
-// scan itself is small enough to inline: the step past a range's end —
+// scan itself is small enough to inline: the step past the set's end —
 // every walk takes one, and a one-word set's walk is little else —
 // costs a compare, not a call.
 //
 //sysvet:hotpath
-func (b *bitset) scan(from, hi int, tally *int) (int, uint64) {
-	if from >= hi {
+func (b *bitset) scan(w int, tally *int) (int, uint64) {
+	if w >= len(b.words) {
 		return 0, 0
 	}
-	return b.scanFrom(from, hi, tally)
+	return b.scanFrom(w, tally)
 }
 
-// scanFrom is scan's out-of-line body; from < hi.
+// scanFrom is scan's body; w < len(b.words). It is kept out of line so
+// that scan stays within the inlining budget: the loops pay for a call
+// only when there is a word to look for.
 //
 //sysvet:hotpath
-func (b *bitset) scanFrom(from, hi int, tally *int) (int, uint64) {
-	w := from >> 6
-	for w<<6 < hi {
+//go:noinline
+func (b *bitset) scanFrom(w int, tally *int) (int, uint64) {
+	for w < len(b.words) {
 		s := w >> 6
 		*tally++
 		rest := b.sum[s] >> (w & 63) << (w & 63)
@@ -209,22 +195,10 @@ func (b *bitset) scanFrom(from, hi int, tally *int) (int, uint64) {
 			w = (s + 1) << 6
 			continue
 		}
+		// A summary bit is set exactly when its word is non-zero.
 		w = s<<6 | bits.TrailingZeros64(rest)
-		if w<<6 >= hi {
-			break
-		}
 		*tally++
-		word := b.words[w]
-		if base := w << 6; from > base {
-			word = word >> uint(from-base) << uint(from-base)
-		}
-		if last := uint(hi - w<<6); last < 64 {
-			word &= uint64(1)<<last - 1
-		}
-		if word != 0 {
-			return w, word
-		}
-		w++
+		return w, b.words[w]
 	}
 	return 0, 0
 }

@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// collectRange walks b's members in [lo, hi) with the phase loops'
-// idiom and returns them.
-func collectRange(b *bitset, lo, hi int) []int {
+// collectFrom walks b's members from word index from on with the phase
+// loops' idiom and returns them.
+func collectFrom(b *bitset, from int) []int {
 	var out []int
 	var seen int
-	for w, word := b.scan(lo, hi, &seen); word != 0; w, word = b.scan((w+1)<<6, hi, &seen) {
+	for w, word := b.scan(from, &seen); word != 0; w, word = b.scan(w+1, &seen) {
 		for ; word != 0; word &= word - 1 {
 			out = append(out, w<<6|bits.TrailingZeros64(word))
 		}
@@ -21,21 +21,13 @@ func collectRange(b *bitset, lo, hi int) []int {
 }
 
 // collect returns every member of b.
-func collect(b *bitset) []int { return collectRange(b, 0, len(b.words)<<6) }
-
-// nextFrom returns the smallest member ≥ i, or -1.
-func nextFrom(b *bitset, i int) int {
-	if got := collectRange(b, max(i, 0), len(b.words)<<6); len(got) > 0 {
-		return got[0]
-	}
-	return -1
-}
+func collect(b *bitset) []int { return collectFrom(b, 0) }
 
 func TestBitsetBasics(t *testing.T) {
 	var b bitset
 	b.sizeTo(200)
-	if b.len() != 0 || nextFrom(&b, 0) != -1 {
-		t.Fatalf("fresh set not empty: len=%d next=%d", b.len(), nextFrom(&b, 0))
+	if b.len() != 0 || len(collect(&b)) != 0 {
+		t.Fatalf("fresh set not empty: len=%d members=%v", b.len(), collect(&b))
 	}
 	for _, i := range []int{0, 63, 64, 65, 127, 128, 199} {
 		b.add(i)
@@ -57,22 +49,30 @@ func TestBitsetBasics(t *testing.T) {
 		t.Fatalf("after drop: len=%d has(64)=%v", b.len(), b.has(64))
 	}
 	b.clearAll()
-	if b.len() != 0 || nextFrom(&b, 0) != -1 {
+	if b.len() != 0 || len(collect(&b)) != 0 {
 		t.Fatalf("clearAll left members: len=%d", b.len())
 	}
 }
 
+// TestBitsetNextFrom pins scan's contract on a hand-sized set: the
+// first non-empty word at or after the given index, and a zero word
+// once there is none — also for an index past the set's end.
 func TestBitsetNextFrom(t *testing.T) {
 	var b bitset
 	b.sizeTo(300)
 	b.add(5)
 	b.add(170)
-	cases := []struct{ from, want int }{
-		{-3, 5}, {0, 5}, {5, 5}, {6, 170}, {170, 170}, {171, -1}, {299, -1}, {1000, -1},
+	b.add(171)
+	cases := []struct {
+		from, w int
+		word    uint64
+	}{
+		{0, 0, 1 << 5}, {1, 2, 3 << (170 - 128)}, {2, 2, 3 << (170 - 128)}, {3, 0, 0}, {4, 0, 0}, {5, 0, 0}, {1000, 0, 0},
 	}
 	for _, c := range cases {
-		if got := nextFrom(&b, c.from); got != c.want {
-			t.Errorf("next(%d) = %d, want %d", c.from, got, c.want)
+		var seen int
+		if w, word := b.scan(c.from, &seen); w != c.w || word != c.word {
+			t.Errorf("scan(%d) = word %d %#x, want word %d %#x", c.from, w, word, c.w, c.word)
 		}
 	}
 }
@@ -216,10 +216,10 @@ func TestBitsetVsMap(t *testing.T) {
 	}
 }
 
-// TestBitsetChunkedScan: for every chunking the sharded phases use,
-// walking the chunks [lo, hi) in shard order visits exactly the members
-// a full walk visits, each chunk only its own — chunk bounds fall inside
-// words, so neighbors share one and the masks must split it.
+// TestBitsetChunkedScan: a walk resumed at any word — what every phase
+// loop does after consuming one (scan(w+1)) — visits exactly the members
+// of that word and the later ones, whichever summary word the resumption
+// point falls in.
 func TestBitsetChunkedScan(t *testing.T) {
 	for _, n := range setSizes {
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -232,20 +232,11 @@ func TestBitsetChunkedScan(t *testing.T) {
 			b.add(0)
 			b.add(n - 1)
 			full := collect(&b)
-			for _, workers := range []int{1, 2, 4, 7} {
-				var joined []int
-				for s := 0; s < workers; s++ {
-					lo, hi := chunk(n, workers, s)
-					part := collectRange(&b, lo, hi)
-					for _, i := range part {
-						if i < lo || i >= hi {
-							t.Fatalf("n=%d workers=%d: shard %d [%d,%d) visited %d", n, workers, s, lo, hi, i)
-						}
-					}
-					joined = append(joined, part...)
-				}
-				if !slices.Equal(joined, full) {
-					t.Fatalf("n=%d workers=%d density=%d: chunks visit %d members, full walk %d", n, workers, density, len(joined), len(full))
+			words := len(b.words)
+			for _, from := range []int{0, 1, 63, 64, 65, words / 2, words - 1, words, words + 1} {
+				at, _ := slices.BinarySearch(full, from<<6)
+				if got := collectFrom(&b, from); !slices.Equal(got, full[at:]) {
+					t.Fatalf("n=%d density=%d: walk from word %d visits %d members, want %d", n, density, from, len(got), len(full)-at)
 				}
 			}
 		}
@@ -254,7 +245,7 @@ func TestBitsetChunkedScan(t *testing.T) {
 
 // TestBitsetDropWhileScanning pins the one mutation the phase loops
 // make to the set they walk: dropping the member they stand on
-// (readShard does, in direct mode). Every member is still visited once,
+// (readPhase does). Every member is still visited once,
 // including across a word whose last member was just dropped, and the
 // set ends empty with a clean summary.
 func TestBitsetDropWhileScanning(t *testing.T) {
@@ -268,7 +259,7 @@ func TestBitsetDropWhileScanning(t *testing.T) {
 		}
 		var got []int
 		var seen int
-		for w, word := b.scan(0, n, &seen); word != 0; w, word = b.scan((w+1)<<6, n, &seen) {
+		for w, word := b.scan(0, &seen); word != 0; w, word = b.scan(w+1, &seen) {
 			for ; word != 0; word &= word - 1 {
 				i := w<<6 | bits.TrailingZeros64(word)
 				got = append(got, i)

@@ -32,7 +32,7 @@ import (
 //   - sender writes and capacity-0 rendezvous visit only messages
 //     whose sender is parked at W(msg) with the first-hop queue bound
 //     (the "writer" set: entered through the grant and pc-advance
-//     hooks, left when a write shard finds the sender moved on);
+//     hooks, left when the write phase finds the sender moved on);
 //   - interior queue requests re-check only messages whose header
 //     entered a new hop since the last collect (the "reqSet");
 //   - queue releases re-check only messages whose last word departed
@@ -68,20 +68,11 @@ import (
 // does every cycle, is one load from a stream a quarter the size of
 // []model.Op.
 //
-// Since the deterministic-sharding refactor every ready-set phase is
-// written against a shard: fn(s) visits only the entries shard s owns
-// (a contiguous id range of the set's key space, or the messages
-// whose contended cell lies in s's cell range) and defers every
-// shared-structure effect to sinks[s], which the coordinator merges
-// in ascending shard order after the phase (see parallel.go for the
-// ownership and merge-order argument — id-range chunks concatenate
-// to the full ascending order just as position chunks of a sorted
-// list did). Workers=1 runs the same phases over a single shard, with
-// one shortcut: in direct mode (exec.direct) the note*/shard sites
-// apply each effect to the canonical structure in place and the
-// merges are skipped — see the direct field's comment for the
-// per-structure safety argument, and parallel.go's header for why
-// this stays byte-identical.
+// One run is one goroutine: a phase applies each effect to the set,
+// list or counter it targets at the moment it happens (the note*
+// helpers), and the order those effects land in is part of the
+// equivalence — see the comment at each helper for why applying it in
+// place is safe against the walk in progress.
 //
 // Blocked-cycle accounting is derived in closed form at the end of a
 // run (per cell: cycles elapsed while unfinished minus ops issued)
@@ -173,34 +164,24 @@ type exec struct {
 	finishedAt []int // per cell: cycle of its final issue
 	remaining  int   // cells with ops left
 
-	// The ready sets. Every one is coordinator-owned (see bitset.go's
-	// concurrency contract): workers read them during a phase and
-	// defer membership changes through their sink; only the
-	// coordinator flips bits, at init, between phase barriers, and in
-	// mergeSinks.
+	// The ready sets.
 
 	// dirty holds the cells whose pc advanced, since the last collect,
 	// onto a W of a message that has not asked for its first hop yet.
 	dirty bitset
 	// transport holds the messages with words buffered somewhere on
 	// their route (written > read): the only messages reads and
-	// interior advances can act on. Drained entries are flagged by
-	// the read shards (sink.drops) and dropped by the coordinator
-	// before the advance phase — the bitset analogue of the old
-	// keep-flag compaction.
+	// interior advances can act on. The read phase drops an entry it
+	// finds drained, so the advance phase walks the post-drop set.
 	transport bitset
 	// writers holds the messages whose sender is parked at W(msg)
 	// with the first-hop queue bound: the only candidates for sender
 	// writes and capacity-0 rendezvous. Entered by the grant and
-	// pc-advance hooks, left when a write shard finds the sender has
+	// pc-advance hooks, left when the write phase finds the sender has
 	// moved on (dropWriter); writerSnap snapshots it each cycle so
-	// mid-cycle insertions target the real set. writeReady is the same
-	// membership as a byte-flag array, because shards test and flip it
-	// in place mid-phase, and bits within one bitset word are not
-	// independent memory locations.
+	// mid-cycle insertions target the real set.
 	writers    bitset
 	writerSnap bitset
-	writeReady []bool
 	// reqSet holds the messages whose header entered a new hop since
 	// the last collect: the only candidates for new interior-hop queue
 	// requests.
@@ -235,7 +216,7 @@ type exec struct {
 
 	// faults holds the run's lowered fault tables; nil on fault-free
 	// runs, so every hot-path gate is a single pointer test. The
-	// tables are immutable, making concurrent shard reads safe. Gates
+	// tables are immutable. Gates
 	// sit at the four operation-issue sites (reads, interior advances,
 	// sender writes, rendezvous), each checked *after* every fault-free
 	// readiness criterion, so the gated-op count — and therefore every
@@ -252,46 +233,19 @@ type exec struct {
 	// waiting out a busy window. Gates sit immediately before the
 	// fault link gates at the three link-crossing sites (interior
 	// advances, sender writes, rendezvous) and are pure reads during a
-	// phase; tallies ride the shard sinks (increments commute) and the
-	// coordinator folds them — and recomputes nextFree — at end of
-	// cycle (lmEndCycle), so every worker count produces the same
-	// bytes. A busy-link stall is timing, not degradation: it does not
-	// count toward GatedOps.
+	// phase: the tallies are folded into nextFree only at end of cycle
+	// (lmEndCycle), so a window opened by this cycle's traffic gates
+	// nothing before the next. A busy-link stall is timing, not
+	// degradation: it does not count toward GatedOps.
 	lm         *linkmodel.Lowered
 	lmNextFree []int
 	lmTally    []int32
 	lmDirty    []int32
 	lmBusyMax  int
 
-	// Sharded-execution state (see parallel.go). workers is the shard
-	// count (1 = single-threaded); recvShard/sendShard map each message
-	// to the shard owning its receiver/sender cell (only filled when
-	// workers > 1); gang is the run-scoped worker pool (nil when
-	// workers == 1). The fn* fields hold the phase closures, bound once
-	// per exec so dispatch never allocates.
-	// direct (workers == 1) short-circuits the sink machinery: with a
-	// single shard there is no barrier for a deferred effect to cross,
-	// and every sink merge is the identity reordering — the coordinator
-	// is the worker, so each note* site applies its effect in place and
-	// the per-phase merges are skipped. The applied order is exactly
-	// the one-sink merge order (append order), so results stay
-	// byte-identical to sharded execution; the cross-worker-count
-	// equivalence suites enforce this.
-	direct      bool
-	workers     int
-	recvShard   []int32
-	sendShard   []int32
-	sinks       []sink
-	gang        *gang
 	hasInterior bool // any route longer than one hop
 	cancel      <-chan struct{}
 	cancelled   bool
-	fnFirstHop  func(int)
-	fnInterior  func(int)
-	fnReads     func(int)
-	fnAdvances  func(int)
-	fnWrites    func(int)
-	fnRelease   func(int)
 
 	res   Result
 	stats Stats
@@ -303,8 +257,21 @@ type exec struct {
 	// by fastForward after a no-event cycle. executed counts the cycles
 	// the loop actually ran — res.Cycles minus the fast-forwarded ones —
 	// for the in-package tests and benchmarks; it never reaches Result.
+	// visits is zeroed per run, like executed.
 	wake     int
 	executed int
+	visits   visitCounts
+}
+
+// visitCounts tallies the entries the phase loops examined: the
+// clock-free measure of scheduler cost the work-proportionality tests
+// hold against the work a run actually did. Like exec.executed it
+// never reaches a Result.
+type visitCounts struct {
+	hops     int // route hops examined by advance, release and interior collect
+	releases int // moved-set messages examined by releasePhase
+	firstHop int // dirty cells examined by collectFirstHop
+	setWords int // ready-set words, summary and member, read by the phase loops' scans
 }
 
 // noWake is the wake value of a cycle in which no candidate was held
@@ -438,8 +405,6 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 	// reference engine scans them all, and so do we — once.
 	e.dirty.sizeTo(cells)
 	e.dirty.fill(cells)
-	e.writeReady = grow(e.writeReady, msgs)
-	clear(e.writeReady)
 	e.transport.sizeTo(msgs)
 	e.writers.sizeTo(msgs)
 	e.writerSnap.sizeTo(msgs)
@@ -450,49 +415,11 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 	e.armedScratch.sizeTo(e.numPools)
 	e.cooling = e.cooling[:0]
 
-	// Shard layout. The worker count is clamped to the cell count (an
-	// empty shard can own nothing) and to maxWorkers; the clamp is
-	// invisible in the Result because every worker count produces the
-	// same bytes.
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > maxWorkers {
-		workers = maxWorkers
-	}
-	if workers > cells && cells > 0 {
-		workers = cells
-	}
-	e.workers = workers
-	e.direct = workers == 1
-	e.sinks = grow(e.sinks, workers)
-	for i := range e.sinks {
-		e.sinks[i].reset()
-		e.sinks[i].visits = visitCounts{}
-	}
-	if workers > 1 {
-		e.recvShard = grow(e.recvShard, msgs)
-		e.sendShard = grow(e.sendShard, msgs)
-		for id := 0; id < msgs; id++ {
-			e.recvShard[id] = int32(shardOf(int(m.receiver[id]), cells, workers))
-			e.sendShard[id] = int32(shardOf(int(m.sender[id]), cells, workers))
-		}
-	}
-	e.gang = nil // spawned lazily by the first fanout that needs it
 	e.hasInterior = m.maxRouteLen > 1
 	e.cancel = nil
 	e.cancelled = false
 	if opts.Context != nil {
 		e.cancel = opts.Context.Done()
-	}
-	if e.fnFirstHop == nil {
-		e.fnFirstHop = e.collectFirstHopShard
-		e.fnInterior = e.collectInteriorShard
-		e.fnReads = e.readShard
-		e.fnAdvances = e.advanceShard
-		e.fnWrites = e.writeShard
-		e.fnRelease = e.releaseShard
 	}
 
 	if e.reuse {
@@ -511,19 +438,13 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 	e.moved = false
 	e.wake = noWake
 	e.executed = 0
+	e.visits = visitCounts{}
 }
 
 // release clears every reference that escaped into the returned
 // Result (and the per-run inputs) before the exec returns to the
-// machine's pool. It also stops a still-live gang: run() tears the
-// gang down on every exit path, but a run that never starts — a
-// Policy.Setup failure after init — would otherwise strand the
-// workers forever when the pooled exec is reused or dropped.
+// machine's pool.
 func (e *exec) release() {
-	if e.gang != nil {
-		e.gang.stop()
-		e.gang = nil
-	}
 	e.m = nil
 	e.logic = nil
 	e.policy = nil
@@ -535,14 +456,6 @@ func (e *exec) release() {
 	e.ctx = assign.Context{}
 	e.res = Result{}
 	e.stats = Stats{}
-}
-
-// owns reports whether shard s owns cell c. With one worker the
-// shard maps are not built and shard 0 owns everything.
-//
-//sysvet:hotpath
-func (e *exec) owns(s int, shard []int32, id model.MessageID) bool {
-	return e.workers == 1 || int(shard[id]) == s
 }
 
 // poolOf returns the pool serving hop i of message id under the
@@ -570,28 +483,22 @@ func (e *exec) linkFree(lk topology.LinkID) bool {
 	return e.now >= e.lmNextFree[lk]
 }
 
-// noteLinkHit tallies one word crossing link lk this cycle. Direct
-// mode folds into coordinator state; sharded mode defers through the
-// sink (increments commute, so merge order cannot be observed).
-// Callers gate with e.lm != nil.
+// noteLinkHit tallies one word crossing link lk this cycle. Callers
+// gate with e.lm != nil.
 //
 //sysvet:hotpath
-func (e *exec) noteLinkHit(lk topology.LinkID, sk *sink) {
-	if e.direct {
-		if e.lmTally[lk] == 0 {
-			e.lmDirty = append(e.lmDirty, int32(lk))
-		}
-		e.lmTally[lk]++
-		return
+func (e *exec) noteLinkHit(lk topology.LinkID) {
+	if e.lmTally[lk] == 0 {
+		e.lmDirty = append(e.lmDirty, int32(lk))
 	}
-	sk.linkHits = append(sk.linkHits, int32(lk))
+	e.lmTally[lk]++
 }
 
 // lmEndCycle closes the cycle's link occupancy: every link with
 // traffic this cycle gets a busy window from the model
 // (nextFree = now + Busy(link, tally)), and the tallies reset.
-// Coordinator-only, after the release phase — the reference engine
-// runs the identical fold at the identical point.
+// It runs after the release phase — the reference engine runs the
+// identical fold at the identical point.
 //
 //sysvet:hotpath
 func (e *exec) lmEndCycle() {
@@ -608,16 +515,10 @@ func (e *exec) lmEndCycle() {
 
 // noteWake folds cycle t into this cycle's wake minimum: some
 // candidate is held back by a predicate that cannot flip before t.
-// Sharded mode defers through the sink (min commutes, so every worker
-// count folds the same value).
 //
 //sysvet:hotpath
-func (e *exec) noteWake(t int, sk *sink) {
-	if e.direct {
-		e.wake = min(e.wake, t)
-		return
-	}
-	sk.wake = min(sk.wake, t)
+func (e *exec) noteWake(t int) {
+	e.wake = min(e.wake, t)
 }
 
 // noteGated counts one operation held back by a fault gate that
@@ -625,14 +526,9 @@ func (e *exec) noteWake(t int, sk *sink) {
 // severed link).
 //
 //sysvet:hotpath
-func (e *exec) noteGated(sk *sink, reopen int) {
-	if e.direct {
-		e.stats.GatedOps++
-		e.wake = min(e.wake, reopen)
-		return
-	}
-	sk.gated++
-	sk.wake = min(sk.wake, reopen)
+func (e *exec) noteGated(reopen int) {
+	e.stats.GatedOps++
+	e.wake = min(e.wake, reopen)
 }
 
 // pool returns the queue instances of pool p.
@@ -655,158 +551,89 @@ func (e *exec) hopOn(pool int, msg model.MessageID) int {
 	return -1
 }
 
-// armPool re-arms a pool immediately. Coordinator-only (grantPhase);
-// sharded phases defer arming through their sink instead.
-//
-//sysvet:hotpath
-func (e *exec) armPool(p int) {
-	e.armed.add(p)
-}
-
 // noteTransport records that id, which had nothing buffered, now has a
-// word on its route. A sender writes at most one word per cycle, so
-// the sink sees each id at most once; an id that is still a member
-// (drained this cycle, not yet dropped) collapses in the merge's add.
+// word on its route. Safe in place: the write phase is the only
+// caller, and the transport set's walks (reads, advances) ran earlier
+// in the cycle. An id that is still a member (drained this cycle, not
+// yet dropped) collapses in add.
 //
 //sysvet:hotpath
-func (e *exec) noteTransport(id model.MessageID, sk *sink) {
-	if e.direct {
-		// Safe in place: the write phase is the only caller, and the
-		// transport set's iterations (reads, advances) ran earlier in
-		// the cycle.
-		e.transport.add(int(id))
-		return
-	}
-	sk.transport = append(sk.transport, id)
+func (e *exec) noteTransport(id model.MessageID) {
+	e.transport.add(int(id))
 }
 
 // noteWriter records that id's sender is parked at W(id) with the
 // first-hop queue bound. Called from the grant hook and the
 // pc-advance hook, which together cover both orders the two
-// conditions can become true in.
+// conditions can become true in. The insertion is immediate, and what
+// it means follows from where the cycle's writer snapshot is taken (the
+// top of the transfer phase): a grant lands before it, so the write can
+// go this very cycle, exactly as the reference engine's in-line
+// insertion allows; a pc advance lands after it, in next cycle's
+// snapshot — the cell has issued its one op of this cycle.
 //
 //sysvet:hotpath
-func (e *exec) noteWriter(id model.MessageID, sk *sink) {
-	if e.writeReady[id] {
-		return
-	}
-	e.writeReady[id] = true
-	if e.direct {
-		// Safe in place: the writer snapshot for this cycle was taken
-		// before any phase that can reach here, so the insertion lands
-		// in next cycle's snapshot exactly as the merged path's would.
-		e.writers.add(int(id))
-		return
-	}
-	sk.writers = append(sk.writers, id)
+func (e *exec) noteWriter(id model.MessageID) {
+	e.writers.add(int(id))
 }
 
 // dropWriter retires id from the writer set: its sender is no longer
-// parked at W(id) over a bound first hop. Only the write shard that
-// owns the sender calls it, while walking the snapshot, so the real
-// set is free to change under it in direct mode; a sharded run defers
-// the drop like every other set change. The sender may come back to
-// W(id) later in the same phase (noteWriter), which is why the merge
-// applies a sink's drops before its insertions.
+// parked at W(id) over a bound first hop. Only the write phase calls
+// it, while walking the snapshot, so the real set is free to change
+// under the walk; the sender may come back to W(id) later in the same
+// phase (noteWriter) and the entry then stays a member.
 //
 //sysvet:hotpath
-func (e *exec) dropWriter(id model.MessageID, sk *sink) {
-	e.writeReady[id] = false
-	if e.direct {
-		e.writers.drop(int(id))
-		return
-	}
-	sk.writerDrops = append(sk.writerDrops, id)
-}
-
-// noteWriterNow is noteWriter for the coordinator-only grant phase,
-// which must insert immediately: the writer snapshot taken at the top
-// of the same cycle's transfer phase has to see grants made this
-// cycle, exactly as the reference engine's in-line insertion does.
-//
-//sysvet:hotpath
-func (e *exec) noteWriterNow(id model.MessageID) {
-	if !e.writeReady[id] {
-		e.writeReady[id] = true
-		e.writers.add(int(id))
-	}
+func (e *exec) dropWriter(id model.MessageID) {
+	e.writers.drop(int(id))
 }
 
 // noteReqCheck records that id's header entered a new hop (head
 // advanced): the hop after it may now be requestable. Only that event
-// can make one — collectInteriorShard marks head+1 the first time it
-// sees it — and the header advances at most one hop per cycle, so the
-// sink sees each id at most once. Callers keep the set empty on
-// machines where every route is a single hop, whose interior phases
-// are skipped outright.
+// can make one — collectInterior marks head+1 the first time it sees
+// it. Callers keep the set empty on machines where every route is a
+// single hop, whose interior phases are skipped outright.
 //
 //sysvet:hotpath
-func (e *exec) noteReqCheck(id model.MessageID, sk *sink) {
-	if e.direct {
-		e.reqSet.add(int(id))
-		return
-	}
-	sk.reqCheck = append(sk.reqCheck, id)
+func (e *exec) noteReqCheck(id model.MessageID) {
+	e.reqSet.add(int(id))
 }
 
 // noteMoved records that id's last word departed a hop: that hop's
-// queue is now releasable. The last word leaves one hop per cycle, so
-// the sink sees each id at most once and the bitset merge needs no
-// dedup.
+// queue is now releasable.
 //
 //sysvet:hotpath
-func (e *exec) noteMoved(id model.MessageID, sk *sink) {
-	if e.direct {
-		e.movedSet.add(int(id))
-		return
-	}
-	sk.moved = append(sk.moved, id)
+func (e *exec) noteMoved(id model.MessageID) {
+	e.movedSet.add(int(id))
 }
 
 // noteEvent records per-cycle progress: the cycle saw an event (so the
-// run is not deadlocked) and words hop traversals. Direct mode folds
-// both straight into coordinator state; otherwise the shard sink
-// accumulates and mergeSinks folds.
+// run is not deadlocked) and words hop traversals.
 //
 //sysvet:hotpath
-func (e *exec) noteEvent(sk *sink, words int) {
-	if e.direct {
-		e.moved = true
-		e.stats.WordsMoved += words
-		return
-	}
-	sk.anyEvent = true
-	sk.wordsMoved += words
+func (e *exec) noteEvent(words int) {
+	e.moved = true
+	e.stats.WordsMoved += words
 }
 
 // noteCooling registers a queue whose Pop may have armed an
 // extension-access cooldown.
 //
 //sysvet:hotpath
-func (e *exec) noteCooling(qi *queueInst, sk *sink) {
+func (e *exec) noteCooling(qi *queueInst) {
 	if !qi.cooling && qi.q.Cooling() {
 		qi.cooling = true
-		if e.direct {
-			e.cooling = append(e.cooling, qi.slot)
-			return
-		}
-		sk.cooling = append(sk.cooling, qi.slot)
+		e.cooling = append(e.cooling, qi.slot)
 	}
 }
 
 // markCellDirty records a cell whose pc advanced onto a W that still
-// has its first hop to ask for. A cell issues at most once per cycle
-// (the issue stamp guards every advancePC call site), so the sink sees
-// each cell at most once and the bitset merge needs no worker-side
-// flag.
+// has its first hop to ask for. The next collect reads it; this
+// cycle's already ran.
 //
 //sysvet:hotpath
-func (e *exec) markCellDirty(c int, sk *sink) {
-	if e.direct {
-		e.dirty.add(c) // next collect reads it; this cycle's already ran
-		return
-	}
-	sk.dirty = append(sk.dirty, c)
+func (e *exec) markCellDirty(c int) {
+	e.dirty.add(c)
 }
 
 // issuedNow reports whether cell c has already issued its one op of
@@ -838,20 +665,16 @@ func (e *exec) issuedOps(c int) int {
 // a new front op that is a write wakes anything: the dirty-cell pass
 // if the message has yet to ask for its first hop, the writer set if
 // that hop is already bound (a reserving policy can make both true at
-// once). Only c's owning shard may call this.
+// once).
 //
 //sysvet:hotpath
-func (e *exec) advancePC(c int, sk *sink) {
+func (e *exec) advancePC(c int) {
 	e.pc[c]++
 	e.issued[c] = e.now + 1
 	op, ok := e.front(c)
 	if !ok {
 		e.finishedAt[c] = e.now
-		if e.direct {
-			e.remaining--
-		} else {
-			sk.remainingDelta--
-		}
+		e.remaining--
 		return
 	}
 	if op.isWrite() {
@@ -860,16 +683,11 @@ func (e *exec) advancePC(c int, sk *sink) {
 		if len(ms.queues) == 0 {
 			return
 		}
-		// Reading another message's request flag and queue-pointer table
-		// is safe here: requests are only registered in the collect
-		// phase and bindings only change in the grant and release
-		// phases, none of which overlaps a phase that advances program
-		// counters.
 		if !ms.requested[0] {
-			e.markCellDirty(c, sk)
+			e.markCellDirty(c)
 		}
 		if ms.queues[0] != nil {
-			e.noteWriter(id, sk)
+			e.noteWriter(id)
 		}
 	}
 }
@@ -880,15 +698,8 @@ func (e *exec) advancePC(c int, sk *sink) {
 // and with one departure in host time only: after a no-event cycle
 // that is not a deadlock the loop does not step through the cycles
 // that would repeat it but jumps to the first one that can differ
-// (fastForward). The gang (when present) is torn down on every exit
-// path, so a pooled exec never strands goroutines.
+// (fastForward).
 func (e *exec) run(maxCycles int) {
-	defer func() {
-		if e.gang != nil {
-			e.gang.stop()
-			e.gang = nil
-		}
-	}()
 	for e.now = 0; e.now < maxCycles; e.now++ {
 		if e.remaining == 0 {
 			break
@@ -1035,62 +846,30 @@ func (e *exec) anyCooling() bool {
 // request is marked and dropped, and the pool's state, unchanged, does
 // not arm. First-hop checks run over dirty cells in cell order, then
 // interior checks over live messages in message order — the same
-// relative append order the reference full scan produces. Both
-// sub-phases split the key space into contiguous id ranges, one per
-// shard; bitset iteration is ascending within a range, so the
-// shard-order merge restores the full ascending append order for any
-// worker count.
+// relative append order the reference full scan produces.
 //
 //sysvet:hotpath
 func (e *exec) collectRequests() {
-	e.fanout(e.dirty.len(), e.fnFirstHop)
-	if !e.direct {
-		e.mergeCollect()
+	if e.dirty.len() > 0 {
+		e.collectFirstHop()
+		e.dirty.clearAll()
 	}
-	e.dirty.clearAll()
-
-	if e.hasInterior {
-		e.fanout(e.reqSet.len(), e.fnInterior)
-		if !e.direct {
-			e.mergeCollect()
-		}
+	if e.hasInterior && e.reqSet.len() > 0 {
+		e.collectInterior()
 		e.reqSet.clearAll()
 	}
 }
 
-// mergeCollect drains the collect shards' sinks, which only ever
-// carry pending requests; the requested pool arms as a consequence of
-// the request itself. A dedicated merge spares the collect phases —
-// two of the cycle's barriers — the full sink sweep.
+// collectFirstHop checks the dirty cells for senders parked at an
+// unrequested W.
 //
 //sysvet:hotpath
-func (e *exec) mergeCollect() {
-	for s := range e.sinks {
-		sk := &e.sinks[s]
-		for _, pr := range sk.pending {
-			e.pending[pr.pool] = append(e.pending[pr.pool], pr.msg)
-			e.armed.add(pr.pool)
-		}
-		sk.pending = sk.pending[:0]
-	}
-}
-
-// collectFirstHopShard checks shard s's id range of the dirty set for
-// senders parked at an unrequested W. Every touched flag
-// (requested[0]) belongs to the range's own messages — a message's
-// first-hop request can only come from its one sender. The set
-// itself is read-only here; the coordinator clears it wholesale once
-// every shard has consumed its range.
-//
-//sysvet:hotpath
-func (e *exec) collectFirstHopShard(s int) {
-	sk := &e.sinks[s]
-	lo, hi := chunk(len(e.pc), e.workers, s)
-	set, seen := &e.dirty, &sk.visits.setWords
-	for w, word := set.scan(lo, hi, seen); word != 0; w, word = set.scan((w+1)<<6, hi, seen) {
+func (e *exec) collectFirstHop() {
+	set, seen := &e.dirty, &e.visits.setWords
+	for w, word := set.scan(0, seen); word != 0; w, word = set.scan(w+1, seen) {
 		for ; word != 0; word &= word - 1 {
 			c := w<<6 | bits.TrailingZeros64(word)
-			sk.visits.firstHop++
+			e.visits.firstHop++
 			op, ok := e.front(c)
 			if !ok || !op.isWrite() {
 				continue
@@ -1100,7 +879,7 @@ func (e *exec) collectFirstHopShard(s int) {
 			if len(ms.queues) > 0 && !ms.requested[0] {
 				ms.requested[0] = true
 				if !ms.granted[0] {
-					e.notePending(e.poolOf(id, 0), id, sk)
+					e.notePending(e.poolOf(id, 0), id)
 				}
 			}
 		}
@@ -1111,16 +890,12 @@ func (e *exec) collectFirstHopShard(s int) {
 // changes the pool's pending list, so the pool arms.
 //
 //sysvet:hotpath
-func (e *exec) notePending(pool int, msg model.MessageID, sk *sink) {
-	if e.direct {
-		e.pending[pool] = append(e.pending[pool], msg)
-		e.armed.add(pool)
-		return
-	}
-	sk.pending = append(sk.pending, pendReq{pool: pool, msg: msg})
+func (e *exec) notePending(pool int, msg model.MessageID) {
+	e.pending[pool] = append(e.pending[pool], msg)
+	e.armed.add(pool)
 }
 
-// collectInteriorShard checks shard s's id range of the reqSet: only
+// collectInterior checks the reqSet: only
 // messages whose header entered a new hop since the last collect can
 // have a hop newly worth asking for, and it is head+1 — every hop up
 // to head was asked for before a word could enter
@@ -1132,22 +907,20 @@ func (e *exec) notePending(pool int, msg model.MessageID, sk *sink) {
 // pending lists exactly as the full message scan does.
 //
 //sysvet:hotpath
-func (e *exec) collectInteriorShard(s int) {
-	sk := &e.sinks[s]
-	lo, hi := chunk(len(e.msgs), e.workers, s)
-	set, seen := &e.reqSet, &sk.visits.setWords
-	for w, word := set.scan(lo, hi, seen); word != 0; w, word = set.scan((w+1)<<6, hi, seen) {
+func (e *exec) collectInterior() {
+	set, seen := &e.reqSet, &e.visits.setWords
+	for w, word := set.scan(0, seen); word != 0; w, word = set.scan(w+1, seen) {
 		for ; word != 0; word &= word - 1 {
 			id := model.MessageID(w<<6 | bits.TrailingZeros64(word))
 			ms := &e.msgs[id]
-			sk.visits.hops++
+			e.visits.hops++
 			hop := int(ms.head) + 1
 			if hop == len(ms.queues) || ms.requested[hop] {
 				continue
 			}
 			ms.requested[hop] = true
 			if !ms.granted[hop] {
-				e.notePending(e.poolOf(id, hop), id, sk)
+				e.notePending(e.poolOf(id, hop), id)
 			}
 		}
 	}
@@ -1156,9 +929,8 @@ func (e *exec) collectInteriorShard(s int) {
 // grantPhase invokes the policy for every armed pool in ascending
 // pool order. A pool re-arms whenever its free count or pending list
 // changes, so every invocation the reference engine's per-cycle sweep
-// would have made that could matter is made here too. The phase runs
-// entirely on the coordinator: policy instances are stateful and
-// their call order is part of the observable behavior.
+// would have made that could matter is made here too. Policy instances
+// are stateful and their call order is part of the observable behavior.
 //
 //sysvet:hotpath
 func (e *exec) grantPhase() {
@@ -1166,12 +938,12 @@ func (e *exec) grantPhase() {
 		return
 	}
 	// Swap the armed set with the (empty) scratch set: pools re-armed
-	// while granting — by grantPool or a shard sink next phase — land in
+	// while granting — by grantPool or next phase's releases — land in
 	// the fresh set and are visited next grantPhase, never the one being
 	// iterated.
 	e.armed, e.armedScratch = e.armedScratch, e.armed
-	set, seen := &e.armedScratch, &e.sinks[0].visits.setWords
-	for w, word := set.scan(0, e.numPools, seen); word != 0; w, word = set.scan((w+1)<<6, e.numPools, seen) {
+	set, seen := &e.armedScratch, &e.visits.setWords
+	for w, word := set.scan(0, seen); word != 0; w, word = set.scan(w+1, seen) {
 		for ; word != 0; word &= word - 1 {
 			e.grantPool(w<<6 | bits.TrailingZeros64(word))
 		}
@@ -1221,12 +993,12 @@ func (e *exec) grantPool(pid int) {
 			// request (reserving policies) never entered the list.
 			e.removePending(pid, msg)
 		}
-		e.armPool(pid)
+		e.armed.add(pid)
 		if hop == 0 {
 			// The sender may already be parked at W(msg) waiting
 			// for exactly this grant.
 			if op, ok := e.front(int(e.m.sender[msg])); ok && op == writeOf(msg) {
-				e.noteWriterNow(msg)
+				e.noteWriter(msg)
 			}
 		}
 		if e.recordTimeline {
@@ -1256,12 +1028,7 @@ func (e *exec) removePending(pool int, msg model.MessageID) {
 // operation per cycle. All four sub-phases iterate live messages in
 // ascending id order; a cell's front op names exactly one message, so
 // this visits the same actions as the reference engine's cell-order
-// scans. Reads are sharded by receiver cell and writes by sender cell
-// (the issue slot is the only cross-message contention point, and it
-// is always intra-shard); interior advances, which are fully
-// message-local, chunk by position. One merge at the end covers all
-// four sub-phases: nothing they defer is consumed before the release
-// phase.
+// scans.
 //
 //sysvet:hotpath
 func (e *exec) cellAndTransferPhase() {
@@ -1271,67 +1038,44 @@ func (e *exec) cellAndTransferPhase() {
 	// engine did.
 	e.writerSnap.copyFrom(&e.writers)
 
-	// 1. Receiver reads from buffered last-hop queues, sharded by
-	// receiver cell. Workers flag drained entries in their drop
-	// sinks; the coordinator removes them afterwards, before the
-	// advance phase iterates the set.
-	e.fanout(e.transport.len(), e.fnReads)
-	if !e.direct {
-		for s := range e.sinks {
-			sk := &e.sinks[s]
-			for _, id := range sk.drops {
-				e.transport.drop(int(id))
-			}
-			sk.drops = sk.drops[:0]
-		}
+	// 1. Receiver reads from buffered last-hop queues.
+	if e.transport.len() > 0 {
+		e.readPhase()
 	}
 
 	// 2. Interior advances, last hop toward receiver first. Single-hop
 	// machines have no interior queues to advance.
-	if e.hasInterior {
-		e.fanout(e.transport.len(), e.fnAdvances)
+	if e.hasInterior && e.transport.len() > 0 {
+		e.advancePhase()
 	}
 
 	// 3. Capacity-0 rendezvous: single-hop messages hand a word
-	//    directly from a writing sender to a reading receiver. Runs on
-	//    the coordinator (it issues at two cells at once).
+	//    directly from a writing sender to a reading receiver.
 	if e.capacity == 0 {
-		e.rendezvous(&e.sinks[0])
+		e.rendezvous()
 	}
 
-	// 4. Sender writes into first-hop queues, sharded by sender cell.
-	e.fanout(e.writerSnap.len(), e.fnWrites)
-
-	if !e.direct {
-		e.mergeSinks()
+	// 4. Sender writes into first-hop queues.
+	if e.writerSnap.len() > 0 {
+		e.writePhase()
 	}
 }
 
-// readShard serves receiver reads for the transport entries shard s
-// owns (messages whose receiver cell is in s's range). Only messages
-// with buffered words can serve a read; fully drained entries are
-// flagged for removal via the drop sink (only the coordinator may
-// mutate the set).
+// readPhase serves receiver reads for the transport set. Only messages
+// with buffered words can serve a read; fully drained entries leave the
+// set here.
 //
 //sysvet:hotpath
-func (e *exec) readShard(s int) {
-	sk := &e.sinks[s]
-	set, seen := &e.transport, &sk.visits.setWords
-	for w, word := set.scan(0, len(e.msgs), seen); word != 0; w, word = set.scan((w+1)<<6, len(e.msgs), seen) {
+func (e *exec) readPhase() {
+	set, seen := &e.transport, &e.visits.setWords
+	for w, word := set.scan(0, seen); word != 0; w, word = set.scan(w+1, seen) {
 		for ; word != 0; word &= word - 1 {
 			id := model.MessageID(w<<6 | bits.TrailingZeros64(word))
-			if !e.owns(s, e.recvShard, id) {
-				continue
-			}
 			ms := &e.msgs[id]
 			if ms.written == ms.read {
-				if e.direct {
-					// Dropping the current member mid-iteration is safe,
-					// and every later sub-phase must see the post-drop set.
-					e.transport.drop(int(id))
-				} else {
-					sk.drops = append(sk.drops, id)
-				}
+				// Dropping the current member mid-iteration is safe, and
+				// every later sub-phase must see the post-drop set.
+				e.transport.drop(int(id))
 				continue
 			}
 			last := len(ms.queues) - 1
@@ -1351,40 +1095,37 @@ func (e *exec) readShard(s int) {
 				continue
 			}
 			if e.faults != nil && !e.faults.CellOpen(cell, e.now) {
-				e.noteGated(sk, e.faults.CellNextOpen(cell, e.now))
+				e.noteGated(e.faults.CellNextOpen(cell, e.now))
 				continue
 			}
 			got := qi.q.Pop()
-			e.noteCooling(qi, sk)
+			e.noteCooling(qi)
 			e.logic.OnRead(cell, id, ms.read, got)
 			e.deliver(id, got)
 			ms.read++
 			if ms.departed[last]++; ms.departed[last] == e.m.words[id] {
-				e.noteMoved(id, sk)
+				e.noteMoved(id)
 			}
-			e.advancePC(c, sk)
-			e.noteEvent(sk, 1)
+			e.advancePC(c)
+			e.noteEvent(1)
 		}
 	}
 }
 
-// advanceShard moves words between interior queues for shard s's id
-// range of the transport set, over each message's occupied-hop window:
-// a hop before tail is released and a hop after head has no word to
-// give, so neither can be the source of a move. Every touched queue is
-// bound to the range's own message, so shards never contend.
+// advancePhase moves words between interior queues for the transport
+// set, over each message's occupied-hop window: a hop before tail is
+// released and a hop after head has no word to give, so neither can be
+// the source of a move.
 //
 //sysvet:hotpath
-func (e *exec) advanceShard(s int) {
-	sk := &e.sinks[s]
-	lo, hi := chunk(len(e.msgs), e.workers, s)
-	set, seen := &e.transport, &sk.visits.setWords
-	for w, word := set.scan(lo, hi, seen); word != 0; w, word = set.scan((w+1)<<6, hi, seen) {
+func (e *exec) advancePhase() {
+	set, seen := &e.transport, &e.visits.setWords
+	for w, word := set.scan(0, seen); word != 0; w, word = set.scan(w+1, seen) {
 		for ; word != 0; word &= word - 1 {
 			id := model.MessageID(w<<6 | bits.TrailingZeros64(word))
 			ms := &e.msgs[id]
 			for hop := min(int(ms.head), len(ms.queues)-2); hop >= int(ms.tail); hop-- {
-				sk.visits.hops++
+				e.visits.hops++
 				src, dst := ms.queues[hop], ms.queues[hop+1]
 				if dst == nil {
 					continue
@@ -1393,55 +1134,50 @@ func (e *exec) advanceShard(s int) {
 					if e.lm != nil && !e.linkFree(e.hopLink(id, hop+1)) {
 						// Busy-link stalls are timing, not degradation: no
 						// GatedOps.
-						e.noteWake(e.lmNextFree[e.hopLink(id, hop+1)], sk)
+						e.noteWake(e.lmNextFree[e.hopLink(id, hop+1)])
 						continue
 					}
 					if e.faults != nil && !e.faults.LinkOpen(e.hopLink(id, hop+1), e.now) {
-						e.noteGated(sk, e.faults.LinkNextOpen(e.hopLink(id, hop+1), e.now))
+						e.noteGated(e.faults.LinkNextOpen(e.hopLink(id, hop+1), e.now))
 						continue
 					}
 					dst.q.Push(src.q.Pop())
 					if e.lm != nil {
-						e.noteLinkHit(e.hopLink(id, hop+1), sk)
+						e.noteLinkHit(e.hopLink(id, hop+1))
 					}
-					e.noteCooling(src, sk)
+					e.noteCooling(src)
 					if h := int32(hop + 1); h > ms.head {
 						ms.head = h
-						e.noteReqCheck(id, sk)
+						e.noteReqCheck(id)
 					}
 					if ms.departed[hop]++; ms.departed[hop] == e.m.words[id] {
-						e.noteMoved(id, sk)
+						e.noteMoved(id)
 					}
-					e.noteEvent(sk, 1)
+					e.noteEvent(1)
 				}
 			}
 		}
 	}
 }
 
-// writeShard pushes sender words into first-hop queues for the
-// writer-snapshot entries shard s owns (messages whose sender cell is
-// in s's range).
+// writePhase pushes sender words into first-hop queues for the writer
+// snapshot.
 //
 //sysvet:hotpath
-func (e *exec) writeShard(s int) {
-	sk := &e.sinks[s]
-	set, seen := &e.writerSnap, &sk.visits.setWords
-	for w, word := set.scan(0, len(e.msgs), seen); word != 0; w, word = set.scan((w+1)<<6, len(e.msgs), seen) {
+func (e *exec) writePhase() {
+	set, seen := &e.writerSnap, &e.visits.setWords
+	for w, word := set.scan(0, seen); word != 0; w, word = set.scan(w+1, seen) {
 		for ; word != 0; word &= word - 1 {
 			id := model.MessageID(w<<6 | bits.TrailingZeros64(word))
-			if !e.owns(s, e.sendShard, id) {
-				continue
-			}
 			ms := &e.msgs[id]
 			if len(ms.queues) == 0 || ms.queues[0] == nil {
-				e.dropWriter(id, sk)
+				e.dropWriter(id)
 				continue
 			}
 			cell := e.m.sender[id]
 			c := int(cell)
 			if op, ok := e.front(c); !ok || op != writeOf(id) {
-				e.dropWriter(id, sk)
+				e.dropWriter(id)
 				continue
 			}
 			if e.issuedNow(c) {
@@ -1452,34 +1188,34 @@ func (e *exec) writeShard(s int) {
 				continue
 			}
 			if e.lm != nil && !e.linkFree(qi.link) {
-				e.noteWake(e.lmNextFree[qi.link], sk)
+				e.noteWake(e.lmNextFree[qi.link])
 				continue
 			}
 			if e.faults != nil && (!e.faults.CellOpen(cell, e.now) || !e.faults.LinkOpen(qi.link, e.now)) {
 				// The write needs both gates open at once, so it cannot go
 				// before the later of their next-open cycles.
-				e.noteGated(sk, max(e.faults.CellNextOpen(cell, e.now), e.faults.LinkNextOpen(qi.link, e.now)))
+				e.noteGated(max(e.faults.CellNextOpen(cell, e.now), e.faults.LinkNextOpen(qi.link, e.now)))
 				continue
 			}
 			qi.q.Push(e.logic.Produce(cell, id, ms.written))
 			if e.lm != nil {
-				e.noteLinkHit(qi.link, sk)
+				e.noteLinkHit(qi.link)
 			}
 			if ms.written == ms.read {
 				// Nothing was buffered, so the message may have been
 				// dropped from the transport set; with words buffered it
 				// is a member already.
-				e.noteTransport(id, sk)
+				e.noteTransport(id)
 			}
 			ms.written++
 			if ms.head < 0 {
 				ms.head = 0
 				if e.hasInterior {
-					e.noteReqCheck(id, sk)
+					e.noteReqCheck(id)
 				}
 			}
-			e.advancePC(c, sk)
-			e.noteEvent(sk, 0)
+			e.advancePC(c)
+			e.noteEvent(0)
 		}
 	}
 }
@@ -1489,12 +1225,12 @@ func (e *exec) writeShard(s int) {
 // buffered, the paper's "queues are just latches" regime.
 //
 //sysvet:hotpath
-func (e *exec) rendezvous(sk *sink) {
+func (e *exec) rendezvous() {
 	// A rendezvous needs the sender parked at W(id) over a bound
 	// latch — precisely the writer set (capacity 0 admits only
 	// single-hop routes, so every entry here is a latch candidate).
-	set, seen := &e.writerSnap, &sk.visits.setWords
-	for w, word := set.scan(0, len(e.msgs), seen); word != 0; w, word = set.scan((w+1)<<6, len(e.msgs), seen) {
+	set, seen := &e.writerSnap, &e.visits.setWords
+	for w, word := set.scan(0, seen); word != 0; w, word = set.scan(w+1, seen) {
 		for ; word != 0; word &= word - 1 {
 			id := model.MessageID(w<<6 | bits.TrailingZeros64(word))
 			ms := &e.msgs[id]
@@ -1512,13 +1248,13 @@ func (e *exec) rendezvous(sk *sink) {
 				continue
 			}
 			if e.lm != nil && !e.linkFree(ms.queues[0].link) {
-				e.noteWake(e.lmNextFree[ms.queues[0].link], sk)
+				e.noteWake(e.lmNextFree[ms.queues[0].link])
 				continue
 			}
 			if e.faults != nil && (!e.faults.CellOpen(e.m.sender[id], e.now) ||
 				!e.faults.CellOpen(e.m.receiver[id], e.now) ||
 				!e.faults.LinkOpen(ms.queues[0].link, e.now)) {
-				e.noteGated(sk, max(e.faults.CellNextOpen(e.m.sender[id], e.now),
+				e.noteGated(max(e.faults.CellNextOpen(e.m.sender[id], e.now),
 					e.faults.CellNextOpen(e.m.receiver[id], e.now),
 					e.faults.LinkNextOpen(ms.queues[0].link, e.now)))
 				continue
@@ -1527,58 +1263,46 @@ func (e *exec) rendezvous(sk *sink) {
 			e.logic.OnRead(e.m.receiver[id], id, ms.read, val)
 			e.deliver(id, val)
 			if e.lm != nil {
-				e.noteLinkHit(ms.queues[0].link, sk)
+				e.noteLinkHit(ms.queues[0].link)
 			}
 			ms.written++
 			ms.read++
 			ms.head = 0
 			if ms.departed[0]++; ms.departed[0] == e.m.words[id] {
-				e.noteMoved(id, sk)
+				e.noteMoved(id)
 			}
-			e.advancePC(sc, sk)
-			e.advancePC(rc, sk)
-			e.noteEvent(sk, 1)
+			e.advancePC(sc)
+			e.advancePC(rc)
+			e.noteEvent(1)
 		}
 	}
 }
 
 // releasePhase frees queues whose message has fully passed (§2.3: a
 // queue may be reassigned only after the current message's last word
-// has passed it) and retires messages with nothing left bound. The
-// moved set is chunked by message-id range and merged in shard
-// order, so release-side timeline events keep their ascending-message
-// order for any worker count.
+// has passed it) and retires messages with nothing left bound. A queue
+// becomes releasable exactly on the cycle its message's last word
+// departs it (the queue is empty at that same instant), so the messages
+// whose last word departed a hop this cycle — the moved set — are the
+// only release candidates, and the hop is the front of the occupied
+// window: hops complete in route order, so the scan starts at tail and
+// stops at the first hop still waiting for words. Ascending message
+// order is the order of the release-side timeline events.
 //
 //sysvet:hotpath
 func (e *exec) releasePhase() {
-	e.fanout(e.movedSet.len(), e.fnRelease)
-	if !e.direct {
-		e.mergeRelease()
+	if e.movedSet.len() == 0 {
+		return
 	}
-	e.movedSet.clearAll()
-}
-
-// releaseShard frees the releasable queues of shard s's id range of
-// the moved set. A queue becomes releasable exactly on the cycle its
-// message's last word departs it (the queue is empty at that same
-// instant), so the messages whose last word departed a hop this cycle
-// are the only release candidates, and the hop is the front of the
-// occupied window: hops complete in route order, so the scan starts at
-// tail and stops at the first hop still waiting for words.
-//
-//sysvet:hotpath
-func (e *exec) releaseShard(s int) {
-	sk := &e.sinks[s]
-	lo, hi := chunk(len(e.msgs), e.workers, s)
-	set, seen := &e.movedSet, &sk.visits.setWords
-	for w, word := set.scan(lo, hi, seen); word != 0; w, word = set.scan((w+1)<<6, hi, seen) {
+	set, seen := &e.movedSet, &e.visits.setWords
+	for w, word := set.scan(0, seen); word != 0; w, word = set.scan(w+1, seen) {
 		for ; word != 0; word &= word - 1 {
 			id := model.MessageID(w<<6 | bits.TrailingZeros64(word))
 			ms := &e.msgs[id]
 			words := e.m.words[id]
-			sk.visits.releases++
+			e.visits.releases++
 			for hop := int(ms.tail); hop <= int(ms.head); hop++ {
-				sk.visits.hops++
+				e.visits.hops++
 				qi := ms.queues[hop]
 				if ms.departed[hop] != words || !qi.q.Empty() {
 					break
@@ -1587,24 +1311,15 @@ func (e *exec) releaseShard(s int) {
 				qi.q.Reset()
 				ms.queues[hop] = nil // keep granted=true: the message had its turn
 				ms.tail = int32(hop + 1)
-				if e.direct {
-					// armed is consumed by next cycle's grantPhase, never
-					// read during this scan, so in-place arming is safe.
-					e.stats.Releases++
-					e.armed.add(e.poolOf(id, hop))
-					if e.recordTimeline {
-						e.res.Timeline = append(e.res.Timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
-					}
-					continue
-				}
-				sk.releases++
-				sk.armed = append(sk.armed, e.poolOf(id, hop))
+				e.stats.Releases++
+				e.armed.add(e.poolOf(id, hop))
 				if e.recordTimeline {
-					sk.timeline = append(sk.timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
+					e.res.Timeline = append(e.res.Timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
 				}
 			}
 		}
 	}
+	set.clearAll()
 }
 
 // result assembles the run's Result. Blocked-cycle accounting is the

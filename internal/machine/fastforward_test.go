@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -170,30 +169,22 @@ func (l *cancelAfterJump) Produce(cell model.CellID, msg model.MessageID, index 
 // 2⁴³ simulated cycles and a fifth of a second of host time if left
 // alone — so a cancellation a few milliseconds after the first jumps
 // finds the run deep in them, and the run must come back with the
-// context's error rather than ride the jumps to completion. Workers 4
-// spawns the gang on cycle 0's 64-cell scan; no worker may outlive the
-// cancelled run.
+// context's error rather than ride the jumps to completion.
 func TestCancelLandsAcrossFastForward(t *testing.T) {
 	const cells, words, slow = 64, 4096, 1 << 30
 	m := mustCompile(t, pipeline(t, cells, words), topology.Linear(cells))
-	faults := mustFaults(t, fmt.Sprintf("cell:%d:slow=%d", cells/2, slow))
-	for _, workers := range []int{1, 4} {
-		base := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		opts := fcfs(1, 2)
-		opts.Workers = workers
-		opts.Faults = faults
-		opts.Context = ctx
-		opts.Logic = &cancelAfterJump{cell: cells / 2, delay: 3 * time.Millisecond, cancel: cancel}
-		res, err := m.Run(opts)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: res=%v err=%v, want the context's error", workers, res != nil, err)
-		}
-		var at int
-		if _, serr := fmt.Sscanf(err.Error(), "machine: run cancelled after %d cycles", &at); serr != nil || at < 2*slow {
-			t.Fatalf("workers=%d: %q: want a cancellation past the first two %d-cycle jumps", workers, err, slow)
-		}
-		goroutinesSettle(t, base)
+	ctx, cancel := context.WithCancel(context.Background())
+	opts := fcfs(1, 2)
+	opts.Faults = mustFaults(t, fmt.Sprintf("cell:%d:slow=%d", cells/2, slow))
+	opts.Context = ctx
+	opts.Logic = &cancelAfterJump{cell: cells / 2, delay: 3 * time.Millisecond, cancel: cancel}
+	res, err := m.Run(opts)
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("res=%v err=%v, want the context's error", res != nil, err)
+	}
+	var at int
+	if _, serr := fmt.Sscanf(err.Error(), "machine: run cancelled after %d cycles", &at); serr != nil || at < 2*slow {
+		t.Fatalf("%q: want a cancellation past the first two %d-cycle jumps", err, slow)
 	}
 }

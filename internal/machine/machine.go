@@ -25,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -118,7 +117,7 @@ type Stats struct {
 	// GatedOps counts operations that were ready by every fault-free
 	// criterion but were held back by a fault gate that cycle. Zero on
 	// unfaulted runs; under faults it is the run's stall-pressure
-	// measure, identical across engines and worker counts.
+	// measure, identical across engines.
 	GatedOps      int
 	BlockedCycles []int // per cell: cycles spent with a stalled op
 	Queues        []QueueStat
@@ -210,21 +209,6 @@ type ExecOptions struct {
 	// byte-identically to a run with no model at all. Like Faults, the
 	// model is per-run: one compiled machine serves every timing.
 	LinkModel *linkmodel.Plan
-	// Workers selects deterministic sharded execution: each cycle's
-	// phases fan out across this many shards with per-phase barriers,
-	// and shard effects merge in fixed shard order, so the Result is
-	// byte-identical for every worker count — reports, deadlock
-	// traces, timelines, and statistics included. 0 and 1 both mean
-	// single-threaded; values above 64 (or above the cell count) are
-	// clamped; negative is a ConfigError.
-	//
-	// With Workers > 1 a non-nil Logic may be called concurrently for
-	// distinct cells. All calls for one cell stay serialized in
-	// program order on one shard, so per-cell state (slices indexed by
-	// cell, as every workload in this repository uses) needs no
-	// synchronization; state shared across cells must be read-only
-	// during the run or synchronized by the implementation.
-	Workers int
 	// Context, when non-nil, cancels the run between cycles: Run
 	// returns a wrapped context error instead of a Result. A nil
 	// Context never cancels.
@@ -571,9 +555,6 @@ func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, fla
 	if opts.ExtPenalty < 0 {
 		return 0, nil, 0, nil, nil, &ConfigError{Field: "ExtPenalty", Reason: fmt.Sprintf("negative extension penalty %d", opts.ExtPenalty)}
 	}
-	if opts.Workers < 0 {
-		return 0, nil, 0, nil, nil, &ConfigError{Field: "Workers", Reason: fmt.Sprintf("negative worker count %d (0 = single-threaded)", opts.Workers)}
-	}
 	if opts.Capacity == 0 {
 		if m.multiHopMsg >= 0 {
 			return 0, nil, 0, nil, nil, &ConfigError{Field: "Capacity", Reason: fmt.Sprintf(
@@ -634,7 +615,7 @@ func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, fla
 
 // runExec drives one prepared run on e: init, policy setup, the
 // scheduler loop. On success the caller harvests e.result(); on error
-// e holds no live gang and can be released or reused.
+// e can be released or reused.
 func (m *Machine) runExec(e *exec, opts *ExecOptions, tbl *poolTable, flavor, maxCycles int, flt *fault.Lowered, lm *linkmodel.Lowered) error {
 	e.init(m, opts, tbl, flavor, flt, lm)
 	e.ctx = assign.Context{
@@ -678,56 +659,4 @@ func (m *Machine) Run(opts ExecOptions) (*Result, error) {
 	e.release()
 	pool.Put(e)
 	return out, nil
-}
-
-// AutoWorkers thresholds. The rule: sharding must not be chosen where
-// it has been measured to lose. On the two all-active 1024-cell
-// workloads (wide-linear-1024, mesh-32x32) — every cell busy every
-// cycle, the best case for sharding — workers=4 is slower than
-// workers=1, because six phase barriers per cycle (a channel handoff
-// per worker each way) outweigh the per-shard work until the ready
-// sets are several thousand entries deep. The current ratio is the
-// machine.shard4_vs_1 row tools/perf reports on run-busy and
-// run-sparse (1.8 and 2.6 on the committed reference run,
-// tools/perf/results/reference.json; above 1 = sharding loses).
-// autoWorkersMinCells therefore sits at 4x the measured losing size,
-// and autoWorkersCellsPerShard keeps each shard at least ~2048 cells
-// so added workers arrive with enough work to amortize their barrier
-// share.
-const (
-	autoWorkersMinCells      = 4096
-	autoWorkersCellsPerShard = 2048
-)
-
-// AutoWorkers returns the shard count RunParallel uses when
-// ExecOptions.Workers is 0: single-threaded unless the machine is
-// large enough for sharding to pay for its barriers (see the
-// thresholds above), then roughly one worker per
-// autoWorkersCellsPerShard active-code cells, capped at
-// runtime.GOMAXPROCS(0). Every choice produces byte-identical
-// Results, so the heuristic only moves wall-clock time.
-func (m *Machine) AutoWorkers() int {
-	procs := runtime.GOMAXPROCS(0)
-	if procs <= 1 || m.codeCells < autoWorkersMinCells {
-		return 1
-	}
-	w := m.codeCells / autoWorkersCellsPerShard
-	if w > procs {
-		w = procs
-	}
-	return w
-}
-
-// RunParallel is Run with Workers defaulted to AutoWorkers when
-// unset: the whole-machine entry point for callers that want
-// intra-run parallelism without choosing a shard count. Like every
-// worker count, its Result is byte-identical to the single-threaded
-// run — the equivalence suite in internal/sim replays the fuzz corpus
-// and hundreds of generated scenarios across worker counts to enforce
-// exactly that.
-func (m *Machine) RunParallel(opts ExecOptions) (*Result, error) {
-	if opts.Workers == 0 {
-		opts.Workers = m.AutoWorkers()
-	}
-	return m.Run(opts)
 }

@@ -45,7 +45,7 @@ func TestHopVisitsLinearInRoute(t *testing.T) {
 			if !res.Completed || res.Stats.Releases != cells-1 {
 				t.Fatalf("%d cells: completed=%v with %d releases, want %d", cells, res.Completed, res.Stats.Releases, cells-1)
 			}
-			return ex.e.visits().hops
+			return ex.e.visits.hops
 		}
 		short, long := visits(33), visits(129)
 		t.Logf("%s: %d hop visits over 32 hops, %d over 128", pol().Name(), short, long)
@@ -73,7 +73,7 @@ func TestBusySetsExact(t *testing.T) {
 	if !res.Completed {
 		t.Fatalf("completed=%v deadlocked=%v timedOut=%v", res.Completed, res.Deadlocked, res.TimedOut)
 	}
-	v := ex.e.visits()
+	v := ex.e.visits
 	msgs := cells - 1
 	ops := 2 * msgs * words
 	t.Logf("%d ops issued: %d release visits for %d releases, %d first-hop visits for %d cells + %d messages",
@@ -103,7 +103,7 @@ func TestSetScanFollowsMembers(t *testing.T) {
 		if !res.Completed {
 			t.Fatalf("%d cells: completed=%v deadlocked=%v timedOut=%v", cells, res.Completed, res.Deadlocked, res.TimedOut)
 		}
-		return float64(ex.e.visits().setWords) / float64(ex.e.executed)
+		return float64(ex.e.visits.setWords) / float64(ex.e.executed)
 	}
 	short, long := perCycle(1024), perCycle(4096)
 	t.Logf("set words read per executed cycle: %.2f at 1024 cells, %.2f at 4096", short, long)

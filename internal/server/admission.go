@@ -55,7 +55,7 @@ func newAdmission(l *sweep.Limiter, queueWait int) *admission {
 // a Retry-After estimate. A cancelled ctx while waiting maps to 503.
 // On nil error the caller holds one slot and must Release it.
 func (a *admission) admit(ctx context.Context) error {
-	if a.limiter.TryAcquireN(1) == 1 {
+	if a.limiter.TryAcquire() {
 		return nil
 	}
 	if a.waiting.Add(1) > int64(a.waitCap) {

@@ -160,6 +160,67 @@ func TestQueueWaitDisabled(t *testing.T) {
 	}
 }
 
+// longHaulDSL is one message crossing a cells-long linear array end to
+// end: once the pipeline fills, every cycle advances a word on every
+// hop, so the run is long in host time (cells × words hop moves) for a
+// text of words ops — a run a test can find in flight.
+func longHaulDSL(cells, words int) string {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "topology linear %d\n", cells)
+	for c := 1; c <= cells; c++ {
+		fmt.Fprintf(&b, "cell C%d\n", c)
+	}
+	fmt.Fprintf(&b, "message M C1 C%d %d\n", cells, words)
+	for _, code := range []struct{ cell, op string }{{"C1", " W(M)"}, {fmt.Sprintf("C%d", cells), " R(M)"}} {
+		fmt.Fprintf(&b, "code %s:", code.cell)
+		for w := 0; w < words; w++ {
+			b.WriteString(code.op)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestRunHoldsOneSlot is the regression test for the shard budget: a
+// /v1/run used to take up to workers-1 extra -max-concurrency slots
+// without blocking, so one anonymous request with "workers": 4 filled a
+// 4-slot daemon and the next client queued or was shed. A run holds
+// exactly one slot whatever the deprecated field says: with the long run
+// in flight and no wait pool, a second request is admitted at once.
+func TestRunHoldsOneSlot(t *testing.T) {
+	s, ts := newTestServer(t, Options{MaxConcurrency: 4, QueueWait: -1})
+	body := mustJSON(t, RunRequest{Program: longHaulDSL(2000, 40000), Workers: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/run", bytes.NewReader(body))
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	waitFor(t, "the long run to take its slot", func() bool { return s.limiter.InUse() > 0 })
+	if n := s.limiter.InUse(); n != 1 {
+		t.Fatalf("a run with workers=4 holds %d slots, want 1", n)
+	}
+	resp, reply := postJSON(t, ts.URL+"/v1/run", RunRequest{Program: relayDSL})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second run beside it: status %d, want 200: %s", resp.StatusCode, reply)
+	}
+	if s.limiter.InUse() != 1 {
+		t.Fatalf("%d slots in use after the second run; the long run must still be in flight for this test to mean anything", s.limiter.InUse())
+	}
+	if shed := s.adm.shed.Load(); shed != 0 {
+		t.Fatalf("%d requests shed", shed)
+	}
+	// Dropping the client cancels the simulation between cycles.
+	cancel()
+	<-done
+	waitFor(t, "the cancelled run to release its slot", func() bool { return s.limiter.InUse() == 0 })
+}
+
 // TestPanicDoesNotLeakLimiterSlot is the regression test for the
 // non-deferred Release: a panic inside the simulation (re-raised by
 // core.Execute, swallowed by net/http's handler recovery) must not
@@ -596,22 +657,5 @@ func TestSweepRequestValidation(t *testing.T) {
 				t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
 			}
 		})
-	}
-	// run_workers is live, not just validated: a sharded sweep returns
-	// the same outcomes as an unsharded one.
-	base := SweepRequest{Program: relayDSL, Policies: []string{"compatible"}, Queues: []int{1}, Capacities: []int{1}, Lookaheads: []int{0}}
-	_, plain := postJSON(t, ts.URL+"/v1/sweep", base)
-	sharded := base
-	sharded.RunWorkers = 4
-	_, shardedBody := postJSON(t, ts.URL+"/v1/sweep", sharded)
-	var a, b SweepResponse
-	if err := json.Unmarshal(plain, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(shardedBody, &b); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", a.Outcomes) != fmt.Sprintf("%+v", b.Outcomes) {
-		t.Fatalf("run_workers changed sweep outcomes:\n%+v\nvs\n%+v", a.Outcomes, b.Outcomes)
 	}
 }

@@ -443,7 +443,7 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunRespo
 		}
 	}
 	if req.Workers < 0 {
-		return nil, badRequest(fmt.Errorf("negative workers %d (0 = single-threaded)", req.Workers))
+		return nil, badRequest(fmt.Errorf("negative workers %d", req.Workers))
 	}
 	plan, err := fault.ParseSpec(req.Faults)
 	if err != nil {
@@ -480,12 +480,6 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunRespo
 	if h := testHookAcquired; h != nil {
 		h()
 	}
-	// Intra-run sharding against the slot acquired above: each extra
-	// shard must win its own -max-concurrency slot, so a burst of
-	// sharded runs degrades shard counts, never the budget or the
-	// response bytes; see sweep.Limiter.ShardBudget.
-	workers, releaseShards := s.limiter.ShardBudget(req.Workers)
-	defer releaseShards()
 	res, err := core.Execute(a, core.ExecOptions{
 		Policy:        kind,
 		QueuesPerLink: req.Queues,
@@ -493,7 +487,6 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunRespo
 		Seed:          req.Seed,
 		MaxCycles:     req.MaxCycles,
 		Force:         req.Force,
-		Workers:       workers,
 		Faults:        plan,
 		LinkModel:     lplan,
 		// A dropped client cancels its simulation between cycles
@@ -571,7 +564,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.RunWorkers < 0 {
-		s.writeError(w, badRequest(fmt.Errorf("negative run_workers %d (0 = single-threaded)", req.RunWorkers)))
+		s.writeError(w, badRequest(fmt.Errorf("negative run_workers %d", req.RunWorkers)))
 		return
 	}
 	axes := sweep.Axes{
@@ -726,11 +719,10 @@ func (s *Server) prepareSweep(req *SweepRequest, axes sweep.Axes, maxCycles int)
 		cases: []sweep.Case{{Name: "program", Program: prog, Topology: topo}},
 		axes:  axes,
 		opts: sweep.Options{
-			Workers:    req.Workers,
-			RunWorkers: req.RunWorkers,
-			MaxCycles:  maxCycles,
-			Faults:     plan,
-			Limiter:    s.limiter,
+			Workers:   req.Workers,
+			MaxCycles: maxCycles,
+			Faults:    plan,
+			Limiter:   s.limiter,
 			Analysis: func(_, lookahead int) (*core.Analysis, error) {
 				r := res[lookahead]
 				return r.a, r.err

@@ -63,11 +63,12 @@ type RunRequest struct {
 	MaxCycles int `json:"maxCycles,omitempty"`
 	// Force runs even when Theorem 1's queue requirement is unmet.
 	Force bool `json:"force,omitempty"`
-	// Workers requests deterministic sharded execution for this run
-	// (0 or 1 = single-threaded). The response is byte-identical for
-	// every worker count; the server grants at most the concurrency
-	// the shared -max-concurrency budget has free, so a saturated
-	// daemon degrades the shard count, never the result.
+	// Workers is ignored: a run is single-threaded and holds one
+	// -max-concurrency slot whatever this says. Negative is refused
+	// with 400.
+	//
+	// Deprecated: accepted for one release so that strict decoding does
+	// not refuse existing clients, then removed.
 	Workers int `json:"workers,omitempty"`
 	// Faults degrades the array for this run, in the fault-spec
 	// grammar the CLI's -fault flag shares, e.g.
@@ -120,10 +121,11 @@ type SweepRequest struct {
 	// -max-concurrency limiter applies on top. Negative is refused
 	// with 400 (0 = one per CPU), matching the run endpoint.
 	Workers int `json:"workers,omitempty"`
-	// RunWorkers shards each grid point's simulation, mirroring the
-	// CLI's -run-workers flag (snake_case to match it; 0 or 1 =
-	// single-threaded). Each extra shard must win its own limiter
-	// slot, so saturation degrades shard counts, never results.
+	// RunWorkers is ignored: every grid point's simulation is
+	// single-threaded. Negative is refused with 400.
+	//
+	// Deprecated: accepted for one release so that strict decoding does
+	// not refuse existing clients, then removed.
 	RunWorkers int `json:"run_workers,omitempty"`
 	MaxCycles  int `json:"maxCycles,omitempty"`
 	// Faults degrades every grid point with one fault plan, in the

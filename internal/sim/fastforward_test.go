@@ -13,7 +13,7 @@ import (
 // them. These tests pin the places where the jump target is not a
 // candidate's own wake-up — the stall search for the cycle on which a
 // deadlock becomes provable, and a cycle bound that lands inside a
-// window — against the stepping oracle, at every worker count.
+// window — against the stepping oracle.
 
 // hostPipeline is examples/dsl/pipeline.sys: a host streams three
 // words through C1 and C2 and reads the results back over two hops.
@@ -43,25 +43,20 @@ func hostPipeline(t testing.TB) *model.Program {
 	return p
 }
 
-// allEngines runs one config through the reference engine, the
-// machine, and the machine at every shard count, requires
-// byte-identical results, and returns them.
+// allEngines runs one config through the reference engine and the
+// machine, requires byte-identical results, and returns them.
 func allEngines(t *testing.T, p *model.Program, c Config) *Result {
 	t.Helper()
 	ref, err := referenceRun(p, freshPolicy(c))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range append([]int{0}, equivWorkers...) {
-		wc := freshPolicy(c)
-		wc.Workers = workers
-		got, err := Run(p, wc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("workers=%d diverged from the reference engine\nreference: %+v\nmachine:   %+v", workers, ref, got)
-		}
+	got, err := Run(p, freshPolicy(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ref, got) {
+		t.Fatalf("machine diverged from the reference engine\nreference: %+v\nmachine:   %+v", ref, got)
 	}
 	return ref
 }

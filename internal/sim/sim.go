@@ -108,10 +108,6 @@ type Config struct {
 	// RecordTimeline captures bind/release events for rendering
 	// (Fig 7's lower half).
 	RecordTimeline bool
-	// Workers selects deterministic sharded execution (0 or 1 =
-	// single-threaded). Results are byte-identical for every worker
-	// count; see machine.ExecOptions.Workers.
-	Workers int
 	// Faults degrades the array for this run (slowed/dead cells,
 	// throttled/severed links); nil runs the perfect array. See
 	// internal/fault and machine.ExecOptions.Faults.
@@ -155,7 +151,6 @@ func Run(p *model.Program, cfg Config) (*Result, error) {
 		Logic:            cfg.Logic,
 		MaxCycles:        cfg.MaxCycles,
 		RecordTimeline:   cfg.RecordTimeline,
-		Workers:          cfg.Workers,
 		Faults:           cfg.Faults,
 		LinkModel:        cfg.LinkModel,
 	})

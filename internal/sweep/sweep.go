@@ -236,14 +236,6 @@ func (o Outcome) deadlocked() bool { return o.Result == "deadlocked" }
 type Options struct {
 	// Workers bounds the pool; ≤ 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// RunWorkers, when > 1, shards each simulation across up to that
-	// many workers (machine.ExecOptions.Workers). Combined
-	// with Limiter the product of sweep-level and run-level
-	// concurrency stays globally bounded: each extra shard must win a
-	// limiter slot (non-blocking), and a run that gets fewer — or none
-	// — simply shards less. Reports are byte-identical either way: the
-	// sharded runner produces the same bytes at every worker count.
-	RunWorkers int
 	// MaxCycles bounds each simulation (0 = the simulator's derived
 	// default).
 	MaxCycles int
@@ -651,17 +643,12 @@ func (g *grid) runOne(ctx context.Context, i int, runner *core.Runner) Outcome {
 	if g.opts.executions != nil {
 		g.opts.executions.Add(1)
 	}
-	// Intra-run sharding against the execution's limiter slot; see
-	// Limiter.ShardBudget for the budget discipline.
-	workers, releaseShards := g.opts.Limiter.ShardBudget(g.opts.RunWorkers)
-	defer releaseShards()
 	eopts := core.ExecOptions{
 		Policy:        o.Policy,
 		QueuesPerLink: o.QueuesUsed,
 		Capacity:      o.Capacity,
 		Seed:          o.Seed,
 		MaxCycles:     g.opts.MaxCycles,
-		Workers:       workers,
 		Faults:        g.opts.Faults,
 		LinkModel:     g.opts.linkPlans[o.LinkModel],
 		// Context threads the sweep's cancellation into the run itself:

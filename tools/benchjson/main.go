@@ -1,12 +1,12 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // machine-readable JSON document on stdout, so CI can archive
-// benchmark trajectories (e.g. BENCH_parallel.json: ns/sim-cycle for
-// the sharded runner, single-threaded vs 4 workers) without scraping
-// logs. Each benchmark line becomes one entry with its iteration
-// count and every reported metric, custom metrics included; non-bench
-// lines are ignored. The output is deterministic for a given input.
+// benchmark trajectories (e.g. BENCH_sweep.json: the sweep engine at
+// 1 and 4 pool workers) without scraping logs. Each benchmark line
+// becomes one entry with its iteration count and every reported metric,
+// custom metrics included; non-bench lines are ignored. The output is
+// deterministic for a given input.
 //
-//	go test -run '^$' -bench BenchmarkRunParallel -benchmem . | go run ./tools/benchjson
+//	go test -run '^$' -bench BenchmarkSweep -benchmem . | go run ./tools/benchjson
 //
 // With -baseline FILE the current results are also compared against a
 // committed baseline document: every baseline benchmark must still
@@ -23,7 +23,7 @@
 // always. On regression the diff goes to stderr and the exit status
 // is 1.
 //
-//	go test -bench BenchmarkRunParallel -benchmem . | go run ./tools/benchjson -baseline BENCH_parallel.json -time-tolerance 0.5
+//	go test -bench BenchmarkSweep -benchmem . | go run ./tools/benchjson -baseline BENCH_sweep.json -time-tolerance 0.5
 package main
 
 import (

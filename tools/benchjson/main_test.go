@@ -6,11 +6,11 @@ import (
 )
 
 func TestParseLine(t *testing.T) {
-	e, ok := parseLine("BenchmarkRunParallel/wide-linear-1024/workers=4-8  3  81334315 ns/op  26511 ns/sim-cycle  900 allocs/op")
+	e, ok := parseLine("BenchmarkBusy/wide-linear-1024x512-8  3  81334315 ns/op  26511 ns/sim-cycle  900 allocs/op")
 	if !ok {
 		t.Fatal("benchmark line not recognized")
 	}
-	if e.Name != "BenchmarkRunParallel/wide-linear-1024/workers=4-8" || e.Iterations != 3 {
+	if e.Name != "BenchmarkBusy/wide-linear-1024x512-8" || e.Iterations != 3 {
 		t.Fatalf("parsed %+v", e)
 	}
 	for unit, want := range map[string]float64{"ns/op": 81334315, "ns/sim-cycle": 26511, "allocs/op": 900} {
@@ -190,7 +190,7 @@ func TestTimeTolerance(t *testing.T) {
 
 func TestParseDocument(t *testing.T) {
 	in := `goos: linux
-BenchmarkRunParallel/w1-8   3   100 ns/op   10 allocs/op
+BenchmarkSweep/w1-8   3   100 ns/op   10 allocs/op
 PASS
 `
 	d, err := parse(strings.NewReader(in))
