@@ -273,7 +273,7 @@ func BenchmarkTheorem1_Pipeline(b *testing.B) {
 // same grid at ~1.5× that per grid point, and the end-to-end view is
 // tools/perf's sweep-grid workload (ops_per_s, allocs_per_op,
 // sweep.us_per_point). Simulated cycle counts never change: the
-// engine-equivalence suite in internal/sim and the planned-vs-per-point
+// engine-equivalence suite in internal/refsim and the planned-vs-per-point
 // suite in internal/sweep enforce byte-identical results.
 func BenchmarkSweep(b *testing.B) {
 	f7 := systolic.Fig7Workload(systolic.Fig7Options{})

@@ -17,8 +17,6 @@
 // axis values) and -workers N (the worker pool; grid points run
 // concurrently, each simulation on one goroutine); the report marks
 // which configurations deadlock and which Theorem 1 budgets avoid it.
-// -workers on run and -run-workers on sweep and fuzz are deprecated:
-// accepted, ignored, removed next release.
 //
 // fuzz takes no FILE: it generates -n seeded random scenarios
 // (seeds -seed … -seed+n-1) and cross-checks the analyzer's Theorem 1

@@ -112,9 +112,10 @@ func TestSysdlLabelPlanRunRender(t *testing.T) {
 	}
 }
 
-// TestSysdlRunWorkers: `sysdl run -workers N` is deprecated and
-// ignored — the same bytes for every N, timeline and stats included.
-func TestSysdlRunWorkers(t *testing.T) {
+// TestSysdlRunIgnoresWorkers: -workers sizes the sweep and fuzz
+// pools; on run it changes nothing — the same bytes for every N,
+// timeline and stats included.
+func TestSysdlRunIgnoresWorkers(t *testing.T) {
 	var first string
 	for _, workers := range []int{0, 1, 4, -1} {
 		opts := DefaultSysdlOptions()

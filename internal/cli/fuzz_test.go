@@ -36,27 +36,6 @@ func TestFuzzVerb(t *testing.T) {
 	}
 }
 
-// TestFuzzVerbRunWorkers: the deprecated -run-workers flag is accepted
-// and ignored — the report, simulation count included, is the one
-// printed without it.
-func TestFuzzVerbRunWorkers(t *testing.T) {
-	var outs [2]string
-	for i, runWorkers := range []int{0, 3} {
-		opts := DefaultSysdlOptions()
-		opts.FuzzN = 40
-		opts.RunWorkers = runWorkers
-		var b strings.Builder
-		code, err := Sysdl(&b, "fuzz", "", opts)
-		if err != nil || code != 0 {
-			t.Fatalf("-run-workers %d: code=%d err=%v\n%s", runWorkers, code, err, b.String())
-		}
-		outs[i] = b.String()
-	}
-	if outs[0] != outs[1] {
-		t.Fatalf("-run-workers changed the report:\n%s\nvs\n%s", outs[0], outs[1])
-	}
-}
-
 // TestFuzzVerbUnderBudget: forcing -queues 1 below the Theorem 1
 // bound demonstrates the predicted deadlocks without flipping the
 // exit code (they are expected counterexamples).

@@ -36,8 +36,7 @@ type SysdlOptions struct {
 	LinkModel string
 
 	// sweep-verb flags: comma-separated axis values ("" = defaults)
-	// and the worker-pool bound (0 = GOMAXPROCS). The run verb accepts
-	// -workers and ignores it (deprecated: a run is single-threaded).
+	// and the worker-pool bound (0 = GOMAXPROCS).
 	SweepPolicies   string
 	SweepQueues     string
 	SweepCapacities string
@@ -49,9 +48,7 @@ type SysdlOptions struct {
 
 	// fuzz-verb flags: scenario count and generation knobs. The fuzz
 	// verb also reuses -seed (base seed), -queues (> 0 forces an
-	// absolute under-budget probe) and -workers. RunWorkers backs the
-	// deprecated -run-workers flag: parsed, ignored, removed next
-	// release.
+	// absolute under-budget probe) and -workers.
 	FuzzN          int
 	FuzzMutations  int
 	FuzzCyclic     bool
@@ -61,7 +58,6 @@ type SysdlOptions struct {
 	FuzzLookahead  int
 	FuzzFaults     bool
 	FuzzLinkModels bool
-	RunWorkers     int
 
 	// serve-verb flags: listen address, compiled-scenario cache bound,
 	// the process-wide concurrent-simulation budget, the bounded
@@ -105,7 +101,7 @@ func (o *SysdlOptions) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.SweepCapacities, "sweep-capacities", o.SweepCapacities, "sweep: comma-separated capacities (default 1,2)")
 	fs.StringVar(&o.SweepLookaheads, "sweep-lookaheads", o.SweepLookaheads, "sweep: comma-separated lookahead budgets, 0 = strict (default 0,2)")
 	fs.StringVar(&o.SweepLinkModels, "sweep-link-models", o.SweepLinkModels, "sweep: semicolon-separated link-timing specs, empty element = unit latency (default unit only)")
-	fs.IntVar(&o.Workers, "workers", o.Workers, "sweep/fuzz: worker-pool size (0 = GOMAXPROCS); run: deprecated, ignored")
+	fs.IntVar(&o.Workers, "workers", o.Workers, "sweep/fuzz: worker-pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&o.FuzzN, "n", o.FuzzN, "fuzz: number of scenarios (seeds seed..seed+n-1)")
 	fs.IntVar(&o.FuzzMutations, "fuzz-mutations", o.FuzzMutations, "fuzz: adjacent-op swaps per scenario (0 = deadlock-free by construction)")
 	fs.BoolVar(&o.FuzzCyclic, "fuzz-cyclic", o.FuzzCyclic, "fuzz: allow cyclic data flow")
@@ -115,7 +111,6 @@ func (o *SysdlOptions) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.FuzzLookahead, "fuzz-lookahead", o.FuzzLookahead, "fuzz: §8 analysis budget (0 = strict)")
 	fs.BoolVar(&o.FuzzFaults, "faults", o.FuzzFaults, "fuzz: additionally check each scenario degraded by a seeded fault plan")
 	fs.BoolVar(&o.FuzzLinkModels, "link-models", o.FuzzLinkModels, "fuzz: additionally check each scenario under retimed link models (noop-equivalence, completion)")
-	fs.IntVar(&o.RunWorkers, "run-workers", o.RunWorkers, "deprecated: accepted and ignored (every simulation is single-threaded); removed next release")
 	fs.StringVar(&o.Addr, "addr", o.Addr, "serve: listen address")
 	fs.IntVar(&o.CacheSize, "cache-size", o.CacheSize, "serve: compiled-scenario cache bound (entries)")
 	fs.IntVar(&o.MaxConcurrency, "max-concurrency", o.MaxConcurrency, "serve: concurrent simulations (0 = GOMAXPROCS)")

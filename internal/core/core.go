@@ -25,7 +25,6 @@ import (
 	"systolic/internal/linkmodel"
 	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 	"systolic/internal/verify"
 )
@@ -35,7 +34,7 @@ import (
 // the sweep engine) distinguish a bad option from a genuine engine
 // failure with errors.As. Every invalid option is rejected here at
 // the API boundary, before any state is built, instead of panicking
-// deep in internal/sim.
+// deep in internal/machine.
 type OptionError struct {
 	// Op is "Analyze" or "Execute".
 	Op string
@@ -269,7 +268,7 @@ type ExecOptions struct {
 	// instead of the paper's shared, direction-resettable pool.
 	DirectionalPools bool
 	// Logic supplies word values (nil = synthetic).
-	Logic sim.CellLogic
+	Logic machine.CellLogic
 	// Seed feeds randomized policies.
 	Seed int64
 	// MaxCycles bounds the run (0 = derived default).
@@ -282,8 +281,9 @@ type ExecOptions struct {
 	Force bool
 	// Workers is ignored: a run is single-threaded.
 	//
-	// Deprecated: sharded execution was removed; the field is accepted
-	// for one release and then goes. Negative is still an OptionError.
+	// Deprecated: sharded execution was removed; the field stays only
+	// because tools/perf, frozen by the benchmark contract, sets it.
+	// Negative is still an OptionError.
 	Workers int
 	// Context, when non-nil, cancels the run between simulated cycles;
 	// Execute then returns the wrapped context error.
@@ -332,7 +332,7 @@ func (a *Analysis) ResolveQueues(policy PolicyKind, requested int) int {
 // compatible and static policies it verifies Theorem 1's assumption
 // (ii) first (unless Force) so that a refusal is a clear report rather
 // than a run-time stall.
-func Execute(a *Analysis, opts ExecOptions) (*sim.Result, error) {
+func Execute(a *Analysis, opts ExecOptions) (*machine.Result, error) {
 	m, mopts, err := lower(a, opts)
 	if err != nil {
 		return nil, err
@@ -471,7 +471,7 @@ func NewRunner(a *Analysis) *Runner {
 // execution context. See Runner for the Result lifetime contract.
 //
 //sysvet:hotpath
-func (r *Runner) Execute(opts ExecOptions) (*sim.Result, error) {
+func (r *Runner) Execute(opts ExecOptions) (*machine.Result, error) {
 	m, mopts, err := lower(r.a, opts)
 	if err != nil {
 		return nil, err

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"systolic/internal/crossoff"
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 	"systolic/internal/verify"
 	"systolic/internal/workload"
@@ -227,7 +227,7 @@ func TestTheorem1Property(t *testing.T) {
 		}
 		if !res.Completed {
 			t.Fatalf("seed %d: Theorem 1 violated — %s\n%s\nblocked:\n%s",
-				seed, res.Outcome(), p, sim.DescribeBlocked(p, res.Blocked))
+				seed, res.Outcome(), p, machine.DescribeBlocked(p, res.Blocked))
 		}
 	}
 }
@@ -324,7 +324,7 @@ func TestCompatibleNeverReordersWords(t *testing.T) {
 				t.Fatalf("seed %d: message %d received %d words", seed, id, len(words))
 			}
 			for i, w := range words {
-				if w != sim.Word(float64(id)*1e6+float64(i)) {
+				if w != machine.Word(float64(id)*1e6+float64(i)) {
 					t.Fatalf("seed %d: message %d word %d = %v (reordered)", seed, id, i, w)
 				}
 			}

@@ -6,8 +6,8 @@ import (
 	"runtime"
 	"testing"
 
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 	"systolic/internal/workload"
 )
@@ -91,7 +91,7 @@ func TestExecuteOptionErrors(t *testing.T) {
 	}
 }
 
-// TestWorkersFieldIsInert: the deprecated Workers field changes
+// TestWorkersFieldIsInert: the deprecated ExecOptions.Workers changes
 // nothing — the same Result for every value, no goroutine started on
 // its account — except that a negative value is still refused.
 func TestWorkersFieldIsInert(t *testing.T) {
@@ -100,7 +100,7 @@ func TestWorkersFieldIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := analyzeWorkload(t, w)
-	var want *sim.Result
+	var want *machine.Result
 	for _, workers := range []int{0, 1, 4, 64} {
 		before := runtime.NumGoroutine()
 		got, err := Execute(a, ExecOptions{Capacity: 2, Workers: workers})
@@ -123,10 +123,11 @@ func TestWorkersFieldIsInert(t *testing.T) {
 	}
 }
 
-// TestSimConfigErrors: the simulator's own boundary rejects broken
-// configs with typed *sim.ConfigError (zero queues per link, nil
-// topology, negative capacity).
-func TestSimConfigErrors(t *testing.T) {
+// TestConfigErrors: the simulator's own boundary rejects broken
+// configs with typed *machine.ConfigError — nil topology and mismatched
+// routes at Compile, a nil policy, zero queues per link and negative
+// capacity at Run.
+func TestConfigErrors(t *testing.T) {
 	p := optProgram(t)
 	topo := topology.Linear(2)
 	a, err := Analyze(p, topo, AnalyzeOptions{})
@@ -135,24 +136,26 @@ func TestSimConfigErrors(t *testing.T) {
 	}
 	pol := DynamicCompatible.policy(0)
 	cases := []struct {
-		name string
-		cfg  sim.Config
+		name   string
+		topo   topology.Topology
+		routes [][]topology.Hop
+		opts   machine.ExecOptions
 	}{
-		{"nil topology", sim.Config{Policy: pol, QueuesPerLink: 1, Capacity: 1}},
-		{"nil policy", sim.Config{Topology: topo, QueuesPerLink: 1, Capacity: 1}},
-		{"zero queues", sim.Config{Topology: topo, Policy: pol, QueuesPerLink: 0, Capacity: 1}},
-		{"negative capacity", sim.Config{Topology: topo, Policy: pol, QueuesPerLink: 1, Capacity: -1}},
-		{"routes mismatch", sim.Config{Topology: topo, Policy: pol, QueuesPerLink: 1, Capacity: 1,
-			Routes: make([][]topology.Hop, 5)}},
+		{"nil topology", nil, nil, machine.ExecOptions{Policy: pol, QueuesPerLink: 1, Capacity: 1}},
+		{"nil policy", topo, nil, machine.ExecOptions{QueuesPerLink: 1, Capacity: 1}},
+		{"zero queues", topo, nil, machine.ExecOptions{Policy: pol, QueuesPerLink: 0, Capacity: 1}},
+		{"negative capacity", topo, nil, machine.ExecOptions{Policy: pol, QueuesPerLink: 1, Capacity: -1}},
+		{"routes mismatch", topo, make([][]topology.Hop, 5), machine.ExecOptions{Policy: pol, QueuesPerLink: 1, Capacity: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.Labels = a.Labeling.Dense
-			_, err := sim.Run(p, cfg)
-			var ce *sim.ConfigError
+			m, err := machine.Compile(p, tc.topo, tc.routes, a.Labeling.Dense)
+			if err == nil {
+				_, err = m.Run(tc.opts)
+			}
+			var ce *machine.ConfigError
 			if !errors.As(err, &ce) {
-				t.Fatalf("err = %v, want *sim.ConfigError", err)
+				t.Fatalf("err = %v, want *machine.ConfigError", err)
 			}
 		})
 	}

@@ -9,8 +9,8 @@ import (
 	"systolic/internal/crossoff"
 	"systolic/internal/gen"
 	"systolic/internal/label"
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 	"systolic/internal/verify"
 )
@@ -54,8 +54,11 @@ func TestSection8ClassifierMatchesSimulator(t *testing.T) {
 			Lookahead: true,
 			Budget:    crossoff.UniformBudget(capacity),
 		})
-		res, err := sim.Run(p, sim.Config{
-			Topology:      topology.Linear(cells),
+		m, err := machine.Compile(p, topology.Linear(cells), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run(machine.ExecOptions{
 			QueuesPerLink: p.NumMessages(), // private queue per message
 			Capacity:      capacity,
 			Policy:        assign.Static(),
@@ -126,19 +129,21 @@ func TestSection8ModifiedLabelingRunsLookaheadPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(p, sim.Config{
-			Topology:      topology.Linear(cells),
+		m, err := machine.Compile(p, topology.Linear(cells), nil, lab.Dense)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run(machine.ExecOptions{
 			QueuesPerLink: rep.MaxGroup,
 			Capacity:      capacity,
 			Policy:        assign.Compatible(),
-			Labels:        lab.Dense,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Completed {
 			t.Fatalf("seed %d: lookahead-admitted program %s under modified labeling\n%s\n%s",
-				seed, res.Outcome(), p, sim.DescribeBlocked(p, res.Blocked))
+				seed, res.Outcome(), p, machine.DescribeBlocked(p, res.Blocked))
 		}
 	}
 	if checked == 0 {

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"systolic/internal/sim"
+	"systolic/internal/machine"
 	"systolic/internal/topology"
 	"systolic/internal/verify"
 )
@@ -51,7 +51,7 @@ func TestTheorem1AcrossTopologies(t *testing.T) {
 				if !res.Completed {
 					t.Fatalf("seed %d on %s: %s\n%s\n%s",
 						seed, fam.topo.Name(), res.Outcome(), p,
-						sim.DescribeBlocked(p, res.Blocked))
+						machine.DescribeBlocked(p, res.Blocked))
 				}
 			}
 		})
@@ -70,7 +70,7 @@ func TestSimulatorIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := topology.Linear(5)
-	run := func() *sim.Result {
+	run := func() *machine.Result {
 		a, err := Analyze(p, topo, AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)

@@ -47,9 +47,9 @@ import (
 	"systolic/internal/gen"
 	"systolic/internal/label"
 	"systolic/internal/linkmodel"
+	"systolic/internal/machine"
 	"systolic/internal/model"
 	"systolic/internal/queue"
-	"systolic/internal/sim"
 	"systolic/internal/sweep"
 )
 
@@ -242,7 +242,7 @@ func Check(sc *gen.Scenario, opts Options) Result {
 		// The first completed run at this capacity is the reference
 		// stream every other completed run must reproduce
 		// (invariant 2, strengthened across budgets).
-		var refStream [][]sim.Word
+		var refStream [][]machine.Word
 		var refConfig string
 		for _, pol := range opts.Policies {
 			min := a.MinQueues(pol)
@@ -359,7 +359,7 @@ func linkModelChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Resu
 		q = 1
 	}
 	cfg := Finding{Policy: pol.String(), Queues: q, MinQueues: a.MinQueues(pol), Capacity: capacity}
-	exec := func(p *linkmodel.Plan) (*sim.Result, error) {
+	exec := func(p *linkmodel.Plan) (*machine.Result, error) {
 		res.Runs++
 		r, err := core.Execute(a, core.ExecOptions{
 			Policy:        pol,
@@ -462,7 +462,7 @@ func faultChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, 
 			fail(f)
 		}
 	}
-	exec := func(p *fault.Plan) (*sim.Result, error) {
+	exec := func(p *fault.Plan) (*machine.Result, error) {
 		res.Runs++
 		r, err := core.Execute(a, core.ExecOptions{
 			Policy:        pol,
@@ -551,7 +551,7 @@ func analyzeOptions(opts Options) core.AnalyzeOptions {
 // streamIntegrity checks every received word against the synthetic
 // encoding (message id, word index) — FIFO order per message with no
 // loss, duplication, or cross-wiring. Empty string = intact.
-func streamIntegrity(p *model.Program, received [][]sim.Word) string {
+func streamIntegrity(p *model.Program, received [][]machine.Word) string {
 	for _, m := range p.Messages() {
 		ws := received[m.ID]
 		if len(ws) != m.Words {
@@ -568,7 +568,7 @@ func streamIntegrity(p *model.Program, received [][]sim.Word) string {
 
 // streamDiff compares two complete delivery records. Empty string =
 // identical.
-func streamDiff(a, b [][]sim.Word) string {
+func streamDiff(a, b [][]machine.Word) string {
 	if len(a) != len(b) {
 		return fmt.Sprintf("%d vs %d messages", len(a), len(b))
 	}
@@ -586,7 +586,7 @@ func streamDiff(a, b [][]sim.Word) string {
 }
 
 // blockedCells renders the stuck-cell set of a deadlock report.
-func blockedCells(p *model.Program, blocked []sim.CellBlock) string {
+func blockedCells(p *model.Program, blocked []machine.CellBlock) string {
 	if len(blocked) == 0 {
 		return "no blocked cells recorded"
 	}

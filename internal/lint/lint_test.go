@@ -161,7 +161,7 @@ func TestPkgdocFixtures(t *testing.T) {
 // detorder-critical package so the final assertion — a reasonless
 // ignore does not suppress — has a finding to not-suppress.
 func TestDirectiveValidation(t *testing.T) {
-	pkg := loadFixture(t, "directives", "systolic/internal/sim")
+	pkg := loadFixture(t, "directives", "systolic/internal/refsim")
 	diags := RunPackage(pkg, Analyzers())
 
 	countBy := func(analyzer, substr string) int {

@@ -159,3 +159,101 @@ func BenchmarkBusy(b *testing.B) {
 		})
 	}
 }
+
+// benchPipeline builds a words-long single-message transfer across the
+// given number of cells (hops = cells-1).
+func benchPipeline(b *testing.B, cells, words int) *model.Program {
+	b.Helper()
+	bd := model.NewBuilder()
+	ids := bd.AddCells("C", cells)
+	m := bd.DeclareMessage("M", ids[0], ids[cells-1], words)
+	bd.WriteN(ids[0], m, words)
+	bd.ReadN(ids[cells-1], m, words)
+	p, err := bd.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// BenchmarkTransport measures raw word transport: simulated
+// words-per-second through a multi-hop route.
+func BenchmarkTransport(b *testing.B) {
+	for _, tc := range []struct{ cells, words int }{
+		{2, 1024}, {5, 1024}, {9, 1024},
+	} {
+		p := benchPipeline(b, tc.cells, tc.words)
+		topo := topology.Linear(tc.cells)
+		b.Run(fmt.Sprintf("hops=%d", tc.cells-1), func(b *testing.B) {
+			var cycles int
+			for b.Loop() {
+				res, err := compileRun(p, topo, ExecOptions{QueuesPerLink: 1, Capacity: 2, Policy: assign.Static()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Completed {
+					b.Fatal(res.Outcome())
+				}
+				cycles = res.Cycles
+			}
+			b.ReportMetric(float64(tc.words)*float64(b.N)/b.Elapsed().Seconds(), "words/s")
+			b.ReportMetric(float64(cycles), "sim-cycles")
+		})
+	}
+}
+
+// BenchmarkRendezvous measures the capacity-0 latch path.
+func BenchmarkRendezvous(b *testing.B) {
+	p := benchPipeline(b, 2, 4096)
+	for b.Loop() {
+		res, err := compileRun(p, topology.Linear(2), ExecOptions{QueuesPerLink: 1, Capacity: 0, Policy: assign.Static()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Completed {
+			b.Fatal(res.Outcome())
+		}
+	}
+}
+
+// BenchmarkGrantChurn stresses dynamic rebinding: many short messages
+// sharing one queue sequentially.
+func BenchmarkGrantChurn(b *testing.B) {
+	bd := model.NewBuilder()
+	ids := bd.AddCells("C", 2)
+	const n = 64
+	msgs := make([]model.MessageID, n)
+	for i := range msgs {
+		msgs[i] = bd.DeclareMessage(fmt.Sprintf("M%d", i), ids[0], ids[1], 2)
+	}
+	for i := range msgs {
+		bd.WriteN(ids[0], msgs[i], 2)
+	}
+	for i := range msgs {
+		bd.ReadN(ids[1], msgs[i], 2)
+	}
+	p, err := bd.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = i + 1
+	}
+	var releases int
+	for b.Loop() {
+		m, err := Compile(p, topology.Linear(2), nil, labels)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := m.Run(ExecOptions{QueuesPerLink: 1, Capacity: 4, Policy: assign.Compatible()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Completed {
+			b.Fatal(res.Outcome())
+		}
+		releases = res.Stats.Releases
+	}
+	b.ReportMetric(float64(releases), "rebinds")
+}

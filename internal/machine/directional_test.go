@@ -1,4 +1,4 @@
-package sim
+package machine
 
 import (
 	"testing"
@@ -33,13 +33,8 @@ func bidirectional(t testing.TB, words int) *model.Program {
 // per direction completes.
 func TestDirectionalPoolsDoubleEffectiveQueues(t *testing.T) {
 	p := bidirectional(t, 4)
-	shared := Config{
-		Topology:      topology.Linear(2),
-		QueuesPerLink: 1,
-		Capacity:      1,
-		Policy:        assign.Naive(assign.FCFS, 0),
-	}
-	res, err := Run(p, shared)
+	shared := fcfs(1, 1)
+	res, err := compileRun(p, topology.Linear(2), shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +44,7 @@ func TestDirectionalPoolsDoubleEffectiveQueues(t *testing.T) {
 	directional := shared
 	directional.Policy = assign.Naive(assign.FCFS, 0)
 	directional.DirectionalPools = true
-	res, err = Run(p, directional)
+	res, err = compileRun(p, topology.Linear(2), directional)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,20 +57,15 @@ func TestDirectionalPoolsDoubleEffectiveQueues(t *testing.T) {
 // the shared pool serves both directions; results agree.
 func TestDirectionalPoolsEquivalentWhenEnoughQueues(t *testing.T) {
 	p := bidirectional(t, 6)
-	base := Config{
-		Topology:      topology.Linear(2),
-		QueuesPerLink: 2,
-		Capacity:      1,
-		Policy:        assign.Naive(assign.FCFS, 0),
-	}
-	shared, err := Run(p, base)
+	base := fcfs(2, 1)
+	shared, err := compileRun(p, topology.Linear(2), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dirCfg := base
 	dirCfg.Policy = assign.Naive(assign.FCFS, 0)
 	dirCfg.DirectionalPools = true
-	directional, err := Run(p, dirCfg)
+	directional, err := compileRun(p, topology.Linear(2), dirCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +92,15 @@ func TestDirectionalPoolsWithCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p, Config{
-		Topology:         topology.Linear(3),
+	m, err := Compile(p, topology.Linear(3), nil, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(ExecOptions{
 		QueuesPerLink:    1,
 		Capacity:         1,
 		DirectionalPools: true,
 		Policy:           assign.Compatible(),
-		Labels:           []int{1, 2},
 	})
 	if err != nil {
 		t.Fatal(err)

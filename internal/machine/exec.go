@@ -17,7 +17,7 @@ import (
 // and message with event-driven wake lists. The invariant it lives
 // by is *exact equivalence* — same grants, same transfers, same
 // pending-list orders, same cycle counts, same deadlock reports as
-// the reference loop in internal/sim — achieved by revisiting, each
+// the reference loop in internal/refsim — achieved by revisiting, each
 // cycle, precisely the entities whose observable state an event could
 // have changed since their last visit:
 //
@@ -90,7 +90,7 @@ import (
 // loop jumps there (fastForward) instead of stepping, adding the
 // skipped cycles' gated-op counts and cooldown ticks in bulk. Cycle
 // counts, deadlock cycles and every other Result byte are those of
-// the stepping loop; the reference engine in internal/sim still steps
+// the stepping loop; the reference engine in internal/refsim still steps
 // and stays the oracle for it.
 
 // queueInst is one physical queue in a link's pool.

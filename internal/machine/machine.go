@@ -15,7 +15,7 @@
 // A *Machine is immutable after Compile and safe for concurrent Run
 // calls: each run borrows a pooled execution context sized for the
 // machine. The scheduler is cycle-for-cycle equivalent to the
-// reference full-scan engine kept in internal/sim; the equivalence
+// reference full-scan engine kept in internal/refsim; the equivalence
 // suite there replays the fuzz corpus plus hundreds of generated
 // scenarios through both and demands byte-identical Results.
 package machine

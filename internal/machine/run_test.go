@@ -1,42 +1,25 @@
-package sim
+package machine
 
 import (
 	"strings"
 	"testing"
 
-	"systolic/internal/assign"
 	"systolic/internal/model"
 	"systolic/internal/topology"
 )
 
-// pipeline builds Host→C1 with n words on message A.
-func pipeline(t testing.TB, n int) *model.Program {
-	t.Helper()
-	b := model.NewBuilder()
-	c1 := b.AddCell("C1")
-	c2 := b.AddCell("C2")
-	a := b.DeclareMessage("A", c1, c2, n)
-	b.WriteN(c1, a, n)
-	b.ReadN(c2, a, n)
-	p, err := b.Build()
+// compileRun is the one-shot path: compile p over topo, run it once.
+func compileRun(p *model.Program, topo topology.Topology, opts ExecOptions) (*Result, error) {
+	m, err := Compile(p, topo, nil, nil)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return p
-}
-
-func cfg(topo topology.Topology, queues, capacity int) Config {
-	return Config{
-		Topology:      topo,
-		QueuesPerLink: queues,
-		Capacity:      capacity,
-		Policy:        assign.Naive(assign.FCFS, 0),
-	}
+	return m.Run(opts)
 }
 
 func TestSingleHopPipelineCompletes(t *testing.T) {
-	p := pipeline(t, 5)
-	res, err := Run(p, cfg(topology.Linear(2), 1, 1))
+	p := chain(t, 5)
+	res, err := compileRun(p, topology.Linear(2), fcfs(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +40,8 @@ func TestSingleHopPipelineCompletes(t *testing.T) {
 func TestThroughputIsPipelined(t *testing.T) {
 	// n words over 1 hop with capacity 1 should take ~n+O(1) cycles,
 	// not n*k.
-	p := pipeline(t, 50)
-	res, err := Run(p, cfg(topology.Linear(2), 1, 1))
+	p := chain(t, 50)
+	res, err := compileRun(p, topology.Linear(2), fcfs(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +61,7 @@ func TestMultiHopTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p, cfg(topology.Linear(4), 1, 1))
+	res, err := compileRun(p, topology.Linear(4), fcfs(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +93,7 @@ func TestRendezvousCapacityZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p, cfg(topology.Linear(2), 2, 0))
+	res, err := compileRun(p, topology.Linear(2), fcfs(2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +116,7 @@ func TestCapacityZeroDeadlocksP2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p, cfg(topology.Linear(2), 2, 0))
+	res, err := compileRun(p, topology.Linear(2), fcfs(2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +124,7 @@ func TestCapacityZeroDeadlocksP2(t *testing.T) {
 		t.Fatalf("P2 at capacity 0: %s, want deadlock", res.Outcome())
 	}
 	// …and with one word of buffering it completes (§8).
-	res, err = Run(p, cfg(topology.Linear(2), 2, 1))
+	res, err = compileRun(p, topology.Linear(2), fcfs(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +143,7 @@ func TestCapacityZeroRejectsMultiHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(p, cfg(topology.Linear(3), 1, 0)); err == nil {
+	if _, err := compileRun(p, topology.Linear(3), fcfs(1, 0)); err == nil {
 		t.Fatal("capacity 0 with a multi-hop route accepted")
 	}
 }
@@ -179,9 +162,9 @@ func TestQueueReuseAcrossMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := cfg(topology.Linear(2), 1, 2)
+	c := fcfs(1, 2)
 	c.RecordTimeline = true
-	res, err := Run(p, c)
+	res, err := compileRun(p, topology.Linear(2), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +201,7 @@ func TestDeadlockDetectionReportsBlockedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p, cfg(topology.Linear(2), 1, 1))
+	res, err := compileRun(p, topology.Linear(2), fcfs(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +231,7 @@ func TestDeadlockDetectedQuickly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p, cfg(topology.Linear(2), 2, 4))
+	res, err := compileRun(p, topology.Linear(2), fcfs(2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +241,10 @@ func TestDeadlockDetectedQuickly(t *testing.T) {
 }
 
 func TestMaxCyclesTimesOut(t *testing.T) {
-	p := pipeline(t, 100)
-	c := cfg(topology.Linear(2), 1, 1)
+	p := chain(t, 100)
+	c := fcfs(1, 1)
 	c.MaxCycles = 3
-	res, err := Run(p, c)
+	res, err := compileRun(p, topology.Linear(2), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,24 +254,22 @@ func TestMaxCyclesTimesOut(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	p := pipeline(t, 1)
-	if _, err := Run(p, Config{}); err == nil {
+	p := chain(t, 1)
+	if _, err := compileRun(p, nil, fcfs(1, 1)); err == nil {
 		t.Fatal("nil topology accepted")
 	}
-	if _, err := Run(p, Config{Topology: topology.Linear(2)}); err == nil {
+	if _, err := compileRun(p, topology.Linear(2), ExecOptions{QueuesPerLink: 1, Capacity: 1}); err == nil {
 		t.Fatal("nil policy accepted")
 	}
-	c := cfg(topology.Linear(2), 0, 1)
-	if _, err := Run(p, c); err == nil {
+	if _, err := compileRun(p, topology.Linear(2), fcfs(0, 1)); err == nil {
 		t.Fatal("zero queues accepted")
 	}
-	c = cfg(topology.Linear(2), 1, -1)
-	if _, err := Run(p, c); err == nil {
+	if _, err := compileRun(p, topology.Linear(2), fcfs(1, -1)); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
-	c = cfg(topology.Linear(2), 1, 0)
+	c := fcfs(1, 0)
 	c.ExtCapacity = 1
-	if _, err := Run(p, c); err == nil {
+	if _, err := compileRun(p, topology.Linear(2), c); err == nil {
 		t.Fatal("extension over latch accepted")
 	}
 }
@@ -309,7 +290,7 @@ func TestOneOpPerCellPerCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p, cfg(topology.Linear(2), 2, 1))
+	res, err := compileRun(p, topology.Linear(2), fcfs(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +303,8 @@ func TestOneOpPerCellPerCycle(t *testing.T) {
 }
 
 func TestBlockedCyclesAccounting(t *testing.T) {
-	p := pipeline(t, 3)
-	res, err := Run(p, cfg(topology.Linear(2), 1, 1))
+	p := chain(t, 3)
+	res, err := compileRun(p, topology.Linear(2), fcfs(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +339,8 @@ func TestExtensionIncreasesEffectiveCapacity(t *testing.T) {
 		return p
 	}
 	p := build()
-	base := cfg(topology.Linear(2), 2, 2)
-	res, err := Run(p, base)
+	base := fcfs(2, 2)
+	res, err := compileRun(p, topology.Linear(2), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +350,7 @@ func TestExtensionIncreasesEffectiveCapacity(t *testing.T) {
 	ext := base
 	ext.ExtCapacity = 2
 	ext.ExtPenalty = 1
-	res, err = Run(p, ext)
+	res, err = compileRun(p, topology.Linear(2), ext)
 	if err != nil {
 		t.Fatal(err)
 	}

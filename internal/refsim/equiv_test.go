@@ -1,8 +1,8 @@
-package sim
+package refsim
 
 // Engine-equivalence suite: the compiled machine (internal/machine,
-// driving Run) must be byte-identical to the original full-scan
-// engine (referenceRun) on every scenario and configuration — same
+// Compile + Run) must be byte-identical to the original full-scan
+// engine (Run) on every scenario and configuration — same
 // outcome, same cycle count, same received streams, same blocked-cell
 // reports, same timelines, same queue statistics. The suite replays
 // the checked-in fuzz corpus plus a few hundred generated scenarios
@@ -23,6 +23,9 @@ import (
 	"systolic/internal/gen"
 	"systolic/internal/label"
 	"systolic/internal/linkmodel"
+	"systolic/internal/machine"
+	"systolic/internal/model"
+	"systolic/internal/topology"
 )
 
 // mustLinkModel parses a link-model spec for the config matrix.
@@ -58,8 +61,7 @@ type equivCase struct {
 // differential oracle, so the machines are compared on exactly the
 // seeds the fuzzer found interesting. Corpus entries carry three byte
 // knobs positionally — mutations, workload family, fault class; the
-// family byte is oracle-only (the family generators are verified in
-// internal/workload and cannot be imported here without a cycle), the
+// family byte is oracle-only (internal/diff replays the families), the
 // other two replay.
 func corpusCases(t *testing.T) []equivCase {
 	t.Helper()
@@ -129,11 +131,11 @@ func generatedCases() []equivCase {
 // Policies are built fresh per engine per run (instances are
 // stateful). labels may be nil; label-dependent rows then cover the
 // shared setup-error path instead.
-func equivConfigs(labels []int) []Config {
-	base := func(pol assign.Policy, queues, capacity int) Config {
-		return Config{QueuesPerLink: queues, Capacity: capacity, Policy: pol, Labels: labels}
+func equivConfigs(labels []int) []machine.ExecOptions {
+	base := func(pol assign.Policy, queues, capacity int) machine.ExecOptions {
+		return machine.ExecOptions{QueuesPerLink: queues, Capacity: capacity, Policy: pol}
 	}
-	cfgs := []Config{
+	cfgs := []machine.ExecOptions{
 		base(assign.Naive(assign.FCFS, 0), 1, 1),
 		base(assign.Naive(assign.FCFS, 0), 2, 2),
 		base(assign.Naive(assign.LIFO, 0), 1, 1),
@@ -236,7 +238,7 @@ func equivConfigs(labels []int) []Config {
 // policies carry RNG state). Unknown names are a loud error: falling
 // through would share one stateful instance between both engines and
 // corrupt the comparison.
-func freshPolicy(c Config) Config {
+func freshPolicy(c machine.ExecOptions) machine.ExecOptions {
 	switch c.Policy.Name() {
 	case "compatible":
 		c.Policy = assign.Compatible()
@@ -254,6 +256,52 @@ func freshPolicy(c Config) Config {
 		panic(fmt.Sprintf("equiv_test: freshPolicy does not know how to rebuild %q; add it to the switch", c.Policy.Name()))
 	}
 	return c
+}
+
+// machineRun is the engine under test: machine.Compile + Run on the
+// inputs Run takes.
+func machineRun(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels []int, opts machine.ExecOptions) (*machine.Result, error) {
+	m, err := machine.Compile(p, t, routes, labels)
+	if err != nil {
+		return nil, err
+	}
+	return m.Run(opts)
+}
+
+// bothEngines runs one config through the reference engine and the
+// machine, requires byte-identical results, and returns them.
+func bothEngines(t *testing.T, p *model.Program, topo topology.Topology, opts machine.ExecOptions) *machine.Result {
+	t.Helper()
+	ref, refErr := Run(p, topo, nil, nil, freshPolicy(opts))
+	got, gotErr := machineRun(p, topo, nil, nil, freshPolicy(opts))
+	if refErr != nil || gotErr != nil {
+		t.Fatalf("reference err=%v, machine err=%v", refErr, gotErr)
+	}
+	if !reflect.DeepEqual(ref, got) {
+		t.Fatalf("machine diverged from the reference engine\nreference: %+v\nmachine:   %+v", ref, got)
+	}
+	return got
+}
+
+// pipeline builds C1→C2 with n words on message A.
+func pipeline(t testing.TB, n int) *model.Program {
+	t.Helper()
+	b := model.NewBuilder()
+	c1 := b.AddCell("C1")
+	c2 := b.AddCell("C2")
+	a := b.DeclareMessage("A", c1, c2, n)
+	b.WriteN(c1, a, n)
+	b.ReadN(c2, a, n)
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// fcfs is the FCFS configuration the single-scenario tests start from.
+func fcfs(queues, capacity int) machine.ExecOptions {
+	return machine.ExecOptions{QueuesPerLink: queues, Capacity: capacity, Policy: assign.Naive(assign.FCFS, 0)}
 }
 
 // runEquivCase checks one scenario; it reports false when the
@@ -285,15 +333,14 @@ func runEquivCase(t *testing.T, ec equivCase) bool {
 			gen.FaultOptions{PeriodicOnly: ec.faultClass == 1})
 	}
 	for i, cfg := range equivConfigs(labels) {
-		cfg.Topology = sc.Topology
 		if cfg.Faults == nil {
 			// Rows that carry their own plan keep it; a plan that does
 			// not fit the scenario is rejected identically by both
 			// engines, which the error comparison below covers.
 			cfg.Faults = plan
 		}
-		ref, refErr := referenceRun(p, freshPolicy(cfg))
-		got, gotErr := Run(p, freshPolicy(cfg))
+		ref, refErr := Run(p, sc.Topology, nil, labels, freshPolicy(cfg))
+		got, gotErr := machineRun(p, sc.Topology, nil, labels, freshPolicy(cfg))
 		name := fmt.Sprintf("seed=%d mut=%d cyclic=%v faults=%d cfg=%d (%s q=%d cap=%d dir=%v)",
 			ec.seed, ec.mutations, ec.cyclic, ec.faultClass, i, cfg.Policy.Name(), cfg.QueuesPerLink, cfg.Capacity, cfg.DirectionalPools)
 		if (refErr != nil) != (gotErr != nil) {

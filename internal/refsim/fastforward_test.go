@@ -1,7 +1,6 @@
-package sim
+package refsim
 
 import (
-	"reflect"
 	"testing"
 
 	"systolic/internal/model"
@@ -43,24 +42,6 @@ func hostPipeline(t testing.TB) *model.Program {
 	return p
 }
 
-// allEngines runs one config through the reference engine and the
-// machine, requires byte-identical results, and returns them.
-func allEngines(t *testing.T, p *model.Program, c Config) *Result {
-	t.Helper()
-	ref, err := referenceRun(p, freshPolicy(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(p, freshPolicy(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatalf("machine diverged from the reference engine\nreference: %+v\nmachine:   %+v", ref, got)
-	}
-	return ref
-}
-
 // TestStallSearchMatchesReference: work parks behind a dead cell (or a
 // severed link) while nothing time-dependent holds any candidate, so
 // the deadlock is only waiting to become provable — for every periodic
@@ -85,7 +66,7 @@ func TestStallSearchMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := cfg(topology.Linear(3), 2, 1)
+			c := fcfs(2, 1)
 			c.Faults = mustFaultPlan(tc.faults)
 			if tc.linkModel != "" {
 				c.LinkModel = mustLinkModel(tc.linkModel)
@@ -93,7 +74,7 @@ func TestStallSearchMatchesReference(t *testing.T) {
 			if tc.ext {
 				c.ExtCapacity, c.ExtPenalty = 2, 9
 			}
-			res := allEngines(t, p, c)
+			res := bothEngines(t, p, topology.Linear(3), c)
 			if !res.Deadlocked {
 				t.Fatalf("outcome %s at cycle %d, want a deadlock", res.Outcome(), res.Cycles)
 			}
@@ -125,11 +106,11 @@ func TestCutOffInsideWindow(t *testing.T) {
 		{"inside a busy window", 50, 11},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := cfg(topology.Linear(2), 1, 1)
+			c := fcfs(1, 1)
 			c.LinkModel = mustLinkModel("fixed,delay=37")
 			c.Faults = mustFaultPlan("link:0:slow=16")
 			c.MaxCycles = tc.maxCycles
-			res := allEngines(t, p, c)
+			res := bothEngines(t, p, topology.Linear(2), c)
 			if !res.TimedOut || res.Cycles != tc.maxCycles {
 				t.Fatalf("outcome %s at cycle %d, want timed-out at %d", res.Outcome(), res.Cycles, tc.maxCycles)
 			}

@@ -1,4 +1,4 @@
-package sim
+package refsim
 
 import (
 	"reflect"
@@ -9,22 +9,6 @@ import (
 	"systolic/internal/topology"
 )
 
-// bothEngines runs one config through the full-scan reference and the
-// compiled machine, requires byte-identical results, and returns them.
-func bothEngines(t *testing.T, words int, c Config) *Result {
-	t.Helper()
-	p := pipeline(t, words)
-	ref, refErr := referenceRun(p, freshPolicy(c))
-	got, gotErr := Run(p, freshPolicy(c))
-	if refErr != nil || gotErr != nil {
-		t.Fatalf("reference err=%v, machine err=%v", refErr, gotErr)
-	}
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatalf("engines diverged\nreference: %+v\nmachine:   %+v", ref, got)
-	}
-	return got
-}
-
 // TestGoldenLinkFaultTrace pins the exact composed behaviour of a
 // throttled link under a latency model — the LinkModel × fault golden
 // trace: both engines must gate and delay at identical cycles, and
@@ -34,10 +18,10 @@ func bothEngines(t *testing.T, words int, c Config) *Result {
 func TestGoldenLinkFaultTrace(t *testing.T) {
 	// A 4-word single-hop pipeline; link 0 throttled to every 3rd
 	// cycle, and serving each word costs 2 cycles (credit 1).
-	c := cfg(topology.Linear(2), 1, 1)
+	c := fcfs(1, 1)
 	c.Faults = &fault.Plan{Links: []fault.LinkFault{{Link: 0, Factor: 3}}}
 	c.LinkModel = linkmodel.FixedPlan(2, 1)
-	res := bothEngines(t, 4, c)
+	res := bothEngines(t, pipeline(t, 4), topology.Linear(2), c)
 	if !res.Completed {
 		t.Fatalf("throttled+delayed pipeline: %s at cycle %d", res.Outcome(), res.Cycles)
 	}
@@ -61,10 +45,10 @@ func TestGoldenLinkFaultTrace(t *testing.T) {
 	// A severed link under the same latency model: words that crossed
 	// before the cut arrive, then the system freezes and the deadlock
 	// detector reports the exact stall cycle and blocked set.
-	c2 := cfg(topology.Linear(2), 1, 1)
+	c2 := fcfs(1, 1)
 	c2.Faults = &fault.Plan{Links: []fault.LinkFault{{Link: 0, Severed: true, From: 6}}}
 	c2.LinkModel = linkmodel.FixedPlan(2, 1)
-	res2 := bothEngines(t, 6, c2)
+	res2 := bothEngines(t, pipeline(t, 6), topology.Linear(2), c2)
 	if !res2.Deadlocked {
 		t.Fatalf("severed pipeline: %s at cycle %d", res2.Outcome(), res2.Cycles)
 	}

@@ -1,4 +1,4 @@
-package sim
+package refsim
 
 import (
 	"testing"
@@ -15,12 +15,9 @@ import (
 // by pinning MaxCycles to its value.
 func TestLinkLatencyDerivedBound(t *testing.T) {
 	p := pipeline(t, 64)
-	c := cfg(topology.Linear(2), 1, 1)
+	c := fcfs(1, 1)
 	c.LinkModel = linkmodel.FixedPlan(264, 1)
-	res, err := Run(p, c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := bothEngines(t, p, topology.Linear(2), c)
 	if !res.Completed {
 		t.Fatalf("slow-link run under the scaled derived bound: %s at cycle %d", res.Outcome(), res.Cycles)
 	}
@@ -30,11 +27,7 @@ func TestLinkLatencyDerivedBound(t *testing.T) {
 	}
 
 	c.MaxCycles = oldBound
-	cut, err := Run(p, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut.Completed {
+	if cut := bothEngines(t, p, topology.Linear(2), c); cut.Completed {
 		t.Fatalf("run pinned to the old bound completed in %d cycles", cut.Cycles)
 	}
 }

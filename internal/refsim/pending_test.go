@@ -1,4 +1,4 @@
-package sim_test
+package refsim
 
 import (
 	"fmt"
@@ -9,8 +9,8 @@ import (
 	"systolic/internal/assign"
 	"systolic/internal/gen"
 	"systolic/internal/label"
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 	"systolic/internal/workload"
 )
@@ -99,11 +99,11 @@ func TestPendingIsOutstandingRequests(t *testing.T) {
 			t.Fatalf("%s: no multi-hop route, nothing arrives after a grant", sc.name)
 		}
 		for _, mk := range []func() assign.Policy{assign.Compatible, assign.Static} {
-			cfg := sim.Config{Topology: sc.topo, QueuesPerLink: queues, Capacity: 2, Labels: lab.Dense}
-			run := func(engine string, f func(*model.Program, sim.Config) (*sim.Result, error)) *grantRecorder {
+			opts := machine.ExecOptions{QueuesPerLink: queues, Capacity: 2}
+			run := func(engine string, f func(*model.Program, topology.Topology, [][]topology.Hop, []int, machine.ExecOptions) (*machine.Result, error)) *grantRecorder {
 				rec := newGrantRecorder(mk())
-				cfg.Policy = rec
-				res, err := f(sc.p, cfg)
+				opts.Policy = rec
+				res, err := f(sc.p, sc.topo, routes, lab.Dense, opts)
 				if err != nil {
 					t.Fatalf("%s %s %s: %v", sc.name, rec.Name(), engine, err)
 				}
@@ -115,8 +115,8 @@ func TestPendingIsOutstandingRequests(t *testing.T) {
 				}
 				return rec
 			}
-			ref := run("reference", sim.ReferenceRun)
-			mach := run("machine", sim.Run)
+			ref := run("reference", Run)
+			mach := run("machine", machineRun)
 			if !reflect.DeepEqual(ref.seen, mach.seen) {
 				t.Errorf("%s %s: the engines showed the policy different pending sequences", sc.name, ref.Name())
 			}

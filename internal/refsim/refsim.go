@@ -1,13 +1,13 @@
-package sim
-
-// This file is the original full-scan execution engine, kept verbatim
-// as the differential oracle for the compiled machine
-// (internal/machine): every cycle it scans every cell, queue, and
-// message, which makes it slow but easy to audit against the paper.
-// The engine-equivalence suite (equiv_test.go) replays the fuzz
-// corpus and hundreds of generated scenarios through referenceRun and
-// the machine-backed Run, demanding byte-identical Results. It is not
-// used on any production path.
+// Package refsim is the full-scan reference engine; test oracle only.
+//
+// It is the original execution engine, kept as the differential oracle
+// for the compiled machine (internal/machine): every cycle it scans
+// every cell, queue, and message, which makes it slow but easy to audit
+// against the paper. The engine-equivalence suite (equiv_test.go)
+// replays the fuzz corpus and hundreds of generated scenarios through
+// Run and machine.Compile + Run, demanding byte-identical Results. Only
+// test files import it; no shipped binary links it.
+package refsim
 
 import (
 	"fmt"
@@ -16,6 +16,7 @@ import (
 	"systolic/internal/assign"
 	"systolic/internal/fault"
 	"systolic/internal/linkmodel"
+	"systolic/internal/machine"
 	"systolic/internal/model"
 	"systolic/internal/queue"
 	"systolic/internal/topology"
@@ -55,8 +56,8 @@ type msgState struct {
 // that escapes into the returned Result is allocated fresh per run.
 type runner struct {
 	p      *model.Program
-	cfg    Config
-	logic  CellLogic
+	cfg    machine.ExecOptions
+	logic  machine.CellLogic
 	routes [][]topology.Hop
 	links  []topology.Link
 
@@ -71,7 +72,7 @@ type runner struct {
 	pc       []int
 	issued   []bool
 
-	received [][]Word // escapes into Result; fresh per run
+	received [][]machine.Word // escapes into Result; fresh per run
 
 	// faults holds the run's lowered fault tables; nil when fault-free.
 	// The gates sit at the same four operation-issue sites as the
@@ -92,8 +93,8 @@ type runner struct {
 	lmDirty    []int32
 	lmBusyMax  int
 
-	res   Result
-	stats Stats
+	res   machine.Result
+	stats machine.Stats
 	now   int
 	moved bool // any event this cycle
 }
@@ -130,72 +131,72 @@ func (r *runner) poolOf(h topology.Hop) poolID {
 	return 2*h.Link + dir
 }
 
-// referenceRun simulates the program with the original full-scan
-// engine: the differential oracle the compiled machine is checked
-// against. Semantics are identical to Run's by construction — and by
-// the equivalence suite.
-func referenceRun(p *model.Program, cfg Config) (*Result, error) {
+// Run simulates the program over t with the original full-scan engine:
+// the differential oracle the compiled machine is checked against. Its
+// inputs are machine.Compile's and (*machine.Machine).Run's, and its
+// semantics are identical to theirs by construction — and by the
+// equivalence suite. Nil routes are computed; cfg.Context is ignored.
+func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels []int, cfg machine.ExecOptions) (*machine.Result, error) {
 	if p == nil {
-		return nil, &ConfigError{Field: "Program", Reason: "nil program"}
+		return nil, &machine.ConfigError{Field: "Program", Reason: "nil program"}
 	}
-	if cfg.Topology == nil {
-		return nil, &ConfigError{Field: "Topology", Reason: "nil topology"}
+	if t == nil {
+		return nil, &machine.ConfigError{Field: "Topology", Reason: "nil topology"}
 	}
 	if cfg.Policy == nil {
-		return nil, &ConfigError{Field: "Policy", Reason: "nil policy"}
+		return nil, &machine.ConfigError{Field: "Policy", Reason: "nil policy"}
 	}
 	if cfg.QueuesPerLink < 1 {
-		return nil, &ConfigError{Field: "QueuesPerLink", Reason: fmt.Sprintf("%d < 1 (every link needs at least one queue, §2.3)", cfg.QueuesPerLink)}
+		return nil, &machine.ConfigError{Field: "QueuesPerLink", Reason: fmt.Sprintf("%d < 1 (every link needs at least one queue, §2.3)", cfg.QueuesPerLink)}
 	}
 	if cfg.Capacity < 0 {
-		return nil, &ConfigError{Field: "Capacity", Reason: fmt.Sprintf("negative capacity %d", cfg.Capacity)}
+		return nil, &machine.ConfigError{Field: "Capacity", Reason: fmt.Sprintf("negative capacity %d", cfg.Capacity)}
 	}
 	if cfg.ExtCapacity < 0 {
-		return nil, &ConfigError{Field: "ExtCapacity", Reason: fmt.Sprintf("negative extension capacity %d", cfg.ExtCapacity)}
+		return nil, &machine.ConfigError{Field: "ExtCapacity", Reason: fmt.Sprintf("negative extension capacity %d", cfg.ExtCapacity)}
 	}
 	if cfg.ExtPenalty < 0 {
-		return nil, &ConfigError{Field: "ExtPenalty", Reason: fmt.Sprintf("negative extension penalty %d", cfg.ExtPenalty)}
+		return nil, &machine.ConfigError{Field: "ExtPenalty", Reason: fmt.Sprintf("negative extension penalty %d", cfg.ExtPenalty)}
 	}
-	routes := cfg.Routes
 	if routes == nil {
 		var err error
-		routes, err = topology.Routes(p, cfg.Topology)
+		routes, err = topology.Routes(p, t)
 		if err != nil {
 			return nil, err
 		}
 	} else if len(routes) != p.NumMessages() {
-		return nil, &ConfigError{Field: "Routes", Reason: fmt.Sprintf("%d entries for %d messages", len(routes), p.NumMessages())}
+		return nil, &machine.ConfigError{Field: "Routes", Reason: fmt.Sprintf("%d entries for %d messages", len(routes), p.NumMessages())}
 	}
 	if cfg.Capacity == 0 {
 		for id, rt := range routes {
 			if len(rt) > 1 {
-				return nil, &ConfigError{Field: "Capacity", Reason: fmt.Sprintf(
+				return nil, &machine.ConfigError{Field: "Capacity", Reason: fmt.Sprintf(
 					"capacity 0 (latch) supports single-hop routes only; message %s crosses %d links",
 					p.Message(model.MessageID(id)).Name, len(rt))}
 			}
 		}
 		if cfg.ExtCapacity > 0 {
-			return nil, &ConfigError{Field: "ExtCapacity", Reason: "queue extension requires base capacity ≥ 1"}
+			return nil, &machine.ConfigError{Field: "ExtCapacity", Reason: "queue extension requires base capacity ≥ 1"}
 		}
 	}
-	links := cfg.Topology.Links()
+	links := t.Links()
 	var flt *fault.Lowered
 	if cfg.Faults != nil {
 		if ferr := cfg.Faults.Validate(p.NumCells(), len(links)); ferr != nil {
-			return nil, &ConfigError{Field: "Faults", Reason: ferr.Error()}
+			return nil, &machine.ConfigError{Field: "Faults", Reason: ferr.Error()}
 		}
 		flt = fault.Lower(cfg.Faults, p.NumCells(), len(links))
 	}
 	var lmo *linkmodel.Lowered
 	if cfg.LinkModel != nil {
 		if lerr := cfg.LinkModel.Validate(len(links)); lerr != nil {
-			return nil, &ConfigError{Field: "LinkModel", Reason: lerr.Error()}
+			return nil, &machine.ConfigError{Field: "LinkModel", Reason: lerr.Error()}
 		}
 		lmo = linkmodel.Lower(cfg.LinkModel, len(links))
 	}
 	logic := cfg.Logic
 	if logic == nil {
-		logic = SyntheticLogic{}
+		logic = machine.SyntheticLogic{}
 	}
 
 	r := runnerPool.Get().(*runner)
@@ -217,7 +218,7 @@ func referenceRun(p *model.Program, cfg Config) (*Result, error) {
 		Program:       p,
 		Routes:        routes,
 		Competing:     competing,
-		Labels:        cfg.Labels,
+		Labels:        labels,
 		QueuesPerLink: cfg.QueuesPerLink,
 	}
 	if err := cfg.Policy.Setup(ctx); err != nil {
@@ -241,7 +242,7 @@ func referenceRun(p *model.Program, cfg Config) (*Result, error) {
 			scaled, ok := flt.ScaleCycles(maxCycles)
 			if !ok {
 				r.release()
-				return nil, &ConfigError{Field: "MaxCycles", Reason: fmt.Sprintf(
+				return nil, &machine.ConfigError{Field: "MaxCycles", Reason: fmt.Sprintf(
 					"derived cycle bound %d×%d (fault slowdown) overflows int; set MaxCycles explicitly", maxCycles, flt.MaxFactor())}
 			}
 			maxCycles = scaled
@@ -282,16 +283,16 @@ func referenceRun(p *model.Program, cfg Config) (*Result, error) {
 		r.res.Faults = r.faults.Descriptions()
 	}
 	r.stats.Cycles = r.now
-	r.stats.Queues = make([]QueueStat, 0, len(r.queues))
+	r.stats.Queues = make([]machine.QueueStat, 0, len(r.queues))
 	for i := range r.queues {
 		qi := &r.queues[i]
 		// qi.link is the real link, not the pool id: under
 		// DirectionalPools a link's two pools report under the same
 		// physical link, matching the timeline's attribution.
-		r.stats.Queues = append(r.stats.Queues, QueueStat{Link: qi.link, QueueIdx: qi.idx, Stats: qi.q.Stats()})
+		r.stats.Queues = append(r.stats.Queues, machine.QueueStat{Link: qi.link, QueueIdx: qi.idx, Stats: qi.q.Stats()})
 	}
 	r.res.Stats = r.stats
-	out := new(Result)
+	out := new(machine.Result)
 	*out = r.res
 	r.release()
 	return out, nil
@@ -302,12 +303,12 @@ func referenceRun(p *model.Program, cfg Config) (*Result, error) {
 // pool for the next Run.
 func (r *runner) release() {
 	r.p, r.logic, r.routes, r.links = nil, nil, nil, nil
-	r.cfg = Config{}
+	r.cfg = machine.ExecOptions{}
 	r.received = nil
 	r.faults = nil
 	r.lm = nil
-	r.res = Result{}
-	r.stats = Stats{}
+	r.res = machine.Result{}
+	r.stats = machine.Stats{}
 	for i := range r.msgs {
 		r.msgs[i].route = nil
 	}
@@ -404,7 +405,7 @@ func (r *runner) setup() {
 		clear(r.lmTally)
 		r.lmDirty = r.lmDirty[:0]
 	}
-	r.received = make([][]Word, p.NumMessages())
+	r.received = make([][]machine.Word, p.NumMessages())
 	r.stats.BlockedCycles = make([]int, p.NumCells())
 }
 
@@ -560,7 +561,7 @@ func (r *runner) grantPhase() {
 				// Record the real link (qi.link), not the pool id:
 				// under DirectionalPools pool ids are synthetic and
 				// release events already use the real link.
-				r.res.Timeline = append(r.res.Timeline, BindEvent{Cycle: r.now, Link: qi.link, QueueIdx: qi.idx, Msg: msg, Bound: true})
+				r.res.Timeline = append(r.res.Timeline, machine.BindEvent{Cycle: r.now, Link: qi.link, QueueIdx: qi.idx, Msg: msg, Bound: true})
 			}
 		}
 	}
@@ -759,7 +760,7 @@ func (r *runner) releasePhase() {
 				ms.queues[hop] = nil // keep granted=true: the message had its turn
 				r.stats.Releases++
 				if r.cfg.RecordTimeline {
-					r.res.Timeline = append(r.res.Timeline, BindEvent{Cycle: r.now, Link: qi.link, QueueIdx: qi.idx, Msg: model.MessageID(id), Bound: false})
+					r.res.Timeline = append(r.res.Timeline, machine.BindEvent{Cycle: r.now, Link: qi.link, QueueIdx: qi.idx, Msg: model.MessageID(id), Bound: false})
 				}
 			}
 		}
@@ -774,8 +775,8 @@ func (r *runner) accountBlocked() {
 	}
 }
 
-func (r *runner) blockedReport() []CellBlock {
-	var out []CellBlock
+func (r *runner) blockedReport() []machine.CellBlock {
+	var out []machine.CellBlock
 	for c := 0; c < r.p.NumCells(); c++ {
 		cell := model.CellID(c)
 		code := r.p.Code(cell)
@@ -783,7 +784,7 @@ func (r *runner) blockedReport() []CellBlock {
 			continue
 		}
 		op := code[r.pc[c]]
-		out = append(out, CellBlock{Cell: cell, Op: op, OpIdx: r.pc[c], Reason: r.blockReason(cell, op)})
+		out = append(out, machine.CellBlock{Cell: cell, Op: op, OpIdx: r.pc[c], Reason: r.blockReason(cell, op)})
 	}
 	return out
 }

@@ -185,11 +185,11 @@ func longHaulDSL(cells, words int) string {
 // /v1/run used to take up to workers-1 extra -max-concurrency slots
 // without blocking, so one anonymous request with "workers": 4 filled a
 // 4-slot daemon and the next client queued or was shed. A run holds
-// exactly one slot whatever the deprecated field says: with the long run
-// in flight and no wait pool, a second request is admitted at once.
+// exactly one slot: with the long run in flight and no wait pool, a
+// second request is admitted at once.
 func TestRunHoldsOneSlot(t *testing.T) {
 	s, ts := newTestServer(t, Options{MaxConcurrency: 4, QueueWait: -1})
-	body := mustJSON(t, RunRequest{Program: longHaulDSL(2000, 40000), Workers: 4})
+	body := mustJSON(t, RunRequest{Program: longHaulDSL(2000, 40000)})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan struct{})
@@ -203,7 +203,7 @@ func TestRunHoldsOneSlot(t *testing.T) {
 	}()
 	waitFor(t, "the long run to take its slot", func() bool { return s.limiter.InUse() > 0 })
 	if n := s.limiter.InUse(); n != 1 {
-		t.Fatalf("a run with workers=4 holds %d slots, want 1", n)
+		t.Fatalf("a run holds %d slots, want 1", n)
 	}
 	resp, reply := postJSON(t, ts.URL+"/v1/run", RunRequest{Program: relayDSL})
 	if resp.StatusCode != http.StatusOK {
@@ -634,9 +634,9 @@ func TestSweepStreamClientGoneReleasesEverything(t *testing.T) {
 	}
 }
 
-// TestSweepRequestValidation: the sweep endpoint refuses what the run
-// endpoint refuses — negative worker counts — plus bad stream values,
-// before any work or response bytes are committed.
+// TestSweepRequestValidation: the sweep endpoint refuses a negative
+// worker count, bad stream values and bad axes before any work or
+// response bytes are committed.
 func TestSweepRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	cases := []struct {
@@ -645,7 +645,6 @@ func TestSweepRequestValidation(t *testing.T) {
 		req  SweepRequest
 	}{
 		{"negative workers", "/v1/sweep", SweepRequest{Program: relayDSL, Workers: -1}},
-		{"negative run_workers", "/v1/sweep", SweepRequest{Program: relayDSL, RunWorkers: -2}},
 		{"bad stream value", "/v1/sweep?stream=yes", SweepRequest{Program: relayDSL}},
 		{"negative queue axis", "/v1/sweep", SweepRequest{Program: relayDSL, Queues: []int{-1}}},
 		{"zero capacity axis", "/v1/sweep", SweepRequest{Program: relayDSL, Capacities: []int{0}}},

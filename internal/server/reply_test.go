@@ -92,7 +92,7 @@ func replyMixes(program string, ar AnalyzeResponse) []RunRequest {
 		{Capacity: 3, LinkModel: congestion},
 		{Queues: dyn + 1, Capacity: 1, Faults: "cell:0:slow=3,link:0:slow=2"},
 		{Capacity: 2, Seed: 7},
-		{Queues: dyn, Capacity: 3, Workers: 2},
+		{Queues: dyn, Capacity: 3},
 		{Capacity: 1, Faults: "cell:1:slow=3", LinkModel: fixed},
 		{Policy: "static", Capacity: 1},
 		{Policy: "static", Queues: static, Capacity: 2},

@@ -442,9 +442,6 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunRespo
 			return nil, badRequest(err)
 		}
 	}
-	if req.Workers < 0 {
-		return nil, badRequest(fmt.Errorf("negative workers %d", req.Workers))
-	}
 	plan, err := fault.ParseSpec(req.Faults)
 	if err != nil {
 		return nil, badRequest(err)
@@ -561,10 +558,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Workers < 0 {
 		s.writeError(w, badRequest(fmt.Errorf("negative workers %d (0 = one per CPU)", req.Workers)))
-		return
-	}
-	if req.RunWorkers < 0 {
-		s.writeError(w, badRequest(fmt.Errorf("negative run_workers %d", req.RunWorkers)))
 		return
 	}
 	axes := sweep.Axes{

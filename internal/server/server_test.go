@@ -131,41 +131,20 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	}
 }
 
-// TestRunEndpointWorkers: the deprecated "workers" (run) and
-// "run_workers" (sweep) fields are decoded and ignored — a fresh daemon
-// answers a body carrying one with the bytes, after the id, that a
-// fresh daemon answers the same body without it — and a negative value
-// is still a 400.
+// TestRunEndpointWorkers: the retired "workers" (run) and
+// "run_workers" (sweep) fields are unknown now, so strict decoding
+// refuses a body carrying either with 400 "unknown field".
 func TestRunEndpointWorkers(t *testing.T) {
-	afterID := func(body []byte) string {
-		_, rest, ok := bytes.Cut(body, []byte(`",`))
-		if !ok {
-			t.Fatalf("reply without an id field: %s", body)
-		}
-		return string(rest)
-	}
-	program, _ := json.Marshal(relayDSL)
-	for _, tc := range []struct{ path, rest, field string }{
-		{"/v1/run", `"queues":1`, `"workers":4`},
-		{"/v1/sweep", `"policies":["fcfs","compatible"],"queues":[1,2],"capacities":[1],"lookaheads":[0]`, `"run_workers":4`},
-	} {
-		var replies [2]string
-		for i, extra := range []string{"", "," + tc.field} {
-			_, ts := newTestServer(t, Options{})
-			resp, body := postRaw(t, ts.URL+tc.path, `{"program":`+string(program)+","+tc.rest+extra+"}")
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s with %q: status %d: %s", tc.path, extra, resp.StatusCode, body)
-			}
-			replies[i] = afterID(body)
-		}
-		if replies[0] != replies[1] {
-			t.Fatalf("%s: %s changed the reply:\n%s\nvs\n%s", tc.path, tc.field, replies[0], replies[1])
-		}
-	}
 	_, ts := newTestServer(t, Options{})
-	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Program: relayDSL, Workers: -1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("workers=-1: status %d: %s", resp.StatusCode, body)
+	program, _ := json.Marshal(relayDSL)
+	for _, tc := range []struct{ path, field string }{
+		{"/v1/run", `"workers":4`},
+		{"/v1/sweep", `"run_workers":4`},
+	} {
+		resp, body := postRaw(t, ts.URL+tc.path, `{"program":`+string(program)+","+tc.field+"}")
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("unknown field")) {
+			t.Fatalf("%s with %s: status %d, want 400 unknown field: %s", tc.path, tc.field, resp.StatusCode, body)
+		}
 	}
 }
 

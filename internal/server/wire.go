@@ -63,13 +63,6 @@ type RunRequest struct {
 	MaxCycles int `json:"maxCycles,omitempty"`
 	// Force runs even when Theorem 1's queue requirement is unmet.
 	Force bool `json:"force,omitempty"`
-	// Workers is ignored: a run is single-threaded and holds one
-	// -max-concurrency slot whatever this says. Negative is refused
-	// with 400.
-	//
-	// Deprecated: accepted for one release so that strict decoding does
-	// not refuse existing clients, then removed.
-	Workers int `json:"workers,omitempty"`
 	// Faults degrades the array for this run, in the fault-spec
 	// grammar the CLI's -fault flag shares, e.g.
 	// "cell:1:slow=2,link:0:sever@9". Empty runs the perfect array.
@@ -119,15 +112,9 @@ type SweepRequest struct {
 	Seed       int64    `json:"seed,omitempty"`
 	// Workers bounds the request's own fan-out; the server-wide
 	// -max-concurrency limiter applies on top. Negative is refused
-	// with 400 (0 = one per CPU), matching the run endpoint.
-	Workers int `json:"workers,omitempty"`
-	// RunWorkers is ignored: every grid point's simulation is
-	// single-threaded. Negative is refused with 400.
-	//
-	// Deprecated: accepted for one release so that strict decoding does
-	// not refuse existing clients, then removed.
-	RunWorkers int `json:"run_workers,omitempty"`
-	MaxCycles  int `json:"maxCycles,omitempty"`
+	// with 400 (0 = one per CPU).
+	Workers   int `json:"workers,omitempty"`
+	MaxCycles int `json:"maxCycles,omitempty"`
 	// Faults degrades every grid point with one fault plan, in the
 	// same spec grammar as the run endpoint. A plan that does not fit
 	// the program is refused with 400 up front.

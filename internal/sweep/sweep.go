@@ -28,8 +28,8 @@ import (
 	"systolic/internal/core"
 	"systolic/internal/fault"
 	"systolic/internal/linkmodel"
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 )
 
@@ -660,7 +660,7 @@ func (g *grid) runOne(ctx context.Context, i int, runner *core.Runner) Outcome {
 		// ones — let them run and deadlock rather than be refused.
 		Force: true,
 	}
-	var res *sim.Result
+	var res *machine.Result
 	var err error
 	if runner != nil {
 		res, err = runner.Execute(eopts)

@@ -10,8 +10,8 @@ import (
 
 	"systolic/internal/crossoff"
 	"systolic/internal/label"
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 )
 
@@ -110,8 +110,8 @@ func Labels(p *model.Program, lab label.Labeling) string {
 
 // Timeline renders bind/release events grouped by link, Fig 7
 // lower-half style.
-func Timeline(p *model.Program, t topology.Topology, events []sim.BindEvent) string {
-	byLink := make(map[topology.LinkID][]sim.BindEvent)
+func Timeline(p *model.Program, t topology.Topology, events []machine.BindEvent) string {
+	byLink := make(map[topology.LinkID][]machine.BindEvent)
 	for _, e := range events {
 		byLink[e.Link] = append(byLink[e.Link], e)
 	}
@@ -161,7 +161,7 @@ func QueueSequences(p *model.Program, t topology.Topology) (string, error) {
 
 // QueueStatsTable renders per-queue lifetime counters: peak occupancy,
 // words passed, rebinds, and extension accesses.
-func QueueStatsTable(p *model.Program, t topology.Topology, stats []sim.QueueStat) string {
+func QueueStatsTable(p *model.Program, t topology.Topology, stats []machine.QueueStat) string {
 	links := t.Links()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %-5s %-8s %-8s %-8s %-8s\n",
@@ -180,11 +180,11 @@ func QueueStatsTable(p *model.Program, t topology.Topology, stats []sim.QueueSta
 }
 
 // RunSummary renders a simulation outcome in one block.
-func RunSummary(p *model.Program, res *sim.Result) string {
+func RunSummary(p *model.Program, res *machine.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "outcome: %s after %d cycles\n", res.Outcome(), res.Cycles)
 	if res.Deadlocked {
-		b.WriteString(sim.DescribeBlocked(p, res.Blocked))
+		b.WriteString(machine.DescribeBlocked(p, res.Blocked))
 	}
 	fmt.Fprintf(&b, "words moved: %d, grants: %d, releases: %d\n",
 		res.Stats.WordsMoved, res.Stats.Grants, res.Stats.Releases)

@@ -7,8 +7,8 @@ import (
 	"systolic/internal/assign"
 	"systolic/internal/crossoff"
 	"systolic/internal/label"
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 	"systolic/internal/workload"
 )
@@ -80,12 +80,14 @@ func TestTimelineAndRunSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(w.Program, sim.Config{
-		Topology:       w.Topology,
+	m, err := machine.Compile(w.Program, w.Topology, nil, lab.Dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(machine.ExecOptions{
 		QueuesPerLink:  1,
 		Capacity:       1,
 		Policy:         assign.Compatible(),
-		Labels:         lab.Dense,
 		RecordTimeline: true,
 	})
 	if err != nil {
@@ -113,8 +115,11 @@ func TestRunSummaryDeadlock(t *testing.T) {
 	b.Read(c1, bm).Write(c1, a)
 	b.Read(c2, a).Write(c2, bm)
 	p := b.MustBuild()
-	res, err := sim.Run(p, sim.Config{
-		Topology:      topology.Linear(2),
+	m, err := machine.Compile(p, topology.Linear(2), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(machine.ExecOptions{
 		QueuesPerLink: 2,
 		Capacity:      2,
 		Policy:        assign.Naive(assign.FCFS, 0),
@@ -134,12 +139,14 @@ func TestQueueStatsTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(w.Program, sim.Config{
-		Topology:      w.Topology,
+	m, err := machine.Compile(w.Program, w.Topology, nil, lab.Dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(machine.ExecOptions{
 		QueuesPerLink: 2,
 		Capacity:      2,
 		Policy:        assign.Compatible(),
-		Labels:        lab.Dense,
 	})
 	if err != nil {
 		t.Fatal(err)

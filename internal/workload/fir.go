@@ -3,8 +3,8 @@ package workload
 import (
 	"fmt"
 
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 )
 
@@ -129,13 +129,13 @@ func FIR(opts FIROptions) (*Workload, error) {
 		return nil, fmt.Errorf("workload: FIR(%d,%d): %w", k, n, err)
 	}
 
-	expected := make([]sim.Word, n)
+	expected := make([]machine.Word, n)
 	for i := 0; i < n; i++ {
 		var y float64
 		for t := 0; t < k; t++ {
 			y += weights[t] * inputs[i+t]
 		}
-		expected[i] = sim.Word(y)
+		expected[i] = machine.Word(y)
 	}
 
 	logic := &firLogic{
@@ -159,7 +159,7 @@ func FIR(opts FIROptions) (*Workload, error) {
 		Program:         p,
 		Topology:        topology.Linear(k + 1),
 		Logic:           logic,
-		Expected:        map[string][]sim.Word{nameY(1): expected},
+		Expected:        map[string][]machine.Word{nameY(1): expected},
 		DefaultQueues:   2,
 		DefaultCapacity: 2,
 		Notes: "Fig 2 generalized; Taps=3, Outputs=2 with PaperNames " +
@@ -197,7 +197,7 @@ type firLogic struct {
 	inputs []float64
 }
 
-func (l *firLogic) OnRead(cell model.CellID, msg model.MessageID, index int, w sim.Word) {
+func (l *firLogic) OnRead(cell model.CellID, msg model.MessageID, index int, w machine.Word) {
 	if _, isX := l.stageX[msg]; isX {
 		l.lastX[cell] = float64(w)
 		return
@@ -205,16 +205,16 @@ func (l *firLogic) OnRead(cell model.CellID, msg model.MessageID, index int, w s
 	l.lastY[cell] = float64(w)
 }
 
-func (l *firLogic) Produce(cell model.CellID, msg model.MessageID, index int) sim.Word {
+func (l *firLogic) Produce(cell model.CellID, msg model.MessageID, index int) machine.Word {
 	if j, isX := l.stageX[msg]; isX {
 		if j == 1 { // host injects the raw input stream
-			return sim.Word(l.inputs[index])
+			return machine.Word(l.inputs[index])
 		}
-		return sim.Word(l.lastX[cell]) // pass-through
+		return machine.Word(l.lastX[cell]) // pass-through
 	}
 	j := l.stageY[msg]
 	if j == l.k { // deepest cell starts the accumulation
-		return sim.Word(l.weight[cell] * l.lastX[cell])
+		return machine.Word(l.weight[cell] * l.lastX[cell])
 	}
-	return sim.Word(l.lastY[cell] + l.weight[cell]*l.lastX[cell])
+	return machine.Word(l.lastY[cell] + l.weight[cell]*l.lastX[cell])
 }

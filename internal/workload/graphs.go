@@ -14,8 +14,8 @@ package workload
 import (
 	"fmt"
 
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 )
 
@@ -52,7 +52,7 @@ func Attention(opts AttentionOptions) (*Workload, error) {
 	for i := range logic.weight {
 		logic.weight[i] = float64(i%5 + 1)
 	}
-	expected := make(map[string][]sim.Word, t)
+	expected := make(map[string][]machine.Word, t)
 
 	// Serial history: token t is dispatched, transformed, and combined
 	// before token t+1 is dispatched. Per-cell program order is the
@@ -71,7 +71,7 @@ func Attention(opts AttentionOptions) (*Workload, error) {
 		b.Write(experts[x], out)
 		b.Read(combiner, out)
 		logic.out = append(logic.out, outDecl{msg: out, tok: tok, expert: x})
-		expected[fmt.Sprintf("O%d", i+1)] = []sim.Word{sim.Word(logic.weight[x] * v)}
+		expected[fmt.Sprintf("O%d", i+1)] = []machine.Word{machine.Word(logic.weight[x] * v)}
 	}
 	p, err := b.Build()
 	if err != nil {
@@ -115,10 +115,10 @@ func (l *attnLogic) finish() {
 	}
 }
 
-func (l *attnLogic) OnRead(model.CellID, model.MessageID, int, sim.Word) {}
+func (l *attnLogic) OnRead(model.CellID, model.MessageID, int, machine.Word) {}
 
-func (l *attnLogic) Produce(_ model.CellID, msg model.MessageID, _ int) sim.Word {
-	return sim.Word(l.value[msg])
+func (l *attnLogic) Produce(_ model.CellID, msg model.MessageID, _ int) machine.Word {
+	return machine.Word(l.value[msg])
 }
 
 // StencilOptions sizes the iterative mesh stencil.
@@ -371,7 +371,7 @@ func (l *exchangeLogic) combine(mine, theirs float64, initiator bool) float64 {
 	}
 }
 
-func (l *exchangeLogic) OnRead(cell model.CellID, msg model.MessageID, _ int, w sim.Word) {
+func (l *exchangeLogic) OnRead(cell model.CellID, msg model.MessageID, _ int, w machine.Word) {
 	switch l.kind[msg] {
 	case 'e': // partner receives the initiator's value
 		l.outbox[cell] = l.resident[cell]
@@ -381,13 +381,13 @@ func (l *exchangeLogic) OnRead(cell model.CellID, msg model.MessageID, _ int, w 
 	}
 }
 
-func (l *exchangeLogic) Produce(cell model.CellID, msg model.MessageID, _ int) sim.Word {
+func (l *exchangeLogic) Produce(cell model.CellID, msg model.MessageID, _ int) machine.Word {
 	if l.kind[msg] == 'f' {
 		// The partner already folded the exchange into resident; the
 		// return value is its pre-exchange resident.
-		return sim.Word(l.outbox[cell])
+		return machine.Word(l.outbox[cell])
 	}
-	return sim.Word(l.resident[cell])
+	return machine.Word(l.resident[cell])
 }
 
 // Residents exposes the final per-cell values for verification by

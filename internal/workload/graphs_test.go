@@ -7,13 +7,13 @@ import (
 	"systolic/internal/assign"
 	"systolic/internal/crossoff"
 	"systolic/internal/label"
-	"systolic/internal/sim"
+	"systolic/internal/machine"
 )
 
 // runFamily pushes a workload through the full avoidance pipeline
 // (classify, label, simulate with the compatible policy) and returns
 // the completed result.
-func runFamily(t *testing.T, w *Workload) *sim.Result {
+func runFamily(t *testing.T, w *Workload) *machine.Result {
 	t.Helper()
 	if !crossoff.Classify(w.Program, crossoff.Options{}) {
 		t.Fatalf("%s: program not deadlock-free under strict crossing-off", w.Name)
@@ -22,24 +22,26 @@ func runFamily(t *testing.T, w *Workload) *sim.Result {
 	if err != nil {
 		t.Fatalf("%s: labeling: %v", w.Name, err)
 	}
-	res, err := sim.Run(w.Program, sim.Config{
-		Topology:      w.Topology,
+	m, err := machine.Compile(w.Program, w.Topology, nil, lab.Dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(machine.ExecOptions{
 		QueuesPerLink: w.DefaultQueues,
 		Capacity:      w.DefaultCapacity,
 		Policy:        assign.Compatible(),
-		Labels:        lab.Dense,
 		Logic:         w.Logic,
 	})
 	if err != nil {
 		t.Fatalf("%s: sim: %v", w.Name, err)
 	}
 	if !res.Completed {
-		t.Fatalf("%s: run %s: %s", w.Name, res.Outcome(), sim.DescribeBlocked(w.Program, res.Blocked))
+		t.Fatalf("%s: run %s: %s", w.Name, res.Outcome(), machine.DescribeBlocked(w.Program, res.Blocked))
 	}
 	return res
 }
 
-func checkResidents(t *testing.T, name string, logic sim.CellLogic, want []float64) {
+func checkResidents(t *testing.T, name string, logic machine.CellLogic, want []float64) {
 	t.Helper()
 	got := logic.(*exchangeLogic).Residents()
 	if len(got) != len(want) {

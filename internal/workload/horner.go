@@ -3,8 +3,8 @@ package workload
 import (
 	"fmt"
 
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 )
 
@@ -114,13 +114,13 @@ func Horner(opts HornerOptions) (*Workload, error) {
 		return nil, fmt.Errorf("workload: Horner(k=%d,m=%d): %w", k, m, err)
 	}
 
-	expected := make([]sim.Word, m)
+	expected := make([]machine.Word, m)
 	for i, x := range points {
 		acc := 0.0
 		for _, c := range coefs {
 			acc = acc*x + c
 		}
-		expected[i] = sim.Word(acc)
+		expected[i] = machine.Word(acc)
 	}
 
 	logic := &hornerLogic{
@@ -146,7 +146,7 @@ func Horner(opts HornerOptions) (*Workload, error) {
 		Program:  p,
 		Topology: topology.Linear(k + 1),
 		Logic:    logic,
-		Expected: map[string][]sim.Word{"Y": expected},
+		Expected: map[string][]machine.Word{"Y": expected},
 		// Interior links carry X, A and the returning Y, and the
 		// per-cell interleaving makes all three related (one label
 		// class), so the simultaneous-assignment rule needs three
@@ -167,7 +167,7 @@ type hornerLogic struct {
 	lastA  []float64
 }
 
-func (l *hornerLogic) OnRead(cell model.CellID, msg model.MessageID, index int, w sim.Word) {
+func (l *hornerLogic) OnRead(cell model.CellID, msg model.MessageID, index int, w machine.Word) {
 	if l.kindOf[msg] == 'x' {
 		l.lastX[cell] = float64(w)
 		return
@@ -175,13 +175,13 @@ func (l *hornerLogic) OnRead(cell model.CellID, msg model.MessageID, index int, 
 	l.lastA[cell] = float64(w)
 }
 
-func (l *hornerLogic) Produce(cell model.CellID, msg model.MessageID, index int) sim.Word {
+func (l *hornerLogic) Produce(cell model.CellID, msg model.MessageID, index int) machine.Word {
 	if l.kindOf[msg] == 'x' {
 		if l.stage[msg] == 1 { // host injects the raw points
-			return sim.Word(l.points[index])
+			return machine.Word(l.points[index])
 		}
-		return sim.Word(l.lastX[cell])
+		return machine.Word(l.lastX[cell])
 	}
 	// Accumulator out: acc·x + c; the first cell starts from zero.
-	return sim.Word(l.lastA[cell]*l.lastX[cell] + l.coef[cell])
+	return machine.Word(l.lastA[cell]*l.lastX[cell] + l.coef[cell])
 }

@@ -3,8 +3,8 @@ package workload
 import (
 	"fmt"
 
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 )
 
@@ -104,7 +104,7 @@ func MatMul(opts MatMulOptions) (*Workload, error) {
 	}
 
 	// Expected: collector of row r reads C[r][0..cols-2] in order.
-	expected := make(map[string][]sim.Word)
+	expected := make(map[string][]machine.Word)
 	prod := func(r, c int) float64 {
 		var s float64
 		for k := 0; k < inner; k++ {
@@ -114,7 +114,7 @@ func MatMul(opts MatMulOptions) (*Workload, error) {
 	}
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols-1; c++ {
-			expected[fmt.Sprintf("C%d.%d", r, c)] = []sim.Word{sim.Word(prod(r, c))}
+			expected[fmt.Sprintf("C%d.%d", r, c)] = []machine.Word{machine.Word(prod(r, c))}
 		}
 	}
 
@@ -179,7 +179,7 @@ func (l *matmulLogic) pos(cell model.CellID) (int, int) {
 	return int(cell) / l.cols, int(cell) % l.cols
 }
 
-func (l *matmulLogic) OnRead(cell model.CellID, msg model.MessageID, index int, w sim.Word) {
+func (l *matmulLogic) OnRead(cell model.CellID, msg model.MessageID, index int, w machine.Word) {
 	r, c := l.pos(cell)
 	switch l.kindOf[msg] {
 	case 'a':
@@ -199,20 +199,20 @@ func (l *matmulLogic) OnRead(cell model.CellID, msg model.MessageID, index int, 
 	}
 }
 
-func (l *matmulLogic) Produce(cell model.CellID, msg model.MessageID, index int) sim.Word {
+func (l *matmulLogic) Produce(cell model.CellID, msg model.MessageID, index int) machine.Word {
 	r, c := l.pos(cell)
 	switch l.kindOf[msg] {
 	case 'a':
 		if c == 0 {
-			return sim.Word(l.a[r][index])
+			return machine.Word(l.a[r][index])
 		}
-		return sim.Word(l.aReg[cell])
+		return machine.Word(l.aReg[cell])
 	case 'b':
 		if r == 0 {
-			return sim.Word(l.b[index][c])
+			return machine.Word(l.b[index][c])
 		}
-		return sim.Word(l.bReg[cell])
+		return machine.Word(l.bReg[cell])
 	default:
-		return sim.Word(l.acc[cell])
+		return machine.Word(l.acc[cell])
 	}
 }

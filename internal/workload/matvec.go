@@ -3,8 +3,8 @@ package workload
 import (
 	"fmt"
 
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 )
 
@@ -86,13 +86,13 @@ func MatVec(opts MatVecOptions) (*Workload, error) {
 		return nil, fmt.Errorf("workload: MatVec(%d): %w", n, err)
 	}
 
-	expected := make([]sim.Word, n)
+	expected := make([]machine.Word, n)
 	for i := 0; i < n; i++ {
 		var s float64
 		for j := 0; j < n; j++ {
 			s += a[i][j] * x[j]
 		}
-		expected[i] = sim.Word(s)
+		expected[i] = machine.Word(s)
 	}
 
 	logic := &matvecLogic{
@@ -115,7 +115,7 @@ func MatVec(opts MatVecOptions) (*Workload, error) {
 		Program:         p,
 		Topology:        topology.Linear(n + 1),
 		Logic:           logic,
-		Expected:        map[string][]sim.Word{"Y": expected},
+		Expected:        map[string][]machine.Word{"Y": expected},
 		DefaultQueues:   2,
 		DefaultCapacity: 2,
 		Notes:           "partial-sum pipeline; Y returns to the host across n links",
@@ -130,14 +130,14 @@ type matvecLogic struct {
 	last   []float64 // last partial sum read, per cell
 }
 
-func (l *matvecLogic) OnRead(cell model.CellID, msg model.MessageID, index int, w sim.Word) {
+func (l *matvecLogic) OnRead(cell model.CellID, msg model.MessageID, index int, w machine.Word) {
 	l.last[cell] = float64(w)
 }
 
-func (l *matvecLogic) Produce(cell model.CellID, msg model.MessageID, index int) sim.Word {
+func (l *matvecLogic) Produce(cell model.CellID, msg model.MessageID, index int) machine.Word {
 	if msg == l.source {
 		return 0 // host seeds zero partial sums
 	}
 	j := l.col[msg]
-	return sim.Word(l.last[cell] + l.a[index][j]*l.x[j])
+	return machine.Word(l.last[cell] + l.a[index][j]*l.x[j])
 }

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"systolic/internal/core"
-	"systolic/internal/sim"
+	"systolic/internal/machine"
 )
 
 func TestPipelinedSortScale(t *testing.T) {
@@ -47,7 +47,7 @@ func TestPipelinedSortScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Completed {
-		t.Fatalf("run %s: %s", res.Outcome(), sim.DescribeBlocked(w.Program, res.Blocked))
+		t.Fatalf("run %s: %s", res.Outcome(), machine.DescribeBlocked(w.Program, res.Blocked))
 	}
 
 	// Verify by sequential replay: the residents must equal `rounds`

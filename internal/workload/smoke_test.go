@@ -6,7 +6,7 @@ import (
 	"systolic/internal/assign"
 	"systolic/internal/crossoff"
 	"systolic/internal/label"
-	"systolic/internal/sim"
+	"systolic/internal/machine"
 	"systolic/internal/topology"
 )
 
@@ -64,19 +64,21 @@ func TestSmokeFIREndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("labeling: %v", err)
 	}
-	res, err := sim.Run(w.Program, sim.Config{
-		Topology:      w.Topology,
+	m, err := machine.Compile(w.Program, w.Topology, nil, lab.Dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(machine.ExecOptions{
 		QueuesPerLink: w.DefaultQueues,
 		Capacity:      w.DefaultCapacity,
 		Policy:        assign.Compatible(),
-		Labels:        lab.Dense,
 		Logic:         w.Logic,
 	})
 	if err != nil {
 		t.Fatalf("sim config: %v", err)
 	}
 	if !res.Completed {
-		t.Fatalf("run %s: %s", res.Outcome(), sim.DescribeBlocked(w.Program, res.Blocked))
+		t.Fatalf("run %s: %s", res.Outcome(), machine.DescribeBlocked(w.Program, res.Blocked))
 	}
 	if err := w.CheckReceived(res.Received); err != nil {
 		t.Fatal(err)
@@ -92,16 +94,15 @@ func TestSmokeFig7DeadlockAndAvoidance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("labeling: %v", err)
 	}
-	base := sim.Config{
-		Topology:      w.Topology,
-		QueuesPerLink: 1,
-		Capacity:      1,
-		Labels:        lab.Dense,
+	m, err := machine.Compile(w.Program, w.Topology, nil, lab.Dense)
+	if err != nil {
+		t.Fatal(err)
 	}
+	base := machine.ExecOptions{QueuesPerLink: 1, Capacity: 1}
 
 	naive := base
 	naive.Policy = assign.Naive(assign.FCFS, 0)
-	resN, err := sim.Run(w.Program, naive)
+	resN, err := m.Run(naive)
 	if err != nil {
 		t.Fatalf("naive sim: %v", err)
 	}
@@ -111,12 +112,12 @@ func TestSmokeFig7DeadlockAndAvoidance(t *testing.T) {
 
 	good := base
 	good.Policy = assign.Compatible()
-	resC, err := sim.Run(w.Program, good)
+	resC, err := m.Run(good)
 	if err != nil {
 		t.Fatalf("compatible sim: %v", err)
 	}
 	if !resC.Completed {
-		t.Fatalf("compatible run %s: %s", resC.Outcome(), sim.DescribeBlocked(w.Program, resC.Blocked))
+		t.Fatalf("compatible run %s: %s", resC.Outcome(), machine.DescribeBlocked(w.Program, resC.Blocked))
 	}
 }
 
@@ -149,19 +150,21 @@ func TestSmokeMatMul(t *testing.T) {
 	if err != nil {
 		t.Fatalf("labeling: %v", err)
 	}
-	res, err := sim.Run(w.Program, sim.Config{
-		Topology:      w.Topology,
+	m, err := machine.Compile(w.Program, w.Topology, nil, lab.Dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(machine.ExecOptions{
 		QueuesPerLink: w.DefaultQueues,
 		Capacity:      w.DefaultCapacity,
 		Policy:        assign.Compatible(),
-		Labels:        lab.Dense,
 		Logic:         w.Logic,
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
 	if !res.Completed {
-		t.Fatalf("run %s: %s", res.Outcome(), sim.DescribeBlocked(w.Program, res.Blocked))
+		t.Fatalf("run %s: %s", res.Outcome(), machine.DescribeBlocked(w.Program, res.Blocked))
 	}
 	if err := w.CheckReceived(res.Received); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 )
 
@@ -93,9 +93,9 @@ func Sort(opts SortOptions) (*Workload, error) {
 
 	sorted := append([]float64(nil), values...)
 	sort.Float64s(sorted)
-	expected := make(map[string][]sim.Word, n)
+	expected := make(map[string][]machine.Word, n)
 	for j := 0; j < n; j++ {
-		expected[fmt.Sprintf("V%d", j+1)] = []sim.Word{sim.Word(sorted[j])}
+		expected[fmt.Sprintf("V%d", j+1)] = []machine.Word{machine.Word(sorted[j])}
 	}
 
 	variant := "polite"
@@ -127,7 +127,7 @@ type sortLogic struct {
 	role      map[model.MessageID]sortRole
 }
 
-func (l *sortLogic) OnRead(cell model.CellID, msg model.MessageID, index int, w sim.Word) {
+func (l *sortLogic) OnRead(cell model.CellID, msg model.MessageID, index int, w machine.Word) {
 	switch l.role[msg].kind {
 	case 'e': // right partner receives the left value
 		l.outbox[cell] = l.resident[cell]
@@ -142,19 +142,19 @@ func (l *sortLogic) OnRead(cell model.CellID, msg model.MessageID, index int, w 
 	}
 }
 
-func (l *sortLogic) Produce(cell model.CellID, msg model.MessageID, index int) sim.Word {
+func (l *sortLogic) Produce(cell model.CellID, msg model.MessageID, index int) machine.Word {
 	switch l.role[msg].kind {
 	case 'e':
-		return sim.Word(l.resident[cell])
+		return machine.Word(l.resident[cell])
 	case 'f':
 		if l.symmetric {
 			// The write precedes the read, so resident is still the
 			// pre-exchange value.
-			return sim.Word(l.resident[cell])
+			return machine.Word(l.resident[cell])
 		}
-		return sim.Word(l.outbox[cell])
+		return machine.Word(l.outbox[cell])
 	default:
-		return sim.Word(l.resident[cell])
+		return machine.Word(l.resident[cell])
 	}
 }
 

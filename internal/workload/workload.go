@@ -9,8 +9,8 @@ package workload
 import (
 	"fmt"
 
+	"systolic/internal/machine"
 	"systolic/internal/model"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 )
 
@@ -25,10 +25,10 @@ type Workload struct {
 	Topology topology.Topology
 	// Logic supplies word values; nil means synthetic transport-only
 	// values.
-	Logic sim.CellLogic
+	Logic machine.CellLogic
 	// Expected maps message names to the words their receivers must
 	// observe (empty for workloads verified another way).
-	Expected map[string][]sim.Word
+	Expected map[string][]machine.Word
 	// DefaultQueues and DefaultCapacity are sensible run parameters
 	// (enough for the avoidance strategy to apply).
 	DefaultQueues   int
@@ -39,7 +39,7 @@ type Workload struct {
 
 // CheckReceived compares a simulation's received words against
 // Expected, returning a descriptive error on the first mismatch.
-func (w *Workload) CheckReceived(received [][]sim.Word) error {
+func (w *Workload) CheckReceived(received [][]machine.Word) error {
 	for name, want := range w.Expected {
 		m, ok := w.Program.MessageByName(name)
 		if !ok {

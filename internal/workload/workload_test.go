@@ -7,30 +7,32 @@ import (
 	"systolic/internal/assign"
 	"systolic/internal/crossoff"
 	"systolic/internal/label"
-	"systolic/internal/sim"
+	"systolic/internal/machine"
 )
 
 // runPipeline analyzes and executes a workload under the compatible
 // policy with its default parameters, failing the test on any stage.
-func runPipeline(t *testing.T, w *Workload, queues, capacity int) *sim.Result {
+func runPipeline(t *testing.T, w *Workload, queues, capacity int) *machine.Result {
 	t.Helper()
 	lab, err := label.Assign(w.Program, label.Options{})
 	if err != nil {
 		t.Fatalf("%s: labeling: %v", w.Name, err)
 	}
-	res, err := sim.Run(w.Program, sim.Config{
-		Topology:      w.Topology,
+	m, err := machine.Compile(w.Program, w.Topology, nil, lab.Dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(machine.ExecOptions{
 		QueuesPerLink: queues,
 		Capacity:      capacity,
 		Policy:        assign.Compatible(),
-		Labels:        lab.Dense,
 		Logic:         w.Logic,
 	})
 	if err != nil {
 		t.Fatalf("%s: sim: %v", w.Name, err)
 	}
 	if !res.Completed {
-		t.Fatalf("%s: %s\n%s", w.Name, res.Outcome(), sim.DescribeBlocked(w.Program, res.Blocked))
+		t.Fatalf("%s: %s\n%s", w.Name, res.Outcome(), machine.DescribeBlocked(w.Program, res.Blocked))
 	}
 	if err := w.CheckReceived(res.Received); err != nil {
 		t.Fatalf("%s: %v", w.Name, err)
@@ -219,19 +221,21 @@ func TestSortSymmetricNeedsLookahead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(w.Program, sim.Config{
-		Topology:      w.Topology,
+	m, err := machine.Compile(w.Program, w.Topology, nil, lab.Dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(machine.ExecOptions{
 		QueuesPerLink: 2,
 		Capacity:      1,
 		Policy:        assign.Compatible(),
-		Labels:        lab.Dense,
 		Logic:         w.Logic,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed {
-		t.Fatalf("symmetric sort run %s\n%s", res.Outcome(), sim.DescribeBlocked(w.Program, res.Blocked))
+		t.Fatalf("symmetric sort run %s\n%s", res.Outcome(), machine.DescribeBlocked(w.Program, res.Blocked))
 	}
 	if err := w.CheckReceived(res.Received); err != nil {
 		t.Fatal(err)
@@ -244,7 +248,7 @@ func TestSortExplicitValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	runPipeline(t, w, w.DefaultQueues, w.DefaultCapacity)
-	for j, want := range []sim.Word{1, 2, 3, 4, 5} {
+	for j, want := range []machine.Word{1, 2, 3, 4, 5} {
 		got := w.Expected["V"+string(rune('1'+j))]
 		if got[0] != want {
 			t.Fatalf("V%d expected %v, want %v", j+1, got, want)
@@ -321,12 +325,14 @@ func TestFig9RunsUnderStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(w.Program, sim.Config{
-		Topology:      w.Topology,
+	m, err := machine.Compile(w.Program, w.Topology, nil, lab.Dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(machine.ExecOptions{
 		QueuesPerLink: 2,
 		Capacity:      1,
 		Policy:        assign.Static(),
-		Labels:        lab.Dense,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -340,23 +346,23 @@ func TestCheckReceivedErrors(t *testing.T) {
 	w := Fig2()
 	// Unknown message name.
 	w2 := *w
-	w2.Expected = map[string][]sim.Word{"NOPE": {1}}
-	if err := w2.CheckReceived(make([][]sim.Word, w.Program.NumMessages())); err == nil {
+	w2.Expected = map[string][]machine.Word{"NOPE": {1}}
+	if err := w2.CheckReceived(make([][]machine.Word, w.Program.NumMessages())); err == nil {
 		t.Fatal("unknown expected message accepted")
 	}
 	// Wrong count.
-	w2.Expected = map[string][]sim.Word{"YA": {1, 2, 3}}
-	if err := w2.CheckReceived(make([][]sim.Word, w.Program.NumMessages())); err == nil {
+	w2.Expected = map[string][]machine.Word{"YA": {1, 2, 3}}
+	if err := w2.CheckReceived(make([][]machine.Word, w.Program.NumMessages())); err == nil {
 		t.Fatal("word-count mismatch accepted")
 	}
 	// Wrong value.
-	recv := make([][]sim.Word, w.Program.NumMessages())
+	recv := make([][]machine.Word, w.Program.NumMessages())
 	ya, _ := w.Program.MessageByName("YA")
-	recv[ya.ID] = []sim.Word{59, 999}
+	recv[ya.ID] = []machine.Word{59, 999}
 	if err := w.CheckReceived(recv); err == nil {
 		t.Fatal("wrong value accepted")
 	}
-	recv[ya.ID] = []sim.Word{59, 115}
+	recv[ya.ID] = []machine.Word{59, 115}
 	if err := w.CheckReceived(recv); err != nil {
 		t.Fatalf("correct values rejected: %v", err)
 	}

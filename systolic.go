@@ -23,9 +23,9 @@ import (
 	"systolic/internal/crossoff"
 	"systolic/internal/dsl"
 	"systolic/internal/label"
+	"systolic/internal/machine"
 	"systolic/internal/model"
 	"systolic/internal/rational"
-	"systolic/internal/sim"
 	"systolic/internal/topology"
 	"systolic/internal/verify"
 )
@@ -173,13 +173,11 @@ type (
 	// PolicyKind selects a queue-assignment discipline.
 	PolicyKind = core.PolicyKind
 	// RunResult is a simulation outcome.
-	RunResult = sim.Result
+	RunResult = machine.Result
 	// CellLogic supplies word values for semantic workloads.
-	CellLogic = sim.CellLogic
+	CellLogic = machine.CellLogic
 	// Word is the transfer unit.
-	Word = sim.Word
-	// SimConfig exposes the raw simulator for advanced callers.
-	SimConfig = sim.Config
+	Word = machine.Word
 )
 
 // Queue-assignment policy kinds.
@@ -229,10 +227,6 @@ func Precompile(a *Analysis) error {
 	_, err := a.Machine()
 	return err
 }
-
-// Simulate exposes the raw simulator for callers assembling their own
-// policies.
-func Simulate(p *Program, cfg SimConfig) (*RunResult, error) { return sim.Run(p, cfg) }
 
 // PreconditionReport and CheckPreconditions expose Theorem 1's
 // assumption (ii) directly.

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"systolic"
-	"systolic/internal/assign"
 )
 
 func TestPublicPipelineOnFig2(t *testing.T) {
@@ -116,30 +115,6 @@ func TestPublicPreconditions(t *testing.T) {
 	}
 	if rep.MaxGroup != 2 || len(rep.Violations) == 0 {
 		t.Fatalf("report %+v", rep)
-	}
-}
-
-func TestPublicSimulateRaw(t *testing.T) {
-	b := systolic.NewProgram()
-	c1 := b.AddCell("C1")
-	c2 := b.AddCell("C2")
-	a := b.DeclareMessage("A", c1, c2, 3)
-	b.WriteN(c1, a, 3)
-	b.ReadN(c2, a, 3)
-	p := b.MustBuild()
-	lab := systolic.TrivialLabels(p)
-	res, err := systolic.Simulate(p, systolic.SimConfig{
-		Topology:      systolic.LinearArray(2),
-		QueuesPerLink: 1,
-		Capacity:      1,
-		Policy:        assign.Compatible(),
-		Labels:        lab.Dense,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("run %s", res.Outcome())
 	}
 }
 
