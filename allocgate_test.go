@@ -72,7 +72,7 @@ func TestAllocGateExecuteScaleFree(t *testing.T) {
 // through the machine's pool. An O(cycles) or O(cells) per-run
 // regression multiplies by 54, and a plan that stops sharing by 144/54;
 // either trips this (measured steady state: ~3.1 allocs/point, 445 a
-// sweep — BENCH_sweep.json; the budget is ~1.5× that).
+// sweep, with BenchmarkSweep -benchmem; the budget is ~1.5× that).
 func TestAllocGateSweepBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under -race")

@@ -268,11 +268,9 @@ func BenchmarkTheorem1_Pipeline(b *testing.B) {
 // config) executions, each column analysed once and replayed on a
 // retained core.Runner, so allocs/op is the figure that moves when a
 // per-run, per-point or per-analysis allocation comes back.
-// BENCH_sweep.json carries the committed allocs/op and B/op (CI compares
-// against it with tools/benchjson), TestAllocGateSweepBatch gates the
-// same grid at ~1.5× that per grid point, and the end-to-end view is
-// tools/perf's sweep-grid workload (ops_per_s, allocs_per_op,
-// sweep.us_per_point). Simulated cycle counts never change: the
+// TestAllocGateSweepBatch gates the same grid per grid point, and the
+// end-to-end view is tools/perf's sweep-grid workload (ops_per_s,
+// allocs_per_op — which CI gates — and sweep.us_per_point). Simulated cycle counts never change: the
 // engine-equivalence suite in internal/refsim and the planned-vs-per-point
 // suite in internal/sweep enforce byte-identical results.
 func BenchmarkSweep(b *testing.B) {

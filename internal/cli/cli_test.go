@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -231,14 +232,44 @@ func TestSysdlRunFaultBadSpec(t *testing.T) {
 		}
 	}
 	// Well-formed specs naming elements the program does not have are
-	// execution-layer errors (exit 1), surfaced by Execute's validation.
+	// execution-layer errors (exit 1): the machine's one validation of
+	// the run's options refuses them as a ConfigError.
 	for _, spec := range []string{"cell:99:dead", "cell:-1:dead"} {
 		opts := DefaultSysdlOptions()
 		opts.Fault = spec
 		var b strings.Builder
-		if code, err := Sysdl(&b, "run", sampleDSL, opts); err == nil || code != 1 {
-			t.Errorf("spec %q: code=%d err=%v, want exec error", spec, code, err)
+		code, err := Sysdl(&b, "run", sampleDSL, opts)
+		if err == nil || code != 1 || !strings.HasPrefix(err.Error(), "machine: config Faults: ") {
+			t.Errorf("spec %q: code=%d err=%v, want exit 1 with a machine config error", spec, code, err)
 		}
+	}
+}
+
+// TestSysdlRunCapacityZeroRunsAsOne: Execute runs capacity 0 as one
+// word per queue, so `run -capacity 0` prints exactly what `-capacity
+// 1` prints, and the flag's help says so instead of promising the
+// unbuffered latch only the machine API reaches.
+func TestSysdlRunCapacityZeroRunsAsOne(t *testing.T) {
+	var outs [2]string
+	for i, capacity := range []int{0, 1} {
+		opts := DefaultSysdlOptions()
+		opts.Capacity = capacity
+		opts.Timeline = true
+		opts.Stats = true
+		var b strings.Builder
+		if code, err := Sysdl(&b, "run", sampleDSL, opts); err != nil || code != 0 {
+			t.Fatalf("-capacity %d: code=%d err=%v\n%s", capacity, code, err, b.String())
+		}
+		outs[i] = b.String()
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("-capacity 0 and 1 differ:\n%s\nvs\n%s", outs[0], outs[1])
+	}
+	fs := flag.NewFlagSet("sysdl", flag.ContinueOnError)
+	opts := DefaultSysdlOptions()
+	opts.BindFlags(fs)
+	if usage := fs.Lookup("capacity").Usage; !strings.Contains(usage, "0 runs as 1") {
+		t.Errorf("-capacity help %q does not say 0 runs as 1", usage)
 	}
 }
 

@@ -87,7 +87,7 @@ func DefaultSysdlOptions() SysdlOptions {
 // BindFlags registers the options on a FlagSet.
 func (o *SysdlOptions) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Queues, "queues", o.Queues, "queues per link (0 = minimum from analysis)")
-	fs.IntVar(&o.Capacity, "capacity", o.Capacity, "words per queue (0 = unbuffered latch)")
+	fs.IntVar(&o.Capacity, "capacity", o.Capacity, "words per queue (0 runs as 1: the unbuffered latch is not reachable from sysdl)")
 	fs.StringVar(&o.Policy, "policy", o.Policy, "compatible|static|fcfs|lifo|random|adversarial")
 	fs.Int64Var(&o.Seed, "seed", o.Seed, "seed for the random policy")
 	fs.BoolVar(&o.Lookahead, "lookahead", o.Lookahead, "classify/label with §8 lookahead")
@@ -217,12 +217,9 @@ func Sysdl(w io.Writer, cmd, src string, opts SysdlOptions) (int, error) {
 		if err != nil {
 			return 2, err
 		}
-		var lplan *systolic.LinkModelPlan
-		if opts.LinkModel != "" {
-			lplan, err = systolic.ParseLinkModelSpec(opts.LinkModel)
-			if err != nil {
-				return 2, err
-			}
+		lplan, err := systolic.ParseLinkModelSpec(opts.LinkModel)
+		if err != nil {
+			return 2, err
 		}
 		res, err := systolic.Execute(a, systolic.ExecOptions{
 			Policy:         kind,

@@ -32,9 +32,10 @@ import (
 // OptionError is a typed rejection of an invalid Analyze or Execute
 // option: machine-generated configurations (the differential oracle,
 // the sweep engine) distinguish a bad option from a genuine engine
-// failure with errors.As. Every invalid option is rejected here at
-// the API boundary, before any state is built, instead of panicking
-// deep in internal/machine.
+// failure with errors.As. Execute raises it only for what core alone
+// can judge (see lower); every other run option is validated once, by
+// the machine, as a *machine.ConfigError. Either way the rejection
+// comes before any run state is built, never as a panic.
 type OptionError struct {
 	// Op is "Analyze" or "Execute".
 	Op string
@@ -343,11 +344,15 @@ func Execute(a *Analysis, opts ExecOptions) (*machine.Result, error) {
 
 // lower validates ExecOptions against an analysis and lowers them to
 // the machine layer: budget resolution and the Theorem 1 precondition
-// check. Execute and Runner.Execute share it so the batch path rejects
-// exactly what the pooled path rejects, with byte-identical error
-// strings. The returned options carry a nil Policy — the caller
-// instantiates it (Execute fresh per call, Runner from its retained
-// per-kind instances).
+// check. It checks only what core alone can judge — the options the
+// machine never sees (QueuesPerLink's auto value, Workers, the policy
+// kind), MaxCycles, deadlock-freedom and Theorem 1; capacities, the
+// extension, faults and the link model are validated once, by the
+// machine, as a *machine.ConfigError. Execute and Runner.Execute share
+// it so the batch path rejects exactly what the pooled path rejects,
+// with byte-identical error strings. The returned options carry a nil
+// Policy — the caller instantiates it (Execute fresh per call, Runner
+// from its retained per-kind instances).
 func lower(a *Analysis, opts ExecOptions) (*machine.Machine, machine.ExecOptions, error) {
 	var none machine.ExecOptions
 	if a == nil || a.Program == nil {
@@ -359,30 +364,11 @@ func lower(a *Analysis, opts ExecOptions) (*machine.Machine, machine.ExecOptions
 	if opts.QueuesPerLink < 0 {
 		return nil, none, &OptionError{Op: "Execute", Field: "QueuesPerLink", Reason: fmt.Sprintf("negative queue count %d (0 = analysis minimum)", opts.QueuesPerLink)}
 	}
-	if opts.Capacity < 0 {
-		return nil, none, &OptionError{Op: "Execute", Field: "Capacity", Reason: fmt.Sprintf("negative capacity %d", opts.Capacity)}
-	}
-	if opts.ExtCapacity < 0 {
-		return nil, none, &OptionError{Op: "Execute", Field: "ExtCapacity", Reason: fmt.Sprintf("negative extension capacity %d", opts.ExtCapacity)}
-	}
-	if opts.ExtPenalty < 0 {
-		return nil, none, &OptionError{Op: "Execute", Field: "ExtPenalty", Reason: fmt.Sprintf("negative extension penalty %d", opts.ExtPenalty)}
-	}
 	if opts.MaxCycles < 0 {
 		return nil, none, &OptionError{Op: "Execute", Field: "MaxCycles", Reason: fmt.Sprintf("negative cycle bound %d", opts.MaxCycles)}
 	}
 	if opts.Workers < 0 {
 		return nil, none, &OptionError{Op: "Execute", Field: "Workers", Reason: fmt.Sprintf("negative worker count %d", opts.Workers)}
-	}
-	if opts.Faults != nil {
-		if ferr := opts.Faults.Validate(a.Program.NumCells(), len(a.Topology.Links())); ferr != nil {
-			return nil, none, &OptionError{Op: "Execute", Field: "Faults", Reason: ferr.Error()}
-		}
-	}
-	if opts.LinkModel != nil {
-		if lerr := opts.LinkModel.Validate(len(a.Topology.Links())); lerr != nil {
-			return nil, none, &OptionError{Op: "Execute", Field: "LinkModel", Reason: lerr.Error()}
-		}
 	}
 	switch opts.Policy {
 	case DynamicCompatible, StaticAssignment, NaiveFCFS, NaiveLIFO, NaiveRandom, NaiveAdversarial:

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 
+	"systolic/internal/fault"
+	"systolic/internal/linkmodel"
 	"systolic/internal/machine"
 	"systolic/internal/model"
 	"systolic/internal/topology"
@@ -56,7 +58,9 @@ func TestAnalyzeOptionErrors(t *testing.T) {
 }
 
 // TestExecuteOptionErrors mirrors TestAnalyzeOptionErrors on the
-// run-time side.
+// run-time side. core rejects only what it alone can judge, as an
+// *OptionError; every option the machine sees is validated once, by
+// the machine, and comes back as a *machine.ConfigError.
 func TestExecuteOptionErrors(t *testing.T) {
 	p := optProgram(t)
 	a, err := Analyze(p, topology.Linear(2), AnalyzeOptions{})
@@ -64,22 +68,32 @@ func TestExecuteOptionErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name string
-		a    *Analysis
-		opts ExecOptions
+		name  string
+		a     *Analysis
+		opts  ExecOptions
+		field string // the *machine.ConfigError field; "" = *OptionError
 	}{
-		{"nil analysis", nil, ExecOptions{}},
-		{"nil topology", &Analysis{Program: p}, ExecOptions{}},
-		{"negative queues", a, ExecOptions{QueuesPerLink: -1}},
-		{"negative capacity", a, ExecOptions{Capacity: -2}},
-		{"negative ext capacity", a, ExecOptions{ExtCapacity: -1}},
-		{"negative ext penalty", a, ExecOptions{ExtPenalty: -1}},
-		{"negative max cycles", a, ExecOptions{MaxCycles: -7}},
-		{"unknown policy", a, ExecOptions{Policy: PolicyKind(42)}},
+		{"nil analysis", nil, ExecOptions{}, ""},
+		{"nil topology", &Analysis{Program: p}, ExecOptions{}, ""},
+		{"negative queues", a, ExecOptions{QueuesPerLink: -1}, ""},
+		{"negative capacity", a, ExecOptions{Capacity: -2}, "Capacity"},
+		{"negative ext capacity", a, ExecOptions{ExtCapacity: -1}, "ExtCapacity"},
+		{"negative ext penalty", a, ExecOptions{ExtPenalty: -1}, "ExtPenalty"},
+		{"negative max cycles", a, ExecOptions{MaxCycles: -7}, ""},
+		{"unknown policy", a, ExecOptions{Policy: PolicyKind(42)}, ""},
+		{"fault out of range", a, ExecOptions{Faults: &fault.Plan{Cells: []fault.CellFault{{Cell: 9, Dead: true}}}}, "Faults"},
+		{"link model out of range", a, ExecOptions{LinkModel: &linkmodel.Plan{Kind: linkmodel.Fixed, Overrides: []linkmodel.Override{{Link: 3, Delay: 2}}}}, "LinkModel"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Execute(tc.a, tc.opts)
+			if tc.field != "" {
+				var ce *machine.ConfigError
+				if !errors.As(err, &ce) || ce.Field != tc.field {
+					t.Fatalf("err = %v, want *machine.ConfigError on %s", err, tc.field)
+				}
+				return
+			}
 			var oe *OptionError
 			if !errors.As(err, &oe) {
 				t.Fatalf("err = %v, want *OptionError", err)

@@ -447,20 +447,18 @@ func faultChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, 
 	// grammar the CLI and wire share, so the corpus covers its edge
 	// cases: @0 effective-froms canonicalize to no suffix, and a valid
 	// plan can never trip the duplicate-target parse error.
-	if spec := plan.String(); spec != "" {
-		rt, err := fault.ParseSpec(spec)
-		switch {
-		case err != nil:
-			f := cfg
-			f.Invariant = "fault-spec-roundtrip"
-			f.Detail = fmt.Sprintf("canonical spec %q failed to re-parse: %v", spec, err)
-			fail(f)
-		case rt.String() != spec:
-			f := cfg
-			f.Invariant = "fault-spec-roundtrip"
-			f.Detail = fmt.Sprintf("canonical spec %q re-parsed to %q", spec, rt.String())
-			fail(f)
-		}
+	spec := plan.String()
+	switch rt, err := fault.ParseSpec(spec); {
+	case err != nil:
+		f := cfg
+		f.Invariant = "fault-spec-roundtrip"
+		f.Detail = fmt.Sprintf("canonical spec %q failed to re-parse: %v", spec, err)
+		fail(f)
+	case rt.String() != spec:
+		f := cfg
+		f.Invariant = "fault-spec-roundtrip"
+		f.Detail = fmt.Sprintf("canonical spec %q re-parsed to %q", spec, rt.String())
+		fail(f)
 	}
 	exec := func(p *fault.Plan) (*machine.Result, error) {
 		res.Runs++

@@ -77,7 +77,7 @@ func FuzzOracle(f *testing.F) {
 		switch faultClass % 3 {
 		case 1:
 			opts.Faults = gen.RandomFaults(seed, sc.Program.NumCells(),
-				len(sc.Topology.Links()), gen.FaultOptions{PeriodicOnly: true})
+				len(sc.Topology.Links()), gen.FaultOptions{SlowdownsOnly: true})
 		case 2:
 			opts.Faults = gen.RandomFaults(seed, sc.Program.NumCells(),
 				len(sc.Topology.Links()), gen.FaultOptions{})

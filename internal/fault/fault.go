@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"systolic/internal/model"
+	"systolic/internal/spec"
 	"systolic/internal/topology"
 )
 
@@ -84,28 +85,6 @@ func (p *Plan) IsNoop() bool {
 	}
 	for _, l := range p.Links {
 		if l.Severed || l.Factor > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// PeriodicOnly reports whether the plan (possibly nil) contains no
-// dead cells and no severed links — only slowdowns, which delay but
-// can never remove progress. An analyzer-approved configuration under
-// a periodic-only plan must still complete; the differential oracle's
-// degraded-completion invariant enforces exactly this.
-func (p *Plan) PeriodicOnly() bool {
-	if p == nil {
-		return true
-	}
-	for _, c := range p.Cells {
-		if c.Dead {
-			return false
-		}
-	}
-	for _, l := range p.Links {
-		if l.Severed {
 			return false
 		}
 	}
@@ -217,7 +196,7 @@ func (p *Plan) String() string {
 
 // ParseSpec parses a comma-separated fault spec, the grammar the
 // `sysdl run -fault` flag and the server wire format's string form
-// share:
+// share (tokenized by internal/spec):
 //
 //	cell:IDX:slow=K[@FROM]   periodic cell slowdown, factor K
 //	cell:IDX:dead[@FROM]     dead cell
@@ -228,75 +207,57 @@ func (p *Plan) String() string {
 // accepted and means "from the start", the same as no suffix (the
 // canonical String form omits it). An empty spec returns a nil plan.
 // Naming one cell or link twice is a parse error, not a silent
-// last-write-wins: a plan can hold at most one fault per element, and
-// Lower without an intervening Validate used to keep whichever
-// duplicate came last. Index bounds are not known here; callers run
-// Plan.Validate against the concrete scenario.
-func ParseSpec(spec string) (*Plan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	p := &Plan{}
-	seenCell := map[int]bool{}
-	seenLink := map[int]bool{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		fields := strings.SplitN(part, ":", 3)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("fault spec %q: want kind:index:effect", part)
+// last-write-wins: a plan can hold at most one fault per element.
+// Index bounds are not known here; the machine validates the plan
+// against the concrete array.
+func ParseSpec(text string) (*Plan, error) {
+	var p *Plan
+	err := spec.Parse("fault", text, true, func(part, scope string, idx int, key, val string) error {
+		if scope == "" {
+			return fmt.Errorf("fault spec %q: want cell:IDX:EFFECT or link:IDX:EFFECT", part)
 		}
-		idx, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("fault spec %q: bad index: %v", part, err)
-		}
-		effect := fields[2]
+		// @FROM ends the item: it trails the value of slow=K@FROM and
+		// the key of dead@FROM and sever@FROM.
 		from := 0
-		if at := strings.IndexByte(effect, '@'); at >= 0 {
-			from, err = strconv.Atoi(effect[at+1:])
+		if _, at, ok := strings.Cut(part, "@"); ok {
+			n, err := strconv.Atoi(at)
 			if err != nil {
-				return nil, fmt.Errorf("fault spec %q: bad effective-from cycle: %v", part, err)
+				return fmt.Errorf("fault spec %q: bad effective-from cycle: %v", part, err)
 			}
-			if from < 0 {
-				return nil, fmt.Errorf("fault spec %q: negative effective-from cycle %d", part, from)
+			if n < 0 {
+				return fmt.Errorf("fault spec %q: negative effective-from cycle %d", part, n)
 			}
-			effect = effect[:at]
+			from = n
+			key, val = strings.TrimSuffix(key, "@"+at), strings.TrimSuffix(val, "@"+at)
 		}
-		factor := 0
-		terminal := false
+		factor, terminal := 0, false
 		switch {
-		case effect == "dead" || effect == "sever":
-			terminal = true
-		case strings.HasPrefix(effect, "slow="):
-			factor, err = strconv.Atoi(strings.TrimPrefix(effect, "slow="))
+		case key == "slow" && val != "":
+			n, err := strconv.Atoi(val)
 			if err != nil {
-				return nil, fmt.Errorf("fault spec %q: bad slowdown factor: %v", part, err)
+				return fmt.Errorf("fault spec %q: bad slowdown factor: %v", part, err)
 			}
+			factor = n
+		case val == "" && (key == "dead" || key == "sever"):
+			if (key == "dead") != (scope == "cell") {
+				return fmt.Errorf("fault spec %q: cells die, links sever", part)
+			}
+			terminal = true
 		default:
-			return nil, fmt.Errorf("fault spec %q: unknown effect %q (want slow=K, dead, or sever)", part, effect)
+			return fmt.Errorf("fault spec %q: unknown effect %q (want slow=K, dead, or sever)", part, key)
 		}
-		switch fields[0] {
-		case "cell":
-			if effect == "sever" {
-				return nil, fmt.Errorf("fault spec %q: cells die, links sever", part)
-			}
-			if seenCell[idx] {
-				return nil, fmt.Errorf("fault spec %q: cell %d already has a fault in this spec (one fault per cell)", part, idx)
-			}
-			seenCell[idx] = true
+		if p == nil {
+			p = &Plan{}
+		}
+		if scope == "cell" {
 			p.Cells = append(p.Cells, CellFault{Cell: model.CellID(idx), Factor: factor, Dead: terminal, From: from})
-		case "link":
-			if effect == "dead" {
-				return nil, fmt.Errorf("fault spec %q: links sever, cells die", part)
-			}
-			if seenLink[idx] {
-				return nil, fmt.Errorf("fault spec %q: link %d already has a fault in this spec (one fault per link)", part, idx)
-			}
-			seenLink[idx] = true
+		} else {
 			p.Links = append(p.Links, LinkFault{Link: topology.LinkID(idx), Factor: factor, Severed: terminal, From: from})
-		default:
-			return nil, fmt.Errorf("fault spec %q: unknown kind %q (want cell or link)", part, fields[0])
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -480,25 +441,15 @@ func (l *Lowered) NextAllOpen(from, limit int) int {
 	return limit
 }
 
-// MaxFactor returns the largest periodic factor in the plan (≥ 1):
-// the multiplier the engines apply to their derived default cycle
-// bound, since a factor-k slowdown stretches any schedule by ≤ k.
+// MaxFactor returns the largest periodic factor in the plan (≥ 1; 1
+// for a nil table): the multiplier the engines apply to their derived
+// default cycle bound, since a factor-k slowdown stretches any
+// schedule by ≤ k.
 func (l *Lowered) MaxFactor() int {
+	if l == nil {
+		return 1
+	}
 	return l.maxFactor
-}
-
-// ScaleCycles scales a derived cycle bound by MaxFactor, reporting
-// failure instead of overflowing.
-func (l *Lowered) ScaleCycles(n int) (int, bool) {
-	f := l.maxFactor
-	if f <= 1 {
-		return n, true
-	}
-	const maxInt = int(^uint(0) >> 1)
-	if n > maxInt/f {
-		return 0, false
-	}
-	return n * f, true
 }
 
 // Descriptions returns the active (non-no-op) faults in canonical

@@ -43,10 +43,10 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-func TestIsNoopAndPeriodicOnly(t *testing.T) {
+func TestIsNoop(t *testing.T) {
 	var nilPlan *Plan
-	if !nilPlan.IsNoop() || !nilPlan.PeriodicOnly() {
-		t.Error("nil plan not noop/periodic")
+	if !nilPlan.IsNoop() {
+		t.Error("nil plan not noop")
 	}
 	if !(&Plan{}).IsNoop() {
 		t.Error("empty plan not noop")
@@ -58,17 +58,14 @@ func TestIsNoopAndPeriodicOnly(t *testing.T) {
 	if !factor1.IsNoop() {
 		t.Error("all-factor-1 plan not noop")
 	}
-	slow := &Plan{Cells: []CellFault{{Cell: 0, Factor: 2}}}
-	if slow.IsNoop() || !slow.PeriodicOnly() {
-		t.Error("slowdown misclassified")
-	}
-	dead := &Plan{Cells: []CellFault{{Cell: 0, Dead: true}}}
-	if dead.IsNoop() || dead.PeriodicOnly() {
-		t.Error("dead cell misclassified")
-	}
-	severed := &Plan{Links: []LinkFault{{Link: 0, Severed: true}}}
-	if severed.IsNoop() || severed.PeriodicOnly() {
-		t.Error("severed link misclassified")
+	for _, p := range []*Plan{
+		{Cells: []CellFault{{Cell: 0, Factor: 2}}},
+		{Cells: []CellFault{{Cell: 0, Dead: true}}},
+		{Links: []LinkFault{{Link: 0, Severed: true}}},
+	} {
+		if p.IsNoop() {
+			t.Errorf("%s classified as noop", p)
+		}
 	}
 }
 
@@ -191,12 +188,8 @@ func TestLowerGates(t *testing.T) {
 	if l.MaxFactor() != 3 {
 		t.Errorf("MaxFactor = %d, want 3", l.MaxFactor())
 	}
-	if n, ok := l.ScaleCycles(100); !ok || n != 300 {
-		t.Errorf("ScaleCycles(100) = (%d, %v), want (300, true)", n, ok)
-	}
-	const maxInt = int(^uint(0) >> 1)
-	if _, ok := l.ScaleCycles(maxInt/3 + 1); ok {
-		t.Error("ScaleCycles overflow not reported")
+	if f := Lower(nil, 4, 3).MaxFactor(); f != 1 {
+		t.Errorf("MaxFactor of a nil table = %d, want 1", f)
 	}
 
 	// Descriptions: only effective faults, cells first, plan order.

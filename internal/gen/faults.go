@@ -14,10 +14,10 @@ import (
 
 // FaultOptions are the RandomFaults knobs.
 type FaultOptions struct {
-	// PeriodicOnly restricts the plan to slowdowns (no dead cells, no
+	// SlowdownsOnly restricts the plan to slowdowns (no dead cells, no
 	// severed links), the classes whose completion guarantee survives
 	// — the right setting for the degraded-completion invariant.
-	PeriodicOnly bool
+	SlowdownsOnly bool
 	// MaxFaults bounds the number of faults in the plan (≥ 1).
 	// 0 means 2.
 	MaxFaults int
@@ -38,7 +38,7 @@ func RandomFaults(seed int64, numCells, numLinks int, opts FaultOptions) *fault.
 	usedCell := map[int]bool{}
 	usedLink := map[int]bool{}
 	for i := 0; i < n; i++ {
-		terminal := !opts.PeriodicOnly && rng.Intn(4) == 0
+		terminal := !opts.SlowdownsOnly && rng.Intn(4) == 0
 		factor := 2 + rng.Intn(3)
 		from := 0
 		if rng.Intn(2) == 0 {

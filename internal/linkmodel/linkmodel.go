@@ -34,9 +34,11 @@ package linkmodel
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
+	"systolic/internal/spec"
 	"systolic/internal/topology"
 )
 
@@ -88,25 +90,6 @@ type Plan struct {
 	// override per link; ParseSpec and Validate both enforce this.
 	Overrides []Override
 }
-
-// Model is the pluggable link-timing interface: anything that can
-// render itself in the shared spec grammar and compile to the dense
-// tables the engines consult. *Plan is the canonical implementation;
-// the engines never call the interface on a hot path — they index
-// the compiled tables directly.
-type Model interface {
-	// Spec is the canonical spec-string form (ParseSpec grammar).
-	Spec() string
-	// Compile lowers the model against a concrete link count. nil
-	// means unit timing.
-	Compile(numLinks int) *Lowered
-}
-
-// Spec implements Model.
-func (p *Plan) Spec() string { return p.String() }
-
-// Compile implements Model. The plan must already be validated.
-func (p *Plan) Compile(numLinks int) *Lowered { return Lower(p, numLinks) }
 
 // UnitPlan returns the explicit unit-timing plan ("unit"); nil works
 // everywhere a unit plan does.
@@ -245,7 +228,7 @@ func (p *Plan) thresholdOrDefault() int {
 
 // ParseSpec parses a comma-separated link-model spec, the grammar the
 // `sysdl run -link-model` flag and the server wire format's
-// `linkModel` field share:
+// `linkModel` field share (tokenized by internal/spec):
 //
 //	unit                          the classical unit-latency model
 //	fixed[,delay=K][,credit=C][,link:IDX:delay=K][,link:IDX:credit=C]
@@ -253,112 +236,76 @@ func (p *Plan) thresholdOrDefault() int {
 //
 // An empty spec returns a nil plan (unit timing). Repeating a
 // parameter — plan-wide or for the same link — is a parse error, not
-// a silent last-write-wins. Index bounds are not known here; callers
-// run Plan.Validate against the concrete topology.
-func ParseSpec(spec string) (*Plan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	parts := strings.Split(spec, ",")
-	p := &Plan{}
-	switch strings.TrimSpace(parts[0]) {
-	case "unit":
-		p.Kind = Unit
-	case "fixed":
-		p.Kind = Fixed
-	case "congestion":
-		p.Kind = Congestion
-	default:
-		return nil, fmt.Errorf("link model spec %q: unknown model %q (want unit, fixed, or congestion)", spec, strings.TrimSpace(parts[0]))
-	}
-	seen := map[string]bool{}
-	type overrideKey struct {
-		link  int
-		param string
-	}
-	seenOverride := map[overrideKey]bool{}
-	overrides := map[int]*Override{}
-	var order []int
-	parseVal := func(part, key, val string) (int, error) {
+// a silent last-write-wins. Index bounds are not known here; the
+// machine validates the plan against the concrete topology.
+func ParseSpec(text string) (*Plan, error) {
+	var p *Plan
+	err := spec.Parse("link model", text, false, func(part, scope string, idx int, key, val string) error {
+		if p == nil {
+			p = &Plan{}
+			switch {
+			case scope != "" || val != "":
+			case key == "unit":
+				return nil
+			case key == "fixed":
+				p.Kind = Fixed
+				return nil
+			case key == "congestion":
+				p.Kind = Congestion
+				return nil
+			}
+			return fmt.Errorf("link model spec %q: unknown model (want unit, fixed, or congestion)", part)
+		}
+		if val == "" {
+			return fmt.Errorf("link model spec %q: want key=value", part)
+		}
 		n, err := strconv.Atoi(val)
 		if err != nil {
-			return 0, fmt.Errorf("link model spec %q: bad %s: %v", part, key, err)
+			return fmt.Errorf("link model spec %q: bad %s: %v", part, key, err)
 		}
-		return n, nil
-	}
-	for _, part := range parts[1:] {
-		part = strings.TrimSpace(part)
-		if strings.HasPrefix(part, "link:") {
+		switch scope {
+		case "cell":
+			return fmt.Errorf("link model spec %q: the link model has no per-cell parameters", part)
+		case "link":
 			if p.Kind != Fixed {
-				return nil, fmt.Errorf("link model spec %q: per-link overrides apply to the fixed model only", part)
+				return fmt.Errorf("link model spec %q: per-link overrides apply to the fixed model only", part)
 			}
-			fields := strings.SplitN(part, ":", 3)
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("link model spec %q: want link:IDX:delay=K or link:IDX:credit=C", part)
+			if key != "delay" && key != "credit" {
+				return fmt.Errorf("link model spec %q: unknown link parameter %q (want delay=K or credit=C)", part, key)
 			}
-			idx, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("link model spec %q: bad link index: %v", part, err)
-			}
-			key, val, ok := strings.Cut(fields[2], "=")
-			if !ok || (key != "delay" && key != "credit") {
-				return nil, fmt.Errorf("link model spec %q: unknown link parameter %q (want delay=K or credit=C)", part, fields[2])
-			}
-			if seenOverride[overrideKey{idx, key}] {
-				return nil, fmt.Errorf("link model spec %q: duplicate %s for link %d", part, key, idx)
-			}
-			seenOverride[overrideKey{idx, key}] = true
-			n, err := parseVal(part, key, val)
-			if err != nil {
-				return nil, err
-			}
-			o := overrides[idx]
-			if o == nil {
-				o = &Override{Link: topology.LinkID(idx)}
-				overrides[idx] = o
-				order = append(order, idx)
+			i := slices.IndexFunc(p.Overrides, func(o Override) bool { return o.Link == topology.LinkID(idx) })
+			if i < 0 {
+				i = len(p.Overrides)
+				p.Overrides = append(p.Overrides, Override{Link: topology.LinkID(idx)})
 			}
 			if key == "delay" {
-				o.Delay = n
+				p.Overrides[i].Delay = n
 			} else {
-				o.Credit = n
+				p.Overrides[i].Credit = n
 			}
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("link model spec %q: want key=value", part)
-		}
-		if seen[key] {
-			return nil, fmt.Errorf("link model spec %q: duplicate parameter %q", part, key)
-		}
-		seen[key] = true
-		n, err := parseVal(part, key, val)
-		if err != nil {
-			return nil, err
+			return nil
 		}
 		switch key {
 		case "delay":
 			p.Delay = n
 		case "credit":
 			p.Credit = n
-		case "threshold":
+		case "threshold", "max":
 			if p.Kind != Congestion {
-				return nil, fmt.Errorf("link model spec %q: threshold applies to the congestion model only", part)
+				return fmt.Errorf("link model spec %q: %s applies to the congestion model only", part, key)
 			}
-			p.Threshold = n
-		case "max":
-			if p.Kind != Congestion {
-				return nil, fmt.Errorf("link model spec %q: max applies to the congestion model only", part)
+			if key == "max" {
+				p.MaxExtra = n
+			} else {
+				p.Threshold = n
 			}
-			p.MaxExtra = n
 		default:
-			return nil, fmt.Errorf("link model spec %q: unknown parameter %q (want delay, credit, threshold, or max)", part, key)
+			return fmt.Errorf("link model spec %q: unknown parameter %q (want delay, credit, threshold, or max)", part, key)
 		}
-	}
-	for _, idx := range order {
-		p.Overrides = append(p.Overrides, *overrides[idx])
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -374,7 +321,6 @@ type Lowered struct {
 	threshold  int32
 	maxExtra   int32
 	maxFactor  int
-	desc       string
 }
 
 // Lower compiles a validated plan against a topology of numLinks
@@ -389,7 +335,6 @@ func Lower(p *Plan, numLinks int) *Lowered {
 		credit:    make([]int32, numLinks),
 		threshold: int32(p.thresholdOrDefault()),
 		maxFactor: 1,
-		desc:      p.String(),
 	}
 	base := int32(p.delayOrUnit())
 	for i := range l.delay {
@@ -442,26 +387,11 @@ func (l *Lowered) Busy(lk topology.LinkID, tally int32) int {
 // MaxFactor returns the largest per-service delay any link can incur
 // (base delay plus the congestion cap, ≥ 1): the multiplier the
 // engines apply to their derived default cycle bound, since every
-// word a link serves holds it for at most MaxFactor cycles.
+// word a link serves holds it for at most MaxFactor cycles. A nil
+// (unit-timing) table reports 1.
 func (l *Lowered) MaxFactor() int {
+	if l == nil {
+		return 1
+	}
 	return l.maxFactor
-}
-
-// ScaleCycles scales a derived cycle bound by MaxFactor, reporting
-// failure instead of overflowing.
-func (l *Lowered) ScaleCycles(n int) (int, bool) {
-	f := l.maxFactor
-	if f <= 1 {
-		return n, true
-	}
-	const maxInt = int(^uint(0) >> 1)
-	if n > maxInt/f {
-		return 0, false
-	}
-	return n * f, true
-}
-
-// Description returns the model in canonical spec form.
-func (l *Lowered) Description() string {
-	return l.desc
 }

@@ -171,31 +171,14 @@ func TestLoweredCongestion(t *testing.T) {
 	}
 }
 
-func TestScaleCycles(t *testing.T) {
-	l := Lower(FixedPlan(4, 0), 2)
-	if n, ok := l.ScaleCycles(100); !ok || n != 400 {
-		t.Errorf("ScaleCycles(100) = %d, %v; want 400, true", n, ok)
+func TestMaxFactor(t *testing.T) {
+	if f := Lower(FixedPlan(4, 0), 2).MaxFactor(); f != 4 {
+		t.Errorf("fixed delay-4 MaxFactor = %d, want 4", f)
 	}
-	const maxInt = int(^uint(0) >> 1)
-	if _, ok := l.ScaleCycles(maxInt/2 + 1); ok {
-		t.Error("ScaleCycles near MaxInt did not report overflow")
+	if f := Lower(CongestionPlan(1, 2, 3), 2).MaxFactor(); f != 4 {
+		t.Errorf("congestion MaxFactor = %d, want 4", f)
 	}
-	unitish := Lower(CongestionPlan(1, 2, 3), 2)
-	if unitish.MaxFactor() != 4 {
-		t.Errorf("congestion MaxFactor = %d, want 4", unitish.MaxFactor())
-	}
-}
-
-func TestModelInterface(t *testing.T) {
-	var m Model = FixedPlan(2, 1)
-	if m.Spec() != "fixed,delay=2,credit=1" {
-		t.Errorf("Spec = %q", m.Spec())
-	}
-	if m.Compile(3) == nil {
-		t.Error("Compile = nil for non-unit model")
-	}
-	var u Model = UnitPlan()
-	if u.Compile(3) != nil {
-		t.Error("unit Compile != nil")
+	if f := Lower(UnitPlan(), 2).MaxFactor(); f != 1 {
+		t.Errorf("unit (nil table) MaxFactor = %d, want 1", f)
 	}
 }

@@ -538,7 +538,9 @@ func (m *Machine) Reset() {
 // prepare validates opts, applies defaults (Logic, MaxCycles), and
 // resolves the pool regime plus the lowered fault and link-timing
 // tables. It is the shared front half of Run and Exec.Run, so both
-// reject configurations with identical errors.
+// reject configurations with identical errors, and the one place a
+// run's options are validated: core.Execute checks only what needs
+// the analysis and leaves every other option to this ConfigError.
 func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, flavor int, flt *fault.Lowered, lm *linkmodel.Lowered, err error) {
 	if opts.Policy == nil {
 		return 0, nil, 0, nil, nil, &ConfigError{Field: "Policy", Reason: "nil policy"}
@@ -565,44 +567,23 @@ func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, fla
 			return 0, nil, 0, nil, nil, &ConfigError{Field: "ExtCapacity", Reason: "queue extension requires base capacity ≥ 1"}
 		}
 	}
-	if opts.Faults != nil {
-		if ferr := opts.Faults.Validate(m.prog.NumCells(), len(m.links)); ferr != nil {
-			return 0, nil, 0, nil, nil, &ConfigError{Field: "Faults", Reason: ferr.Error()}
-		}
-		flt = fault.Lower(opts.Faults, m.prog.NumCells(), len(m.links))
+	if ferr := opts.Faults.Validate(m.prog.NumCells(), len(m.links)); ferr != nil {
+		return 0, nil, 0, nil, nil, &ConfigError{Field: "Faults", Reason: ferr.Error()}
 	}
-	if opts.LinkModel != nil {
-		if lerr := opts.LinkModel.Validate(len(m.links)); lerr != nil {
-			return 0, nil, 0, nil, nil, &ConfigError{Field: "LinkModel", Reason: lerr.Error()}
-		}
-		lm = linkmodel.Lower(opts.LinkModel, len(m.links))
+	if lerr := opts.LinkModel.Validate(len(m.links)); lerr != nil {
+		return 0, nil, 0, nil, nil, &ConfigError{Field: "LinkModel", Reason: lerr.Error()}
 	}
+	flt = fault.Lower(opts.Faults, m.prog.NumCells(), len(m.links))
+	lm = linkmodel.Lower(opts.LinkModel, len(m.links))
 	if opts.Logic == nil {
 		opts.Logic = SyntheticLogic{}
 	}
 	maxCycles = opts.MaxCycles
 	if maxCycles <= 0 {
-		linkFactor := 1
-		if lm != nil {
-			// The derived bound must scale with the slowest link or
-			// slow-link runs are misreported as deadlocks; see
-			// maxCyclesFor.
-			linkFactor = lm.MaxFactor()
-		}
-		maxCycles, err = maxCyclesFor(m.totalWords, m.totalHops, linkFactor)
+		// A user-set MaxCycles is never second-guessed.
+		maxCycles, err = maxCyclesFor(m.totalWords, m.totalHops, lm.MaxFactor(), flt.MaxFactor())
 		if err != nil {
 			return 0, nil, 0, nil, nil, err
-		}
-		if flt != nil {
-			// A factor-k slowdown stretches any schedule by at most k,
-			// so the derived bound scales by the largest factor; a
-			// user-set MaxCycles is never second-guessed.
-			scaled, ok := flt.ScaleCycles(maxCycles)
-			if !ok {
-				return 0, nil, 0, nil, nil, &ConfigError{Field: "MaxCycles", Reason: fmt.Sprintf(
-					"derived cycle bound %d×%d (fault slowdown) overflows int; set MaxCycles explicitly", maxCycles, flt.MaxFactor())}
-			}
-			maxCycles = scaled
 		}
 	}
 	tbl = &m.shared

@@ -203,39 +203,45 @@ func TestMachineResetKeepsWorking(t *testing.T) {
 	}
 }
 
-// TestMaxCyclesForOverflowGuard: pathological words × hops must yield
-// a typed ConfigError, not a silently wrapped (tiny or negative)
-// cycle bound.
+// TestMaxCyclesForOverflowGuard: pathological words × hops × factors
+// must yield a typed ConfigError, not a silently wrapped (tiny or
+// negative) cycle bound.
 func TestMaxCyclesForOverflowGuard(t *testing.T) {
-	if n, err := maxCyclesFor(100, 10, 1); err != nil || n != 16*101*11+4096 {
-		t.Fatalf("maxCyclesFor(100,10,1) = %d, %v", n, err)
+	if n, err := maxCyclesFor(100, 10, 1, 1); err != nil || n != 16*101*11+4096 {
+		t.Fatalf("maxCyclesFor(100,10,1,1) = %d, %v", n, err)
 	}
-	if n, err := maxCyclesFor(0, 0, 1); err != nil || n != 1<<14 {
-		t.Fatalf("floor: maxCyclesFor(0,0,1) = %d, %v", n, err)
+	if n, err := maxCyclesFor(0, 0, 1, 1); err != nil || n != 1<<14 {
+		t.Fatalf("floor: maxCyclesFor(0,0,1,1) = %d, %v", n, err)
 	}
 	// A link-latency factor scales the work term before the additive
 	// slack, and a factor below 1 is treated as unit.
-	if n, err := maxCyclesFor(100, 10, 4); err != nil || n != 16*101*11*4+4096 {
-		t.Fatalf("maxCyclesFor(100,10,4) = %d, %v", n, err)
+	if n, err := maxCyclesFor(100, 10, 4, 1); err != nil || n != 16*101*11*4+4096 {
+		t.Fatalf("maxCyclesFor(100,10,4,1) = %d, %v", n, err)
 	}
-	if n, err := maxCyclesFor(100, 10, 0); err != nil || n != 16*101*11+4096 {
-		t.Fatalf("maxCyclesFor(100,10,0) = %d, %v", n, err)
+	if n, err := maxCyclesFor(100, 10, 0, 0); err != nil || n != 16*101*11+4096 {
+		t.Fatalf("maxCyclesFor(100,10,0,0) = %d, %v", n, err)
 	}
-	for _, tc := range [][3]int{
-		{math.MaxInt / 16, 4, 1},
-		{math.MaxInt, math.MaxInt, 1},
-		{1 << 40, 1 << 40, 1},
-		{-1, 3, 1},
-		{math.MaxInt / 100, 4, 7}, // fits at factor 1, overflows at 7
+	for _, tc := range [][4]int{
+		{math.MaxInt / 16, 4, 1, 1},
+		{math.MaxInt, math.MaxInt, 1, 1},
+		{1 << 40, 1 << 40, 1, 1},
+		{-1, 3, 1, 1},
+		{math.MaxInt / 100, 4, 7, 1},       // fits at factor 1, overflows at 7
+		{0, 0, 1, math.MaxInt/(1<<14) + 1}, // the floor times the fault factor
 	} {
-		_, err := maxCyclesFor(tc[0], tc[1], tc[2])
+		_, err := maxCyclesFor(tc[0], tc[1], tc[2], tc[3])
 		var ce *ConfigError
 		if !errors.As(err, &ce) {
-			t.Fatalf("maxCyclesFor(%d,%d,%d) err = %v, want *ConfigError", tc[0], tc[1], tc[2], err)
+			t.Fatalf("maxCyclesFor(%v) err = %v, want *ConfigError", tc, err)
 		}
 		if ce.Field != "MaxCycles" {
 			t.Fatalf("overflow reported on field %q, want MaxCycles", ce.Field)
 		}
+	}
+	// The largest fault factor that still fits is accepted exactly.
+	f := math.MaxInt / (1 << 14)
+	if n, err := maxCyclesFor(0, 0, 1, f); err != nil || n != f<<14 {
+		t.Fatalf("maxCyclesFor(0,0,1,%d) = %d, %v; want %d", f, n, err, f<<14)
 	}
 }
 

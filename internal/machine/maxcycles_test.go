@@ -42,33 +42,37 @@ func linearRelay(t testing.TB, cells, words int) *model.Program {
 }
 
 // TestMaxCyclesForLinkFactor pins the derived-bound formula
-// 16·(words+1)·(hops+1)·L+4096: the link factor scales it exactly, the
-// 2^14 floor applies after scaling, factors below 1 clamp to unit, and
-// the overflow guard names the link slowdown when the factor is what
-// pushed the product over.
+// max(16·(words+1)·(hops+1)·L+4096, 2^14)·F: the link factor L scales
+// the work term, the 2^14 floor applies after it, the fault factor F
+// scales the floored bound, factors below 1 clamp to unit, and the
+// overflow guard names the link slowdown.
 func TestMaxCyclesForLinkFactor(t *testing.T) {
 	cases := []struct {
-		words, hops, factor, want int
+		words, hops, link, fault, want int
 	}{
-		{10, 2, 1, 1 << 14},              // floor regime
-		{10, 2, 4, 1 << 14},              // scaled, still under the floor
-		{100, 10, 1, 16*101*11 + 4096},   // above the floor, unit links
-		{100, 10, 4, 16*101*11*4 + 4096}, // latency-4: exactly ×4
-		{100, 10, 0, 16*101*11 + 4096},   // factor < 1 clamps to unit
+		{10, 2, 1, 1, 1 << 14},                    // floor regime
+		{10, 2, 4, 1, 1 << 14},                    // scaled, still under the floor
+		{100, 10, 1, 1, 16*101*11 + 4096},         // above the floor, unit links
+		{100, 10, 4, 1, 16*101*11*4 + 4096},       // latency-4: exactly ×4
+		{100, 10, 0, 1, 16*101*11 + 4096},         // factor < 1 clamps to unit
+		{10, 2, 1, 3, 3 << 14},                    // a slowdown scales the floor
+		{100, 10, 4, 3, (16*101*11*4 + 4096) * 3}, // both factors
+		{100, 10, 1, -2, 16*101*11 + 4096},        // fault factor < 1 clamps too
+		{100, 10, 2, 5, (16*101*11*2 + 4096) * 5}, // F applies after the slack
 	}
 	for _, tc := range cases {
-		got, err := maxCyclesFor(tc.words, tc.hops, tc.factor)
+		got, err := maxCyclesFor(tc.words, tc.hops, tc.link, tc.fault)
 		if err != nil {
-			t.Errorf("maxCyclesFor(%d,%d,%d): %v", tc.words, tc.hops, tc.factor, err)
+			t.Errorf("maxCyclesFor(%d,%d,%d,%d): %v", tc.words, tc.hops, tc.link, tc.fault, err)
 			continue
 		}
 		if got != tc.want {
-			t.Errorf("maxCyclesFor(%d,%d,%d) = %d, want %d", tc.words, tc.hops, tc.factor, got, tc.want)
+			t.Errorf("maxCyclesFor(%d,%d,%d,%d) = %d, want %d", tc.words, tc.hops, tc.link, tc.fault, got, tc.want)
 		}
 	}
 	// A factor that overflows the product is a typed ConfigError
-	// blaming the link slowdown, not a wrapped-around bound.
-	_, err := maxCyclesFor(math.MaxInt/8, 4, 1<<20)
+	// naming the link slowdown, not a wrapped-around bound.
+	_, err := maxCyclesFor(math.MaxInt/8, 4, 1<<20, 1)
 	var ce *ConfigError
 	if !errors.As(err, &ce) {
 		t.Fatalf("overflowing factor: err = %v, want *ConfigError", err)
@@ -94,7 +98,7 @@ func TestMaxCyclesForLinkFactor(t *testing.T) {
 // ×4-scaling case.
 func TestLinkLatencyDerivedBoundRegression(t *testing.T) {
 	m := mustCompile(t, chain(t, 64), topology.Linear(2))
-	oldBound, err := maxCyclesFor(m.totalWords, m.totalHops, 1)
+	oldBound, err := maxCyclesFor(m.totalWords, m.totalHops, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func TestLinkLatencyDerivedBoundRegression(t *testing.T) {
 	if res.Cycles <= oldBound {
 		t.Fatalf("run finished at cycle %d, inside the old bound %d — fixture no longer exercises the regression", res.Cycles, oldBound)
 	}
-	newBound, err := maxCyclesFor(m.totalWords, m.totalHops, delay)
+	newBound, err := maxCyclesFor(m.totalWords, m.totalHops, delay, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +143,11 @@ func TestLinkLatencyDerivedBoundRegression(t *testing.T) {
 	// The issue's latency-4 linear array: the derived bound scales by
 	// exactly 4 and the retimed relay completes (later than unit).
 	relay := mustCompile(t, linearRelay(t, 8, 128), topology.Linear(8))
-	b1, err := maxCyclesFor(relay.totalWords, relay.totalHops, 1)
+	b1, err := maxCyclesFor(relay.totalWords, relay.totalHops, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b4, err := maxCyclesFor(relay.totalWords, relay.totalHops, 4)
+	b4, err := maxCyclesFor(relay.totalWords, relay.totalHops, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -330,7 +330,7 @@ func runEquivCase(t *testing.T, ec equivCase) bool {
 	var plan *fault.Plan
 	if ec.faultClass != 0 {
 		plan = gen.RandomFaults(ec.seed, p.NumCells(), len(sc.Topology.Links()),
-			gen.FaultOptions{PeriodicOnly: ec.faultClass == 1})
+			gen.FaultOptions{SlowdownsOnly: ec.faultClass == 1})
 	}
 	for i, cfg := range equivConfigs(labels) {
 		if cfg.Faults == nil {

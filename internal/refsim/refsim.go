@@ -180,20 +180,14 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 		}
 	}
 	links := t.Links()
-	var flt *fault.Lowered
-	if cfg.Faults != nil {
-		if ferr := cfg.Faults.Validate(p.NumCells(), len(links)); ferr != nil {
-			return nil, &machine.ConfigError{Field: "Faults", Reason: ferr.Error()}
-		}
-		flt = fault.Lower(cfg.Faults, p.NumCells(), len(links))
+	if ferr := cfg.Faults.Validate(p.NumCells(), len(links)); ferr != nil {
+		return nil, &machine.ConfigError{Field: "Faults", Reason: ferr.Error()}
 	}
-	var lmo *linkmodel.Lowered
-	if cfg.LinkModel != nil {
-		if lerr := cfg.LinkModel.Validate(len(links)); lerr != nil {
-			return nil, &machine.ConfigError{Field: "LinkModel", Reason: lerr.Error()}
-		}
-		lmo = linkmodel.Lower(cfg.LinkModel, len(links))
+	if lerr := cfg.LinkModel.Validate(len(links)); lerr != nil {
+		return nil, &machine.ConfigError{Field: "LinkModel", Reason: lerr.Error()}
 	}
+	flt := fault.Lower(cfg.Faults, p.NumCells(), len(links))
+	lmo := linkmodel.Lower(cfg.LinkModel, len(links))
 	logic := cfg.Logic
 	if logic == nil {
 		logic = machine.SyntheticLogic{}
@@ -228,25 +222,7 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 
 	maxCycles := cfg.MaxCycles
 	if maxCycles <= 0 {
-		linkFactor := 1
-		if lmo != nil {
-			// Same scaling as the compiled machine: slow links stretch
-			// the derived bound by the largest latency factor.
-			linkFactor = lmo.MaxFactor()
-		}
-		maxCycles = defaultMaxCycles(p, routes, linkFactor)
-		if flt != nil {
-			// Same scaling as the compiled machine: the derived bound
-			// stretches by the largest periodic factor, and a user-set
-			// MaxCycles is never second-guessed.
-			scaled, ok := flt.ScaleCycles(maxCycles)
-			if !ok {
-				r.release()
-				return nil, &machine.ConfigError{Field: "MaxCycles", Reason: fmt.Sprintf(
-					"derived cycle bound %d×%d (fault slowdown) overflows int; set MaxCycles explicitly", maxCycles, flt.MaxFactor())}
-			}
-			maxCycles = scaled
-		}
+		maxCycles = defaultMaxCycles(p, routes, lmo.MaxFactor(), flt.MaxFactor())
 	}
 	for r.now = 0; r.now < maxCycles; r.now++ {
 		if r.done() {
@@ -315,20 +291,15 @@ func (r *runner) release() {
 	runnerPool.Put(r)
 }
 
-func defaultMaxCycles(p *model.Program, routes [][]topology.Hop, linkFactor int) int {
+// defaultMaxCycles is the compiled machine's derived cycle bound,
+// max(16·(words+1)·(hops+1)·L+4096, 2^14)·F, without its overflow guard.
+func defaultMaxCycles(p *model.Program, routes [][]topology.Hop, linkFactor, faultFactor int) int {
 	words, hops := 0, 0
 	for _, m := range p.Messages() {
 		words += m.Words
 		hops += len(routes[m.ID])
 	}
-	if linkFactor < 1 {
-		linkFactor = 1
-	}
-	n := 16*(words+1)*(hops+1)*linkFactor + 4096
-	if n < 1<<14 {
-		n = 1 << 14
-	}
-	return n
+	return max(16*(words+1)*(hops+1)*linkFactor+4096, 1<<14) * faultFactor
 }
 
 // setup sizes the runner's scratch for the current program and

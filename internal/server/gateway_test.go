@@ -648,6 +648,11 @@ func TestSweepRequestValidation(t *testing.T) {
 		{"bad stream value", "/v1/sweep?stream=yes", SweepRequest{Program: relayDSL}},
 		{"negative queue axis", "/v1/sweep", SweepRequest{Program: relayDSL, Queues: []int{-1}}},
 		{"zero capacity axis", "/v1/sweep", SweepRequest{Program: relayDSL, Capacities: []int{0}}},
+		// A negative bound used to pass through to every grid point —
+		// each one an "error" row inside a 200, committed before the
+		// first row when streamed.
+		{"negative maxCycles", "/v1/sweep", SweepRequest{Program: relayDSL, MaxCycles: -5}},
+		{"negative maxCycles streamed", "/v1/sweep?stream=1", SweepRequest{Program: relayDSL, MaxCycles: -5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

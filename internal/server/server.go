@@ -446,12 +446,9 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunRespo
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	var lplan *linkmodel.Plan
-	if req.LinkModel != "" {
-		lplan, err = linkmodel.ParseSpec(req.LinkModel)
-		if err != nil {
-			return nil, badRequest(err)
-		}
+	lplan, err := linkmodel.ParseSpec(req.LinkModel)
+	if err != nil {
+		return nil, badRequest(err)
 	}
 	e, cached, err := s.lookup(req.Program, runKey(req.Analyze))
 	if err != nil {
@@ -511,10 +508,7 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunRespo
 	// Echo the model in canonical form (ParseSpec round-trips it); the
 	// engine Result itself never carries link timing, so the wire echo
 	// is the client's confirmation of what was simulated.
-	resp.LinkModel = ""
-	if lplan != nil {
-		resp.LinkModel = lplan.String()
-	}
+	resp.LinkModel = lplan.String()
 	return e, nil
 }
 
@@ -558,6 +552,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Workers < 0 {
 		s.writeError(w, badRequest(fmt.Errorf("negative workers %d (0 = one per CPU)", req.Workers)))
+		return
+	}
+	if req.MaxCycles < 0 {
+		s.writeError(w, badRequest(fmt.Errorf("negative maxCycles %d (0 = derived bound)", req.MaxCycles)))
 		return
 	}
 	axes := sweep.Axes{

@@ -537,6 +537,34 @@ func TestRequestErrors(t *testing.T) {
 	}
 }
 
+// TestRunSetupRejections: run options only the machine can judge are
+// validated once, at run setup, and come back as the machine's
+// ConfigError text with 400. Theorem 1 is core's check and runs first,
+// so a request that is also under budget reports that (422).
+func TestRunSetupRejections(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	cases := []struct {
+		name string
+		req  RunRequest
+		code int
+		want string
+	}{
+		{"negative capacity", RunRequest{Program: relayDSL, Capacity: -1}, http.StatusBadRequest, "machine: config Capacity: negative capacity -1"},
+		{"fault out of range", RunRequest{Program: relayDSL, Faults: "cell:99:dead"}, http.StatusBadRequest, "machine: config Faults: cell 99 out of range"},
+		{"link override out of range", RunRequest{Program: relayDSL, LinkModel: "fixed,link:99:delay=2"}, http.StatusBadRequest, "machine: config LinkModel: link model: link 99 out of range"},
+		{"under budget and bad capacity", RunRequest{Program: fig7DSL, Policy: "static", Queues: 1, Capacity: -1}, http.StatusUnprocessableEntity, "required for static assignment"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, body := postJSON(t, ts.URL+"/v1/run", tc.req)
+			var e ErrorResponse
+			if resp.StatusCode != tc.code || json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, tc.want) {
+				t.Fatalf("status %d %s, want %d with %q", resp.StatusCode, body, tc.code, tc.want)
+			}
+		})
+	}
+}
+
 // TestRunRejectsOversizedTopology: the body bound limits the text, not
 // what the text asks for — a 40-byte topology directive used to make
 // the parser build a multi-gigabyte array before anything looked at the
