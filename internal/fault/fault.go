@@ -217,9 +217,16 @@ func ParseSpec(text string) (*Plan, error) {
 			return fmt.Errorf("fault spec %q: want cell:IDX:EFFECT or link:IDX:EFFECT", part)
 		}
 		// @FROM ends the item: it trails the value of slow=K@FROM and
-		// the key of dead@FROM and sever@FROM.
+		// the key of dead@FROM and sever@FROM. Whether the item has a
+		// value is settled before the suffix comes off, so dead=@5 is
+		// not dead@5.
+		hasVal := val != ""
+		tail := &key
+		if hasVal {
+			tail = &val
+		}
 		from := 0
-		if _, at, ok := strings.Cut(part, "@"); ok {
+		if s, at, ok := strings.Cut(*tail, "@"); ok {
 			n, err := strconv.Atoi(at)
 			if err != nil {
 				return fmt.Errorf("fault spec %q: bad effective-from cycle: %v", part, err)
@@ -227,18 +234,17 @@ func ParseSpec(text string) (*Plan, error) {
 			if n < 0 {
 				return fmt.Errorf("fault spec %q: negative effective-from cycle %d", part, n)
 			}
-			from = n
-			key, val = strings.TrimSuffix(key, "@"+at), strings.TrimSuffix(val, "@"+at)
+			from, *tail = n, s
 		}
 		factor, terminal := 0, false
 		switch {
-		case key == "slow" && val != "":
+		case key == "slow" && hasVal:
 			n, err := strconv.Atoi(val)
 			if err != nil {
 				return fmt.Errorf("fault spec %q: bad slowdown factor: %v", part, err)
 			}
 			factor = n
-		case val == "" && (key == "dead" || key == "sever"):
+		case !hasVal && (key == "dead" || key == "sever"):
 			if (key == "dead") != (scope == "cell") {
 				return fmt.Errorf("fault spec %q: cells die, links sever", part)
 			}

@@ -251,6 +251,12 @@ func TestParseSpecEdgeCases(t *testing.T) {
 		{"link:0:slow=2,link:0:sever", "link 0 already has a fault"},
 		{"link:2:sever,cell:0:dead,link:2:slow=4", "link 2 already has a fault"},
 		{"cell:1:slow=2@-3", "negative effective-from cycle"},
+		// A terminal effect takes no value, not even an empty one
+		// before @FROM.
+		{"cell:1:dead=@5", "unknown effect"},
+		{"link:0:sever=@3", "unknown effect"},
+		{"link:0:sever=3", "unknown effect"},
+		{"cell:1:slow=@5", "bad slowdown factor"},
 	}
 	for _, tc := range bad {
 		_, err := ParseSpec(tc.spec)

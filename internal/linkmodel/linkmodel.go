@@ -34,7 +34,6 @@ package linkmodel
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -240,6 +239,7 @@ func (p *Plan) thresholdOrDefault() int {
 // machine validates the plan against the concrete topology.
 func ParseSpec(text string) (*Plan, error) {
 	var p *Plan
+	var slot map[topology.LinkID]int // an override's index in p.Overrides
 	err := spec.Parse("link model", text, false, func(part, scope string, idx int, key, val string) error {
 		if p == nil {
 			p = &Plan{}
@@ -273,9 +273,13 @@ func ParseSpec(text string) (*Plan, error) {
 			if key != "delay" && key != "credit" {
 				return fmt.Errorf("link model spec %q: unknown link parameter %q (want delay=K or credit=C)", part, key)
 			}
-			i := slices.IndexFunc(p.Overrides, func(o Override) bool { return o.Link == topology.LinkID(idx) })
-			if i < 0 {
+			if slot == nil {
+				slot = make(map[topology.LinkID]int)
+			}
+			i, ok := slot[topology.LinkID(idx)]
+			if !ok {
 				i = len(p.Overrides)
+				slot[topology.LinkID(idx)] = i
 				p.Overrides = append(p.Overrides, Override{Link: topology.LinkID(idx)})
 			}
 			if key == "delay" {

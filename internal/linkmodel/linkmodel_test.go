@@ -1,8 +1,11 @@
 package linkmodel
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"systolic/internal/topology"
 )
@@ -84,6 +87,34 @@ func TestParseSpecErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("ParseSpec(%q) err = %v, want containing %q", c.spec, err, c.want)
 		}
+	}
+}
+
+// TestParseSpecLinear: a spec off the wire with many per-link
+// overrides parses in time linear in its items — each item finds its
+// link's override without a scan of the ones before it. Four times the
+// links may take at most ten times as long.
+func TestParseSpecLinear(t *testing.T) {
+	elapsed := func(links int) time.Duration {
+		var b strings.Builder
+		b.WriteString("fixed")
+		for i := range links {
+			fmt.Fprintf(&b, ",link:%d:delay=2,link:%d:credit=1", i, i)
+		}
+		text := b.String()
+		best := time.Duration(math.MaxInt64)
+		for range 3 {
+			start := time.Now()
+			p, err := ParseSpec(text)
+			best = min(best, time.Since(start))
+			if err != nil || len(p.Overrides) != links {
+				t.Fatalf("%d links: %v", links, err)
+			}
+		}
+		return best
+	}
+	if small, large := elapsed(25_000), elapsed(100_000); large > 10*small {
+		t.Errorf("100k links took %v, 25k %v: more than linear", large, small)
 	}
 }
 

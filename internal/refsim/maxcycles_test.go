@@ -1,9 +1,12 @@
 package refsim
 
 import (
+	"errors"
 	"testing"
 
+	"systolic/internal/fault"
 	"systolic/internal/linkmodel"
+	"systolic/internal/machine"
 	"systolic/internal/topology"
 )
 
@@ -29,5 +32,23 @@ func TestLinkLatencyDerivedBound(t *testing.T) {
 	c.MaxCycles = oldBound
 	if cut := bothEngines(t, p, topology.Linear(2), c); cut.Completed {
 		t.Fatalf("run pinned to the old bound completed in %d cycles", cut.Cycles)
+	}
+}
+
+// TestDerivedBoundOverflow: a fault slowdown whose derived bound does
+// not fit in int is the same MaxCycles ConfigError, text and all, from
+// both engines — never a wrapped bound in one of them.
+func TestDerivedBoundOverflow(t *testing.T) {
+	p := pipeline(t, 4)
+	c := fcfs(1, 1)
+	c.Faults = &fault.Plan{Cells: []fault.CellFault{{Cell: 0, Factor: 1 << 62}}}
+	_, refErr := Run(p, topology.Linear(2), nil, nil, freshPolicy(c))
+	_, gotErr := machineRun(p, topology.Linear(2), nil, nil, freshPolicy(c))
+	var ce *machine.ConfigError
+	if !errors.As(refErr, &ce) || ce.Field != "MaxCycles" {
+		t.Fatalf("reference err = %v, want a MaxCycles ConfigError", refErr)
+	}
+	if gotErr == nil || gotErr.Error() != refErr.Error() {
+		t.Fatalf("machine err = %v, want %v", gotErr, refErr)
 	}
 }

@@ -11,6 +11,8 @@ package refsim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 
 	"systolic/internal/assign"
@@ -222,7 +224,11 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 
 	maxCycles := cfg.MaxCycles
 	if maxCycles <= 0 {
-		maxCycles = defaultMaxCycles(p, routes, lmo.MaxFactor(), flt.MaxFactor())
+		var err error
+		if maxCycles, err = defaultMaxCycles(p, routes, lmo.MaxFactor(), flt.MaxFactor()); err != nil {
+			r.release()
+			return nil, err
+		}
 	}
 	for r.now = 0; r.now < maxCycles; r.now++ {
 		if r.done() {
@@ -292,14 +298,30 @@ func (r *runner) release() {
 }
 
 // defaultMaxCycles is the compiled machine's derived cycle bound,
-// max(16·(words+1)·(hops+1)·L+4096, 2^14)·F, without its overflow guard.
-func defaultMaxCycles(p *model.Program, routes [][]topology.Hop, linkFactor, faultFactor int) int {
+// max(16·(words+1)·(hops+1)·L+4096, 2^14)·F, with the same ConfigError
+// when a step of it does not fit in int. The overflow test is its own
+// (full-width products), not the machine's division guard.
+func defaultMaxCycles(p *model.Program, routes [][]topology.Hop, linkFactor, faultFactor int) (int, error) {
 	words, hops := 0, 0
 	for _, m := range p.Messages() {
 		words += m.Words
 		hops += len(routes[m.ID])
 	}
-	return max(16*(words+1)*(hops+1)*linkFactor+4096, 1<<14) * faultFactor
+	fits := true
+	mul := func(a uint64, b int) uint64 {
+		hi, lo := bits.Mul64(a, uint64(b))
+		fits = fits && b >= 1 && hi == 0 && lo <= math.MaxInt
+		return lo
+	}
+	n := mul(mul(mul(16, words+1), hops+1), linkFactor)
+	fits = fits && n <= math.MaxInt-4096
+	n = mul(max(n+4096, 1<<14), faultFactor)
+	if !fits {
+		return 0, &machine.ConfigError{Field: "MaxCycles", Reason: fmt.Sprintf(
+			"derived cycle bound max(16·(%d+1)·(%d+1)·%d+4096, 2^14)·%d (words, hops, link slowdown, fault slowdown) does not fit in int; set MaxCycles explicitly",
+			words, hops, linkFactor, faultFactor)}
+	}
+	return int(n), nil
 }
 
 // setup sizes the runner's scratch for the current program and

@@ -16,6 +16,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -36,15 +37,21 @@ func Parse(name, text string, onePerElement bool, item func(part, scope string, 
 	if text == "" {
 		return nil
 	}
+	// An item's identity: scope, index and key, or with onePerElement
+	// a scoped item's scope and index alone (key ""). Specs are short,
+	// so the first eight identities sit in an inline buffer and parsing
+	// allocates nothing; later ones go to a map, so a long spec off the
+	// wire parses in linear time.
 	type seenItem struct {
 		scope, key string
 		idx        int
 	}
-	var buf [8]seenItem // specs are short: no allocation below nine items
+	var buf [8]seenItem
 	seen := buf[:0]
-	for rest, more := text, true; more; {
+	var more map[seenItem]bool
+	for rest, next := text, true; next; {
 		var part string
-		part, rest, more = strings.Cut(rest, ",")
+		part, rest, next = strings.Cut(rest, ",")
 		part = strings.TrimSpace(part)
 		scope, idx, body := "", 0, part
 		if s, r, ok := strings.Cut(part, ":"); ok && (s == "cell" || s == "link") {
@@ -62,19 +69,27 @@ func Parse(name, text string, onePerElement bool, item func(part, scope string, 
 		if hasVal && val == "" {
 			return fmt.Errorf("%s spec %q: missing value after %s=", name, part, key)
 		}
-		for _, s := range seen {
-			switch {
-			case s.scope != scope || s.idx != idx:
-			case scope != "" && onePerElement:
-				return fmt.Errorf("%s spec %q: %s %d already has a %s in this spec (one %s per %s)", name, part, scope, idx, name, name, scope)
-			case s.key != key:
-			case scope != "":
-				return fmt.Errorf("%s spec %q: duplicate %s for %s %d", name, part, key, scope, idx)
-			default:
-				return fmt.Errorf("%s spec %q: duplicate parameter %q", name, part, key)
-			}
+		id := seenItem{scope, key, idx}
+		if scope != "" && onePerElement {
+			id.key = ""
 		}
-		seen = append(seen, seenItem{scope, key, idx})
+		switch {
+		case !slices.Contains(seen, id) && !more[id]:
+		case scope != "" && onePerElement:
+			return fmt.Errorf("%s spec %q: %s %d already has a %s in this spec (one %s per %s)", name, part, scope, idx, name, name, scope)
+		case scope != "":
+			return fmt.Errorf("%s spec %q: duplicate %s for %s %d", name, part, key, scope, idx)
+		default:
+			return fmt.Errorf("%s spec %q: duplicate parameter %q", name, part, key)
+		}
+		if len(seen) < len(buf) {
+			seen = append(seen, id)
+		} else {
+			if more == nil {
+				more = make(map[seenItem]bool)
+			}
+			more[id] = true
+		}
 		if err := item(part, scope, idx, key, val); err != nil {
 			return err
 		}

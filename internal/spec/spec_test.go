@@ -2,8 +2,11 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 // tokens renders every item Parse hands out, one "scope|idx|key|val"
@@ -79,6 +82,47 @@ func TestParseErrors(t *testing.T) {
 	})
 	if err == nil || calls != 2 {
 		t.Errorf("interpreter error: err = %v after %d calls, want it after 2", err, calls)
+	}
+}
+
+// TestParseLinear: the server parses both grammars from request bodies
+// of up to 8 MiB, so a long spec must parse in time linear in its
+// items. Four times the items may take at most ten times as long; a
+// duplicate check that compares each item with every earlier one takes
+// sixteen.
+func TestParseLinear(t *testing.T) {
+	for _, tc := range []struct {
+		item          string
+		onePerElement bool
+	}{
+		{"cell:%d:dead", true},
+		{"link:%d:delay=1", false},
+	} {
+		spec := func(n int) string {
+			var b strings.Builder
+			for i := range n {
+				if i > 0 {
+					b.WriteByte(',')
+				}
+				fmt.Fprintf(&b, tc.item, i)
+			}
+			return b.String()
+		}
+		elapsed := func(text string) time.Duration {
+			best := time.Duration(math.MaxInt64)
+			for range 3 {
+				start := time.Now()
+				if err := Parse("test", text, tc.onePerElement, func(string, string, int, string, string) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+				best = min(best, time.Since(start))
+			}
+			return best
+		}
+		small, large := elapsed(spec(50_000)), elapsed(spec(200_000))
+		if large > 10*small {
+			t.Errorf("%q: 200k items took %v, 50k %v: more than linear", tc.item, large, small)
+		}
 	}
 }
 
