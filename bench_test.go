@@ -13,12 +13,10 @@ package systolic_test
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 
 	"systolic"
-	"systolic/internal/verify"
 )
 
 // mustAnalyze analyzes a workload or aborts the benchmark.
@@ -231,16 +229,16 @@ func BenchmarkFig10_Lookahead(b *testing.B) {
 // (classify + label + precondition + simulate) on random deadlock-free
 // programs; every run must complete (Theorem 1).
 func BenchmarkTheorem1_Pipeline(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
 	var progs []*systolic.Program
-	for i := 0; i < 32; i++ {
-		p, err := verify.RandomDeadlockFree(rng, verify.RandomOptions{
-			Cells: 5, Messages: 6, MaxWords: 4,
+	for seed := int64(0); seed < 32; seed++ {
+		sc, err := systolic.GenerateProgram(seed, systolic.GenOptions{
+			Cells: 5, Messages: 6, MaxWords: 4, Interleave: 6,
+			Cyclic: true, Topology: systolic.GenTopoLinear,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		progs = append(progs, p)
+		progs = append(progs, sc.Program)
 	}
 	topo := systolic.LinearArray(5)
 	i := 0

@@ -298,12 +298,12 @@ func TestParsePolicy(t *testing.T) {
 		"adversarial": systolic.NaiveAdversarial,
 	}
 	for name, want := range kinds {
-		got, err := ParsePolicy(name)
+		got, err := parsePolicy(name)
 		if err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %v, %v", name, got, err)
+			t.Errorf("parsePolicy(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := ParsePolicy("nope"); err == nil {
+	if _, err := parsePolicy("nope"); err == nil {
 		t.Error("bad policy accepted")
 	}
 }

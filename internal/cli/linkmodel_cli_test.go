@@ -103,13 +103,13 @@ func TestSysdlFuzzLinkModels(t *testing.T) {
 	base := DefaultSysdlOptions()
 	base.FuzzN = 12
 	var clean strings.Builder
-	if code, err := Fuzz(&clean, base); err != nil || code != 0 {
+	if code, err := fuzz(&clean, base); err != nil || code != 0 {
 		t.Fatalf("clean fuzz: code=%d err=%v\n%s", code, err, clean.String())
 	}
 	retimed := base
 	retimed.FuzzLinkModels = true
 	var b strings.Builder
-	if code, err := Fuzz(&b, retimed); err != nil || code != 0 {
+	if code, err := fuzz(&b, retimed); err != nil || code != 0 {
 		t.Fatalf("link-model fuzz: code=%d err=%v\n%s", code, err, b.String())
 	}
 	if strings.Contains(b.String(), "VIOLATION") {

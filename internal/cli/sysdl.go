@@ -167,7 +167,7 @@ func StartProfiles(opts SysdlOptions) (stop func() error, err error) {
 // fuzz verb generates its own programs and ignores src.
 func Sysdl(w io.Writer, cmd, src string, opts SysdlOptions) (int, error) {
 	if cmd == "fuzz" {
-		return Fuzz(w, opts)
+		return fuzz(w, opts)
 	}
 	p, topo, err := systolic.ParseDSL(src)
 	if err != nil {
@@ -209,7 +209,7 @@ func Sysdl(w io.Writer, cmd, src string, opts SysdlOptions) (int, error) {
 		if err != nil || code != 0 {
 			return code, err
 		}
-		kind, err := ParsePolicy(opts.Policy)
+		kind, err := parsePolicy(opts.Policy)
 		if err != nil {
 			return 2, err
 		}
@@ -291,13 +291,13 @@ func Sysdl(w io.Writer, cmd, src string, opts SysdlOptions) (int, error) {
 	return 2, fmt.Errorf("cli: unknown subcommand %q", cmd)
 }
 
-// Fuzz runs the differential oracle: n generated scenarios checked
+// fuzz runs the differential oracle: n generated scenarios checked
 // against the paper's invariants across a worker pool. The report is
 // byte-identical across runs for fixed flags. Exit code 1 means the
 // oracle found invariant violations; expected under-budget
 // counterexamples (when -queues forces a budget below the Theorem 1
 // bound) keep exit code 0.
-func Fuzz(w io.Writer, opts SysdlOptions) (int, error) {
+func fuzz(w io.Writer, opts SysdlOptions) (int, error) {
 	topo, err := parseGenTopology(opts.FuzzTopology)
 	if err != nil {
 		return 2, err
@@ -363,7 +363,7 @@ func sweepAxes(opts SysdlOptions) (systolic.SweepAxes, error) {
 	axes := systolic.SweepAxes{Seed: opts.Seed}
 	if opts.SweepPolicies != "" {
 		for _, name := range strings.Split(opts.SweepPolicies, ",") {
-			kind, err := ParsePolicy(strings.TrimSpace(name))
+			kind, err := parsePolicy(strings.TrimSpace(name))
 			if err != nil {
 				return axes, err
 			}
@@ -421,9 +421,9 @@ func sysdlAnalyze(w io.Writer, p *systolic.Program, topo systolic.Topology, opts
 	return a, 0, nil
 }
 
-// ParsePolicy maps a policy flag value to a PolicyKind. It shares the
+// parsePolicy maps a policy flag value to a PolicyKind. It shares the
 // serving layer's spelling (see systolic.ParsePolicyName).
-func ParsePolicy(name string) (systolic.PolicyKind, error) {
+func parsePolicy(name string) (systolic.PolicyKind, error) {
 	kind, err := systolic.ParsePolicyName(name)
 	if err != nil {
 		return 0, fmt.Errorf("cli: unknown policy %q", name)

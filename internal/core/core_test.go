@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"systolic/internal/crossoff"
+	"systolic/internal/gen"
 	"systolic/internal/machine"
 	"systolic/internal/model"
 	"systolic/internal/topology"
-	"systolic/internal/verify"
 	"systolic/internal/workload"
 )
 
@@ -192,6 +192,21 @@ func TestPolicyKindStrings(t *testing.T) {
 	}
 }
 
+// generate draws a gen program on a linear array with every message in
+// flight at once, as §3's construction allows; mutations > 0 swaps that
+// many adjacent ops afterwards.
+func generate(t *testing.T, seed int64, cells, msgs, maxWords, mutations int) *model.Program {
+	t.Helper()
+	sc, err := gen.Generate(seed, gen.Options{
+		Cells: cells, Messages: msgs, MaxWords: maxWords, Interleave: msgs,
+		Cyclic: true, Mutations: mutations, Topology: gen.TopoLinear,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc.Program
+}
+
 // TestTheorem1Property is the headline property test: for randomized
 // deadlock-free programs on linear arrays, the full avoidance pipeline
 // (crossing-off ✓, §6 labels ✓, compatible assignment with enough
@@ -204,15 +219,7 @@ func TestTheorem1Property(t *testing.T) {
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cells := 2 + rng.Intn(5)
-		p, err := verify.RandomDeadlockFree(rng, verify.RandomOptions{
-			Cells:    cells,
-			Messages: 1 + rng.Intn(7),
-			MaxWords: 4,
-			Chain:    seed%3 == 0,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := generate(t, seed, cells, 1+rng.Intn(7), 4, 0)
 		topo := topology.Linear(cells)
 		a, err := Analyze(p, topo, AnalyzeOptions{})
 		if err != nil {
@@ -238,14 +245,7 @@ func TestTheorem1OnRing(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed + 1000))
 		cells := 3 + rng.Intn(4)
-		p, err := verify.RandomDeadlockFree(rng, verify.RandomOptions{
-			Cells:    cells,
-			Messages: 1 + rng.Intn(5),
-			MaxWords: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := generate(t, seed+1000, cells, 1+rng.Intn(5), 3, 0)
 		a, err := Analyze(p, topology.Ring(cells), AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -268,14 +268,7 @@ func TestNaiveSometimesDeadlocks(t *testing.T) {
 	for seed := int64(0); seed < 300 && deadlocks == 0; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cells := 3 + rng.Intn(3)
-		p, err := verify.RandomDeadlockFree(rng, verify.RandomOptions{
-			Cells:    cells,
-			Messages: 3 + rng.Intn(5),
-			MaxWords: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := generate(t, seed, cells, 3+rng.Intn(5), 3, 0)
 		a, err := Analyze(p, topology.Linear(cells), AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -301,12 +294,7 @@ func TestCompatibleNeverReordersWords(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed + 77))
 		cells := 3 + rng.Intn(3)
-		p, err := verify.RandomDeadlockFree(rng, verify.RandomOptions{
-			Cells: cells, Messages: 4, MaxWords: 5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := generate(t, seed+77, cells, 4, 5, 0)
 		a, err := Analyze(p, topology.Linear(cells), AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)

@@ -27,34 +27,15 @@ func TestSection8ClassifierMatchesSimulator(t *testing.T) {
 	agreeBoth := 0
 	for seed := int64(0); seed < 250; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cells := 2 + rng.Intn(3)
-		p, err := verify.RandomDeadlockFree(rng, verify.RandomOptions{
-			Cells:    cells,
-			Messages: 2 + rng.Intn(4),
-			MaxWords: 3,
-			Chain:    true, // single-hop routes: budget == capacity
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Shuffle ops to produce programs across the whole spectrum:
-		// strictly fine, buffering-fixable, and truly deadlocked.
-		for i := 0; i < 1+rng.Intn(6); i++ {
-			c := rng.Intn(p.NumCells())
-			codeLen := len(p.Code(model.CellID(c)))
-			if codeLen < 2 {
-				continue
-			}
-			if q, err := verify.SwapAdjacent(p, model.CellID(c), rng.Intn(codeLen-1)); err == nil {
-				p = q
-			}
-		}
+		// Mutated programs span the whole spectrum: strictly fine,
+		// buffering-fixable, and truly deadlocked.
+		p, topo := section8Program(t, rng, seed)
 		capacity := 1 + rng.Intn(3)
 		admitted := crossoff.Classify(p, crossoff.Options{
 			Lookahead: true,
 			Budget:    crossoff.UniformBudget(capacity),
 		})
-		m, err := machine.Compile(p, topology.Linear(cells), nil, nil)
+		m, err := machine.Compile(p, topo, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,6 +64,23 @@ func TestSection8ClassifierMatchesSimulator(t *testing.T) {
 	}
 }
 
+// section8Program draws the §8 recipe from rng: a small gen program
+// with a few adjacent-op swaps, on the complete graph over its cells so
+// that every route is one hop and a §8 skip budget equals the queue
+// capacity.
+func section8Program(t *testing.T, rng *rand.Rand, seed int64) (*model.Program, topology.Topology) {
+	t.Helper()
+	cells, msgs := 2+rng.Intn(3), 2+rng.Intn(4)
+	p := generate(t, seed, cells, msgs, 3, 1+rng.Intn(6))
+	var edges [][2]model.CellID
+	for a := 0; a < cells; a++ {
+		for b := a + 1; b < cells; b++ {
+			edges = append(edges, [2]model.CellID{model.CellID(a), model.CellID(b)})
+		}
+	}
+	return p, topology.Graph(cells, edges)
+}
+
 // TestSection8ModifiedLabelingRunsLookaheadPrograms: programs admitted
 // only under lookahead run to completion under the full pipeline with
 // the §8.2 modified labeling and capacity matching the budget.
@@ -90,26 +88,7 @@ func TestSection8ModifiedLabelingRunsLookaheadPrograms(t *testing.T) {
 	checked := 0
 	for seed := int64(0); seed < 400 && checked < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed + 5000))
-		cells := 2 + rng.Intn(3)
-		p, err := verify.RandomDeadlockFree(rng, verify.RandomOptions{
-			Cells:    cells,
-			Messages: 2 + rng.Intn(4),
-			MaxWords: 3,
-			Chain:    true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 1+rng.Intn(6); i++ {
-			c := rng.Intn(p.NumCells())
-			codeLen := len(p.Code(model.CellID(c)))
-			if codeLen < 2 {
-				continue
-			}
-			if q, err := verify.SwapAdjacent(p, model.CellID(c), rng.Intn(codeLen-1)); err == nil {
-				p = q
-			}
-		}
+		p, topo := section8Program(t, rng, seed)
 		const capacity = 2
 		strict := crossoff.Classify(p, crossoff.Options{})
 		admitted := crossoff.Classify(p, crossoff.Options{
@@ -125,11 +104,11 @@ func TestSection8ModifiedLabelingRunsLookaheadPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: labeling: %v\n%s", seed, err, p)
 		}
-		rep, err := verify.CheckPreconditions(p, topology.Linear(cells), lab.Dense, 1<<30)
+		rep, err := verify.CheckPreconditions(p, topo, lab.Dense, 1<<30)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := machine.Compile(p, topology.Linear(cells), nil, lab.Dense)
+		m, err := machine.Compile(p, topo, nil, lab.Dense)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"systolic/internal/machine"
 	"systolic/internal/topology"
-	"systolic/internal/verify"
 )
 
 // TestTheorem1AcrossTopologies runs the full avoidance pipeline over
@@ -32,14 +31,7 @@ func TestTheorem1AcrossTopologies(t *testing.T) {
 		t.Run(fam.name, func(t *testing.T) {
 			for seed := int64(0); seed < 40; seed++ {
 				rng := rand.New(rand.NewSource(seed*31 + 7))
-				p, err := verify.RandomDeadlockFree(rng, verify.RandomOptions{
-					Cells:    fam.cells,
-					Messages: 2 + rng.Intn(5),
-					MaxWords: 3,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				p := generate(t, seed*31+7, fam.cells, 2+rng.Intn(5), 3, 0)
 				a, err := Analyze(p, fam.topo, AnalyzeOptions{})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
@@ -62,13 +54,7 @@ func TestTheorem1AcrossTopologies(t *testing.T) {
 // identical outcomes, cycle counts and received words — the foundation
 // of the exact deadlock detection argument.
 func TestSimulatorIsDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	p, err := verify.RandomDeadlockFree(rng, verify.RandomOptions{
-		Cells: 5, Messages: 6, MaxWords: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := generate(t, 99, 5, 6, 4, 0)
 	topo := topology.Linear(5)
 	run := func() *machine.Result {
 		a, err := Analyze(p, topo, AnalyzeOptions{})
@@ -102,13 +88,7 @@ func TestSimulatorIsDeterministic(t *testing.T) {
 // ablation must not break the guarantee.
 func TestDirectionalPoolsPreserveTheorem1(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed + 400))
-		p, err := verify.RandomDeadlockFree(rng, verify.RandomOptions{
-			Cells: 5, Messages: 5, MaxWords: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := generate(t, seed+400, 5, 5, 3, 0)
 		a, err := Analyze(p, topology.Linear(5), AnalyzeOptions{})
 		if err != nil {
 			t.Fatal(err)

@@ -42,6 +42,7 @@ import (
 	"strings"
 
 	"systolic/internal/core"
+	"systolic/internal/crossoff"
 	"systolic/internal/dsl"
 	"systolic/internal/fault"
 	"systolic/internal/gen"
@@ -57,28 +58,14 @@ import (
 type Options struct {
 	// Gen are the scenario-generation knobs (zero = per-seed random).
 	Gen gen.Options
-	// Policies are the assignment disciplines to cross-check; default
-	// dynamic-compatible and static (the two Theorem 1 covers).
-	Policies []core.PolicyKind
-	// Capacities are per-queue word capacities to run (≥ 1); default
-	// {1, 2}.
-	Capacities []int
-	// Slacks are extra queues over the Theorem 1 minimum; default
-	// {0, 1} (the bound exactly, and one above).
-	Slacks []int
 	// QueueOverride, when > 0, replaces the slack grid with one
 	// absolute queues-per-link budget for every run — the deliberate
 	// under-budget probe.
 	QueueOverride int
 	// Lookahead is the §8 analysis budget (0 = strict §3).
 	Lookahead int
-	// MaxCycles bounds each simulation (0 = simulator default).
-	MaxCycles int
 	// Workers bounds Run's pool (≤ 0 = GOMAXPROCS).
 	Workers int
-	// ShrinkBudget caps property evaluations spent minimizing one
-	// counterexample (0 = 200).
-	ShrinkBudget int
 	// Faults, when non-nil, adds the degraded-array invariants to every
 	// approved scenario: fault-noop-equivalence (an all-factor-1 plan is
 	// byte-identical to no plan) and degraded-completion (under the
@@ -101,27 +88,27 @@ type Options struct {
 	LinkModels bool
 }
 
-func (o Options) withDefaults() Options {
-	if len(o.Policies) == 0 {
-		o.Policies = []core.PolicyKind{core.DynamicCompatible, core.StaticAssignment}
+// The oracle's fixed run matrix: the two assignment disciplines
+// Theorem 1 covers, and the Theorem 1 queue budget exactly and one
+// above it.
+var (
+	policies = []core.PolicyKind{core.DynamicCompatible, core.StaticAssignment}
+	slacks   = []int{0, 1}
+)
+
+// shrinkBudget caps the property evaluations spent minimizing one
+// counterexample.
+const shrinkBudget = 200
+
+// capacities are the per-queue word capacities the oracle runs. With
+// lookahead the §8 classification assumes queues can buffer the
+// skipped writes, so they start at the lookahead budget (rule R2's
+// assumption met).
+func capacities(lookahead int) []int {
+	if lookahead > 1 {
+		return []int{lookahead, lookahead + 1}
 	}
-	if len(o.Capacities) == 0 {
-		// With lookahead the §8 classification assumes queues can
-		// buffer the skipped writes, so the default capacities start
-		// at the lookahead budget (rule R2's assumption met).
-		if o.Lookahead > 1 {
-			o.Capacities = []int{o.Lookahead, o.Lookahead + 1}
-		} else {
-			o.Capacities = []int{1, 2}
-		}
-	}
-	if len(o.Slacks) == 0 {
-		o.Slacks = []int{0, 1}
-	}
-	if o.ShrinkBudget <= 0 {
-		o.ShrinkBudget = 200
-	}
-	return o
+	return []int{1, 2}
 }
 
 // Finding is one oracle observation: an invariant violation, or (with
@@ -201,7 +188,6 @@ func (r Result) Violations() []Finding {
 
 // Check runs the full oracle on one scenario.
 func Check(sc *gen.Scenario, opts Options) Result {
-	opts = opts.withDefaults()
 	res := Result{Seed: sc.Seed, Name: sc.Name}
 	fail := func(f Finding) {
 		f.Seed = sc.Seed
@@ -230,7 +216,7 @@ func Check(sc *gen.Scenario, opts Options) Result {
 		fail(Finding{Invariant: "label-consistency", Detail: "dense ranks: " + err.Error()})
 	}
 
-	// Minimization runs up to ShrinkBudget analyze+execute cycles per
+	// Minimization runs up to shrinkBudget analyze+execute cycles per
 	// finding, and Summary renders only a handful — so expected
 	// under-budget findings are minimized for the first few per
 	// scenario and merely recorded beyond that. Violations (the
@@ -238,19 +224,19 @@ func Check(sc *gen.Scenario, opts Options) Result {
 	expectedMinimized := 0
 	const maxExpectedMinimized = 2
 
-	for _, capacity := range opts.Capacities {
+	for _, capacity := range capacities(opts.Lookahead) {
 		// The first completed run at this capacity is the reference
 		// stream every other completed run must reproduce
 		// (invariant 2, strengthened across budgets).
 		var refStream [][]machine.Word
 		var refConfig string
-		for _, pol := range opts.Policies {
+		for _, pol := range policies {
 			min := a.MinQueues(pol)
 			var budgets []int
 			if opts.QueueOverride > 0 {
 				budgets = []int{opts.QueueOverride}
 			} else {
-				for _, s := range opts.Slacks {
+				for _, s := range slacks {
 					q := min + s
 					if q < 1 {
 						q = 1
@@ -263,7 +249,6 @@ func Check(sc *gen.Scenario, opts Options) Result {
 					Policy:        pol,
 					QueuesPerLink: q,
 					Capacity:      capacity,
-					MaxCycles:     opts.MaxCycles,
 					Force:         true, // observe under-budget deadlocks instead of refusing
 				})
 				res.Runs++
@@ -352,8 +337,8 @@ func linkModelChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Resu
 	if !opts.LinkModels {
 		return
 	}
-	pol := opts.Policies[0]
-	capacity := opts.Capacities[0]
+	pol := policies[0]
+	capacity := capacities(opts.Lookahead)[0]
 	q := a.MinQueues(pol)
 	if q < 1 {
 		q = 1
@@ -365,7 +350,6 @@ func linkModelChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Resu
 			Policy:        pol,
 			QueuesPerLink: q,
 			Capacity:      capacity,
-			MaxCycles:     opts.MaxCycles,
 			LinkModel:     p,
 			Force:         true,
 		})
@@ -434,8 +418,8 @@ func faultChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, 
 		// check on this scenario.
 		return
 	}
-	pol := opts.Policies[0]
-	capacity := opts.Capacities[0]
+	pol := policies[0]
+	capacity := capacities(opts.Lookahead)[0]
 	q := a.MinQueues(pol)
 	if q < 1 {
 		q = 1
@@ -466,7 +450,6 @@ func faultChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, 
 			Policy:        pol,
 			QueuesPerLink: q,
 			Capacity:      capacity,
-			MaxCycles:     opts.MaxCycles,
 			Faults:        p,
 			Force:         true,
 		})
@@ -539,9 +522,8 @@ func faultChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, 
 func analyzeOptions(opts Options) core.AnalyzeOptions {
 	ao := core.AnalyzeOptions{}
 	if opts.Lookahead > 0 {
-		la := opts.Lookahead
 		ao.Lookahead = true
-		ao.BudgetOverride = func(model.MessageID) int { return la }
+		ao.BudgetOverride = crossoff.UniformBudget(opts.Lookahead)
 	}
 	return ao
 }
@@ -610,7 +592,6 @@ func Run(ctx context.Context, n int, seed int64, opts Options) (*Report, error) 
 	if n <= 0 {
 		return nil, fmt.Errorf("diff: n %d < 1", n)
 	}
-	opts = opts.withDefaults()
 	results := make([]Result, n)
 	err := sweep.ForEach(ctx, n, opts.Workers, func(i int) {
 		s := seed + int64(i)
@@ -716,7 +697,7 @@ func renderFindings(b *strings.Builder, title string, fs []Finding) {
 // property preserved is "analyzer approves, yet execution at the
 // Theorem 1 budget plus slack does not complete".
 func minimizeCompletion(sc *gen.Scenario, opts Options, pol core.PolicyKind, slack, capacity int) string {
-	p := shrink(sc.Program, opts.ShrinkBudget, func(q *model.Program) bool {
+	p := shrink(sc.Program, shrinkBudget, func(q *model.Program) bool {
 		a, err := core.Analyze(q, sc.Topology, analyzeOptions(opts))
 		if err != nil || !a.DeadlockFree {
 			return false
@@ -726,8 +707,7 @@ func minimizeCompletion(sc *gen.Scenario, opts Options, pol core.PolicyKind, sla
 			budget = 1
 		}
 		r, err := core.Execute(a, core.ExecOptions{
-			Policy: pol, QueuesPerLink: budget, Capacity: capacity,
-			MaxCycles: opts.MaxCycles, Force: true,
+			Policy: pol, QueuesPerLink: budget, Capacity: capacity, Force: true,
 		})
 		return err == nil && !r.Completed
 	})
@@ -738,14 +718,13 @@ func minimizeCompletion(sc *gen.Scenario, opts Options, pol core.PolicyKind, sla
 // preserved is "analyzer approves, the Theorem 1 bound exceeds the
 // forced budget, and execution at that budget deadlocks".
 func minimizeUnderBudget(sc *gen.Scenario, opts Options, pol core.PolicyKind, q, capacity int) string {
-	p := shrink(sc.Program, opts.ShrinkBudget, func(candidate *model.Program) bool {
+	p := shrink(sc.Program, shrinkBudget, func(candidate *model.Program) bool {
 		a, err := core.Analyze(candidate, sc.Topology, analyzeOptions(opts))
 		if err != nil || !a.DeadlockFree || a.MinQueues(pol) <= q {
 			return false
 		}
 		r, err := core.Execute(a, core.ExecOptions{
-			Policy: pol, QueuesPerLink: q, Capacity: capacity,
-			MaxCycles: opts.MaxCycles, Force: true,
+			Policy: pol, QueuesPerLink: q, Capacity: capacity, Force: true,
 		})
 		return err == nil && r.Deadlocked
 	})
@@ -822,13 +801,8 @@ func dropMessage(p *model.Program, mid model.MessageID) (*model.Program, error) 
 	}
 	for c := 0; c < p.NumCells(); c++ {
 		for _, op := range p.Code(model.CellID(c)) {
-			if op.Msg == mid {
-				continue
-			}
-			if op.Kind == model.Write {
-				b.Write(model.CellID(c), remap[op.Msg])
-			} else {
-				b.Read(model.CellID(c), remap[op.Msg])
+			if op.Msg != mid {
+				b.AppendOps(model.CellID(c), []model.Op{{Kind: op.Kind, Msg: remap[op.Msg]}})
 			}
 		}
 	}
@@ -861,16 +835,11 @@ func trimWord(p *model.Program, mid model.MessageID) (*model.Program, error) {
 				lastIdx = i
 			}
 		}
-		for i, op := range code {
-			if i == lastIdx && op.Msg == mid {
-				continue
-			}
-			if op.Kind == model.Write {
-				b.Write(model.CellID(c), op.Msg)
-			} else {
-				b.Read(model.CellID(c), op.Msg)
-			}
+		if lastIdx < 0 {
+			b.AppendOps(model.CellID(c), code)
+			continue
 		}
+		b.AppendOps(model.CellID(c), code[:lastIdx]).AppendOps(model.CellID(c), code[lastIdx+1:])
 	}
 	return b.Build()
 }

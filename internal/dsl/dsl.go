@@ -11,8 +11,8 @@
 //
 // where OP is R(MSG) or W(MSG). Multiple code lines for the same cell
 // append. The topology line is optional; Linear(numCells) is the
-// default, and a declared topology may have at most MaxTopologyCells
-// cells, each size at least 1.
+// default, and a declared topology may have at most 65536 cells
+// (maxTopologyCells), each size at least 1.
 //
 // Parse is a single pass over the text: no per-line or per-token
 // slices, names resolved against the model.Builder's own tables (the
@@ -40,14 +40,14 @@ type File struct {
 	Topology topology.Topology
 }
 
-// MaxTopologyCells is the largest array a topology directive may
+// maxTopologyCells is the largest array a topology directive may
 // declare: 65536 cells, four times the largest committed workload.
 // Parse builds the topology eagerly and a one-line directive can name
 // any size, so without a ceiling a 40-byte document could ask for any
 // amount of memory; at the ceiling it asks for about 30 MB. It is a
 // constant, not an option: programs that need a larger array build the
 // topology through the library instead of the text notation.
-const MaxTopologyCells = 1 << 16
+const maxTopologyCells = 1 << 16
 
 // Parse reads a DSL document in one pass over src: lines are cut at
 // '\n', fields are scanned in place (nextField), and names are resolved
@@ -268,7 +268,7 @@ func parseOp(tok string) (model.OpKind, string, error) {
 // buildTopology constructs the declared topology (the directive on
 // line `line`), or Linear(numCells) when there was no directive. Sizes
 // are checked before anything is constructed: a size below 1, or an
-// array of more than MaxTopologyCells cells (which also covers a mesh
+// array of more than maxTopologyCells cells (which also covers a mesh
 // whose rows×cols would overflow), is an error carrying the line.
 func buildTopology(kind string, args []int, line, numCells int) (topology.Topology, error) {
 	switch kind {
@@ -290,8 +290,8 @@ func buildTopology(kind string, args []int, line, numCells int) (topology.Topolo
 		if n < 1 {
 			return nil, fail(line, "topology size %d is less than 1", n)
 		}
-		if n > MaxTopologyCells/cells {
-			return nil, fail(line, "topology %s declares more than %d cells", kind, MaxTopologyCells)
+		if n > maxTopologyCells/cells {
+			return nil, fail(line, "topology %s declares more than %d cells", kind, maxTopologyCells)
 		}
 		cells *= n
 	}

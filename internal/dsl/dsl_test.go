@@ -196,13 +196,13 @@ func TestCommentsAndBlankLines(t *testing.T) {
 
 // TestParseTopologySizes: Parse constructs the topology eagerly, so the
 // sizes of a topology directive are checked first — below 1, or an
-// array above MaxTopologyCells (which is also how a rows×cols product
+// array above maxTopologyCells (which is also how a rows×cols product
 // that would overflow int is caught) — and the error names the
 // directive's line. The body is a valid two-cell program, so only the
 // directive decides.
 func TestParseTopologySizes(t *testing.T) {
 	const body = "\ncell A\ncell B\nmessage M A B 1\ncode A: W(M)\ncode B: R(M)\n"
-	max := strconv.Itoa(MaxTopologyCells)
+	max := strconv.Itoa(maxTopologyCells)
 	cases := []struct {
 		directive string
 		want      string // "" = parses, topology name in name
@@ -211,7 +211,7 @@ func TestParseTopologySizes(t *testing.T) {
 		{"topology linear 2", "", "linear(2)"},
 		{"topology ring 3", "", "ring(3)"},
 		{"topology mesh 1 2", "", "mesh(1x2)"},
-		{"topology mesh 256 256", "", "mesh(256x256)"}, // exactly MaxTopologyCells
+		{"topology mesh 256 256", "", "mesh(256x256)"}, // exactly maxTopologyCells
 		{"topology linear -3", "dsl: line 2: topology size -3 is less than 1", ""},
 		{"topology linear 0", "dsl: line 2: topology size 0 is less than 1", ""},
 		{"topology ring 0", "dsl: line 2: topology size 0 is less than 1", ""},
@@ -221,7 +221,7 @@ func TestParseTopologySizes(t *testing.T) {
 		{"topology mesh 3037000500 3037000500", "dsl: line 2: topology mesh declares more than " + max + " cells", ""},
 		{"topology mesh 4294967296 4294967296", "dsl: line 2: topology mesh declares more than " + max + " cells", ""},
 		{"topology mesh 256 257", "dsl: line 2: topology mesh declares more than " + max + " cells", ""},
-		{"topology linear " + strconv.Itoa(MaxTopologyCells+1), "dsl: line 2: topology linear declares more than " + max + " cells", ""},
+		{"topology linear " + strconv.Itoa(maxTopologyCells+1), "dsl: line 2: topology linear declares more than " + max + " cells", ""},
 		{"topology ring 9223372036854775807", "dsl: line 2: topology ring declares more than " + max + " cells", ""},
 		// Arity and kind errors keep their old text and win over sizes.
 		{"topology linear 2 -1", "dsl: topology linear needs one size", ""},

@@ -92,9 +92,10 @@ func (p *Plan) IsNoop() bool {
 }
 
 // Validate checks the plan against an array of numCells cells and
-// numLinks links: indexes in range, factors non-negative, no dead
-// element that also declares a slowdown, and at most one fault per
-// cell and per link. A nil plan is valid.
+// numLinks links: indexes in range, factors and effective-from cycles
+// in 0..2³¹−1 (the machine lowers both to int32), no dead element that
+// also declares a slowdown, and at most one fault per cell and per
+// link. A nil plan is valid.
 func (p *Plan) Validate(numCells, numLinks int) error {
 	if p == nil {
 		return nil
@@ -111,11 +112,17 @@ func (p *Plan) Validate(numCells, numLinks int) error {
 		if c.Factor < 0 {
 			return fmt.Errorf("cell %d: negative slowdown factor %d", c.Cell, c.Factor)
 		}
+		if c.Factor > math.MaxInt32 {
+			return fmt.Errorf("cell %d: slowdown factor %d exceeds %d", c.Cell, c.Factor, math.MaxInt32)
+		}
 		if c.Dead && c.Factor > 1 {
 			return fmt.Errorf("cell %d: dead cell cannot also declare slowdown factor %d", c.Cell, c.Factor)
 		}
 		if c.From < 0 {
 			return fmt.Errorf("cell %d: negative effective-from cycle %d", c.Cell, c.From)
+		}
+		if c.From > math.MaxInt32 {
+			return fmt.Errorf("cell %d: effective-from cycle %d exceeds %d", c.Cell, c.From, math.MaxInt32)
 		}
 	}
 	seenLink := make(map[topology.LinkID]bool, len(p.Links))
@@ -130,11 +137,17 @@ func (p *Plan) Validate(numCells, numLinks int) error {
 		if l.Factor < 0 {
 			return fmt.Errorf("link %d: negative throttle factor %d", l.Link, l.Factor)
 		}
+		if l.Factor > math.MaxInt32 {
+			return fmt.Errorf("link %d: throttle factor %d exceeds %d", l.Link, l.Factor, math.MaxInt32)
+		}
 		if l.Severed && l.Factor > 1 {
 			return fmt.Errorf("link %d: severed link cannot also declare throttle factor %d", l.Link, l.Factor)
 		}
 		if l.From < 0 {
 			return fmt.Errorf("link %d: negative effective-from cycle %d", l.Link, l.From)
+		}
+		if l.From > math.MaxInt32 {
+			return fmt.Errorf("link %d: effective-from cycle %d exceeds %d", l.Link, l.From, math.MaxInt32)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,6 +41,32 @@ func TestValidateRejections(t *testing.T) {
 	}
 	if err := ok.Validate(5, 4); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
+	}
+}
+
+// TestValidateInt32Bounds: the machine lowers factors and
+// effective-from cycles to int32, where a larger value wraps — a
+// slowdown of 2³¹ to a dead cell, 2³²+2 to a slowdown of 2, @2³¹ to
+// cycle 0 — so Validate accepts 2³¹−1 and refuses 2³¹ in each of the
+// four fields.
+func TestValidateInt32Bounds(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		plan  func(v int) *Plan
+		field string
+	}{
+		{"cell factor", func(v int) *Plan { return &Plan{Cells: []CellFault{{Cell: 0, Factor: v}}} }, "slowdown factor"},
+		{"cell from", func(v int) *Plan { return &Plan{Cells: []CellFault{{Cell: 0, Factor: 2, From: v}}} }, "effective-from"},
+		{"link factor", func(v int) *Plan { return &Plan{Links: []LinkFault{{Link: 0, Factor: v}}} }, "throttle factor"},
+		{"link from", func(v int) *Plan { return &Plan{Links: []LinkFault{{Link: 0, Factor: 2, From: v}}} }, "effective-from"},
+	} {
+		if err := c.plan(math.MaxInt32).Validate(5, 4); err != nil {
+			t.Errorf("%s 2³¹−1 rejected: %v", c.name, err)
+		}
+		err := c.plan(math.MaxInt32+1).Validate(5, 4)
+		if err == nil || !strings.Contains(err.Error(), c.field) || !strings.Contains(err.Error(), "exceeds 2147483647") {
+			t.Errorf("%s 2³¹: %v, want the %s bound error", c.name, err, c.field)
+		}
 	}
 }
 

@@ -5,16 +5,16 @@
 // word counts, cyclicity, and interleaving depth, over linear, ring,
 // and 2-D mesh topologies.
 //
-// Construction is history-based, like verify.RandomDeadlockFree: a
-// random word-transfer history is synthesized and each transfer's W is
-// appended to the sender's program and its R to the receiver's, in
-// history order. The crossing-off procedure can cross pairs in exactly
-// that order, so the un-mutated output is deadlock-free by
-// construction. The Interleave knob bounds how many messages the
-// history keeps in flight at once: depth 1 yields sequential,
-// one-message-at-a-time programs; deeper interleaving produces the
-// related-message classes of §6 (Fig 8/9's R(A) R(B) R(A)… patterns)
-// whose equal labels drive up Theorem 1's queue requirement.
+// Construction is history-based, as in §3: a random word-transfer
+// history is synthesized and each transfer's W is appended to the
+// sender's program and its R to the receiver's, in history order. The
+// crossing-off procedure can cross pairs in exactly that order, so the
+// un-mutated output is deadlock-free by construction. The Interleave
+// knob bounds how many messages the history keeps in flight at once:
+// depth 1 yields sequential, one-message-at-a-time programs; deeper
+// interleaving produces the related-message classes of §6 (Fig 8/9's
+// R(A) R(B) R(A)… patterns) whose equal labels drive up Theorem 1's
+// queue requirement.
 //
 // Mutations then apply validity-preserving adjacent-op swaps, which
 // may or may not introduce deadlock — the differential oracle
@@ -231,13 +231,7 @@ func Generate(seed int64, opts Options) (*Scenario, error) {
 		b.DeclareMessage(fmt.Sprintf("M%d", i+1), cells[d.sender], cells[d.receiver], d.words)
 	}
 	for c, ops := range code {
-		for _, op := range ops {
-			if op.Kind == model.Write {
-				b.Write(cells[c], op.Msg)
-			} else {
-				b.Read(cells[c], op.Msg)
-			}
-		}
+		b.AppendOps(cells[c], ops)
 	}
 	p, err := b.Build()
 	if err != nil {

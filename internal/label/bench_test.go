@@ -26,7 +26,7 @@ func BenchmarkAssignByOrder(b *testing.B) {
 		p := randomDF(b, rng, size.cells, size.msgs, 4)
 		b.Run(fmt.Sprintf("cells=%d,msgs=%d", size.cells, size.msgs), func(b *testing.B) {
 			for b.Loop() {
-				if _, err := AssignByOrder(p, nil); err != nil {
+				if _, err := assignByOrder(p, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

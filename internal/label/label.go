@@ -85,8 +85,8 @@ func Trivial(p *model.Program) Labeling {
 // two consecutive operations on B of the same kind; the relation is
 // closed symmetrically and transitively. The result maps each message
 // to a class representative.
-func Related(p *model.Program) *UnionFind {
-	uf := NewUnionFind(p.NumMessages())
+func Related(p *model.Program) *unionFind {
+	uf := newUnionFind(p.NumMessages())
 	// Within one cell all ops on a given message share a kind (the cell
 	// is its sender or its receiver), so the position of the previous op
 	// per message suffices. last holds it as 1 + the op's position in
@@ -117,7 +117,7 @@ type classIndex struct {
 	members []int32
 }
 
-func newClassIndex(uf *UnionFind) classIndex {
+func newClassIndex(uf *unionFind) classIndex {
 	n := len(uf.parent)
 	ix := classIndex{classOf: make([]int32, n), members: make([]int32, n)}
 	// Number the classes in order of their smallest member. next maps a
@@ -160,7 +160,7 @@ func (ix classIndex) class(msg model.MessageID) []int32 {
 // paints itself into a corner (rule 1c can commit a related class to a
 // label before every member's per-cell constraints are visible — the
 // paper leaves the "optimal" pick choice open), Assign falls back to
-// the order-based construction of AssignByOrder, which cannot fail,
+// the order-based construction of assignByOrder, which cannot fail,
 // and records the fallback in Warnings. It returns an error only when
 // the program is not deadlock-free under the selected variant.
 //
@@ -196,11 +196,11 @@ func Run(p *model.Program, opts Options) (crossoff.Result, Labeling) {
 	}
 	var eqs [][2]model.MessageID
 	if opts.Lookahead {
-		eqs = LookaheadEqualities(p, opts.Budget) // §8.2 rule 1d
+		eqs = lookaheadEqualities(p, opts.Budget) // §8.2 rule 1d
 	}
 	// The pass above crossed everything off, so the order-based
 	// construction needs no verdict of its own.
-	fallback := assignByOrder(p, eqs)
+	fallback := orderLabels(p, eqs)
 	reason := "greedy §6 scheme produced an inconsistent labeling"
 	if err != nil {
 		reason = err.Error()
@@ -459,16 +459,16 @@ func CheckDense(p *model.Program, dense []int) error {
 	return Check(p, labels)
 }
 
-// UnionFind is a plain disjoint-set structure over message indices.
-type UnionFind struct {
+// unionFind is a plain disjoint-set structure over message indices.
+type unionFind struct {
 	parent []int
 	rank   []int
 	unions int // Union calls, for the cost tests
 }
 
-// NewUnionFind returns n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n)}
+// newUnionFind returns n singleton sets.
+func newUnionFind(n int) *unionFind {
+	uf := &unionFind{parent: make([]int, n), rank: make([]int, n)}
 	for i := range uf.parent {
 		uf.parent[i] = i
 	}
@@ -476,7 +476,7 @@ func NewUnionFind(n int) *UnionFind {
 }
 
 // Find returns the representative of x's set.
-func (u *UnionFind) Find(x int) int {
+func (u *unionFind) Find(x int) int {
 	for u.parent[x] != x {
 		u.parent[x] = u.parent[u.parent[x]]
 		x = u.parent[x]
@@ -485,7 +485,7 @@ func (u *UnionFind) Find(x int) int {
 }
 
 // Union merges the sets containing x and y.
-func (u *UnionFind) Union(x, y int) {
+func (u *unionFind) Union(x, y int) {
 	u.unions++
 	rx, ry := u.Find(x), u.Find(y)
 	if rx == ry {
@@ -501,11 +501,11 @@ func (u *UnionFind) Union(x, y int) {
 }
 
 // Same reports whether x and y are in one set.
-func (u *UnionFind) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
+func (u *unionFind) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
 
 // Classes returns the members of each class with ≥1 member, keyed by
 // representative, each sorted ascending.
-func (u *UnionFind) Classes() map[int][]int {
+func (u *unionFind) Classes() map[int][]int {
 	out := make(map[int][]int)
 	for i := range u.parent {
 		r := u.Find(i)

@@ -220,9 +220,9 @@ func TestAssignLookaheadLabelsSkipped(t *testing.T) {
 
 func TestDensifyTiesAndOrder(t *testing.T) {
 	labels := []rational.R{
-		rational.New(3, 2), // 1.5
+		rational.FromInt(3).Div(rational.FromInt(2)), // 1.5
 		rational.FromInt(1),
-		rational.New(3, 2), // tie with first
+		rational.FromInt(3).Div(rational.FromInt(2)), // tie with first
 		rational.FromInt(4),
 	}
 	dense := densify(labels)
@@ -286,7 +286,7 @@ func TestStep1bProducesFractionWhenWindowIsTight(t *testing.T) {
 }
 
 func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind(5)
+	uf := newUnionFind(5)
 	uf.Union(0, 1)
 	uf.Union(3, 4)
 	if !uf.Same(0, 1) || uf.Same(1, 2) || !uf.Same(3, 4) {

@@ -8,7 +8,7 @@ import (
 	"systolic/internal/rational"
 )
 
-// AssignByOrder computes a consistent labeling directly from the
+// assignByOrder computes a consistent labeling directly from the
 // definition of consistency (§5): every cell program must touch
 // messages in nondecreasing label order. Each pair of consecutive
 // distinct messages in a cell program contributes a ≤ constraint; the
@@ -30,7 +30,7 @@ import (
 // extraEqualities injects additional same-label requirements, e.g. the
 // §8.2 rule that lookahead-skipped messages share the located
 // message's label; pass nil for none.
-func AssignByOrder(p *model.Program, extraEqualities [][2]model.MessageID) (Labeling, error) {
+func assignByOrder(p *model.Program, extraEqualities [][2]model.MessageID) (Labeling, error) {
 	if !crossoff.Classify(p, crossoff.Options{Lookahead: true}) {
 		// Even with unbounded buffering the program cannot run; labels
 		// are meaningless. (Strictly-deadlocked programs that lookahead
@@ -39,12 +39,12 @@ func AssignByOrder(p *model.Program, extraEqualities [][2]model.MessageID) (Labe
 		return Labeling{}, fmt.Errorf("label: program is not deadlock-free: %s",
 			crossoff.DescribeBlocked(p, res.Blocked))
 	}
-	return assignByOrder(p, extraEqualities), nil
+	return orderLabels(p, extraEqualities), nil
 }
 
-// assignByOrder is AssignByOrder for a program already known to cross
+// orderLabels is assignByOrder for a program already known to cross
 // off completely.
-func assignByOrder(p *model.Program, extraEqualities [][2]model.MessageID) Labeling {
+func orderLabels(p *model.Program, extraEqualities [][2]model.MessageID) Labeling {
 	n := p.NumMessages()
 	adj := make([][]int, n) // u → v means label(u) ≤ label(v)
 	addEdge := func(u, v model.MessageID) {
@@ -158,10 +158,10 @@ func sccKosaraju(adj [][]int) []int {
 	return comp
 }
 
-// LookaheadEqualities runs the lookahead crossing-off procedure and
+// lookaheadEqualities runs the lookahead crossing-off procedure and
 // collects the §8.2 rule-1d equality pairs: each skipped write's
 // message must share the located pair's label.
-func LookaheadEqualities(p *model.Program, budget func(model.MessageID) int) [][2]model.MessageID {
+func lookaheadEqualities(p *model.Program, budget func(model.MessageID) int) [][2]model.MessageID {
 	var eqs [][2]model.MessageID
 	crossoff.Run(p, crossoff.Options{
 		Lookahead: true,

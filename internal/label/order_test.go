@@ -10,7 +10,7 @@ import (
 
 func TestAssignByOrderFig7(t *testing.T) {
 	p := fig7(t)
-	lab, err := AssignByOrder(p, nil)
+	lab, err := assignByOrder(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestAssignByOrderMergesInterleavings(t *testing.T) {
 			{"W:A", "W:A", "W:A", "W:A"},
 			{"R:A", "R:B", "R:A", "R:A", "R:B", "R:B", "R:A"},
 		})
-	lab, err := AssignByOrder(p, nil)
+	lab, err := assignByOrder(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestAssignByOrderExtraEqualities(t *testing.T) {
 	p := build(t, 4,
 		[]msgSpec{{"A", 0, 1, 1}, {"B", 2, 3, 1}},
 		[][]string{{"W:A"}, {"R:A"}, {"W:B"}, {"R:B"}})
-	lab, err := AssignByOrder(p, [][2]model.MessageID{{0, 1}})
+	lab, err := assignByOrder(p, [][2]model.MessageID{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAssignByOrderRejectsTrulyDeadlocked(t *testing.T) {
 	p := build(t, 2,
 		[]msgSpec{{"A", 0, 1, 1}, {"B", 1, 0, 1}},
 		[][]string{{"R:B", "W:A"}, {"R:A", "W:B"}})
-	if _, err := AssignByOrder(p, nil); err == nil {
+	if _, err := assignByOrder(p, nil); err == nil {
 		t.Fatal("deadlocked program labeled")
 	}
 }
@@ -123,7 +123,7 @@ func TestAssignByOrderAlwaysConsistentOnRandomDAGs(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomDF(t, rng, 2+rng.Intn(5), 1+rng.Intn(8), 4)
-		lab, err := AssignByOrder(p, nil)
+		lab, err := assignByOrder(p, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

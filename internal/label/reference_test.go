@@ -23,8 +23,8 @@ import (
 // run per question asked. It is quadratic and is kept only as the
 // oracle TestAssignMatchesReference holds Assign to.
 
-func referenceRelated(p *model.Program) *UnionFind {
-	uf := NewUnionFind(p.NumMessages())
+func referenceRelated(p *model.Program) *unionFind {
+	uf := newUnionFind(p.NumMessages())
 	for c := 0; c < p.NumCells(); c++ {
 		code := p.Code(model.CellID(c))
 		// Within one cell all ops on a given message share a kind
@@ -54,9 +54,9 @@ func referenceAssign(p *model.Program, opts Options) (Labeling, error) {
 	}
 	var eqs [][2]model.MessageID
 	if opts.Lookahead {
-		eqs = LookaheadEqualities(p, opts.Budget) // §8.2 rule 1d
+		eqs = lookaheadEqualities(p, opts.Budget) // §8.2 rule 1d
 	}
-	fallback, err2 := AssignByOrder(p, eqs)
+	fallback, err2 := assignByOrder(p, eqs)
 	if err2 != nil {
 		return Labeling{}, err2
 	}

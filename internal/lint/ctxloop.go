@@ -32,7 +32,7 @@ var execOptionsTypes = map[string]bool{
 	"systolic/internal/machine": true,
 }
 
-// Ctxloop enforces the cancellation contract ("a dropped client
+// ctxloop enforces the cancellation contract ("a dropped client
 // cancels its simulation between cycles") in two ways. First,
 // potentially unbounded loops — `for {}` or `for cond {}` with no
 // post statement — that block on channels, selects, or
@@ -40,7 +40,7 @@ var execOptionsTypes = map[string]bool{
 // sweep and server packages, a core.ExecOptions or
 // machine.ExecOptions literal must set its Context field; omitting
 // it silently detaches the run from the caller's cancellation.
-var Ctxloop = &Analyzer{
+var ctxloop = &Analyzer{
 	Name: "ctxloop",
 	Doc: "require blocking loops and issued runs to observe context " +
 		"cancellation in machine, sweep, and server",

@@ -22,12 +22,12 @@ var detorderPackages = map[string]bool{
 	"systolic/internal/verify":  true,
 }
 
-// Detorder flags `range` over a map whose iteration order can escape
+// detorder flags `range` over a map whose iteration order can escape
 // the loop: Go randomizes map order per run, so any order-dependent
 // effect (appending, early return, writes to outer state) breaks the
 // byte-identical-reports contract. Sites that are genuinely
 // order-insensitive declare it with //sysvet:unordered -- <reason>.
-var Detorder = &Analyzer{
+var detorder = &Analyzer{
 	Name: "detorder",
 	Doc: "flag map iteration whose order can escape into a report " +
 		"in determinism-critical packages",

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// Grantpure enforces the assign.Policy Grant contract documented in
+// grantpure enforces the assign.Policy Grant contract documented in
 // internal/assign: Grant must be a pure function of (free, pending,
 // own grant history). Concretely, on any method whose signature
 // matches Policy.Grant, and on every same-package function it calls:
@@ -14,7 +14,7 @@ import (
 // and the pending slice must be neither mutated nor retained beyond
 // the call — policies that reorder copy first, as naive does with its
 // scratch buffer.
-var Grantpure = &Analyzer{
+var grantpure = &Analyzer{
 	Name: "grantpure",
 	Doc: "enforce the Grant purity contract on assign.Policy " +
 		"implementations",

@@ -92,9 +92,9 @@ func relPosition(pos token.Position) string {
 	return pos.String()
 }
 
-// Analyzers returns the full suite in a fixed order.
-func Analyzers() []*Analyzer {
-	return []*Analyzer{Detorder, Grantpure, Hotalloc, Ctxloop, Pkgdoc}
+// allAnalyzers returns the full suite in a fixed order.
+func allAnalyzers() []*Analyzer {
+	return []*Analyzer{detorder, grantpure, hotalloc, ctxloop, pkgdoc}
 }
 
 // analyzerNames is consulted when validating //sysvet:ignore
@@ -102,16 +102,16 @@ func Analyzers() []*Analyzer {
 // worth failing the build over.
 func analyzerNames() map[string]bool {
 	names := make(map[string]bool)
-	for _, a := range Analyzers() {
+	for _, a := range allAnalyzers() {
 		names[a.Name] = true
 	}
 	return names
 }
 
-// RunPackage runs the given analyzers over one loaded package,
+// runPackage runs the given analyzers over one loaded package,
 // applies //sysvet:ignore suppression, and folds in malformed
 // directives as findings of their own.
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+func runPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	dirs := parseDirectives(pkg.Fset, pkg.Files)
 	out := append([]Diagnostic(nil), dirs.Problems()...)
 	for _, a := range analyzers {
@@ -134,12 +134,12 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	return out
 }
 
-// RunAll runs the analyzers over every root package of a load result
+// runAll runs the analyzers over every root package of a load result
 // and returns the findings in a stable order.
-func RunAll(res *Result, analyzers []*Analyzer) []Diagnostic {
+func runAll(res *Result, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range res.Pkgs {
-		out = append(out, RunPackage(pkg, analyzers)...)
+		out = append(out, runPackage(pkg, analyzers)...)
 	}
 	sortDiagnostics(out)
 	return out
@@ -171,12 +171,12 @@ func Main(patterns []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	res, err := Load(patterns...)
+	res, err := load(patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sysvet:", err)
 		return 2
 	}
-	diags := RunAll(res, Analyzers())
+	diags := runAll(res, allAnalyzers())
 	for _, d := range diags {
 		fmt.Println(d)
 	}

@@ -20,7 +20,7 @@ var (
 func universe(t *testing.T) *Result {
 	t.Helper()
 	loadOnce.Do(func() {
-		loadRes, loadErr = Load("systolic/...")
+		loadRes, loadErr = load("systolic/...")
 	})
 	if loadErr != nil {
 		t.Fatalf("loading module universe: %v", loadErr)
@@ -76,7 +76,7 @@ func fixtureWants(t *testing.T, pkg *Package) map[wantKey][]*regexp.Regexp {
 // by a finding.
 func checkFixture(t *testing.T, pkg *Package, analyzers []*Analyzer) {
 	t.Helper()
-	diags := RunPackage(pkg, analyzers)
+	diags := runPackage(pkg, analyzers)
 	wants := fixtureWants(t, pkg)
 	used := make(map[*regexp.Regexp]bool)
 	for _, d := range diags {
@@ -105,7 +105,7 @@ func checkFixture(t *testing.T, pkg *Package, analyzers []*Analyzer) {
 func TestDetorderFixture(t *testing.T) {
 	// server is determinism-critical, so detorder fires there.
 	pkg := loadFixture(t, "detorder", "systolic/internal/server")
-	checkFixture(t, pkg, []*Analyzer{Detorder})
+	checkFixture(t, pkg, []*Analyzer{detorder})
 }
 
 func TestDetorderScopedToCriticalPackages(t *testing.T) {
@@ -113,7 +113,7 @@ func TestDetorderScopedToCriticalPackages(t *testing.T) {
 	// detorder's contract covers only packages whose output reaches
 	// reports or wire responses.
 	pkg := loadFixture(t, "detorder", "systolic/internal/assign")
-	if diags := RunPackage(pkg, []*Analyzer{Detorder}); len(diags) != 0 {
+	if diags := runPackage(pkg, []*Analyzer{detorder}); len(diags) != 0 {
 		t.Errorf("detorder fired outside critical packages: %v", diags)
 	}
 }
@@ -122,34 +122,34 @@ func TestGrantpureFixture(t *testing.T) {
 	// grantpure is signature-scoped, not path-scoped: any package
 	// defining a Policy-shaped Grant is checked.
 	pkg := loadFixture(t, "grantpure", "systolic/internal/lintfixtures/grantfix")
-	checkFixture(t, pkg, []*Analyzer{Grantpure})
+	checkFixture(t, pkg, []*Analyzer{grantpure})
 }
 
 func TestHotallocFixture(t *testing.T) {
 	pkg := loadFixture(t, "hotalloc", "systolic/internal/lintfixtures/hotallocfix")
-	checkFixture(t, pkg, []*Analyzer{Hotalloc})
+	checkFixture(t, pkg, []*Analyzer{hotalloc})
 }
 
 func TestCtxloopFixture(t *testing.T) {
 	// sweep is in both ctxloop scopes: blocking loops and ExecOptions
 	// literals.
 	pkg := loadFixture(t, "ctxloop", "systolic/internal/sweep")
-	checkFixture(t, pkg, []*Analyzer{Ctxloop})
+	checkFixture(t, pkg, []*Analyzer{ctxloop})
 }
 
 func TestCtxloopScopedToBlockingPackages(t *testing.T) {
 	pkg := loadFixture(t, "ctxloop", "systolic/internal/label")
-	if diags := RunPackage(pkg, []*Analyzer{Ctxloop}); len(diags) != 0 {
+	if diags := runPackage(pkg, []*Analyzer{ctxloop}); len(diags) != 0 {
 		t.Errorf("ctxloop fired outside its packages: %v", diags)
 	}
 }
 
 func TestPkgdocFixtures(t *testing.T) {
 	nodoc := loadFixture(t, filepath.Join("pkgdoc", "nodoc"), "systolic/internal/lintfixtures/nodoc")
-	checkFixture(t, nodoc, []*Analyzer{Pkgdoc})
+	checkFixture(t, nodoc, []*Analyzer{pkgdoc})
 
 	hasdoc := loadFixture(t, filepath.Join("pkgdoc", "hasdoc"), "systolic/internal/lintfixtures/hasdoc")
-	if diags := RunPackage(hasdoc, []*Analyzer{Pkgdoc}); len(diags) != 0 {
+	if diags := runPackage(hasdoc, []*Analyzer{pkgdoc}); len(diags) != 0 {
 		t.Errorf("pkgdoc flagged a documented package: %v", diags)
 	}
 }
@@ -162,7 +162,7 @@ func TestPkgdocFixtures(t *testing.T) {
 // ignore does not suppress — has a finding to not-suppress.
 func TestDirectiveValidation(t *testing.T) {
 	pkg := loadFixture(t, "directives", "systolic/internal/refsim")
-	diags := RunPackage(pkg, Analyzers())
+	diags := runPackage(pkg, allAnalyzers())
 
 	countBy := func(analyzer, substr string) int {
 		n := 0
@@ -200,7 +200,7 @@ func TestDirectiveValidation(t *testing.T) {
 // suite over the whole module must report nothing. A finding here
 // either needs a fix or a reasoned directive at the site.
 func TestRepoIsClean(t *testing.T) {
-	diags := RunAll(universe(t), Analyzers())
+	diags := runAll(universe(t), allAnalyzers())
 	for _, d := range diags {
 		t.Errorf("sysvet finding: %s", d)
 	}

@@ -53,14 +53,14 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// Load resolves patterns with `go list -deps -json` and type-checks
+// load resolves patterns with `go list -deps -json` and type-checks
 // the whole dependency graph from source — the standard library
 // included, since without golang.org/x/tools there is no export-data
 // reader. go list emits dependencies before dependents, so a single
 // forward pass with a map-backed importer suffices. CGO_ENABLED=0
 // selects the pure-Go file sets for stdlib packages that would
 // otherwise need cgo.
-func Load(patterns ...string) (*Result, error) {
+func load(patterns ...string) (*Result, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}

@@ -5,13 +5,13 @@ import (
 	"strings"
 )
 
-// Pkgdoc is the documentation floor formerly enforced by
+// pkgdoc is the documentation floor formerly enforced by
 // tools/doclint, folded into the multichecker so CI runs one static
 // analysis entry point: every package must carry a package-level doc
 // comment ("// Package xyz …", or "// Command xyz …" for mains) on at
 // least one of its non-test files. Test-only packages never reach
 // here — the loader only sees packages with non-test Go files.
-var Pkgdoc = &Analyzer{
+var pkgdoc = &Analyzer{
 	Name: "pkgdoc",
 	Doc:  "require a package doc comment on every package",
 	Run:  runPkgdoc,

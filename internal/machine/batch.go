@@ -41,9 +41,6 @@ func (m *Machine) NewExec() *Exec {
 	return &Exec{m: m, e: &exec{reuse: true}}
 }
 
-// Machine returns the compiled machine this context runs.
-func (ex *Exec) Machine() *Machine { return ex.m }
-
 // Run simulates one configuration, exactly as Machine.Run would —
 // same validation, same errors, same Result bytes — but against the
 // Exec's retained state. See the type comment for the Result

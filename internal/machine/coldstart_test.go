@@ -18,7 +18,7 @@ func TestAllocGateColdRun(t *testing.T) {
 	cold := func(cells int) float64 {
 		m := mustCompile(t, pipeline(t, cells, 4), topology.Linear(cells))
 		return testing.AllocsPerRun(3, func() {
-			m.Reset() // drop the pooled exec: every run is a first run
+			m.reset() // drop the pooled exec: every run is a first run
 			res, err := m.Run(fcfs(2, 2))
 			if err != nil || !res.Completed {
 				t.Fatalf("%d cells: completed=%v, err=%v", cells, res != nil && res.Completed, err)

@@ -329,7 +329,7 @@ type Machine struct {
 	shared, directional poolTable
 
 	// execs holds the pooled *exec scratch. It is an atomic pointer
-	// so Reset can swap in a fresh pool while concurrent Runs keep
+	// so reset can swap in a fresh pool while concurrent Runs keep
 	// using (and eventually abandon) the old one.
 	execs atomic.Pointer[sync.Pool]
 }
@@ -516,22 +516,12 @@ func (m *Machine) msgHops(id model.MessageID) []hopRef {
 	return m.hops[m.hopOff[id]:m.hopOff[id+1]]
 }
 
-// Program returns the compiled program.
-func (m *Machine) Program() *model.Program { return m.prog }
-
-// Topology returns the compiled topology.
-func (m *Machine) Topology() topology.Topology { return m.topo }
-
-// Routes returns the compiled routes, indexed by message id. The
-// result is shared and must not be modified.
-func (m *Machine) Routes() [][]topology.Hop { return m.routes }
-
-// Reset discards the machine's pooled execution scratch, releasing
+// reset discards the machine's pooled execution scratch, releasing
 // the memory retained for run reuse. The machine itself stays valid:
 // the next Run simply pays one fresh allocation. Concurrent Run calls
 // are unaffected beyond that — a run in flight keeps the pool it
 // started with and abandons it on completion.
-func (m *Machine) Reset() {
+func (m *Machine) reset() {
 	m.execs.Store(&sync.Pool{New: func() any { return new(exec) }})
 }
 

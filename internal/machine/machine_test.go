@@ -155,7 +155,7 @@ func TestMachineReuseAcrossRuns(t *testing.T) {
 
 // TestMachineConcurrentRuns drives one compiled machine from many
 // goroutines — the sweep engine's usage — under differing options,
-// with Reset firing concurrently (documented as safe: in-flight runs
+// with reset firing concurrently (documented as safe: in-flight runs
 // keep the pool they started with).
 func TestMachineConcurrentRuns(t *testing.T) {
 	m := mustCompile(t, chain(t, 8), topology.Linear(2))
@@ -176,7 +176,7 @@ func TestMachineConcurrentRuns(t *testing.T) {
 					return
 				}
 				if g == 0 {
-					m.Reset()
+					m.reset()
 				}
 			}
 		}(g)
@@ -193,13 +193,13 @@ func TestMachineResetKeepsWorking(t *testing.T) {
 	if _, err := m.Run(fcfs(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	m.Reset()
+	m.reset()
 	res, err := m.Run(fcfs(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Completed {
-		t.Fatalf("after Reset: %s", res.Outcome())
+		t.Fatalf("after reset: %s", res.Outcome())
 	}
 }
 
@@ -256,14 +256,14 @@ func TestMachineAccessors(t *testing.T) {
 	p := chain(t, 2)
 	topo := topology.Linear(2)
 	m := mustCompile(t, p, topo)
-	if m.Program() != p {
-		t.Fatal("Program accessor")
+	if m.prog != p {
+		t.Fatal("compiled program")
 	}
-	if m.Topology() != topo {
-		t.Fatal("Topology accessor")
+	if m.topo != topo {
+		t.Fatal("compiled topology")
 	}
-	if len(m.Routes()) != p.NumMessages() {
-		t.Fatal("Routes accessor")
+	if len(m.routes) != p.NumMessages() {
+		t.Fatal("compiled routes")
 	}
 }
 

@@ -23,15 +23,15 @@ import "fmt"
 type Model int
 
 const (
-	// Systolic reads and writes queues directly.
-	Systolic Model = iota
-	// MemToMem stages every word through cell local memory.
-	MemToMem
+	// systolic reads and writes queues directly.
+	systolic Model = iota
+	// memToMem stages every word through cell local memory.
+	memToMem
 )
 
 // String names the model.
 func (m Model) String() string {
-	if m == Systolic {
+	if m == systolic {
 		return "systolic"
 	}
 	return "mem-to-mem"
@@ -57,7 +57,7 @@ type Params struct {
 // model.
 func (p Params) StageTime(m Model) int {
 	base := 2*p.QueueAccess + p.Compute
-	if m == MemToMem {
+	if m == memToMem {
 		return base + 4*p.MemAccess
 	}
 	return base
@@ -75,7 +75,7 @@ func (p Params) Makespan(m Model) int {
 // Speedup returns the systolic/memory-to-memory throughput ratio,
 // which is independent of k and n for the homogeneous pipeline.
 func (p Params) Speedup() float64 {
-	return float64(p.StageTime(MemToMem)) / float64(p.StageTime(Systolic))
+	return float64(p.StageTime(memToMem)) / float64(p.StageTime(systolic))
 }
 
 // Simulate runs a discrete-event simulation of the pipeline and
@@ -125,8 +125,8 @@ func (r Row) String() string {
 func Table(configs []Params) ([]Row, error) {
 	rows := make([]Row, 0, len(configs))
 	for _, p := range configs {
-		s, mm := p.Simulate(Systolic), p.Simulate(MemToMem)
-		if s != p.Makespan(Systolic) || mm != p.Makespan(MemToMem) {
+		s, mm := p.Simulate(systolic), p.Simulate(memToMem)
+		if s != p.Makespan(systolic) || mm != p.Makespan(memToMem) {
 			return nil, fmt.Errorf("memmodel: simulation disagrees with closed form for %+v", p)
 		}
 		rows = append(rows, Row{Params: p, Systolic: s, MemToMem: mm, Speedup: p.Speedup()})

@@ -7,10 +7,10 @@ import (
 
 func TestStageTime(t *testing.T) {
 	p := Params{Cells: 3, Words: 10, QueueAccess: 1, MemAccess: 2, Compute: 3}
-	if got := p.StageTime(Systolic); got != 5 { // 2*1 + 3
+	if got := p.StageTime(systolic); got != 5 { // 2*1 + 3
 		t.Fatalf("systolic stage time %d", got)
 	}
-	if got := p.StageTime(MemToMem); got != 13 { // 5 + 4*2
+	if got := p.StageTime(memToMem); got != 13 { // 5 + 4*2
 		t.Fatalf("mem-to-mem stage time %d", got)
 	}
 }
@@ -18,14 +18,14 @@ func TestStageTime(t *testing.T) {
 func TestMakespanClosedForm(t *testing.T) {
 	p := Params{Cells: 3, Words: 4, QueueAccess: 1, MemAccess: 1, Compute: 0}
 	// (3+4-1) * (2*1+0) = 12
-	if got := p.Makespan(Systolic); got != 12 {
+	if got := p.Makespan(systolic); got != 12 {
 		t.Fatalf("makespan %d", got)
 	}
 }
 
 func TestSimulateMatchesClosedForm(t *testing.T) {
 	for _, p := range DefaultSweep() {
-		for _, m := range []Model{Systolic, MemToMem} {
+		for _, m := range []Model{systolic, memToMem} {
 			if p.Simulate(m) != p.Makespan(m) {
 				t.Fatalf("mismatch for %+v model %v", p, m)
 			}
@@ -42,8 +42,8 @@ func TestQuickSimulateMatchesClosedForm(t *testing.T) {
 			MemAccess:   int(ma)%4 + 1,
 			Compute:     int(cp) % 4,
 		}
-		return p.Simulate(Systolic) == p.Makespan(Systolic) &&
-			p.Simulate(MemToMem) == p.Makespan(MemToMem)
+		return p.Simulate(systolic) == p.Makespan(systolic) &&
+			p.Simulate(memToMem) == p.Makespan(memToMem)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestSpeedupHeadlineCase(t *testing.T) {
 
 func TestZeroSizes(t *testing.T) {
 	p := Params{}
-	if p.Makespan(Systolic) != 0 || p.Simulate(Systolic) != 0 {
+	if p.Makespan(systolic) != 0 || p.Simulate(systolic) != 0 {
 		t.Fatal("empty pipeline should cost 0")
 	}
 }
@@ -106,7 +106,7 @@ func TestTableCrossChecks(t *testing.T) {
 }
 
 func TestModelString(t *testing.T) {
-	if Systolic.String() != "systolic" || MemToMem.String() != "mem-to-mem" {
+	if systolic.String() != "systolic" || memToMem.String() != "mem-to-mem" {
 		t.Fatal("model names wrong")
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -147,19 +146,6 @@ func (p *Program) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Clone returns a deep copy of the program. Analyses never mutate a
-// Program, but generators that derive variants (e.g. mutation-based
-// deadlock injection in internal/verify) start from a clone.
-func (p *Program) Clone() *Program {
-	return &Program{
-		cells:    slices.Clone(p.cells),
-		messages: slices.Clone(p.messages),
-		ops:      slices.Clone(p.ops),
-		off:      slices.Clone(p.off),
-		byName:   maps.Clone(p.byName),
-	}
 }
 
 // Builder assembles a Program incrementally and validates it on Build.
@@ -525,33 +511,4 @@ func (b *Builder) MustBuild() *Program {
 		panic(err)
 	}
 	return p
-}
-
-// MessagesBySender returns message ids grouped by sender cell.
-func (p *Program) MessagesBySender() map[CellID][]MessageID {
-	out := make(map[CellID][]MessageID)
-	for _, m := range p.messages {
-		out[m.Sender] = append(out[m.Sender], m.ID)
-	}
-	return out
-}
-
-// MessagesByReceiver returns message ids grouped by receiver cell.
-func (p *Program) MessagesByReceiver() map[CellID][]MessageID {
-	out := make(map[CellID][]MessageID)
-	for _, m := range p.messages {
-		out[m.Receiver] = append(out[m.Receiver], m.ID)
-	}
-	return out
-}
-
-// SortedMessageNames returns all message names sorted, a convenience
-// for deterministic rendering.
-func (p *Program) SortedMessageNames() []string {
-	names := make([]string, 0, len(p.messages))
-	for _, m := range p.messages {
-		names = append(names, m.Name)
-	}
-	sort.Strings(names)
-	return names
 }

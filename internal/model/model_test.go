@@ -2,8 +2,10 @@ package model
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -191,50 +193,6 @@ func TestAddCellsNames(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	p := twoCell(t)
-	q := p.Clone()
-	q.ops[0] = Op{Kind: Read, Msg: 0}
-	if p.Code(0)[0].Kind != Write {
-		t.Fatal("Clone shares op storage with original")
-	}
-	if q.NumCells() != p.NumCells() || q.NumMessages() != p.NumMessages() {
-		t.Fatal("Clone lost structure")
-	}
-	if _, ok := q.MessageByName("A"); !ok {
-		t.Fatal("Clone lost name index")
-	}
-}
-
-func TestGroupings(t *testing.T) {
-	b := NewBuilder()
-	c1 := b.AddCell("C1")
-	c2 := b.AddCell("C2")
-	c3 := b.AddCell("C3")
-	a := b.DeclareMessage("A", c1, c2, 1)
-	bb := b.DeclareMessage("B", c1, c3, 1)
-	c := b.DeclareMessage("C", c3, c1, 1)
-	b.Write(c1, a).Write(c1, bb).Read(c1, c)
-	b.Read(c2, a)
-	b.Read(c3, bb).Write(c3, c)
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bySender := p.MessagesBySender()
-	if len(bySender[c1]) != 2 || len(bySender[c3]) != 1 {
-		t.Fatalf("MessagesBySender wrong: %v", bySender)
-	}
-	byRecv := p.MessagesByReceiver()
-	if len(byRecv[c2]) != 1 || len(byRecv[c3]) != 1 || len(byRecv[c1]) != 1 {
-		t.Fatalf("MessagesByReceiver wrong: %v", byRecv)
-	}
-	names := p.SortedMessageNames()
-	if len(names) != 3 || names[0] != "A" || names[2] != "C" {
-		t.Fatalf("SortedMessageNames = %v", names)
-	}
-}
-
 func TestMustBuildPanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -350,7 +308,10 @@ func TestBuildHandsOverAndStaysRepeatable(t *testing.T) {
 	if !reflect.DeepEqual(p1, p1again) {
 		t.Error("a second Build with no mutation in between built a different program")
 	}
-	snapshot := p1.Clone()
+	snapshot := &Program{
+		cells: slices.Clone(p1.cells), messages: slices.Clone(p1.messages),
+		ops: slices.Clone(p1.ops), off: slices.Clone(p1.off), byName: maps.Clone(p1.byName),
+	}
 
 	// Grow the program: a third cell, a second message, more code on
 	// an existing cell.

@@ -33,7 +33,7 @@ func TestPropertyFIFOUnderGeneratedInterleavings(t *testing.T) {
 		// satisfied.
 		credits := make([]int, p.NumMessages())
 		for m := range qs {
-			qs[m] = New(1+int(seed)%3, 0, 0)
+			qs[m] = newQueue(1+int(seed)%3, 0, 0)
 		}
 		// Replay every cell's schedule round-robin one op at a time so
 		// enqueues and dequeues from different cells interleave the
@@ -113,7 +113,7 @@ func drain(t *testing.T, q *Queue, ref *[]Word, m int) {
 func TestPropertyExtensionKeepsOrder(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		q := New(2, 1+rng.Intn(2), 1+rng.Intn(3))
+		q := newQueue(2, 1+rng.Intn(2), 1+rng.Intn(3))
 		var ref []Word
 		next := 0
 		for step := 0; step < 500; step++ {
@@ -195,12 +195,12 @@ func agree(t *testing.T, ctx string, q *Queue, m *sliceModel) {
 	if q.Len() != len(m.buf) || q.Empty() != (len(m.buf) == 0) ||
 		q.CanAccept() != (len(m.buf) < m.capacity+m.ext) ||
 		q.FrontReady() != ready || q.Cooldown() != m.cooldown || q.Cooling() != (m.cooldown > 0) ||
-		q.Capacity() != m.capacity || q.TotalCapacity() != m.capacity+m.ext || q.Stats() != m.stats {
+		q.capacity != m.capacity || q.ext != m.ext || q.Stats() != m.stats {
 		t.Fatalf("%s: queue {len %d ready %v cooldown %d stats %+v}, model {len %d ready %v cooldown %d stats %+v}",
 			ctx, q.Len(), q.FrontReady(), q.Cooldown(), q.Stats(), len(m.buf), ready, m.cooldown, m.stats)
 	}
-	if len(m.buf) > 0 && q.Front() != m.buf[0] {
-		t.Fatalf("%s: front %v, model %v", ctx, q.Front(), m.buf[0])
+	if len(m.buf) > 0 && q.buf[q.head] != m.buf[0] {
+		t.Fatalf("%s: front %v, model %v", ctx, q.buf[q.head], m.buf[0])
 	}
 }
 

@@ -38,7 +38,7 @@ type Stats struct {
 }
 
 // Queue is a bounded FIFO of words with an optional extension region.
-// The zero value is unusable; use New.
+// The zero value is unusable; set it up with Init.
 type Queue struct {
 	capacity   int // base hardware capacity; 0 = pure latch
 	ext        int // extension capacity beyond base (0 = none)
@@ -54,19 +54,11 @@ type Queue struct {
 	stats    Stats
 }
 
-// New returns a queue with the given base capacity, extension capacity
-// and extension access penalty (cycles added before a pop when the
-// occupancy exceeds the base capacity). Negative arguments are treated
-// as zero.
-func New(capacity, ext, extPenalty int) *Queue {
-	q := &Queue{}
-	q.Init(capacity, ext, extPenalty)
-	return q
-}
-
-// Init (re)initializes a queue in place to the pristine state New would
-// produce, keeping the ring's storage so pooled simulator state can be
-// reused across runs without reallocating.
+// Init (re)initializes a queue in place with the given base capacity,
+// extension capacity and extension access penalty (cycles added before
+// a pop when the occupancy exceeds the base capacity), keeping the
+// ring's storage so pooled simulator state can be reused across runs
+// without reallocating. Negative arguments are treated as zero.
 func (q *Queue) Init(capacity, ext, extPenalty int) {
 	if capacity < 0 {
 		capacity = 0
@@ -91,12 +83,6 @@ func (q *Queue) RingLen() int { return len(q.buf) }
 
 // Provision replaces the storage of an empty queue's ring.
 func (q *Queue) Provision(ring []Word) { q.buf, q.head = ring, 0 }
-
-// Capacity returns the base capacity.
-func (q *Queue) Capacity() int { return q.capacity }
-
-// TotalCapacity returns base + extension capacity.
-func (q *Queue) TotalCapacity() int { return q.capacity + q.ext }
 
 // Len returns the number of buffered words.
 func (q *Queue) Len() int { return int(q.n) }
@@ -147,9 +133,6 @@ func (q *Queue) Push(w Word) bool {
 func (q *Queue) FrontReady() bool {
 	return q.n > 0 && q.cooldown == 0
 }
-
-// Front returns the front word; it must only be called when FrontReady.
-func (q *Queue) Front() Word { return q.buf[q.head] }
 
 // Pop removes and returns the front word. It must only be called when
 // FrontReady. Popping while the occupancy exceeds the base capacity

@@ -5,8 +5,15 @@ import (
 	"testing/quick"
 )
 
+// newQueue returns a queue set up by Init.
+func newQueue(capacity, ext, extPenalty int) *Queue {
+	q := &Queue{}
+	q.Init(capacity, ext, extPenalty)
+	return q
+}
+
 func TestFIFOOrder(t *testing.T) {
-	q := New(4, 0, 0)
+	q := newQueue(4, 0, 0)
 	for i := 0; i < 4; i++ {
 		if !q.Push(Word(i)) {
 			t.Fatalf("push %d failed", i)
@@ -29,24 +36,24 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestCapacityZeroNeverAccepts(t *testing.T) {
-	q := New(0, 0, 0)
+	q := newQueue(0, 0, 0)
 	if q.CanAccept() || q.Push(1) {
 		t.Fatal("latch accepted a buffered word")
 	}
-	if q.TotalCapacity() != 0 {
+	if q.capacity+q.ext != 0 {
 		t.Fatal("latch capacity not zero")
 	}
 }
 
 func TestNegativeArgsClamped(t *testing.T) {
-	q := New(-3, -1, -2)
-	if q.Capacity() != 0 || q.TotalCapacity() != 0 {
+	q := newQueue(-3, -1, -2)
+	if q.capacity != 0 || q.ext != 0 {
 		t.Fatal("negative capacities not clamped")
 	}
 }
 
 func TestStatsMaxOccupancyAndWords(t *testing.T) {
-	q := New(3, 0, 0)
+	q := newQueue(3, 0, 0)
 	q.Push(1)
 	q.Push(2)
 	q.Pop()
@@ -63,8 +70,8 @@ func TestStatsMaxOccupancyAndWords(t *testing.T) {
 
 func TestExtensionAccountingAndPenalty(t *testing.T) {
 	// Base 1, extension 2, penalty 2 cycles.
-	q := New(1, 2, 2)
-	if q.TotalCapacity() != 3 {
+	q := newQueue(1, 2, 2)
+	if q.capacity+q.ext != 3 {
 		t.Fatal("total capacity wrong")
 	}
 	q.Push(10)
@@ -105,7 +112,7 @@ func TestExtensionAccountingAndPenalty(t *testing.T) {
 }
 
 func TestNoExtensionNoPenalty(t *testing.T) {
-	q := New(2, 0, 5) // penalty configured but no extension region
+	q := newQueue(2, 0, 5) // penalty configured but no extension region
 	q.Push(1)
 	q.Push(2)
 	q.Pop()
@@ -115,7 +122,7 @@ func TestNoExtensionNoPenalty(t *testing.T) {
 }
 
 func TestResetCountsRebinds(t *testing.T) {
-	q := New(2, 0, 0)
+	q := newQueue(2, 0, 0)
 	q.Push(1)
 	q.Reset()
 	if q.Len() != 0 || q.Stats().Rebinds != 1 {
@@ -132,7 +139,7 @@ func TestResetCountsRebinds(t *testing.T) {
 func TestQuickFIFOProperty(t *testing.T) {
 	f := func(ops []bool, capSel uint8) bool {
 		capacity := int(capSel)%5 + 1
-		q := New(capacity, 0, 0)
+		q := newQueue(capacity, 0, 0)
 		var modelQ []Word
 		next := Word(0)
 		for _, push := range ops {
@@ -170,7 +177,7 @@ func TestQuickFIFOProperty(t *testing.T) {
 
 func TestTickNMatchesRepeatedTick(t *testing.T) {
 	for n := 0; n <= 7; n++ {
-		a, b := New(1, 2, 5), New(1, 2, 5)
+		a, b := newQueue(1, 2, 5), newQueue(1, 2, 5)
 		for _, q := range []*Queue{a, b} {
 			q.Push(1)
 			q.Push(2)
@@ -195,7 +202,7 @@ func TestTickNMatchesRepeatedTick(t *testing.T) {
 // more words than the ring holds.
 func TestProvisionedRing(t *testing.T) {
 	backing := make([]Word, 6)
-	q := New(2, 1, 0)
+	q := newQueue(2, 1, 0)
 	q.Provision(backing[2:5:5])
 	if q.RingLen() != 3 {
 		t.Fatalf("RingLen = %d, want 3", q.RingLen())

@@ -18,8 +18,8 @@ type R struct {
 	den int64
 }
 
-// New returns num/den reduced to lowest terms. It panics if den is 0.
-func New(num, den int64) R {
+// frac returns num/den reduced to lowest terms. It panics if den is 0.
+func frac(num, den int64) R {
 	if den == 0 {
 		panic("rational: zero denominator")
 	}
@@ -79,19 +79,19 @@ func mulCheck(a, b int64) int64 {
 // Add returns r+s.
 func (r R) Add(s R) R {
 	r, s = r.norm(), s.norm()
-	return New(mulCheck(r.num, s.den)+mulCheck(s.num, r.den), mulCheck(r.den, s.den))
+	return frac(mulCheck(r.num, s.den)+mulCheck(s.num, r.den), mulCheck(r.den, s.den))
 }
 
 // Sub returns r-s.
 func (r R) Sub(s R) R {
 	r, s = r.norm(), s.norm()
-	return New(mulCheck(r.num, s.den)-mulCheck(s.num, r.den), mulCheck(r.den, s.den))
+	return frac(mulCheck(r.num, s.den)-mulCheck(s.num, r.den), mulCheck(r.den, s.den))
 }
 
 // Mul returns r*s.
 func (r R) Mul(s R) R {
 	r, s = r.norm(), s.norm()
-	return New(mulCheck(r.num, s.num), mulCheck(r.den, s.den))
+	return frac(mulCheck(r.num, s.num), mulCheck(r.den, s.den))
 }
 
 // Div returns r/s; it panics if s is zero.
@@ -101,7 +101,7 @@ func (r R) Div(s R) R {
 		panic("rational: division by zero")
 	}
 	r = r.norm()
-	return New(mulCheck(r.num, s.den), mulCheck(r.den, s.num))
+	return frac(mulCheck(r.num, s.den), mulCheck(r.den, s.num))
 }
 
 // Mid returns the midpoint (r+s)/2, the canonical "number strictly
@@ -161,14 +161,6 @@ func (r R) String() string {
 // Max returns the larger of r and s.
 func Max(r, s R) R {
 	if r.Less(s) {
-		return s
-	}
-	return r
-}
-
-// Min returns the smaller of r and s.
-func Min(r, s R) R {
-	if s.Less(r) {
 		return s
 	}
 	return r

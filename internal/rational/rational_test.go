@@ -19,9 +19,9 @@ func TestNewReduces(t *testing.T) {
 		{6, 3, 2, 1},
 	}
 	for _, c := range cases {
-		r := New(c.num, c.den)
+		r := frac(c.num, c.den)
 		if r.Num() != c.wantN || r.Den() != c.wantD {
-			t.Errorf("New(%d,%d) = %d/%d, want %d/%d", c.num, c.den, r.Num(), r.Den(), c.wantN, c.wantD)
+			t.Errorf("frac(%d,%d) = %d/%d, want %d/%d", c.num, c.den, r.Num(), r.Den(), c.wantN, c.wantD)
 		}
 	}
 }
@@ -29,10 +29,10 @@ func TestNewReduces(t *testing.T) {
 func TestZeroDenominatorPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New(1,0) did not panic")
+			t.Fatal("frac(1,0) did not panic")
 		}
 	}()
-	New(1, 0)
+	frac(1, 0)
 }
 
 func TestZeroValueIsZero(t *testing.T) {
@@ -49,18 +49,18 @@ func TestZeroValueIsZero(t *testing.T) {
 }
 
 func TestArithmetic(t *testing.T) {
-	half := New(1, 2)
-	third := New(1, 3)
-	if got := half.Add(third); !got.Equal(New(5, 6)) {
+	half := frac(1, 2)
+	third := frac(1, 3)
+	if got := half.Add(third); !got.Equal(frac(5, 6)) {
 		t.Errorf("1/2+1/3 = %v", got)
 	}
-	if got := half.Sub(third); !got.Equal(New(1, 6)) {
+	if got := half.Sub(third); !got.Equal(frac(1, 6)) {
 		t.Errorf("1/2-1/3 = %v", got)
 	}
-	if got := half.Mul(third); !got.Equal(New(1, 6)) {
+	if got := half.Mul(third); !got.Equal(frac(1, 6)) {
 		t.Errorf("1/2*1/3 = %v", got)
 	}
-	if got := half.Div(third); !got.Equal(New(3, 2)) {
+	if got := half.Div(third); !got.Equal(frac(3, 2)) {
 		t.Errorf("(1/2)/(1/3) = %v", got)
 	}
 }
@@ -77,9 +77,9 @@ func TestDivByZeroPanics(t *testing.T) {
 func TestMidIsStrictlyBetween(t *testing.T) {
 	cases := [][2]R{
 		{FromInt(1), FromInt(2)},
-		{New(1, 2), New(2, 3)},
-		{FromInt(-3), New(-5, 2)},
-		{New(7, 3), New(8, 3)},
+		{frac(1, 2), frac(2, 3)},
+		{FromInt(-3), frac(-5, 2)},
+		{frac(7, 3), frac(8, 3)},
 	}
 	for _, c := range cases {
 		m := c[0].Mid(c[1])
@@ -93,10 +93,10 @@ func TestCmp(t *testing.T) {
 	if FromInt(1).Cmp(FromInt(2)) != -1 {
 		t.Error("1 < 2 failed")
 	}
-	if New(2, 4).Cmp(New(1, 2)) != 0 {
+	if frac(2, 4).Cmp(frac(1, 2)) != 0 {
 		t.Error("2/4 == 1/2 failed")
 	}
-	if New(-1, 2).Cmp(New(-2, 3)) != 1 {
+	if frac(-1, 2).Cmp(frac(-2, 3)) != 1 {
 		t.Error("-1/2 > -2/3 failed")
 	}
 }
@@ -106,12 +106,12 @@ func TestFloor(t *testing.T) {
 		r    R
 		want int64
 	}{
-		{New(7, 2), 3},
-		{New(-7, 2), -4},
+		{frac(7, 2), 3},
+		{frac(-7, 2), -4},
 		{FromInt(5), 5},
 		{FromInt(-5), -5},
-		{New(1, 3), 0},
-		{New(-1, 3), -1},
+		{frac(1, 3), 0},
+		{frac(-1, 3), -1},
 	}
 	for _, c := range cases {
 		if got := c.r.Floor(); got != c.want {
@@ -121,21 +121,21 @@ func TestFloor(t *testing.T) {
 }
 
 func TestIsIntAndString(t *testing.T) {
-	if !FromInt(4).IsInt() || New(1, 2).IsInt() {
+	if !FromInt(4).IsInt() || frac(1, 2).IsInt() {
 		t.Error("IsInt misclassifies")
 	}
-	if New(3, 2).String() != "3/2" || FromInt(7).String() != "7" {
+	if frac(3, 2).String() != "3/2" || FromInt(7).String() != "7" {
 		t.Error("String format wrong")
 	}
 }
 
 func TestMaxMin(t *testing.T) {
-	a, b := New(1, 2), New(2, 3)
-	if !Max(a, b).Equal(b) || !Min(a, b).Equal(a) {
-		t.Error("Max/Min wrong")
+	a, b := frac(1, 2), frac(2, 3)
+	if !Max(a, b).Equal(b) {
+		t.Error("Max wrong")
 	}
-	if !Max(b, a).Equal(b) || !Min(b, a).Equal(a) {
-		t.Error("Max/Min not symmetric")
+	if !Max(b, a).Equal(b) {
+		t.Error("Max not symmetric")
 	}
 }
 
@@ -149,7 +149,7 @@ func small(n1, d1, n2, d2 int16) (R, R) {
 	if den2 == 0 {
 		den2 = 1
 	}
-	return New(int64(n1)%1000, den1), New(int64(n2)%1000, den2)
+	return frac(int64(n1)%1000, den1), frac(int64(n2)%1000, den2)
 }
 
 func TestQuickAddCommutes(t *testing.T) {
@@ -178,7 +178,10 @@ func TestQuickMidBetween(t *testing.T) {
 		if a.Equal(b) {
 			return a.Mid(b).Equal(a)
 		}
-		lo, hi := Min(a, b), Max(a, b)
+		lo, hi := a, b
+		if hi.Less(lo) {
+			lo, hi = hi, lo
+		}
 		m := lo.Mid(hi)
 		return lo.Less(m) && m.Less(hi)
 	}

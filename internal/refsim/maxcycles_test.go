@@ -2,6 +2,7 @@ package refsim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"systolic/internal/fault"
@@ -37,11 +38,14 @@ func TestLinkLatencyDerivedBound(t *testing.T) {
 
 // TestDerivedBoundOverflow: a fault slowdown whose derived bound does
 // not fit in int is the same MaxCycles ConfigError, text and all, from
-// both engines — never a wrapped bound in one of them.
+// both engines — never a wrapped bound in one of them. The largest
+// slowdown a plan may carry (2³¹−1) overflows the bound of a 256-word
+// run over the slowest link model.
 func TestDerivedBoundOverflow(t *testing.T) {
-	p := pipeline(t, 4)
+	p := pipeline(t, 256)
 	c := fcfs(1, 1)
-	c.Faults = &fault.Plan{Cells: []fault.CellFault{{Cell: 0, Factor: 1 << 62}}}
+	c.Faults = &fault.Plan{Cells: []fault.CellFault{{Cell: 0, Factor: math.MaxInt32}}}
+	c.LinkModel = linkmodel.FixedPlan(1<<20, 1)
 	_, refErr := Run(p, topology.Linear(2), nil, nil, freshPolicy(c))
 	_, gotErr := machineRun(p, topology.Linear(2), nil, nil, freshPolicy(c))
 	var ce *machine.ConfigError

@@ -133,9 +133,9 @@ func TestAPIDocTenantsExampleLoads(t *testing.T) {
 		t.Fatal("docs/API.md has no ```json v1/tenants-file example")
 	}
 	for _, body := range bodies {
-		tn, err := ParseTenants([]byte(body))
+		tn, err := parseTenants([]byte(body))
 		if err != nil {
-			t.Errorf("documented tenants file rejected by ParseTenants: %v\n%s", err, body)
+			t.Errorf("documented tenants file rejected by parseTenants: %v\n%s", err, body)
 			continue
 		}
 		if tn.count() == 0 {

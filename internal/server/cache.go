@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 
 	"systolic/internal/core"
-	"systolic/internal/model"
+	"systolic/internal/crossoff"
 )
 
 // cacheKey is a raw sha256 digest. Keys stay as fixed-size arrays so
@@ -121,8 +121,7 @@ func sweepKey(lookahead int) analysisKey {
 func (k analysisKey) options() core.AnalyzeOptions {
 	opts := core.AnalyzeOptions{Lookahead: k.lookahead, Capacity: k.capacity}
 	if k.budget > 0 {
-		b := k.budget
-		opts.BudgetOverride = func(model.MessageID) int { return b }
+		opts.BudgetOverride = crossoff.UniformBudget(k.budget)
 	}
 	return opts
 }

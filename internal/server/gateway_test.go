@@ -13,7 +13,10 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -285,18 +288,29 @@ const tenantsFixture = `{
 
 func parseFixture(t *testing.T) *Tenants {
 	t.Helper()
-	ts, err := ParseTenants([]byte(tenantsFixture))
+	ts, err := parseTenants([]byte(tenantsFixture))
 	if err != nil {
-		t.Fatalf("ParseTenants: %v", err)
+		t.Fatalf("parseTenants: %v", err)
 	}
 	return ts
+}
+
+// writeTenants writes a tenants document to a file under t.TempDir()
+// and returns its path, for Options.TenantsFile.
+func writeTenants(t *testing.T, doc string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(path, []byte(doc), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestTenantAuthAndRateLimit: with a registry configured, compute
 // endpoints demand a key, unknown keys are 401, and a tenant over its
 // token bucket gets a tenant-scoped 429 with Retry-After.
 func TestTenantAuthAndRateLimit(t *testing.T) {
-	_, ts := newTestServer(t, Options{Tenants: parseFixture(t)})
+	_, ts := newTestServer(t, Options{TenantsFile: writeTenants(t, tenantsFixture)})
 
 	resp, _ := postJSON(t, ts.URL+"/v1/run", RunRequest{Program: relayDSL})
 	if resp.StatusCode != http.StatusUnauthorized {
@@ -353,8 +367,7 @@ func TestTenantAuthAndRateLimit(t *testing.T) {
 // bounds end to end for tenant bob (maxConcurrent 1, maxGridPoints 4,
 // maxCycles 100000).
 func TestTenantQuotas(t *testing.T) {
-	reg := parseFixture(t)
-	s, ts := newTestServer(t, Options{Tenants: reg, MaxConcurrency: 4})
+	s, ts := newTestServer(t, Options{TenantsFile: writeTenants(t, tenantsFixture), MaxConcurrency: 4})
 
 	// Grid over the tier bound: 2 policies × 2 queues × 2 capacities.
 	resp, body := postJSONAuth(t, ts.URL+"/v1/sweep", "key-bob", SweepRequest{
@@ -396,7 +409,7 @@ func TestTenantQuotas(t *testing.T) {
 	close(hold)
 	<-done
 
-	if rejects := reg.rejectCount(); rejects != 3 {
+	if rejects := s.tenants.rejectCount(); rejects != 3 {
 		t.Fatalf("TenantRejects = %d, want 3", rejects)
 	}
 }
@@ -439,13 +452,13 @@ func TestParseTenantsErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseTenants([]byte(tc.json))
+			_, err := parseTenants([]byte(tc.json))
 			if err == nil || !bytes.Contains([]byte(err.Error()), []byte(tc.want)) {
-				t.Fatalf("ParseTenants = %v, want error containing %q", err, tc.want)
+				t.Fatalf("parseTenants = %v, want error containing %q", err, tc.want)
 			}
 		})
 	}
-	if _, err := ParseTenants([]byte(`{"tenants": {"key-abcdef": {"name": ""}}}`)); err == nil ||
+	if _, err := parseTenants([]byte(`{"tenants": {"key-abcdef": {"name": ""}}}`)); err == nil ||
 		bytes.Contains([]byte(err.Error()), []byte("abcdef")) {
 		t.Fatalf("error %v leaks the full API key", err)
 	}
@@ -661,5 +674,33 @@ func TestSweepRequestValidation(t *testing.T) {
 				t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
 			}
 		})
+	}
+}
+
+// TestTenantsFileFailsClosed: a tenants file that does not load must
+// not leave the daemon serving anonymously. New refuses every compute
+// request with a 500 naming the error, the read endpoints stay open,
+// and ListenAndServe returns the error before it listens.
+func TestTenantsFileFailsClosed(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	_, ts := newTestServer(t, Options{TenantsFile: missing})
+	for _, route := range []string{"/v1/analyze", "/v1/run", "/v1/sweep"} {
+		resp, body := postJSON(t, ts.URL+route, RunRequest{Program: relayDSL})
+		if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(body, []byte("missing.json")) {
+			t.Errorf("%s with an unloadable tenants file: %d %s, want 500 naming the file", route, resp.StatusCode, body)
+		}
+	}
+	if resp, err := http.Get(ts.URL + "/v1/stats"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/stats: %v %v, want 200", resp, err)
+	} else {
+		resp.Body.Close()
+	}
+	// Cancelled up front, so a regression that listens returns nil
+	// instead of serving until the test times out.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := ListenAndServe(ctx, Options{Addr: "127.0.0.1:0", TenantsFile: missing})
+	if err == nil || !strings.Contains(err.Error(), "missing.json") {
+		t.Fatalf("ListenAndServe = %v, want the tenants load error", err)
 	}
 }

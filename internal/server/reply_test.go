@@ -249,7 +249,7 @@ func TestReplyBoundPerEntry(t *testing.T) {
 // tenant gate stands in front of the body level, and only 200s are
 // recorded.
 func TestReplyTenancy(t *testing.T) {
-	reg, err := ParseTenants([]byte(`{
+	s, ts := newTestServer(t, Options{TenantsFile: writeTenants(t, `{
 	  "tiers": {
 	    "capped": {"maxCycles": 3},
 	    "drip":   {"requestsPerSec": 0.001, "burst": 2}
@@ -259,11 +259,7 @@ func TestReplyTenancy(t *testing.T) {
 	    "key-capped": {"name": "capped", "tier": "capped"},
 	    "key-drip":   {"name": "drip", "tier": "drip"}
 	  }
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ts := newTestServer(t, Options{Tenants: reg})
+	}`)})
 	run := func(key string, req RunRequest, wantCode int) RunResponse {
 		t.Helper()
 		resp, body := postJSONAuth(t, ts.URL+"/v1/run", key, req)

@@ -6,22 +6,22 @@ import (
 	"sync/atomic"
 )
 
+// maxResults bounds the retained result documents.
+const maxResults = 256
+
 // resultStore retains the marshaled response documents of prior
-// /v1/analyze, /v1/run, and /v1/sweep requests, bounded FIFO, so
-// GET /v1/results/{id} can replay exactly what the submitter saw.
+// /v1/analyze, /v1/run, and /v1/sweep requests, bounded FIFO (the
+// newest maxResults), so GET /v1/results/{id} can replay exactly what
+// the submitter saw.
 type resultStore struct {
 	seq   atomic.Int64 // last reserved id; outside mu so reserving one takes no lock
 	mu    sync.Mutex
-	max   int
 	order []string // insertion order; front is the oldest retained id
 	items map[string][]byte
 }
 
-func newResultStore(max int) *resultStore {
-	if max <= 0 {
-		max = 256
-	}
-	return &resultStore{max: max, items: make(map[string][]byte)}
+func newResultStore() *resultStore {
+	return &resultStore{items: make(map[string][]byte)}
 }
 
 // nextID reserves a result identifier: "r-" and the sequence number,
@@ -45,7 +45,7 @@ func (s *resultStore) save(id string, body []byte) {
 	}
 	s.items[id] = body
 	s.order = append(s.order, id)
-	for len(s.order) > s.max {
+	for len(s.order) > maxResults {
 		delete(s.items, s.order[0])
 		s.order = s.order[1:]
 	}

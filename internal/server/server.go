@@ -64,19 +64,17 @@ type Options struct {
 	// MaxConcurrency bounds simultaneous simulations across all
 	// endpoints (default runtime.GOMAXPROCS(0)).
 	MaxConcurrency int
-	// MaxResults bounds retained result documents (default 256).
-	MaxResults int
 	// QueueWait bounds how many requests may wait for a free run slot
 	// before the server sheds load with 429 + Retry-After: 0 means the
 	// default pool of 2×MaxConcurrency, -1 disables waiting entirely
 	// (any request that misses a free slot is shed), n > 0 admits n
 	// waiters.
 	QueueWait int
-	// Tenants, when non-nil, enables per-tenant API keys and quotas on
-	// the compute endpoints (see tenant.go). Nil serves anonymously.
-	Tenants *Tenants
-	// TenantsFile is a path to a tenants JSON file, loaded by
-	// ListenAndServe when Tenants is nil. Empty means anonymous.
+	// TenantsFile is a path to a tenants JSON file enabling per-tenant
+	// API keys and quotas on the compute endpoints (see tenant.go).
+	// New loads it once; if that fails, every compute endpoint answers
+	// 500 with the error rather than serve anonymously. Empty means
+	// anonymous.
 	TenantsFile string
 	// Log, when non-nil, receives one line on listen and one on
 	// shutdown, plus one per response-write failure (a half-written
@@ -93,7 +91,10 @@ type Server struct {
 	limiter *sweep.Limiter
 	adm     *admission
 	tenants *Tenants
-	mux     *http.ServeMux
+	// tenantsErr is why TenantsFile failed to load; the tenant gate
+	// then refuses every compute request with it.
+	tenantsErr error
+	mux        *http.ServeMux
 
 	requests atomic.Int64
 }
@@ -103,10 +104,12 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		cache:   newScenarioCache(opts.CacheSize),
-		results: newResultStore(opts.MaxResults),
+		results: newResultStore(),
 		limiter: sweep.NewLimiter(opts.MaxConcurrency),
-		tenants: opts.Tenants,
 		mux:     http.NewServeMux(),
+	}
+	if opts.TenantsFile != "" {
+		s.tenants, s.tenantsErr = loadTenants(opts.TenantsFile)
 	}
 	s.adm = newAdmission(s.limiter, opts.QueueWait)
 	// The compute endpoints go through the tenant gate (a no-op
@@ -153,14 +156,10 @@ func ListenAndServe(ctx context.Context, opts Options) error {
 	if addr == "" {
 		addr = "127.0.0.1:8080"
 	}
-	if opts.Tenants == nil && opts.TenantsFile != "" {
-		ts, err := LoadTenants(opts.TenantsFile)
-		if err != nil {
-			return fmt.Errorf("server: %w", err)
-		}
-		opts.Tenants = ts
-	}
 	s := New(opts)
+	if s.tenantsErr != nil {
+		return fmt.Errorf("server: %w", s.tenantsErr)
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("server: listen: %w", err)

@@ -52,8 +52,8 @@ type TierPolicy struct {
 	Burst          int     `json:"burst,omitempty"`
 }
 
-// Tenants is the API-key registry. Build one with ParseTenants or
-// LoadTenants; it is immutable after construction and safe for
+// Tenants is the API-key registry. Build one with parseTenants or
+// loadTenants; it is immutable after construction and safe for
 // concurrent use (each tenant's mutable state is internally locked).
 type Tenants struct {
 	byKey map[string]*tenant
@@ -86,10 +86,10 @@ type tenantEntry struct {
 	Tier string `json:"tier,omitempty"`
 }
 
-// ParseTenants builds a registry from the JSON tenants-file format
+// parseTenants builds a registry from the JSON tenants-file format
 // above. Validation walks keys in sorted order so the first error
 // reported is deterministic.
-func ParseTenants(data []byte) (*Tenants, error) {
+func parseTenants(data []byte) (*Tenants, error) {
 	var f tenantsFile
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -142,13 +142,13 @@ func ParseTenants(data []byte) (*Tenants, error) {
 	return ts, nil
 }
 
-// LoadTenants reads and parses a tenants file.
-func LoadTenants(path string) (*Tenants, error) {
+// loadTenants reads and parses a tenants file.
+func loadTenants(path string) (*Tenants, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("tenants: %w", err)
 	}
-	ts, err := ParseTenants(data)
+	ts, err := parseTenants(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -210,8 +210,13 @@ func (ts *Tenants) authenticate(r *http.Request) (*tenant, error) {
 
 // gate wraps a compute handler with tenant authentication and rate
 // limiting. With no registry configured it returns the handler
-// unchanged — the anonymous path costs nothing.
+// unchanged — the anonymous path costs nothing — and with a tenants
+// file that failed to load it refuses every request with a 500.
 func (s *Server) gate(h http.HandlerFunc) http.HandlerFunc {
+	if s.tenantsErr != nil {
+		err := &statusError{code: http.StatusInternalServerError, err: s.tenantsErr}
+		return func(w http.ResponseWriter, _ *http.Request) { s.writeError(w, err) }
+	}
 	if s.tenants == nil {
 		return h
 	}

@@ -26,6 +26,7 @@ import (
 	"unicode/utf8"
 
 	"systolic/internal/core"
+	"systolic/internal/crossoff"
 	"systolic/internal/fault"
 	"systolic/internal/linkmodel"
 	"systolic/internal/machine"
@@ -466,7 +467,7 @@ func analyze(c Case, lookahead int) (*core.Analysis, error) {
 	opts := core.AnalyzeOptions{}
 	if lookahead > 0 {
 		opts.Lookahead = true
-		opts.BudgetOverride = func(model.MessageID) int { return lookahead }
+		opts.BudgetOverride = crossoff.UniformBudget(lookahead)
 	}
 	return core.Analyze(c.Program, c.Topology, opts)
 }

@@ -387,23 +387,3 @@ func Competing(routes [][]Hop) map[LinkID][]model.MessageID {
 	}
 	return out
 }
-
-// CompetingDirectional is Competing restricted to one direction: the
-// key includes the hop direction, matching the paper's definition of
-// competing messages ("cross the same interval in the same direction").
-type DirectedLink struct {
-	Link LinkID
-	From model.CellID
-}
-
-// CompetingByDirection groups message ids by (link, direction).
-func CompetingByDirection(routes [][]Hop) map[DirectedLink][]model.MessageID {
-	out := make(map[DirectedLink][]model.MessageID)
-	for id, route := range routes {
-		for _, h := range route {
-			k := DirectedLink{Link: h.Link, From: h.From}
-			out[k] = append(out[k], model.MessageID(id))
-		}
-	}
-	return out
-}

@@ -183,10 +183,6 @@ func TestRoutesAndCompeting(t *testing.T) {
 	if len(comp[shared]) != 2 {
 		t.Fatalf("shared link competing=%d, want 2", len(comp[shared]))
 	}
-	dir := CompetingByDirection(routes)
-	if len(dir[DirectedLink{Link: shared, From: 1}]) != 2 {
-		t.Fatalf("directional competing wrong: %v", dir)
-	}
 }
 
 func TestRoutesTooManyProgramCells(t *testing.T) {

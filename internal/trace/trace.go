@@ -70,16 +70,6 @@ func ScheduleTable(p *model.Program, rounds []crossoff.Round) string {
 	return b.String()
 }
 
-// CrossOrder renders a sequential crossing-off order (used for the
-// Fig 10 lookahead walkthrough, where skips matter).
-func CrossOrder(p *model.Program, order []crossoff.Pair) string {
-	var b strings.Builder
-	for i, pr := range order {
-		fmt.Fprintf(&b, "Pair %2d: %s\n", i+1, crossoff.FormatPair(p, pr))
-	}
-	return b.String()
-}
-
 // Labels renders a labeling, one message per line, sorted by label
 // then name.
 func Labels(p *model.Program, lab label.Labeling) string {

@@ -41,15 +41,15 @@ func TestScheduleTableFig4(t *testing.T) {
 	}
 }
 
-func TestCrossOrderWithSkips(t *testing.T) {
+func TestScheduleTableRendersSkips(t *testing.T) {
 	w := workload.Fig5P1()
 	res := crossoff.Run(w.Program, crossoff.Options{Lookahead: true, Budget: crossoff.UniformBudget(2)})
-	s := CrossOrder(w.Program, res.Order)
+	s := ScheduleTable(w.Program, []crossoff.Round{{Step: 1, Pairs: res.Order}})
 	if !strings.Contains(s, "skipping") {
 		t.Fatalf("skips not rendered:\n%s", s)
 	}
-	if !strings.Contains(s, "Pair  6") {
-		t.Fatalf("missing pairs:\n%s", s)
+	if n := strings.Count(s, "/R("); n != len(res.Order) || n < 6 {
+		t.Fatalf("%d pairs rendered of %d:\n%s", n, len(res.Order), s)
 	}
 }
 

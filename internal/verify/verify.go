@@ -1,17 +1,14 @@
 // Package verify provides the correctness harness around Theorem 1:
 // precondition checks (assumption (ii) — enough queues for every
-// equal-label group of competing messages), random generation of
-// deadlock-free programs (correct by construction), and mutation-based
-// generation of deadlocked programs.
+// equal-label group of competing messages), the degraded-link budget
+// checks, and single-swap repair suggestions for deadlocked programs.
 package verify
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"systolic/internal/crossoff"
-	"systolic/internal/label"
 	"systolic/internal/model"
 	"systolic/internal/topology"
 )
@@ -110,90 +107,9 @@ func CheckPreconditionsRoutes(routes [][]topology.Hop, dense []int, queuesPerLin
 	return rep
 }
 
-// RandomOptions shapes random program generation.
-type RandomOptions struct {
-	// Cells is the number of cells (≥ 2).
-	Cells int
-	// Messages is the number of messages to declare.
-	Messages int
-	// MaxWords bounds each message's word count (≥ 1).
-	MaxWords int
-	// Chain, when true, restricts senders and receivers to adjacent
-	// cell indices (single-hop on a linear array); otherwise any
-	// ordered pair is allowed (multi-hop on a linear array).
-	Chain bool
-}
-
-// RandomDeadlockFree generates a random program that is deadlock-free
-// by construction: it synthesizes a random word-transfer history and
-// appends each transfer's W to the sender program and R to the
-// receiver program in history order. The crossing-off procedure can
-// cross pairs in exactly that order, so the strict classifier must
-// accept the result — which makes the generator a test oracle.
-func RandomDeadlockFree(rng *rand.Rand, opts RandomOptions) (*model.Program, error) {
-	if opts.Cells < 2 {
-		return nil, fmt.Errorf("verify: need ≥ 2 cells")
-	}
-	if opts.Messages < 1 {
-		return nil, fmt.Errorf("verify: need ≥ 1 message")
-	}
-	if opts.MaxWords < 1 {
-		opts.MaxWords = 1
-	}
-	b := model.NewBuilder()
-	cells := b.AddCells("C", opts.Cells)
-
-	type msgDecl struct {
-		id       model.MessageID
-		sender   model.CellID
-		receiver model.CellID
-		words    int
-		sent     int
-	}
-	msgs := make([]msgDecl, opts.Messages)
-	for i := range msgs {
-		var s, r int
-		if opts.Chain {
-			s = rng.Intn(opts.Cells - 1)
-			r = s + 1
-			if rng.Intn(2) == 0 {
-				s, r = r, s
-			}
-		} else {
-			s = rng.Intn(opts.Cells)
-			r = rng.Intn(opts.Cells - 1)
-			if r >= s {
-				r++
-			}
-		}
-		words := 1 + rng.Intn(opts.MaxWords)
-		id := b.DeclareMessage(fmt.Sprintf("M%d", i+1), cells[s], cells[r], words)
-		msgs[i] = msgDecl{id: id, sender: cells[s], receiver: cells[r], words: words}
-	}
-
-	// Random transfer history: repeatedly pick a message with words
-	// left and emit its next word's W and R.
-	var live []int
-	for i := range msgs {
-		live = append(live, i)
-	}
-	for len(live) > 0 {
-		k := rng.Intn(len(live))
-		i := live[k]
-		b.Write(msgs[i].sender, msgs[i].id)
-		b.Read(msgs[i].receiver, msgs[i].id)
-		msgs[i].sent++
-		if msgs[i].sent == msgs[i].words {
-			live = append(live[:k], live[k+1:]...)
-		}
-	}
-	return b.Build()
-}
-
-// Rebuild constructs a new validated program with the same cells and
-// messages as p but the given per-cell op sequences. Generators use it
-// to derive program variants (op reorderings).
-func Rebuild(p *model.Program, code [][]model.Op) (*model.Program, error) {
+// rebuild constructs a new validated program with the same cells and
+// messages as p but the given per-cell op sequences.
+func rebuild(p *model.Program, code [][]model.Op) (*model.Program, error) {
 	b := model.NewBuilder()
 	for _, c := range p.Cells() {
 		if c.Host {
@@ -206,21 +122,15 @@ func Rebuild(p *model.Program, code [][]model.Op) (*model.Program, error) {
 		b.DeclareMessage(m.Name, m.Sender, m.Receiver, m.Words)
 	}
 	for c, ops := range code {
-		for _, op := range ops {
-			if op.Kind == model.Write {
-				b.Write(model.CellID(c), op.Msg)
-			} else {
-				b.Read(model.CellID(c), op.Msg)
-			}
-		}
+		b.AppendOps(model.CellID(c), ops)
 	}
 	return b.Build()
 }
 
-// SwapAdjacent returns a copy of p with ops i and i+1 of cell c
+// swapAdjacent returns a copy of p with ops i and i+1 of cell c
 // exchanged (a validity-preserving mutation: per-message op counts and
 // cell placement are untouched).
-func SwapAdjacent(p *model.Program, c model.CellID, i int) (*model.Program, error) {
+func swapAdjacent(p *model.Program, c model.CellID, i int) (*model.Program, error) {
 	code := make([][]model.Op, p.NumCells())
 	for cc := 0; cc < p.NumCells(); cc++ {
 		code[cc] = append([]model.Op(nil), p.Code(model.CellID(cc))...)
@@ -229,31 +139,7 @@ func SwapAdjacent(p *model.Program, c model.CellID, i int) (*model.Program, erro
 		return nil, fmt.Errorf("verify: swap index %d out of range for cell %d", i, c)
 	}
 	code[c][i], code[c][i+1] = code[c][i+1], code[c][i]
-	return Rebuild(p, code)
-}
-
-// MutateToDeadlock swaps random adjacent operations until the strict
-// classifier rejects the program (or attempts run out). It returns the
-// last mutant and whether it is deadlocked — the negative-case
-// generator for classifier/simulator agreement tests.
-func MutateToDeadlock(rng *rand.Rand, p *model.Program, attempts int) (*model.Program, bool) {
-	cur := p
-	for a := 0; a < attempts; a++ {
-		c := model.CellID(rng.Intn(cur.NumCells()))
-		n := len(cur.Code(c))
-		if n < 2 {
-			continue
-		}
-		q, err := SwapAdjacent(cur, c, rng.Intn(n-1))
-		if err != nil {
-			continue
-		}
-		cur = q
-		if !crossoff.Classify(cur, crossoff.Options{}) {
-			return cur, true
-		}
-	}
-	return cur, false
+	return rebuild(p, code)
 }
 
 // Fix describes a repair suggestion: exchanging the operations at
@@ -281,7 +167,7 @@ func SuggestFixes(p *model.Program, limit int) []Fix {
 			if code[i] == code[i+1] {
 				continue // swapping identical ops changes nothing
 			}
-			q, err := SwapAdjacent(p, cell, i)
+			q, err := swapAdjacent(p, cell, i)
 			if err != nil {
 				continue
 			}
@@ -302,28 +188,4 @@ func DescribeFix(p *model.Program, f Fix) string {
 	return fmt.Sprintf("swap %s and %s at %s (ops %d,%d)",
 		p.OpString(code[f.Index]), p.OpString(code[f.Index+1]),
 		p.Cell(f.Cell).Name, f.Index, f.Index+1)
-}
-
-// Labeled bundles a labeling result with the minimum queue requirement
-// it implies; a convenience for property tests.
-type Labeled struct {
-	Labeling label.Labeling
-	Report   PreconditionReport
-}
-
-// LabelAndCheck labels a program with the §6 scheme, verifies
-// consistency, and computes the queue requirements over a topology.
-func LabelAndCheck(p *model.Program, t topology.Topology) (Labeled, error) {
-	lab, err := label.Assign(p, label.Options{})
-	if err != nil {
-		return Labeled{}, err
-	}
-	if err := label.Check(p, lab.ByMessage); err != nil {
-		return Labeled{}, fmt.Errorf("verify: §6 labeling inconsistent: %w", err)
-	}
-	rep, err := CheckPreconditions(p, t, lab.Dense, 1<<30)
-	if err != nil {
-		return Labeled{}, err
-	}
-	return Labeled{Labeling: lab, Report: rep}, nil
 }

@@ -6,52 +6,26 @@ import (
 	"testing"
 
 	"systolic/internal/crossoff"
+	"systolic/internal/gen"
 	"systolic/internal/label"
 	"systolic/internal/model"
 	"systolic/internal/topology"
 )
-
-func TestRandomDeadlockFreeIsAlwaysDeadlockFree(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		p, err := RandomDeadlockFree(rng, RandomOptions{
-			Cells:    2 + rng.Intn(5),
-			Messages: 1 + rng.Intn(8),
-			MaxWords: 4,
-			Chain:    seed%2 == 0,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !crossoff.Classify(p, crossoff.Options{}) {
-			t.Fatalf("seed %d: generated program not deadlock-free:\n%s", seed, p)
-		}
-	}
-}
-
-func TestRandomDeadlockFreeValidatesOptions(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := RandomDeadlockFree(rng, RandomOptions{Cells: 1, Messages: 1}); err == nil {
-		t.Fatal("1 cell accepted")
-	}
-	if _, err := RandomDeadlockFree(rng, RandomOptions{Cells: 2, Messages: 0}); err == nil {
-		t.Fatal("0 messages accepted")
-	}
-}
 
 func TestSection6LabelsRandomPrograms(t *testing.T) {
 	// The paper claims the §6 scheme produces a consistent labeling
 	// for any deadlock-free program; validate over many random ones.
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p, err := RandomDeadlockFree(rng, RandomOptions{
-			Cells:    2 + rng.Intn(5),
-			Messages: 1 + rng.Intn(8),
-			MaxWords: 3,
+		cells, msgs := 2+rng.Intn(5), 1+rng.Intn(8)
+		sc, err := gen.Generate(seed, gen.Options{
+			Cells: cells, Messages: msgs, MaxWords: 3, Interleave: msgs,
+			Cyclic: true, Topology: gen.TopoLinear,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		p := sc.Program
 		lab, err := label.Assign(p, label.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: labeling failed: %v\n%s", seed, err, p)
@@ -59,26 +33,6 @@ func TestSection6LabelsRandomPrograms(t *testing.T) {
 		if err := label.Check(p, lab.ByMessage); err != nil {
 			t.Fatalf("seed %d: inconsistent labeling: %v\n%s", seed, err, p)
 		}
-	}
-}
-
-func TestMutateToDeadlockFindsNegatives(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	found := 0
-	for i := 0; i < 20; i++ {
-		p, err := RandomDeadlockFree(rng, RandomOptions{Cells: 3, Messages: 4, MaxWords: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mutant, ok := MutateToDeadlock(rng, p, 50); ok {
-			found++
-			if crossoff.Classify(mutant, crossoff.Options{}) {
-				t.Fatal("MutateToDeadlock returned a deadlock-free program")
-			}
-		}
-	}
-	if found == 0 {
-		t.Fatal("mutation never produced a deadlocked program in 20 tries")
 	}
 }
 
@@ -92,7 +46,7 @@ func TestSwapAdjacent(t *testing.T) {
 	b.Read(c2, a).Read(c2, bb)
 	p := b.MustBuild()
 
-	q, err := SwapAdjacent(p, c1, 0)
+	q, err := swapAdjacent(p, c1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +56,7 @@ func TestSwapAdjacent(t *testing.T) {
 	if p.Code(c1)[0].Msg != a {
 		t.Fatal("swap mutated the original")
 	}
-	if _, err := SwapAdjacent(p, c1, 5); err == nil {
+	if _, err := swapAdjacent(p, c1, 5); err == nil {
 		t.Fatal("out-of-range swap accepted")
 	}
 }
@@ -115,7 +69,7 @@ func TestRebuildPreservesHostFlag(t *testing.T) {
 	b.Write(h, a)
 	b.Read(c, a)
 	p := b.MustBuild()
-	q, err := Rebuild(p, [][]model.Op{p.Code(h), p.Code(c)})
+	q, err := rebuild(p, [][]model.Op{p.Code(h), p.Code(c)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +131,7 @@ func TestSuggestFixesRepairsP2AndP3(t *testing.T) {
 		t.Fatal("no fix found for P2")
 	}
 	for _, f := range fixes {
-		q, err := SwapAdjacent(p2, f.Cell, f.Index)
+		q, err := swapAdjacent(p2, f.Cell, f.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,27 +175,14 @@ func TestSuggestFixesEmptyOnDeadlockFree(t *testing.T) {
 	// Fix search only reports swaps that *repair*; a deadlock-free
 	// program trivially reports whatever swaps keep it free — callers
 	// gate on classification first, but the function must not panic.
-	rng := rand.New(rand.NewSource(3))
-	p, err := RandomDeadlockFree(rng, RandomOptions{Cells: 3, Messages: 3, MaxWords: 2})
+	sc, err := gen.Generate(3, gen.Options{
+		Cells: 3, Messages: 3, MaxWords: 2, Interleave: 3,
+		Cyclic: true, Topology: gen.TopoLinear,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = SuggestFixes(p, 2)
-}
-
-func TestLabelAndCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p, err := RandomDeadlockFree(rng, RandomOptions{Cells: 4, Messages: 6, MaxWords: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := LabelAndCheck(p, topology.Linear(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Report.MaxGroup < 1 || got.Report.MaxCompeting < got.Report.MaxGroup {
-		t.Fatalf("report %+v", got.Report)
-	}
+	_ = SuggestFixes(sc.Program, 2)
 }
 
 // TestViolationsDeterministicOrder is the regression test for the

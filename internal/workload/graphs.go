@@ -7,9 +7,9 @@ package workload
 // generator emits its program in a serial word-transfer history order
 // (each W immediately followed by its matching R across the history),
 // so the result is deadlock-free by construction under the strict
-// crossing-off procedure — the same oracle trick verify.
-// RandomDeadlockFree uses — while still exercising deep multi-hop
-// routes, wide fan-in, and long pipelines at run time.
+// crossing-off procedure — the same oracle trick internal/gen uses —
+// while still exercising deep multi-hop routes, wide fan-in, and long
+// pipelines at run time.
 
 import (
 	"fmt"

@@ -5,8 +5,11 @@
 # recorded — and that its id replays exactly the bytes curl received.
 # A second round boots with -max-concurrency 1 -queue-wait -1 and
 # asserts the admission gate sheds a concurrent run with 429 +
-# Retry-After instead of queueing it. CI runs this on every push; it
-# is also runnable locally:
+# Retry-After instead of queueing it. A third round boots with
+# -tenants: a missing file must stop the daemon before it listens, and
+# with a one-tenant file a keyless /v1/run is refused with 401 while
+# the keyed one runs. CI runs this on every push; it is also runnable
+# locally:
 #
 #   sh scripts/serve_smoke.sh
 #
@@ -21,12 +24,13 @@ SLOW="$(mktemp)"
 SHEDBODY="$(mktemp)"
 HDRS="$(mktemp)"
 THIRD="$(mktemp)"
+TENANTS="$(mktemp)"
 
 cleanup() {
     [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null || true
     rm -f "$LOG" "$BODY" "$PROG" "$SLOW" "$SLOW.2" "$SHEDBODY" \
         "$SHEDBODY.c1" "$SHEDBODY.c2" "$HDRS" "$HDRS.1" "$HDRS.2" \
-        "$THIRD" "$THIRD.replay"
+        "$THIRD" "$THIRD.replay" "$TENANTS"
 }
 trap cleanup EXIT INT TERM
 
@@ -153,6 +157,48 @@ echo "$STATS" | grep -q '"shedRequests":[1-9]' || { echo "FAIL: stats do not cou
 echo "$STATS" | grep -q '"queueWait":0' || { echo "FAIL: -queue-wait -1 should report queueWait 0" >&2; exit 1; }
 
 echo "==> admission round shutdown"
+kill -INT "$SERVE_PID"
+wait "$SERVE_PID" || { echo "FAIL: daemon exited non-zero on SIGINT" >&2; exit 1; }
+SERVE_PID=""
+
+echo "==> tenants round: a missing -tenants file stops serve before it listens"
+/tmp/sysdl-smoke serve -addr "$ADDR" -tenants "$TENANTS.missing" >"$LOG" 2>&1 &
+SERVE_PID=$!
+i=0
+while kill -0 "$SERVE_PID" 2>/dev/null; do
+    i=$((i + 1))
+    if [ "$i" -gt 50 ]; then
+        echo "FAIL: serve with a missing tenants file kept running" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+if wait "$SERVE_PID"; then
+    echo "FAIL: serve with a missing tenants file exited 0" >&2
+    exit 1
+fi
+SERVE_PID=""
+cat "$LOG"
+if grep -q "listening" "$LOG"; then
+    echo "FAIL: serve listened before refusing the tenants file" >&2
+    exit 1
+fi
+grep -q "$TENANTS.missing" "$LOG" || { echo "FAIL: the error does not name the tenants file" >&2; exit 1; }
+
+echo "==> tenants round: one tenant, keyless /v1/run is 401, keyed is 200"
+printf '{"tenants": {"smoke-key": {"name": "smoke"}}}\n' >"$TENANTS"
+/tmp/sysdl-smoke serve -addr "$ADDR" -tenants "$TENANTS" >"$LOG" 2>&1 &
+SERVE_PID=$!
+wait_up
+json_body examples/dsl/fig7.sys >"$BODY"
+CODE="$(curl -s -o "$THIRD" -w '%{http_code}' -X POST --data-binary @"$BODY" "http://$ADDR/v1/run")"
+[ "$CODE" = 401 ] || { echo "FAIL: keyless /v1/run answered $CODE, want 401" >&2; cat "$THIRD" >&2; exit 1; }
+CODE="$(curl -s -o "$THIRD" -w '%{http_code}' -H 'X-API-Key: smoke-key' \
+    -X POST --data-binary @"$BODY" "http://$ADDR/v1/run")"
+[ "$CODE" = 200 ] || { echo "FAIL: keyed /v1/run answered $CODE, want 200" >&2; cat "$THIRD" >&2; exit 1; }
+grep -q '"outcome":"completed"' "$THIRD" || { echo "FAIL: keyed run did not complete" >&2; cat "$THIRD" >&2; exit 1; }
+
+echo "==> tenants round shutdown"
 kill -INT "$SERVE_PID"
 wait "$SERVE_PID" || { echo "FAIL: daemon exited non-zero on SIGINT" >&2; exit 1; }
 SERVE_PID=""

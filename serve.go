@@ -14,7 +14,7 @@ import (
 // machine run.
 type (
 	// ServeOptions configures the daemon: listen address, cache bound,
-	// concurrency budget, result retention.
+	// concurrency budget, tenants file.
 	ServeOptions = server.Options
 	// ServeStats is the counter snapshot exposed by GET /v1/stats.
 	ServeStats = server.StatsResponse
