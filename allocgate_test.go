@@ -11,6 +11,8 @@ package systolic_test
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"systolic"
@@ -129,33 +131,69 @@ func pipelinedSort(t *testing.T, width int) *systolic.Workload {
 }
 
 // TestAllocGateAnalyze gates the allocation count of one Analyze at a
-// constant: every table the analysis builds — routes, the crossing-off
-// state, the labeler's index, the Theorem 1 report — is a fixed number
-// of arrays sized from the program, so a sorting network of any width
-// costs the same few dozen allocations (measured 51 at width 2000, 52
-// at 4000). A route, a path or a hop list allocated per message, a
-// second crossing-off pass that keeps its order, a per-cell map or a
-// slice grown by append per class puts the count in the thousands.
+// constant on every path: strict and lookahead, the greedy §6 labeling
+// and the order-based fallback. Every table the analysis builds —
+// routes, the crossing-off state, the labeler's index, the fallback's
+// constraint graph, the Theorem 1 report — is a fixed number of arrays
+// sized from the program, so a program of any size costs the same few
+// dozen allocations. The sorting network labels greedily; the
+// generated programs are cold-pipeline's recipe, whose greedy labeling
+// falls back on every seed. Measured: pipesort 35 to 36 at width 2000
+// and 4000, 52 under lookahead; generated 49 strict and 70 lookahead at
+// 64 messages, 49 and 73 at 128. A skip list kept per candidate, a warning
+// formatted and thrown away, an edge list grown by append, a route or a
+// hop list allocated per message, or a pick order kept that nobody
+// reads puts the count in the hundreds or thousands: the generated
+// programs took 346 and 959 allocations at 64 messages, 683 and 2 338
+// at 128, before the analysis built only what its callers read.
 func TestAllocGateAnalyze(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under -race")
 	}
-	analyzeAllocs := func(width int) float64 {
-		w := pipelinedSort(t, width)
+	analyzeAllocs := func(p *systolic.Program, topo systolic.Topology, opts systolic.AnalyzeOptions) float64 {
 		return testing.AllocsPerRun(3, func() {
-			a, err := systolic.Analyze(w.Program, w.Topology, systolic.AnalyzeOptions{})
+			a, err := systolic.Analyze(p, topo, opts)
 			if err != nil || !a.DeadlockFree {
 				t.Fatalf("analyze: %v", err)
 			}
 		})
 	}
-	base, doubled := analyzeAllocs(2000), analyzeAllocs(4000)
-	t.Logf("pipesort: %v allocs per Analyze at width 2000, %v at 4000", base, doubled)
-	if base > 96 {
-		t.Errorf("pipesort-2000: %v allocs per Analyze, budget 96", base)
+	lookahead := systolic.AnalyzeOptions{Lookahead: true, Capacity: 2}
+	gate := func(name string, base, doubled float64) {
+		t.Helper()
+		t.Logf("%s: %v allocs per Analyze, %v at twice the size", name, base, doubled)
+		if base > 96 {
+			t.Errorf("%s: %v allocs per Analyze, budget 96", name, base)
+		}
+		if doubled > 1.1*base {
+			t.Errorf("%s: %v allocs per Analyze at twice the size against %v: allocations follow the program's size", name, doubled, base)
+		}
 	}
-	if doubled > 1.1*base {
-		t.Errorf("pipesort-4000: %v allocs per Analyze against %v at width 2000: allocations follow the program's size", doubled, base)
+	for _, opts := range []systolic.AnalyzeOptions{{}, lookahead} {
+		allocs := func(width int) float64 {
+			w := pipelinedSort(t, width)
+			return analyzeAllocs(w.Program, w.Topology, opts)
+		}
+		gate(fmt.Sprintf("pipesort, lookahead %v", opts.Lookahead), allocs(2000), allocs(4000))
+	}
+	for _, opts := range []systolic.AnalyzeOptions{{}, lookahead} {
+		allocs := func(messages int) float64 {
+			sc, err := systolic.GenerateProgram(2, systolic.GenOptions{
+				Cells: 32, Messages: messages, MaxWords: 4, Interleave: 4, Cyclic: true, Topology: systolic.GenTopoMesh,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := systolic.Analyze(sc.Program, sc.Topology, opts)
+			if err != nil || !a.DeadlockFree {
+				t.Fatalf("analyze: %v", err)
+			}
+			if n := len(a.Labeling.Warnings); n == 0 || !strings.Contains(a.Labeling.Warnings[n-1], "fell back") {
+				t.Fatalf("generated program at %d messages labeled greedily: the gate wants the fallback", messages)
+			}
+			return analyzeAllocs(sc.Program, sc.Topology, opts)
+		}
+		gate(fmt.Sprintf("generated, lookahead %v", opts.Lookahead), allocs(64), allocs(128))
 	}
 }
 

@@ -165,7 +165,7 @@ func Analyze(p *model.Program, t topology.Topology, opts AnalyzeOptions) (*Analy
 	if !a.DeadlockFree {
 		return a, nil
 	}
-	if err := label.Check(p, lab.ByMessage); err != nil {
+	if err := label.CheckDense(p, lab.Dense); err != nil {
 		return nil, fmt.Errorf("core: labeling scheme produced an inconsistent labeling: %w", err)
 	}
 	a.Labeling = lab

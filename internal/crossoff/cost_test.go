@@ -93,10 +93,12 @@ func fanOut(t testing.TB, msgs, words int) *model.Program {
 }
 
 // TestAllocGateFailedProbes: locate records skipped writes in the
-// state's scratch and only a pair that passes rule R2 copies them out,
-// so a lookahead run whose probes mostly fail allocates for the pairs
-// that carry skips — one per message here — not for the probes, of
-// which there are msgs per pair crossed.
+// pass's one skip buffer, a candidate keeps none of them, and the
+// picked pair's skips are located again into the same buffer, so a
+// lookahead Classify whose probes mostly fail allocates its fixed
+// tables and the buffer's growth — about 20, at 20 or 40 messages —
+// not a list per probe (msgs of them per pair crossed) or per pair
+// that carries skips.
 func TestAllocGateFailedProbes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -111,8 +113,8 @@ func TestAllocGateFailedProbes(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(5, func() { Classify(p, opts) })
 		t.Logf("%d messages: %d probes, %v allocations", msgs, s.updates, allocs)
-		if budget := float64(16 + 4*msgs); allocs > budget {
-			t.Errorf("%d messages: %v allocations for %d probes, budget %v (a few per message)", msgs, allocs, s.updates, budget)
+		if allocs > 32 {
+			t.Errorf("%d messages: %v allocations for %d probes, budget 32 whatever the message count", msgs, allocs, s.updates)
 		}
 	}
 }

@@ -16,16 +16,19 @@
 // are crossed later, which is exactly the paper's model of words parked
 // in queue buffers.
 //
-// Run keeps the set of executable pairs up to date incrementally and
-// allocates what the program's size determines up front (one crossed
-// flag per op, one candidate slot per message, the pick order at
-// ops/2). Under the strict rules a message is executable iff both its
-// endpoint fronts are ops on it, so a crossed pair can only enable the
-// messages at the two new fronts: O(1) per pair whatever the cell
-// degree, O(ops·log messages) per run with the default picker's heap.
-// Lookahead re-examines every message incident to the two cells,
-// O(degree) per pair. The analysis makes one such run (see
-// label.Run); Options.Observer is where the §6 labeler rides along.
+// A pass keeps the set of executable pairs up to date incrementally and
+// allocates what the program's size determines up front: one crossed
+// flag per op, one candidate slot per message, and for Run alone the
+// pick order at ops/2. A candidate holds no skip list: the picked
+// pair's skips are located again into the pass's one skip buffer, and
+// only Run's order copies them out. Under the strict rules a message is executable iff
+// both its endpoint fronts are ops on it, so a crossed pair can only
+// enable the messages at the two new fronts: O(1) per pair whatever the
+// cell degree, O(ops·log messages) per run with the default picker's
+// heap. Lookahead re-examines every message incident to the two cells,
+// O(degree) per pair. The analysis makes one such pass without the
+// order (Verdict, see label.Run); Options.Observer is where the §6
+// labeler rides along.
 package crossoff
 
 import (
@@ -60,9 +63,11 @@ type Pair struct {
 }
 
 // PairPicker selects which executable pair to cross next when several
-// are available. The paper notes the choice can matter for queue-use
-// efficiency (§6); it never affects the deadlock-free verdict (see the
-// confluence property tests).
+// are available, and returns one of candidates. The paper notes the
+// choice can matter for queue-use efficiency (§6); it never affects the
+// deadlock-free verdict (see the confluence property tests). The slice
+// and the pairs' Skipped lists are reused from pick to pick: they are
+// valid only during the call.
 type PairPicker func(candidates []Pair) Pair
 
 // ByMessageID picks the candidate with the smallest message id,
@@ -105,7 +110,9 @@ type Options struct {
 	Picker PairPicker
 	// Observer, if non-nil, is invoked for each pair immediately
 	// before it is crossed off. The labeling scheme (§6) hooks in
-	// here.
+	// here. The pair's Skipped aliases the pass's skip buffer: it is
+	// valid only during the call, so an observer that keeps skips
+	// copies them.
 	Observer func(Pair)
 }
 
@@ -161,9 +168,10 @@ type state struct {
 	// skipCount is withinBudget's per-message scratch, all zero between
 	// calls; allocated on the first budgeted skip set.
 	skipCount []int
-	// skips is candidateFor's scratch: locate records skipped writes
-	// here and only a pair that passes rule R2 copies them out, so a
-	// probe that fails allocates nothing.
+	// skips is the one skip buffer of the pass: locate records skipped
+	// writes here, a candidate keeps only its two indexes, and the
+	// picked pair's skips are located again into it before the
+	// observer sees them. Only Run's order copies them out.
 	skips   []Skip
 	updates int // tracker.update calls: the pass's clock-free cost, for tests
 }
@@ -245,39 +253,39 @@ func (s *state) withinBudget(skipped []Skip) bool {
 	return ok
 }
 
-// candidateFor builds the executable pair for message m, if one exists
-// under the current rules.
-func (s *state) candidateFor(m model.Message) (Pair, bool) {
+// probe locates message m's executable pair under the current rules:
+// the write and read indexes, with the writes skipped to reach them in
+// s.skips.
+func (s *state) probe(m model.Message) (w, r int, ok bool) {
 	s.skips = s.skips[:0]
-	wIdx, ok := s.locate(m.Sender, model.Write, m.ID)
-	if !ok {
-		return Pair{}, false
+	if w, ok = s.locate(m.Sender, model.Write, m.ID); !ok {
+		return 0, 0, false
 	}
-	rIdx, ok := s.locate(m.Receiver, model.Read, m.ID)
-	if !ok || !s.withinBudget(s.skips) {
-		return Pair{}, false
+	if r, ok = s.locate(m.Receiver, model.Read, m.ID); !ok || !s.withinBudget(s.skips) {
+		return 0, 0, false
 	}
-	var skipped []Skip
+	return w, r, true
+}
+
+// pair is the Pair of message m at write index w and read index r. Its
+// Skipped aliases s.skips, so it is valid only until the next probe.
+func (s *state) pair(m model.Message, w, r int) Pair {
+	pr := Pair{Msg: m.ID, WriteCell: m.Sender, WriteIdx: w, ReadCell: m.Receiver, ReadIdx: r}
 	if len(s.skips) > 0 {
-		skipped = slices.Clone(s.skips)
+		pr.Skipped = s.skips
 	}
-	return Pair{
-		Msg:       m.ID,
-		WriteCell: m.Sender,
-		WriteIdx:  wIdx,
-		ReadCell:  m.Receiver,
-		ReadIdx:   rIdx,
-		Skipped:   skipped,
-	}, true
+	return pr
 }
 
 // candidates returns all currently executable pairs, one per eligible
-// message, in message-id order.
+// message, in message-id order, each owning its skip list.
 func (s *state) candidates() []Pair {
 	var out []Pair
 	for _, m := range s.p.Messages() {
-		if c, ok := s.candidateFor(m); ok {
-			out = append(out, c)
+		if w, r, ok := s.probe(m); ok {
+			pr := s.pair(m, w, r)
+			pr.Skipped = slices.Clone(pr.Skipped)
+			out = append(out, pr)
 		}
 	}
 	return out
@@ -301,23 +309,28 @@ func (s *state) blocked() []BlockedOp {
 	return out
 }
 
-// tracker maintains the candidate set incrementally. candidateFor(m)
-// is a pure function of the crossed state of m's two endpoint cells,
-// so after crossing a pair only messages incident to the pair's write
-// and read cells can gain or lose candidacy — everything else is
-// untouched. Under the strict rules it is narrower still: a message is
-// a candidate iff both endpoint fronts are ops on it, so the only
-// messages that can gain candidacy are the ones at the two new fronts,
-// and the only one that loses it is the crossed message. Strict runs
-// therefore cost O(1) maintenance per pair whatever the cell degree;
-// lookahead runs rescan the incident messages, O(degree) per pair.
+// tracker maintains the candidate set incrementally. Whether message m
+// has an executable pair is a pure function of the crossed state of m's
+// two endpoint cells, so after crossing a pair only messages incident
+// to the pair's write and read cells can gain or lose candidacy —
+// everything else is untouched. Under the strict rules it is narrower
+// still: a message is a candidate iff both endpoint fronts are ops on
+// it, so the only messages that can gain candidacy are the ones at the
+// two new fronts, and the only one that loses it is the crossed
+// message. Strict runs therefore cost O(1) maintenance per pair
+// whatever the cell degree; lookahead runs rescan the incident
+// messages, O(degree) per pair.
+//
+// A candidate is its write and read indexes only. Under lookahead its
+// skipped writes are located again when it is picked, which costs what
+// the probe that found it did, and no candidate keeps a list.
 type tracker struct {
 	s    *state
 	msgs []model.Message
 	// byCell maps a cell to the indexes into msgs of the messages with
 	// that cell as an endpoint; built only for lookahead runs.
 	byCell [][]int
-	cand   []Pair // current candidate per message (valid iff live)
+	cand   []slot // current candidate per message (valid iff live)
 	live   []bool
 	nLive  int
 	// heap orders the live messages for the default picker: every live
@@ -325,12 +338,19 @@ type tracker struct {
 	// duplicate entries are discarded at pop time against live. nil
 	// when a custom picker chooses from slice() instead.
 	heap *minHeap
+	// pairs and skips back slice(), reused from pick to pick.
+	pairs []Pair
+	skips []Skip
 }
 
 func newTracker(s *state) *tracker {
 	t := &tracker{s: s, msgs: s.p.Messages()}
 	if s.opts.Picker == nil {
-		t.heap = new(minHeap)
+		// Strict runs never hold more entries than messages (a live
+		// message stays live until it is popped); lookahead runs may
+		// re-push one that a refresh turned dead and live again.
+		h := make(minHeap, 0, len(t.msgs))
+		t.heap = &h
 	}
 	if s.opts.Lookahead {
 		// Count, then fill: one backing array for every cell's list.
@@ -354,7 +374,7 @@ func newTracker(s *state) *tracker {
 			}
 		}
 	}
-	t.cand = make([]Pair, len(t.msgs))
+	t.cand = make([]slot, len(t.msgs))
 	t.live = make([]bool, len(t.msgs))
 	for i := range t.msgs {
 		t.update(i)
@@ -362,10 +382,13 @@ func newTracker(s *state) *tracker {
 	return t
 }
 
+// slot is a candidate pair's write and read index.
+type slot struct{ w, r int }
+
 // update recomputes message i's candidacy.
 func (t *tracker) update(i int) {
 	t.s.updates++
-	pr, ok := t.s.candidateFor(t.msgs[i])
+	w, r, ok := t.s.probe(t.msgs[i])
 	if ok != t.live[i] {
 		if ok {
 			t.nLive++
@@ -376,7 +399,7 @@ func (t *tracker) update(i int) {
 			t.nLive--
 		}
 	}
-	t.cand[i], t.live[i] = pr, ok
+	t.cand[i], t.live[i] = slot{w, r}, ok
 }
 
 // updateFront recomputes candidacy for the message at cell c's front.
@@ -414,14 +437,22 @@ func (t *tracker) crossed(pr Pair) {
 
 // slice materializes the live candidates in message-id order — the
 // exact value the full rescan used to produce — for custom pickers.
+// The pairs and their skip lists are valid until the next call.
 func (t *tracker) slice() []Pair {
-	out := make([]Pair, 0, t.nLive)
+	t.pairs, t.skips = t.pairs[:0], t.skips[:0]
 	for i, ok := range t.live {
-		if ok {
-			out = append(out, t.cand[i])
+		if !ok {
+			continue
 		}
+		pr := t.picked(i)
+		if pr.Skipped != nil {
+			start := len(t.skips)
+			t.skips = append(t.skips, pr.Skipped...)
+			pr.Skipped = t.skips[start:len(t.skips):len(t.skips)]
+		}
+		t.pairs = append(t.pairs, pr)
 	}
-	return out
+	return t.pairs
 }
 
 // pick returns the next pair to cross, or false when none is
@@ -434,14 +465,25 @@ func (t *tracker) pick() (Pair, bool) {
 		if t.nLive == 0 {
 			return Pair{}, false
 		}
-		return t.s.opts.Picker(t.slice()), true
+		return t.picked(int(t.s.opts.Picker(t.slice()).Msg)), true
 	}
 	for len(*t.heap) > 0 {
 		if i := t.heap.pop(); t.live[i] {
-			return t.cand[i], true
+			return t.picked(i), true
 		}
 	}
 	return Pair{}, false
+}
+
+// picked is live message i's pair. Under lookahead its skips are
+// located again into the state's scratch, valid until the next probe;
+// strict rules skip nothing.
+func (t *tracker) picked(i int) Pair {
+	m := t.msgs[i]
+	if t.s.opts.Lookahead {
+		t.s.probe(m)
+	}
+	return t.s.pair(m, t.cand[i].w, t.cand[i].r)
 }
 
 // minHeap is a binary min-heap of message indexes.
@@ -487,7 +529,8 @@ func (h *minHeap) pop() int {
 
 // cross is the crossing-off loop: pick, observe, cross, update, until no
 // executable pair remains. The pairs are appended to order in the order
-// they were crossed, unless order is nil.
+// they were crossed, each with its own copy of its skips, unless order
+// is nil.
 func cross(p *model.Program, opts Options, order []Pair) (*state, []Pair) {
 	s := newState(p, opts)
 	t := newTracker(s)
@@ -501,7 +544,9 @@ func cross(p *model.Program, opts Options, order []Pair) (*state, []Pair) {
 		}
 		s.cross(pr)
 		if order != nil {
-			order = append(order, pr)
+			kept := pr
+			kept.Skipped = slices.Clone(pr.Skipped)
+			order = append(order, kept)
 		}
 		t.crossed(pr)
 	}
@@ -512,7 +557,18 @@ func cross(p *model.Program, opts Options, order []Pair) (*state, []Pair) {
 // executable pair remains, and reports whether the program is
 // deadlock-free (§3.2).
 func Run(p *model.Program, opts Options) Result {
-	s, order := cross(p, opts, make([]Pair, 0, p.TotalOps()/2))
+	return result(cross(p, opts, make([]Pair, 0, p.TotalOps()/2)))
+}
+
+// Verdict is Run without the pick order: the same pass, observer
+// included, reporting the verdict, the blocked fronts and the ops left
+// (Order is nil). It is the pass of an analysis, which reads the
+// labeling its observer builds and never the order.
+func Verdict(p *model.Program, opts Options) Result {
+	return result(cross(p, opts, nil))
+}
+
+func result(s *state, order []Pair) Result {
 	return Result{
 		DeadlockFree: s.left == 0,
 		Order:        order,

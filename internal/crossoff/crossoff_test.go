@@ -1,9 +1,13 @@
 package crossoff
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
+	"systolic/internal/gen"
 	"systolic/internal/model"
 )
 
@@ -281,4 +285,50 @@ func TestBudgetFromRoutesViaUniform(t *testing.T) {
 	if b(0) != 0 {
 		t.Fatal("out-of-range message should have zero budget")
 	}
+}
+
+// TestRunOrderOwnsSkips: a pass keeps one skip buffer, which the
+// observer sees and the next probe overwrites, so Run must hand each
+// pair of its order a copy of its own. Each entry's skips must be the
+// ones a fresh state, crossed up to that pair, locates again, and no
+// two entries may share memory — under the default picker and a custom
+// one, whose candidates are laid out in a buffer of their own.
+func TestRunOrderOwnsSkips(t *testing.T) {
+	type span struct{ start, end uintptr }
+	withSkips := 0
+	for seed := int64(1); seed <= 60; seed++ {
+		sc, err := gen.Generate(seed, gen.Options{Cells: 6, Messages: 10, MaxWords: 4, Interleave: 4, Cyclic: seed%2 == 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := sc.Program
+		for _, picker := range []PairPicker{nil, ByFewestSkips} {
+			opts := Options{Lookahead: true, Budget: UniformBudget(2), Picker: picker}
+			res := Run(p, opts)
+			s := newState(p, opts)
+			var spans []span
+			for i, pr := range res.Order {
+				w, r, ok := s.probe(p.Message(pr.Msg))
+				if !ok || w != pr.WriteIdx || r != pr.ReadIdx || !slices.Equal(s.skips, pr.Skipped) {
+					t.Fatalf("seed %d, pair %d: order has %+v, recomputed W@%d R@%d skipping %v", seed, i, pr, w, r, s.skips)
+				}
+				s.cross(pr)
+				if n := cap(pr.Skipped); n > 0 {
+					start := uintptr(unsafe.Pointer(&pr.Skipped[:n][0]))
+					spans = append(spans, span{start, start + uintptr(n)*unsafe.Sizeof(Skip{})})
+				}
+			}
+			withSkips += len(spans)
+			slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.start, b.start) })
+			for i := 1; i < len(spans); i++ {
+				if spans[i].start < spans[i-1].end {
+					t.Fatalf("seed %d: two pairs of the order share skip memory", seed)
+				}
+			}
+		}
+	}
+	if withSkips == 0 {
+		t.Fatal("no pair skipped a write: the test checks nothing")
+	}
+	t.Logf("%d pairs with skips", withSkips)
 }

@@ -37,9 +37,19 @@ func BenchmarkAssignByOrder(b *testing.B) {
 func BenchmarkRelated(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	p := randomDF(b, rng, 8, 32, 4)
-	for b.Loop() {
-		Related(p)
-	}
+	b.Run("cells=8,msgs=32", func(b *testing.B) {
+		for b.Loop() {
+			Related(p)
+		}
+	})
+	// The deepest interleaving: 2048 messages in turn between two cells.
+	deep := roundRobin(b, 2048, 200000)
+	b.Run("depth=2048", func(b *testing.B) {
+		for b.Loop() {
+			Related(deep)
+		}
+		b.ReportMetric(float64(deep.TotalOps()), "ops")
+	})
 }
 
 func BenchmarkCheck(b *testing.B) {

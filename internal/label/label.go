@@ -23,17 +23,28 @@
 // such pass per analysis: Run owns it, attaches the labeler, and hands
 // back the pass's verdict together with the labeling, so core.Analyze
 // (which wants both) and Assign (which wants the labeling) share one
-// implementation and neither crosses the program off twice. The
-// labeler keeps its state dense — the related classes as one flat
-// index, one remaining-word counter per message, one min-heap of
-// pending labels per cell in a shared array — so labeling a pass costs
+// implementation and neither crosses the program off twice. The pass
+// keeps no pick order, since nothing here reads it. The labeler keeps
+// its state dense — the related classes as one flat index, one
+// remaining-word counter per message, one min-heap of pending labels
+// per cell in a shared array — so labeling a pass costs
 // O(ops + messages·log degree) and a fixed number of allocations, on
-// top of Related's one scan of the program (each op visits the ops
-// since the previous one on its message: the interleaving depth).
+// top of Related's one scan of the program, which joins each pair of
+// adjacent ops at most once: O(ops) unions at any interleaving depth.
+//
+// Only what a caller reads is built. The greedy labels are checked as
+// dense ranks, which keep their order and ties. Rule-1d conflicts are
+// recorded as message pairs and formatted only when the greedy
+// labeling is returned. When it is not, the order-based fallback runs
+// over flat arrays, on the rule-1d equalities the labeler collected
+// from the pass it observed; only a custom picker, whose pass is not
+// the default one rule 1d is taken over, costs a second lookahead pass.
 package label
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"systolic/internal/crossoff"
@@ -85,21 +96,45 @@ func Trivial(p *model.Program) Labeling {
 // two consecutive operations on B of the same kind; the relation is
 // closed symmetrically and transitively. The result maps each message
 // to a class representative.
+//
+// Uniting B with every op between two of its consecutive ops is the
+// same as joining each adjacent pair of positions from just after the
+// first of them up to the second, and an adjacency joined once never
+// needs joining again. A skip pointer per position leads past the
+// joined ones, so each adjacency costs one union whatever the
+// interleaving depth: O(ops) unions in all.
 func Related(p *model.Program) *unionFind {
-	uf := newUnionFind(p.NumMessages())
+	n := p.NumMessages()
+	uf := newUnionFind(n)
+	longest := 0
+	for c := 0; c < p.NumCells(); c++ {
+		longest = max(longest, len(p.Code(model.CellID(c))))
+	}
 	// Within one cell all ops on a given message share a kind (the cell
 	// is its sender or its receiver), so the position of the previous op
 	// per message suffices. last holds it as 1 + the op's position in
 	// the concatenation of all cell programs; base is where the current
 	// cell starts there, so an entry at or below base is another cell's.
-	last := make([]int, p.NumMessages())
+	// next[k] leads from position k towards the first adjacency (k',
+	// k'+1) at or after it not yet joined: next[k] == k when (k, k+1)
+	// is not.
+	scratch := make([]int, n+longest)
+	last, next := scratch[:n:n], scratch[n:]
 	base := 0
 	for c := 0; c < p.NumCells(); c++ {
 		code := p.Code(model.CellID(c))
+		for k := range code {
+			next[k] = k
+		}
 		for i, op := range code {
 			if j := last[op.Msg] - base; j > 0 {
-				for k := j; k < i; k++ {
-					uf.Union(int(op.Msg), int(code[k].Msg))
+				// j is the position just after the previous op on
+				// op.Msg: join j…i.
+				for k := unjoined(next, j); k < i; k = unjoined(next, k+1) {
+					if a, b := code[k].Msg, code[k+1].Msg; a != b {
+						uf.Union(int(a), int(b))
+					}
+					next[k] = k + 1
 				}
 			}
 			last[op.Msg] = base + i + 1
@@ -107,6 +142,17 @@ func Related(p *model.Program) *unionFind {
 		base += len(code)
 	}
 	return uf
+}
+
+// unjoined follows the skip pointers from position k to the first
+// adjacency at or after it that is not yet joined, halving the path on
+// the way.
+func unjoined(next []int, k int) int {
+	for next[k] != k {
+		next[k] = next[next[k]]
+		k = next[k]
+	}
+	return k
 }
 
 // classIndex is the related-messages partition in compressed-row form:
@@ -178,10 +224,14 @@ func Assign(p *model.Program, opts Options) (Labeling, error) {
 // §6 labeler attached as its observer, and returns the pass's result
 // alongside the labeling it produced. A program that is not
 // deadlock-free under the selected variant yields the zero Labeling:
-// the verdict and the blocked fronts are in the result.
+// the verdict and the blocked fronts are in the result. The result
+// carries no pick order: nothing an analysis returns reads it.
 func Run(p *model.Program, opts Options) (crossoff.Result, Labeling) {
 	l := newLabeler(p)
-	res := crossoff.Run(p, crossoff.Options{
+	// With the default picker the §8.2 rule-1d equalities a fallback
+	// needs are those of this very pass, so the labeler collects them.
+	l.equalities = opts.Lookahead && opts.Picker == nil
+	res := crossoff.Verdict(p, crossoff.Options{
 		Lookahead: opts.Lookahead,
 		Budget:    opts.Budget,
 		Picker:    opts.Picker,
@@ -191,24 +241,29 @@ func Run(p *model.Program, opts Options) (crossoff.Result, Labeling) {
 		return res, Labeling{}
 	}
 	lab, err := l.labeling()
-	if err == nil && Check(p, lab.ByMessage) == nil {
+	if err == nil {
 		return res, lab
 	}
 	var eqs [][2]model.MessageID
-	if opts.Lookahead {
-		eqs = lookaheadEqualities(p, opts.Budget) // §8.2 rule 1d
+	switch {
+	case l.equalities:
+		eqs = l.eqs
+	case opts.Lookahead:
+		// A custom picker's pass is not the default picker's, whose
+		// pairs rule 1d is taken over.
+		eqs = lookaheadEqualities(p, opts.Budget)
 	}
 	// The pass above crossed everything off, so the order-based
 	// construction needs no verdict of its own.
 	fallback := orderLabels(p, eqs)
-	reason := "greedy §6 scheme produced an inconsistent labeling"
-	if err != nil {
-		reason = err.Error()
-	}
 	fallback.Warnings = append(fallback.Warnings,
-		fmt.Sprintf("label: fell back to order-based labeling (%s)", reason))
+		fmt.Sprintf("label: fell back to order-based labeling (%s)", err))
 	return res, fallback
 }
+
+// errInconsistent is the greedy scheme's failure when every window was
+// open but the labels it chose still decrease along some cell program.
+var errInconsistent = errors.New("greedy §6 scheme produced an inconsistent labeling")
 
 // labeler is the literal §6 algorithm, steps 1a–1d, as the observer of
 // a crossing-off pass. Every step is O(1) or O(log degree) per pair
@@ -238,10 +293,26 @@ type labeler struct {
 	heapStart []int32
 	heapLen   []int32
 
-	warnings  []string
+	// conflicts records each rule-1d skip whose message already had
+	// another label; they are formatted as warnings only if the greedy
+	// labeling is the one returned.
+	conflicts []conflict
 	schemeErr error
 	visits    int // messages rules 1c and 1d looked at: clock-free cost, for tests
+
+	// equalities says to collect the §8.2 rule-1d equalities a fallback
+	// needs: eqs pairs each skipped write's message with the located
+	// pair's. sameLabel drops a pair the ones before it already imply,
+	// so eqs never holds more than messages−1 of them; the order-based
+	// construction merges exactly the same components either way.
+	equalities bool
+	eqs        [][2]model.MessageID
+	sameLabel  *unionFind
 }
+
+// conflict is a skipped message that already had a label other than
+// the one the pair that skipped it gave its class (rule 1d).
+type conflict struct{ skipped, picked model.MessageID }
 
 func newLabeler(p *model.Program) *labeler {
 	l := &labeler{
@@ -337,6 +408,9 @@ func (l *labeler) observe(pr crossoff.Pair) {
 	if !l.labeled[pr.Msg] {
 		l.label(pr)
 	}
+	if l.equalities {
+		l.collect(pr)
+	}
 	// The pair is crossed after observation: account for it.
 	l.left[pr.Msg]--
 	l.lastTouched[pr.WriteCell] = l.labels[pr.Msg]
@@ -384,15 +458,35 @@ func (l *labeler) label(pr crossoff.Pair) {
 		if !l.labeled[sk.Msg] {
 			l.setLabel(sk.Msg, lab)
 		} else if !l.labels[sk.Msg].Equal(lab) {
-			l.warnings = append(l.warnings, fmt.Sprintf(
-				"label: skipped message %s already labeled %v, wanted %v (rule 1d)",
-				l.p.Message(sk.Msg).Name, l.labels[sk.Msg], lab))
+			if l.conflicts == nil {
+				l.conflicts = make([]conflict, 0, l.p.NumMessages())
+			}
+			l.conflicts = append(l.conflicts, conflict{skipped: sk.Msg, picked: pr.Msg})
+		}
+	}
+}
+
+// collect records the rule-1d equalities of a pair, unless earlier ones
+// already imply them.
+func (l *labeler) collect(pr crossoff.Pair) {
+	for _, sk := range pr.Skipped {
+		if sk.Msg == pr.Msg {
+			continue
+		}
+		if l.sameLabel == nil {
+			l.sameLabel = newUnionFind(l.p.NumMessages())
+			l.eqs = make([][2]model.MessageID, 0, l.p.NumMessages()-1)
+		}
+		if !l.sameLabel.Same(int(pr.Msg), int(sk.Msg)) {
+			l.sameLabel.Union(int(pr.Msg), int(sk.Msg))
+			l.eqs = append(l.eqs, [2]model.MessageID{pr.Msg, sk.Msg})
 		}
 	}
 }
 
 // labeling returns what the scheme produced over a pass that crossed
-// every operation off.
+// every operation off, or why it cannot be used: an empty step-1b
+// window, or labels that are not consistent.
 func (l *labeler) labeling() (Labeling, error) {
 	if l.schemeErr != nil {
 		return Labeling{}, l.schemeErr
@@ -404,7 +498,19 @@ func (l *labeler) labeling() (Labeling, error) {
 			return Labeling{}, fmt.Errorf("label: message %s never labeled", l.p.Message(model.MessageID(i)).Name)
 		}
 	}
-	return Labeling{ByMessage: l.labels, Dense: densify(l.labels), Warnings: l.warnings}, nil
+	dense := densify(l.labels)
+	// The ranks keep the labels' order and ties, so they are what the
+	// consistency check needs, without a rational compare per op.
+	if c, _ := firstDecrease(l.p, dense); c >= 0 {
+		return Labeling{}, errInconsistent
+	}
+	var warnings []string
+	for _, c := range l.conflicts {
+		warnings = append(warnings, fmt.Sprintf(
+			"label: skipped message %s already labeled %v, wanted %v (rule 1d)",
+			l.p.Message(c.skipped).Name, l.labels[c.skipped], l.labels[c.picked]))
+	}
+	return Labeling{ByMessage: l.labels, Dense: dense, Warnings: warnings}, nil
 }
 
 // densify converts exact labels to 1-based integer ranks preserving
@@ -414,7 +520,7 @@ func densify(labels []rational.R) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return labels[idx[a]].Less(labels[idx[b]]) })
+	slices.SortFunc(idx, func(a, b int) int { return labels[a].Cmp(labels[b]) })
 	dense := make([]int, len(labels))
 	rank := 0
 	for i, id := range idx {
@@ -437,26 +543,48 @@ func Check(p *model.Program, labels []rational.R) error {
 	for c := 0; c < p.NumCells(); c++ {
 		code := p.Code(model.CellID(c))
 		for i := 1; i < len(code); i++ {
-			prev, cur := labels[code[i-1].Msg], labels[code[i].Msg]
-			if cur.Less(prev) {
-				return fmt.Errorf(
-					"label: cell %s: %s (label %v) follows %s (label %v): labels decrease",
-					p.Cell(model.CellID(c)).Name,
-					p.OpString(code[i]), cur, p.OpString(code[i-1]), prev)
+			if prev, cur := labels[code[i-1].Msg], labels[code[i].Msg]; cur.Less(prev) {
+				return decrease(p, model.CellID(c), i, cur, prev)
 			}
 		}
 	}
 	return nil
 }
 
-// CheckDense is Check over integer labels, a convenience for callers
-// holding only dense ranks.
+// CheckDense is Check over integer labels, for callers holding only
+// dense ranks; it compares the integers themselves.
 func CheckDense(p *model.Program, dense []int) error {
-	labels := make([]rational.R, len(dense))
-	for i, d := range dense {
-		labels[i] = rational.FromInt(int64(d))
+	if len(dense) != p.NumMessages() {
+		return fmt.Errorf("label: %d labels for %d messages", len(dense), p.NumMessages())
 	}
-	return Check(p, labels)
+	if c, i := firstDecrease(p, dense); c >= 0 {
+		code := p.Code(c)
+		return decrease(p, c, i, dense[code[i].Msg], dense[code[i-1].Msg])
+	}
+	return nil
+}
+
+// firstDecrease finds the first op, cell by cell, whose rank is below
+// its predecessor's: cell c's op i, or c = -1 when no rank decreases.
+func firstDecrease(p *model.Program, dense []int) (model.CellID, int) {
+	for c := range model.CellID(p.NumCells()) {
+		code := p.Code(c)
+		for i := 1; i < len(code); i++ {
+			if dense[code[i].Msg] < dense[code[i-1].Msg] {
+				return c, i
+			}
+		}
+	}
+	return -1, 0
+}
+
+// decrease reports cell c's op i, labeled cur, following an op labeled
+// prev > cur.
+func decrease(p *model.Program, c model.CellID, i int, cur, prev any) error {
+	code := p.Code(c)
+	return fmt.Errorf(
+		"label: cell %s: %s (label %v) follows %s (label %v): labels decrease",
+		p.Cell(c).Name, p.OpString(code[i]), cur, p.OpString(code[i-1]), prev)
 }
 
 // unionFind is a plain disjoint-set structure over message indices.
@@ -468,7 +596,8 @@ type unionFind struct {
 
 // newUnionFind returns n singleton sets.
 func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), rank: make([]int, n)}
+	buf := make([]int, 2*n)
+	uf := &unionFind{parent: buf[:n:n], rank: buf[n:]}
 	for i := range uf.parent {
 		uf.parent[i] = i
 	}

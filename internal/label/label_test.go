@@ -1,6 +1,7 @@
 package label
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -186,6 +187,23 @@ func TestCheckDense(t *testing.T) {
 	}
 	if err := CheckDense(p, lab.Dense); err != nil {
 		t.Fatalf("dense labels inconsistent: %v", err)
+	}
+}
+
+// TestCheckDenseMatchesCheck: dense ranks keep the order and ties of
+// the labels they come from, so CheckDense must judge them as Check
+// judges the labels, with the same error text.
+func TestCheckDenseMatchesCheck(t *testing.T) {
+	p := fig7(t)
+	for _, labels := range [][]int{{1, 3, 2}, {1, 1, 5}, {2, 1, 1}, {1, 2}} {
+		exact := make([]rational.R, len(labels))
+		for i, l := range labels {
+			exact[i] = rational.FromInt(int64(l))
+		}
+		want, got := fmt.Sprint(Check(p, exact)), fmt.Sprint(CheckDense(p, labels))
+		if got != want {
+			t.Errorf("labels %v: CheckDense says %q, Check %q", labels, got, want)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func assignByOrder(p *model.Program, extraEqualities [][2]model.MessageID) (Labe
 		// Even with unbounded buffering the program cannot run; labels
 		// are meaningless. (Strictly-deadlocked programs that lookahead
 		// admits are labelable — callers gate on their own variant.)
-		res := crossoff.Run(p, crossoff.Options{})
+		res := crossoff.Verdict(p, crossoff.Options{})
 		return Labeling{}, fmt.Errorf("label: program is not deadlock-free: %s",
 			crossoff.DescribeBlocked(p, res.Blocked))
 	}
@@ -43,119 +43,150 @@ func assignByOrder(p *model.Program, extraEqualities [][2]model.MessageID) (Labe
 }
 
 // orderLabels is assignByOrder for a program already known to cross
-// off completely.
+// off completely. The constraint graph is laid out flat, in
+// compressed-row form both ways, and Kosaraju's two depth-first passes
+// run on explicit stacks, so a fallback costs a fixed number of arrays
+// and no recursion however many messages it labels.
 func orderLabels(p *model.Program, extraEqualities [][2]model.MessageID) Labeling {
 	n := p.NumMessages()
-	adj := make([][]int, n) // u → v means label(u) ≤ label(v)
-	addEdge := func(u, v model.MessageID) {
-		if u != v {
-			adj[u] = append(adj[u], int(v))
-		}
+	// One int32 array cut into the message-sized tables, one into the
+	// edge lists: u → v means label(u) ≤ label(v); u's successors are
+	// succ[out[u]:out[u+1]] and v's predecessors pred[in[v]:in[v+1]].
+	buf := make([]int32, 2*(n+1)+5*n)
+	take := func(k int) []int32 {
+		t := buf[:k:k]
+		buf = buf[k:]
+		return t
 	}
-	for c := 0; c < p.NumCells(); c++ {
-		code := p.Code(model.CellID(c))
-		for i := 1; i < len(code); i++ {
-			addEdge(code[i-1].Msg, code[i].Msg)
-		}
+	out, in := take(n+1), take(n+1)
+	next, post, stack, comp, byComp := take(n), take(n), take(n), take(n), take(n)
+	constraints(p, extraEqualities, func(u, v model.MessageID) {
+		out[u+1]++
+		in[v+1]++
+	})
+	for m := 0; m < n; m++ {
+		out[m+1] += out[m]
+		in[m+1] += in[m]
 	}
-	for _, eq := range extraEqualities {
-		addEdge(eq[0], eq[1])
-		addEdge(eq[1], eq[0])
-	}
+	edges := make([]int32, 2*out[n])
+	succ, pred := edges[:out[n]], edges[out[n]:]
+	copy(next, out)
+	copy(comp, in) // fill cursors for pred, until the second pass
+	constraints(p, extraEqualities, func(u, v model.MessageID) {
+		succ[next[u]] = int32(v)
+		next[u]++
+		pred[comp[v]] = int32(u)
+		comp[v]++
+	})
 
-	comp := sccKosaraju(adj)
-
-	// Condensation longest-path rank: rank(C) = 1 + max rank of
-	// predecessors. Process components in reverse topological order of
-	// the original graph (Kosaraju numbers components in topological
-	// order of the condensation already).
-	nc := 0
-	for _, c := range comp {
-		if c+1 > nc {
-			nc = c + 1
+	// First pass: post-order of a depth-first search along succ.
+	// next[u] is u's next successor to try, -1 while u is unvisited.
+	for m := range next {
+		next[m] = -1
+	}
+	post = post[:0]
+	for root := range int32(n) {
+		if next[root] >= 0 {
+			continue
 		}
-	}
-	rank := make([]int, nc)
-	for i := range rank {
-		rank[i] = 1
-	}
-	// Kosaraju numbers components in topological order of the
-	// condensation (sources first), so a single ascending sweep sees
-	// every predecessor's final rank before propagating it.
-	order := make([][]int, nc) // members per component
-	for m, c := range comp {
-		order[c] = append(order[c], m)
-	}
-	for c := 0; c < nc; c++ {
-		for _, u := range order[c] {
-			for _, v := range adj[u] {
-				cv := comp[v]
-				if cv != c && rank[c]+1 > rank[cv] {
-					rank[cv] = rank[c] + 1
-				}
+		next[root] = out[root]
+		stack = append(stack[:0], root)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			if next[u] == out[u+1] {
+				stack = stack[:len(stack)-1]
+				post = append(post, u)
+				continue
+			}
+			v := succ[next[u]]
+			next[u]++
+			if next[v] < 0 {
+				next[v] = out[v]
+				stack = append(stack, v)
 			}
 		}
 	}
 
+	// Second pass: along pred, roots in reverse post-order. Components
+	// are numbered in topological order of the condensation (sources
+	// first), and since each is visited whole before the next, byComp
+	// lists the messages grouped by component in that order.
+	for m := range comp {
+		comp[m] = -1
+	}
+	byComp = byComp[:0]
+	components := int32(0)
+	for i := n - 1; i >= 0; i-- {
+		root := post[i]
+		if comp[root] >= 0 {
+			continue
+		}
+		comp[root] = components
+		stack = append(stack[:0], root)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			byComp = append(byComp, u)
+			for _, v := range pred[in[u]:in[u+1]] {
+				if comp[v] < 0 {
+					comp[v] = components
+					stack = append(stack, v)
+				}
+			}
+		}
+		components++
+	}
+
+	// Condensation longest-path rank: rank(C) = 1 + max rank of its
+	// predecessors. One sweep in component order sees every
+	// predecessor's final rank before propagating it. next is free
+	// again and holds the ranks.
+	rank := next[:components]
+	for c := range rank {
+		rank[c] = 1
+	}
+	for _, u := range byComp {
+		c := comp[u]
+		for _, v := range succ[out[u]:out[u+1]] {
+			if cv := comp[v]; cv != c && rank[c]+1 > rank[cv] {
+				rank[cv] = rank[c] + 1
+			}
+		}
+	}
+
+	// A component of rank r > 1 has a predecessor of rank r−1, so the
+	// ranks in use are 1…max without a gap: they are their own dense
+	// ranks.
 	lab := Labeling{
 		ByMessage: make([]rational.R, n),
 		Dense:     make([]int, n),
 	}
 	for m := 0; m < n; m++ {
-		lab.ByMessage[m] = rational.FromInt(int64(rank[comp[m]]))
+		r := rank[comp[m]]
+		lab.ByMessage[m] = rational.FromInt(int64(r))
+		lab.Dense[m] = int(r)
 	}
-	lab.Dense = densify(lab.ByMessage)
 	return lab
 }
 
-// sccKosaraju returns the component id of each node, with component
-// ids in topological order of the condensation (sources first).
-func sccKosaraju(adj [][]int) []int {
-	n := len(adj)
-	visited := make([]bool, n)
-	post := make([]int, 0, n)
-	var dfs1 func(int)
-	dfs1 = func(u int) {
-		visited[u] = true
-		for _, v := range adj[u] {
-			if !visited[v] {
-				dfs1(v)
-			}
-		}
-		post = append(post, u)
-	}
-	for u := 0; u < n; u++ {
-		if !visited[u] {
-			dfs1(u)
-		}
-	}
-	radj := make([][]int, n)
-	for u, vs := range adj {
-		for _, v := range vs {
-			radj[v] = append(radj[v], u)
-		}
-	}
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var dfs2 func(int, int)
-	dfs2 = func(u, c int) {
-		comp[u] = c
-		for _, v := range radj[u] {
-			if comp[v] == -1 {
-				dfs2(v, c)
+// constraints calls visit for every ≤ constraint of the order-based
+// construction: u then v, distinct, consecutive in a cell program, and
+// both directions of every extra equality.
+func constraints(p *model.Program, extraEqualities [][2]model.MessageID, visit func(u, v model.MessageID)) {
+	for c := 0; c < p.NumCells(); c++ {
+		code := p.Code(model.CellID(c))
+		for i := 1; i < len(code); i++ {
+			if u, v := code[i-1].Msg, code[i].Msg; u != v {
+				visit(u, v)
 			}
 		}
 	}
-	c := 0
-	for i := len(post) - 1; i >= 0; i-- {
-		if comp[post[i]] == -1 {
-			dfs2(post[i], c)
-			c++
+	for _, eq := range extraEqualities {
+		if eq[0] != eq[1] {
+			visit(eq[0], eq[1])
+			visit(eq[1], eq[0])
 		}
 	}
-	return comp
 }
 
 // lookaheadEqualities runs the lookahead crossing-off procedure and
@@ -163,7 +194,7 @@ func sccKosaraju(adj [][]int) []int {
 // message must share the located pair's label.
 func lookaheadEqualities(p *model.Program, budget func(model.MessageID) int) [][2]model.MessageID {
 	var eqs [][2]model.MessageID
-	crossoff.Run(p, crossoff.Options{
+	crossoff.Classify(p, crossoff.Options{
 		Lookahead: true,
 		Budget:    budget,
 		Observer: func(pr crossoff.Pair) {

@@ -1,11 +1,17 @@
 package label
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"systolic/internal/crossoff"
+	"systolic/internal/gen"
 	"systolic/internal/model"
+	"systolic/internal/rational"
+	"systolic/internal/topology"
 )
 
 func TestAssignByOrderFig7(t *testing.T) {
@@ -189,4 +195,156 @@ func randomDF(t testing.TB, rng *rand.Rand, cells, messages, maxWords int) *mode
 		t.Fatal(err)
 	}
 	return p
+}
+
+// listOrderLabels is the order-based construction as it stood before
+// the flat layout: an adjacency list grown per edge, a recursive
+// Kosaraju, a member list per component, and densify over the ranks.
+// TestOrderLabelsMatchesListConstruction holds orderLabels to it.
+func listOrderLabels(p *model.Program, extraEqualities [][2]model.MessageID) Labeling {
+	n := p.NumMessages()
+	adj := make([][]int, n)
+	addEdge := func(u, v model.MessageID) {
+		if u != v {
+			adj[u] = append(adj[u], int(v))
+		}
+	}
+	for c := 0; c < p.NumCells(); c++ {
+		code := p.Code(model.CellID(c))
+		for i := 1; i < len(code); i++ {
+			addEdge(code[i-1].Msg, code[i].Msg)
+		}
+	}
+	for _, eq := range extraEqualities {
+		addEdge(eq[0], eq[1])
+		addEdge(eq[1], eq[0])
+	}
+	visited := make([]bool, n)
+	var post []int
+	var dfs1 func(int)
+	dfs1 = func(u int) {
+		visited[u] = true
+		for _, v := range adj[u] {
+			if !visited[v] {
+				dfs1(v)
+			}
+		}
+		post = append(post, u)
+	}
+	for u := 0; u < n; u++ {
+		if !visited[u] {
+			dfs1(u)
+		}
+	}
+	radj := make([][]int, n)
+	for u, vs := range adj {
+		for _, v := range vs {
+			radj[v] = append(radj[v], u)
+		}
+	}
+	comp := make([]int, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	var dfs2 func(int, int)
+	dfs2 = func(u, c int) {
+		comp[u] = c
+		for _, v := range radj[u] {
+			if comp[v] == -1 {
+				dfs2(v, c)
+			}
+		}
+	}
+	nc := 0
+	for i := len(post) - 1; i >= 0; i-- {
+		if comp[post[i]] == -1 {
+			dfs2(post[i], nc)
+			nc++
+		}
+	}
+	rank := make([]int, nc)
+	members := make([][]int, nc)
+	for m, c := range comp {
+		rank[c] = 1
+		members[c] = append(members[c], m)
+	}
+	for c := 0; c < nc; c++ {
+		for _, u := range members[c] {
+			for _, v := range adj[u] {
+				if cv := comp[v]; cv != c && rank[c]+1 > rank[cv] {
+					rank[cv] = rank[c] + 1
+				}
+			}
+		}
+	}
+	lab := Labeling{ByMessage: make([]rational.R, n)}
+	for m := 0; m < n; m++ {
+		lab.ByMessage[m] = rational.FromInt(int64(rank[comp[m]]))
+	}
+	lab.Dense = densify(lab.ByMessage)
+	return lab
+}
+
+// TestOrderLabelsMatchesListConstruction: the flat-array fallback must
+// label exactly as the list-based one did — the ranks depend only on
+// the constraint graph — with no equalities, with the rule-1d
+// equalities of a lookahead pass, and with random ones that merge
+// unrelated messages.
+func TestOrderLabelsMatchesListConstruction(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, c := range append(corpusRefCases(t), generatedRefCases(t)...) {
+		routes, err := topology.Routes(c.p, c.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		random := make([][2]model.MessageID, rng.Intn(4))
+		for i := range random {
+			n := c.p.NumMessages()
+			random[i] = [2]model.MessageID{model.MessageID(rng.Intn(n)), model.MessageID(rng.Intn(n))}
+		}
+		for _, eqs := range [][][2]model.MessageID{nil, lookaheadEqualities(c.p, crossoff.BudgetFromRoutes(routes, 1)), random} {
+			got, want := orderLabels(c.p, eqs), listOrderLabels(c.p, eqs)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, equalities %v: labels %v, list construction %v", c.name, eqs, got.Dense, want.Dense)
+			}
+		}
+	}
+}
+
+// TestFallbackMatchesReference holds Assign to the reference on the
+// programs cold-pipeline analyzes with the generator, whose greedy
+// labeling falls back on every seed: strict, and under lookahead, where
+// the fallback's rule-1d equalities come from the pass the labeler
+// observed (default picker) or from a pass of their own (a custom one).
+func TestFallbackMatchesReference(t *testing.T) {
+	fallbacks := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		sc, err := gen.Generate(seed, gen.Options{Cells: 32, Messages: 64, MaxWords: 4, Interleave: 4, Cyclic: true, Topology: gen.TopoMesh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		routes, err := topology.Routes(sc.Program, sc.Topology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, picker := range []crossoff.PairPicker{nil, crossoff.ByFewestSkips} {
+			for _, opts := range []Options{
+				{Picker: picker},
+				{Lookahead: true, Budget: crossoff.BudgetFromRoutes(routes, 2), Picker: picker},
+			} {
+				got, gotErr := Assign(sc.Program, opts)
+				want, wantErr := referenceAssign(sc.Program, opts)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, lookahead %v: got %+v (%v), reference %+v (%v)", seed, opts.Lookahead, got, gotErr, want, wantErr)
+				}
+				if n := len(got.Warnings); n > 0 && strings.Contains(got.Warnings[n-1], "fell back") {
+					fallbacks++
+				}
+			}
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("no generated program fell back: the test checks nothing")
+	}
+	t.Logf("%d fallbacks", fallbacks)
 }
