@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -105,6 +106,39 @@ func TestAnalyzeLookaheadAdmitsP1(t *testing.T) {
 	}
 	if !res.Completed {
 		t.Fatalf("P1 run %s", res.Outcome())
+	}
+}
+
+// TestAnalyzeMonotoneInCapacity: a lookahead analysis never rejects at
+// a larger queue capacity what it admits at a smaller one. On a 3-cell
+// array, A sends X and then Y to C, which reads Y first: crossing Y
+// skips A's write of X, one skip against X's budget of capacity × 2
+// hops. A budget product past MaxInt once wrapped negative and
+// rejected the largest capacities.
+func TestAnalyzeMonotoneInCapacity(t *testing.T) {
+	b := model.NewBuilder()
+	cells := b.AddCells("C", 3)
+	x := b.DeclareMessage("X", cells[0], cells[2], 1)
+	y := b.DeclareMessage("Y", cells[0], cells[2], 1)
+	b.Write(cells[0], x).Write(cells[0], y)
+	b.Read(cells[2], y).Read(cells[2], x)
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := false
+	for _, capacity := range []int{0, 1, 2, 1 << 40, math.MaxInt/2 + 1, math.MaxInt} {
+		a, err := Analyze(p, topology.Linear(3), AnalyzeOptions{Lookahead: true, Capacity: capacity})
+		if err != nil {
+			t.Fatalf("capacity %d: %v", capacity, err)
+		}
+		if admitted && !a.DeadlockFree {
+			t.Errorf("capacity %d rejects a program a smaller capacity admits: %s", capacity, crossoff.DescribeBlocked(p, a.Blocked))
+		}
+		admitted = admitted || a.DeadlockFree
+	}
+	if !admitted {
+		t.Fatal("no capacity admits the program")
 	}
 }
 

@@ -42,19 +42,20 @@ func sortNetwork(t testing.TB, width, rounds int, collect bool) *model.Program {
 // TestTrackerUpdatesLinearInOps is the clock-free gate on the pass's
 // bookkeeping: keeping the set of executable pairs up to date must cost
 // candidacy checks in proportion to the ops crossed, whatever the
-// width. A strict run checks the message at each of the two new fronts
-// per pair; a lookahead run re-examines the messages of the pair's two
-// cells — a constant without the host, whose degree is the width. A
-// tracker that rescans every message per pair checks width × ops of them.
+// width. A strict run checks admission once per cell at the start and
+// at the two new fronts per pair, ops + cells in all; a lookahead run
+// re-examines the messages of the pair's two cells — a constant without
+// the host, whose degree is the width. A tracker that rescans every
+// message per pair checks width × ops of them.
 func TestTrackerUpdatesLinearInOps(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		opts    Options
 		collect bool
-		perOp   int
+		bound   func(ops, cells int) int
 	}{
-		{"strict", Options{}, true, 2},
-		{"lookahead", Options{Lookahead: true, Budget: UniformBudget(2)}, false, 12},
+		{"strict", Options{}, true, func(ops, cells int) int { return ops + cells }},
+		{"lookahead", Options{Lookahead: true, Budget: UniformBudget(2)}, false, func(ops, _ int) int { return 12 * ops }},
 	} {
 		for _, width := range []int{4000, 16000} {
 			p := sortNetwork(t, width, 4, tc.collect)
@@ -62,10 +63,10 @@ func TestTrackerUpdatesLinearInOps(t *testing.T) {
 			if s.left != 0 {
 				t.Fatalf("%s, width %d: %d ops left uncrossed", tc.name, width, s.left)
 			}
-			ops := p.TotalOps()
-			t.Logf("%s, width %d: %d candidacy checks for %d ops (%.2f each)", tc.name, width, s.updates, ops, float64(s.updates)/float64(ops))
-			if s.updates > tc.perOp*ops {
-				t.Errorf("%s, width %d: %d candidacy checks for %d ops, want ≤ %d per op", tc.name, width, s.updates, ops, tc.perOp)
+			ops, cells := p.TotalOps(), p.NumCells()
+			t.Logf("%s, width %d: %d candidacy checks for %d ops, %d cells (%.2f per op)", tc.name, width, s.updates, ops, cells, float64(s.updates)/float64(ops))
+			if bound := tc.bound(ops, cells); s.updates > bound {
+				t.Errorf("%s, width %d: %d candidacy checks for %d ops and %d cells, want ≤ %d", tc.name, width, s.updates, ops, cells, bound)
 			}
 		}
 	}
@@ -119,6 +120,15 @@ func TestAllocGateFailedProbes(t *testing.T) {
 	}
 }
 
+// allocated is the heap bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestClassifyKeepsNoOrder: Classify answers one bool, so it must not
 // materialise what Run reports — against a Run of the same program it
 // saves at least the order slice, one Pair per pair crossed.
@@ -127,13 +137,6 @@ func TestClassifyKeepsNoOrder(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	p := sortNetwork(t, 4000, 4, true)
-	allocated := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
 	run := allocated(func() { Run(p, Options{}) })
 	classify := allocated(func() {
 		if !Classify(p, Options{}) {
@@ -144,5 +147,31 @@ func TestClassifyKeepsNoOrder(t *testing.T) {
 	t.Logf("Run allocates %d bytes, Classify %d; the order is %d", run, classify, order)
 	if classify+order > run {
 		t.Errorf("Classify allocates %d bytes against Run's %d: less than the order's %d apart", classify, run, order)
+	}
+}
+
+// TestStrictPassAllocatesNoOpTable: under the strict rules the cursors
+// are the whole crossed state, so a strict Classify allocates per cell
+// and per message, never per op — on a 16-cell pipeline the same bytes
+// at 4096 words a message as at 64.
+func TestStrictPassAllocatesNoOpTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const runs = 8
+	bytes := map[int]uint64{}
+	for _, words := range []int{64, 4096} {
+		p := longPipeline(t, 16, words)
+		bytes[words] = allocated(func() {
+			for range runs {
+				if !Classify(p, Options{}) {
+					t.Fatal("pipeline rejected")
+				}
+			}
+		}) / runs
+		t.Logf("%d words: %d ops, %d bytes per Classify", words, p.TotalOps(), bytes[words])
+	}
+	if bytes[4096] > bytes[64]+64 {
+		t.Errorf("strict Classify allocates %d bytes at 4096 words, %d at 64: it grows with the op count", bytes[4096], bytes[64])
 	}
 }

@@ -16,25 +16,24 @@
 // are crossed later, which is exactly the paper's model of words parked
 // in queue buffers.
 //
-// A pass keeps the set of executable pairs up to date incrementally and
-// allocates what the program's size determines up front: one crossed
-// flag per op, one candidate slot per message, and for Run alone the
-// pick order at ops/2. A candidate holds no skip list: the picked
-// pair's skips are located again into the pass's one skip buffer, and
-// only Run's order copies them out. Under the strict rules a message is executable iff
-// both its endpoint fronts are ops on it, so a crossed pair can only
-// enable the messages at the two new fronts: O(1) per pair whatever the
-// cell degree, O(ops·log messages) per run with the default picker's
-// heap. Lookahead re-examines every message incident to the two cells,
-// O(degree) per pair. The analysis makes one such pass without the
-// order (Verdict, see label.Run); Options.Observer is where the §6
-// labeler rides along.
+// A pass keeps the executable pairs up to date incrementally and
+// allocates what the program's size determines up front: a cursor per
+// cell, a candidate slot per message, and for Run alone the pick order.
+// Strict rules cross only fronts, so the cursors are the whole crossed
+// state and a crossed pair can only enable the messages at its two new
+// fronts — one admission check each, O(ops·log messages) per run with
+// the default picker's heap; Schedule runs on the same tracker.
+// Lookahead adds a crossed flag per op, re-examines the messages of the
+// pair's two cells, O(degree) per pair, and locates the picked pair's
+// skips again into one buffer that only Run's order copies out. The
+// analysis makes one such pass without the order (Verdict, see
+// label.Run); Options.Observer is where the §6 labeler rides along.
 package crossoff
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"systolic/internal/model"
@@ -145,11 +144,14 @@ func UniformBudget(n int) func(model.MessageID) int {
 
 // BudgetFromRoutes returns the rule-R2 budget implied by per-queue
 // capacity and the routes of each message: capacity × hops, "the total
-// size of the queues that the message will cross".
+// size of the queues that the message will cross", saturating at MaxInt.
 func BudgetFromRoutes(routes [][]topology.Hop, capacity int) func(model.MessageID) int {
 	return func(m model.MessageID) int {
 		if int(m) < 0 || int(m) >= len(routes) {
 			return 0
+		}
+		if hops := len(routes[m]); hops > 0 && capacity > math.MaxInt/hops {
+			return math.MaxInt
 		}
 		return capacity * len(routes[m])
 	}
@@ -159,11 +161,12 @@ func BudgetFromRoutes(routes [][]topology.Hop, capacity int) func(model.MessageI
 type state struct {
 	p    *model.Program
 	opts Options
-	// crossed flags every op of the program in one slice; cell c's ops
-	// start at off[c].
+	// cursor is each cell's first uncrossed index, the whole crossed
+	// state under the strict rules. Lookahead adds a flag per op (cell
+	// c's from off[c]) and the cursor passes crossed ones lazily.
+	cursor  []int
 	crossed []bool
 	off     []int
-	cursor  []int // first uncrossed index per cell (may point past crossed holes lazily)
 	left    int
 	// skipCount is withinBudget's per-message scratch, all zero between
 	// calls; allocated on the first budgeted skip set.
@@ -173,25 +176,25 @@ type state struct {
 	// picked pair's skips are located again into it before the
 	// observer sees them. Only Run's order copies them out.
 	skips   []Skip
-	updates int // tracker.update calls: the pass's clock-free cost, for tests
+	updates int // candidacy checks (admit, update): the pass's clock-free cost, for tests
 }
 
 func newState(p *model.Program, opts Options) *state {
-	s := &state{p: p, opts: opts}
-	s.off = make([]int, p.NumCells())
-	s.cursor = make([]int, p.NumCells())
-	for c := range s.off {
-		s.off[c] = s.left
-		s.left += len(p.Code(model.CellID(c)))
+	s := &state{p: p, opts: opts, cursor: make([]int, p.NumCells()), left: p.TotalOps()}
+	if opts.Lookahead {
+		s.off = make([]int, p.NumCells())
+		for c := 1; c < len(s.off); c++ {
+			s.off[c] = s.off[c-1] + len(p.Code(model.CellID(c-1)))
+		}
+		s.crossed = make([]bool, s.left)
 	}
-	s.crossed = make([]bool, s.left)
 	return s
 }
 
-// advance moves a cell's cursor past crossed ops.
+// advance moves a cell's cursor past crossed ops (strict: none).
 func (s *state) advance(c model.CellID) {
-	crossed := s.crossed[s.off[c] : s.off[c]+len(s.p.Code(c))]
-	for s.cursor[c] < len(crossed) && crossed[s.cursor[c]] {
+	code := s.p.Code(c)
+	for s.crossed != nil && s.cursor[c] < len(code) && s.crossed[s.off[c]+s.cursor[c]] {
 		s.cursor[c]++
 	}
 }
@@ -207,8 +210,8 @@ func (s *state) front(c model.CellID) (model.Op, int, bool) {
 }
 
 // locate finds the earliest uncrossed op of the wanted kind on message
-// msg in cell c's program, subject to lookahead rules. It returns the
-// op index and whether it was found within the rules, and appends the
+// msg in cell c's program under the lookahead rules. It returns the op
+// index and whether it was found within the rules, and appends the
 // writes skipped to reach it to s.skips.
 func (s *state) locate(c model.CellID, kind model.OpKind, msg model.MessageID) (int, bool) {
 	s.advance(c)
@@ -220,9 +223,6 @@ func (s *state) locate(c model.CellID, kind model.OpKind, msg model.MessageID) (
 		op := code[i]
 		if op.Kind == kind && op.Msg == msg {
 			return i, true
-		}
-		if !s.opts.Lookahead {
-			return 0, false // strict: only the front qualifies
 		}
 		if op.Kind == model.Read {
 			return 0, false // rule R1: reads are never skipped
@@ -253,9 +253,9 @@ func (s *state) withinBudget(skipped []Skip) bool {
 	return ok
 }
 
-// probe locates message m's executable pair under the current rules:
-// the write and read indexes, with the writes skipped to reach them in
-// s.skips.
+// probe locates message m's executable pair under the lookahead
+// rules: the write and read indexes, with the writes skipped to reach
+// them in s.skips.
 func (s *state) probe(m model.Message) (w, r int, ok bool) {
 	s.skips = s.skips[:0]
 	if w, ok = s.locate(m.Sender, model.Write, m.ID); !ok {
@@ -267,34 +267,16 @@ func (s *state) probe(m model.Message) (w, r int, ok bool) {
 	return w, r, true
 }
 
-// pair is the Pair of message m at write index w and read index r. Its
-// Skipped aliases s.skips, so it is valid only until the next probe.
-func (s *state) pair(m model.Message, w, r int) Pair {
-	pr := Pair{Msg: m.ID, WriteCell: m.Sender, WriteIdx: w, ReadCell: m.Receiver, ReadIdx: r}
-	if len(s.skips) > 0 {
-		pr.Skipped = s.skips
-	}
-	return pr
-}
-
-// candidates returns all currently executable pairs, one per eligible
-// message, in message-id order, each owning its skip list.
-func (s *state) candidates() []Pair {
-	var out []Pair
-	for _, m := range s.p.Messages() {
-		if w, r, ok := s.probe(m); ok {
-			pr := s.pair(m, w, r)
-			pr.Skipped = slices.Clone(pr.Skipped)
-			out = append(out, pr)
-		}
-	}
-	return out
-}
-
-// cross marks a pair's two ops as executed.
+// cross marks a pair's two ops as executed. Under the strict rules
+// they are the two cells' fronts, so their cursors step past them.
 func (s *state) cross(pr Pair) {
-	s.crossed[s.off[pr.WriteCell]+pr.WriteIdx] = true
-	s.crossed[s.off[pr.ReadCell]+pr.ReadIdx] = true
+	if s.crossed == nil {
+		s.cursor[pr.WriteCell]++
+		s.cursor[pr.ReadCell]++
+	} else {
+		s.crossed[s.off[pr.WriteCell]+pr.WriteIdx] = true
+		s.crossed[s.off[pr.ReadCell]+pr.ReadIdx] = true
+	}
 	s.left -= 2
 }
 
@@ -314,12 +296,11 @@ func (s *state) blocked() []BlockedOp {
 // two endpoint cells, so after crossing a pair only messages incident
 // to the pair's write and read cells can gain or lose candidacy —
 // everything else is untouched. Under the strict rules it is narrower
-// still: a message is a candidate iff both endpoint fronts are ops on
-// it, so the only messages that can gain candidacy are the ones at the
-// two new fronts, and the only one that loses it is the crossed
-// message. Strict runs therefore cost O(1) maintenance per pair
-// whatever the cell degree; lookahead runs rescan the incident
-// messages, O(degree) per pair.
+// still (see admit): the only messages that can gain candidacy are the
+// ones at the two new fronts, and the only one that loses it is the
+// crossed message. Strict runs therefore cost one admission check per
+// new front whatever the cell degree; lookahead runs rescan the
+// incident messages, O(degree) per pair.
 //
 // A candidate is its write and read indexes only. Under lookahead its
 // skipped writes are located again when it is picked, which costs what
@@ -332,7 +313,6 @@ type tracker struct {
 	byCell [][]int
 	cand   []slot // current candidate per message (valid iff live)
 	live   []bool
-	nLive  int
 	// heap orders the live messages for the default picker: every live
 	// index is in it at least once, pushed when it turns live; dead and
 	// duplicate entries are discarded at pop time against live. nil
@@ -376,8 +356,14 @@ func newTracker(s *state) *tracker {
 	}
 	t.cand = make([]slot, len(t.msgs))
 	t.live = make([]bool, len(t.msgs))
-	for i := range t.msgs {
-		t.update(i)
+	if s.opts.Lookahead {
+		for i := range t.msgs {
+			t.update(i)
+		}
+	} else {
+		for c := range s.cursor {
+			t.admit(model.CellID(c))
+		}
 	}
 	return t
 }
@@ -385,27 +371,37 @@ func newTracker(s *state) *tracker {
 // slot is a candidate pair's write and read index.
 type slot struct{ w, r int }
 
-// update recomputes message i's candidacy.
+// update recomputes message i's candidacy under the lookahead rules.
 func (t *tracker) update(i int) {
 	t.s.updates++
 	w, r, ok := t.s.probe(t.msgs[i])
-	if ok != t.live[i] {
-		if ok {
-			t.nLive++
-			if t.heap != nil {
-				t.heap.push(i)
-			}
-		} else {
-			t.nLive--
-		}
+	if ok && !t.live[i] && t.heap != nil {
+		t.heap.push(i)
 	}
 	t.cand[i], t.live[i] = slot{w, r}, ok
 }
 
-// updateFront recomputes candidacy for the message at cell c's front.
-func (t *tracker) updateFront(c model.CellID) {
-	if op, _, ok := t.s.front(c); ok {
-		t.update(int(op.Msg))
+// admit is the strict admission rule: the message at cell c's front
+// turns live, its slot the two fronts, iff its other endpoint fronts
+// the complementary op on it. A live message stays live until it is
+// crossed, as crossing a pair moves only its own two cells' fronts, so
+// admit runs for every cell at the start and then for each pair's two.
+func (t *tracker) admit(c model.CellID) {
+	t.s.updates++
+	code, at := t.s.p.Code(c), t.s.cursor[c]
+	if at >= len(code) || t.live[code[at].Msg] {
+		return
+	}
+	m := &t.msgs[code[at].Msg]
+	other, want := m.Receiver, model.Read // c fronts W(m), so it is m's sender
+	if code[at].Kind == model.Read {
+		other, want = m.Sender, model.Write
+	}
+	if code, at := t.s.p.Code(other), t.s.cursor[other]; at < len(code) && code[at] == (model.Op{Kind: want, Msg: m.ID}) {
+		t.cand[m.ID], t.live[m.ID] = slot{t.s.cursor[m.Sender], t.s.cursor[m.Receiver]}, true
+		if t.heap != nil {
+			t.heap.push(int(m.ID))
+		}
 	}
 }
 
@@ -418,15 +414,11 @@ func (t *tracker) refresh(c model.CellID) {
 
 // crossed brings the candidate set up to date after pr was crossed.
 func (t *tracker) crossed(pr Pair) {
-	// The pair's two ops are gone; the update below re-admits the
-	// message (and re-pushes it) if its next word is executable too.
-	if i := int(pr.Msg); t.live[i] {
-		t.live[i] = false
-		t.nLive--
-	}
+	// The pair's ops are gone; the checks below re-admit its next word.
+	t.live[pr.Msg] = false
 	if !t.s.opts.Lookahead {
-		t.updateFront(pr.WriteCell)
-		t.updateFront(pr.ReadCell)
+		t.admit(pr.WriteCell)
+		t.admit(pr.ReadCell)
 		return
 	}
 	t.refresh(pr.WriteCell)
@@ -455,35 +447,38 @@ func (t *tracker) slice() []Pair {
 	return t.pairs
 }
 
-// pick returns the next pair to cross, or false when none is
-// executable. The default picker, ByMessageID, always selects the live
-// candidate with the smallest message id (there is exactly one
+// pick returns the message of the next pair to cross, or false when
+// none is executable. The default picker, ByMessageID, always selects
+// the live candidate with the smallest message id (there is exactly one
 // candidate per message, so the write-index tie-break never fires);
 // the heap finds it without materializing the slice.
-func (t *tracker) pick() (Pair, bool) {
+func (t *tracker) pick() (int, bool) {
 	if t.heap == nil {
-		if t.nLive == 0 {
-			return Pair{}, false
+		if cands := t.slice(); len(cands) > 0 {
+			return int(t.s.opts.Picker(cands).Msg), true
 		}
-		return t.picked(int(t.s.opts.Picker(t.slice()).Msg)), true
+		return 0, false
 	}
 	for len(*t.heap) > 0 {
 		if i := t.heap.pop(); t.live[i] {
-			return t.picked(i), true
+			return i, true
 		}
 	}
-	return Pair{}, false
+	return 0, false
 }
 
-// picked is live message i's pair. Under lookahead its skips are
-// located again into the state's scratch, valid until the next probe;
-// strict rules skip nothing.
+// picked is live message i's pair, built from its slot. Under
+// lookahead its skips are located again into the state's scratch,
+// valid until the next probe; strict rules skip nothing.
 func (t *tracker) picked(i int) Pair {
-	m := t.msgs[i]
+	m := &t.msgs[i]
+	pr := Pair{Msg: m.ID, WriteCell: m.Sender, WriteIdx: t.cand[i].w, ReadCell: m.Receiver, ReadIdx: t.cand[i].r}
 	if t.s.opts.Lookahead {
-		t.s.probe(m)
+		if t.s.probe(*m); len(t.s.skips) > 0 {
+			pr.Skipped = t.s.skips
+		}
 	}
-	return t.s.pair(m, t.cand[i].w, t.cand[i].r)
+	return pr
 }
 
 // minHeap is a binary min-heap of message indexes.
@@ -535,10 +530,11 @@ func cross(p *model.Program, opts Options, order []Pair) (*state, []Pair) {
 	s := newState(p, opts)
 	t := newTracker(s)
 	for s.left > 0 {
-		pr, ok := t.pick()
+		i, ok := t.pick()
 		if !ok {
 			break
 		}
+		pr := t.picked(i)
 		if opts.Observer != nil {
 			opts.Observer(pr)
 		}
@@ -595,20 +591,23 @@ type Round struct {
 
 // Schedule runs the strict (no-lookahead) procedure in maximal
 // simultaneous rounds, reproducing the step structure of Fig 4. It
-// reports the rounds and whether the program is deadlock-free.
+// reports the rounds and whether the program is deadlock-free. A round
+// drains the live set from the heap, in ascending message id, then
+// crosses its pairs, admitting at their cells.
 func Schedule(p *model.Program) ([]Round, bool) {
 	s := newState(p, Options{})
+	t := newTracker(s)
 	var rounds []Round
-	for s.left > 0 {
-		cands := s.candidates()
-		if len(cands) == 0 {
-			break
+	for len(*t.heap) > 0 {
+		pairs := make([]Pair, 0, len(*t.heap))
+		for len(*t.heap) > 0 {
+			pairs = append(pairs, t.picked(t.heap.pop()))
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].Msg < cands[j].Msg })
-		for _, pr := range cands {
+		for _, pr := range pairs {
 			s.cross(pr)
+			t.crossed(pr)
 		}
-		rounds = append(rounds, Round{Step: len(rounds) + 1, Pairs: cands})
+		rounds = append(rounds, Round{Step: len(rounds) + 1, Pairs: pairs})
 	}
 	return rounds, s.left == 0
 }

@@ -2,13 +2,16 @@ package crossoff
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
 
 	"systolic/internal/gen"
 	"systolic/internal/model"
+	"systolic/internal/topology"
 )
 
 // build constructs a program from compact specs: msgs are
@@ -285,6 +288,95 @@ func TestBudgetFromRoutesViaUniform(t *testing.T) {
 	if b(0) != 0 {
 		t.Fatal("out-of-range message should have zero budget")
 	}
+	// A product past MaxInt saturates: it must not wrap negative and
+	// reject what a smaller capacity admits.
+	routes := [][]topology.Hop{make([]topology.Hop, 2), nil}
+	for _, tc := range []struct{ capacity, want int }{
+		{3, 6}, {math.MaxInt / 2, math.MaxInt - 1}, {math.MaxInt/2 + 1, math.MaxInt}, {math.MaxInt, math.MaxInt},
+	} {
+		if got := BudgetFromRoutes(routes, tc.capacity)(0); got != tc.want {
+			t.Errorf("capacity %d over 2 hops: budget %d, want %d", tc.capacity, got, tc.want)
+		}
+		if got := BudgetFromRoutes(routes, tc.capacity)(1); got != 0 {
+			t.Errorf("capacity %d over no hops: budget %d, want 0", tc.capacity, got)
+		}
+	}
+}
+
+// checkStrictWalk holds the strict cursor walk to the general lookahead
+// path: strict rules are lookahead with a zero budget, which rejects
+// every skip, so Run must report the same pairs in the same order, the
+// same blocked fronts and the same ops left. Schedule's rounds,
+// flattened, must hold exactly Run's pairs, each round ascending by
+// message. It returns the verdict.
+func checkStrictWalk(t testing.TB, p *model.Program) bool {
+	t.Helper()
+	strict := Run(p, Options{})
+	zero := Run(p, Options{Lookahead: true, Budget: UniformBudget(0)})
+	if !reflect.DeepEqual(strict, zero) {
+		t.Fatalf("strict Run %+v, zero-budget lookahead Run %+v", strict, zero)
+	}
+	rounds, free := Schedule(p)
+	if free != strict.DeadlockFree {
+		t.Fatalf("Schedule verdict %v, Run verdict %v", free, strict.DeadlockFree)
+	}
+	flat := []Pair{}
+	for _, r := range rounds {
+		if !slices.IsSortedFunc(r.Pairs, func(a, b Pair) int { return cmp.Compare(a.Msg, b.Msg) }) {
+			t.Fatalf("round %d is not ascending by message: %+v", r.Step, r.Pairs)
+		}
+		flat = append(flat, r.Pairs...)
+	}
+	byPair := func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a.Msg, b.Msg), cmp.Compare(a.WriteIdx, b.WriteIdx))
+	}
+	order := append([]Pair{}, strict.Order...)
+	slices.SortFunc(flat, byPair)
+	slices.SortFunc(order, byPair)
+	if !reflect.DeepEqual(flat, order) {
+		t.Fatalf("Schedule's rounds hold %+v, Run crossed %+v", flat, order)
+	}
+	return strict.DeadlockFree
+}
+
+// TestStrictWalkMatchesZeroBudgetLookahead runs checkStrictWalk over a
+// thousand generated programs, about half of them deadlocked.
+func TestStrictWalkMatchesZeroBudgetLookahead(t *testing.T) {
+	verdicts := map[bool]int{}
+	for seed := int64(1); seed <= 1000; seed++ {
+		sc, err := gen.Generate(seed, gen.Options{Cells: 8, Messages: 16, MaxWords: 4, Interleave: 4, Cyclic: seed%2 == 0, Mutations: int(seed % 8)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdicts[checkStrictWalk(t, sc.Program)]++
+	}
+	t.Logf("%d deadlock-free, %d deadlocked", verdicts[true], verdicts[false])
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("the corpus holds one verdict only: %v", verdicts)
+	}
+}
+
+// FuzzStrictWalk runs checkStrictWalk on generated programs whose
+// generator options come from the fuzz input.
+func FuzzStrictWalk(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(16), uint8(4), uint8(4), uint8(3), true)
+	f.Add(int64(7), uint8(2), uint8(1), uint8(1), uint8(1), uint8(0), false)
+	f.Add(int64(42), uint8(12), uint8(30), uint8(6), uint8(30), uint8(12), true)
+	f.Fuzz(func(t *testing.T, seed int64, cells, msgs, words, interleave, mutations uint8, cyclic bool) {
+		sc, err := gen.Generate(seed, gen.Options{
+			Cells:      2 + int(cells%15),
+			Messages:   1 + int(msgs%32),
+			MaxWords:   1 + int(words%6),
+			Interleave: 1 + int(interleave%32),
+			Cyclic:     cyclic,
+			Mutations:  int(mutations % 16),
+			Topology:   gen.TopoLinear,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStrictWalk(t, sc.Program)
+	})
 }
 
 // TestRunOrderOwnsSkips: a pass keeps one skip buffer, which the
