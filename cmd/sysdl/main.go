@@ -10,20 +10,29 @@
 //	sysdl fuzz   [flags]             # differential oracle over generated programs
 //	sysdl serve  [flags]             # HTTP simulation service with machine cache
 //
-// FILE may be '-' for stdin. Flags for run: -queues N -capacity N
-// -policy compatible|static|fcfs|lifo|random|adversarial -seed N
-// -lookahead -timeline -force. Flags for sweep: -sweep-policies,
-// -sweep-queues, -sweep-capacities, -sweep-lookaheads (comma-separated
-// axis values) and -workers N (the worker pool; grid points run
-// concurrently, each simulation on one goroutine); the report marks
-// which configurations deadlock and which Theorem 1 budgets avoid it.
+// FILE may be '-' for stdin. Each verb accepts only the flags it
+// reads; any other flag is a usage error (exit 2), and 'sysdl VERB -h'
+// lists the verb's flags. label, plan and run take -lookahead and
+// -capacity N; run adds -queues N -policy
+// compatible|static|fcfs|lifo|random|adversarial -seed N -fault SPEC
+// -link-model SPEC -timeline -stats -force. check and render take only
+// the profiling flags.
+//
+// sweep takes -sweep-policies, -sweep-queues, -sweep-capacities,
+// -sweep-lookaheads, -sweep-link-models (axis values), -seed, -fault
+// and -workers N (the worker pool; grid points run concurrently, each
+// simulation on one goroutine); the report marks which configurations
+// deadlock and which Theorem 1 budgets avoid it.
 //
 // fuzz takes no FILE: it generates -n seeded random scenarios
 // (seeds -seed … -seed+n-1) and cross-checks the analyzer's Theorem 1
 // verdict against the simulator, reporting invariant violations and
 // minimized counterexamples. Pass -queues Q to force a budget below
 // the Theorem 1 bound and watch the predicted deadlocks appear; any
-// reported seed replays with -n 1 -seed S.
+// reported seed replays with -n 1 -seed S. Its other flags are
+// -fuzz-mutations, -fuzz-cyclic, -fuzz-cells, -fuzz-interleave,
+// -fuzz-topology, -fuzz-lookahead, -faults, -link-models, -fault and
+// -workers.
 //
 // serve also takes no FILE: it starts the HTTP/JSON daemon
 // (-addr HOST:PORT -cache-size N -max-concurrency N -queue-wait N
@@ -112,7 +121,7 @@ func main() {
 
 	opts := cli.DefaultSysdlOptions()
 	fs := flag.NewFlagSet("sysdl "+cmd, flag.ExitOnError)
-	opts.BindFlags(fs)
+	opts.BindFlags(fs, cmd)
 	_ = fs.Parse(args)
 	if !verbs[vi].needsFile {
 		// Flag parsing stops at the first non-flag argument, so a
@@ -123,30 +132,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if cmd == "fuzz" {
-		// Refuse flags fuzz accepts syntactically but does not use, so
-		// e.g. -lookahead is not mistaken for -fuzz-lookahead.
-		ignored := map[string]string{
-			"capacity":  "the oracle sweeps its own capacity grid",
-			"policy":    "the oracle cross-checks the compatible and static policies",
-			"lookahead": "use -fuzz-lookahead N for the §8 analysis budget",
-			"timeline":  "not applicable to fuzz", "stats": "not applicable to fuzz",
-			"force":          "not applicable to fuzz",
-			"sweep-policies": "sweep-only flag", "sweep-queues": "sweep-only flag",
-			"sweep-capacities": "sweep-only flag", "sweep-lookaheads": "sweep-only flag",
-		}
-		bad := false
-		fs.Visit(func(f *flag.Flag) {
-			if why, ok := ignored[f.Name]; ok {
-				fmt.Fprintf(os.Stderr, "sysdl: fuzz does not use -%s (%s)\n", f.Name, why)
-				bad = true
-			}
-		})
-		if bad {
-			os.Exit(2)
-		}
-	}
-
 	var src string
 	if verbs[vi].needsFile {
 		var err error

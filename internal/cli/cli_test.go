@@ -267,9 +267,37 @@ func TestSysdlRunCapacityZeroRunsAsOne(t *testing.T) {
 	}
 	fs := flag.NewFlagSet("sysdl", flag.ContinueOnError)
 	opts := DefaultSysdlOptions()
-	opts.BindFlags(fs)
+	opts.BindFlags(fs, "run")
 	if usage := fs.Lookup("capacity").Usage; !strings.Contains(usage, "0 runs as 1") {
 		t.Errorf("-capacity help %q does not say 0 runs as 1", usage)
+	}
+}
+
+// TestSysdlRunHugeCounts: a capacity beyond the largest message runs
+// exactly like one equal to it, and a queue count whose total over the
+// links overflows is a machine config error, not a crash.
+func TestSysdlRunHugeCounts(t *testing.T) {
+	src, err := os.ReadFile("../../examples/dsl/pipeline.sys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs []string
+	for _, capacity := range []int{3, 1 << 34, 1<<62 + 1} { // 3 = the largest message
+		opts := DefaultSysdlOptions()
+		opts.Capacity, opts.Timeline, opts.Stats = capacity, true, true
+		var b strings.Builder
+		if code, err := Sysdl(&b, "run", string(src), opts); err != nil || code != 0 {
+			t.Fatalf("-capacity %d: code=%d err=%v\n%s", capacity, code, err, b.String())
+		}
+		if outs = append(outs, b.String()); outs[len(outs)-1] != outs[0] {
+			t.Fatalf("-capacity %d differs from -capacity 3:\n%s\nvs\n%s", capacity, b.String(), outs[0])
+		}
+	}
+	opts := DefaultSysdlOptions()
+	opts.Queues = 1<<62 + 1
+	var b strings.Builder
+	if code, err := Sysdl(&b, "run", string(src), opts); code != 1 || err == nil || !strings.Contains(err.Error(), "machine: config") {
+		t.Fatalf("-queues 2^62+1: code=%d err=%v, want 1 and a machine config error", code, err)
 	}
 }
 

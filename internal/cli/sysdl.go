@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -84,38 +85,59 @@ func DefaultSysdlOptions() SysdlOptions {
 	}
 }
 
-// BindFlags registers the options on a FlagSet.
-func (o *SysdlOptions) BindFlags(fs *flag.FlagSet) {
-	fs.IntVar(&o.Queues, "queues", o.Queues, "queues per link (0 = minimum from analysis)")
-	fs.IntVar(&o.Capacity, "capacity", o.Capacity, "words per queue (0 runs as 1: the unbuffered latch is not reachable from sysdl)")
-	fs.StringVar(&o.Policy, "policy", o.Policy, "compatible|static|fcfs|lifo|random|adversarial")
-	fs.Int64Var(&o.Seed, "seed", o.Seed, "seed for the random policy")
-	fs.BoolVar(&o.Lookahead, "lookahead", o.Lookahead, "classify/label with §8 lookahead")
-	fs.BoolVar(&o.Timeline, "timeline", o.Timeline, "print queue bind/release timeline")
-	fs.BoolVar(&o.Stats, "stats", o.Stats, "print per-queue statistics")
-	fs.BoolVar(&o.Force, "force", o.Force, "run even when Theorem 1's queue requirement is unmet")
-	fs.StringVar(&o.Fault, "fault", o.Fault, "run/sweep/fuzz: fault-plan spec, e.g. cell:1:slow=2,link:0:sever@9 (empty = perfect array)")
-	fs.StringVar(&o.LinkModel, "link-model", o.LinkModel, "run: link-timing spec, e.g. fixed,delay=3 or congestion,delay=1,threshold=2,max=4 (empty = unit latency)")
-	fs.StringVar(&o.SweepPolicies, "sweep-policies", o.SweepPolicies, "sweep: comma-separated policies (default fcfs,static,compatible)")
-	fs.StringVar(&o.SweepQueues, "sweep-queues", o.SweepQueues, "sweep: comma-separated queue budgets, 0 = auto (default 0,1,2,3)")
-	fs.StringVar(&o.SweepCapacities, "sweep-capacities", o.SweepCapacities, "sweep: comma-separated capacities (default 1,2)")
-	fs.StringVar(&o.SweepLookaheads, "sweep-lookaheads", o.SweepLookaheads, "sweep: comma-separated lookahead budgets, 0 = strict (default 0,2)")
-	fs.StringVar(&o.SweepLinkModels, "sweep-link-models", o.SweepLinkModels, "sweep: semicolon-separated link-timing specs, empty element = unit latency (default unit only)")
-	fs.IntVar(&o.Workers, "workers", o.Workers, "sweep/fuzz: worker-pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&o.FuzzN, "n", o.FuzzN, "fuzz: number of scenarios (seeds seed..seed+n-1)")
-	fs.IntVar(&o.FuzzMutations, "fuzz-mutations", o.FuzzMutations, "fuzz: adjacent-op swaps per scenario (0 = deadlock-free by construction)")
-	fs.BoolVar(&o.FuzzCyclic, "fuzz-cyclic", o.FuzzCyclic, "fuzz: allow cyclic data flow")
-	fs.IntVar(&o.FuzzCells, "fuzz-cells", o.FuzzCells, "fuzz: cells per scenario (0 = per-seed random)")
-	fs.IntVar(&o.FuzzInterleave, "fuzz-interleave", o.FuzzInterleave, "fuzz: interleave depth (0 = per-seed random)")
-	fs.StringVar(&o.FuzzTopology, "fuzz-topology", o.FuzzTopology, "fuzz: auto|linear|ring|mesh")
-	fs.IntVar(&o.FuzzLookahead, "fuzz-lookahead", o.FuzzLookahead, "fuzz: §8 analysis budget (0 = strict)")
-	fs.BoolVar(&o.FuzzFaults, "faults", o.FuzzFaults, "fuzz: additionally check each scenario degraded by a seeded fault plan")
-	fs.BoolVar(&o.FuzzLinkModels, "link-models", o.FuzzLinkModels, "fuzz: additionally check each scenario under retimed link models (noop-equivalence, completion)")
-	fs.StringVar(&o.Addr, "addr", o.Addr, "serve: listen address")
-	fs.IntVar(&o.CacheSize, "cache-size", o.CacheSize, "serve: compiled-scenario cache bound (entries)")
-	fs.IntVar(&o.MaxConcurrency, "max-concurrency", o.MaxConcurrency, "serve: concurrent simulations (0 = GOMAXPROCS)")
-	fs.IntVar(&o.QueueWait, "queue-wait", o.QueueWait, "serve: requests allowed to wait for a run slot before shedding with 429 (0 = 2x max-concurrency, -1 = none)")
-	fs.StringVar(&o.TenantsFile, "tenants", o.TenantsFile, "serve: tenants JSON file enabling per-tenant API keys and quotas (empty = anonymous)")
+// BindFlags registers on fs the options verb reads, so the flag
+// package refuses every other flag: the profiling flags on every verb,
+// -lookahead and -capacity on label, plan and run, and each verb's own.
+// check and render read no option.
+func (o *SysdlOptions) BindFlags(fs *flag.FlagSet, verb string) {
+	on := func(verbs ...string) bool { return slices.Contains(verbs, verb) }
+	if on("label", "plan", "run") {
+		fs.BoolVar(&o.Lookahead, "lookahead", o.Lookahead, "classify/label with §8 lookahead")
+		fs.IntVar(&o.Capacity, "capacity", o.Capacity, "words per queue (0 runs as 1: the unbuffered latch is not reachable from sysdl)")
+	}
+	switch verb {
+	case "run":
+		fs.IntVar(&o.Queues, "queues", o.Queues, "queues per link (0 = minimum from analysis)")
+		fs.StringVar(&o.Policy, "policy", o.Policy, "compatible|static|fcfs|lifo|random|adversarial")
+		fs.BoolVar(&o.Timeline, "timeline", o.Timeline, "print queue bind/release timeline")
+		fs.BoolVar(&o.Stats, "stats", o.Stats, "print per-queue statistics")
+		fs.BoolVar(&o.Force, "force", o.Force, "run even when Theorem 1's queue requirement is unmet")
+		fs.StringVar(&o.LinkModel, "link-model", o.LinkModel, "link-timing spec, e.g. fixed,delay=3 or congestion,delay=1,threshold=2,max=4 (empty = unit latency)")
+	case "sweep":
+		fs.StringVar(&o.SweepPolicies, "sweep-policies", o.SweepPolicies, "comma-separated policies (default fcfs,static,compatible)")
+		fs.StringVar(&o.SweepQueues, "sweep-queues", o.SweepQueues, "comma-separated queue budgets, 0 = auto (default 0,1,2,3)")
+		fs.StringVar(&o.SweepCapacities, "sweep-capacities", o.SweepCapacities, "comma-separated capacities (default 1,2)")
+		fs.StringVar(&o.SweepLookaheads, "sweep-lookaheads", o.SweepLookaheads, "comma-separated lookahead budgets, 0 = strict (default 0,2)")
+		fs.StringVar(&o.SweepLinkModels, "sweep-link-models", o.SweepLinkModels, "semicolon-separated link-timing specs, empty element = unit latency (default unit only)")
+	case "fuzz":
+		fs.IntVar(&o.Queues, "queues", o.Queues, "absolute queues per link for every run, below the Theorem 1 bound to probe it (0 = the bound and one above)")
+		fs.IntVar(&o.FuzzN, "n", o.FuzzN, "number of scenarios (seeds seed..seed+n-1)")
+		fs.IntVar(&o.FuzzMutations, "fuzz-mutations", o.FuzzMutations, "adjacent-op swaps per scenario (0 = deadlock-free by construction)")
+		fs.BoolVar(&o.FuzzCyclic, "fuzz-cyclic", o.FuzzCyclic, "allow cyclic data flow")
+		fs.IntVar(&o.FuzzCells, "fuzz-cells", o.FuzzCells, "cells per scenario (0 = per-seed random)")
+		fs.IntVar(&o.FuzzInterleave, "fuzz-interleave", o.FuzzInterleave, "interleave depth (0 = per-seed random)")
+		fs.StringVar(&o.FuzzTopology, "fuzz-topology", o.FuzzTopology, "auto|linear|ring|mesh")
+		fs.IntVar(&o.FuzzLookahead, "fuzz-lookahead", o.FuzzLookahead, "§8 analysis budget (0 = strict)")
+		fs.BoolVar(&o.FuzzFaults, "faults", o.FuzzFaults, "additionally check each scenario degraded by a seeded fault plan")
+		fs.BoolVar(&o.FuzzLinkModels, "link-models", o.FuzzLinkModels, "additionally check each scenario under retimed link models (noop-equivalence, completion)")
+	case "serve":
+		fs.StringVar(&o.Addr, "addr", o.Addr, "listen address")
+		fs.IntVar(&o.CacheSize, "cache-size", o.CacheSize, "compiled-scenario cache bound (entries)")
+		fs.IntVar(&o.MaxConcurrency, "max-concurrency", o.MaxConcurrency, "concurrent simulations (0 = GOMAXPROCS)")
+		fs.IntVar(&o.QueueWait, "queue-wait", o.QueueWait, "requests allowed to wait for a run slot before shedding with 429 (0 = 2x max-concurrency, -1 = none)")
+		fs.StringVar(&o.TenantsFile, "tenants", o.TenantsFile, "tenants JSON file enabling per-tenant API keys and quotas (empty = anonymous)")
+	}
+	if on("run", "sweep", "fuzz") {
+		seed := "seed for the random policy"
+		if verb == "fuzz" {
+			seed = "first scenario seed"
+		}
+		fs.Int64Var(&o.Seed, "seed", o.Seed, seed)
+		fs.StringVar(&o.Fault, "fault", o.Fault, "fault-plan spec, e.g. cell:1:slow=2,link:0:sever@9 (empty = perfect array)")
+	}
+	if on("sweep", "fuzz") {
+		fs.IntVar(&o.Workers, "workers", o.Workers, "worker-pool size (0 = GOMAXPROCS)")
+	}
 	fs.StringVar(&o.CPUProfile, "cpuprofile", o.CPUProfile, "write a pprof CPU profile to this file")
 	fs.StringVar(&o.MemProfile, "memprofile", o.MemProfile, "write a pprof heap profile to this file on exit")
 }

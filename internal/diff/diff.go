@@ -231,30 +231,20 @@ func Check(sc *gen.Scenario, opts Options) Result {
 		var refStream [][]machine.Word
 		var refConfig string
 		for _, pol := range policies {
-			min := a.MinQueues(pol)
+			bound := a.MinQueues(pol)
 			var budgets []int
 			if opts.QueueOverride > 0 {
 				budgets = []int{opts.QueueOverride}
 			} else {
 				for _, s := range slacks {
-					q := min + s
-					if q < 1 {
-						q = 1
-					}
-					budgets = append(budgets, q)
+					budgets = append(budgets, max(bound+s, 1))
 				}
 			}
 			for _, q := range budgets {
-				r, err := core.Execute(a, core.ExecOptions{
-					Policy:        pol,
-					QueuesPerLink: q,
-					Capacity:      capacity,
-					Force:         true, // observe under-budget deadlocks instead of refusing
-				})
-				res.Runs++
-				cfg := Finding{Policy: pol.String(), Queues: q, MinQueues: min, Capacity: capacity}
+				r, err := execute(a, pol, q, capacity, &res, nil)
+				cfg := Finding{Policy: pol.String(), Queues: q, MinQueues: bound, Capacity: capacity}
 				if err != nil {
-					if q < min {
+					if q < bound {
 						// Below the bound a policy may cleanly refuse
 						// to set up at all (static assignment needs a
 						// queue per competing message) — that is the
@@ -270,11 +260,8 @@ func Check(sc *gen.Scenario, opts Options) Result {
 				}
 				switch {
 				case r.Completed:
-					res.Completed++
 					if d := streamIntegrity(sc.Program, r.Received); d != "" {
-						cfg.Invariant = "stream-integrity"
-						cfg.Detail = d
-						fail(cfg)
+						fail(cfg.as("stream-integrity", "%s", d))
 					}
 					// Invariant 2 is checked independently of the
 					// synthetic expectation above: the first completed
@@ -285,21 +272,26 @@ func Check(sc *gen.Scenario, opts Options) Result {
 						refStream = r.Received
 						refConfig = fmt.Sprintf("%s queues=%d", pol.String(), q)
 					} else if d := streamDiff(refStream, r.Received); d != "" {
-						cfg.Invariant = "stream-equality"
-						cfg.Detail = fmt.Sprintf("stream differs from %s: %s", refConfig, d)
-						fail(cfg)
+						fail(cfg.as("stream-equality", "stream differs from %s: %s", refConfig, d))
 					}
-				case q < min:
+				case q < bound:
 					// Expected: below the Theorem 1 bound the paper
 					// promises nothing; a deadlock here is the bound
-					// shown tight, minimized for the report.
-					cfg.Invariant = "under-budget-deadlock"
-					cfg.Expected = true
-					cfg.Detail = fmt.Sprintf("%s after %d cycles: %s", r.Outcome(), r.Cycles,
+					// shown tight, minimized for the report to a
+					// program whose bound still exceeds q and that
+					// still deadlocks at q.
+					cfg = cfg.as("under-budget-deadlock", "%s after %d cycles: %s", r.Outcome(), r.Cycles,
 						blockedCells(sc.Program, r.Blocked))
+					cfg.Expected = true
 					if expectedMinimized < maxExpectedMinimized {
 						expectedMinimized++
-						cfg.Counterexample = minimizeUnderBudget(sc, opts, pol, q, capacity)
+						cfg.Counterexample = minimize(sc, opts, func(a *core.Analysis) bool {
+							if a.MinQueues(pol) <= q {
+								return false
+							}
+							r, err := execute(a, pol, q, capacity, nil, nil)
+							return err == nil && r.Deadlocked
+						})
 					}
 					fail(cfg)
 				case opts.Lookahead > 0 && capacity < opts.Lookahead:
@@ -307,102 +299,131 @@ func Check(sc *gen.Scenario, opts Options) Result {
 					// queues can buffer the skipped writes (rule R2);
 					// running below that capacity breaks the
 					// assumption just like an under-budgeted link.
-					cfg.Invariant = "under-capacity-deadlock"
-					cfg.Expected = true
-					cfg.Detail = fmt.Sprintf("%s after %d cycles with capacity %d < lookahead budget %d: %s",
+					cfg = cfg.as("under-capacity-deadlock", "%s after %d cycles with capacity %d < lookahead budget %d: %s",
 						r.Outcome(), r.Cycles, capacity, opts.Lookahead, blockedCells(sc.Program, r.Blocked))
+					cfg.Expected = true
 					fail(cfg)
 				default:
 					// Invariant 1 broken: approved program, approved
-					// budget, and yet it did not complete.
-					cfg.Invariant = "theorem1-completion"
-					cfg.Detail = fmt.Sprintf("%s after %d cycles with queues=%d ≥ min=%d: %s",
-						r.Outcome(), r.Cycles, q, min, blockedCells(sc.Program, r.Blocked))
-					cfg.Counterexample = minimizeCompletion(sc, opts, pol, q-min, capacity)
+					// budget, and yet it did not complete. Minimized to
+					// a program that still does not complete at its own
+					// bound plus the same slack.
+					cfg = cfg.as("theorem1-completion", "%s after %d cycles with queues=%d ≥ min=%d: %s",
+						r.Outcome(), r.Cycles, q, bound, blockedCells(sc.Program, r.Blocked))
+					cfg.Counterexample = minimize(sc, opts, func(a *core.Analysis) bool {
+						r, err := execute(a, pol, max(a.MinQueues(pol)+q-bound, 1), capacity, nil, nil)
+						return err == nil && !r.Completed
+					})
 					fail(cfg)
 				}
 			}
 		}
 	}
 	faultChecks(sc, a, opts, &res, fail)
-	linkModelChecks(sc, a, opts, &res, fail)
+	if opts.LinkModels {
+		// A fixed plan with delay 1 and no credit is unit timing in
+		// disguise; every shipped model is delay-only.
+		linkModelCondition.check(sc, a, opts, &res, fail,
+			linkmodel.FixedPlan(1, 0), linkmodel.FixedPlan(3, 0), linkmodel.CongestionPlan(1, 2, 4))
+	}
 	return res
 }
 
-// linkModelChecks runs the link-timing invariants on one approved
-// scenario, after the main matrix, at one configuration: the first
-// policy and capacity, at exactly the Theorem 1 budget — the same
-// regime faultChecks uses, so a violation pins timing, not budgets.
-func linkModelChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, fail func(Finding)) {
-	if !opts.LinkModels {
-		return
+// as returns f as a finding of invariant with the formatted detail.
+func (f Finding) as(invariant, format string, args ...any) Finding {
+	f.Invariant, f.Detail = invariant, fmt.Sprintf(format, args...)
+	return f
+}
+
+// execute is the oracle's one way to run: a under pol at q queues per
+// link and the given capacity, forced so that an under-budget
+// configuration is observed instead of refused. set, when non-nil, adds
+// a run-time condition to the options. A non-nil res counts the run,
+// and counts it completed when it is; the shrinker's trial runs pass
+// nil.
+func execute(a *core.Analysis, pol core.PolicyKind, q, capacity int, res *Result, set func(*core.ExecOptions)) (*machine.Result, error) {
+	o := core.ExecOptions{Policy: pol, QueuesPerLink: q, Capacity: capacity, Force: true}
+	if set != nil {
+		set(&o)
 	}
-	pol := policies[0]
-	capacity := capacities(opts.Lookahead)[0]
-	q := a.MinQueues(pol)
-	if q < 1 {
-		q = 1
-	}
-	cfg := Finding{Policy: pol.String(), Queues: q, MinQueues: a.MinQueues(pol), Capacity: capacity}
-	exec := func(p *linkmodel.Plan) (*machine.Result, error) {
+	r, err := core.Execute(a, o)
+	if res != nil {
 		res.Runs++
-		r, err := core.Execute(a, core.ExecOptions{
-			Policy:        pol,
-			QueuesPerLink: q,
-			Capacity:      capacity,
-			LinkModel:     p,
-			Force:         true,
-		})
 		if err == nil && r.Completed {
 			res.Completed++
 		}
-		return r, err
 	}
+	return r, err
+}
 
-	// Invariant: a fixed plan with delay 1 and no credit is unit timing
-	// in disguise — it must be byte-identical to running with no model.
-	clean, cleanErr := exec(nil)
-	rNoop, noopErr := exec(linkmodel.FixedPlan(1, 0))
+// condition is a run-time condition the oracle stresses approved
+// scenarios with — a fault plan or a link model — and the names its
+// findings use.
+type condition[P fmt.Stringer] struct {
+	invariant  string // prefix of "-noop-equivalence" and "-exec-error"
+	noop       string // the no-op plan
+	clean      string // the run without the condition
+	stressed   string // a stressed plan
+	completion string // the invariant a stressed plan that stalls breaks
+	set        func(*core.ExecOptions, P)
+}
+
+var (
+	faultCondition = condition[*fault.Plan]{
+		invariant: "fault", noop: "factor-1 plan", clean: "fault-free run",
+		stressed: "periodic plan", completion: "degraded-completion",
+		set: func(o *core.ExecOptions, p *fault.Plan) { o.Faults = p },
+	}
+	linkModelCondition = condition[*linkmodel.Plan]{
+		invariant: "linkmodel", noop: "delay-1 plan", clean: "unit-latency run",
+		stressed: "model", completion: "linkmodel-completion",
+		set: func(o *core.ExecOptions, p *linkmodel.Plan) { o.LinkModel = p },
+	}
+)
+
+// conditionConfig is the one configuration the run-time conditions are
+// checked at, after the main matrix: the first policy and capacity, at
+// exactly the Theorem 1 budget, so a violation pins the condition, not
+// a budget.
+func conditionConfig(a *core.Analysis, opts Options) Finding {
+	pol := policies[0]
+	return Finding{Policy: pol.String(), Queues: max(a.MinQueues(pol), 1), MinQueues: a.MinQueues(pol),
+		Capacity: capacities(opts.Lookahead)[0]}
+}
+
+// check runs the condition's two invariants on one approved scenario:
+// the no-op plan must match the run without the condition (the same
+// error outcome, DeepEqual results), and every stressed plan must still
+// complete — the condition delays progress but never removes it.
+func (c condition[P]) check(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, fail func(Finding), noop P, stressed ...P) {
+	cfg := conditionConfig(a, opts)
+	pol := policies[0]
+	with := func(p P) func(*core.ExecOptions) {
+		return func(o *core.ExecOptions) { c.set(o, p) }
+	}
+	clean, cleanErr := execute(a, pol, cfg.Queues, cfg.Capacity, res, nil)
+	rNoop, noopErr := execute(a, pol, cfg.Queues, cfg.Capacity, res, with(noop))
 	switch {
 	case (cleanErr == nil) != (noopErr == nil):
-		f := cfg
-		f.Invariant = "linkmodel-noop-equivalence"
-		f.Detail = fmt.Sprintf("delay-1 plan changed the error outcome: %v vs %v", noopErr, cleanErr)
-		fail(f)
+		fail(cfg.as(c.invariant+"-noop-equivalence", "%s changed the error outcome: %v vs %v", c.noop, noopErr, cleanErr))
 	case cleanErr == nil && !reflect.DeepEqual(clean, rNoop):
-		f := cfg
-		f.Invariant = "linkmodel-noop-equivalence"
-		f.Detail = fmt.Sprintf("delay-1 plan diverged from unit-latency run: %s vs %s after %d vs %d cycles",
-			rNoop.Outcome(), clean.Outcome(), rNoop.Cycles, clean.Cycles)
-		fail(f)
+		fail(cfg.as(c.invariant+"-noop-equivalence", "%s diverged from %s: %s vs %s after %d vs %d cycles",
+			c.noop, c.clean, rNoop.Outcome(), clean.Outcome(), rNoop.Cycles, clean.Cycles))
 	}
-
-	// Invariant: every shipped model is delay-only, so an
-	// analyzer-approved configuration must still complete under it.
-	for _, plan := range []*linkmodel.Plan{
-		linkmodel.FixedPlan(3, 0),
-		linkmodel.CongestionPlan(1, 2, 4),
-	} {
-		r1, err1 := exec(plan)
-		switch {
-		case err1 != nil:
-			f := cfg
-			f.Invariant = "linkmodel-exec-error"
-			f.Detail = fmt.Sprintf("model %s: %v", plan, err1)
-			fail(f)
-		case !r1.Completed:
-			f := cfg
-			f.Invariant = "linkmodel-completion"
-			f.Detail = fmt.Sprintf("%s after %d cycles under model %s: %s",
-				r1.Outcome(), r1.Cycles, plan, blockedCells(sc.Program, r1.Blocked))
-			fail(f)
+	for _, p := range stressed {
+		switch r, err := execute(a, pol, cfg.Queues, cfg.Capacity, res, with(p)); {
+		case err != nil:
+			fail(cfg.as(c.invariant+"-exec-error", "%s %s: %v", c.stressed, p, err))
+		case !r.Completed:
+			fail(cfg.as(c.completion, "%s after %d cycles under %s %s: %s",
+				r.Outcome(), r.Cycles, c.stressed, p, blockedCells(sc.Program, r.Blocked)))
 		}
 	}
 }
 
 // faultChecks runs the degraded-array invariants on one approved
-// scenario, after the main matrix, at one configuration: the first
-// policy and capacity, at exactly the Theorem 1 budget.
+// scenario: it picks the plan, checks that its spec round-trips, and
+// stresses the scenario with the plan's periodic-only projection.
 func faultChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, fail func(Finding)) {
 	numCells := sc.Program.NumCells()
 	numLinks := len(sc.Topology.Links())
@@ -418,73 +439,28 @@ func faultChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, 
 		// check on this scenario.
 		return
 	}
-	pol := policies[0]
-	capacity := capacities(opts.Lookahead)[0]
-	q := a.MinQueues(pol)
-	if q < 1 {
-		q = 1
-	}
-	cfg := Finding{Policy: pol.String(), Queues: q, MinQueues: a.MinQueues(pol), Capacity: capacity}
 
 	// Invariant: the plan's canonical spec re-parses to the same plan
 	// (fault-spec-roundtrip). Every seeded plan replays through the
 	// grammar the CLI and wire share, so the corpus covers its edge
 	// cases: @0 effective-froms canonicalize to no suffix, and a valid
 	// plan can never trip the duplicate-target parse error.
+	cfg := conditionConfig(a, opts)
 	spec := plan.String()
 	switch rt, err := fault.ParseSpec(spec); {
 	case err != nil:
-		f := cfg
-		f.Invariant = "fault-spec-roundtrip"
-		f.Detail = fmt.Sprintf("canonical spec %q failed to re-parse: %v", spec, err)
-		fail(f)
+		fail(cfg.as("fault-spec-roundtrip", "canonical spec %q failed to re-parse: %v", spec, err))
 	case rt.String() != spec:
-		f := cfg
-		f.Invariant = "fault-spec-roundtrip"
-		f.Detail = fmt.Sprintf("canonical spec %q re-parsed to %q", spec, rt.String())
-		fail(f)
-	}
-	exec := func(p *fault.Plan) (*machine.Result, error) {
-		res.Runs++
-		r, err := core.Execute(a, core.ExecOptions{
-			Policy:        pol,
-			QueuesPerLink: q,
-			Capacity:      capacity,
-			Faults:        p,
-			Force:         true,
-		})
-		if err == nil && r.Completed {
-			res.Completed++
-		}
-		return r, err
+		fail(cfg.as("fault-spec-roundtrip", "canonical spec %q re-parsed to %q", spec, rt.String()))
 	}
 
-	// Invariant: a plan whose every fault is a factor-1 no-op must be
-	// byte-identical to running with no plan at all.
+	// The no-op plan slows every cell by a factor of 1. The stressed
+	// plan is the periodic-only projection of the plan: dead cells and
+	// severed links weakened to factor-3 slowdowns.
 	noop := &fault.Plan{}
 	for c := 0; c < numCells; c++ {
 		noop.Cells = append(noop.Cells, fault.CellFault{Cell: model.CellID(c), Factor: 1})
 	}
-	clean, cleanErr := exec(nil)
-	rNoop, noopErr := exec(noop)
-	switch {
-	case (cleanErr == nil) != (noopErr == nil):
-		f := cfg
-		f.Invariant = "fault-noop-equivalence"
-		f.Detail = fmt.Sprintf("factor-1 plan changed the error outcome: %v vs %v", noopErr, cleanErr)
-		fail(f)
-	case cleanErr == nil && !reflect.DeepEqual(clean, rNoop):
-		f := cfg
-		f.Invariant = "fault-noop-equivalence"
-		f.Detail = fmt.Sprintf("factor-1 plan diverged from fault-free run: %s vs %s after %d vs %d cycles",
-			rNoop.Outcome(), clean.Outcome(), rNoop.Cycles, clean.Cycles)
-		fail(f)
-	}
-
-	// Invariant: under the periodic-only projection of the plan (dead
-	// cells and severed links weakened to factor-3 slowdowns) an
-	// analyzer-approved configuration must still complete — periodic
-	// faults delay progress but can never remove it.
 	periodic := &fault.Plan{}
 	for _, c := range plan.Cells {
 		if c.Dead {
@@ -502,20 +478,7 @@ func faultChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, 
 			periodic.Links = append(periodic.Links, l)
 		}
 	}
-	rp, perr := exec(periodic)
-	switch {
-	case perr != nil:
-		f := cfg
-		f.Invariant = "fault-exec-error"
-		f.Detail = fmt.Sprintf("periodic plan %s: %v", periodic, perr)
-		fail(f)
-	case !rp.Completed:
-		f := cfg
-		f.Invariant = "degraded-completion"
-		f.Detail = fmt.Sprintf("%s after %d cycles under periodic plan %s: %s",
-			rp.Outcome(), rp.Cycles, periodic, blockedCells(sc.Program, rp.Blocked))
-		fail(f)
-	}
+	faultCondition.check(sc, a, opts, res, fail, noop, periodic)
 }
 
 // analyzeOptions maps oracle options onto the analyzer's.
@@ -693,40 +656,12 @@ func renderFindings(b *strings.Builder, title string, fs []Finding) {
 	}
 }
 
-// minimizeCompletion shrinks a scenario that broke invariant 1: the
-// property preserved is "analyzer approves, yet execution at the
-// Theorem 1 budget plus slack does not complete".
-func minimizeCompletion(sc *gen.Scenario, opts Options, pol core.PolicyKind, slack, capacity int) string {
+// minimize shrinks sc's program to a small one the analyzer still
+// approves and keep still accepts, and renders it in DSL form.
+func minimize(sc *gen.Scenario, opts Options, keep func(*core.Analysis) bool) string {
 	p := shrink(sc.Program, shrinkBudget, func(q *model.Program) bool {
 		a, err := core.Analyze(q, sc.Topology, analyzeOptions(opts))
-		if err != nil || !a.DeadlockFree {
-			return false
-		}
-		budget := a.MinQueues(pol) + slack
-		if budget < 1 {
-			budget = 1
-		}
-		r, err := core.Execute(a, core.ExecOptions{
-			Policy: pol, QueuesPerLink: budget, Capacity: capacity, Force: true,
-		})
-		return err == nil && !r.Completed
-	})
-	return dsl.Format(p, sc.Topology)
-}
-
-// minimizeUnderBudget shrinks an expected counterexample: the property
-// preserved is "analyzer approves, the Theorem 1 bound exceeds the
-// forced budget, and execution at that budget deadlocks".
-func minimizeUnderBudget(sc *gen.Scenario, opts Options, pol core.PolicyKind, q, capacity int) string {
-	p := shrink(sc.Program, shrinkBudget, func(candidate *model.Program) bool {
-		a, err := core.Analyze(candidate, sc.Topology, analyzeOptions(opts))
-		if err != nil || !a.DeadlockFree || a.MinQueues(pol) <= q {
-			return false
-		}
-		r, err := core.Execute(a, core.ExecOptions{
-			Policy: pol, QueuesPerLink: q, Capacity: capacity, Force: true,
-		})
-		return err == nil && r.Deadlocked
+		return err == nil && a.DeadlockFree && keep(a)
 	})
 	return dsl.Format(p, sc.Topology)
 }
@@ -781,65 +716,31 @@ func shrink(p *model.Program, budget int, keep func(*model.Program) bool) *model
 	}
 }
 
-// dropMessage rebuilds p without message mid (ops removed, remaining
-// message ids renumbered).
+// dropMessage rebuilds p without message mid, the rest renumbered.
 func dropMessage(p *model.Program, mid model.MessageID) (*model.Program, error) {
-	b := model.NewBuilder()
-	for _, c := range p.Cells() {
-		if c.Host {
-			b.AddHost(c.Name)
-		} else {
-			b.AddCell(c.Name)
-		}
-	}
-	remap := make([]model.MessageID, p.NumMessages())
-	for _, m := range p.Messages() {
+	return model.Rebuild(p, func(m model.Message) int {
 		if m.ID == mid {
-			continue
+			return 0
 		}
-		remap[m.ID] = b.DeclareMessage(m.Name, m.Sender, m.Receiver, m.Words)
-	}
-	for c := 0; c < p.NumCells(); c++ {
-		for _, op := range p.Code(model.CellID(c)) {
-			if op.Msg != mid {
-				b.AppendOps(model.CellID(c), []model.Op{{Kind: op.Kind, Msg: remap[op.Msg]}})
-			}
-		}
-	}
-	return b.Build()
+		return m.Words
+	}, nil)
 }
 
 // trimWord rebuilds p with message mid one word shorter: its declared
 // count drops by one and the last W and last R on it disappear.
 func trimWord(p *model.Program, mid model.MessageID) (*model.Program, error) {
-	b := model.NewBuilder()
-	for _, c := range p.Cells() {
-		if c.Host {
-			b.AddHost(c.Name)
-		} else {
-			b.AddCell(c.Name)
-		}
-	}
-	for _, m := range p.Messages() {
-		words := m.Words
+	return model.Rebuild(p, func(m model.Message) int {
 		if m.ID == mid {
-			words--
+			return m.Words - 1
 		}
-		b.DeclareMessage(m.Name, m.Sender, m.Receiver, words)
-	}
-	for c := 0; c < p.NumCells(); c++ {
-		code := p.Code(model.CellID(c))
-		lastIdx := -1
-		for i, op := range code {
-			if op.Msg == mid {
-				lastIdx = i
+		return m.Words
+	}, func(c model.CellID) []model.Op {
+		code := p.Code(c)
+		for i := len(code) - 1; i >= 0; i-- {
+			if code[i].Msg == mid {
+				return append(code[:i:i], code[i+1:]...)
 			}
 		}
-		if lastIdx < 0 {
-			b.AppendOps(model.CellID(c), code)
-			continue
-		}
-		b.AppendOps(model.CellID(c), code[:lastIdx]).AppendOps(model.CellID(c), code[lastIdx+1:])
-	}
-	return b.Build()
+		return code
+	})
 }

@@ -9,9 +9,9 @@
 // decidable, and checking them at review time is cheaper than
 // discovering violations dynamically in the equivalence suite.
 //
-// The command `go run ./tools/sysvet ./...` runs every analyzer over
-// the module and exits non-zero on findings. Three source directives
-// steer the suite:
+// TestRepoIsClean runs every analyzer over the module as part of `go
+// test ./...` and fails on any finding. Three source directives steer
+// the suite:
 //
 //	//sysvet:ignore <analyzer> -- <reason>   suppress a finding on this or the next line
 //	//sysvet:unordered -- <reason>           assert a map range is order-insensitive (detorder)
@@ -162,27 +162,4 @@ func sortDiagnostics(ds []Diagnostic) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-// Main is the entry point shared with the tools/sysvet command: load
-// the packages named by patterns (default ./...), run the suite,
-// print findings, and return the process exit code.
-func Main(patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	res, err := load(patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sysvet:", err)
-		return 2
-	}
-	diags := runAll(res, allAnalyzers())
-	for _, d := range diags {
-		fmt.Println(d)
-	}
-	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "sysvet: %d finding(s)\n", len(diags))
-		return 1
-	}
-	return 0
 }

@@ -330,8 +330,10 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 	e.queues = grow(e.queues, e.numPools*q)
 	// Queues that can be bound this run (see poolTable.binds) and lack a
 	// ring of its size are counted here and given one out of a single
-	// array below; a warm exec has them all.
-	ring, short := opts.Capacity+opts.ExtCapacity, 0
+	// array below; a warm exec has them all. A bound queue holds words
+	// of one message at a time, so no ring needs more than the largest
+	// message's words, whatever the capacity.
+	ring, short := min(opts.Capacity+opts.ExtCapacity, m.maxWords), 0
 	for i := range e.queues {
 		qi := &e.queues[i]
 		pool := i / q

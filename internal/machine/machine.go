@@ -322,6 +322,7 @@ type Machine struct {
 	sender, receiver []model.CellID
 
 	totalWords, totalHops int
+	maxWords              int // the largest message's word count: the most a bound queue holds
 	maxRouteLen           int
 	multiHopMsg           model.MessageID // first msg with a multi-hop route; -1 if none
 	codeCells             int             // cells with a non-empty op stream
@@ -365,8 +366,10 @@ func Compile(p *model.Program, t topology.Topology, routes [][]topology.Hop, lab
 	for _, rt := range routes {
 		totalHops += len(rt)
 	}
+	maxWords := 0
 	for _, decl := range p.Messages() {
 		totalWords += decl.Words
+		maxWords = max(maxWords, decl.Words)
 	}
 	if err := checkIRBounds(totalOps, totalHops, totalWords, msgs); err != nil {
 		return nil, err
@@ -380,6 +383,7 @@ func Compile(p *model.Program, t topology.Topology, routes [][]topology.Hop, lab
 		links:       t.Links(),
 		totalWords:  totalWords,
 		totalHops:   totalHops,
+		maxWords:    maxWords,
 		multiHopMsg: -1,
 	}
 
@@ -547,6 +551,9 @@ func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, fla
 	if opts.ExtPenalty < 0 {
 		return 0, nil, 0, nil, nil, &ConfigError{Field: "ExtPenalty", Reason: fmt.Sprintf("negative extension penalty %d", opts.ExtPenalty)}
 	}
+	if opts.Capacity > math.MaxInt-opts.ExtCapacity {
+		return 0, nil, 0, nil, nil, &ConfigError{Field: "Capacity", Reason: fmt.Sprintf("capacity %d plus extension %d overflows", opts.Capacity, opts.ExtCapacity)}
+	}
 	if opts.Capacity == 0 {
 		if m.multiHopMsg >= 0 {
 			return 0, nil, 0, nil, nil, &ConfigError{Field: "Capacity", Reason: fmt.Sprintf(
@@ -580,6 +587,9 @@ func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, fla
 	if opts.DirectionalPools {
 		tbl = &m.directional
 		flavor = 1
+	}
+	if tbl.numPools > 0 && opts.QueuesPerLink > math.MaxInt/tbl.numPools {
+		return 0, nil, 0, nil, nil, &ConfigError{Field: "QueuesPerLink", Reason: fmt.Sprintf("%d queues on each of %d pools overflow", opts.QueuesPerLink, tbl.numPools)}
 	}
 	return maxCycles, tbl, flavor, flt, lm, nil
 }

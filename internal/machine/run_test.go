@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -271,6 +274,62 @@ func TestConfigValidation(t *testing.T) {
 	c.ExtCapacity = 1
 	if _, err := compileRun(p, topology.Linear(2), c); err == nil {
 		t.Fatal("extension over latch accepted")
+	}
+}
+
+// TestRingBoundedByLargestMessage: a bound queue never holds more than
+// one message's words, so a capacity far beyond the largest message
+// runs exactly like a capacity equal to it, without a ring to match.
+func TestRingBoundedByLargestMessage(t *testing.T) {
+	// C2 reads B before A, so all of A (4 words) must park in the
+	// queue: the largest message fills its ring.
+	b := model.NewBuilder()
+	c1 := b.AddCell("C1")
+	c2 := b.AddCell("C2")
+	a := b.DeclareMessage("A", c1, c2, 4)
+	bb := b.DeclareMessage("B", c1, c2, 1)
+	b.WriteN(c1, a, 4).Write(c1, bb)
+	b.Read(c2, bb).ReadN(c2, a, 4)
+	p := b.MustBuild()
+	m, err := Compile(p, topology.Linear(2), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Run(fcfs(2, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Completed {
+		t.Fatalf("capacity 4: %s", want.Outcome())
+	}
+	for _, capacity := range []int{1 << 34, math.MaxInt} {
+		got, err := m.Run(fcfs(2, capacity))
+		if err != nil {
+			t.Fatalf("capacity %d: %v", capacity, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("capacity %d ran differently from capacity 4:\n%+v\nvs\n%+v", capacity, got, want)
+		}
+	}
+}
+
+// TestOverflowingCountsAreConfigErrors: a capacity plus extension, or
+// a queue count over all pools, that does not fit an int is refused
+// before anything is sized by it.
+func TestOverflowingCountsAreConfigErrors(t *testing.T) {
+	m, err := Compile(chain(t, 2), topology.Linear(2), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := fcfs(1, math.MaxInt)
+	ext.ExtCapacity = 1
+	queues := fcfs(math.MaxInt/2+1, 1)
+	queues.DirectionalPools = true // two pools on the one link
+	for name, opts := range map[string]ExecOptions{"capacity": ext, "queues": queues} {
+		var cerr *ConfigError
+		if _, err := m.Run(opts); !errors.As(err, &cerr) {
+			t.Errorf("%s: err %v, want a ConfigError", name, err)
+		}
 	}
 }
 

@@ -512,3 +512,43 @@ func (b *Builder) MustBuild() *Program {
 	}
 	return p
 }
+
+// Rebuild returns a validated copy of p with its declarations and code
+// rewritten: message m is declared words(m) words long, and 0 drops it
+// (the messages after it are renumbered, in order); cell c runs code(c),
+// which must use p's message ids, less any op on a dropped message. A
+// nil words or code keeps that part of p as it is. Cells, names,
+// endpoints and the host flag are copied unchanged; Build validates the
+// result.
+func Rebuild(p *Program, words func(Message) int, code func(CellID) []Op) (*Program, error) {
+	b := NewSizedBuilder(len(p.cells), len(p.messages), len(p.ops))
+	for _, c := range p.cells {
+		b.addCell(c.Name, c.Host)
+	}
+	renumber := make([]MessageID, len(p.messages))
+	for _, m := range p.messages {
+		n := m.Words
+		if words != nil {
+			n = words(m)
+		}
+		renumber[m.ID] = -1
+		if n != 0 {
+			renumber[m.ID] = b.DeclareMessage(m.Name, m.Sender, m.Receiver, n)
+		}
+	}
+	var ops []Op
+	for c := range p.cells {
+		src := p.Code(CellID(c))
+		if code != nil {
+			src = code(CellID(c))
+		}
+		ops = ops[:0]
+		for _, op := range src {
+			if op.Msg = renumber[op.Msg]; op.Msg >= 0 {
+				ops = append(ops, op)
+			}
+		}
+		b.AppendOps(CellID(c), ops)
+	}
+	return b.Build()
+}

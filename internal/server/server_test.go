@@ -331,6 +331,19 @@ func TestRunEndpointFaults(t *testing.T) {
 	}
 }
 
+// TestRunEndpointHugeCounts: a capacity far beyond the program's
+// largest message is served (no ring is sized by it), and a queue
+// count whose total over the links overflows is a 400.
+func TestRunEndpointHugeCounts(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	if resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Program: relayDSL, Capacity: 1 << 34}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("capacity 2^34: status %d: %s", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Program: relayDSL, Queues: 1<<62 + 1}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("queues 2^62+1: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestRunEndpointDeadCellDeadlocks: a dead cell mid-relay starves its
 // consumer — the run deadlocks and the blocked report names the stall.
 func TestRunEndpointDeadCellDeadlocks(t *testing.T) {

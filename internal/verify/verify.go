@@ -107,39 +107,21 @@ func CheckPreconditionsRoutes(routes [][]topology.Hop, dense []int, queuesPerLin
 	return rep
 }
 
-// rebuild constructs a new validated program with the same cells and
-// messages as p but the given per-cell op sequences.
-func rebuild(p *model.Program, code [][]model.Op) (*model.Program, error) {
-	b := model.NewBuilder()
-	for _, c := range p.Cells() {
-		if c.Host {
-			b.AddHost(c.Name)
-		} else {
-			b.AddCell(c.Name)
-		}
-	}
-	for _, m := range p.Messages() {
-		b.DeclareMessage(m.Name, m.Sender, m.Receiver, m.Words)
-	}
-	for c, ops := range code {
-		b.AppendOps(model.CellID(c), ops)
-	}
-	return b.Build()
-}
-
 // swapAdjacent returns a copy of p with ops i and i+1 of cell c
 // exchanged (a validity-preserving mutation: per-message op counts and
 // cell placement are untouched).
 func swapAdjacent(p *model.Program, c model.CellID, i int) (*model.Program, error) {
-	code := make([][]model.Op, p.NumCells())
-	for cc := 0; cc < p.NumCells(); cc++ {
-		code[cc] = append([]model.Op(nil), p.Code(model.CellID(cc))...)
-	}
-	if i < 0 || i+1 >= len(code[c]) {
+	if i < 0 || i+1 >= len(p.Code(c)) {
 		return nil, fmt.Errorf("verify: swap index %d out of range for cell %d", i, c)
 	}
-	code[c][i], code[c][i+1] = code[c][i+1], code[c][i]
-	return rebuild(p, code)
+	swapped := slices.Clone(p.Code(c))
+	swapped[i], swapped[i+1] = swapped[i+1], swapped[i]
+	return model.Rebuild(p, nil, func(cc model.CellID) []model.Op {
+		if cc == c {
+			return swapped
+		}
+		return p.Code(cc)
+	})
 }
 
 // Fix describes a repair suggestion: exchanging the operations at

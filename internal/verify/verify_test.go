@@ -61,23 +61,6 @@ func TestSwapAdjacent(t *testing.T) {
 	}
 }
 
-func TestRebuildPreservesHostFlag(t *testing.T) {
-	b := model.NewBuilder()
-	h := b.AddHost("Host")
-	c := b.AddCell("C1")
-	a := b.DeclareMessage("A", h, c, 1)
-	b.Write(h, a)
-	b.Read(c, a)
-	p := b.MustBuild()
-	q, err := rebuild(p, [][]model.Op{p.Code(h), p.Code(c)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !q.Cell(h).Host {
-		t.Fatal("host flag lost in rebuild")
-	}
-}
-
 func TestCheckPreconditionsFig8Shape(t *testing.T) {
 	// A and B related (same label) and both crossing one link: the
 	// report must demand 2 queues.
