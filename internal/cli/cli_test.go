@@ -293,11 +293,13 @@ func TestSysdlRunHugeCounts(t *testing.T) {
 			t.Fatalf("-capacity %d differs from -capacity 3:\n%s\nvs\n%s", capacity, b.String(), outs[0])
 		}
 	}
-	opts := DefaultSysdlOptions()
-	opts.Queues = 1<<62 + 1
-	var b strings.Builder
-	if code, err := Sysdl(&b, "run", string(src), opts); code != 1 || err == nil || !strings.Contains(err.Error(), "machine: config") {
-		t.Fatalf("-queues 2^62+1: code=%d err=%v, want 1 and a machine config error", code, err)
+	for _, queues := range []int{1 << 40, 1<<62 + 1} {
+		opts := DefaultSysdlOptions()
+		opts.Queues = queues
+		var b strings.Builder
+		if code, err := Sysdl(&b, "run", string(src), opts); code != 1 || err == nil || !strings.Contains(err.Error(), "machine: config") {
+			t.Fatalf("-queues %d: code=%d err=%v, want 1 and a machine config error", queues, code, err)
+		}
 	}
 }
 

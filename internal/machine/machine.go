@@ -529,6 +529,14 @@ func (m *Machine) reset() {
 	m.execs.Store(&sync.Pool{New: func() any { return new(exec) }})
 }
 
+// maxQueueSlots bounds a run's queues over all its pools, pools ×
+// QueuesPerLink. Every queue's state is allocated when the run starts,
+// so without a bound one request could ask for more memory than the
+// process can get, an unrecoverable failure; at the bound a run holds
+// about 200 MB. No committed test, example or perf workload comes
+// within 50× of it.
+const maxQueueSlots = 1 << 20
+
 // prepare validates opts, applies defaults (Logic, MaxCycles), and
 // resolves the pool regime plus the lowered fault and link-timing
 // tables. It is the shared front half of Run and Exec.Run, so both
@@ -588,8 +596,9 @@ func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, fla
 		tbl = &m.directional
 		flavor = 1
 	}
-	if tbl.numPools > 0 && opts.QueuesPerLink > math.MaxInt/tbl.numPools {
-		return 0, nil, 0, nil, nil, &ConfigError{Field: "QueuesPerLink", Reason: fmt.Sprintf("%d queues on each of %d pools overflow", opts.QueuesPerLink, tbl.numPools)}
+	if tbl.numPools > 0 && opts.QueuesPerLink > maxQueueSlots/tbl.numPools {
+		return 0, nil, 0, nil, nil, &ConfigError{Field: "QueuesPerLink", Reason: fmt.Sprintf(
+			"%d queues on each of %d pools exceed the %d queue slots a run may hold", opts.QueuesPerLink, tbl.numPools, maxQueueSlots)}
 	}
 	return maxCycles, tbl, flavor, flt, lm, nil
 }

@@ -313,9 +313,10 @@ func TestRingBoundedByLargestMessage(t *testing.T) {
 	}
 }
 
-// TestOverflowingCountsAreConfigErrors: a capacity plus extension, or
-// a queue count over all pools, that does not fit an int is refused
-// before anything is sized by it.
+// TestOverflowingCountsAreConfigErrors: a capacity plus extension that
+// does not fit an int, or a queue count over all pools above
+// maxQueueSlots (10⁸ queues once ran the process out of memory, 2⁴⁰
+// panicked in makeslice), is refused before anything is sized by it.
 func TestOverflowingCountsAreConfigErrors(t *testing.T) {
 	m, err := Compile(chain(t, 2), topology.Linear(2), nil, nil)
 	if err != nil {
@@ -323,9 +324,13 @@ func TestOverflowingCountsAreConfigErrors(t *testing.T) {
 	}
 	ext := fcfs(1, math.MaxInt)
 	ext.ExtCapacity = 1
-	queues := fcfs(math.MaxInt/2+1, 1)
-	queues.DirectionalPools = true // two pools on the one link
-	for name, opts := range map[string]ExecOptions{"capacity": ext, "queues": queues} {
+	cases := map[string]ExecOptions{"capacity": ext}
+	for name, q := range map[string]int{"queues 1e8": 1e8, "queues 2^40": 1 << 40, "queues overflow": math.MaxInt/2 + 1} {
+		opts := fcfs(q, 1)
+		opts.DirectionalPools = true // two pools on the one link
+		cases[name] = opts
+	}
+	for name, opts := range cases {
 		var cerr *ConfigError
 		if _, err := m.Run(opts); !errors.As(err, &cerr) {
 			t.Errorf("%s: err %v, want a ConfigError", name, err)

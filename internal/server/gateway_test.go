@@ -254,6 +254,9 @@ func TestPanicDoesNotLeakLimiterSlot(t *testing.T) {
 	if stats.InFlightRuns != 0 {
 		t.Fatalf("InFlightRuns = %d after panics, want 0", stats.InFlightRuns)
 	}
+	if n := s.tenants.anon.active.Load(); n != 0 {
+		t.Fatalf("panicking handlers left the anonymous tenant %d active runs", n)
+	}
 
 	// With the slots intact, a healthy run is admitted immediately even
 	// though QueueWait is -1.
@@ -409,7 +412,7 @@ func TestTenantQuotas(t *testing.T) {
 	close(hold)
 	<-done
 
-	if rejects := s.tenants.rejectCount(); rejects != 3 {
+	if rejects := s.tenants.rejects.Load(); rejects != 3 {
 		t.Fatalf("TenantRejects = %d, want 3", rejects)
 	}
 }
@@ -430,7 +433,7 @@ func TestTenantCycleClamp(t *testing.T) {
 	if _, err := bob.cycleBudget(100001); err == nil {
 		t.Fatal("cycleBudget over the tier bound was allowed")
 	}
-	var anon *tenant
+	anon := anonymous().anon
 	if got, err := anon.cycleBudget(0); err != nil || got != 0 {
 		t.Fatalf("anonymous cycleBudget(0) = %d, %v; want passthrough", got, err)
 	}
@@ -638,6 +641,9 @@ func TestSweepStreamClientGoneReleasesEverything(t *testing.T) {
 
 	waitFor(t, "the limiter to drain after client disconnect", func() bool {
 		return s.limiter.InUse() == 0
+	})
+	waitFor(t, "the sweep to return the anonymous tenant's slot", func() bool {
+		return s.tenants.anon.active.Load() == 0
 	})
 
 	// The daemon still serves: a fresh buffered sweep completes.

@@ -90,7 +90,7 @@ type Server struct {
 	results *resultStore
 	limiter *sweep.Limiter
 	adm     *admission
-	tenants *Tenants
+	tenants *Tenants // never nil; anonymous() without a tenants file
 	// tenantsErr is why TenantsFile failed to load; the tenant gate
 	// then refuses every compute request with it.
 	tenantsErr error
@@ -106,15 +106,20 @@ func New(opts Options) *Server {
 		cache:   newScenarioCache(opts.CacheSize),
 		results: newResultStore(),
 		limiter: sweep.NewLimiter(opts.MaxConcurrency),
+		tenants: anonymous(),
 		mux:     http.NewServeMux(),
 	}
 	if opts.TenantsFile != "" {
-		s.tenants, s.tenantsErr = loadTenants(opts.TenantsFile)
+		if ts, err := loadTenants(opts.TenantsFile); err != nil {
+			s.tenantsErr = err
+		} else {
+			s.tenants = ts
+		}
 	}
 	s.adm = newAdmission(s.limiter, opts.QueueWait)
-	// The compute endpoints go through the tenant gate (a no-op
-	// closure-free pass-through in anonymous mode); the read endpoints
-	// stay open so operators can always inspect results and stats.
+	// The compute endpoints go through the tenant gate; the read
+	// endpoints stay open so operators can always inspect results and
+	// stats.
 	s.mux.HandleFunc("POST /v1/analyze", s.gate(s.handleAnalyze))
 	s.mux.HandleFunc("POST /v1/run", s.gate(s.handleRun))
 	s.mux.HandleFunc("POST /v1/sweep", s.gate(s.handleSweep))
@@ -166,7 +171,7 @@ func ListenAndServe(ctx context.Context, opts Options) error {
 	}
 	if opts.Log != nil {
 		fmt.Fprintf(opts.Log, "sysdl serve: listening on http://%s (cache %d scenarios, %d concurrent runs, %d waiters, %d tenants)\n",
-			ln.Addr(), s.cache.max, s.limiter.Cap(), s.adm.waitCap, s.tenants.count())
+			ln.Addr(), s.cache.max, s.limiter.Cap(), s.adm.waitCap, len(s.tenants.byKey))
 	}
 	hs := newHTTPServer(s.Handler(), readHeaderTimeout, idleTimeout)
 	errc := make(chan error, 1)
@@ -319,10 +324,10 @@ const maxPooledBody = 64 << 10
 // into v. ok false means the reply (the recorded one, or an error) has
 // been written and the handler is done; otherwise key is what the
 // handler records its own reply under. The tenant gate (API key, rate
-// limit) has already passed by the time a handler calls this; a
+// limit) has already passed for t by the time a handler calls this; a
 // recorded reply runs nothing, so it claims neither a limiter slot nor
 // one of the tenant's concurrent runs.
-func (s *Server) accept(w http.ResponseWriter, r *http.Request, route byte, v any) (key cacheKey, ok bool) {
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, t *tenant, route byte, v any) (key cacheKey, ok bool) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledBody {
@@ -332,7 +337,7 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request, route byte, v an
 	buf.Reset()
 	var header [keyHeader]byte
 	header[0] = route
-	binary.LittleEndian.PutUint64(header[1:], uint64(tenantFrom(r.Context()).cycleBound()))
+	binary.LittleEndian.PutUint64(header[1:], uint64(t.tier.MaxCycles))
 	buf.Write(header[:])
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		var tooBig *http.MaxBytesError
@@ -373,9 +378,9 @@ func decodeStrict(body []byte, v any) error {
 	return nil
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, t *tenant) {
 	var req AnalyzeRequest
-	key, ok := s.accept(w, r, routeAnalyze, &req)
+	key, ok := s.accept(w, r, t, routeAnalyze, &req)
 	if !ok {
 		return
 	}
@@ -511,24 +516,19 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest, resp *RunRespo
 	return e, nil
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, t *tenant) {
 	var req RunRequest
-	key, ok := s.accept(w, r, routeRun, &req)
+	key, ok := s.accept(w, r, t, routeRun, &req)
 	if !ok {
 		return
 	}
-	t := tenantFrom(r.Context())
-	maxCycles, err := t.cycleBudget(req.MaxCycles)
+	maxCycles, err := t.claim(req.MaxCycles, 0)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	req.MaxCycles = maxCycles
-	if err := t.beginRun(); err != nil {
-		s.writeError(w, err)
-		return
-	}
 	defer t.endRun()
+	req.MaxCycles = maxCycles
 	var resp RunResponse
 	e, err := s.executeRun(r.Context(), &req, &resp)
 	if err != nil {
@@ -539,9 +539,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.storeReply(w, e, key, resp.ID, resp.Cached, &resp)
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, t *tenant) {
 	var req SweepRequest
-	if _, ok := s.accept(w, r, routeSweep, &req); !ok {
+	if _, ok := s.accept(w, r, t, routeSweep, &req); !ok {
 		return
 	}
 	stream, err := streamParam(r)
@@ -579,17 +579,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest(err))
 		return
 	}
-	t := tenantFrom(r.Context())
-	maxCycles, err := t.cycleBudget(req.MaxCycles)
+	maxCycles, err := t.claim(req.MaxCycles, axes.Size(1))
 	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if err := t.checkGrid(axes.Size(1)); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if err := t.beginRun(); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -615,11 +606,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	resp := s.sweepDocument(job, rep)
+	s.store(w, resp.ID, resp)
+}
+
+// sweepDocument builds a finished sweep's response document under a
+// fresh id: the buffered reply, and what a streamed sweep retains for
+// GET /v1/results/{id}.
+func (s *Server) sweepDocument(job *sweepJob, rep *sweep.Report) *SweepResponse {
 	resp := &SweepResponse{ID: s.results.nextID(), Scenario: job.scenario, Cached: job.cached, Table: rep.Table()}
 	for _, o := range rep.Outcomes {
 		resp.Outcomes = append(resp.Outcomes, wireOutcome(o))
 	}
-	s.store(w, resp.ID, resp)
+	return resp
 }
 
 // wireOutcome converts one engine outcome to its wire form. The
@@ -758,9 +757,9 @@ func (s *Server) statsSnapshot() StatsResponse {
 		ShedRequests:   s.adm.shed.Load(),
 		QueueDepth:     s.adm.waiting.Load(),
 		QueueWait:      s.adm.waitCap,
-		Tenants:        s.tenants.count(),
-		TenantRejects:  s.tenants.rejectCount(),
-		AuthFailures:   s.tenants.authFailureCount(),
+		Tenants:        len(s.tenants.byKey),
+		TenantRejects:  s.tenants.rejects.Load(),
+		AuthFailures:   s.tenants.authFailures.Load(),
 		Results:        s.results.len(),
 		Requests:       s.requests.Load(),
 	}

@@ -339,8 +339,10 @@ func TestRunEndpointHugeCounts(t *testing.T) {
 	if resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Program: relayDSL, Capacity: 1 << 34}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("capacity 2^34: status %d: %s", resp.StatusCode, body)
 	}
-	if resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Program: relayDSL, Queues: 1<<62 + 1}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("queues 2^62+1: status %d: %s", resp.StatusCode, body)
+	for _, queues := range []int{100000000, 1<<62 + 1} {
+		if resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Program: relayDSL, Queues: queues}); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("queues %d: status %d: %s", queues, resp.StatusCode, body)
+		}
 	}
 }
 

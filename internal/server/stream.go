@@ -121,11 +121,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, job *sweepJ
 		}
 		return
 	}
-	table := rep.Table()
-	resp := &SweepResponse{ID: s.results.nextID(), Scenario: job.scenario, Cached: job.cached, Table: table}
-	for _, o := range rep.Outcomes {
-		resp.Outcomes = append(resp.Outcomes, wireOutcome(o))
-	}
+	resp := s.sweepDocument(job, rep)
 	body, err := json.Marshal(resp)
 	if err != nil {
 		s.logf("sweep stream: marshal result document: %v", err)
@@ -136,9 +132,9 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, job *sweepJ
 		ID:       resp.ID,
 		Done:     true,
 		Rows:     len(resp.Outcomes),
-		Scenario: job.scenario,
-		Cached:   job.cached,
-		Table:    table,
+		Scenario: resp.Scenario,
+		Cached:   resp.Cached,
+		Table:    resp.Table,
 	}
 	if err := enc.Encode(sum); err != nil {
 		s.logf("sweep stream: encode summary: %v", err)

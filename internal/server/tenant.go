@@ -1,12 +1,13 @@
 package server
 
-// Per-tenant API keys and quotas. A Tenants registry is optional: with
-// none configured (the default), every gate below is a nil-receiver
-// no-op and the anonymous serving path pays nothing. With one, a
-// single middleware (Server.gate) authenticates each compute request
-// by API key, applies the tenant's requests/sec token bucket, and
-// threads the tenant through the request context so handlers can
-// enforce the tier's concurrency, grid-size, and cycle budgets.
+// Per-tenant API keys and quotas. Every compute request is made by a
+// tenant. With no tenants file (the default) the registry holds one
+// anonymous tenant on the zero TierPolicy, which limits nothing. With a
+// file, a single middleware (Server.gate) authenticates each compute
+// request by API key and applies the tenant's requests/sec token
+// bucket. Either way the gate hands the handler its tenant, and
+// tenant.claim enforces the tier's cycle, grid-size and concurrency
+// budgets for runs and sweeps.
 //
 // The registry is loaded from a small JSON file (-tenants <file>):
 //
@@ -21,7 +22,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -52,17 +52,21 @@ type TierPolicy struct {
 	Burst          int     `json:"burst,omitempty"`
 }
 
-// Tenants is the API-key registry. Build one with parseTenants or
-// loadTenants; it is immutable after construction and safe for
-// concurrent use (each tenant's mutable state is internally locked).
+// Tenants is the API-key registry. Build one with anonymous,
+// parseTenants or loadTenants; it is immutable after construction and
+// safe for concurrent use (each tenant's mutable state is internally
+// locked).
 type Tenants struct {
 	byKey map[string]*tenant
+	// anon is the tenant of every request to a registry without keys.
+	anon *tenant
 
 	rejects      atomic.Int64 // quota/rate refusals across all tenants
 	authFailures atomic.Int64 // missing or unknown API keys
 }
 
-// tenant is one authenticated principal and its live quota state.
+// tenant is one principal, an API key's or the anonymous caller, and
+// its live quota state.
 type tenant struct {
 	name string
 	tier TierPolicy
@@ -84,6 +88,14 @@ type tenantsFile struct {
 type tenantEntry struct {
 	Name string `json:"name"`
 	Tier string `json:"tier,omitempty"`
+}
+
+// anonymous is the registry of a server without a tenants file: no
+// keys, and one tenant on the zero tier.
+func anonymous() *Tenants {
+	ts := &Tenants{}
+	ts.anon = &tenant{name: "anonymous", reg: ts}
+	return ts
 }
 
 // parseTenants builds a registry from the JSON tenants-file format
@@ -164,32 +176,13 @@ func redactKey(k string) string {
 	return k[:4] + "…"
 }
 
-// count, rejectCount, and authFailureCount feed /v1/stats; all are
-// nil-safe so anonymous servers report zeros.
-func (ts *Tenants) count() int {
-	if ts == nil {
-		return 0
-	}
-	return len(ts.byKey)
-}
-
-func (ts *Tenants) rejectCount() int64 {
-	if ts == nil {
-		return 0
-	}
-	return ts.rejects.Load()
-}
-
-func (ts *Tenants) authFailureCount() int64 {
-	if ts == nil {
-		return 0
-	}
-	return ts.authFailures.Load()
-}
-
 // authenticate resolves a request's API key — "Authorization: Bearer
-// <key>" or "X-API-Key: <key>" — to its tenant, counting failures.
+// <key>" or "X-API-Key: <key>" — to its tenant, counting failures. A
+// registry without keys answers with its anonymous tenant.
 func (ts *Tenants) authenticate(r *http.Request) (*tenant, error) {
+	if len(ts.byKey) == 0 {
+		return ts.anon, nil
+	}
 	key := r.Header.Get("X-API-Key")
 	if key == "" {
 		if auth := r.Header.Get("Authorization"); strings.HasPrefix(auth, "Bearer ") {
@@ -209,16 +202,12 @@ func (ts *Tenants) authenticate(r *http.Request) (*tenant, error) {
 }
 
 // gate wraps a compute handler with tenant authentication and rate
-// limiting. With no registry configured it returns the handler
-// unchanged — the anonymous path costs nothing — and with a tenants
-// file that failed to load it refuses every request with a 500.
-func (s *Server) gate(h http.HandlerFunc) http.HandlerFunc {
+// limiting and hands it the request's tenant. With a tenants file that
+// failed to load it refuses every request with a 500.
+func (s *Server) gate(h func(http.ResponseWriter, *http.Request, *tenant)) http.HandlerFunc {
 	if s.tenantsErr != nil {
 		err := &statusError{code: http.StatusInternalServerError, err: s.tenantsErr}
 		return func(w http.ResponseWriter, _ *http.Request) { s.writeError(w, err) }
-	}
-	if s.tenants == nil {
-		return h
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		t, err := s.tenants.authenticate(r)
@@ -230,29 +219,15 @@ func (s *Server) gate(h http.HandlerFunc) http.HandlerFunc {
 			s.writeError(w, err)
 			return
 		}
-		h(w, r.WithContext(withTenant(r.Context(), t)))
+		h(w, r, t)
 	}
-}
-
-// tenantKey carries the authenticated tenant through a request
-// context.
-type tenantKey struct{}
-
-func withTenant(ctx context.Context, t *tenant) context.Context {
-	return context.WithValue(ctx, tenantKey{}, t)
-}
-
-// tenantFrom recovers the request's tenant; nil in anonymous mode.
-func tenantFrom(ctx context.Context) *tenant {
-	t, _ := ctx.Value(tenantKey{}).(*tenant)
-	return t
 }
 
 // allowRequest spends one token from the tenant's rate bucket,
 // refilling by elapsed time, and refuses with a tenant-scoped 429 —
 // Retry-After sized to the token deficit — when the bucket is empty.
 func (t *tenant) allowRequest(now time.Time) error {
-	if t == nil || t.tier.RequestsPerSec <= 0 {
+	if t.tier.RequestsPerSec <= 0 {
 		return nil
 	}
 	t.mu.Lock()
@@ -284,47 +259,41 @@ func (t *tenant) allowRequest(now time.Time) error {
 	return nil
 }
 
-// beginRun claims one of the tenant's concurrent-run slots; endRun
-// returns it. Both are nil-safe.
-func (t *tenant) beginRun() error {
-	if t == nil {
-		return nil
+// claim applies the tier to one run or sweep before any work: the
+// cycle budget, the grid bound (points is 0 for a run), then one of the
+// tenant's concurrent-run slots, which endRun returns. It returns the
+// cycle budget to run under.
+func (t *tenant) claim(requested, points int) (int, error) {
+	maxCycles, err := t.cycleBudget(requested)
+	if err != nil {
+		return 0, err
+	}
+	if t.tier.MaxGridPoints > 0 && points > t.tier.MaxGridPoints {
+		t.reg.rejects.Add(1)
+		return 0, &statusError{
+			code: http.StatusTooManyRequests,
+			err:  fmt.Errorf("tenant %q sweep grid of %d points exceeds its tier's %d", t.name, points, t.tier.MaxGridPoints),
+		}
 	}
 	if n := t.active.Add(1); t.tier.MaxConcurrent > 0 && n > int64(t.tier.MaxConcurrent) {
 		t.active.Add(-1)
 		t.reg.rejects.Add(1)
-		return &statusError{
+		return 0, &statusError{
 			code:       http.StatusTooManyRequests,
 			retryAfter: 1,
 			err:        fmt.Errorf("tenant %q at its concurrency limit (%d concurrent runs)", t.name, t.tier.MaxConcurrent),
 		}
 	}
-	return nil
+	return maxCycles, nil
 }
 
-func (t *tenant) endRun() {
-	if t != nil {
-		t.active.Add(-1)
-	}
-}
-
-// checkGrid refuses sweep grids over the tenant's tier bound.
-func (t *tenant) checkGrid(points int) error {
-	if t == nil || t.tier.MaxGridPoints <= 0 || points <= t.tier.MaxGridPoints {
-		return nil
-	}
-	t.reg.rejects.Add(1)
-	return &statusError{
-		code: http.StatusTooManyRequests,
-		err:  fmt.Errorf("tenant %q sweep grid of %d points exceeds its tier's %d", t.name, points, t.tier.MaxGridPoints),
-	}
-}
+func (t *tenant) endRun() { t.active.Add(-1) }
 
 // cycleBudget applies the tier's per-run cycle bound: explicit
 // requests above it are refused, an unset request (0) is clamped to
 // the bound so "use the default" can never exceed the tier.
 func (t *tenant) cycleBudget(requested int) (int, error) {
-	bound := t.cycleBound()
+	bound := t.tier.MaxCycles
 	if bound == 0 {
 		return requested, nil
 	}
@@ -339,15 +308,4 @@ func (t *tenant) cycleBudget(requested int) (int, error) {
 		return bound, nil
 	}
 	return requested, nil
-}
-
-// cycleBound is the tier's per-run cycle bound, 0 for none (and for the
-// anonymous caller). Two callers with different bounds can get
-// different replies to the same body, so it is part of the body-level
-// cache key.
-func (t *tenant) cycleBound() int {
-	if t == nil || t.tier.MaxCycles <= 0 {
-		return 0
-	}
-	return t.tier.MaxCycles
 }

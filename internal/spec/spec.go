@@ -21,6 +21,11 @@ import (
 	"strings"
 )
 
+// testProbes, when set, counts the identities Parse compares items
+// with: the inline buffer's entries and the map probe after them. Tests
+// bound it per item to hold the duplicate check linear.
+var testProbes *int
+
 // Parse tokenizes text and calls item once per item, in order. part
 // is the trimmed item (for error messages), scope is "cell", "link" or
 // "" for a plan-wide item (idx 0 then), and val is "" exactly when the
@@ -72,6 +77,9 @@ func Parse(name, text string, onePerElement bool, item func(part, scope string, 
 		id := seenItem{scope, key, idx}
 		if scope != "" && onePerElement {
 			id.key = ""
+		}
+		if testProbes != nil {
+			*testProbes += len(seen) + 1
 		}
 		switch {
 		case !slices.Contains(seen, id) && !more[id]:
