@@ -19,15 +19,18 @@
 // A pass keeps the executable pairs up to date incrementally and
 // allocates what the program's size determines up front: a cursor per
 // cell, a candidate slot per message, and for Run alone the pick order.
-// Strict rules cross only fronts, so the cursors are the whole crossed
-// state and a crossed pair can only enable the messages at its two new
-// fronts — one admission check each, O(ops·log messages) per run with
-// the default picker's heap; Schedule runs on the same tracker.
-// Lookahead adds a crossed flag per op, re-examines the messages of the
-// pair's two cells, O(degree) per pair, and locates the picked pair's
-// skips again into one buffer that only Run's order copies out. The
-// analysis makes one such pass without the order (Verdict, see
-// label.Run); Options.Observer is where the §6 labeler rides along.
+// One admission rule serves both rule sets. A cell offers its window,
+// the uncrossed ops from its cursor through its first read, cut where
+// one more skipped write would break R2; the strict rules allow no
+// skip, so their window is the front op and the cursors are the whole
+// crossed state. A crossed pair can enable only messages in the new
+// windows of its two cells, so a pass walks each window once per pair
+// that changes it, plus O(log messages) per pair for the default
+// picker's heap; Schedule runs on the same tracker. Lookahead flags the
+// ops it crosses past a cursor, and locates the picked pair's skips
+// again into one buffer that only Run's order copies out. The analysis
+// makes one such pass without the order (Verdict, see label.Run);
+// Options.Observer is where the §6 labeler rides along.
 package crossoff
 
 import (
@@ -162,162 +165,153 @@ type state struct {
 	p    *model.Program
 	opts Options
 	// cursor is each cell's first uncrossed index, the whole crossed
-	// state under the strict rules. Lookahead adds a flag per op (cell
-	// c's from off[c]) and the cursor passes crossed ones lazily.
+	// state under the strict rules. An op crossed past its cursor, which
+	// only lookahead locates, is flagged (cell c's from off[c]).
 	cursor  []int
 	crossed []bool
 	off     []int
 	left    int
-	// skipCount is withinBudget's per-message scratch, all zero between
-	// calls; allocated on the first budgeted skip set.
-	skipCount []int
 	// skips is the one skip buffer of the pass: locate records skipped
 	// writes here, a candidate keeps only its two indexes, and the
 	// picked pair's skips are located again into it before the
-	// observer sees them. Only Run's order copies them out.
+	// observer sees them. Only Run's order copies them out. count holds
+	// how many of them are on each message, for rule R2; allocated at
+	// the first skip.
 	skips   []Skip
-	updates int // candidacy checks (admit, update): the pass's clock-free cost, for tests
+	count   []int
+	updates int // candidacy checks (one per completion tried): the pass's clock-free cost, for tests
 }
 
 func newState(p *model.Program, opts Options) *state {
-	s := &state{p: p, opts: opts, cursor: make([]int, p.NumCells()), left: p.TotalOps()}
-	if opts.Lookahead {
-		s.off = make([]int, p.NumCells())
-		for c := 1; c < len(s.off); c++ {
-			s.off[c] = s.off[c-1] + len(p.Code(model.CellID(c-1)))
-		}
-		s.crossed = make([]bool, s.left)
-	}
-	return s
+	return &state{p: p, opts: opts, cursor: make([]int, p.NumCells()), left: p.TotalOps()}
 }
 
-// advance moves a cell's cursor past crossed ops (strict: none).
-func (s *state) advance(c model.CellID) {
-	code := s.p.Code(c)
-	for s.crossed != nil && s.cursor[c] < len(code) && s.crossed[s.off[c]+s.cursor[c]] {
-		s.cursor[c]++
-	}
+// flagged reports whether op i of cell c was crossed past its cursor.
+func (s *state) flagged(c model.CellID, i int) bool {
+	return s.crossed != nil && s.crossed[s.off[c]+i]
 }
 
-// front returns the front op of a cell, if any.
-func (s *state) front(c model.CellID) (model.Op, int, bool) {
-	s.advance(c)
-	code := s.p.Code(c)
-	if s.cursor[c] >= len(code) {
-		return model.Op{}, 0, false
+// budget is rule R2's allowance of skipped writes to message m per
+// located pair under lookahead: all of them without a Budget. The
+// strict rules allow none, and never reach here.
+func (s *state) budget(m model.MessageID) int {
+	if s.opts.Budget == nil {
+		return math.MaxInt
 	}
-	return code[s.cursor[c]], s.cursor[c], true
+	return s.opts.Budget(m)
+}
+
+// skip records the write at op i of cell c, on message m, as skipped,
+// and reports whether the pair being located still keeps within m's
+// budget.
+func (s *state) skip(c model.CellID, i int, m model.MessageID) bool {
+	if s.count == nil {
+		s.count = make([]int, s.p.NumMessages())
+	}
+	s.skips = append(s.skips, Skip{Cell: c, Idx: i, Msg: m})
+	s.count[m]++
+	return s.count[m] <= s.budget(m)
+}
+
+// unskip drops the skips recorded after the first n, and their counts.
+func (s *state) unskip(n int) {
+	for _, sk := range s.skips[n:] {
+		s.count[sk.Msg]--
+	}
+	s.skips = s.skips[:n]
 }
 
 // locate finds the earliest uncrossed op of the wanted kind on message
-// msg in cell c's program under the lookahead rules. It returns the op
-// index and whether it was found within the rules, and appends the
-// writes skipped to reach it to s.skips.
+// msg in cell c's program under the lookahead rules, appending the
+// writes skipped to reach it to s.skips. It fails at a read (rule R1),
+// at a skip that breaks rule R2, and past the end of the code.
 func (s *state) locate(c model.CellID, kind model.OpKind, msg model.MessageID) (int, bool) {
-	s.advance(c)
 	code := s.p.Code(c)
 	for i := s.cursor[c]; i < len(code); i++ {
-		if s.crossed[s.off[c]+i] {
+		if s.flagged(c, i) {
 			continue
 		}
 		op := code[i]
 		if op.Kind == kind && op.Msg == msg {
 			return i, true
 		}
-		if op.Kind == model.Read {
-			return 0, false // rule R1: reads are never skipped
+		if op.Kind == model.Read || !s.skip(c, i, op.Msg) {
+			return 0, false
 		}
-		s.skips = append(s.skips, Skip{Cell: c, Idx: i, Msg: op.Msg})
 	}
 	return 0, false
-}
-
-// withinBudget applies rule R2 to a candidate's skip set.
-func (s *state) withinBudget(skipped []Skip) bool {
-	if !s.opts.Lookahead || s.opts.Budget == nil || len(skipped) == 0 {
-		return true
-	}
-	if s.skipCount == nil {
-		s.skipCount = make([]int, s.p.NumMessages())
-	}
-	ok := true
-	for _, sk := range skipped {
-		s.skipCount[sk.Msg]++
-		if s.skipCount[sk.Msg] > s.opts.Budget(sk.Msg) {
-			ok = false
-		}
-	}
-	for _, sk := range skipped {
-		s.skipCount[sk.Msg] = 0
-	}
-	return ok
 }
 
 // probe locates message m's executable pair under the lookahead
 // rules: the write and read indexes, with the writes skipped to reach
 // them in s.skips.
 func (s *state) probe(m model.Message) (w, r int, ok bool) {
-	s.skips = s.skips[:0]
-	if w, ok = s.locate(m.Sender, model.Write, m.ID); !ok {
-		return 0, 0, false
+	s.unskip(0)
+	if w, ok = s.locate(m.Sender, model.Write, m.ID); ok {
+		r, ok = s.locate(m.Receiver, model.Read, m.ID)
 	}
-	if r, ok = s.locate(m.Receiver, model.Read, m.ID); !ok || !s.withinBudget(s.skips) {
-		return 0, 0, false
-	}
-	return w, r, true
+	return w, r, ok
 }
 
-// cross marks a pair's two ops as executed. Under the strict rules
-// they are the two cells' fronts, so their cursors step past them.
+// cross marks a pair's two ops as executed. Under the strict rules both
+// are at their cells' cursors, which step past them; flag does the
+// rest.
 func (s *state) cross(pr Pair) {
-	if s.crossed == nil {
+	s.left -= 2
+	if s.crossed == nil && pr.WriteIdx == s.cursor[pr.WriteCell] && pr.ReadIdx == s.cursor[pr.ReadCell] {
 		s.cursor[pr.WriteCell]++
 		s.cursor[pr.ReadCell]++
-	} else {
-		s.crossed[s.off[pr.WriteCell]+pr.WriteIdx] = true
-		s.crossed[s.off[pr.ReadCell]+pr.ReadIdx] = true
+		return
 	}
-	s.left -= 2
+	s.flag(pr.WriteCell, pr.WriteIdx)
+	s.flag(pr.ReadCell, pr.ReadIdx)
+}
+
+// flag marks op i of cell c crossed, allocating the flags at the first
+// op crossed past a cursor, and steps the cursor past the flagged ops
+// at it.
+func (s *state) flag(c model.CellID, i int) {
+	if s.crossed == nil {
+		s.off = make([]int, s.p.NumCells())
+		for c := 1; c < len(s.off); c++ {
+			s.off[c] = s.off[c-1] + len(s.p.Code(model.CellID(c-1)))
+		}
+		s.crossed = make([]bool, s.p.TotalOps())
+	}
+	s.crossed[s.off[c]+i] = true
+	code := s.p.Code(c)
+	for s.cursor[c] < len(code) && s.crossed[s.off[c]+s.cursor[c]] {
+		s.cursor[c]++
+	}
 }
 
 // blocked gathers the diagnostic front ops of unfinished cells.
 func (s *state) blocked() []BlockedOp {
 	var out []BlockedOp
-	for c := 0; c < s.p.NumCells(); c++ {
-		if op, idx, ok := s.front(model.CellID(c)); ok {
-			out = append(out, BlockedOp{Cell: model.CellID(c), Idx: idx, Op: op})
+	for c, at := range s.cursor {
+		if code := s.p.Code(model.CellID(c)); at < len(code) {
+			out = append(out, BlockedOp{Cell: model.CellID(c), Idx: at, Op: code[at]})
 		}
 	}
 	return out
 }
 
-// tracker maintains the candidate set incrementally. Whether message m
-// has an executable pair is a pure function of the crossed state of m's
-// two endpoint cells, so after crossing a pair only messages incident
-// to the pair's write and read cells can gain or lose candidacy —
-// everything else is untouched. Under the strict rules it is narrower
-// still (see admit): the only messages that can gain candidacy are the
-// ones at the two new fronts, and the only one that loses it is the
-// crossed message. Strict runs therefore cost one admission check per
-// new front whatever the cell degree; lookahead runs rescan the
-// incident messages, O(degree) per pair.
-//
-// A candidate is its write and read indexes only. Under lookahead its
-// skipped writes are located again when it is picked, which costs what
-// the probe that found it did, and no candidate keeps a list.
+// tracker maintains the candidate set incrementally, with one admission
+// rule for both rule sets (see admit). A candidate is its write and
+// read indexes only. Under lookahead its skipped writes are located
+// again when it is picked, which costs what the locate that found it
+// did, and no candidate keeps a list.
 type tracker struct {
 	s    *state
 	msgs []model.Message
-	// byCell maps a cell to the indexes into msgs of the messages with
-	// that cell as an endpoint; built only for lookahead runs.
-	byCell [][]int
-	cand   []slot // current candidate per message (valid iff live)
-	live   []bool
-	// heap orders the live messages for the default picker: every live
-	// index is in it at least once, pushed when it turns live; dead and
-	// duplicate entries are discarded at pop time against live. nil
-	// when a custom picker chooses from slice() instead.
-	heap *minHeap
+	cand []slot // current candidate per message (valid iff live)
+	live []bool
+	// heap orders the live messages for the default picker: a message
+	// is pushed when it turns live and stays live until it is popped
+	// and crossed, so every entry is live and there are never more
+	// than messages. Empty when a custom picker chooses from slice()
+	// instead.
+	heap minHeap
 	// pairs and skips back slice(), reused from pick to pick.
 	pairs []Pair
 	skips []Skip
@@ -326,44 +320,12 @@ type tracker struct {
 func newTracker(s *state) *tracker {
 	t := &tracker{s: s, msgs: s.p.Messages()}
 	if s.opts.Picker == nil {
-		// Strict runs never hold more entries than messages (a live
-		// message stays live until it is popped); lookahead runs may
-		// re-push one that a refresh turned dead and live again.
-		h := make(minHeap, 0, len(t.msgs))
-		t.heap = &h
-	}
-	if s.opts.Lookahead {
-		// Count, then fill: one backing array for every cell's list.
-		degree := make([]int, s.p.NumCells())
-		for _, m := range t.msgs {
-			degree[m.Sender]++
-			if m.Receiver != m.Sender {
-				degree[m.Receiver]++
-			}
-		}
-		flat := make([]int, 0, 2*len(t.msgs))
-		t.byCell = make([][]int, s.p.NumCells())
-		for c, d := range degree {
-			t.byCell[c] = flat[len(flat) : len(flat) : len(flat)+d]
-			flat = flat[:len(flat)+d]
-		}
-		for i, m := range t.msgs {
-			t.byCell[m.Sender] = append(t.byCell[m.Sender], i)
-			if m.Receiver != m.Sender {
-				t.byCell[m.Receiver] = append(t.byCell[m.Receiver], i)
-			}
-		}
+		t.heap = make(minHeap, 0, len(t.msgs))
 	}
 	t.cand = make([]slot, len(t.msgs))
 	t.live = make([]bool, len(t.msgs))
-	if s.opts.Lookahead {
-		for i := range t.msgs {
-			t.update(i)
-		}
-	} else {
-		for c := range s.cursor {
-			t.admit(model.CellID(c))
-		}
+	for c := range s.cursor {
+		t.admit(model.CellID(c))
 	}
 	return t
 }
@@ -371,60 +333,67 @@ func newTracker(s *state) *tracker {
 // slot is a candidate pair's write and read index.
 type slot struct{ w, r int }
 
-// update recomputes message i's candidacy under the lookahead rules.
-func (t *tracker) update(i int) {
-	t.s.updates++
-	w, r, ok := t.s.probe(t.msgs[i])
-	if ok && !t.live[i] && t.heap != nil {
-		t.heap.push(i)
-	}
-	t.cand[i], t.live[i] = slot{w, r}, ok
-}
-
-// admit is the strict admission rule: the message at cell c's front
-// turns live, its slot the two fronts, iff its other endpoint fronts
-// the complementary op on it. A live message stays live until it is
-// crossed, as crossing a pair moves only its own two cells' fronts, so
-// admit runs for every cell at the start and then for each pair's two.
+// admit is the admission rule of both rule sets. Cell c's window is
+// its uncrossed ops from the cursor through the first read, cut short
+// at the write whose skip would break rule R2; the strict rules allow
+// no skip, so their window is the front op. At the first op on each
+// message in the window that is not live, admit completes the pair at
+// the message's other endpoint within the budget the walk has left —
+// the front there, or under lookahead the op locate finds — and the
+// message turns live on that slot.
+//
+// Crossing a pair removes two ops, and the only skips it changes are
+// ones it removes, so every other live message stays live on the same
+// slot and only the crossed message dies. A message can turn live only
+// through its first op in the new window of one of the pair's two cells
+// (two, as no message goes from a cell to itself). So admit runs for
+// every cell at the start and then for each crossed pair's two cells.
 func (t *tracker) admit(c model.CellID) {
-	t.s.updates++
-	code, at := t.s.p.Code(c), t.s.cursor[c]
-	if at >= len(code) || t.live[code[at].Msg] {
-		return
-	}
-	m := &t.msgs[code[at].Msg]
-	other, want := m.Receiver, model.Read // c fronts W(m), so it is m's sender
-	if code[at].Kind == model.Read {
-		other, want = m.Sender, model.Write
-	}
-	if code, at := t.s.p.Code(other), t.s.cursor[other]; at < len(code) && code[at] == (model.Op{Kind: want, Msg: m.ID}) {
-		t.cand[m.ID], t.live[m.ID] = slot{t.s.cursor[m.Sender], t.s.cursor[m.Receiver]}, true
-		if t.heap != nil {
-			t.heap.push(int(m.ID))
+	s := t.s
+	s.unskip(0)
+	code := s.p.Code(c)
+	for i := s.cursor[c]; i < len(code); i++ {
+		if s.flagged(c, i) {
+			continue
 		}
-	}
-}
-
-// refresh recomputes candidacy for every message incident to cell c.
-func (t *tracker) refresh(c model.CellID) {
-	for _, i := range t.byCell[c] {
-		t.update(i)
+		op := code[i]
+		// No write of op.Msg skipped yet: this is its first op here.
+		if !t.live[op.Msg] && (s.count == nil || s.count[op.Msg] == 0) {
+			s.updates++
+			m := &t.msgs[op.Msg]
+			other, want := m.Receiver, model.Read // c writes m, so it is m's sender
+			if op.Kind == model.Read {
+				other, want = m.Sender, model.Write
+			}
+			j, ok := s.cursor[other], false
+			if oc := s.p.Code(other); j < len(oc) && oc[j] == (model.Op{Kind: want, Msg: m.ID}) {
+				ok = true
+			} else if s.opts.Lookahead {
+				n := len(s.skips)
+				j, ok = s.locate(other, want, m.ID)
+				s.unskip(n)
+			}
+			if ok {
+				t.cand[m.ID], t.live[m.ID] = slot{i, j}, true
+				if want == model.Write {
+					t.cand[m.ID] = slot{j, i}
+				}
+				if s.opts.Picker == nil {
+					t.heap.push(int(m.ID))
+				}
+			}
+		}
+		if op.Kind == model.Read || !s.opts.Lookahead || !s.skip(c, i, op.Msg) {
+			return
+		}
 	}
 }
 
 // crossed brings the candidate set up to date after pr was crossed.
 func (t *tracker) crossed(pr Pair) {
-	// The pair's ops are gone; the checks below re-admit its next word.
 	t.live[pr.Msg] = false
-	if !t.s.opts.Lookahead {
-		t.admit(pr.WriteCell)
-		t.admit(pr.ReadCell)
-		return
-	}
-	t.refresh(pr.WriteCell)
-	if pr.ReadCell != pr.WriteCell {
-		t.refresh(pr.ReadCell)
-	}
+	t.admit(pr.WriteCell)
+	t.admit(pr.ReadCell)
 }
 
 // slice materializes the live candidates in message-id order — the
@@ -453,18 +422,16 @@ func (t *tracker) slice() []Pair {
 // candidate per message, so the write-index tie-break never fires);
 // the heap finds it without materializing the slice.
 func (t *tracker) pick() (int, bool) {
-	if t.heap == nil {
+	if t.s.opts.Picker != nil {
 		if cands := t.slice(); len(cands) > 0 {
 			return int(t.s.opts.Picker(cands).Msg), true
 		}
 		return 0, false
 	}
-	for len(*t.heap) > 0 {
-		if i := t.heap.pop(); t.live[i] {
-			return i, true
-		}
+	if len(t.heap) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return t.heap.pop(), true
 }
 
 // picked is live message i's pair, built from its slot. Under
@@ -598,9 +565,9 @@ func Schedule(p *model.Program) ([]Round, bool) {
 	s := newState(p, Options{})
 	t := newTracker(s)
 	var rounds []Round
-	for len(*t.heap) > 0 {
-		pairs := make([]Pair, 0, len(*t.heap))
-		for len(*t.heap) > 0 {
+	for len(t.heap) > 0 {
+		pairs := make([]Pair, 0, len(t.heap))
+		for len(t.heap) > 0 {
 			pairs = append(pairs, t.picked(t.heap.pop()))
 		}
 		for _, pr := range pairs {

@@ -308,9 +308,13 @@ func TestBudgetFromRoutesViaUniform(t *testing.T) {
 // every skip, so Run must report the same pairs in the same order, the
 // same blocked fronts and the same ops left. Schedule's rounds,
 // flattened, must hold exactly Run's pairs, each round ascending by
-// message. It returns the verdict.
+// message. Under every rule set of trackerRules, the tracker must keep
+// to checkTracker's invariant. It returns the verdict.
 func checkStrictWalk(t testing.TB, p *model.Program) bool {
 	t.Helper()
+	for _, rules := range trackerRules {
+		checkTracker(t, p, rules.name, rules.opts)
+	}
 	strict := Run(p, Options{})
 	zero := Run(p, Options{Lookahead: true, Budget: UniformBudget(0)})
 	if !reflect.DeepEqual(strict, zero) {
@@ -337,6 +341,54 @@ func checkStrictWalk(t testing.TB, p *model.Program) bool {
 		t.Fatalf("Schedule's rounds hold %+v, Run crossed %+v", flat, order)
 	}
 	return strict.DeadlockFree
+}
+
+// trackerRules are the rule sets checkTracker holds the admission rule
+// to: strict, and lookahead at budgets 0, 1, 2, one per message and
+// unbounded.
+var trackerRules = []struct {
+	name string
+	opts Options
+}{
+	{"strict", Options{}},
+	{"budget 0", Options{Lookahead: true, Budget: UniformBudget(0)}},
+	{"budget 1", Options{Lookahead: true, Budget: UniformBudget(1)}},
+	{"budget 2", Options{Lookahead: true, Budget: UniformBudget(2)}},
+	{"budget m%3", Options{Lookahead: true, Budget: func(m model.MessageID) int { return int(m) % 3 }}},
+	{"unbounded", Options{Lookahead: true}},
+}
+
+// checkTracker crosses p off under opts and holds the incremental
+// candidate set to its definition: at the start and after every
+// crossed pair, a message is live, on a slot, iff a fresh probe finds
+// its pair at those indexes. The probes run on a second state that
+// crosses the same pairs and locates under the same rules, the strict
+// ones as lookahead with a zero budget.
+func checkTracker(t testing.TB, p *model.Program, name string, opts Options) {
+	t.Helper()
+	probing := opts
+	if !opts.Lookahead {
+		probing = Options{Lookahead: true, Budget: UniformBudget(0)}
+	}
+	s, fresh := newState(p, opts), newState(p, probing)
+	tr := newTracker(s)
+	for pairs := 0; ; pairs++ {
+		for _, m := range p.Messages() {
+			w, r, ok := fresh.probe(m)
+			if ok != tr.live[m.ID] || ok && tr.cand[m.ID] != (slot{w, r}) {
+				t.Fatalf("%s, after %d pairs: message %s live %v on %+v, a fresh probe finds %v on W@%d R@%d",
+					name, pairs, m.Name, tr.live[m.ID], tr.cand[m.ID], ok, w, r)
+			}
+		}
+		i, ok := tr.pick()
+		if !ok {
+			return
+		}
+		pr := tr.picked(i)
+		s.cross(pr)
+		fresh.cross(pr)
+		tr.crossed(pr)
+	}
 }
 
 // TestStrictWalkMatchesZeroBudgetLookahead runs checkStrictWalk over a

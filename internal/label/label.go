@@ -33,12 +33,15 @@
 // adjacent ops at most once: O(ops) unions at any interleaving depth.
 //
 // Only what a caller reads is built. The greedy labels are checked as
-// dense ranks, which keep their order and ties. Rule-1d conflicts are
-// recorded as message pairs and formatted only when the greedy
-// labeling is returned. When it is not, the order-based fallback runs
-// over flat arrays, on the rule-1d equalities the labeler collected
-// from the pass it observed; only a custom picker, whose pass is not
-// the default one rule 1d is taken over, costs a second lookahead pass.
+// dense ranks, which keep their order and ties. A rule-1d skip of a
+// message that already has a label never survives that check: the
+// skipped write's cell is an endpoint of the pair, so step 1b puts the
+// pair's label below the skipped one, and the write precedes the
+// pair's op there. When the greedy labeling fails, the order-based
+// fallback runs over flat arrays, on the rule-1d equalities the labeler
+// collected from the pass it observed; only a custom picker, whose pass
+// is not the default one rule 1d is taken over, costs a second
+// lookahead pass. Its note is the only warning a labeling carries.
 package label
 
 import (
@@ -59,9 +62,9 @@ type Labeling struct {
 	// Dense holds equivalent 1-based integer ranks: same order, same
 	// ties, smallest label ↦ 1.
 	Dense []int
-	// Warnings records §6 corner cases that were resolved best-effort
-	// (e.g. a lookahead-skipped message that already had a different
-	// label). A non-empty list does not imply inconsistency; run Check.
+	// Warnings notes how the labeling was reached when it was not the
+	// §6 scheme's own: the fallback to the order-based construction,
+	// with the reason the greedy labels were refused.
 	Warnings []string
 }
 
@@ -293,10 +296,6 @@ type labeler struct {
 	heapStart []int32
 	heapLen   []int32
 
-	// conflicts records each rule-1d skip whose message already had
-	// another label; they are formatted as warnings only if the greedy
-	// labeling is the one returned.
-	conflicts []conflict
 	schemeErr error
 	visits    int // messages rules 1c and 1d looked at: clock-free cost, for tests
 
@@ -309,10 +308,6 @@ type labeler struct {
 	eqs        [][2]model.MessageID
 	sameLabel  *unionFind
 }
-
-// conflict is a skipped message that already had a label other than
-// the one the pair that skipped it gave its class (rule 1d).
-type conflict struct{ skipped, picked model.MessageID }
 
 func newLabeler(p *model.Program) *labeler {
 	l := &labeler{
@@ -457,11 +452,6 @@ func (l *labeler) label(pr crossoff.Pair) {
 	for _, sk := range pr.Skipped {
 		if !l.labeled[sk.Msg] {
 			l.setLabel(sk.Msg, lab)
-		} else if !l.labels[sk.Msg].Equal(lab) {
-			if l.conflicts == nil {
-				l.conflicts = make([]conflict, 0, l.p.NumMessages())
-			}
-			l.conflicts = append(l.conflicts, conflict{skipped: sk.Msg, picked: pr.Msg})
 		}
 	}
 }
@@ -504,13 +494,7 @@ func (l *labeler) labeling() (Labeling, error) {
 	if c, _ := firstDecrease(l.p, dense); c >= 0 {
 		return Labeling{}, errInconsistent
 	}
-	var warnings []string
-	for _, c := range l.conflicts {
-		warnings = append(warnings, fmt.Sprintf(
-			"label: skipped message %s already labeled %v, wanted %v (rule 1d)",
-			l.p.Message(c.skipped).Name, l.labels[c.skipped], l.labels[c.picked]))
-	}
-	return Labeling{ByMessage: l.labels, Dense: dense, Warnings: warnings}, nil
+	return Labeling{ByMessage: l.labels, Dense: dense}, nil
 }
 
 // densify converts exact labels to 1-based integer ranks preserving

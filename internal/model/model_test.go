@@ -5,9 +5,12 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -336,10 +339,29 @@ func TestBuildHandsOverAndStaysRepeatable(t *testing.T) {
 	}
 }
 
-// TestBuilderAddCellLinear is the clock-relative gate on the duplicate
-// check: AddCell used to rescan every earlier name, so 4× the cells
-// cost 16× the time. Linear is 4×; the gate allows 8× (best of three,
-// to shrug off a GC cycle or a noisy neighbour).
+// cpuTime is the CPU time f takes, user and system. Unlike the wall
+// clock it does not run while other processes hold the cores. The heap
+// is collected before f and the collector is off while f runs, so its
+// background workers, whose CPU time depends on what earlier work left
+// on the heap rather than on f, do not count.
+func cpuTime(t testing.TB, f func()) time.Duration {
+	var before, after syscall.Rusage
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &before); err != nil {
+		t.Fatal(err)
+	}
+	f()
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &after); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(after.Utime.Nano() - before.Utime.Nano() + after.Stime.Nano() - before.Stime.Nano())
+}
+
+// TestBuilderAddCellLinear is the CPU-time-relative gate on the
+// duplicate check: AddCell used to rescan every earlier name, so 4× the
+// cells cost 16× the time. Linear is 4×; the gate allows 8× (best of
+// three, to shrug off a noisy neighbour's cache traffic).
 func TestBuilderAddCellLinear(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing ratio is not meaningful under -race")
@@ -351,12 +373,12 @@ func TestBuilderAddCellLinear(t *testing.T) {
 	best := func(n int) time.Duration {
 		min := time.Duration(math.MaxInt64)
 		for try := 0; try < 3; try++ {
-			start := time.Now()
 			b := NewBuilder()
-			for _, name := range names[:n] {
-				b.AddCell(name)
-			}
-			if d := time.Since(start); d < min {
+			if d := cpuTime(t, func() {
+				for _, name := range names[:n] {
+					b.AddCell(name)
+				}
+			}); d < min {
 				min = d
 			}
 			if b.err != nil {
@@ -366,8 +388,8 @@ func TestBuilderAddCellLinear(t *testing.T) {
 		return min
 	}
 	small, large := best(16<<10), best(64<<10)
-	t.Logf("AddCell ×16384: %v, ×65536: %v (ratio %.1f)", small, large, float64(large)/float64(small))
+	t.Logf("AddCell ×16384: %v of CPU, ×65536: %v (ratio %.1f)", small, large, float64(large)/float64(small))
 	if large > 8*small {
-		t.Errorf("64k AddCell took %v, more than 8× the %v of 16k: the duplicate check is not O(1)", large, small)
+		t.Errorf("64k AddCell took %v of CPU, more than 8× the %v of 16k: the duplicate check is not O(1)", large, small)
 	}
 }
