@@ -67,14 +67,15 @@ func TestAllocGateExecuteScaleFree(t *testing.T) {
 // TestAllocGateSweepBatch gates the planned sweep driver: on the
 // benchmark grid (Figs 7–8 × 3 policies × 4 queue budgets × 3
 // capacities × 2 lookaheads = 144 points) the whole sweep — per-column
-// analyses and the plan included — must average at most 4.6 allocations
+// analyses and the plan included — must average at most 3.1 allocations
 // per grid point. Two things hold the number down: the grid's 144 points
 // are 54 distinct (machine, effective config) executions, and a span's
 // retained core.Runner replays them without round-tripping scratch
 // through the machine's pool. An O(cycles) or O(cells) per-run
 // regression multiplies by 54, and a plan that stops sharing by 144/54;
-// either trips this (measured steady state: ~3.1 allocs/point, 445 a
-// sweep, with BenchmarkSweep -benchmem; the budget is ~1.5× that).
+// either trips this (measured: 2.47 allocs/point once Compile stopped
+// building the directional pool table and the competing-set map; the
+// budget is 1.25× that).
 func TestAllocGateSweepBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under -race")
@@ -104,8 +105,9 @@ func TestAllocGateSweepBatch(t *testing.T) {
 	}
 	run() // warm (nothing persists across sweeps today, but keep the gate's shape uniform)
 	perPoint := testing.AllocsPerRun(5, run) / float64(points)
-	if perPoint > 4.6 {
-		t.Errorf("planned sweep: %.2f allocs per grid point, budget 4.6", perPoint)
+	t.Logf("planned sweep: %.3f allocs per grid point", perPoint)
+	if perPoint > 3.1 {
+		t.Errorf("planned sweep: %.2f allocs per grid point, budget 3.1", perPoint)
 	}
 }
 

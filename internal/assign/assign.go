@@ -17,8 +17,10 @@
 package assign
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"systolic/internal/model"
@@ -27,22 +29,19 @@ import (
 
 // Context carries the compile-time information policies may use.
 // The compiled-machine runtime (internal/machine) shares one Context's
-// maps and slices across unlimited runs, so policies must treat every
-// field as read-only.
+// slices across unlimited runs, so policies must treat every field as
+// read-only.
 type Context struct {
 	Program *model.Program
 	// Routes is indexed by message id.
 	Routes [][]topology.Hop
-	// Competing maps each link to the messages crossing it (any
-	// direction; the pool of queues on a link is shared and a queue's
-	// direction is set when bound, §2.3).
-	Competing map[topology.LinkID][]model.MessageID
-	// NumPools is the number of queue pools (dense ids [0,NumPools)).
-	// 0 means unknown; policies derive a bound from Competing's keys.
-	NumPools int
-	// CompetingByPool, when non-nil, is Competing as a dense
-	// pool-indexed slice, precompiled by the machine layer. Shared
-	// and read-only.
+	// CompetingByPool is the one form of the competing sets, and
+	// required: entry p lists the messages whose routes cross pool p,
+	// in ascending message id, a message once per hop it has there.
+	// Pool ids are dense, [0, len(CompetingByPool)); a pool is a whole
+	// link by default (its queues serve both directions, a queue's
+	// direction set when bound, §2.3), or one direction of a link under
+	// directional pools. A pool no route crosses has a nil entry.
 	CompetingByPool [][]model.MessageID
 	// LabelOrder, when non-nil, is each pool's competing set
 	// pre-sorted by (label, message id) — the grant order of the
@@ -55,18 +54,6 @@ type Context struct {
 	Labels []int
 	// QueuesPerLink is the fixed number of queues on every link.
 	QueuesPerLink int
-}
-
-// poolCount resolves the number of dense pool ids: NumPools when set,
-// otherwise one past the largest Competing key.
-func (c *Context) poolCount() int {
-	n := c.NumPools
-	for link := range c.Competing {
-		if int(link)+1 > n {
-			n = int(link) + 1
-		}
-	}
-	return n
 }
 
 // Policy decides which competing messages are bound to free queues.
@@ -137,17 +124,21 @@ func (c *compatible) Setup(ctx *Context) error {
 		// below, shared across runs, never mutated.
 		c.order = ctx.LabelOrder
 	} else {
-		c.order = make([][]model.MessageID, ctx.poolCount())
-		for link, msgs := range ctx.Competing {
-			sorted := append([]model.MessageID(nil), msgs...)
-			sort.Slice(sorted, func(i, j int) bool {
-				li, lj := ctx.Labels[sorted[i]], ctx.Labels[sorted[j]]
-				if li != lj {
-					return li < lj
+		// The reference engine passes no order, so its runs check the
+		// precompiled one against this sort.
+		c.order = make([][]model.MessageID, len(ctx.CompetingByPool))
+		for pool, msgs := range ctx.CompetingByPool {
+			if len(msgs) == 0 {
+				continue
+			}
+			sorted := slices.Clone(msgs)
+			slices.SortFunc(sorted, func(a, b model.MessageID) int {
+				if c := cmp.Compare(ctx.Labels[a], ctx.Labels[b]); c != 0 {
+					return c
 				}
-				return sorted[i] < sorted[j]
+				return cmp.Compare(a, b)
 			})
-			c.order[link] = sorted
+			c.order[pool] = sorted
 		}
 	}
 	c.next = resetInts(c.next, len(c.order))
@@ -210,70 +201,34 @@ func (c *compatible) Grant(now int, link topology.LinkID, free int, pending []mo
 func Static() Policy { return &static{} }
 
 type static struct {
-	competing [][]model.MessageID // per pool; shared read-only
-	sorted    [][]model.MessageID // ascending copies of competing, cached across re-Setups
+	competing [][]model.MessageID // per pool, ascending; shared read-only
 	done      []bool
 }
 
 func (s *static) Name() string { return "static" }
 
 func (s *static) Setup(ctx *Context) error {
-	byPool := ctx.CompetingByPool
-	if byPool == nil {
-		byPool = make([][]model.MessageID, ctx.poolCount())
-		for link, msgs := range ctx.Competing {
-			byPool[link] = msgs
-		}
-	}
 	// Validate in ascending pool order so the reported link is
 	// deterministic.
-	for link, msgs := range byPool {
+	for link, msgs := range ctx.CompetingByPool {
 		if len(msgs) > ctx.QueuesPerLink {
 			return fmt.Errorf("assign: static policy: link %d has %d competing messages but %d queues",
 				link, len(msgs), ctx.QueuesPerLink)
 		}
 	}
-	// The sorted grant lists depend only on the competing sets, which
-	// are shared read-only state of the compiled machine — a re-Setup
-	// on the same sets (the batch runner's reuse path) keeps the cache.
-	if !samePools(s.competing, byPool) {
-		s.sorted = make([][]model.MessageID, len(byPool))
-		for link, msgs := range byPool {
-			sorted := append([]model.MessageID(nil), msgs...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			s.sorted[link] = sorted
-		}
-	}
-	s.competing = byPool
-	s.done = resetBools(s.done, len(byPool))
+	s.competing = ctx.CompetingByPool
+	s.done = resetBools(s.done, len(s.competing))
 	return nil
 }
 
-// samePools reports whether two per-pool competing sets share the same
-// backing arrays — the cheap identity check behind the static policy's
-// sorted-grant cache (identical backing implies identical contents,
-// since both sides are read-only).
-func samePools(a, b [][]model.MessageID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		if len(a[i]) > 0 && &a[i][0] != &b[i][0] {
-			return false
-		}
-	}
-	return true
-}
-
+// Grant hands a pool its whole competing set once, already in the
+// ascending order the grant list takes.
 func (s *static) Grant(now int, link topology.LinkID, free int, pending []model.MessageID) []model.MessageID {
 	if int(link) >= len(s.done) || s.done[link] {
 		return nil
 	}
 	s.done[link] = true
-	return s.sorted[link]
+	return s.competing[link]
 }
 
 // Arbiter selects the order in which a naive policy serves pending

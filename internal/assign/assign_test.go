@@ -5,17 +5,14 @@ import (
 	"testing"
 
 	"systolic/internal/model"
-	"systolic/internal/topology"
 )
 
 // ctx builds a small Context: 3 messages over one link, labels 1, 1, 2.
 func ctx(queues int, labels []int) *Context {
 	return &Context{
-		Competing: map[topology.LinkID][]model.MessageID{
-			0: {0, 1, 2},
-		},
-		Labels:        labels,
-		QueuesPerLink: queues,
+		CompetingByPool: [][]model.MessageID{{0, 1, 2}},
+		Labels:          labels,
+		QueuesPerLink:   queues,
 	}
 }
 

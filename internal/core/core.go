@@ -165,8 +165,8 @@ func Analyze(p *model.Program, t topology.Topology, opts AnalyzeOptions) (*Analy
 	if !a.DeadlockFree {
 		return a, nil
 	}
-	if err := label.CheckDense(p, lab.Dense); err != nil {
-		return nil, fmt.Errorf("core: labeling scheme produced an inconsistent labeling: %w", err)
+	if err := checkFallback(p, lab); err != nil {
+		return nil, err
 	}
 	a.Labeling = lab
 
@@ -174,6 +174,21 @@ func Analyze(p *model.Program, t topology.Topology, opts AnalyzeOptions) (*Analy
 	a.MinQueuesDynamic = rep.MaxGroup
 	a.MinQueuesStatic = rep.MaxCompeting
 	return a, nil
+}
+
+// checkFallback checks the consistency of a labeling that the §6
+// scheme did not produce. The greedy scheme's labels reach Analyze only
+// once the labeler has found them consistent on these very ranks; the
+// order-based fallback, which carries the fallback note (the only
+// warning a labeling has), is checked here.
+func checkFallback(p *model.Program, lab label.Labeling) error {
+	if len(lab.Warnings) == 0 {
+		return nil
+	}
+	if err := label.CheckDense(p, lab.Dense); err != nil {
+		return fmt.Errorf("core: labeling scheme produced an inconsistent labeling: %w", err)
+	}
+	return nil
 }
 
 // PolicyKind selects the run-time assignment discipline.

@@ -8,6 +8,7 @@ import (
 
 	"systolic/internal/crossoff"
 	"systolic/internal/gen"
+	"systolic/internal/label"
 	"systolic/internal/machine"
 	"systolic/internal/model"
 	"systolic/internal/topology"
@@ -64,6 +65,56 @@ func TestAnalyzeSinglePass(t *testing.T) {
 		if picks != tc.passes*pairs {
 			t.Errorf("%s: %d picks over %d pairs, want %d crossing-off pass(es)", tc.name, picks, pairs, tc.passes)
 		}
+	}
+}
+
+// TestAnalyzeChecksOnlyTheFallback pins both labeling paths. A greedy
+// §6 labeling (Fig 2) reaches the Analysis with no warning and is
+// consistent: the labeler checked it. A generated mesh program falls
+// back to the order-based construction, whose labeling carries the
+// note and is still consistent; and checkFallback still refuses such a
+// labeling when its ranks decrease along a cell.
+func TestAnalyzeChecksOnlyTheFallback(t *testing.T) {
+	greedy := analyzeWorkload(t, workload.Fig2())
+	if len(greedy.Labeling.Warnings) != 0 {
+		t.Fatalf("Fig 2's labeling carries warnings %q", greedy.Labeling.Warnings)
+	}
+	if err := label.CheckDense(greedy.Program, greedy.Labeling.Dense); err != nil {
+		t.Fatalf("greedy labeling: %v", err)
+	}
+	var fallback *Analysis
+	for seed := int64(1); seed <= 8 && fallback == nil; seed++ {
+		sc, err := gen.Generate(seed, gen.Options{Cells: 32, Messages: 64, MaxWords: 4, Interleave: 4, Cyclic: true, Topology: gen.TopoMesh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Analyze(sc.Program, sc.Topology, AnalyzeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.DeadlockFree && len(a.Labeling.Warnings) > 0 {
+			fallback = a
+		}
+	}
+	if fallback == nil {
+		t.Fatal("no generated program fell back: the test checks nothing")
+	}
+	p, lab := fallback.Program, fallback.Labeling
+	if err := label.CheckDense(p, lab.Dense); err != nil {
+		t.Fatalf("fallback labeling: %v", err)
+	}
+	if err := checkFallback(p, lab); err != nil {
+		t.Fatalf("checkFallback refused a consistent fallback labeling: %v", err)
+	}
+	// Reverse the ranks: some cell touching two messages of different
+	// labels now sees them decrease.
+	bad := lab
+	bad.Dense = make([]int, len(lab.Dense))
+	for i, r := range lab.Dense {
+		bad.Dense[i] = -r
+	}
+	if err := checkFallback(p, bad); err == nil || !strings.Contains(err.Error(), "inconsistent") {
+		t.Errorf("checkFallback on decreasing fallback ranks: %v", err)
 	}
 }
 

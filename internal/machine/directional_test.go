@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"systolic/internal/assign"
@@ -107,5 +109,63 @@ func TestDirectionalPoolsWithCompatible(t *testing.T) {
 	}
 	if !res.Completed {
 		t.Fatalf("run %s\n%s", res.Outcome(), DescribeBlocked(p, res.Blocked))
+	}
+}
+
+// TestFirstDirectionalRunsConcurrent: eight goroutines make the first
+// DirectionalPools runs of one fresh machine at once, so they race to
+// build its directional pool table; each Result must equal that of the
+// same run on a machine run sequentially. Run it under -race.
+func TestFirstDirectionalRunsConcurrent(t *testing.T) {
+	p, topo := butterfly(t, 4)
+	labels := make([]int, p.NumMessages())
+	for i := range labels {
+		labels[i] = i/4 + 1
+	}
+	policies := []func() assign.Policy{
+		assign.Compatible,
+		func() assign.Policy { return assign.Naive(assign.FCFS, 0) },
+		assign.Static,
+		func() assign.Policy { return assign.Naive(assign.Random, 3) },
+	}
+	opts := func(g int) ExecOptions {
+		return ExecOptions{Policy: policies[g%len(policies)](), QueuesPerLink: 16, Capacity: 2, DirectionalPools: true, RecordTimeline: true}
+	}
+	const goroutines = 8
+	seq, err := Compile(p, topo, nil, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*Result, goroutines)
+	for g := range want {
+		if want[g], err = seq.Run(opts(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := Compile(p, topo, nil, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*Result, goroutines)
+	errs := make([]error, goroutines)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			got[g], errs[g] = m.Run(opts(g))
+		}()
+	}
+	start.Done()
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if !reflect.DeepEqual(got[g], want[g]) {
+			t.Errorf("goroutine %d (%s): the concurrent first run's Result differs from the sequential one", g, got[g].Outcome())
+		}
 	}
 }

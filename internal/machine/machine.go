@@ -1,8 +1,11 @@
 // Package machine is the compile-once execution core: it lowers an
 // analyzed scenario (program, topology, routes, labels) into a flat,
 // index-based intermediate representation — per-cell op streams,
-// per-hop pool tables, precomputed competing sets — that one Compile
-// call produces and unlimited Run calls consume.
+// per-hop pool ids, precomputed competing sets — that one Compile
+// call produces and unlimited Run calls consume. Compile lowers the
+// shared-pool regime of §2.3, the one every caller runs; the
+// per-direction regime (ExecOptions.DirectionalPools) is lowered by
+// the first run that selects it.
 //
 // The split mirrors what cycle-accurate co-simulation platforms do to
 // reach production throughput: all per-scenario derivation (routing,
@@ -12,12 +15,14 @@
 // queue pools an event has actually touched — O(active) instead of the
 // former full O(cells + queues + messages) scan.
 //
-// A *Machine is immutable after Compile and safe for concurrent Run
-// calls: each run borrows a pooled execution context sized for the
-// machine. The scheduler is cycle-for-cycle equivalent to the
-// reference full-scan engine kept in internal/refsim; the equivalence
-// suite there replays the fuzz corpus plus hundreds of generated
-// scenarios through both and demands byte-identical Results.
+// A *Machine is immutable after Compile, as its callers see it, and
+// safe for concurrent Run calls: each run borrows a pooled execution
+// context sized for the machine, and the directional pool table is
+// built once, under a sync.Once, whichever run asks first. The
+// scheduler is cycle-for-cycle equivalent to the reference full-scan
+// engine kept in internal/refsim; the equivalence suite there replays
+// the fuzz corpus plus hundreds of generated scenarios through both
+// and demands byte-identical Results.
 package machine
 
 import (
@@ -277,14 +282,14 @@ type hopRef struct {
 }
 
 // poolTable is the per-regime pool layout: competing sets and, when
-// labels exist, the label-sorted grant order, all precomputed at
-// compile so every run (and every policy Setup) shares them
+// labels exist, the label-sorted grant order, computed once per
+// machine — the shared regime's by Compile, the directional one's by
+// its first run — so every run (and every policy Setup) shares them
 // read-only.
 type poolTable struct {
 	numPools int
-	// competing keeps the map form of the competing sets for the
-	// assign.Context contract; competingByPool is the dense view.
-	competing       map[topology.LinkID][]model.MessageID
+	// competingByPool is each pool's competing set, in ascending
+	// message id, the form assign.Context.CompetingByPool documents.
 	competingByPool [][]model.MessageID
 	// labelOrder is each pool's competing set sorted by (label,
 	// message id); nil when the machine was compiled without labels.
@@ -327,7 +332,11 @@ type Machine struct {
 	multiHopMsg           model.MessageID // first msg with a multi-hop route; -1 if none
 	codeCells             int             // cells with a non-empty op stream
 
+	// shared is the §2.3 regime, built by Compile. directional splits
+	// every link's pool by direction; dirOnce builds it for the first
+	// run that sets DirectionalPools, since nothing else reads it.
 	shared, directional poolTable
+	dirOnce             sync.Once
 
 	// execs holds the pooled *exec scratch. It is an atomic pointer
 	// so reset can swap in a fresh pool while concurrent Runs keep
@@ -441,7 +450,6 @@ func Compile(p *model.Program, t topology.Topology, routes [][]topology.Hop, lab
 	}
 
 	m.shared = m.buildPoolTable(0, len(m.links))
-	m.directional = m.buildPoolTable(1, 2*len(m.links))
 
 	m.execs.Store(&sync.Pool{New: func() any { return new(exec) }})
 	return m, nil
@@ -460,11 +468,7 @@ func (m *Machine) buildPoolTable(flavor, numPools int) poolTable {
 	for i := range m.hops {
 		end[m.hops[i].pool[flavor]+1]++
 	}
-	used := 0
 	for pool := 0; pool < numPools; pool++ {
-		if end[pool+1] > 0 {
-			used++
-		}
 		end[pool+1] += end[pool]
 	}
 	byMessage := make([]model.MessageID, len(m.hops))
@@ -477,7 +481,6 @@ func (m *Machine) buildPoolTable(flavor, numPools int) poolTable {
 	}
 	tbl := poolTable{
 		numPools:        numPools,
-		competing:       make(map[topology.LinkID][]model.MessageID, used),
 		competingByPool: make([][]model.MessageID, numPools),
 	}
 	var byLabel []model.MessageID
@@ -500,7 +503,6 @@ func (m *Machine) buildPoolTable(flavor, numPools int) poolTable {
 		}
 		msgs := byMessage[lo:hi:hi]
 		tbl.competingByPool[pool] = msgs
-		tbl.competing[topology.LinkID(pool)] = msgs
 		if byLabel != nil {
 			sorted := byLabel[lo:hi:hi]
 			slices.SortFunc(sorted, byLabelThenID)
@@ -539,10 +541,13 @@ const maxQueueSlots = 1 << 20
 
 // prepare validates opts, applies defaults (Logic, MaxCycles), and
 // resolves the pool regime plus the lowered fault and link-timing
-// tables. It is the shared front half of Run and Exec.Run, so both
-// reject configurations with identical errors, and the one place a
-// run's options are validated: core.Execute checks only what needs
-// the analysis and leaves every other option to this ConfigError.
+// tables. The queue-slot bound is checked on the regime's pool count
+// (one pool per link, or two) before the directional table is built,
+// so a refused configuration builds nothing. It is the shared front
+// half of Run and Exec.Run, so both reject configurations with
+// identical errors, and the one place a run's options are validated:
+// core.Execute checks only what needs the analysis and leaves every
+// other option to this ConfigError.
 func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, flavor int, flt *fault.Lowered, lm *linkmodel.Lowered, err error) {
 	if opts.Policy == nil {
 		return 0, nil, 0, nil, nil, &ConfigError{Field: "Policy", Reason: "nil policy"}
@@ -591,14 +596,16 @@ func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, fla
 			return 0, nil, 0, nil, nil, err
 		}
 	}
-	tbl = &m.shared
+	tbl, pools := &m.shared, len(m.links)
 	if opts.DirectionalPools {
-		tbl = &m.directional
-		flavor = 1
+		tbl, pools, flavor = &m.directional, 2*len(m.links), 1
 	}
-	if tbl.numPools > 0 && opts.QueuesPerLink > maxQueueSlots/tbl.numPools {
+	if pools > 0 && opts.QueuesPerLink > maxQueueSlots/pools {
 		return 0, nil, 0, nil, nil, &ConfigError{Field: "QueuesPerLink", Reason: fmt.Sprintf(
-			"%d queues on each of %d pools exceed the %d queue slots a run may hold", opts.QueuesPerLink, tbl.numPools, maxQueueSlots)}
+			"%d queues on each of %d pools exceed the %d queue slots a run may hold", opts.QueuesPerLink, pools, maxQueueSlots)}
+	}
+	if flavor == 1 {
+		m.dirOnce.Do(func() { m.directional = m.buildPoolTable(1, pools) })
 	}
 	return maxCycles, tbl, flavor, flt, lm, nil
 }
@@ -611,10 +618,8 @@ func (m *Machine) runExec(e *exec, opts *ExecOptions, tbl *poolTable, flavor, ma
 	e.ctx = assign.Context{
 		Program:         m.prog,
 		Routes:          m.routes,
-		Competing:       tbl.competing,
 		CompetingByPool: tbl.competingByPool,
 		LabelOrder:      tbl.labelOrder,
-		NumPools:        tbl.numPools,
 		Labels:          m.labels,
 		QueuesPerLink:   opts.QueuesPerLink,
 	}

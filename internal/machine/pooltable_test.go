@@ -3,32 +3,29 @@ package machine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"systolic/internal/assign"
 	"systolic/internal/gen"
 	"systolic/internal/model"
 	"systolic/internal/topology"
 )
 
 // buildPoolTableReference is buildPoolTable as it stood before the
-// count-then-fill rewrite — an append per hop, an unsized map, a copy
-// and a sort.Slice per pool — kept verbatim as the oracle.
+// count-then-fill rewrite — an append per hop, a copy and a sort.Slice
+// per pool — kept as the oracle (less the competing map, which the
+// table no longer holds).
 func (m *Machine) buildPoolTableReference(flavor, numPools int) poolTable {
 	tbl := poolTable{
 		numPools:        numPools,
-		competing:       make(map[topology.LinkID][]model.MessageID),
 		competingByPool: make([][]model.MessageID, numPools),
 	}
 	for id := range m.routes {
 		for _, h := range m.msgHops(model.MessageID(id)) {
 			pool := h.pool[flavor]
 			tbl.competingByPool[pool] = append(tbl.competingByPool[pool], model.MessageID(id))
-		}
-	}
-	for pool, msgs := range tbl.competingByPool {
-		if len(msgs) > 0 {
-			tbl.competing[topology.LinkID(pool)] = msgs
 		}
 	}
 	if m.labels != nil {
@@ -80,8 +77,9 @@ func butterfly(t testing.TB, logN int) (*model.Program, topology.Topology) {
 }
 
 // TestPoolTablesMatchReference: both regimes' tables — the competing
-// map, its dense view and the label-sorted grant order, nil entries for
-// untouched pools included — equal the old construction on the FFT
+// sets and the label-sorted grant order, nil entries for untouched
+// pools included, the directional one as its first run builds it —
+// equal the old construction on the FFT
 // butterfly (logN=6) and three generated meshes, with labels full of
 // ties (the (label, message id) tie-break decides grant order) and
 // without labels.
@@ -111,14 +109,20 @@ func TestPoolTablesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sc.name, err)
 			}
-			for flavor, got := range []poolTable{m.shared, m.directional} {
+			for flavor, directional := range []bool{false, true} {
+				opts := ExecOptions{Policy: assign.Static(), QueuesPerLink: 1, Capacity: 1, DirectionalPools: directional}
+				_, tbl, _, _, _, err := m.prepare(&opts)
+				if err != nil {
+					t.Fatalf("%s: %v", sc.name, err)
+				}
+				got := *tbl
 				want := m.buildPoolTableReference(flavor, got.numPools)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s, regime %d, labels=%v: pool table differs from the reference\n got %+v\nwant %+v",
 						sc.name, flavor, labels != nil, got, want)
 				}
-				if labels != nil && len(got.competing) == 0 {
-					t.Errorf("%s: empty competing map, nothing compared", sc.name)
+				if labels != nil && slices.IndexFunc(got.competingByPool, func(s []model.MessageID) bool { return len(s) > 0 }) < 0 {
+					t.Errorf("%s: no competing set, nothing compared", sc.name)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -141,6 +142,42 @@ func TestLogIsNotSizedOnDeclarationsAlone(t *testing.T) {
 	}
 	if _, err := b.Build(); err == nil {
 		t.Error("a message 2^40 words short, yet Build succeeded")
+	}
+}
+
+// TestInterleavedBuildChunksLogarithmic: a build that declares each
+// message just before its ops — Attention's shape, 256 tokens routed
+// round-robin through 16 experts into a combiner — keeps its log in
+// O(log ops) chunks, not one chunk per declaration, and Build still
+// gathers every cell's code in order.
+func TestInterleavedBuildChunksLogarithmic(t *testing.T) {
+	const tokens, experts = 256, 16
+	b := NewBuilder()
+	router := b.AddHost("Router")
+	xs := b.AddCells("X", experts)
+	comb := b.AddCell("Comb")
+	want := make([][]Op, experts+2)
+	for i := 0; i < tokens; i++ {
+		x := xs[i%experts]
+		tok := b.DeclareMessage("T"+strconv.Itoa(i), router, x, 1)
+		out := b.DeclareMessage("O"+strconv.Itoa(i), x, comb, 1)
+		b.Write(router, tok).Read(x, tok).Write(x, out).Read(comb, out)
+		want[router] = append(want[router], Op{Write, tok})
+		want[x] = append(want[x], Op{Read, tok}, Op{Write, out})
+		want[comb] = append(want[comb], Op{Read, out})
+	}
+	ops := 4 * tokens
+	if limit := bits.Len(uint(ops)); len(b.log) > limit {
+		t.Errorf("%d ops logged in %d chunks, more than %d", ops, len(b.log), limit)
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, code := range want {
+		if got := p.Code(CellID(c)); !slices.Equal(got, code) {
+			t.Fatalf("cell %d has code %v, was given %v", c, got, code)
+		}
 	}
 }
 

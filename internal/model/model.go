@@ -168,6 +168,7 @@ type Builder struct {
 	runs     []run  // which cell appended each stretch of the log
 	logged   int    // ops in log
 	words    int    // declared words of all messages: a valid program has twice as many ops
+	late     bool   // a message was declared after ops were logged: declarations no longer bound the log
 	cellID   map[string]CellID
 	byName   map[string]MessageID
 	err      error // first declaration error; Build reports it
@@ -319,6 +320,7 @@ func (b *Builder) DeclareMessage(name string, sender, receiver CellID, words int
 	}
 	b.messages = append(b.messages, Message{ID: id, Name: name, Sender: sender, Receiver: receiver, Words: words})
 	b.words += max(words, 0)
+	b.late = b.late || b.logged > 0
 	return id
 }
 
@@ -337,13 +339,16 @@ func (b *Builder) declared(c CellID) bool {
 // extend logs n more ops for cell c and returns the first stretch of
 // them for the caller to fill: what the log's last chunk has room for,
 // starting a new chunk when it has none. A new chunk at most doubles
-// the log and takes no more than the declared messages still call for:
-// exact for a valid program, never sized on a declaration alone.
+// the log and, while every message was declared before the first op,
+// takes no more than the declared messages still call for: exact for a
+// valid program, never sized on a declaration alone. Once declarations
+// and code interleave, the chunks just double, O(log ops) of them —
+// capped by the words declared so far, they would be a few ops each.
 func (b *Builder) extend(c CellID, n int) []Op {
 	last := len(b.log) - 1
 	if last < 0 || len(b.log[last]) == cap(b.log[last]) {
 		room := max(b.logged, minChunk)
-		if rest := 2*b.words - b.logged; rest > 0 {
+		if rest := 2*b.words - b.logged; rest > 0 && !b.late {
 			room = min(room, rest)
 		}
 		b.log = append(b.log, make([]Op, 0, max(n, room)))

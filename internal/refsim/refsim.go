@@ -201,21 +201,23 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 	r.lm = lmo
 	r.setup()
 
-	// Competing sets are keyed by pool: the whole link under the
-	// shared-pool default, per direction under DirectionalPools.
-	competing := make(map[topology.LinkID][]model.MessageID)
+	// Competing sets are indexed by pool: the whole link under the
+	// shared-pool default, per direction under DirectionalPools. Routes
+	// are visited in id order, so each set is ascending, as the
+	// Context requires.
+	competing := make([][]model.MessageID, r.numPools)
 	for id, route := range routes {
 		for _, h := range route {
-			key := r.poolOf(h)
-			competing[key] = append(competing[key], model.MessageID(id))
+			pool := r.poolOf(h)
+			competing[pool] = append(competing[pool], model.MessageID(id))
 		}
 	}
 	ctx := &assign.Context{
-		Program:       p,
-		Routes:        routes,
-		Competing:     competing,
-		Labels:        labels,
-		QueuesPerLink: cfg.QueuesPerLink,
+		Program:         p,
+		Routes:          routes,
+		CompetingByPool: competing,
+		Labels:          labels,
+		QueuesPerLink:   cfg.QueuesPerLink,
 	}
 	if err := cfg.Policy.Setup(ctx); err != nil {
 		r.release()

@@ -10,14 +10,18 @@ import (
 // with dimension-ordered routing that takes the shorter way around
 // each dimension, ties broken toward increasing coordinates.
 func Torus2D(rows, cols int) Topology {
-	g := newGraph(fmt.Sprintf("torus(%dx%d)", rows, cols), rows*cols)
+	// Each cell links to its successor along each dimension of size at
+	// least 2, except that along a dimension of size 2 the successor's
+	// link back is the same one.
+	across, down := torusLinks(cols), torusLinks(rows)
+	g := newGraph(fmt.Sprintf("torus(%dx%d)", rows, cols), rows*cols, rows*across+cols*down)
 	id := func(r, c int) model.CellID { return model.CellID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			if cols > 1 {
+			if c < across {
 				g.addLink(id(r, c), id(r, (c+1)%cols))
 			}
-			if rows > 1 {
+			if r < down {
 				g.addLink(id(r, c), id((r+1)%rows, c))
 			}
 		}
@@ -48,15 +52,31 @@ func Torus2D(rows, cols int) Topology {
 	}))
 }
 
+// torusLinks is the number of links a torus dimension of the given size
+// adds per line of cells: one per cell, one in all for a pair, none
+// for a single cell.
+func torusLinks(size int) int {
+	if size == 2 {
+		return 1
+	}
+	if size < 2 {
+		return 0
+	}
+	return size
+}
+
 // Hypercube returns a 2^dim-cell hypercube with e-cube (dimension
 // ordered, lowest differing bit first) routing — the topology of the
 // Cosmic Cube machines the paper contrasts with (§1, refs 6 and 11).
 func Hypercube(dim int) Topology {
 	n := 1 << dim
-	g := newGraph(fmt.Sprintf("hypercube(%d)", dim), n)
+	g := newGraph(fmt.Sprintf("hypercube(%d)", dim), n, n*dim/2)
 	for c := 0; c < n; c++ {
 		for d := 0; d < dim; d++ {
-			g.addLink(model.CellID(c), model.CellID(c^(1<<d)))
+			// The lower endpoint, visited first, adds the link.
+			if c&(1<<d) == 0 {
+				g.addLink(model.CellID(c), model.CellID(c^(1<<d)))
+			}
 		}
 	}
 	return g.seal(stateless(func(path []model.CellID, from, to model.CellID) ([]model.CellID, error) {
@@ -74,7 +94,7 @@ func Hypercube(dim int) Topology {
 // Star returns a hub-and-spoke topology: cell 0 is the hub, cells
 // 1..n-1 are leaves; leaf-to-leaf routes pass through the hub.
 func Star(n int) Topology {
-	g := newGraph(fmt.Sprintf("star(%d)", n), n)
+	g := newGraph(fmt.Sprintf("star(%d)", n), n, n-1)
 	for c := 1; c < n; c++ {
 		g.addLink(0, model.CellID(c))
 	}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -133,5 +134,95 @@ func TestStarRouting(t *testing.T) {
 	}
 	if len(hops) != 1 {
 		t.Fatalf("hub route %v", hops)
+	}
+}
+
+// dedupedLinks is link construction as it stood when every constructor
+// deduped through a map: edges are named in the constructor's loop
+// order, and only an edge's first naming becomes a link.
+func dedupedLinks(edges func(add func(a, b int))) []Link {
+	var links []Link
+	seen := map[[2]model.CellID]bool{}
+	edges(func(a, b int) {
+		key := [2]model.CellID{model.CellID(min(a, b)), model.CellID(max(a, b))}
+		if !seen[key] {
+			seen[key] = true
+			links = append(links, Link{ID: LinkID(len(links)), A: key[0], B: key[1]})
+		}
+	})
+	return links
+}
+
+// TestConstructorLinksMatchDeduped: the regular constructors add each
+// link once without a dedupe map, so their links — ids, endpoints and
+// order — must equal the map-deduped construction's, at every size
+// from 1 to 6, for rings and tori with a side of 1 or 2 included, and
+// for hypercubes of dimension 0 to 4.
+func TestConstructorLinksMatchDeduped(t *testing.T) {
+	type tc struct {
+		topo  Topology
+		edges func(add func(a, b int))
+	}
+	var cases []tc
+	for n := 1; n <= 6; n++ {
+		cases = append(cases,
+			tc{Linear(n), func(add func(a, b int)) {
+				for i := 0; i+1 < n; i++ {
+					add(i, i+1)
+				}
+			}},
+			tc{Ring(n), func(add func(a, b int)) {
+				for i := 0; i < n; i++ {
+					add(i, (i+1)%n)
+				}
+			}},
+			tc{Star(n), func(add func(a, b int)) {
+				for c := 1; c < n; c++ {
+					add(0, c)
+				}
+			}})
+		for cols := 1; cols <= 6; cols++ {
+			rows := n
+			cases = append(cases,
+				tc{Mesh2D(rows, cols), func(add func(a, b int)) {
+					for r := 0; r < rows; r++ {
+						for c := 0; c < cols; c++ {
+							if c+1 < cols {
+								add(r*cols+c, r*cols+c+1)
+							}
+							if r+1 < rows {
+								add(r*cols+c, (r+1)*cols+c)
+							}
+						}
+					}
+				}},
+				tc{Torus2D(rows, cols), func(add func(a, b int)) {
+					for r := 0; r < rows; r++ {
+						for c := 0; c < cols; c++ {
+							if cols > 1 {
+								add(r*cols+c, r*cols+(c+1)%cols)
+							}
+							if rows > 1 {
+								add(r*cols+c, ((r+1)%rows)*cols+c)
+							}
+						}
+					}
+				}})
+		}
+	}
+	for dim := 0; dim <= 4; dim++ {
+		cases = append(cases, tc{Hypercube(dim), func(add func(a, b int)) {
+			for c := 0; c < 1<<dim; c++ {
+				for d := 0; d < dim; d++ {
+					add(c, c^(1<<d))
+				}
+			}
+		}})
+	}
+	for _, c := range cases {
+		got, want := c.topo.Links(), dedupedLinks(c.edges)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: links %v, want %v", c.topo.Name(), got, want)
+		}
 	}
 }

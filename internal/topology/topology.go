@@ -58,8 +58,6 @@ type graph struct {
 	name  string
 	n     int
 	links []Link
-	// linkAt dedupes links while a constructor adds them; seal drops it.
-	linkAt map[[2]model.CellID]LinkID
 	// Cell c's neighbours are adj[adjOff[c]:adjOff[c+1]], ascending.
 	adj    []neighbour
 	adjOff []int32
@@ -78,31 +76,30 @@ type neighbour struct{ cell, link int32 }
 // growing path.
 type pather func(path []model.CellID, from, to model.CellID) ([]model.CellID, error)
 
-func newGraph(name string, n int) *graph {
-	return &graph{name: name, n: n, linkAt: make(map[[2]model.CellID]LinkID)}
+// newGraph starts a topology of n cells with room for the given number
+// of links.
+func newGraph(name string, n, links int) *graph {
+	return &graph{name: name, n: n, links: make([]Link, 0, max(links, 0))}
 }
 
 func (g *graph) NumCells() int { return g.n }
 func (g *graph) Links() []Link { return g.links }
 func (g *graph) Name() string  { return g.name }
 
+// addLink adds the link joining a and b as the next link id. The
+// regular constructors never name a link twice, each adding a link
+// only from the endpoint they reach first; Graph dedupes its edge list
+// itself.
 func (g *graph) addLink(a, b model.CellID) {
 	if a > b {
 		a, b = b, a
 	}
-	key := [2]model.CellID{a, b}
-	if _, dup := g.linkAt[key]; dup {
-		return
-	}
-	id := LinkID(len(g.links))
-	g.links = append(g.links, Link{ID: id, A: a, B: b})
-	g.linkAt[key] = id
+	g.links = append(g.links, Link{ID: LinkID(len(g.links)), A: a, B: b})
 }
 
 // seal ends construction: it builds the adjacency table from the links,
 // count-then-fill into one array, and installs the routing policy.
 func (g *graph) seal(newPather func() pather) Topology {
-	g.linkAt = nil
 	// off[c+1] counts cell c's links, then holds the beginning of its
 	// segment, and the fill advances it to the segment's end — which is
 	// where cell c+1's begins.
@@ -220,7 +217,7 @@ func (g *graph) routes(p *model.Program) ([][]Hop, error) {
 // routes are the only routes, so the intervals a message crosses are
 // completely determined by its endpoints (§2.3).
 func Linear(n int) Topology {
-	g := newGraph(fmt.Sprintf("linear(%d)", n), n)
+	g := newGraph(fmt.Sprintf("linear(%d)", n), n, n-1)
 	for i := 0; i+1 < n; i++ {
 		g.addLink(model.CellID(i), model.CellID(i+1))
 	}
@@ -240,8 +237,14 @@ func Linear(n int) Topology {
 // Ring returns a ring of n cells; routes take the shorter arc,
 // breaking ties clockwise (increasing cell id).
 func Ring(n int) Topology {
-	g := newGraph(fmt.Sprintf("ring(%d)", n), n)
-	for i := 0; i < n; i++ {
+	// Cell i links to its successor, except that in a ring of two the
+	// successor's link back is the same one.
+	links := n
+	if n == 2 {
+		links = 1
+	}
+	g := newGraph(fmt.Sprintf("ring(%d)", n), n, links)
+	for i := 0; i < links; i++ {
 		g.addLink(model.CellID(i), model.CellID((i+1)%n))
 	}
 	return g.seal(stateless(func(path []model.CellID, from, to model.CellID) ([]model.CellID, error) {
@@ -262,7 +265,7 @@ func Ring(n int) Topology {
 // Mesh2D returns a rows×cols mesh with deterministic XY (row-first)
 // dimension-ordered routing. Cell (r,c) has id r*cols+c.
 func Mesh2D(rows, cols int) Topology {
-	g := newGraph(fmt.Sprintf("mesh(%dx%d)", rows, cols), rows*cols)
+	g := newGraph(fmt.Sprintf("mesh(%dx%d)", rows, cols), rows*cols, rows*(cols-1)+(rows-1)*cols)
 	id := func(r, c int) model.CellID { return model.CellID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -303,9 +306,16 @@ func Mesh2D(rows, cols int) Topology {
 // pather keeps the tree of every sender it has routed from: a program's
 // routes cost one search per distinct sender.
 func Graph(n int, edges [][2]model.CellID) Topology {
-	g := newGraph(fmt.Sprintf("graph(%d cells, %d edges)", n, len(edges)), n)
+	g := newGraph(fmt.Sprintf("graph(%d cells, %d edges)", n, len(edges)), n, len(edges))
+	// An edge list may name a link twice, in either direction; the
+	// first naming gives it its id.
+	linkAt := make(map[[2]model.CellID]struct{}, len(edges))
 	for _, e := range edges {
-		g.addLink(e[0], e[1])
+		key := [2]model.CellID{min(e[0], e[1]), max(e[0], e[1])}
+		if _, dup := linkAt[key]; !dup {
+			linkAt[key] = struct{}{}
+			g.addLink(key[0], key[1])
+		}
 	}
 	order := make([][]model.CellID, n) // neighbours in link order, the BFS visiting order
 	for _, l := range g.links {

@@ -63,7 +63,8 @@ func Attention(opts AttentionOptions) (*Workload, error) {
 	for i := 0; i < t; i++ {
 		x := i % e
 		tok := b.DeclareMessage(fmt.Sprintf("T%d", i+1), router, experts[x], 1)
-		out := b.DeclareMessage(fmt.Sprintf("O%d", i+1), experts[x], combiner, 1)
+		name := fmt.Sprintf("O%d", i+1)
+		out := b.DeclareMessage(name, experts[x], combiner, 1)
 		v := float64(i + 1)
 		logic.value[tok] = v
 		b.Write(router, tok)
@@ -71,7 +72,7 @@ func Attention(opts AttentionOptions) (*Workload, error) {
 		b.Write(experts[x], out)
 		b.Read(combiner, out)
 		logic.out = append(logic.out, outDecl{msg: out, tok: tok, expert: x})
-		expected[fmt.Sprintf("O%d", i+1)] = []machine.Word{machine.Word(logic.weight[x] * v)}
+		expected[name] = []machine.Word{machine.Word(logic.weight[x] * v)}
 	}
 	p, err := b.Build()
 	if err != nil {
