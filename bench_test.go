@@ -264,8 +264,9 @@ func BenchmarkTheorem1_Pipeline(b *testing.B) {
 // capacities × 2 lookaheads), single-worker vs all cores. Run with
 // -benchmem: the grid's 144 points are 54 distinct (machine, effective
 // config) executions, each column analysed once and replayed on a
-// retained core.Runner, so allocs/op is the figure that moves when a
-// per-run, per-point or per-analysis allocation comes back.
+// core.Runner whose exec comes warm from the process-wide pool and goes
+// back when its span ends, so allocs/op is the figure that moves when a
+// per-run, per-point, per-span or per-analysis allocation comes back.
 // TestAllocGateSweepBatch gates the same grid per grid point, and the
 // end-to-end view is tools/perf's sweep-grid workload (ops_per_s,
 // allocs_per_op — which CI gates — and sweep.us_per_point). Simulated cycle counts never change: the

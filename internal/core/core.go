@@ -434,10 +434,11 @@ func lower(a *Analysis, opts ExecOptions) (*machine.Machine, machine.ExecOptions
 	}, nil
 }
 
-// Runner is a batched execution context over one analysis: it owns a
-// dedicated machine.Exec and replays configurations against it
-// back-to-back, so a column of grid points pays sync.Pool traffic and
-// scratch allocation zero times instead of once per point. Validation,
+// Runner is a batched execution context over one analysis: it holds a
+// machine.Exec and replays configurations against it back-to-back, so a
+// column of grid points borrows run scratch from the process-wide pool
+// once instead of once per point, and keeps the Result buffers from
+// point to point. Release gives the scratch back. Validation,
 // budget resolution, and the Theorem 1 precondition check are the
 // shared lower step — a Runner rejects exactly the configurations
 // Execute rejects, with identical error strings, and a completed run
@@ -445,7 +446,7 @@ func lower(a *Analysis, opts ExecOptions) (*machine.Machine, machine.ExecOptions
 //
 // The Result lifetime contract is machine.Exec's: the returned Result
 // aliases the Runner's retained buffers and is valid only until the
-// next Execute call on the same Runner. A Runner is NOT safe for
+// next Execute or Release call on the same Runner. A Runner is NOT safe for
 // concurrent use; concurrent callers use Execute, which is.
 type Runner struct {
 	a  *Analysis
@@ -482,6 +483,15 @@ func (r *Runner) Execute(opts ExecOptions) (*machine.Result, error) {
 		r.ex = m.NewExec()
 	}
 	return r.ex.Run(mopts)
+}
+
+// Release returns the Runner's run scratch to the process-wide pool
+// (machine.Exec.Release). The last Result is invalid from here on; a
+// later Execute borrows again.
+func (r *Runner) Release() {
+	if r.ex != nil {
+		r.ex.Release()
+	}
 }
 
 // policyFor returns the Runner's retained policy instance for a kind,

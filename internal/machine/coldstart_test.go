@@ -6,11 +6,13 @@ import (
 	"systolic/internal/topology"
 )
 
-// TestAllocGateColdRun: what a first Run on a compiled machine
-// allocates — the exec's tables, with every pool's pending list and every
-// bindable queue's ring carved from one array each — is a fixed number
-// of arrays, so a wide-linear array twice as long must not cost more of
-// them. A ring per queue, or a pending list per pool, costs thousands.
+// TestAllocGateColdRun: what a run on an exec that has never been
+// pooled allocates — the exec's tables, with every pool's pending list
+// and every bindable queue's ring carved from one array each — is a
+// fixed number of arrays, so a wide-linear array twice as long must not
+// cost more of them. A ring per queue, or a pending list per pool,
+// costs thousands. (A process pays this once: the pool then serves every
+// machine; TestAllocGateFirstRunOnNewMachine gates that.)
 func TestAllocGateColdRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -18,17 +20,16 @@ func TestAllocGateColdRun(t *testing.T) {
 	cold := func(cells int) float64 {
 		m := mustCompile(t, pipeline(t, cells, 4), topology.Linear(cells))
 		return testing.AllocsPerRun(3, func() {
-			m.reset() // drop the pooled exec: every run is a first run
-			res, err := m.Run(fcfs(2, 2))
+			res, err := freshRun(m, fcfs(2, 2))
 			if err != nil || !res.Completed {
 				t.Fatalf("%d cells: completed=%v, err=%v", cells, res != nil && res.Completed, err)
 			}
 		})
 	}
 	short, long := cold(1024), cold(2048)
-	t.Logf("first Run: %v allocations at 1024 cells, %v at 2048", short, long)
+	t.Logf("cold run: %v allocations at 1024 cells, %v at 2048", short, long)
 	if long >= 1.1*short {
-		t.Errorf("first Run allocates %v times at 2048 cells against %v at 1024: the cold start follows the array", long, short)
+		t.Errorf("a cold run allocates %v times at 2048 cells against %v at 1024: the cold start follows the array", long, short)
 	}
 }
 
@@ -66,10 +67,11 @@ func TestAllocGateCompile(t *testing.T) {
 	if long != short {
 		t.Errorf("Compile allocates %v times at 2048 cells against %v at 1024: a table is built per pool, message or cell", long, short)
 	}
-	// The Machine, its nine per-cell, per-message and per-hop tables,
-	// the shared table's five arrays and the exec pool.
-	if short > 15 {
-		t.Errorf("Compile allocates %v times, budget 15", short)
+	// The Machine, its nine per-cell, per-message and per-hop tables
+	// and the shared table's five arrays; run scratch is the process's,
+	// not the machine's.
+	if short > 14 {
+		t.Errorf("Compile allocates %v times, budget 14", short)
 	}
 	if res, err := m.Run(fcfs(2, 2)); err != nil || !res.Completed {
 		t.Fatalf("shared-pool run: %v", err)

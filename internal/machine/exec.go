@@ -130,8 +130,8 @@ type msgState struct {
 }
 
 // exec holds all mutable state of one run. Everything that does not
-// escape into the Result is pooled on the Machine and reused across
-// runs.
+// escape into the Result lives in the process-wide pool (machine.go's
+// execs) between runs and is reused by the next run of any machine.
 type exec struct {
 	m              *Machine
 	logic          CellLogic
@@ -197,13 +197,13 @@ type exec struct {
 
 	cooling []int // queue slots with a possibly-armed cooldown
 
-	// reuse marks a caller-owned batch exec (see Exec in batch.go):
+	// reuse marks an exec borrowed by a batch Exec (see batch.go):
 	// buffers that normally escape into the Result — received, the
 	// arena, blocked counts, queue stats, the deadlock report — are
 	// retained and recycled across runs instead of freshly allocated,
 	// because the batch contract says a Result is only valid until the
-	// next Run on the same Exec. Pooled execs (Machine.Run) keep
-	// reuse false: their Results outlive them.
+	// next Run or Release on the same Exec. Machine.Run borrows with
+	// reuse false: its Results outlive the exec. Each borrow sets it.
 	reuse        bool
 	blockedBuf   []int
 	qstatBuf     []QueueStat
@@ -443,15 +443,18 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 	e.visits = visitCounts{}
 }
 
-// release clears every reference that escaped into the returned
-// Result (and the per-run inputs) before the exec returns to the
-// machine's pool.
+// release clears the per-run inputs — the machine above all, which the
+// pool must not keep alive — and, unless the exec is a batch exec whose
+// buffers are its own, every reference that escaped into the returned
+// Result, before the exec returns to the process-wide pool.
 func (e *exec) release() {
 	e.m = nil
 	e.logic = nil
 	e.policy = nil
-	e.received = nil
-	e.arena = nil
+	if !e.reuse {
+		e.received = nil
+		e.arena = nil
+	}
 	e.cancel = nil
 	e.faults = nil
 	e.lm = nil

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"io"
 
 	"systolic/internal/model"
 	"systolic/internal/topology"
@@ -26,9 +25,10 @@ import (
 // labels (see Machine.Fingerprint) include them so the key also pins
 // the derived artifacts.
 func ScenarioKey(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels []int) string {
-	h := sha256.New()
-	writeScenario(h, p, t, routes, labels)
-	return hex.EncodeToString(h.Sum(nil))
+	w := digestWriter{h: sha256.New()}
+	writeScenario(&w, p, t, routes, labels)
+	w.flush()
+	return hex.EncodeToString(w.h.Sum(w.buf[:0]))
 }
 
 // Fingerprint returns the machine's content address: the ScenarioKey
@@ -38,72 +38,107 @@ func (m *Machine) Fingerprint() string {
 	return ScenarioKey(m.prog, m.topo, m.routes, m.labels)
 }
 
-// writeScenario streams the canonical serialization into h. Every
+// digestWriter streams a serialization into a hash through one fixed
+// buffer, handed over a whole number of sha256 blocks at a time: one
+// Write per buffer instead of one per integer, and names copied into
+// the buffer instead of converted to a []byte each (sha256's digest
+// has no WriteString). The digest is that of the bytes written, so it
+// equals a writer's that hands them over one field at a time.
+type digestWriter struct {
+	h   hash.Hash
+	n   int
+	buf [8 * sha256.BlockSize]byte
+}
+
+// flush hands the buffered bytes to the hash.
+func (w *digestWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
+}
+
+// num appends v as 8 little-endian bytes.
+func (w *digestWriter) num(v int) {
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], uint64(int64(v)))
+	w.n += 8
+}
+
+// raw appends the bytes of s.
+func (w *digestWriter) raw(s string) {
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], s)
+		w.n += c
+		s = s[c:]
+	}
+}
+
+// str appends s length-prefixed.
+func (w *digestWriter) str(s string) {
+	w.num(len(s))
+	w.raw(s)
+}
+
+// writeScenario streams the canonical serialization into w. Every
 // variable-length field is length-prefixed and every section is
 // tagged, so no two distinct scenarios can collide by concatenation
 // ambiguity.
-func writeScenario(h hash.Hash, p *model.Program, t topology.Topology, routes [][]topology.Hop, labels []int) {
-	var buf [8]byte
-	u := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-		h.Write(buf[:])
-	}
-	str := func(s string) {
-		u(len(s))
-		io.WriteString(h, s)
-	}
+func writeScenario(w *digestWriter, p *model.Program, t topology.Topology, routes [][]topology.Hop, labels []int) {
+	w.raw("systolic-scenario-v1\x00")
 
-	io.WriteString(h, "systolic-scenario-v1\x00")
-
-	u(p.NumCells())
+	w.num(p.NumCells())
 	for _, c := range p.Cells() {
-		str(c.Name)
+		w.str(c.Name)
 		host := 0
 		if c.Host {
 			host = 1
 		}
-		u(host)
+		w.num(host)
 	}
 
-	u(p.NumMessages())
+	w.num(p.NumMessages())
 	for _, msg := range p.Messages() {
-		str(msg.Name)
-		u(int(msg.Sender))
-		u(int(msg.Receiver))
-		u(msg.Words)
+		w.str(msg.Name)
+		w.num(int(msg.Sender))
+		w.num(int(msg.Receiver))
+		w.num(msg.Words)
 	}
 
 	for _, c := range p.Cells() {
 		code := p.Code(c.ID)
-		u(len(code))
+		w.num(len(code))
 		for _, op := range code {
-			u(int(op.Kind))
-			u(int(op.Msg))
+			w.num(int(op.Kind))
+			w.num(int(op.Msg))
 		}
 	}
 
-	str(t.Name())
+	w.str(t.Name())
 	links := t.Links()
-	u(len(links))
+	w.num(len(links))
 	for _, l := range links {
-		u(int(l.A))
-		u(int(l.B))
+		w.num(int(l.A))
+		w.num(int(l.B))
 	}
 
-	io.WriteString(h, "routes\x00")
-	u(len(routes))
+	w.raw("routes\x00")
+	w.num(len(routes))
 	for _, rt := range routes {
-		u(len(rt))
+		w.num(len(rt))
 		for _, hop := range rt {
-			u(int(hop.Link))
-			u(int(hop.From))
-			u(int(hop.To))
+			w.num(int(hop.Link))
+			w.num(int(hop.From))
+			w.num(int(hop.To))
 		}
 	}
 
-	io.WriteString(h, "labels\x00")
-	u(len(labels))
+	w.raw("labels\x00")
+	w.num(len(labels))
 	for _, l := range labels {
-		u(l)
+		w.num(l)
 	}
 }

@@ -16,9 +16,15 @@
 // former full O(cells + queues + messages) scan.
 //
 // A *Machine is immutable after Compile, as its callers see it, and
-// safe for concurrent Run calls: each run borrows a pooled execution
-// context sized for the machine, and the directional pool table is
-// built once, under a sync.Once, whichever run asks first. The
+// safe for concurrent Run calls; the directional pool table is built
+// once, under a sync.Once, whichever run asks first. A run's scratch —
+// queue instances, per-message hop state, ready sets, rings — belongs
+// to the process, not to a machine: one sync.Pool of execution
+// contexts feeds every Run and every Exec, and exec.init sizes each
+// table from the machine at hand, so a context warmed by any machine
+// serves any other and a newly compiled machine's first run allocates
+// only what its Result keeps. Run borrows a context and returns it
+// before it returns; an Exec holds one until Release. The
 // scheduler is cycle-for-cycle equivalent to the reference full-scan
 // engine kept in internal/refsim; the equivalence suite there replays
 // the fuzz corpus plus hundreds of generated scenarios through both
@@ -32,7 +38,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"systolic/internal/assign"
 	"systolic/internal/fault"
@@ -337,11 +342,26 @@ type Machine struct {
 	// run that sets DirectionalPools, since nothing else reads it.
 	shared, directional poolTable
 	dirOnce             sync.Once
+}
 
-	// execs holds the pooled *exec scratch. It is an atomic pointer
-	// so reset can swap in a fresh pool while concurrent Runs keep
-	// using (and eventually abandon) the old one.
-	execs atomic.Pointer[sync.Pool]
+// execs is the process's run scratch: every Machine.Run and every Exec
+// borrows its *exec here. An exec carries no machine between borrows
+// (release drops the reference), and init resizes every table for the
+// machine it is handed, so one pool serves machines of any shape.
+var execs = sync.Pool{New: func() any { return new(exec) }}
+
+// borrowExec takes an exec from the pool. reuse marks a batch exec,
+// whose Result buffers are its own (see exec.reuse).
+func borrowExec(reuse bool) *exec {
+	e := execs.Get().(*exec)
+	e.reuse = reuse
+	return e
+}
+
+// returnExec drops e's run references and gives it back to the pool.
+func returnExec(e *exec) {
+	e.release()
+	execs.Put(e)
 }
 
 // Compile lowers a validated program over a topology into the flat
@@ -450,8 +470,6 @@ func Compile(p *model.Program, t topology.Topology, routes [][]topology.Hop, lab
 	}
 
 	m.shared = m.buildPoolTable(0, len(m.links))
-
-	m.execs.Store(&sync.Pool{New: func() any { return new(exec) }})
 	return m, nil
 }
 
@@ -520,15 +538,6 @@ func (m *Machine) code(c int) []packedOp {
 // msgHops returns message id's compiled hop table.
 func (m *Machine) msgHops(id model.MessageID) []hopRef {
 	return m.hops[m.hopOff[id]:m.hopOff[id+1]]
-}
-
-// reset discards the machine's pooled execution scratch, releasing
-// the memory retained for run reuse. The machine itself stays valid:
-// the next Run simply pays one fresh allocation. Concurrent Run calls
-// are unaffected beyond that — a run in flight keeps the pool it
-// started with and abandons it on completion.
-func (m *Machine) reset() {
-	m.execs.Store(&sync.Pool{New: func() any { return new(exec) }})
 }
 
 // maxQueueSlots bounds a run's queues over all its pools, pools ×
@@ -642,16 +651,15 @@ func (m *Machine) Run(opts ExecOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := m.execs.Load()
-	e := pool.Get().(*exec)
+	// No defer: an exec a panicking run abandons mid-cycle stays out of
+	// the pool.
+	e := borrowExec(false)
 	if err := m.runExec(e, &opts, tbl, flavor, maxCycles, flt, lm); err != nil {
-		e.release()
-		pool.Put(e)
+		returnExec(e)
 		return nil, err
 	}
 	out := new(Result)
 	*out = e.result()
-	e.release()
-	pool.Put(e)
+	returnExec(e)
 	return out, nil
 }

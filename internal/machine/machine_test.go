@@ -154,9 +154,8 @@ func TestMachineReuseAcrossRuns(t *testing.T) {
 }
 
 // TestMachineConcurrentRuns drives one compiled machine from many
-// goroutines — the sweep engine's usage — under differing options,
-// with reset firing concurrently (documented as safe: in-flight runs
-// keep the pool they started with).
+// goroutines — the sweep engine's usage — under differing options, all
+// borrowing from the one process-wide exec pool.
 func TestMachineConcurrentRuns(t *testing.T) {
 	m := mustCompile(t, chain(t, 8), topology.Linear(2))
 	var wg sync.WaitGroup
@@ -175,9 +174,6 @@ func TestMachineConcurrentRuns(t *testing.T) {
 					errs <- errors.New(res.Outcome())
 					return
 				}
-				if g == 0 {
-					m.reset()
-				}
 			}
 		}(g)
 	}
@@ -185,21 +181,6 @@ func TestMachineConcurrentRuns(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-func TestMachineResetKeepsWorking(t *testing.T) {
-	m := mustCompile(t, chain(t, 3), topology.Linear(2))
-	if _, err := m.Run(fcfs(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	m.reset()
-	res, err := m.Run(fcfs(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("after reset: %s", res.Outcome())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -126,9 +125,12 @@ func (k analysisKey) options() core.AnalyzeOptions {
 	return opts
 }
 
+// optsLen is the size of an encoded analysisKey.
+const optsLen = 17
+
 // digestBytes encodes the key for hashing.
-func (k analysisKey) digestBytes() [17]byte {
-	var b [17]byte
+func (k analysisKey) digestBytes() [optsLen]byte {
+	var b [optsLen]byte
 	if k.lookahead {
 		b[0] = 1
 	}
@@ -139,29 +141,49 @@ func (k analysisKey) digestBytes() [17]byte {
 
 // srcDigest hashes a raw request (program text + analysis options)
 // without parsing it. This is the only work a steady-state cache hit
-// performs before the simulation itself.
+// performs before the simulation itself. The text streams through one
+// fixed buffer, two sha256 blocks at a time, instead of being copied
+// whole into a []byte (sha256's digest has no WriteString); the digest
+// is that of tag ‖ program ‖ options all the same.
 func srcDigest(program string, key analysisKey) cacheKey {
+	const tag = "sysdl-src-v2\x00"
 	h := sha256.New()
-	io.WriteString(h, "sysdl-src-v2\x00")
-	io.WriteString(h, program)
+	var buf [2 * sha256.BlockSize]byte
+	n := copy(buf[:], tag)
+	for {
+		c := copy(buf[n:], program)
+		n += c
+		program = program[c:]
+		if len(program) == 0 {
+			break
+		}
+		h.Write(buf[:])
+		n = 0
+	}
 	opts := key.digestBytes()
-	h.Write(opts[:])
+	if n+len(opts) > len(buf) {
+		h.Write(buf[:n])
+		n = 0
+	}
+	n += copy(buf[n:], opts[:])
+	h.Write(buf[:n])
 	var k cacheKey
 	h.Sum(k[:0])
 	return k
 }
 
 // canonDigest folds the canonical scenario hash with the analysis
-// options into a cache key.
+// options into a cache key. The input has a fixed size, so it is laid
+// out in one array and hashed in one call.
 func canonDigest(scenarioKey string, key analysisKey) cacheKey {
-	h := sha256.New()
-	io.WriteString(h, "sysdl-canon-v2\x00")
-	io.WriteString(h, scenarioKey)
+	const tag = "sysdl-canon-v2\x00"
+	// Sized for a ScenarioKey's 64 hex digits; a longer key spills.
+	var in [len(tag) + 2*sha256.Size + optsLen]byte
+	buf := append(in[:0], tag...)
+	buf = append(buf, scenarioKey...)
 	opts := key.digestBytes()
-	h.Write(opts[:])
-	var k cacheKey
-	h.Sum(k[:0])
-	return k
+	buf = append(buf, opts[:]...)
+	return sha256.Sum256(buf)
 }
 
 // lookupSrc is the alias fast path: a hit returns the entry (possibly

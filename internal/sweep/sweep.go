@@ -544,21 +544,24 @@ func splitSpans(sizes []int, workers int) []span {
 }
 
 // runSpan replays a run of one class's executions back-to-back through
-// one retained core.Runner — scratch arenas, ready sets and result
-// buffers survive from run to run instead of round-tripping through the
-// machine's sync.Pool — and scatters each result to the points that
-// asked for it. The machine is compiled before any slot is taken. Each
-// execution holds one limiter slot, released before its callbacks fire,
-// so a slow consumer stalls this worker but never the process-wide
-// simulation budget. A cancelled Acquire abandons the rest of the span;
-// Run refuses to return the partial report. Release is called without
-// defer — the loop holds at most one slot at a time, and a panicking run
-// is fatal anyway.
+// one core.Runner — scratch arenas, ready sets and result buffers
+// survive from run to run instead of round-tripping through the
+// process-wide exec pool — and scatters each result to the points that
+// asked for it. The runner gives its scratch back when the span ends,
+// so the next span, of any class, starts warm. The machine is compiled
+// before any slot is taken. Each execution holds one limiter slot,
+// released before its callbacks fire, so a slow consumer stalls this
+// worker but never the process-wide simulation budget. A cancelled
+// Acquire abandons the rest of the span; Run refuses to return the
+// partial report. The limiter slot is released without defer — the
+// loop holds at most one at a time, and a panicking run is fatal
+// anyway.
 //
 //sysvet:hotpath
 func (g *grid) runSpan(ctx context.Context, sp span) {
 	cl := &g.classes[sp.unit]
 	runner := core.NewRunner(cl.a)
+	defer runner.Release()
 	_, _ = cl.a.Machine() // a compile failure surfaces per point via Execute
 	for _, first := range cl.execs[sp.lo:sp.hi] {
 		if err := g.opts.Limiter.Acquire(ctx); err != nil {
@@ -633,7 +636,7 @@ func (g *grid) describe(i int) (Outcome, bool) {
 // analysis may be another column's; nil falls back to core.Execute on
 // the point's own analysis (the PerPoint path). Only scalars are copied
 // out of the Result, so the runner's aliased Result buffers are safe to
-// reuse on the next run.
+// reuse on the next run and to release when the span ends.
 //
 //sysvet:hotpath
 func (g *grid) runOne(ctx context.Context, i int, runner *core.Runner) Outcome {

@@ -439,7 +439,7 @@ func generatedCases(t *testing.T, n int) []Case {
 // generated scenarios, spanning completed, deadlocked, rejected, and
 // auto-budget points — the column-batched driver (retained core.Runner
 // per span) and the per-point baseline (core.Execute against the
-// machine's scratch pool) produce byte-identical reports, at 1 sweep
+// process-wide scratch pool) produce byte-identical reports, at 1 sweep
 // worker and at 4.
 func TestBatchedMatchesPerPoint(t *testing.T) {
 	scenarios := 200

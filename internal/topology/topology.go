@@ -238,9 +238,14 @@ func Linear(n int) Topology {
 // breaking ties clockwise (increasing cell id).
 func Ring(n int) Topology {
 	// Cell i links to its successor, except that in a ring of two the
-	// successor's link back is the same one.
+	// successor's link back is the same one, and in a ring of one the
+	// successor is the cell itself: no message can cross that link (its
+	// endpoints differ), so, as in Torus2D(1, 1), there is none.
 	links := n
-	if n == 2 {
+	switch n {
+	case 1:
+		links = 0
+	case 2:
 		links = 1
 	}
 	g := newGraph(fmt.Sprintf("ring(%d)", n), n, links)

@@ -75,7 +75,7 @@ func TestPipelinedSortScale(t *testing.T) {
 		}
 	}
 
-	// Allocation gate: after a warm-up populates the machine's pooled
+	// Allocation gate: after a warm-up populates the process's pooled
 	// scratch, repeat Executes on the 10k-cell array must cost the
 	// same fixed allocation budget as an 8-cell one — nothing per-run
 	// may scale with the array. Synthetic logic keeps repeats
