@@ -73,8 +73,8 @@ func assertFaultDeadlockTrace(t *testing.T, spec string, wantCycle, wantGated in
 		if got.OpIdx != want.opIdx {
 			t.Errorf("blocked[%d].OpIdx = %d, want %d", i, got.OpIdx, want.opIdx)
 		}
-		if got.Reason != want.reason {
-			t.Errorf("blocked[%d].Reason = %q, want %q", i, got.Reason, want.reason)
+		if r := got.Reason(p); r != want.reason {
+			t.Errorf("blocked[%d].Reason = %q, want %q", i, r, want.reason)
 		}
 	}
 	for name, want := range wantReceived {

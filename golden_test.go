@@ -55,8 +55,8 @@ func assertDeadlockTrace(t *testing.T, w *systolic.Workload, policy systolic.Pol
 		if got.OpIdx != want.opIdx {
 			t.Errorf("blocked[%d].OpIdx = %d, want %d", i, got.OpIdx, want.opIdx)
 		}
-		if got.Reason != want.reason {
-			t.Errorf("blocked[%d].Reason = %q, want %q", i, got.Reason, want.reason)
+		if r := got.Reason(w.Program); r != want.reason {
+			t.Errorf("blocked[%d].Reason = %q, want %q", i, r, want.reason)
 		}
 	}
 	for name, want := range wantReceived {

@@ -134,3 +134,29 @@ func TestExecResultLifetime(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocGateDeadlockReport: a batch Exec that re-runs a deadlocking
+// configuration allocates nothing once warm. The deadlock report is one
+// CellBlock per stuck cell in the Exec's own buffer, carrying a stall
+// cause; its words are rendered only when someone reads them
+// (CellBlock.Reason). A reason string built at the deadlock cost one
+// allocation per stuck cell on every deadlocked sweep point.
+func TestAllocGateDeadlockReport(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m := mustCompile(t, crossing(t, 6), topology.Linear(2))
+	ex := m.NewExec()
+	defer ex.Release()
+	opts := fcfs(1, 1) // FCFS re-Setup allocates nothing, so one instance serves every run
+	allocs := testing.AllocsPerRun(20, func() {
+		res, err := ex.Run(opts)
+		if err != nil || !res.Deadlocked || len(res.Blocked) != 2 {
+			t.Fatalf("want a deadlock with both cells stuck: err=%v, result %+v", err, res)
+		}
+	})
+	t.Logf("deadlocked batch run: %v allocations", allocs)
+	if allocs != 0 {
+		t.Errorf("a warm deadlocked batch run allocates %v times, want 0", allocs)
+	}
+}

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"math/bits"
-	"strconv"
 
 	"systolic/internal/assign"
 	"systolic/internal/fault"
@@ -1396,6 +1395,8 @@ func (e *exec) result() Result {
 	return e.res
 }
 
+// blockedReport lists every unfinished cell with the cause its front
+// op is stuck on, picked from the run's hop state.
 func (e *exec) blockedReport() []CellBlock {
 	var out []CellBlock
 	if e.reuse {
@@ -1406,31 +1407,23 @@ func (e *exec) blockedReport() []CellBlock {
 		if !ok {
 			continue
 		}
-		op := front.op()
-		out = append(out, CellBlock{Cell: model.CellID(c), Op: op, OpIdx: e.issuedOps(c), Reason: e.blockReason(op)})
+		cb := CellBlock{Cell: model.CellID(c), Op: front.op(), OpIdx: e.issuedOps(c)}
+		ms := &e.msgs[front.msg()]
+		last := len(ms.queues) - 1
+		switch {
+		case front.isWrite() && last >= 0 && !ms.granted[0]:
+			cb.Cause = StallNoFirstQueue
+		case front.isWrite():
+			cb.Cause, cb.Capacity = StallQueueFull, e.capacity
+		case last >= 0 && !ms.granted[last]:
+			cb.Cause = StallNoLastQueue
+		default:
+			cb.Cause = StallNoWord
+		}
+		out = append(out, cb)
 	}
 	if e.reuse {
 		e.cellBlockBuf = out
 	}
 	return out
-}
-
-// blockReason renders one cell's stall cause. Plain concatenation
-// rather than fmt: deadlocked sweep points hit this for every stuck
-// cell, and Sprintf was a visible slice of their profile. The bytes
-// are unchanged.
-func (e *exec) blockReason(op model.Op) string {
-	ms := &e.msgs[op.Msg]
-	name := e.m.prog.Message(op.Msg).Name
-	if op.Kind == model.Write {
-		if len(ms.queues) > 0 && !ms.granted[0] {
-			return "no queue bound for " + name + " on its first link"
-		}
-		return "queue for " + name + " is full (capacity " + strconv.Itoa(e.capacity) + ") and the downstream never drains"
-	}
-	last := len(ms.queues) - 1
-	if last >= 0 && !ms.granted[last] {
-		return "no queue bound for " + name + " on its last link"
-	}
-	return "no word of " + name + " has arrived"
 }

@@ -24,11 +24,17 @@
 // table from the machine at hand, so a context warmed by any machine
 // serves any other and a newly compiled machine's first run allocates
 // only what its Result keeps. Run borrows a context and returns it
-// before it returns; an Exec holds one until Release. The
-// scheduler is cycle-for-cycle equivalent to the reference full-scan
-// engine kept in internal/refsim; the equivalence suite there replays
-// the fuzz corpus plus hundreds of generated scenarios through both
-// and demands byte-identical Results.
+// before it returns; an Exec holds one until Release; a context whose
+// queue table outgrew maxPooledQueueSlots is dropped, not pooled.
+//
+// The scheduler is cycle-for-cycle equivalent to the reference
+// full-scan engine kept in internal/refsim; the equivalence suite there
+// replays the fuzz corpus plus hundreds of generated scenarios through
+// both and demands byte-identical Results. The two engines share what
+// is stated here once — which run options are accepted (CheckOptions)
+// and how a stall cause is worded (CellBlock.Reason) — and keep
+// independent what the suite checks: the cause each engine picks for a
+// stuck cell from its own state, and the default cycle bound.
 package machine
 
 import (
@@ -37,6 +43,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 
 	"systolic/internal/assign"
@@ -102,13 +109,53 @@ type BindEvent struct {
 	Bound    bool // true = bound, false = released
 }
 
+// StallCause is why a cell could not issue its front op at a
+// deadlock. A write waits on the queue of its message's first link, a
+// read on the queue of its last link (§2.3), and each either has no
+// queue granted yet (§7's grant rule) or has one that cannot move a
+// word: four causes in all.
+type StallCause uint8
+
+const (
+	// StallNoFirstQueue: a write whose message holds no queue on its
+	// first link.
+	StallNoFirstQueue StallCause = iota
+	// StallQueueFull: a write whose first-link queue is full and never
+	// drains.
+	StallQueueFull
+	// StallNoLastQueue: a read whose message holds no queue on its last
+	// link.
+	StallNoLastQueue
+	// StallNoWord: a read whose last-link queue is bound but empty.
+	StallNoWord
+)
+
 // CellBlock describes why a cell was stuck when a deadlock was
-// detected.
+// detected. Each engine picks Cause from its own state; Reason words it.
 type CellBlock struct {
-	Cell   model.CellID
-	Op     model.Op
-	OpIdx  int
-	Reason string
+	Cell  model.CellID
+	Op    model.Op
+	OpIdx int
+	Cause StallCause
+	// Capacity is the base queue capacity a StallQueueFull report
+	// names; 0 for every other cause.
+	Capacity int
+}
+
+// Reason renders the block's cause as the deadlock report words it.
+// Plain concatenation rather than fmt: a deadlocked sweep point's
+// report renders one per stuck cell.
+func (cb CellBlock) Reason(p *model.Program) string {
+	name := p.Message(cb.Op.Msg).Name
+	switch cb.Cause {
+	case StallNoFirstQueue:
+		return "no queue bound for " + name + " on its first link"
+	case StallQueueFull:
+		return "queue for " + name + " is full (capacity " + strconv.Itoa(cb.Capacity) + ") and the downstream never drains"
+	case StallNoLastQueue:
+		return "no queue bound for " + name + " on its last link"
+	}
+	return "no word of " + name + " has arrived"
 }
 
 // QueueStat pairs a queue's identity with its counters.
@@ -169,7 +216,7 @@ func (r *Result) Outcome() string {
 func DescribeBlocked(p *model.Program, blocked []CellBlock) string {
 	var b []byte
 	for _, cb := range blocked {
-		b = append(b, fmt.Sprintf("%s stuck at %s: %s\n", p.Cell(cb.Cell).Name, p.OpString(cb.Op), cb.Reason)...)
+		b = append(b, fmt.Sprintf("%s stuck at %s: %s\n", p.Cell(cb.Cell).Name, p.OpString(cb.Op), cb.Reason(p))...)
 	}
 	return string(b)
 }
@@ -358,10 +405,21 @@ func borrowExec(reuse bool) *exec {
 	return e
 }
 
-// returnExec drops e's run references and gives it back to the pool.
+// returnExec drops e's run references and gives it back to the pool,
+// unless its queue table is too large to keep (see pooled).
 func returnExec(e *exec) {
 	e.release()
-	execs.Put(e)
+	if e.pooled() {
+		execs.Put(e)
+	}
+}
+
+// pooled reports whether e may go back to the pool. Tables never
+// shrink, and every run and every machine may be served by this exec
+// next, so one run at a huge QueuesPerLink would otherwise keep its
+// queue table alive for every small run after it.
+func (e *exec) pooled() bool {
+	return cap(e.queues) <= maxPooledQueueSlots
 }
 
 // Compile lowers a validated program over a topology into the flat
@@ -548,49 +606,81 @@ func (m *Machine) msgHops(id model.MessageID) []hopRef {
 // within 50× of it.
 const maxQueueSlots = 1 << 20
 
-// prepare validates opts, applies defaults (Logic, MaxCycles), and
-// resolves the pool regime plus the lowered fault and link-timing
-// tables. The queue-slot bound is checked on the regime's pool count
-// (one pool per link, or two) before the directional table is built,
-// so a refused configuration builds nothing. It is the shared front
-// half of Run and Exec.Run, so both reject configurations with
-// identical errors, and the one place a run's options are validated:
-// core.Execute checks only what needs the analysis and leaves every
-// other option to this ConfigError.
-func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, flavor int, flt *fault.Lowered, lm *linkmodel.Lowered, err error) {
+// maxPooledQueueSlots bounds the queue table an exec keeps when it goes
+// back to the pool: a larger one (up to maxQueueSlots, about 160 MB of
+// queue state) is left to the collector. The queue table is the one
+// table a run option sizes; every other table scales with the compiled
+// machine its caller already holds. 2¹⁶ slots are about 10 MB, 16× the
+// largest queue table of any perf workload (3 999 slots, the 4000-cell
+// sort of run-sparse), so no benchmark run is ever dropped.
+const maxPooledQueueSlots = 1 << 16
+
+// CheckOptions is the one statement of which run options a scenario
+// accepts; it reads opts and changes nothing. Both engines call it —
+// prepare with the compiled machine's fields, the reference engine in
+// internal/refsim with its own — so both refuse a configuration with
+// the same ConfigError. routes are the scenario's, indexed by message
+// id; links is its link count; multiHop is the first message whose
+// route crosses more than one link, or -1 if none, so a caller that
+// checks once per grid point need not scan the routes.
+func CheckOptions(opts *ExecOptions, p *model.Program, routes [][]topology.Hop, links int, multiHop model.MessageID) error {
 	if opts.Policy == nil {
-		return 0, nil, 0, nil, nil, &ConfigError{Field: "Policy", Reason: "nil policy"}
+		return &ConfigError{Field: "Policy", Reason: "nil policy"}
 	}
 	if opts.QueuesPerLink < 1 {
-		return 0, nil, 0, nil, nil, &ConfigError{Field: "QueuesPerLink", Reason: fmt.Sprintf("%d < 1 (every link needs at least one queue, §2.3)", opts.QueuesPerLink)}
+		return &ConfigError{Field: "QueuesPerLink", Reason: fmt.Sprintf("%d < 1 (every link needs at least one queue, §2.3)", opts.QueuesPerLink)}
 	}
 	if opts.Capacity < 0 {
-		return 0, nil, 0, nil, nil, &ConfigError{Field: "Capacity", Reason: fmt.Sprintf("negative capacity %d", opts.Capacity)}
+		return &ConfigError{Field: "Capacity", Reason: fmt.Sprintf("negative capacity %d", opts.Capacity)}
 	}
 	if opts.ExtCapacity < 0 {
-		return 0, nil, 0, nil, nil, &ConfigError{Field: "ExtCapacity", Reason: fmt.Sprintf("negative extension capacity %d", opts.ExtCapacity)}
+		return &ConfigError{Field: "ExtCapacity", Reason: fmt.Sprintf("negative extension capacity %d", opts.ExtCapacity)}
 	}
 	if opts.ExtPenalty < 0 {
-		return 0, nil, 0, nil, nil, &ConfigError{Field: "ExtPenalty", Reason: fmt.Sprintf("negative extension penalty %d", opts.ExtPenalty)}
+		return &ConfigError{Field: "ExtPenalty", Reason: fmt.Sprintf("negative extension penalty %d", opts.ExtPenalty)}
 	}
 	if opts.Capacity > math.MaxInt-opts.ExtCapacity {
-		return 0, nil, 0, nil, nil, &ConfigError{Field: "Capacity", Reason: fmt.Sprintf("capacity %d plus extension %d overflows", opts.Capacity, opts.ExtCapacity)}
+		return &ConfigError{Field: "Capacity", Reason: fmt.Sprintf("capacity %d plus extension %d overflows", opts.Capacity, opts.ExtCapacity)}
 	}
 	if opts.Capacity == 0 {
-		if m.multiHopMsg >= 0 {
-			return 0, nil, 0, nil, nil, &ConfigError{Field: "Capacity", Reason: fmt.Sprintf(
+		if multiHop >= 0 {
+			return &ConfigError{Field: "Capacity", Reason: fmt.Sprintf(
 				"capacity 0 (latch) supports single-hop routes only; message %s crosses %d links",
-				m.prog.Message(m.multiHopMsg).Name, len(m.routes[m.multiHopMsg]))}
+				p.Message(multiHop).Name, len(routes[multiHop]))}
 		}
 		if opts.ExtCapacity > 0 {
-			return 0, nil, 0, nil, nil, &ConfigError{Field: "ExtCapacity", Reason: "queue extension requires base capacity ≥ 1"}
+			return &ConfigError{Field: "ExtCapacity", Reason: "queue extension requires base capacity ≥ 1"}
 		}
 	}
-	if ferr := opts.Faults.Validate(m.prog.NumCells(), len(m.links)); ferr != nil {
-		return 0, nil, 0, nil, nil, &ConfigError{Field: "Faults", Reason: ferr.Error()}
+	if err := opts.Faults.Validate(p.NumCells(), links); err != nil {
+		return &ConfigError{Field: "Faults", Reason: err.Error()}
 	}
-	if lerr := opts.LinkModel.Validate(len(m.links)); lerr != nil {
-		return 0, nil, 0, nil, nil, &ConfigError{Field: "LinkModel", Reason: lerr.Error()}
+	if err := opts.LinkModel.Validate(links); err != nil {
+		return &ConfigError{Field: "LinkModel", Reason: err.Error()}
+	}
+	pools := links
+	if opts.DirectionalPools {
+		pools *= 2
+	}
+	if pools > 0 && opts.QueuesPerLink > maxQueueSlots/pools {
+		return &ConfigError{Field: "QueuesPerLink", Reason: fmt.Sprintf(
+			"%d queues on each of %d pools exceed the %d queue slots a run may hold", opts.QueuesPerLink, pools, maxQueueSlots)}
+	}
+	return nil
+}
+
+// prepare checks opts (CheckOptions), applies defaults (Logic,
+// MaxCycles), and resolves the pool regime plus the lowered fault and
+// link-timing tables. It is the shared front half of Run and Exec.Run,
+// so both reject configurations with identical errors; core.Execute
+// checks only what needs the analysis and leaves every other option to
+// this ConfigError. The queue-slot bound is checked before the
+// directional table is built, so a refused configuration builds
+// nothing. The derived cycle bound is the machine's own: the reference
+// engine derives it independently.
+func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, flavor int, flt *fault.Lowered, lm *linkmodel.Lowered, err error) {
+	if err := CheckOptions(opts, m.prog, m.routes, len(m.links), m.multiHopMsg); err != nil {
+		return 0, nil, 0, nil, nil, err
 	}
 	flt = fault.Lower(opts.Faults, m.prog.NumCells(), len(m.links))
 	lm = linkmodel.Lower(opts.LinkModel, len(m.links))
@@ -605,16 +695,10 @@ func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, fla
 			return 0, nil, 0, nil, nil, err
 		}
 	}
-	tbl, pools := &m.shared, len(m.links)
+	tbl = &m.shared
 	if opts.DirectionalPools {
-		tbl, pools, flavor = &m.directional, 2*len(m.links), 1
-	}
-	if pools > 0 && opts.QueuesPerLink > maxQueueSlots/pools {
-		return 0, nil, 0, nil, nil, &ConfigError{Field: "QueuesPerLink", Reason: fmt.Sprintf(
-			"%d queues on each of %d pools exceed the %d queue slots a run may hold", opts.QueuesPerLink, pools, maxQueueSlots)}
-	}
-	if flavor == 1 {
-		m.dirOnce.Do(func() { m.directional = m.buildPoolTable(1, pools) })
+		tbl, flavor = &m.directional, 1
+		m.dirOnce.Do(func() { m.directional = m.buildPoolTable(1, 2*len(m.links)) })
 	}
 	return maxCycles, tbl, flavor, flt, lm, nil
 }

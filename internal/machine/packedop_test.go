@@ -96,8 +96,8 @@ func TestPackedOpsRoundTrip(t *testing.T) {
 			if cb.OpIdx >= len(code) || code[cb.OpIdx] != cb.Op {
 				t.Fatalf("%s: cell %d reported stuck at op %d = %v, its program there: %v", mut.Name, cb.Cell, cb.OpIdx, cb.Op, code)
 			}
-			if name := mut.Program.Message(cb.Op.Msg).Name; !strings.Contains(cb.Reason, name) {
-				t.Fatalf("%s: cell %d stuck at %s, reason %q names another message", mut.Name, cb.Cell, mut.Program.OpString(cb.Op), cb.Reason)
+			if name := mut.Program.Message(cb.Op.Msg).Name; !strings.Contains(cb.Reason(mut.Program), name) {
+				t.Fatalf("%s: cell %d stuck at %s, reason %q names another message", mut.Name, cb.Cell, mut.Program.OpString(cb.Op), cb.Reason(mut.Program))
 			}
 		}
 	}

@@ -164,3 +164,24 @@ func TestAllocGateFirstRunOnNewMachine(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolDropsOversizedExec: an exec that ran at 2¹⁹ queues does not
+// go back to the pool, where its queue table (about 80 MB here) would
+// serve, and stay alive for, every small run after it; an exec from an
+// ordinary run does.
+func TestPoolDropsOversizedExec(t *testing.T) {
+	m := mustCompile(t, chain(t, 2), topology.Linear(2))
+	for _, c := range []struct {
+		queues int
+		pooled bool
+	}{{1 << 19, false}, {maxPooledQueueSlots, true}, {2, true}} {
+		e := new(exec)
+		res, err := runOn(m, e, fcfs(c.queues, 1))
+		if err != nil || !res.Completed {
+			t.Fatalf("%d queues: completed=%v, err=%v", c.queues, res.Completed, err)
+		}
+		if e.pooled() != c.pooled {
+			t.Errorf("%d queues: an exec holding %d queue slots goes back to the pool: %v, want %v", c.queues, cap(e.queues), e.pooled(), c.pooled)
+		}
+	}
+}

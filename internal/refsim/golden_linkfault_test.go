@@ -48,7 +48,8 @@ func TestGoldenLinkFaultTrace(t *testing.T) {
 	c2 := fcfs(1, 1)
 	c2.Faults = &fault.Plan{Links: []fault.LinkFault{{Link: 0, Severed: true, From: 6}}}
 	c2.LinkModel = linkmodel.FixedPlan(2, 1)
-	res2 := bothEngines(t, pipeline(t, 6), topology.Linear(2), c2)
+	p2 := pipeline(t, 6)
+	res2 := bothEngines(t, p2, topology.Linear(2), c2)
 	if !res2.Deadlocked {
 		t.Fatalf("severed pipeline: %s at cycle %d", res2.Outcome(), res2.Cycles)
 	}
@@ -68,10 +69,10 @@ func TestGoldenLinkFaultTrace(t *testing.T) {
 		t.Fatalf("blocked set %+v, want sender and receiver", res2.Blocked)
 	}
 	sender, receiver := res2.Blocked[0], res2.Blocked[1]
-	if sender.Cell != 0 || sender.Reason != "queue for A is full (capacity 1) and the downstream never drains" {
+	if sender.Cell != 0 || sender.Reason(p2) != "queue for A is full (capacity 1) and the downstream never drains" {
 		t.Errorf("sender block = %+v", sender)
 	}
-	if receiver.Cell != 1 || receiver.Reason != "no word of A has arrived" {
+	if receiver.Cell != 1 || receiver.Reason(p2) != "no word of A has arrived" {
 		t.Errorf("receiver block = %+v", receiver)
 	}
 }

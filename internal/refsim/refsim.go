@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"systolic/internal/assign"
 	"systolic/internal/fault"
@@ -52,10 +51,7 @@ type msgState struct {
 	read      int   // words consumed by the receiver
 }
 
-// runner holds all mutable simulation state. Everything below the
-// "reusable scratch" marker survives between runs inside runnerPool so
-// repeated Run calls (parameter sweeps) stop re-allocating; anything
-// that escapes into the returned Result is allocated fresh per run.
+// runner holds all mutable state of one run; Run allocates it afresh.
 type runner struct {
 	p      *model.Program
 	cfg    machine.ExecOptions
@@ -63,18 +59,14 @@ type runner struct {
 	routes [][]topology.Hop
 	links  []topology.Link
 
-	// Reusable scratch, sized in setup and pooled across runs.
 	numPools int
 	queues   []queueInst         // pool p occupies [p*Q : (p+1)*Q]
 	pending  [][]model.MessageID // per pool, outstanding requests
 	msgs     []msgState
-	hopQ     []*queueInst // flat backing for msgState.queues
-	hopFlags []bool       // flat backing for granted + requested
-	hopInts  []int        // flat backing for departed
 	pc       []int
 	issued   []bool
 
-	received [][]machine.Word // escapes into Result; fresh per run
+	received [][]machine.Word
 
 	// faults holds the run's lowered fault tables; nil when fault-free.
 	// The gates sit at the same four operation-issue sites as the
@@ -101,20 +93,6 @@ type runner struct {
 	moved bool // any event this cycle
 }
 
-// runnerPool recycles runner scratch state between runs. Run copies the
-// Result out and clears every escaping reference before returning a
-// runner to the pool.
-var runnerPool = sync.Pool{New: func() any { return new(runner) }}
-
-// grow returns s resized to n, reusing its backing array when large
-// enough. Contents are unspecified; callers clear what they need.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // pool returns the queue instances of pool p.
 func (r *runner) pool(p poolID) []queueInst {
 	q := r.cfg.QueuesPerLink
@@ -138,27 +116,15 @@ func (r *runner) poolOf(h topology.Hop) poolID {
 // inputs are machine.Compile's and (*machine.Machine).Run's, and its
 // semantics are identical to theirs by construction — and by the
 // equivalence suite. Nil routes are computed; cfg.Context is ignored.
+// Its option checks are the machine's own (machine.CheckOptions); the
+// stall cause of each stuck cell and the default cycle bound it derives
+// itself, as the independent half of the comparison.
 func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels []int, cfg machine.ExecOptions) (*machine.Result, error) {
 	if p == nil {
 		return nil, &machine.ConfigError{Field: "Program", Reason: "nil program"}
 	}
 	if t == nil {
 		return nil, &machine.ConfigError{Field: "Topology", Reason: "nil topology"}
-	}
-	if cfg.Policy == nil {
-		return nil, &machine.ConfigError{Field: "Policy", Reason: "nil policy"}
-	}
-	if cfg.QueuesPerLink < 1 {
-		return nil, &machine.ConfigError{Field: "QueuesPerLink", Reason: fmt.Sprintf("%d < 1 (every link needs at least one queue, §2.3)", cfg.QueuesPerLink)}
-	}
-	if cfg.Capacity < 0 {
-		return nil, &machine.ConfigError{Field: "Capacity", Reason: fmt.Sprintf("negative capacity %d", cfg.Capacity)}
-	}
-	if cfg.ExtCapacity < 0 {
-		return nil, &machine.ConfigError{Field: "ExtCapacity", Reason: fmt.Sprintf("negative extension capacity %d", cfg.ExtCapacity)}
-	}
-	if cfg.ExtPenalty < 0 {
-		return nil, &machine.ConfigError{Field: "ExtPenalty", Reason: fmt.Sprintf("negative extension penalty %d", cfg.ExtPenalty)}
 	}
 	if routes == nil {
 		var err error
@@ -169,24 +135,16 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 	} else if len(routes) != p.NumMessages() {
 		return nil, &machine.ConfigError{Field: "Routes", Reason: fmt.Sprintf("%d entries for %d messages", len(routes), p.NumMessages())}
 	}
-	if cfg.Capacity == 0 {
-		for id, rt := range routes {
-			if len(rt) > 1 {
-				return nil, &machine.ConfigError{Field: "Capacity", Reason: fmt.Sprintf(
-					"capacity 0 (latch) supports single-hop routes only; message %s crosses %d links",
-					p.Message(model.MessageID(id)).Name, len(rt))}
-			}
-		}
-		if cfg.ExtCapacity > 0 {
-			return nil, &machine.ConfigError{Field: "ExtCapacity", Reason: "queue extension requires base capacity ≥ 1"}
-		}
-	}
 	links := t.Links()
-	if ferr := cfg.Faults.Validate(p.NumCells(), len(links)); ferr != nil {
-		return nil, &machine.ConfigError{Field: "Faults", Reason: ferr.Error()}
+	multiHop := model.MessageID(-1)
+	for id, rt := range routes {
+		if len(rt) > 1 {
+			multiHop = model.MessageID(id)
+			break
+		}
 	}
-	if lerr := cfg.LinkModel.Validate(len(links)); lerr != nil {
-		return nil, &machine.ConfigError{Field: "LinkModel", Reason: lerr.Error()}
+	if err := machine.CheckOptions(&cfg, p, routes, len(links), multiHop); err != nil {
+		return nil, err
 	}
 	flt := fault.Lower(cfg.Faults, p.NumCells(), len(links))
 	lmo := linkmodel.Lower(cfg.LinkModel, len(links))
@@ -195,10 +153,7 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 		logic = machine.SyntheticLogic{}
 	}
 
-	r := runnerPool.Get().(*runner)
-	r.p, r.cfg, r.logic, r.routes, r.links = p, cfg, logic, routes, links
-	r.faults = flt
-	r.lm = lmo
+	r := &runner{p: p, cfg: cfg, logic: logic, routes: routes, links: links, faults: flt, lm: lmo}
 	r.setup()
 
 	// Competing sets are indexed by pool: the whole link under the
@@ -220,7 +175,6 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 		QueuesPerLink:   cfg.QueuesPerLink,
 	}
 	if err := cfg.Policy.Setup(ctx); err != nil {
-		r.release()
 		return nil, err
 	}
 
@@ -228,7 +182,6 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 	if maxCycles <= 0 {
 		var err error
 		if maxCycles, err = defaultMaxCycles(p, routes, lmo.MaxFactor(), flt.MaxFactor()); err != nil {
-			r.release()
 			return nil, err
 		}
 	}
@@ -276,27 +229,7 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 		r.stats.Queues = append(r.stats.Queues, machine.QueueStat{Link: qi.link, QueueIdx: qi.idx, Stats: qi.q.Stats()})
 	}
 	r.res.Stats = r.stats
-	out := new(machine.Result)
-	*out = r.res
-	r.release()
-	return out, nil
-}
-
-// release clears every reference that escaped into the returned Result
-// (and the per-run inputs) and returns the runner's scratch to the
-// pool for the next Run.
-func (r *runner) release() {
-	r.p, r.logic, r.routes, r.links = nil, nil, nil, nil
-	r.cfg = machine.ExecOptions{}
-	r.received = nil
-	r.faults = nil
-	r.lm = nil
-	r.res = machine.Result{}
-	r.stats = machine.Stats{}
-	for i := range r.msgs {
-		r.msgs[i].route = nil
-	}
-	runnerPool.Put(r)
+	return &r.res, nil
 }
 
 // defaultMaxCycles is the compiled machine's derived cycle bound,
@@ -326,79 +259,48 @@ func defaultMaxCycles(p *model.Program, routes [][]topology.Hop, linkFactor, fau
 	return int(n), nil
 }
 
-// setup sizes the runner's scratch for the current program and
-// configuration, reusing pooled backing arrays where they are large
-// enough. Link and pool ids are dense, so pools live in one flat slice
-// (pool p at [p*Q:(p+1)*Q]) in ascending pool-id order, and each
-// message's per-hop state is a window into shared flat arrays.
+// setup sizes the runner's state for the current program and
+// configuration. Link and pool ids are dense, so pools live in one flat
+// slice (pool p at [p*Q:(p+1)*Q]) in ascending pool-id order.
 func (r *runner) setup() {
 	p, cfg := r.p, r.cfg
 	r.numPools = len(r.links)
 	if cfg.DirectionalPools {
 		r.numPools *= 2
 	}
-	r.queues = grow(r.queues, r.numPools*cfg.QueuesPerLink)
+	r.queues = make([]queueInst, r.numPools*cfg.QueuesPerLink)
 	for i := range r.queues {
 		qi := &r.queues[i]
 		pool := i / cfg.QueuesPerLink
-		realLink := topology.LinkID(pool)
-		if cfg.DirectionalPools {
-			realLink = topology.LinkID(pool / 2)
-		}
-		qi.link = realLink
+		qi.link = topology.LinkID(pool)
 		// idx identifies the queue within its *link* for reporting:
 		// with directional pools the link's two pools are contiguous
 		// (forward 0..Q-1, reverse Q..2Q-1), keeping (link, idx)
 		// unique in timelines and stats.
 		qi.idx = i % cfg.QueuesPerLink
 		if cfg.DirectionalPools {
+			qi.link = topology.LinkID(pool / 2)
 			qi.idx = i % (2 * cfg.QueuesPerLink)
 		}
-		qi.bound = false
-		qi.msg = 0
-		qi.hop = 0
 		qi.q.Init(cfg.Capacity, cfg.ExtCapacity, cfg.ExtPenalty)
 	}
-	r.pending = grow(r.pending, r.numPools)
-	for i := range r.pending {
-		r.pending[i] = r.pending[i][:0]
-	}
-	totalHops := 0
-	for _, rt := range r.routes {
-		totalHops += len(rt)
-	}
-	r.hopQ = grow(r.hopQ, totalHops)
-	r.hopFlags = grow(r.hopFlags, 2*totalHops)
-	r.hopInts = grow(r.hopInts, totalHops)
-	clear(r.hopQ)
-	clear(r.hopFlags)
-	clear(r.hopInts)
-	r.msgs = grow(r.msgs, p.NumMessages())
-	off := 0
-	for id := range r.msgs {
-		rt := r.routes[id]
+	r.pending = make([][]model.MessageID, r.numPools)
+	r.msgs = make([]msgState, p.NumMessages())
+	for id, rt := range r.routes {
 		n := len(rt)
 		r.msgs[id] = msgState{
 			route:     rt,
-			queues:    r.hopQ[off : off+n : off+n],
-			granted:   r.hopFlags[off : off+n : off+n],
-			requested: r.hopFlags[totalHops+off : totalHops+off+n : totalHops+off+n],
-			departed:  r.hopInts[off : off+n : off+n],
+			queues:    make([]*queueInst, n),
+			granted:   make([]bool, n),
+			requested: make([]bool, n),
+			departed:  make([]int, n),
 		}
-		off += n
 	}
-	r.pc = grow(r.pc, p.NumCells())
-	r.issued = grow(r.issued, p.NumCells())
-	clear(r.pc)
-	clear(r.issued)
-	r.lmBusyMax = 0
+	r.pc = make([]int, p.NumCells())
+	r.issued = make([]bool, p.NumCells())
 	if r.lm != nil {
-		n := len(r.links)
-		r.lmNextFree = grow(r.lmNextFree, n)
-		r.lmTally = grow(r.lmTally, n)
-		clear(r.lmNextFree)
-		clear(r.lmTally)
-		r.lmDirty = r.lmDirty[:0]
+		r.lmNextFree = make([]int, len(r.links))
+		r.lmTally = make([]int32, len(r.links))
 	}
 	r.received = make([][]machine.Word, p.NumMessages())
 	r.stats.BlockedCycles = make([]int, p.NumCells())
@@ -770,6 +672,8 @@ func (r *runner) accountBlocked() {
 	}
 }
 
+// blockedReport lists every unfinished cell with the cause its front
+// op is stuck on, picked from the runner's own per-hop state.
 func (r *runner) blockedReport() []machine.CellBlock {
 	var out []machine.CellBlock
 	for c := 0; c < r.p.NumCells(); c++ {
@@ -779,23 +683,20 @@ func (r *runner) blockedReport() []machine.CellBlock {
 			continue
 		}
 		op := code[r.pc[c]]
-		out = append(out, machine.CellBlock{Cell: cell, Op: op, OpIdx: r.pc[c], Reason: r.blockReason(cell, op)})
+		cb := machine.CellBlock{Cell: cell, Op: op, OpIdx: r.pc[c]}
+		ms := &r.msgs[op.Msg]
+		last := len(ms.route) - 1
+		switch {
+		case op.Kind == model.Write && last >= 0 && !ms.granted[0]:
+			cb.Cause = machine.StallNoFirstQueue
+		case op.Kind == model.Write:
+			cb.Cause, cb.Capacity = machine.StallQueueFull, r.cfg.Capacity
+		case last >= 0 && !ms.granted[last]:
+			cb.Cause = machine.StallNoLastQueue
+		default:
+			cb.Cause = machine.StallNoWord
+		}
+		out = append(out, cb)
 	}
 	return out
-}
-
-func (r *runner) blockReason(cell model.CellID, op model.Op) string {
-	ms := &r.msgs[op.Msg]
-	name := r.p.Message(op.Msg).Name
-	if op.Kind == model.Write {
-		if len(ms.route) > 0 && !ms.granted[0] {
-			return fmt.Sprintf("no queue bound for %s on its first link", name)
-		}
-		return fmt.Sprintf("queue for %s is full (capacity %d) and the downstream never drains", name, r.cfg.Capacity)
-	}
-	last := len(ms.route) - 1
-	if last >= 0 && !ms.granted[last] {
-		return fmt.Sprintf("no queue bound for %s on its last link", name)
-	}
-	return fmt.Sprintf("no word of %s has arrived", name)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -78,10 +79,27 @@ func docJSONBlocks(t *testing.T, doc string) map[string][]string {
 	return out
 }
 
+// blockedLine is one deadlock report line as machine.DescribeBlocked
+// writes it: a cell, its stuck op on message M, and one of the four
+// stall causes in machine.CellBlock.Reason's words, naming M again.
+var blockedLine = regexp.MustCompile(`^\S+ stuck at [RW]\((\S+)\): (?:` +
+	`no queue bound for (\S+) on its first link|` +
+	`queue for (\S+) is full \(capacity \d+\) and the downstream never drains|` +
+	`no queue bound for (\S+) on its last link|` +
+	`no word of (\S+) has arrived)$`)
+
+// isBlockedLine reports whether line has blockedLine's form and its
+// cause names the message of its op.
+func isBlockedLine(line string) bool {
+	m := blockedLine.FindStringSubmatch(line)
+	return m != nil && m[1] == m[2]+m[3]+m[4]+m[5]
+}
+
 // TestAPIDocExamplesMatchWireTypes decodes every documented JSON
 // example into the service's actual request/response structs with
 // unknown fields disallowed, so a renamed or removed field breaks
-// this test until the doc is updated.
+// this test until the doc is updated. Every documented deadlock line
+// must have the form the engines write (isBlockedLine).
 func TestAPIDocExamplesMatchWireTypes(t *testing.T) {
 	doc := readAPIDoc(t)
 	blocks := docJSONBlocks(t, doc)
@@ -110,8 +128,16 @@ func TestAPIDocExamplesMatchWireTypes(t *testing.T) {
 		for _, body := range bodies {
 			dec := json.NewDecoder(strings.NewReader(body))
 			dec.DisallowUnknownFields()
-			if err := dec.Decode(mk()); err != nil {
+			v := mk()
+			if err := dec.Decode(v); err != nil {
 				t.Errorf("example %q does not match the wire type: %v\n%s", tag, err, body)
+			}
+			if r, ok := v.(*RunResponse); ok {
+				for _, line := range r.Blocked {
+					if !isBlockedLine(line) {
+						t.Errorf("example %q: blocked line %q is not \"<cell> stuck at <op>: <cause>\" with one of the four causes", tag, line)
+					}
+				}
 			}
 		}
 	}
