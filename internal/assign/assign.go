@@ -38,10 +38,10 @@ type Context struct {
 	// CompetingByPool is the one form of the competing sets, and
 	// required: entry p lists the messages whose routes cross pool p,
 	// in ascending message id, a message once per hop it has there.
-	// Pool ids are dense, [0, len(CompetingByPool)); a pool is a whole
-	// link by default (its queues serve both directions, a queue's
-	// direction set when bound, §2.3), or one direction of a link under
-	// directional pools. A pool no route crosses has a nil entry.
+	// A pool is a whole link, so pool p is link p and the ids are
+	// dense, [0, len(CompetingByPool)); its queues serve both
+	// directions, a queue's direction set when bound (§2.3). A pool no
+	// route crosses has a nil entry.
 	CompetingByPool [][]model.MessageID
 	// LabelOrder, when non-nil, is each pool's competing set
 	// pre-sorted by (label, message id) — the grant order of the

@@ -280,9 +280,6 @@ type ExecOptions struct {
 	// ExtCapacity/ExtPenalty enable the §8 queue extension.
 	ExtCapacity int
 	ExtPenalty  int
-	// DirectionalPools gives each link one queue pool per direction
-	// instead of the paper's shared, direction-resettable pool.
-	DirectionalPools bool
 	// Logic supplies word values (nil = synthetic).
 	Logic machine.CellLogic
 	// Seed feeds randomized policies.
@@ -420,17 +417,16 @@ func lower(a *Analysis, opts ExecOptions) (*machine.Machine, machine.ExecOptions
 		return nil, none, err
 	}
 	return m, machine.ExecOptions{
-		QueuesPerLink:    queues,
-		Capacity:         capacity,
-		ExtCapacity:      opts.ExtCapacity,
-		ExtPenalty:       opts.ExtPenalty,
-		DirectionalPools: opts.DirectionalPools,
-		Logic:            opts.Logic,
-		MaxCycles:        opts.MaxCycles,
-		RecordTimeline:   opts.RecordTimeline,
-		Context:          opts.Context,
-		Faults:           opts.Faults,
-		LinkModel:        opts.LinkModel,
+		QueuesPerLink:  queues,
+		Capacity:       capacity,
+		ExtCapacity:    opts.ExtCapacity,
+		ExtPenalty:     opts.ExtPenalty,
+		Logic:          opts.Logic,
+		MaxCycles:      opts.MaxCycles,
+		RecordTimeline: opts.RecordTimeline,
+		Context:        opts.Context,
+		Faults:         opts.Faults,
+		LinkModel:      opts.LinkModel,
 	}, nil
 }
 

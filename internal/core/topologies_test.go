@@ -83,22 +83,3 @@ func TestSimulatorIsDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestDirectionalPoolsPreserveTheorem1: the per-direction pool
-// ablation must not break the guarantee.
-func TestDirectionalPoolsPreserveTheorem1(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		p := generate(t, seed+400, 5, 5, 3, 0)
-		a, err := Analyze(p, topology.Linear(5), AnalyzeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Execute(a, ExecOptions{Capacity: 2, DirectionalPools: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Completed {
-			t.Fatalf("seed %d: directional run %s\n%s", seed, res.Outcome(), p)
-		}
-	}
-}

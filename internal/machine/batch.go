@@ -50,14 +50,14 @@ func (m *Machine) NewExec() *Exec {
 // Exec's held state. See the type comment for the Result lifetime
 // contract.
 func (ex *Exec) Run(opts ExecOptions) (*Result, error) {
-	maxCycles, tbl, flavor, flt, lm, err := ex.m.prepare(&opts)
+	maxCycles, flt, lm, err := ex.m.prepare(&opts)
 	if err != nil {
 		return nil, err
 	}
 	if ex.e == nil {
 		ex.e = borrowExec(true)
 	}
-	if err := ex.m.runExec(ex.e, &opts, tbl, flavor, maxCycles, flt, lm); err != nil {
+	if err := ex.m.runExec(ex.e, &opts, maxCycles, flt, lm); err != nil {
 		return nil, err
 	}
 	ex.out = ex.e.result()

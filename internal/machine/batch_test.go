@@ -34,34 +34,31 @@ func crossing(t testing.TB, words int) *model.Program {
 
 // TestExecMatchesRun replays a config grid through one Exec and
 // through Machine.Run and demands byte-identical Results — the batch
-// contract. The grid mixes completing and deadlocking points, both
-// pool regimes, and several queue budgets, all back-to-back on the
-// same Exec so retained-buffer reuse is actually exercised.
+// contract. The grid mixes completing and deadlocking points and
+// several queue budgets, all back-to-back on the same Exec so
+// retained-buffer reuse is actually exercised.
 func TestExecMatchesRun(t *testing.T) {
 	m := mustCompile(t, crossing(t, 6), topology.Linear(2))
 	ex := m.NewExec()
-	for _, directional := range []bool{false, true} {
-		for _, queues := range []int{1, 2, 3} {
-			for _, capacity := range []int{1, 2, 4} {
-				opts := ExecOptions{
-					Policy:           assign.Naive(assign.FCFS, 0),
-					QueuesPerLink:    queues,
-					Capacity:         capacity,
-					DirectionalPools: directional,
-				}
-				want, err := m.Run(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts.Policy = assign.Naive(assign.FCFS, 0) // policies are stateful: fresh instance per run
-				got, err := ex.Run(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("dir=%v q=%d cap=%d: Exec.Run diverges from Machine.Run\ngot:  %+v\nwant: %+v",
-						directional, queues, capacity, got, want)
-				}
+	for _, queues := range []int{1, 2, 3} {
+		for _, capacity := range []int{1, 2, 4} {
+			opts := ExecOptions{
+				Policy:        assign.Naive(assign.FCFS, 0),
+				QueuesPerLink: queues,
+				Capacity:      capacity,
+			}
+			want, err := m.Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Policy = assign.Naive(assign.FCFS, 0) // policies are stateful: fresh instance per run
+			got, err := ex.Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("q=%d cap=%d: Exec.Run diverges from Machine.Run\ngot:  %+v\nwant: %+v",
+					queues, capacity, got, want)
 			}
 		}
 	}

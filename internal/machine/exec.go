@@ -94,7 +94,7 @@ import (
 
 // queueInst is one physical queue in a link's pool.
 type queueInst struct {
-	link topology.LinkID // real link, for reporting
+	link topology.LinkID // the link, which is also the pool id
 	idx  int             // queue index within the link, for reporting
 	slot int             // index in exec.queues, for the cooling list
 	q    queue.Queue
@@ -135,14 +135,12 @@ type exec struct {
 	m              *Machine
 	logic          CellLogic
 	policy         assign.Policy
-	flavor         int // 0 shared pools, 1 directional
 	capacity       int
 	queuesPerLink  int
 	recordTimeline bool
 
-	numPools int
-	queues   []queueInst         // pool p occupies [p*Q : (p+1)*Q]
-	pending  [][]model.MessageID // per pool, outstanding requests
+	queues  []queueInst         // link l's pool occupies [l*Q : (l+1)*Q]
+	pending [][]model.MessageID // per pool, outstanding requests
 	// pendingBuf backs the pending lists: a pool's segment has room for
 	// its whole competing set, which its outstanding requests are among.
 	pendingBuf []model.MessageID
@@ -304,11 +302,10 @@ func grow[T any](s []T, n int) []T {
 }
 
 // init sizes the exec for one run, reusing pooled backing arrays.
-func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, flt *fault.Lowered, lm *linkmodel.Lowered) {
+func (e *exec) init(m *Machine, opts *ExecOptions, flt *fault.Lowered, lm *linkmodel.Lowered) {
 	e.m = m
 	e.logic = opts.Logic
 	e.policy = opts.Policy
-	e.flavor = flavor
 	e.capacity = opts.Capacity
 	e.queuesPerLink = opts.QueuesPerLink
 	e.recordTimeline = opts.RecordTimeline
@@ -324,9 +321,8 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 		e.lmDirty = e.lmDirty[:0]
 	}
 
-	q := opts.QueuesPerLink
-	e.numPools = tbl.numPools
-	e.queues = grow(e.queues, e.numPools*q)
+	q, numPools, tbl := opts.QueuesPerLink, len(m.links), &m.pools
+	e.queues = grow(e.queues, numPools*q)
 	// Queues that can be bound this run (see poolTable.binds) and lack a
 	// ring of its size are counted here and given one out of a single
 	// array below; a warm exec has them all. A bound queue holds words
@@ -335,17 +331,8 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 	ring, short := min(opts.Capacity+opts.ExtCapacity, m.maxWords), 0
 	for i := range e.queues {
 		qi := &e.queues[i]
-		pool := i / q
-		realLink := topology.LinkID(pool)
+		qi.link = topology.LinkID(i / q)
 		qi.idx = i % q
-		if flavor == 1 {
-			realLink = topology.LinkID(pool / 2)
-			// A link's two pools are contiguous (forward 0..Q-1,
-			// reverse Q..2Q-1), keeping (link, idx) unique in
-			// timelines and stats.
-			qi.idx = i % (2 * q)
-		}
-		qi.link = realLink
 		qi.slot = i
 		qi.bound = false
 		qi.msg = 0
@@ -365,9 +352,9 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 			}
 		}
 	}
-	e.pending = grow(e.pending, e.numPools)
+	e.pending = grow(e.pending, numPools)
 	e.pendingBuf = grow(e.pendingBuf, m.totalHops)
-	for p, at := 0, 0; p < e.numPools; p++ {
+	for p, at := 0, 0; p < numPools; p++ {
 		end := at + len(tbl.competingByPool[p])
 		e.pending[p] = e.pendingBuf[at:at:end]
 		at = end
@@ -411,9 +398,9 @@ func (e *exec) init(m *Machine, opts *ExecOptions, tbl *poolTable, flavor int, f
 	e.writerSnap.sizeTo(msgs)
 	e.reqSet.sizeTo(msgs)
 	e.movedSet.sizeTo(msgs)
-	e.armed.sizeTo(e.numPools)
-	e.armed.fill(e.numPools)
-	e.armedScratch.sizeTo(e.numPools)
+	e.armed.sizeTo(numPools)
+	e.armed.fill(numPools)
+	e.armedScratch.sizeTo(numPools)
 	e.cooling = e.cooling[:0]
 
 	e.hasInterior = m.maxRouteLen > 1
@@ -462,19 +449,12 @@ func (e *exec) release() {
 	e.stats = Stats{}
 }
 
-// poolOf returns the pool serving hop i of message id under the
-// run's regime.
-//
-//sysvet:hotpath
-func (e *exec) poolOf(id model.MessageID, hop int) int {
-	return int(e.m.hops[e.m.hopOff[id]+int32(hop)].pool[e.flavor])
-}
-
-// hopLink returns the physical link of hop i of message id.
+// hopLink returns the link of hop i of message id, which is also the
+// id of the pool serving it.
 //
 //sysvet:hotpath
 func (e *exec) hopLink(id model.MessageID, hop int) topology.LinkID {
-	return e.m.hops[e.m.hopOff[id]+int32(hop)].link
+	return e.m.hops[e.m.hopOff[id]+int32(hop)]
 }
 
 // linkFree reports whether link lk can carry words this cycle, i.e.
@@ -546,9 +526,8 @@ func (e *exec) pool(p int) []queueInst {
 //
 //sysvet:hotpath
 func (e *exec) hopOn(pool int, msg model.MessageID) int {
-	hops := e.m.msgHops(msg)
-	for i := range hops {
-		if int(hops[i].pool[e.flavor]) == pool {
+	for i, lk := range e.m.msgHops(msg) {
+		if int(lk) == pool {
 			return i
 		}
 	}
@@ -883,7 +862,7 @@ func (e *exec) collectFirstHop() {
 			if len(ms.queues) > 0 && !ms.requested[0] {
 				ms.requested[0] = true
 				if !ms.granted[0] {
-					e.notePending(e.poolOf(id, 0), id)
+					e.notePending(int(e.hopLink(id, 0)), id)
 				}
 			}
 		}
@@ -924,7 +903,7 @@ func (e *exec) collectInterior() {
 			}
 			ms.requested[hop] = true
 			if !ms.granted[hop] {
-				e.notePending(e.poolOf(id, hop), id)
+				e.notePending(int(e.hopLink(id, hop)), id)
 			}
 		}
 	}
@@ -1006,9 +985,6 @@ func (e *exec) grantPool(pid int) {
 			}
 		}
 		if e.recordTimeline {
-			// Record the real link (qi.link), not the pool id:
-			// under DirectionalPools pool ids are synthetic and
-			// release events already use the real link.
 			e.res.Timeline = append(e.res.Timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: msg, Bound: true})
 		}
 	}
@@ -1316,7 +1292,7 @@ func (e *exec) releasePhase() {
 				ms.queues[hop] = nil // keep granted=true: the message had its turn
 				ms.tail = int32(hop + 1)
 				e.stats.Releases++
-				e.armed.add(e.poolOf(id, hop))
+				e.armed.add(int(e.hopLink(id, hop)))
 				if e.recordTimeline {
 					e.res.Timeline = append(e.res.Timeline, BindEvent{Cycle: e.now, Link: qi.link, QueueIdx: qi.idx, Msg: id, Bound: false})
 				}
@@ -1382,9 +1358,6 @@ func (e *exec) result() Result {
 	}
 	for i := range e.queues {
 		qi := &e.queues[i]
-		// qi.link is the real link, not the pool id: under
-		// DirectionalPools a link's two pools report under the same
-		// physical link, matching the timeline's attribution.
 		qs = append(qs, QueueStat{Link: qi.link, QueueIdx: qi.idx, Stats: qi.q.Stats()})
 	}
 	if e.reuse {

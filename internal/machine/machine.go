@@ -1,11 +1,10 @@
 // Package machine is the compile-once execution core: it lowers an
 // analyzed scenario (program, topology, routes, labels) into a flat,
 // index-based intermediate representation — per-cell op streams,
-// per-hop pool ids, precomputed competing sets — that one Compile
-// call produces and unlimited Run calls consume. Compile lowers the
-// shared-pool regime of §2.3, the one every caller runs; the
-// per-direction regime (ExecOptions.DirectionalPools) is lowered by
-// the first run that selects it.
+// per-hop links, precomputed competing sets — that one Compile call
+// produces and unlimited Run calls consume. Each link has one pool of
+// queues serving both directions, as §2.3 has it, so a pool id is its
+// link id.
 //
 // The split mirrors what cycle-accurate co-simulation platforms do to
 // reach production throughput: all per-scenario derivation (routing,
@@ -16,8 +15,7 @@
 // former full O(cells + queues + messages) scan.
 //
 // A *Machine is immutable after Compile, as its callers see it, and
-// safe for concurrent Run calls; the directional pool table is built
-// once, under a sync.Once, whichever run asks first. A run's scratch —
+// safe for concurrent Run calls. A run's scratch —
 // queue instances, per-message hop state, ready sets, rings — belongs
 // to the process, not to a machine: one sync.Pool of execution
 // contexts feeds every Run and every Exec, and exec.init sizes each
@@ -101,9 +99,8 @@ func (SyntheticLogic) Produce(_ model.CellID, msg model.MessageID, index int) Wo
 type BindEvent struct {
 	Cycle int
 	Link  topology.LinkID
-	// QueueIdx indexes the queue within its link: 0..Q-1 for the
-	// shared pool, 0..2Q-1 under DirectionalPools (forward pool
-	// first, then reverse), so (Link, QueueIdx) is always unique.
+	// QueueIdx indexes the queue within its link's pool, 0..Q-1, so
+	// (Link, QueueIdx) is unique.
 	QueueIdx int
 	Msg      model.MessageID
 	Bound    bool // true = bound, false = released
@@ -241,9 +238,6 @@ type ExecOptions struct {
 	// cycles per extension access.
 	ExtCapacity int
 	ExtPenalty  int
-	// DirectionalPools splits every link's queue pool in two, one per
-	// traffic direction (§2.3 note).
-	DirectionalPools bool
 	// Logic supplies word values; nil means SyntheticLogic.
 	Logic CellLogic
 	// MaxCycles bounds the run; ≤ 0 means a default derived from
@@ -325,21 +319,11 @@ func checkIRBounds(ops, hops, words, msgs int) error {
 	return nil
 }
 
-// hopRef is one compiled route hop: the physical link plus the queue
-// pool serving it under each pool regime (index 0 = shared pool,
-// index 1 = directional pools).
-type hopRef struct {
-	link topology.LinkID
-	pool [2]int32
-}
-
-// poolTable is the per-regime pool layout: competing sets and, when
-// labels exist, the label-sorted grant order, computed once per
-// machine — the shared regime's by Compile, the directional one's by
-// its first run — so every run (and every policy Setup) shares them
+// poolTable is the pool layout, one pool per link: competing sets
+// and, when labels exist, the label-sorted grant order, computed once
+// by Compile so every run (and every policy Setup) shares them
 // read-only.
 type poolTable struct {
-	numPools int
 	// competingByPool is each pool's competing set, in ascending
 	// message id, the form assign.Context.CompetingByPool documents.
 	competingByPool [][]model.MessageID
@@ -369,9 +353,10 @@ type Machine struct {
 	ops   []packedOp
 	opOff []int32
 
-	// Flat per-message hop tables: message m's hops are
-	// hops[hopOff[m]:hopOff[m+1]].
-	hops   []hopRef
+	// Flat per-message hop tables: message m's route crosses links
+	// hops[hopOff[m]:hopOff[m+1]], and each hop is served by its
+	// link's pool.
+	hops   []topology.LinkID
 	hopOff []int32
 
 	words            []int   // per message: declared word count
@@ -384,11 +369,7 @@ type Machine struct {
 	multiHopMsg           model.MessageID // first msg with a multi-hop route; -1 if none
 	codeCells             int             // cells with a non-empty op stream
 
-	// shared is the §2.3 regime, built by Compile. directional splits
-	// every link's pool by direction; dirOnce builds it for the first
-	// run that sets DirectionalPools, since nothing else reads it.
-	shared, directional poolTable
-	dirOnce             sync.Once
+	pools poolTable // built by Compile, read-only after
 }
 
 // execs is the process's run scratch: every Machine.Run and every Exec
@@ -488,8 +469,7 @@ func Compile(p *model.Program, t topology.Topology, routes [][]topology.Hop, lab
 		}
 	}
 
-	// Per-message declarations and hop tables with precomputed pool
-	// ids for both pool regimes.
+	// Per-message declarations and hop tables.
 	m.words = make([]int, msgs)
 	m.sender = make([]model.CellID, msgs)
 	m.receiver = make([]model.CellID, msgs)
@@ -512,51 +492,42 @@ func Compile(p *model.Program, t topology.Topology, routes [][]topology.Hop, lab
 			m.multiHopMsg = model.MessageID(id)
 		}
 	}
-	m.hops = make([]hopRef, m.totalHops)
-	for id, rt := range routes {
-		off := m.hopOff[id]
-		for i, h := range rt {
-			dir := int32(0)
-			if h.From != m.links[h.Link].A {
-				dir = 1
-			}
-			m.hops[off+int32(i)] = hopRef{
-				link: h.Link,
-				pool: [2]int32{int32(h.Link), 2*int32(h.Link) + dir},
-			}
+	m.hops = make([]topology.LinkID, 0, m.totalHops)
+	for _, rt := range routes {
+		for _, h := range rt {
+			m.hops = append(m.hops, h.Link)
 		}
 	}
 
-	m.shared = m.buildPoolTable(0, len(m.links))
+	m.pools = m.buildPoolTable()
 	return m, nil
 }
 
-// buildPoolTable derives one regime's competing sets (each in
+// buildPoolTable derives every link's competing set (each in
 // message-ascending order, the order the per-run construction used to
 // append them in) and, when labels exist, the label-sorted grant order.
 // Both are count-then-fill over one backing array each: a pool's set is
 // a segment of it, so the table costs a handful of allocations however
 // many pools there are. A pool no route crosses keeps a nil entry.
-func (m *Machine) buildPoolTable(flavor, numPools int) poolTable {
+func (m *Machine) buildPoolTable() poolTable {
+	numPools := len(m.links)
 	// end[p] starts as the beginning of pool p's segment and the fill
 	// advances it to the segment's end.
 	end := make([]int32, numPools+1)
-	for i := range m.hops {
-		end[m.hops[i].pool[flavor]+1]++
+	for _, pool := range m.hops {
+		end[pool+1]++
 	}
 	for pool := 0; pool < numPools; pool++ {
 		end[pool+1] += end[pool]
 	}
 	byMessage := make([]model.MessageID, len(m.hops))
 	for id := range m.routes {
-		for _, h := range m.msgHops(model.MessageID(id)) {
-			pool := h.pool[flavor]
+		for _, pool := range m.msgHops(model.MessageID(id)) {
 			byMessage[end[pool]] = model.MessageID(id)
 			end[pool]++
 		}
 	}
 	tbl := poolTable{
-		numPools:        numPools,
 		competingByPool: make([][]model.MessageID, numPools),
 	}
 	var byLabel []model.MessageID
@@ -594,11 +565,11 @@ func (m *Machine) code(c int) []packedOp {
 }
 
 // msgHops returns message id's compiled hop table.
-func (m *Machine) msgHops(id model.MessageID) []hopRef {
+func (m *Machine) msgHops(id model.MessageID) []topology.LinkID {
 	return m.hops[m.hopOff[id]:m.hopOff[id+1]]
 }
 
-// maxQueueSlots bounds a run's queues over all its pools, pools ×
+// maxQueueSlots bounds a run's queues over all its links, links ×
 // QueuesPerLink. Every queue's state is allocated when the run starts,
 // so without a bound one request could ask for more memory than the
 // process can get, an unrecoverable failure; at the bound a run holds
@@ -658,29 +629,23 @@ func CheckOptions(opts *ExecOptions, p *model.Program, routes [][]topology.Hop, 
 	if err := opts.LinkModel.Validate(links); err != nil {
 		return &ConfigError{Field: "LinkModel", Reason: err.Error()}
 	}
-	pools := links
-	if opts.DirectionalPools {
-		pools *= 2
-	}
-	if pools > 0 && opts.QueuesPerLink > maxQueueSlots/pools {
+	if links > 0 && opts.QueuesPerLink > maxQueueSlots/links {
 		return &ConfigError{Field: "QueuesPerLink", Reason: fmt.Sprintf(
-			"%d queues on each of %d pools exceed the %d queue slots a run may hold", opts.QueuesPerLink, pools, maxQueueSlots)}
+			"%d queues on each of %d pools exceed the %d queue slots a run may hold", opts.QueuesPerLink, links, maxQueueSlots)}
 	}
 	return nil
 }
 
 // prepare checks opts (CheckOptions), applies defaults (Logic,
-// MaxCycles), and resolves the pool regime plus the lowered fault and
-// link-timing tables. It is the shared front half of Run and Exec.Run,
-// so both reject configurations with identical errors; core.Execute
-// checks only what needs the analysis and leaves every other option to
-// this ConfigError. The queue-slot bound is checked before the
-// directional table is built, so a refused configuration builds
-// nothing. The derived cycle bound is the machine's own: the reference
-// engine derives it independently.
-func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, flavor int, flt *fault.Lowered, lm *linkmodel.Lowered, err error) {
+// MaxCycles), and lowers the fault and link-timing tables. It is the
+// shared front half of Run and Exec.Run, so both reject configurations
+// with identical errors; core.Execute checks only what needs the
+// analysis and leaves every other option to this ConfigError. The
+// derived cycle bound is the machine's own: the reference engine
+// derives it independently.
+func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, flt *fault.Lowered, lm *linkmodel.Lowered, err error) {
 	if err := CheckOptions(opts, m.prog, m.routes, len(m.links), m.multiHopMsg); err != nil {
-		return 0, nil, 0, nil, nil, err
+		return 0, nil, nil, err
 	}
 	flt = fault.Lower(opts.Faults, m.prog.NumCells(), len(m.links))
 	lm = linkmodel.Lower(opts.LinkModel, len(m.links))
@@ -692,27 +657,22 @@ func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, tbl *poolTable, fla
 		// A user-set MaxCycles is never second-guessed.
 		maxCycles, err = maxCyclesFor(m.totalWords, m.totalHops, lm.MaxFactor(), flt.MaxFactor())
 		if err != nil {
-			return 0, nil, 0, nil, nil, err
+			return 0, nil, nil, err
 		}
 	}
-	tbl = &m.shared
-	if opts.DirectionalPools {
-		tbl, flavor = &m.directional, 1
-		m.dirOnce.Do(func() { m.directional = m.buildPoolTable(1, 2*len(m.links)) })
-	}
-	return maxCycles, tbl, flavor, flt, lm, nil
+	return maxCycles, flt, lm, nil
 }
 
 // runExec drives one prepared run on e: init, policy setup, the
 // scheduler loop. On success the caller harvests e.result(); on error
 // e can be released or reused.
-func (m *Machine) runExec(e *exec, opts *ExecOptions, tbl *poolTable, flavor, maxCycles int, flt *fault.Lowered, lm *linkmodel.Lowered) error {
-	e.init(m, opts, tbl, flavor, flt, lm)
+func (m *Machine) runExec(e *exec, opts *ExecOptions, maxCycles int, flt *fault.Lowered, lm *linkmodel.Lowered) error {
+	e.init(m, opts, flt, lm)
 	e.ctx = assign.Context{
 		Program:         m.prog,
 		Routes:          m.routes,
-		CompetingByPool: tbl.competingByPool,
-		LabelOrder:      tbl.labelOrder,
+		CompetingByPool: m.pools.competingByPool,
+		LabelOrder:      m.pools.labelOrder,
 		Labels:          m.labels,
 		QueuesPerLink:   opts.QueuesPerLink,
 	}
@@ -731,14 +691,14 @@ func (m *Machine) runExec(e *exec, opts *ExecOptions, tbl *poolTable, flavor, ma
 // configuration problems; run-time deadlock is a Result, not an
 // error. Run is safe for concurrent use.
 func (m *Machine) Run(opts ExecOptions) (*Result, error) {
-	maxCycles, tbl, flavor, flt, lm, err := m.prepare(&opts)
+	maxCycles, flt, lm, err := m.prepare(&opts)
 	if err != nil {
 		return nil, err
 	}
 	// No defer: an exec a panicking run abandons mid-cycle stays out of
 	// the pool.
 	e := borrowExec(false)
-	if err := m.runExec(e, &opts, tbl, flavor, maxCycles, flt, lm); err != nil {
+	if err := m.runExec(e, &opts, maxCycles, flt, lm); err != nil {
 		returnExec(e)
 		return nil, err
 	}

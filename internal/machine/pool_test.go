@@ -17,12 +17,12 @@ import (
 // but on an exec the caller holds, so a test decides which exec serves
 // which run. The Result aliases e's buffers when e.reuse is set.
 func runOn(m *Machine, e *exec, opts ExecOptions) (Result, error) {
-	maxCycles, tbl, flavor, flt, lm, err := m.prepare(&opts)
+	maxCycles, flt, lm, err := m.prepare(&opts)
 	if err != nil {
 		return Result{}, err
 	}
 	defer e.release()
-	if err := m.runExec(e, &opts, tbl, flavor, maxCycles, flt, lm); err != nil {
+	if err := m.runExec(e, &opts, maxCycles, flt, lm); err != nil {
 		return Result{}, err
 	}
 	return e.result(), nil
@@ -45,7 +45,7 @@ func freshRun(m *Machine, opts ExecOptions) (*Result, error) {
 // the FFT butterfly on 8 and on 32 cells, labeled — as the process-wide
 // pool hands it from one borrower to the next, switching between
 // Machine.Run's borrow and a batch Exec's. Policy, queues, capacity,
-// pool regime, link model, faults and RecordTimeline vary from run to
+// link model, faults and RecordTimeline vary from run to
 // run; every Result must equal the same run on a fresh exec. A table
 // init forgets to reset for the next machine shows here as a grant, a
 // word or a report the fresh run does not have. A Result of a
@@ -90,12 +90,11 @@ func TestPooledExecMatchesFresh(t *testing.T) {
 		m := machines[i%2]
 		policy := rng.Intn(len(policies))
 		opts := ExecOptions{
-			QueuesPerLink:    []int{1, 2, 4, 16}[rng.Intn(4)],
-			Capacity:         1 + rng.Intn(3),
-			DirectionalPools: rng.Intn(2) == 0,
-			RecordTimeline:   rng.Intn(2) == 0,
-			LinkModel:        linkModels[rng.Intn(len(linkModels))],
-			Faults:           faultPlans[rng.Intn(len(faultPlans))],
+			QueuesPerLink:  []int{1, 2, 4, 16}[rng.Intn(4)],
+			Capacity:       1 + rng.Intn(3),
+			RecordTimeline: rng.Intn(2) == 0,
+			LinkModel:      linkModels[rng.Intn(len(linkModels))],
+			Faults:         faultPlans[rng.Intn(len(faultPlans))],
 		}
 		e.reuse = rng.Intn(2) == 0
 		desc := fmt.Sprintf("run %d (machine %d, policy %d, reuse %v): %+v", i, i%2, policy, e.reuse, opts)

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"systolic/internal/assign"
 	"systolic/internal/gen"
 	"systolic/internal/model"
 	"systolic/internal/topology"
@@ -17,14 +16,11 @@ import (
 // count-then-fill rewrite — an append per hop, a copy and a sort.Slice
 // per pool — kept as the oracle (less the competing map, which the
 // table no longer holds).
-func (m *Machine) buildPoolTableReference(flavor, numPools int) poolTable {
-	tbl := poolTable{
-		numPools:        numPools,
-		competingByPool: make([][]model.MessageID, numPools),
-	}
+func (m *Machine) buildPoolTableReference() poolTable {
+	numPools := len(m.links)
+	tbl := poolTable{competingByPool: make([][]model.MessageID, numPools)}
 	for id := range m.routes {
-		for _, h := range m.msgHops(model.MessageID(id)) {
-			pool := h.pool[flavor]
+		for _, pool := range m.msgHops(model.MessageID(id)) {
 			tbl.competingByPool[pool] = append(tbl.competingByPool[pool], model.MessageID(id))
 		}
 	}
@@ -76,13 +72,12 @@ func butterfly(t testing.TB, logN int) (*model.Program, topology.Topology) {
 	return p, topology.Linear(n)
 }
 
-// TestPoolTablesMatchReference: both regimes' tables — the competing
-// sets and the label-sorted grant order, nil entries for untouched
-// pools included, the directional one as its first run builds it —
-// equal the old construction on the FFT
-// butterfly (logN=6) and three generated meshes, with labels full of
-// ties (the (label, message id) tie-break decides grant order) and
-// without labels.
+// TestPoolTablesMatchReference: the pool table — the competing sets
+// and the label-sorted grant order, nil entries for untouched pools
+// included — equals the old construction on the FFT butterfly
+// (logN=6) and three generated meshes, with labels full of ties (the
+// (label, message id) tie-break decides grant order) and without
+// labels.
 func TestPoolTablesMatchReference(t *testing.T) {
 	type scenario struct {
 		name string
@@ -109,21 +104,13 @@ func TestPoolTablesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sc.name, err)
 			}
-			for flavor, directional := range []bool{false, true} {
-				opts := ExecOptions{Policy: assign.Static(), QueuesPerLink: 1, Capacity: 1, DirectionalPools: directional}
-				_, tbl, _, _, _, err := m.prepare(&opts)
-				if err != nil {
-					t.Fatalf("%s: %v", sc.name, err)
-				}
-				got := *tbl
-				want := m.buildPoolTableReference(flavor, got.numPools)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s, regime %d, labels=%v: pool table differs from the reference\n got %+v\nwant %+v",
-						sc.name, flavor, labels != nil, got, want)
-				}
-				if labels != nil && slices.IndexFunc(got.competingByPool, func(s []model.MessageID) bool { return len(s) > 0 }) < 0 {
-					t.Errorf("%s: no competing set, nothing compared", sc.name)
-				}
+			got, want := m.pools, m.buildPoolTableReference()
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, labels=%v: pool table differs from the reference\n got %+v\nwant %+v",
+					sc.name, labels != nil, got, want)
+			}
+			if labels != nil && slices.IndexFunc(got.competingByPool, func(s []model.MessageID) bool { return len(s) > 0 }) < 0 {
+				t.Errorf("%s: no competing set, nothing compared", sc.name)
 			}
 		}
 	}

@@ -326,9 +326,7 @@ func TestOverflowingCountsAreConfigErrors(t *testing.T) {
 	ext.ExtCapacity = 1
 	cases := map[string]ExecOptions{"capacity": ext}
 	for name, q := range map[string]int{"queues 1e8": 1e8, "queues 2^40": 1 << 40, "queues overflow": math.MaxInt/2 + 1} {
-		opts := fcfs(q, 1)
-		opts.DirectionalPools = true // two pools on the one link
-		cases[name] = opts
+		cases[name] = fcfs(q, 1)
 	}
 	for name, opts := range cases {
 		var cerr *ConfigError

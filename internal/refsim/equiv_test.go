@@ -6,7 +6,7 @@ package refsim
 // outcome, same cycle count, same received streams, same blocked-cell
 // reports, same timelines, same queue statistics. The suite replays
 // the checked-in fuzz corpus plus a few hundred generated scenarios
-// under a matrix of policies, budgets, capacities, pool regimes, and
+// under a matrix of policies, budgets, capacities, timelines, and
 // extension settings.
 
 import (
@@ -161,9 +161,6 @@ func equivConfigs(labels []int) []machine.ExecOptions {
 	reservedExt.ExtCapacity = 2
 	reservedExt.ExtPenalty = 2
 	cfgs = append(cfgs, reservedExt)
-	directional := base(assign.Compatible(), 1, 1)
-	directional.DirectionalPools = true
-	cfgs = append(cfgs, directional)
 	ext := base(assign.Naive(assign.FCFS, 0), 1, 1)
 	ext.ExtCapacity = 2
 	ext.ExtPenalty = 2
@@ -341,8 +338,8 @@ func runEquivCase(t *testing.T, ec equivCase) bool {
 		}
 		ref, refErr := Run(p, sc.Topology, nil, labels, freshPolicy(cfg))
 		got, gotErr := machineRun(p, sc.Topology, nil, labels, freshPolicy(cfg))
-		name := fmt.Sprintf("seed=%d mut=%d cyclic=%v faults=%d cfg=%d (%s q=%d cap=%d dir=%v)",
-			ec.seed, ec.mutations, ec.cyclic, ec.faultClass, i, cfg.Policy.Name(), cfg.QueuesPerLink, cfg.Capacity, cfg.DirectionalPools)
+		name := fmt.Sprintf("seed=%d mut=%d cyclic=%v faults=%d cfg=%d (%s q=%d cap=%d)",
+			ec.seed, ec.mutations, ec.cyclic, ec.faultClass, i, cfg.Policy.Name(), cfg.QueuesPerLink, cfg.Capacity)
 		if (refErr != nil) != (gotErr != nil) {
 			t.Fatalf("%s: reference err=%v, machine err=%v", name, refErr, gotErr)
 		}

@@ -26,12 +26,10 @@ func TestEnginesShareOptionChecks(t *testing.T) {
 
 	overflow := fcfs(1, math.MaxInt)
 	overflow.ExtCapacity = 1
-	directional := fcfs(math.MaxInt/4+1, 1)
-	directional.DirectionalPools = true // 2 links, 2 pools each
 	for name, cfg := range map[string]machine.ExecOptions{
 		"capacity plus extension overflows": overflow,
 		"queues overflow the slot count":    fcfs(math.MaxInt/2+1, 1),
-		"directional queues over the bound": directional,
+		"queues over the bound":             fcfs(1<<19+1, 1), // 2 links
 		"latch on a two-hop route":          fcfs(1, 0),
 		"nil policy":                        {QueuesPerLink: 1, Capacity: 1},
 	} {

@@ -25,7 +25,7 @@ import (
 
 // queueInst is one physical queue in a link's pool.
 type queueInst struct {
-	link topology.LinkID // real link, for reporting
+	link topology.LinkID // the link, which is also the pool id
 	idx  int
 	q    queue.Queue
 
@@ -33,12 +33,6 @@ type queueInst struct {
 	msg   model.MessageID
 	hop   int // index into the bound message's route
 }
-
-// poolID identifies a queue pool as the policy sees it: the real link
-// id under the shared-pool default, or a synthetic per-direction id
-// (2·link, 2·link+1) under DirectionalPools. Policies treat pool ids
-// opaquely, so the synthetic encoding stays internal to the runner.
-type poolID = topology.LinkID
 
 // msgState tracks one message's transport progress.
 type msgState struct {
@@ -59,12 +53,11 @@ type runner struct {
 	routes [][]topology.Hop
 	links  []topology.Link
 
-	numPools int
-	queues   []queueInst         // pool p occupies [p*Q : (p+1)*Q]
-	pending  [][]model.MessageID // per pool, outstanding requests
-	msgs     []msgState
-	pc       []int
-	issued   []bool
+	queues  []queueInst         // link l's pool occupies [l*Q : (l+1)*Q]
+	pending [][]model.MessageID // per pool, outstanding requests
+	msgs    []msgState
+	pc      []int
+	issued  []bool
 
 	received [][]machine.Word
 
@@ -93,22 +86,11 @@ type runner struct {
 	moved bool // any event this cycle
 }
 
-// pool returns the queue instances of pool p.
-func (r *runner) pool(p poolID) []queueInst {
+// pool returns the queue instances of link l's pool, which serves
+// both directions (§2.3).
+func (r *runner) pool(l topology.LinkID) []queueInst {
 	q := r.cfg.QueuesPerLink
-	return r.queues[int(p)*q : (int(p)+1)*q]
-}
-
-// poolOf maps a route hop to the pool that serves it.
-func (r *runner) poolOf(h topology.Hop) poolID {
-	if !r.cfg.DirectionalPools {
-		return h.Link
-	}
-	dir := poolID(0)
-	if h.From != r.links[h.Link].A {
-		dir = 1
-	}
-	return 2*h.Link + dir
+	return r.queues[int(l)*q : (int(l)+1)*q]
 }
 
 // Run simulates the program over t with the original full-scan engine:
@@ -156,15 +138,13 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 	r := &runner{p: p, cfg: cfg, logic: logic, routes: routes, links: links, faults: flt, lm: lmo}
 	r.setup()
 
-	// Competing sets are indexed by pool: the whole link under the
-	// shared-pool default, per direction under DirectionalPools. Routes
-	// are visited in id order, so each set is ascending, as the
-	// Context requires.
-	competing := make([][]model.MessageID, r.numPools)
+	// Competing sets are indexed by pool, that is by link. Routes are
+	// visited in id order, so each set is ascending, as the Context
+	// requires.
+	competing := make([][]model.MessageID, len(links))
 	for id, route := range routes {
 		for _, h := range route {
-			pool := r.poolOf(h)
-			competing[pool] = append(competing[pool], model.MessageID(id))
+			competing[h.Link] = append(competing[h.Link], model.MessageID(id))
 		}
 	}
 	ctx := &assign.Context{
@@ -223,9 +203,6 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 	r.stats.Queues = make([]machine.QueueStat, 0, len(r.queues))
 	for i := range r.queues {
 		qi := &r.queues[i]
-		// qi.link is the real link, not the pool id: under
-		// DirectionalPools a link's two pools report under the same
-		// physical link, matching the timeline's attribution.
 		r.stats.Queues = append(r.stats.Queues, machine.QueueStat{Link: qi.link, QueueIdx: qi.idx, Stats: qi.q.Stats()})
 	}
 	r.res.Stats = r.stats
@@ -260,31 +237,19 @@ func defaultMaxCycles(p *model.Program, routes [][]topology.Hop, linkFactor, fau
 }
 
 // setup sizes the runner's state for the current program and
-// configuration. Link and pool ids are dense, so pools live in one flat
-// slice (pool p at [p*Q:(p+1)*Q]) in ascending pool-id order.
+// configuration. Link ids are dense and each link has one pool, so
+// pools live in one flat slice (link l's at [l*Q:(l+1)*Q]) in
+// ascending link order.
 func (r *runner) setup() {
 	p, cfg := r.p, r.cfg
-	r.numPools = len(r.links)
-	if cfg.DirectionalPools {
-		r.numPools *= 2
-	}
-	r.queues = make([]queueInst, r.numPools*cfg.QueuesPerLink)
+	r.queues = make([]queueInst, len(r.links)*cfg.QueuesPerLink)
 	for i := range r.queues {
 		qi := &r.queues[i]
-		pool := i / cfg.QueuesPerLink
-		qi.link = topology.LinkID(pool)
-		// idx identifies the queue within its *link* for reporting:
-		// with directional pools the link's two pools are contiguous
-		// (forward 0..Q-1, reverse Q..2Q-1), keeping (link, idx)
-		// unique in timelines and stats.
+		qi.link = topology.LinkID(i / cfg.QueuesPerLink)
 		qi.idx = i % cfg.QueuesPerLink
-		if cfg.DirectionalPools {
-			qi.link = topology.LinkID(pool / 2)
-			qi.idx = i % (2 * cfg.QueuesPerLink)
-		}
 		qi.q.Init(cfg.Capacity, cfg.ExtCapacity, cfg.ExtPenalty)
 	}
-	r.pending = make([][]model.MessageID, r.numPools)
+	r.pending = make([][]model.MessageID, len(r.links))
 	r.msgs = make([]msgState, p.NumMessages())
 	for id, rt := range r.routes {
 		n := len(rt)
@@ -382,7 +347,7 @@ func (r *runner) collectRequests() {
 		if len(ms.route) > 0 && !ms.requested[0] {
 			ms.requested[0] = true
 			if !ms.granted[0] {
-				pool := r.poolOf(ms.route[0])
+				pool := ms.route[0].Link
 				r.pending[pool] = append(r.pending[pool], op.Msg)
 			}
 		}
@@ -396,7 +361,7 @@ func (r *runner) collectRequests() {
 			if ms.queues[hop-1].q.Len() > 0 {
 				ms.requested[hop] = true
 				if !ms.granted[hop] {
-					pool := r.poolOf(ms.route[hop])
+					pool := ms.route[hop].Link
 					r.pending[pool] = append(r.pending[pool], model.MessageID(id))
 				}
 			}
@@ -408,9 +373,9 @@ func (r *runner) collectRequests() {
 // shortest-path route crosses each link (and so each pool) at most
 // once, and routes are short, so a linear scan beats the per-run map
 // the runner used to build.
-func (r *runner) hopOn(link poolID, msg model.MessageID) int {
+func (r *runner) hopOn(link topology.LinkID, msg model.MessageID) int {
 	for hop, h := range r.msgs[msg].route {
-		if r.poolOf(h) == link {
+		if h.Link == link {
 			return hop
 		}
 	}
@@ -418,7 +383,7 @@ func (r *runner) hopOn(link poolID, msg model.MessageID) int {
 }
 
 func (r *runner) grantPhase() {
-	for link := poolID(0); int(link) < r.numPools; link++ {
+	for link := range topology.LinkID(len(r.links)) {
 		pool := r.pool(link)
 		free := 0
 		for i := range pool {
@@ -455,16 +420,13 @@ func (r *runner) grantPhase() {
 				r.removePending(link, msg)
 			}
 			if r.cfg.RecordTimeline {
-				// Record the real link (qi.link), not the pool id:
-				// under DirectionalPools pool ids are synthetic and
-				// release events already use the real link.
 				r.res.Timeline = append(r.res.Timeline, machine.BindEvent{Cycle: r.now, Link: qi.link, QueueIdx: qi.idx, Msg: msg, Bound: true})
 			}
 		}
 	}
 }
 
-func (r *runner) removePending(link poolID, msg model.MessageID) {
+func (r *runner) removePending(link topology.LinkID, msg model.MessageID) {
 	lst := r.pending[link]
 	for i, m := range lst {
 		if m == msg {

@@ -98,8 +98,7 @@ func reportCorpus(t *testing.T, visit func(cfg machine.ExecOptions, res *machine
 // byte, to the golden file: the stall cause each engine picks and the
 // words machine.CellBlock.Reason gives it. The corpus must reach every
 // cause, and deadlock under capacities 0 and 2, the §8.1 extension,
-// directional pools, faults and link models, so no part of the report
-// goes unchecked.
+// faults and link models, so no part of the report goes unchecked.
 func TestDeadlockReportGolden(t *testing.T) {
 	var causes [machine.StallNoWord + 1]int
 	regimes := map[string]int{}
@@ -108,12 +107,11 @@ func TestDeadlockReportGolden(t *testing.T) {
 			causes[cb.Cause]++
 		}
 		for regime, on := range map[string]bool{
-			"capacity 0":        cfg.Capacity == 0,
-			"capacity 2":        cfg.Capacity == 2,
-			"extension":         cfg.ExtCapacity > 0,
-			"directional pools": cfg.DirectionalPools,
-			"faults":            len(res.Faults) > 0,
-			"link model":        cfg.LinkModel != nil,
+			"capacity 0": cfg.Capacity == 0,
+			"capacity 2": cfg.Capacity == 2,
+			"extension":  cfg.ExtCapacity > 0,
+			"faults":     len(res.Faults) > 0,
+			"link model": cfg.LinkModel != nil,
 		} {
 			if on {
 				regimes[regime]++
@@ -126,7 +124,7 @@ func TestDeadlockReportGolden(t *testing.T) {
 			t.Errorf("no stuck cell has cause %d: the corpus no longer reaches it", cause)
 		}
 	}
-	for _, regime := range []string{"capacity 0", "capacity 2", "extension", "directional pools", "faults", "link model"} {
+	for _, regime := range []string{"capacity 0", "capacity 2", "extension", "faults", "link model"} {
 		if regimes[regime] == 0 {
 			t.Errorf("no run deadlocks under %s: the corpus no longer reaches it", regime)
 		}

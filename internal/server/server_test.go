@@ -529,6 +529,7 @@ func TestRequestErrors(t *testing.T) {
 		{"unknown field", "POST", "/v1/run", `{"programme": "x"}`, http.StatusBadRequest},
 		{"unparseable program", "POST", "/v1/run", `{"program": "frobnicate 3"}`, http.StatusBadRequest},
 		{"unknown policy", "POST", "/v1/run", fmt.Sprintf(`{"program": %q, "policy": "nice"}`, relayDSL), http.StatusBadRequest},
+		{"negative lookahead", "POST", "/v1/sweep", fmt.Sprintf(`{"program": %q, "lookaheads": [-1, 0]}`, relayDSL), http.StatusBadRequest},
 		{"under-budget without force", "POST", "/v1/run", fmt.Sprintf(`{"program": %q, "queues": 1, "policy": "static"}`, fig7DSL), http.StatusUnprocessableEntity},
 		{"oversized body", "POST", "/v1/run", `{"program": "` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
 		{"missing result", "GET", "/v1/results/r-99999999", "", http.StatusNotFound},

@@ -173,6 +173,11 @@ func (a Axes) check() (map[string]*linkmodel.Plan, error) {
 			return nil, fmt.Errorf("sweep: capacity %d < 1 (the latch regime needs a dedicated run, not a grid)", cp)
 		}
 	}
+	for _, la := range a.Lookaheads {
+		if la < 0 {
+			return nil, fmt.Errorf("sweep: negative lookahead budget %d", la)
+		}
+	}
 	plans := make(map[string]*linkmodel.Plan, len(a.LinkModels))
 	for _, spec := range a.LinkModels {
 		if spec == "" {

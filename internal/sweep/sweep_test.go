@@ -196,6 +196,9 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(context.Background(), cases, Axes{Queues: []int{-1}}, Options{}); err == nil {
 		t.Error("negative queue budget accepted")
 	}
+	if _, err := Run(context.Background(), cases, Axes{Lookaheads: []int{-1}}, Options{}); err == nil {
+		t.Error("negative lookahead budget accepted")
+	}
 	if _, err := Run(context.Background(), []Case{{Name: "nil"}}, Axes{}, Options{}); err == nil {
 		t.Error("nil program accepted")
 	}

@@ -11,10 +11,29 @@ import (
 	"systolic/internal/sweep"
 )
 
+// checkCSV holds a grid's CSV to the committed copy next to its
+// config, testdata/<name>.csv, written by an earlier build.
+func checkCSV(t *testing.T, got, name string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name+".csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gotLines), len(wantLines)) {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("testdata/%s.csv line %d:\n got  %q\n want %q", name, i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("testdata/%s.csv: %d lines written, %d in the file", name, len(gotLines), len(wantLines))
+	}
+}
+
 // TestSmokeConfigEndToEnd runs the committed CI smoke grid through
-// both drivers and pins the CSV artifact's determinism: two runs of
-// the same config produce byte-identical CSV, the drivers agree, and
-// the CSV has exactly one row per grid point.
+// both drivers and pins the CSV artifact: two runs of the same config
+// produce byte-identical CSV, the drivers agree, the CSV has exactly
+// one row per grid point, and it equals testdata/smoke.csv.
 func TestSmokeConfigEndToEnd(t *testing.T) {
 	cfg, err := loadConfig(filepath.Join("testdata", "smoke.json"))
 	if err != nil {
@@ -46,6 +65,7 @@ func TestSmokeConfigEndToEnd(t *testing.T) {
 	if csv2 := writeCSV(rep2); csv1 != csv2 {
 		t.Fatal("two runs of the same config produced different CSV bytes")
 	}
+	checkCSV(t, csv1, "smoke")
 	if !strings.Contains(csv1, "deadlocked") {
 		t.Error("smoke grid produced no deadlocks; it no longer exercises the interesting rows")
 	}
@@ -109,7 +129,8 @@ func TestBuildCasesValidation(t *testing.T) {
 // experiment: one FFT program re-homed on mesh, torus2d, and
 // hypercube, swept across all three link-timing models. The CSV is
 // byte-deterministic across runs (CI runs the binary twice and cmps),
-// names every interconnect, and actually shows topology sensitivity —
+// equals testdata/topology.csv, names every interconnect, and actually
+// shows topology sensitivity —
 // the same (policy, queues, link model) point must not cost the same
 // number of cycles on every interconnect.
 func TestTopologyConfigEndToEnd(t *testing.T) {
@@ -145,6 +166,7 @@ func TestTopologyConfigEndToEnd(t *testing.T) {
 	if csv2 := writeCSV(rep2); csv1 != csv2 {
 		t.Fatal("two runs of the topology config produced different CSV bytes")
 	}
+	checkCSV(t, csv1, "topology")
 	// Group cycle counts by everything except the case name: at least
 	// one configuration must separate the interconnects.
 	type key struct {
