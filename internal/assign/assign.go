@@ -32,9 +32,6 @@ import (
 // slices across unlimited runs, so policies must treat every field as
 // read-only.
 type Context struct {
-	Program *model.Program
-	// Routes is indexed by message id.
-	Routes [][]topology.Hop
 	// CompetingByPool is the one form of the competing sets, and
 	// required: entry p lists the messages whose routes cross pool p,
 	// in ascending message id, a message once per hop it has there.

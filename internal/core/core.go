@@ -65,6 +65,17 @@ type AnalyzeOptions struct {
 	Picker crossoff.PairPicker
 }
 
+// LookaheadOptions returns the analysis options for a uniform lookahead
+// budget of n words per message: the strict procedure (the zero
+// options) for n = 0, and for n > 0 lookahead under
+// crossoff.UniformBudget(n), which makes Capacity irrelevant.
+func LookaheadOptions(n int) AnalyzeOptions {
+	if n <= 0 {
+		return AnalyzeOptions{}
+	}
+	return AnalyzeOptions{Lookahead: true, BudgetOverride: crossoff.UniformBudget(n)}
+}
+
 // Analysis is the compile-time artifact: classification, labeling, and
 // queue requirements for a (program, topology) pair.
 type Analysis struct {

@@ -184,3 +184,23 @@ func TestAnalyzeNilTopologyNoPanics(t *testing.T) {
 		t.Error("topology.Routes(p, nil): want error")
 	}
 }
+
+// TestLookaheadOptions: budget 0 is the strict procedure, the zero
+// options; budget n turns lookahead on and lets every message skip n
+// words, whatever its id.
+func TestLookaheadOptions(t *testing.T) {
+	if got := LookaheadOptions(0); !reflect.DeepEqual(got, AnalyzeOptions{}) {
+		t.Errorf("LookaheadOptions(0) = %+v, want the zero options", got)
+	}
+	for _, n := range []int{1, 2, 7} {
+		got := LookaheadOptions(n)
+		if !got.Lookahead || got.Capacity != 0 || got.Picker != nil || got.BudgetOverride == nil {
+			t.Fatalf("LookaheadOptions(%d) = %+v, want lookahead under a budget override alone", n, got)
+		}
+		for _, id := range []model.MessageID{0, 1, 41} {
+			if b := got.BudgetOverride(id); b != n {
+				t.Errorf("LookaheadOptions(%d): message %d gets budget %d", n, id, b)
+			}
+		}
+	}
+}

@@ -30,7 +30,7 @@ func TestConditionFindingText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.Analyze(sc.Program, sc.Topology, analyzeOptions(Options{}))
+	a, err := core.Analyze(sc.Program, sc.Topology, core.LookaheadOptions(0))
 	if err != nil || !a.DeadlockFree {
 		t.Fatalf("scenario not approved: %v", err)
 	}

@@ -42,7 +42,6 @@ import (
 	"strings"
 
 	"systolic/internal/core"
-	"systolic/internal/crossoff"
 	"systolic/internal/dsl"
 	"systolic/internal/fault"
 	"systolic/internal/gen"
@@ -194,7 +193,7 @@ func Check(sc *gen.Scenario, opts Options) Result {
 		res.Findings = append(res.Findings, f)
 	}
 
-	a, err := core.Analyze(sc.Program, sc.Topology, analyzeOptions(opts))
+	a, err := core.Analyze(sc.Program, sc.Topology, core.LookaheadOptions(opts.Lookahead))
 	if err != nil {
 		fail(Finding{Invariant: "analyze-error", Detail: err.Error()})
 		return res
@@ -481,16 +480,6 @@ func faultChecks(sc *gen.Scenario, a *core.Analysis, opts Options, res *Result, 
 	faultCondition.check(sc, a, opts, res, fail, noop, periodic)
 }
 
-// analyzeOptions maps oracle options onto the analyzer's.
-func analyzeOptions(opts Options) core.AnalyzeOptions {
-	ao := core.AnalyzeOptions{}
-	if opts.Lookahead > 0 {
-		ao.Lookahead = true
-		ao.BudgetOverride = crossoff.UniformBudget(opts.Lookahead)
-	}
-	return ao
-}
-
 // streamIntegrity checks every received word against the synthetic
 // encoding (message id, word index) — FIFO order per message with no
 // loss, duplication, or cross-wiring. Empty string = intact.
@@ -660,7 +649,7 @@ func renderFindings(b *strings.Builder, title string, fs []Finding) {
 // approves and keep still accepts, and renders it in DSL form.
 func minimize(sc *gen.Scenario, opts Options, keep func(*core.Analysis) bool) string {
 	p := shrink(sc.Program, shrinkBudget, func(q *model.Program) bool {
-		a, err := core.Analyze(q, sc.Topology, analyzeOptions(opts))
+		a, err := core.Analyze(q, sc.Topology, core.LookaheadOptions(opts.Lookahead))
 		return err == nil && a.DeadlockFree && keep(a)
 	})
 	return dsl.Format(p, sc.Topology)

@@ -1,38 +1,35 @@
 package machine
 
-// Batched execution: an execution context a caller holds across many
-// configurations of one compiled machine, instead of borrowing one from
-// the process-wide pool per run. Grid sweeps are the motivating caller —
-// a (policy × queues × capacity) column re-runs the same machine dozens
-// of times — and an Exec also keeps the buffers a Result aliases (the
-// received arena, blocked counts, queue stats, the deadlock report),
-// which Machine.Run must hand over fresh, so the steady-state cost of a
-// grid point is the simulation itself.
+import (
+	"context"
+	"fmt"
 
-// Exec is a reusable execution context for one Machine. Create it with
-// Machine.NewExec, call Run once per configuration, and Release it when
-// done.
+	"systolic/internal/assign"
+)
+
+// Exec is a reusable execution context for one Machine: a caller that
+// runs the same compiled machine many times — a sweep re-runs it for
+// every (policy × queues × capacity) point of a grid column — holds one
+// instead of borrowing from the process-wide pool per run. Create it
+// with Machine.NewExec, call Run once per configuration, and Release it
+// when done. NewExec borrows an exec from the pool Machine.Run borrows
+// from, Release gives it back, and a Run after Release borrows again;
+// an Exec that is never released keeps its scratch until it becomes
+// unreachable.
 //
-// The scratch comes from the same process-wide pool Machine.Run
-// borrows from: NewExec borrows an exec, Release gives it back, and a
-// Run after Release borrows again. An Exec that is never released
-// simply keeps its scratch until it becomes unreachable.
+// The returned Result (including Received, Stats.BlockedCycles,
+// Stats.Queues, and Blocked) aliases buffers the Exec holds and is
+// valid only until the next Run or Release on the same Exec — after
+// Release another run, on any machine, may reuse them. Callers that
+// need a Result to outlive either must deep-copy what they keep. In
+// exchange, a steady-state Run performs no per-run allocations beyond
+// what the policy itself allocates.
 //
-// The contract differs from Machine.Run in one way: the returned
-// Result (including Received, Stats.BlockedCycles, Stats.Queues, and
-// Blocked) aliases buffers the Exec holds and is valid only until the
-// next Run or Release on the same Exec — after Release another run,
-// on any machine, may reuse them. Callers that need a Result to outlive
-// either must deep-copy what they keep. In exchange, a steady-state Run
-// performs no per-run allocations beyond what the policy itself
-// allocates.
-//
-// An Exec is NOT safe for concurrent use — it is one worker's
-// private machine. Concurrent callers use Machine.Run, which is.
-// Byte-for-byte, Exec.Run produces the same Result as Machine.Run
-// for the same options: both drive the identical prepare/runExec
-// path, and the sweep equivalence suite replays grids through both
-// to enforce it.
+// An Exec is NOT safe for concurrent use — it is one worker's private
+// machine. Machine.Run, which is, is a one-run Exec whose exec hands
+// its buffers to the Result before going back to the pool, so Exec.Run
+// gives the same Result as Machine.Run for the same options by
+// construction.
 type Exec struct {
 	m   *Machine
 	e   *exec // nil after Release
@@ -42,25 +39,38 @@ type Exec struct {
 // NewExec returns a batch execution context for m, holding an exec
 // borrowed from the process-wide pool.
 func (m *Machine) NewExec() *Exec {
-	return &Exec{m: m, e: borrowExec(true)}
+	return &Exec{m: m, e: borrowExec()}
 }
 
-// Run simulates one configuration, exactly as Machine.Run would —
-// same validation, same errors, same Result bytes — but against the
-// Exec's held state. See the type comment for the Result lifetime
-// contract.
+// Run simulates one configuration against the Exec's held state:
+// prepare checks and lowers the options, init sizes the exec for the
+// machine, the policy is set up, and the scheduler loop runs. See the
+// type comment for the Result lifetime contract.
 func (ex *Exec) Run(opts ExecOptions) (*Result, error) {
-	maxCycles, flt, lm, err := ex.m.prepare(&opts)
+	m := ex.m
+	maxCycles, flt, lm, err := m.prepare(&opts)
 	if err != nil {
 		return nil, err
 	}
 	if ex.e == nil {
-		ex.e = borrowExec(true)
+		ex.e = borrowExec()
 	}
-	if err := ex.m.runExec(ex.e, &opts, maxCycles, flt, lm); err != nil {
+	e := ex.e
+	e.init(m, &opts, flt, lm)
+	e.ctx = assign.Context{
+		CompetingByPool: m.pools.competingByPool,
+		LabelOrder:      m.pools.labelOrder,
+		Labels:          m.labels,
+		QueuesPerLink:   opts.QueuesPerLink,
+	}
+	if err := opts.Policy.Setup(&e.ctx); err != nil {
 		return nil, err
 	}
-	ex.out = ex.e.result()
+	e.run(maxCycles)
+	if e.cancelled {
+		return nil, fmt.Errorf("machine: run cancelled after %d cycles: %w", e.now, context.Cause(opts.Context))
+	}
+	ex.out = e.result()
 	return &ex.out, nil
 }
 

@@ -100,8 +100,6 @@ type queueInst struct {
 	q    queue.Queue
 
 	bound   bool
-	msg     model.MessageID
-	hop     int // index into the bound message's route
 	cooling bool
 }
 
@@ -194,20 +192,15 @@ type exec struct {
 
 	cooling []int // queue slots with a possibly-armed cooldown
 
-	// reuse marks an exec borrowed by a batch Exec (see batch.go):
-	// buffers that normally escape into the Result — received, the
-	// arena, blocked counts, queue stats, the deadlock report — are
-	// retained and recycled across runs instead of freshly allocated,
-	// because the batch contract says a Result is only valid until the
-	// next Run or Release on the same Exec. Machine.Run borrows with
-	// reuse false: its Results outlive the exec. Each borrow sets it.
-	reuse        bool
+	// The buffers a Result aliases: received (windows into arena), the
+	// blocked counts, the queue stats and the deadlock report. Every
+	// run regrows them in place; handOver gives them to a Result that
+	// outlives the exec.
 	blockedBuf   []int
 	qstatBuf     []QueueStat
 	cellBlockBuf []CellBlock
-
-	received [][]Word // escapes into Result; fresh per run unless reuse
-	arena    []Word   // backing store for all received words; fresh per run unless reuse
+	received     [][]Word
+	arena        []Word
 
 	ctx assign.Context // per-run policy context; fields are shared read-only views
 
@@ -293,9 +286,11 @@ func (e *exec) deliver(id model.MessageID, w Word) {
 }
 
 // grow returns s resized to n, reusing its backing array when large
-// enough. Contents are unspecified; callers clear what they need.
+// enough. Contents are unspecified; callers clear what they need. The
+// result is never nil, so a Result's slices are empty, not nil, on an
+// empty program, as the reference engine's are.
 func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
+	if s == nil || cap(s) < n {
 		return make([]T, n)
 	}
 	return s[:n]
@@ -335,8 +330,6 @@ func (e *exec) init(m *Machine, opts *ExecOptions, flt *fault.Lowered, lm *linkm
 		qi.idx = i % q
 		qi.slot = i
 		qi.bound = false
-		qi.msg = 0
-		qi.hop = 0
 		qi.cooling = false
 		qi.q.Init(opts.Capacity, opts.ExtCapacity, opts.ExtPenalty)
 		if qi.q.RingLen() < ring && tbl.binds(i, q) {
@@ -410,16 +403,11 @@ func (e *exec) init(m *Machine, opts *ExecOptions, flt *fault.Lowered, lm *linkm
 		e.cancel = opts.Context.Done()
 	}
 
-	if e.reuse {
-		// Arena contents need no clearing: deliver re-installs each
-		// message's window empty and only appended words are exposed.
-		e.received = grow(e.received, msgs)
-		clear(e.received)
-		e.arena = grow(e.arena, m.totalWords)
-	} else {
-		e.received = make([][]Word, msgs)
-		e.arena = make([]Word, m.totalWords)
-	}
+	// Arena contents need no clearing: deliver re-installs each
+	// message's window empty and only appended words are exposed.
+	e.received = grow(e.received, msgs)
+	clear(e.received)
+	e.arena = grow(e.arena, m.totalWords)
 	e.res = Result{}
 	e.stats = Stats{}
 	e.now = 0
@@ -430,17 +418,12 @@ func (e *exec) init(m *Machine, opts *ExecOptions, flt *fault.Lowered, lm *linkm
 }
 
 // release clears the per-run inputs — the machine above all, which the
-// pool must not keep alive — and, unless the exec is a batch exec whose
-// buffers are its own, every reference that escaped into the returned
-// Result, before the exec returns to the process-wide pool.
+// pool must not keep alive — before the exec returns to the
+// process-wide pool.
 func (e *exec) release() {
 	e.m = nil
 	e.logic = nil
 	e.policy = nil
-	if !e.reuse {
-		e.received = nil
-		e.arena = nil
-	}
 	e.cancel = nil
 	e.faults = nil
 	e.lm = nil
@@ -963,8 +946,6 @@ func (e *exec) grantPool(pid int) {
 			}
 		}
 		qi.bound = true
-		qi.msg = msg
-		qi.hop = hop
 		ms := &e.msgs[msg]
 		ms.granted[hop] = true
 		ms.queues[hop] = qi
@@ -1326,14 +1307,9 @@ func (e *exec) result() Result {
 		accounted++
 	}
 	cells := e.m.prog.NumCells()
-	var blocked []int
-	if e.reuse {
-		e.blockedBuf = grow(e.blockedBuf, cells)
-		blocked = e.blockedBuf
-		clear(blocked)
-	} else {
-		blocked = make([]int, cells)
-	}
+	e.blockedBuf = grow(e.blockedBuf, cells)
+	blocked := e.blockedBuf
+	clear(blocked)
 	for c := 0; c < cells; c++ {
 		n := len(e.m.code(c))
 		if n == 0 {
@@ -1349,21 +1325,12 @@ func (e *exec) result() Result {
 		}
 	}
 	e.stats.BlockedCycles = blocked
-	e.stats.Cycles = e.now
-	var qs []QueueStat
-	if e.reuse && e.qstatBuf != nil {
-		qs = e.qstatBuf[:0]
-	} else {
-		qs = make([]QueueStat, 0, len(e.queues))
-	}
+	e.qstatBuf = grow(e.qstatBuf, len(e.queues))
 	for i := range e.queues {
 		qi := &e.queues[i]
-		qs = append(qs, QueueStat{Link: qi.link, QueueIdx: qi.idx, Stats: qi.q.Stats()})
+		e.qstatBuf[i] = QueueStat{Link: qi.link, QueueIdx: qi.idx, Stats: qi.q.Stats()}
 	}
-	if e.reuse {
-		e.qstatBuf = qs
-	}
-	e.stats.Queues = qs
+	e.stats.Queues = e.qstatBuf
 	e.res.Stats = e.stats
 	return e.res
 }
@@ -1371,10 +1338,7 @@ func (e *exec) result() Result {
 // blockedReport lists every unfinished cell with the cause its front
 // op is stuck on, picked from the run's hop state.
 func (e *exec) blockedReport() []CellBlock {
-	var out []CellBlock
-	if e.reuse {
-		out = e.cellBlockBuf[:0]
-	}
+	out := e.cellBlockBuf[:0]
 	for c := 0; c < e.m.prog.NumCells(); c++ {
 		front, ok := e.front(c)
 		if !ok {
@@ -1395,8 +1359,13 @@ func (e *exec) blockedReport() []CellBlock {
 		}
 		out = append(out, cb)
 	}
-	if e.reuse {
-		e.cellBlockBuf = out
-	}
+	e.cellBlockBuf = out
 	return out
+}
+
+// handOver gives the buffers the last Result aliases to that Result:
+// the exec forgets them, so its next run allocates its own.
+func (e *exec) handOver() {
+	e.received, e.arena = nil, nil
+	e.blockedBuf, e.qstatBuf, e.cellBlockBuf = nil, nil, nil
 }

@@ -21,9 +21,10 @@
 // contexts feeds every Run and every Exec, and exec.init sizes each
 // table from the machine at hand, so a context warmed by any machine
 // serves any other and a newly compiled machine's first run allocates
-// only what its Result keeps. Run borrows a context and returns it
-// before it returns; an Exec holds one until Release; a context whose
-// queue table outgrew maxPooledQueueSlots is dropped, not pooled.
+// only what its Result keeps. Run borrows a context, hands the Result
+// the buffers it aliases and returns the context before it returns; an
+// Exec holds one until Release; a context whose queue table outgrew
+// maxPooledQueueSlots is dropped, not pooled.
 //
 // The scheduler is cycle-for-cycle equivalent to the reference
 // full-scan engine kept in internal/refsim; the equivalence suite there
@@ -164,7 +165,6 @@ type QueueStat struct {
 
 // Stats aggregates run counters.
 type Stats struct {
-	Cycles     int
 	WordsMoved int // total hop traversals (incl. final reads)
 	Grants     int
 	Releases   int
@@ -378,13 +378,8 @@ type Machine struct {
 // machine it is handed, so one pool serves machines of any shape.
 var execs = sync.Pool{New: func() any { return new(exec) }}
 
-// borrowExec takes an exec from the pool. reuse marks a batch exec,
-// whose Result buffers are its own (see exec.reuse).
-func borrowExec(reuse bool) *exec {
-	e := execs.Get().(*exec)
-	e.reuse = reuse
-	return e
-}
+// borrowExec takes an exec from the pool.
+func borrowExec() *exec { return execs.Get().(*exec) }
 
 // returnExec drops e's run references and gives it back to the pool,
 // unless its queue table is too large to keep (see pooled).
@@ -638,11 +633,10 @@ func CheckOptions(opts *ExecOptions, p *model.Program, routes [][]topology.Hop, 
 
 // prepare checks opts (CheckOptions), applies defaults (Logic,
 // MaxCycles), and lowers the fault and link-timing tables. It is the
-// shared front half of Run and Exec.Run, so both reject configurations
-// with identical errors; core.Execute checks only what needs the
-// analysis and leaves every other option to this ConfigError. The
-// derived cycle bound is the machine's own: the reference engine
-// derives it independently.
+// front half of Exec.Run, and so of Run; core.Execute checks only what
+// needs the analysis and leaves every other option to this
+// ConfigError. The derived cycle bound is the machine's own: the
+// reference engine derives it independently.
 func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, flt *fault.Lowered, lm *linkmodel.Lowered, err error) {
 	if err := CheckOptions(opts, m.prog, m.routes, len(m.links), m.multiHopMsg); err != nil {
 		return 0, nil, nil, err
@@ -663,47 +657,25 @@ func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, flt *fault.Lowered,
 	return maxCycles, flt, lm, nil
 }
 
-// runExec drives one prepared run on e: init, policy setup, the
-// scheduler loop. On success the caller harvests e.result(); on error
-// e can be released or reused.
-func (m *Machine) runExec(e *exec, opts *ExecOptions, maxCycles int, flt *fault.Lowered, lm *linkmodel.Lowered) error {
-	e.init(m, opts, flt, lm)
-	e.ctx = assign.Context{
-		Program:         m.prog,
-		Routes:          m.routes,
-		CompetingByPool: m.pools.competingByPool,
-		LabelOrder:      m.pools.labelOrder,
-		Labels:          m.labels,
-		QueuesPerLink:   opts.QueuesPerLink,
-	}
-	if err := opts.Policy.Setup(&e.ctx); err != nil {
-		return err
-	}
-	e.run(maxCycles)
-	if e.cancelled {
-		return fmt.Errorf("machine: run cancelled after %d cycles: %w", e.now, context.Cause(opts.Context))
-	}
-	return nil
-}
-
 // Run simulates the compiled program to completion, deadlock, or the
 // cycle bound under one configuration. It returns an error only for
 // configuration problems; run-time deadlock is a Result, not an
-// error. Run is safe for concurrent use.
+// error. Run is safe for concurrent use: it is a one-run Exec whose
+// exec hands the Result its buffers before going back to the pool.
 func (m *Machine) Run(opts ExecOptions) (*Result, error) {
-	maxCycles, flt, lm, err := m.prepare(&opts)
+	ex := Exec{m: m}
+	res, err := ex.Run(opts)
+	// No defer: an exec a panicking run abandons mid-cycle stays out of
+	// the pool.
+	if ex.e != nil {
+		if err == nil {
+			ex.e.handOver()
+		}
+		returnExec(ex.e)
+	}
 	if err != nil {
 		return nil, err
 	}
-	// No defer: an exec a panicking run abandons mid-cycle stays out of
-	// the pool.
-	e := borrowExec(false)
-	if err := m.runExec(e, &opts, maxCycles, flt, lm); err != nil {
-		returnExec(e)
-		return nil, err
-	}
-	out := new(Result)
-	*out = e.result()
-	returnExec(e)
-	return out, nil
+	out := *res
+	return &out, nil
 }

@@ -15,17 +15,15 @@ import (
 // runOn makes one run of m on e the way a borrower of the process-wide
 // pool does — init sizes e for m, release drops the run's references —
 // but on an exec the caller holds, so a test decides which exec serves
-// which run. The Result aliases e's buffers when e.reuse is set.
+// which run. The Result aliases e's buffers until e hands them over.
 func runOn(m *Machine, e *exec, opts ExecOptions) (Result, error) {
-	maxCycles, flt, lm, err := m.prepare(&opts)
+	defer e.release()
+	ex := Exec{m: m, e: e}
+	res, err := ex.Run(opts)
 	if err != nil {
 		return Result{}, err
 	}
-	defer e.release()
-	if err := m.runExec(e, &opts, maxCycles, flt, lm); err != nil {
-		return Result{}, err
-	}
-	return e.result(), nil
+	return *res, nil
 }
 
 // freshRun runs opts on m with a new exec that has never been pooled:
@@ -43,14 +41,15 @@ func freshRun(m *Machine, opts ExecOptions) (*Result, error) {
 // TestPooledExecMatchesFresh: one exec serves a long run of
 // configurations interleaved across two machines of different size —
 // the FFT butterfly on 8 and on 32 cells, labeled — as the process-wide
-// pool hands it from one borrower to the next, switching between
-// Machine.Run's borrow and a batch Exec's. Policy, queues, capacity,
-// link model, faults and RecordTimeline vary from run to
-// run; every Result must equal the same run on a fresh exec. A table
+// pool hands it from one borrower to the next, handing a run's buffers
+// over to its Result as Machine.Run does or keeping them as a batch
+// Exec does. Policy, queues, capacity, link model, faults and
+// RecordTimeline vary from run to run; every Result must equal the same
+// run on a fresh exec. A table
 // init forgets to reset for the next machine shows here as a grant, a
-// word or a report the fresh run does not have. A Result of a
-// Machine.Run borrow must still equal it once the exec has served every
-// later run: nothing it holds may stay with the exec.
+// word or a report the fresh run does not have. A handed-over Result
+// must still equal it once the exec has served every later run:
+// nothing it holds may stay with the exec.
 func TestPooledExecMatchesFresh(t *testing.T) {
 	var machines [2]*Machine
 	for i, logN := range []int{3, 5} {
@@ -96,8 +95,8 @@ func TestPooledExecMatchesFresh(t *testing.T) {
 			LinkModel:      linkModels[rng.Intn(len(linkModels))],
 			Faults:         faultPlans[rng.Intn(len(faultPlans))],
 		}
-		e.reuse = rng.Intn(2) == 0
-		desc := fmt.Sprintf("run %d (machine %d, policy %d, reuse %v): %+v", i, i%2, policy, e.reuse, opts)
+		handOver := rng.Intn(2) == 0
+		desc := fmt.Sprintf("run %d (machine %d, policy %d, hand over %v): %+v", i, i%2, policy, handOver, opts)
 		opts.Policy = policies[policy]()
 		got, gotErr := runOn(m, e, opts)
 		opts.Policy = policies[policy]()
@@ -113,7 +112,8 @@ func TestPooledExecMatchesFresh(t *testing.T) {
 		if !reflect.DeepEqual(&got, want) {
 			t.Fatalf("%s: the reused exec diverges from a fresh one\ngot:  %+v\nwant: %+v", desc, got, *want)
 		}
-		if !e.reuse {
+		if handOver {
+			e.handOver()
 			owned = append(owned, kept{desc, &got, want})
 		}
 	}

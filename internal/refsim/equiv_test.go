@@ -378,3 +378,30 @@ func TestEngineEquivalenceOnFuzzCorpus(t *testing.T) {
 func TestEngineEquivalenceOnGeneratedScenarios(t *testing.T) {
 	runEquivCases(t, generatedCases())
 }
+
+// TestEngineEquivalenceOnEmptyProgram: on a program without messages
+// the received streams are empty, not nil, in both engines, whether
+// the machine's run is a Machine.Run, whose exec hands its buffers
+// over, or a batch Exec's, whose exec keeps them.
+func TestEngineEquivalenceOnEmptyProgram(t *testing.T) {
+	b := model.NewBuilder()
+	b.AddCells("C", 2)
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := topology.Linear(2)
+	want := bothEngines(t, p, topo, fcfs(1, 1))
+	m, err := machine.Compile(p, topo, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := m.NewExec()
+	defer ex.Release()
+	for run := 0; run < 2; run++ {
+		got, err := ex.Run(fcfs(1, 1))
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch run %d: %+v, %v; want %+v", run, got, err, want)
+		}
+	}
+}

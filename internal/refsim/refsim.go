@@ -30,8 +30,6 @@ type queueInst struct {
 	q    queue.Queue
 
 	bound bool
-	msg   model.MessageID
-	hop   int // index into the bound message's route
 }
 
 // msgState tracks one message's transport progress.
@@ -148,8 +146,6 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 		}
 	}
 	ctx := &assign.Context{
-		Program:         p,
-		Routes:          routes,
 		CompetingByPool: competing,
 		Labels:          labels,
 		QueuesPerLink:   cfg.QueuesPerLink,
@@ -199,7 +195,6 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 	if r.faults != nil {
 		r.res.Faults = r.faults.Descriptions()
 	}
-	r.stats.Cycles = r.now
 	r.stats.Queues = make([]machine.QueueStat, 0, len(r.queues))
 	for i := range r.queues {
 		qi := &r.queues[i]
@@ -408,8 +403,6 @@ func (r *runner) grantPhase() {
 				}
 			}
 			qi.bound = true
-			qi.msg = msg
-			qi.hop = hop
 			ms := &r.msgs[msg]
 			ms.granted[hop] = true
 			ms.queues[hop] = qi

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"systolic/internal/core"
-	"systolic/internal/crossoff"
 )
 
 // cacheKey is a raw sha256 digest. Keys stay as fixed-size arrays so
@@ -118,11 +117,10 @@ func sweepKey(lookahead int) analysisKey {
 
 // options lowers the key to the core analyzer's options.
 func (k analysisKey) options() core.AnalyzeOptions {
-	opts := core.AnalyzeOptions{Lookahead: k.lookahead, Capacity: k.capacity}
 	if k.budget > 0 {
-		opts.BudgetOverride = crossoff.UniformBudget(k.budget)
+		return core.LookaheadOptions(k.budget)
 	}
-	return opts
+	return core.AnalyzeOptions{Lookahead: k.lookahead, Capacity: k.capacity}
 }
 
 // optsLen is the size of an encoded analysisKey.

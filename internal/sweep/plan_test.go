@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unicode/utf8"
 
 	"systolic/internal/core"
 	"systolic/internal/fault"
@@ -378,27 +379,59 @@ func TestSplitSpansPartitions(t *testing.T) {
 	}
 }
 
-// referenceTable is Report.Table's row rendering as it was written with
-// fmt, kept as the byte-for-byte reference for the strconv rendering.
+// referenceCells are o's table cells as they were written with fmt.
+func referenceCells(o Outcome) []string {
+	queues := fmt.Sprintf("%d", o.QueuesUsed)
+	if o.Queues == 0 {
+		if o.Result == "rejected" || o.Result == "error" {
+			queues = "auto"
+		} else {
+			queues = fmt.Sprintf("auto(%d)", o.QueuesUsed)
+		}
+	}
+	result := o.Result
+	if o.Result == "error" {
+		result = "error*"
+	}
+	return []string{o.CaseName, o.Policy.String(), queues, fmt.Sprint(o.Capacity), fmt.Sprint(o.Lookahead),
+		linkModelLabel(o.LinkModel), result, fmt.Sprint(o.Cycles), fmt.Sprint(o.MaxQueueDepth)}
+}
+
+// referenceHead is the table's header; referenceLeft marks its
+// flush-left columns.
+var (
+	referenceHead = []string{"case", "policy", "queues", "capacity", "lookahead", "link-model", "result", "cycles", "max-depth"}
+	referenceLeft = []bool{true, true, false, false, false, true, false, false, false}
+)
+
+// referenceTable is Report.Table's row rendering written with fmt, kept
+// as the byte-for-byte reference for the strconv rendering: each column
+// is as wide as the widest of its header, its least width and its
+// values, counted in runes as fmt pads.
 func referenceTable(r *Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %-18s %7s %9s %10s %-14s %12s %7s %9s\n",
-		"case", "policy", "queues", "capacity", "lookahead", "link-model", "result", "cycles", "max-depth")
+	widths := []int{12, 18, 7, 9, 10, 14, 12, 7, 9}
+	rows := [][]string{referenceHead}
 	for _, o := range r.Outcomes {
-		queues := fmt.Sprintf("%d", o.QueuesUsed)
-		if o.Queues == 0 {
-			if o.Result == "rejected" || o.Result == "error" {
-				queues = "auto"
-			} else {
-				queues = fmt.Sprintf("auto(%d)", o.QueuesUsed)
+		rows = append(rows, referenceCells(o))
+	}
+	for _, row := range rows {
+		for c, v := range row {
+			widths[c] = max(widths[c], utf8.RuneCountInString(v))
+		}
+	}
+	var b strings.Builder
+	for _, row := range rows {
+		for c, v := range row {
+			format := "%*s"
+			if referenceLeft[c] {
+				format = "%-*s"
+			}
+			fmt.Fprintf(&b, format, widths[c], v)
+			if c < len(row)-1 {
+				b.WriteByte(' ')
 			}
 		}
-		result := o.Result
-		if o.Result == "error" {
-			result = "error*"
-		}
-		fmt.Fprintf(&b, "%-12s %-18s %7s %9d %10d %-14s %12s %7d %9d\n",
-			o.CaseName, o.Policy.String(), queues, o.Capacity, o.Lookahead, linkModelLabel(o.LinkModel), result, o.Cycles, o.MaxQueueDepth)
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
@@ -406,8 +439,12 @@ func referenceTable(r *Report) string {
 // TestTableMatchesFmtRendering holds the fmt-free row rendering to the
 // fmt one on a grid with every row shape: auto(n) and plain budgets, the
 // unresolved "auto" of rejected and error* rows, link-model specs wider
-// than their column, a case name wider than its column and one with
-// multi-byte runes (fmt pads by rune), and cycle counts past the column.
+// than their least width, a case name wider than its least width and
+// one with multi-byte runes (fmt pads by rune), cycle counts and a
+// queue count (an error row at 10⁸ queues) wider than theirs. Every row
+// must line up with the header: a flush-left value starts where its
+// header name starts and a flush-right one ends where its header name
+// ends, counted in runes.
 func TestTableMatchesFmtRendering(t *testing.T) {
 	p1 := workload.Fig5P1()
 	f7 := workload.Fig7(workload.Fig7Options{})
@@ -418,7 +455,7 @@ func TestTableMatchesFmtRendering(t *testing.T) {
 	}
 	axes := Axes{
 		Policies:   []core.PolicyKind{core.NaiveFCFS, core.DynamicCompatible},
-		Queues:     []int{0, 1, 12},
+		Queues:     []int{0, 1, 12, 100000000},
 		Capacities: []int{1},
 		Lookaheads: []int{0, 2},
 		LinkModels: []string{"", "fixed,delay=1048576", "congestion,delay=1,threshold=2,max=4"},
@@ -435,7 +472,7 @@ func TestTableMatchesFmtRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := rep.Table()
-	for _, shape := range []string{"auto(", " auto ", "error*", "rejected", "fixed,delay=1048576", "congestion,delay=1,threshold=2,max=4", "Δ-ring", "unit"} {
+	for _, shape := range []string{"auto(", " auto ", "error*", "rejected", "fixed,delay=1048576", "congestion,delay=1,threshold=2,max=4", "Δ-ring", "unit", " 100000000 "} {
 		if !strings.Contains(table, shape) {
 			t.Errorf("the grid has no %q row; the pin is vacuous there:\n%s", shape, table)
 		}
@@ -446,6 +483,32 @@ func TestTableMatchesFmtRendering(t *testing.T) {
 	}
 	if rest := table[len(want):]; !strings.HasPrefix(rest, "* ") && !strings.HasPrefix(rest, "\n") {
 		t.Fatalf("unexpected text after the rows: %q", rest[:min(len(rest), 80)])
+	}
+
+	lines := strings.Split(table, "\n")
+	header := []rune(lines[0])
+	starts := make([]int, len(referenceHead))
+	from := 0
+	for c, name := range referenceHead {
+		i := strings.Index(string(header[from:]), name)
+		if i < 0 {
+			t.Fatalf("header %q has no column %q", lines[0], name)
+		}
+		starts[c] = from + utf8.RuneCountInString(string(header[from:])[:i])
+		from = starts[c] + len(name)
+	}
+	for i, o := range rep.Outcomes {
+		line := []rune(lines[i+1])
+		for c, v := range referenceCells(o) {
+			n := utf8.RuneCountInString(v)
+			at := starts[c]
+			if !referenceLeft[c] {
+				at += len(referenceHead[c]) - n
+			}
+			if at < 0 || at+n > len(line) || string(line[at:at+n]) != v {
+				t.Errorf("row %d: %s %q is not under its header:\n%s\n%s", i, referenceHead[c], v, lines[0], lines[i+1])
+			}
+		}
 	}
 }
 

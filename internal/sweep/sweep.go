@@ -26,7 +26,6 @@ import (
 	"unicode/utf8"
 
 	"systolic/internal/core"
-	"systolic/internal/crossoff"
 	"systolic/internal/fault"
 	"systolic/internal/linkmodel"
 	"systolic/internal/machine"
@@ -469,12 +468,7 @@ func analyseColumns(ctx context.Context, cases []Case, lookaheads []int, opts Op
 // pair. The explicit budget override makes AnalyzeOptions.Capacity
 // irrelevant, so capacities share one analysis.
 func analyze(c Case, lookahead int) (*core.Analysis, error) {
-	opts := core.AnalyzeOptions{}
-	if lookahead > 0 {
-		opts.Lookahead = true
-		opts.BudgetOverride = crossoff.UniformBudget(lookahead)
-	}
-	return core.Analyze(c.Program, c.Topology, opts)
+	return core.Analyze(c.Program, c.Topology, core.LookaheadOptions(lookahead))
 }
 
 // plan sorts the grid into classes and distinct executions and returns
@@ -773,60 +767,93 @@ func linkModelLabel(spec string) string {
 	return spec
 }
 
-// cell appends s padded with spaces to |width| runes, flush left when
-// width is negative — what fmt's %-Ns and %Ns print — and then sep.
-func cell(b *strings.Builder, s string, width int, sep byte) {
-	pad := max(width, -width) - utf8.RuneCountInString(s)
-	if width < 0 {
-		b.WriteString(s)
+// tableWriter renders Table's header and rows in two passes over the
+// same cells: the measuring pass only widens each column to its widest
+// cell, and the writing pass pads every cell to its column's width.
+type tableWriter struct {
+	b         *strings.Builder
+	w         [9]int // per column: width in runes
+	measuring bool
+}
+
+// tableLeft marks the flush-left columns: case, policy and link model.
+const tableLeft = 1<<0 | 1<<1 | 1<<5
+
+// cell pads s with spaces to column c's width, flush left or right as
+// fmt's %-Ns and %Ns print, and ends it with a space, or a newline
+// after the last column.
+func (t *tableWriter) cell(c int, s string) {
+	n := utf8.RuneCountInString(s)
+	if t.measuring {
+		t.w[c] = max(t.w[c], n)
+		return
 	}
-	for ; pad > 0; pad-- {
-		b.WriteByte(' ')
+	left := tableLeft>>c&1 == 1
+	if left {
+		t.b.WriteString(s)
 	}
-	if width > 0 {
-		b.WriteString(s)
+	for pad := t.w[c] - n; pad > 0; pad-- {
+		t.b.WriteByte(' ')
 	}
-	b.WriteByte(sep)
+	if !left {
+		t.b.WriteString(s)
+	}
+	if c == len(t.w)-1 {
+		t.b.WriteByte('\n')
+	} else {
+		t.b.WriteByte(' ')
+	}
 }
 
 // intCell is cell for a number, formatted on the stack.
-func intCell(b *strings.Builder, v, width int, sep byte) {
+func (t *tableWriter) intCell(c, v int) {
 	var num [20]byte
-	cell(b, string(strconv.AppendInt(num[:0], int64(v), 10)), width, sep)
+	t.cell(c, string(strconv.AppendInt(num[:0], int64(v), 10)))
 }
 
-// Table renders the report as a fixed-width text table, one row per
-// grid point in enumeration order, followed by a per-case summary of
-// deadlock counts and safe budgets. The rendering is deterministic:
-// equal reports produce byte-identical tables. Rows go into one
-// pre-grown builder without fmt: every /v1/sweep reply carries the table.
+// row renders o's cells.
+func (t *tableWriter) row(o *Outcome) {
+	var num [24]byte
+	queues := strconv.AppendInt(num[:0], int64(o.QueuesUsed), 10)
+	if o.Queues == 0 && (o.Result == "rejected" || o.Result == "error") {
+		queues = append(num[:0], "auto"...) // never resolved: the run was not simulated
+	} else if o.Queues == 0 {
+		queues = append(strconv.AppendInt(append(num[:0], "auto("...), int64(o.QueuesUsed), 10), ')')
+	}
+	result := o.Result
+	if o.Result == "error" {
+		result = "error*"
+	}
+	t.cell(0, o.CaseName)
+	t.cell(1, o.Policy.String())
+	t.cell(2, string(queues))
+	t.intCell(3, o.Capacity)
+	t.intCell(4, o.Lookahead)
+	t.cell(5, linkModelLabel(o.LinkModel))
+	t.cell(6, result)
+	t.intCell(7, o.Cycles)
+	t.intCell(8, o.MaxQueueDepth)
+}
+
+// Table renders the report as a text table, one row per grid point in
+// enumeration order, followed by a per-case summary of deadlock counts
+// and safe budgets. Each column is as wide as the wider of its least
+// width and its widest cell, so no cell shifts the rest of its row. The
+// rendering is deterministic: equal reports produce byte-identical
+// tables. Rows go into one pre-grown builder without fmt: every
+// /v1/sweep reply carries the table.
 func (r *Report) Table() string {
 	var b strings.Builder
 	b.Grow((len(r.Outcomes) + 1) * 108)
-	fmt.Fprintf(&b, "%-12s %-18s %7s %9s %10s %-14s %12s %7s %9s\n",
-		"case", "policy", "queues", "capacity", "lookahead", "link-model", "result", "cycles", "max-depth")
-	for _, o := range r.Outcomes {
-		queues := strconv.Itoa(o.QueuesUsed)
-		if o.Queues == 0 {
-			if o.Result == "rejected" || o.Result == "error" {
-				queues = "auto" // never resolved: the run was not simulated
-			} else {
-				queues = "auto(" + queues + ")"
-			}
+	t := tableWriter{b: &b, w: [...]int{12, 18, 7, 9, 10, 14, 12, 7, 9}, measuring: true}
+	for pass := 0; pass < 2; pass++ {
+		for c, head := range [...]string{"case", "policy", "queues", "capacity", "lookahead", "link-model", "result", "cycles", "max-depth"} {
+			t.cell(c, head)
 		}
-		result := o.Result
-		if o.Result == "error" {
-			result = "error*"
+		for i := range r.Outcomes {
+			t.row(&r.Outcomes[i])
 		}
-		cell(&b, o.CaseName, -12, ' ')
-		cell(&b, o.Policy.String(), -18, ' ')
-		cell(&b, queues, 7, ' ')
-		intCell(&b, o.Capacity, 9, ' ')
-		intCell(&b, o.Lookahead, 10, ' ')
-		cell(&b, linkModelLabel(o.LinkModel), -14, ' ')
-		cell(&b, result, 12, ' ')
-		intCell(&b, o.Cycles, 7, ' ')
-		intCell(&b, o.MaxQueueDepth, 9, '\n')
+		t.measuring = false
 	}
 	for _, o := range r.Outcomes {
 		if o.Result == "error" {

@@ -173,3 +173,54 @@ func TestPaperMapNamesExist(t *testing.T) {
 		t.Errorf("%s: %d rows, want one per paper artifact (11)", paperMap, rows)
 	}
 }
+
+// TestDocTestNamesExist: every backticked `Test…`, `Benchmark…` or
+// `Fuzz…` name in ARCHITECTURE.md and README.md is a function some
+// _test.go file of the module declares — a trailing * names a prefix —
+// so the docs cannot send a reader to a test that was renamed or
+// removed.
+func TestDocTestNamesExist(t *testing.T) {
+	tests := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				tests[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)(\\*?)`")
+	for _, doc := range []string{"ARCHITECTURE.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range named.FindAllStringSubmatch(string(text), -1) {
+			name, prefix := m[1], m[2] == "*"
+			found := tests[name]
+			for decl := range tests {
+				found = found || prefix && strings.HasPrefix(decl, name)
+			}
+			if !found {
+				t.Errorf("%s names `%s%s`, which no _test.go file declares", doc, name, m[2])
+			}
+		}
+	}
+}
