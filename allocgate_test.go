@@ -1,13 +1,16 @@
 package systolic_test
 
-// Allocation gates for the compile-once execution core: CI fails when
-// a change re-introduces per-run allocations that scale with program
-// or array size. Budgets are ~3x the measured steady state (8–16
-// allocs per Execute) so legitimate small additions don't flap the
-// gate, while an O(cells) or O(messages) regression (hundreds to
-// thousands of allocations) trips it immediately. The gates are
-// skipped under the race detector, whose instrumentation changes
-// allocation behavior.
+// Allocation gates: the one enforcer of the rule that the per-cycle
+// scheduler allocates nothing per cycle, and of each layer's per-run
+// and per-point budget. Two kinds of budget: a warm run on a held
+// Runner, and a sweep, are deterministic, so their gates
+// (TestAllocGateRunRegimes, TestAllocGateSweepBatch) hold the measured
+// count exactly or within half an allocation per execution, and one
+// more allocation fails them; the one-shot Execute gates keep ~3x the
+// measured steady state (8–16 allocs per Execute), where an O(cells)
+// or O(messages) regression is hundreds to thousands of allocations.
+// The gates are skipped under the race detector, whose instrumentation
+// changes allocation behavior.
 
 import (
 	"context"
@@ -16,6 +19,7 @@ import (
 	"testing"
 
 	"systolic"
+	"systolic/internal/core"
 )
 
 // allocGate asserts the steady-state allocations of one Execute call
@@ -64,20 +68,21 @@ func TestAllocGateExecuteScaleFree(t *testing.T) {
 	allocGate(t, "large-linear-1024", 48, a, systolic.ExecOptions{Capacity: 2})
 }
 
-// TestAllocGateSweepBatch gates the planned sweep driver: on the
-// benchmark grid (Figs 7–8 × 3 policies × 4 queue budgets × 3
-// capacities × 2 lookaheads = 144 points) the whole sweep — per-column
-// analyses and the plan included — must average at most 2.37 allocations
-// per grid point. Three things hold the number down: the grid's 144
-// points are 54 distinct (machine, effective config) executions, a
-// span's core.Runner replays them on one exec, and that exec comes from
-// the process-wide pool warm and goes back when the span ends, so no
-// span pays the exec's tables. An O(cycles) or O(cells) per-run
-// regression multiplies by 54, a plan that stops sharing by 144/54, and
-// scratch cached per machine or per span again costs a table set per
-// span; each trips this (measured: 1.896 allocs/point once run scratch
-// became the process's, 2.465 with an exec per span; the budget is
-// 1.25× the first).
+// TestAllocGateSweepBatch gates both sweep drivers on the benchmark
+// grid (Figs 7–8 × 3 policies × 4 queue budgets × 3 capacities × 2
+// lookaheads = 144 points), per-column analyses and the plan included.
+// The planned driver runs the grid's 54 distinct (machine, effective
+// config) executions, each span's core.Runner replaying them on one
+// exec that comes from the process-wide pool warm and goes back when
+// the span ends; the per-point driver runs all 144 points through
+// core.Execute. Measured: 1.750 and 9.250 allocations per grid point
+// (9.264 when a collection drains the exec pool mid-sweep).
+// Each budget adds half an allocation per execution (27 and 72 per
+// sweep) for the rare pool drain a garbage collection causes, so one
+// more allocation per execution or per point — a message formatted per
+// run, a per-run table — fails its row, as does an O(cycles) or
+// O(cells) per-run regression, a plan that stops sharing (144/54 the
+// runs), or scratch cached per machine or per span again.
 func TestAllocGateSweepBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under -race")
@@ -96,20 +101,29 @@ func TestAllocGateSweepBatch(t *testing.T) {
 		Seed:       1,
 	}
 	points := axes.Size(len(cases))
-	run := func() {
-		rep, err := systolic.Sweep(context.Background(), cases, axes, systolic.SweepOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
+	for _, row := range []struct {
+		name     string
+		perPoint bool
+		budget   float64 // allocations per grid point
+	}{
+		{"planned", false, 1.75 + 27.0/144},
+		{"per-point", true, 9.25 + 72.0/144},
+	} {
+		run := func() {
+			rep, err := systolic.Sweep(context.Background(), cases, axes, systolic.SweepOptions{Workers: 1, PerPoint: row.perPoint})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Outcomes) != points {
+				t.Fatalf("report has %d outcomes, want %d", len(rep.Outcomes), points)
+			}
 		}
-		if len(rep.Outcomes) != points {
-			t.Fatalf("report has %d outcomes, want %d", len(rep.Outcomes), points)
+		run() // warm the process-wide exec pool
+		perPoint := testing.AllocsPerRun(5, run) / float64(points)
+		t.Logf("%s sweep: %.3f allocs per grid point", row.name, perPoint)
+		if perPoint > row.budget {
+			t.Errorf("%s sweep: %.3f allocs per grid point, budget %.4f", row.name, perPoint, row.budget)
 		}
-	}
-	run() // warm the process-wide exec pool
-	perPoint := testing.AllocsPerRun(5, run) / float64(points)
-	t.Logf("planned sweep: %.3f allocs per grid point", perPoint)
-	if perPoint > 2.37 {
-		t.Errorf("planned sweep: %.3f allocs per grid point, budget 2.37", perPoint)
 	}
 }
 
@@ -237,5 +251,94 @@ func TestAllocGateParse(t *testing.T) {
 	t.Logf("pipesort-2000: %v allocs per ParseDSL over %v declarations (%.3f each); %v over %v at twice the rounds", base, decls, base/decls, doubled, declsDoubled)
 	if budget := base + 0.01*(declsDoubled-decls); doubled > budget {
 		t.Errorf("pipesort-2000: %v allocs per ParseDSL at 8 rounds, %v at 4, budget %v: allocations follow the op count", doubled, base, budget)
+	}
+}
+
+// TestAllocGateRunRegimes gates the scheduler's per-cycle code in every
+// run-time regime: each of the six policies runs FFT logN=4 (16 cells,
+// routes up to 8 hops) through a warm core.Runner, whose exec, policy
+// and Result buffers survive from run to run, so a warm run allocates
+// only what its regime needs once per run — the lowered fault or
+// link-model tables, the deadlock report, the timeline — and nothing
+// per cycle. Warm runs are deterministic, so each budget is the
+// measured count exactly, and one allocation added anywhere a regime
+// reaches — a fault gate, a link-model busy window, a grant, the §8.1
+// penalty — fails its row. The adversarial arbiter's sort allocates
+// per grant, so its column is counted, not zero. Static assignment
+// refuses one queue per link at setup (-1: an error, no run).
+func TestAllocGateRunRegimes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are not meaningful under -race")
+	}
+	w, err := systolic.FFTGraph(systolic.FFTOptions{LogN: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := systolic.Analyze(w.Program, w.Topology, systolic.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := func(spec string) *systolic.FaultPlan {
+		p, err := systolic.ParseFaultSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	linkModel := func(spec string) *systolic.LinkModelPlan {
+		p, err := systolic.ParseLinkModelSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	policies := [...]systolic.PolicyKind{
+		systolic.DynamicCompatible, systolic.StaticAssignment, systolic.NaiveFCFS,
+		systolic.NaiveLIFO, systolic.NaiveRandom, systolic.NaiveAdversarial,
+	}
+	regimes := []struct {
+		name    string
+		opts    systolic.ExecOptions
+		outcome string // under DynamicCompatible
+		budgets [len(policies)]float64
+	}{
+		{"plain", systolic.ExecOptions{}, "completed", [...]float64{0, 0, 0, 0, 0, 95}},
+		{"periodic faults", systolic.ExecOptions{Faults: faults("cell:3:slow=2,link:5:slow=3@4")}, "completed", [...]float64{13, 13, 13, 13, 13, 92}},
+		{"dead cell", systolic.ExecOptions{Faults: faults("cell:6:dead@3,link:2:slow=2")}, "deadlocked", [...]float64{12, 12, 12, 12, 12, 82}},
+		{"fixed link model", systolic.ExecOptions{LinkModel: linkModel("fixed,delay=2,credit=1")}, "completed", [...]float64{3, 3, 3, 3, 3, 98}},
+		{"congestion link model", systolic.ExecOptions{LinkModel: linkModel("congestion,delay=2,threshold=1,max=4")}, "completed", [...]float64{3, 3, 3, 3, 3, 98}},
+		{"extension", systolic.ExecOptions{Capacity: 1, ExtCapacity: 2, ExtPenalty: 3}, "completed", [...]float64{0, 0, 0, 0, 0, 95}},
+		{"one queue", systolic.ExecOptions{QueuesPerLink: 1}, "completed", [...]float64{0, -1, 0, 0, 0, 95}},
+		{"timeline", systolic.ExecOptions{RecordTimeline: true}, "completed", [...]float64{10, 10, 9, 9, 8, 104}},
+	}
+	for _, r := range regimes {
+		for i, policy := range policies {
+			opts := r.opts
+			opts.Policy, opts.Seed, opts.Force = policy, 1, true
+			runner := core.NewRunner(a)
+			res, err := runner.Execute(opts) // warms the runner's exec and policy
+			if budget := r.budgets[i]; budget < 0 {
+				if err == nil {
+					t.Errorf("%s/%s: ran, want a setup error", r.name, policy)
+				}
+				runner.Release()
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s/%s: %v", r.name, policy, err)
+			}
+			if policy == systolic.DynamicCompatible && res.Outcome() != r.outcome {
+				t.Fatalf("%s/%s: %s, want %s", r.name, policy, res.Outcome(), r.outcome)
+			}
+			got := testing.AllocsPerRun(10, func() {
+				if _, err := runner.Execute(opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			runner.Release()
+			if got != r.budgets[i] {
+				t.Errorf("%s/%s: %v allocs per warm run, budget exactly %v", r.name, policy, got, r.budgets[i])
+			}
+		}
 	}
 }

@@ -478,8 +478,6 @@ func NewRunner(a *Analysis) *Runner {
 
 // Execute runs one configuration against the Runner's retained
 // execution context. See Runner for the Result lifetime contract.
-//
-//sysvet:hotpath
 func (r *Runner) Execute(opts ExecOptions) (*machine.Result, error) {
 	m, mopts, err := lower(r.a, opts)
 	if err != nil {

@@ -352,8 +352,6 @@ func Lower(p *Plan, numCells, numLinks int) *Lowered {
 }
 
 // CellOpen reports whether cell c may issue an operation on cycle.
-//
-//sysvet:hotpath
 func (l *Lowered) CellOpen(c model.CellID, cycle int) bool {
 	f := l.cellFactor[c]
 	if f == 0 || cycle < int(l.cellFrom[c]) {
@@ -366,8 +364,6 @@ func (l *Lowered) CellOpen(c model.CellID, cycle int) bool {
 }
 
 // LinkOpen reports whether a word may enter link lk's queues on cycle.
-//
-//sysvet:hotpath
 func (l *Lowered) LinkOpen(lk topology.LinkID, cycle int) bool {
 	f := l.linkFactor[lk]
 	if f == 0 || cycle < int(l.linkFrom[lk]) {
@@ -387,8 +383,6 @@ const Never = math.MaxInt
 // first cycle ≥ cycle on which a gate with the given factor encoding
 // is open, assuming the gate's effective-from cycle has been reached
 // whenever the gate is closed on cycle.
-//
-//sysvet:hotpath
 func nextOpen(f int32, from int32, cycle int) int {
 	if f == 0 || cycle < int(from) {
 		return cycle
@@ -408,16 +402,12 @@ func nextOpen(f int32, from int32, cycle int) int {
 // a dead cell. The engines' idle-cycle fast-forward uses it as the
 // earliest cycle a closed gate can stop being the reason an operation
 // is held back.
-//
-//sysvet:hotpath
 func (l *Lowered) CellNextOpen(c model.CellID, cycle int) int {
 	return nextOpen(l.cellFactor[c], l.cellFrom[c], cycle)
 }
 
 // LinkNextOpen is CellNextOpen for link lk's gate; Never for a
 // severed link.
-//
-//sysvet:hotpath
 func (l *Lowered) LinkNextOpen(lk topology.LinkID, cycle int) int {
 	return nextOpen(l.linkFactor[lk], l.linkFrom[lk], cycle)
 }
@@ -426,8 +416,6 @@ func (l *Lowered) LinkNextOpen(lk topology.LinkID, cycle int) int {
 // cycle. A no-event cycle that satisfies this is a true deadlock:
 // dead and severed elements never reopen, every slowed element was
 // offered the cycle, and the state cannot change without an event.
-//
-//sysvet:hotpath
 func (l *Lowered) AllPeriodicOpen(cycle int) bool {
 	for _, g := range l.periodic {
 		if cycle >= g.from && cycle%g.factor != 0 {

@@ -370,8 +370,6 @@ func Lower(p *Plan, numLinks int) *Lowered {
 // congestion feedback min(maxExtra, (tally-1)/threshold). tally must
 // be ≥ 1. The result is ≥ 1; 1 reproduces unit timing (free again
 // next cycle).
-//
-//sysvet:hotpath
 func (l *Lowered) Busy(lk topology.LinkID, tally int32) int {
 	slots := 1
 	if c := l.credit[lk]; c > 0 && tally > c {

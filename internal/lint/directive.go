@@ -12,7 +12,7 @@ import (
 // suppress anything and are reported as findings in their own right.
 type Directive struct {
 	Pos     token.Position
-	Verb    string // "ignore", "unordered", or "hotpath"
+	Verb    string // "ignore" or "unordered"
 	Arg     string // ignore: the analyzer being suppressed
 	Reason  string
 	Problem string
@@ -62,7 +62,7 @@ func parseDirective(text string) *Directive {
 	reason = strings.TrimSpace(reason)
 	fields := strings.Fields(body)
 	if len(fields) == 0 {
-		return &Directive{Problem: "missing directive verb; want ignore, unordered, or hotpath"}
+		return &Directive{Problem: "missing directive verb; want ignore or unordered"}
 	}
 	d := &Directive{Verb: fields[0], Reason: reason}
 	switch d.Verb {
@@ -87,12 +87,8 @@ func parseDirective(text string) *Directive {
 		if !hasReason || reason == "" {
 			d.Problem = "//sysvet:unordered requires a non-empty reason: //sysvet:unordered -- <reason>"
 		}
-	case "hotpath":
-		if len(fields) != 1 {
-			d.Problem = "usage: //sysvet:hotpath (no arguments)"
-		}
 	default:
-		d.Problem = fmt.Sprintf("unknown sysvet directive %q; want ignore, unordered, or hotpath", d.Verb)
+		d.Problem = fmt.Sprintf("unknown sysvet directive %q; want ignore or unordered", d.Verb)
 	}
 	return d
 }
@@ -127,26 +123,6 @@ func (x *DirectiveIndex) Unordered(pos token.Position) bool {
 			if d.Problem == "" && d.Verb == "unordered" {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-// Hotpath reports whether a function declaration is marked
-// //sysvet:hotpath, either inside its doc comment or on the line
-// directly above the declaration.
-func (x *DirectiveIndex) Hotpath(fset *token.FileSet, decl *ast.FuncDecl) bool {
-	if decl.Doc != nil {
-		for _, c := range decl.Doc.List {
-			if strings.HasPrefix(c.Text, directivePrefix+"hotpath") {
-				return true
-			}
-		}
-	}
-	pos := fset.Position(decl.Pos())
-	for _, d := range x.at(pos.Filename, pos.Line-1) {
-		if d.Problem == "" && d.Verb == "hotpath" {
-			return true
 		}
 	}
 	return false

@@ -4,18 +4,19 @@
 // and the standard library's go/parser + go/types. It exists because
 // the contracts ARCHITECTURE.md states in prose — deterministic map
 // iteration in anything that reaches a report, the Grant purity
-// contract, hot-path allocation budgets, context cancellation in
-// blocking paths, and the package-doc floor — are all statically
-// decidable, and checking them at review time is cheaper than
-// discovering violations dynamically in the equivalence suite.
+// contract, context cancellation in blocking paths, and the
+// package-doc floor — are all statically decidable, and checking them
+// at review time is cheaper than discovering violations dynamically in
+// the equivalence suite. The allocation budget is not among them: the
+// TestAllocGate* gates count what a run allocates, exactly, in every
+// run-time regime.
 //
 // TestRepoIsClean runs every analyzer over the module as part of `go
-// test ./...` and fails on any finding. Three source directives steer
+// test ./...` and fails on any finding. Two source directives steer
 // the suite:
 //
 //	//sysvet:ignore <analyzer> -- <reason>   suppress a finding on this or the next line
 //	//sysvet:unordered -- <reason>           assert a map range is order-insensitive (detorder)
-//	//sysvet:hotpath                         opt a function into the hotalloc allocation rules
 //
 // ignore and unordered require a non-empty reason after " -- ";
 // a directive without one is itself reported.
@@ -45,9 +46,9 @@ type Analyzer struct {
 
 // Pass carries one package through one analyzer, mirroring
 // go/analysis.Pass: parsed files, type information, and a Report
-// sink. Dirs exposes the package's sysvet directives so analyzers
-// with their own directive semantics (detorder's unordered,
-// hotalloc's hotpath) can consult them.
+// sink. Dirs exposes the package's sysvet directives so an analyzer
+// with its own directive semantics (detorder's unordered) can consult
+// them.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -94,7 +95,7 @@ func relPosition(pos token.Position) string {
 
 // allAnalyzers returns the full suite in a fixed order.
 func allAnalyzers() []*Analyzer {
-	return []*Analyzer{detorder, grantpure, hotalloc, ctxloop, pkgdoc}
+	return []*Analyzer{detorder, grantpure, ctxloop, pkgdoc}
 }
 
 // analyzerNames is consulted when validating //sysvet:ignore

@@ -125,11 +125,6 @@ func TestGrantpureFixture(t *testing.T) {
 	checkFixture(t, pkg, []*Analyzer{grantpure})
 }
 
-func TestHotallocFixture(t *testing.T) {
-	pkg := loadFixture(t, "hotalloc", "systolic/internal/lintfixtures/hotallocfix")
-	checkFixture(t, pkg, []*Analyzer{hotalloc})
-}
-
 func TestCtxloopFixture(t *testing.T) {
 	// sweep is in both ctxloop scopes: blocking loops and ExecOptions
 	// literals.
@@ -181,7 +176,7 @@ func TestDirectiveValidation(t *testing.T) {
 		{"sysvet", "//sysvet:unordered requires a non-empty reason", 1},
 		{"sysvet", `unknown analyzer "nosuchanalyzer"`, 1},
 		{"sysvet", "usage: //sysvet:ignore <analyzer> -- <reason>", 1},
-		{"sysvet", "usage: //sysvet:hotpath (no arguments)", 1},
+		{"sysvet", `unknown sysvet directive "hotpath"`, 1}, // the retired marker
 		{"sysvet", `unknown sysvet directive "frobnicate"`, 1},
 		{"detorder", "map iteration order escapes", 1}, // the malformed ignore must not suppress
 	}

@@ -11,13 +11,11 @@ package directivesfix
 //sysvet:ignore nosuchanalyzer -- the analyzer name is made up
 //sysvet:ignore
 //sysvet:unordered
-//sysvet:hotpath with arguments
+//sysvet:hotpath
 //sysvet:frobnicate -- not a verb
 
 // wellFormed carries one valid directive of each verb; none of these
 // may produce a problem finding.
-//
-//sysvet:hotpath
 func wellFormed(m map[string]int) []string {
 	var out []string
 	//sysvet:ignore detorder -- fixture: a valid suppression

@@ -70,8 +70,6 @@ func (b *bitset) sizeTo(n int) {
 }
 
 // add inserts i.
-//
-//sysvet:hotpath
 func (b *bitset) add(i int) {
 	w, bit := i>>6, uint64(1)<<(i&63)
 	if b.words[w]&bit == 0 {
@@ -82,8 +80,6 @@ func (b *bitset) add(i int) {
 }
 
 // drop removes i.
-//
-//sysvet:hotpath
 func (b *bitset) drop(i int) {
 	w, bit := i>>6, uint64(1)<<(i&63)
 	if b.words[w]&bit != 0 {
@@ -96,22 +92,16 @@ func (b *bitset) drop(i int) {
 }
 
 // has reports membership of i.
-//
-//sysvet:hotpath
 func (b *bitset) has(i int) bool {
 	return b.words[i>>6]&(uint64(1)<<(i&63)) != 0
 }
 
 // len returns the number of members.
-//
-//sysvet:hotpath
 func (b *bitset) len() int { return b.count }
 
 // clearAll empties the set, keeping its capacity. It zeroes the words
 // the summary names, so emptying a sparse set costs its members, not
 // its capacity.
-//
-//sysvet:hotpath
 func (b *bitset) clearAll() {
 	if b.count == 0 {
 		return
@@ -147,8 +137,6 @@ func fillPrefix(ws []uint64, n int) {
 // copyFrom makes b an exact copy of src, which must be sized like b.
 // Like clearAll it follows the summaries, so the copy costs the two
 // sets' non-empty words.
-//
-//sysvet:hotpath
 func (b *bitset) copyFrom(src *bitset) {
 	b.clearAll()
 	for s, m := range src.sum {
@@ -171,8 +159,6 @@ func (b *bitset) copyFrom(src *bitset) {
 // scan itself is small enough to inline: the step past the set's end —
 // every walk takes one, and a one-word set's walk is little else —
 // costs a compare, not a call.
-//
-//sysvet:hotpath
 func (b *bitset) scan(w int, tally *int) (int, uint64) {
 	if w >= len(b.words) {
 		return 0, 0
@@ -184,7 +170,6 @@ func (b *bitset) scan(w int, tally *int) (int, uint64) {
 // that scan stays within the inlining budget: the loops pay for a call
 // only when there is a word to look for.
 //
-//sysvet:hotpath
 //go:noinline
 func (b *bitset) scanFrom(w int, tally *int) (int, uint64) {
 	for w < len(b.words) {

@@ -275,8 +275,6 @@ const noWake = fault.Never
 // that never deliver stay nil, as callers expect) and capped at the
 // declared word count: the whole run's received output costs one
 // allocation instead of one per message.
-//
-//sysvet:hotpath
 func (e *exec) deliver(id model.MessageID, w Word) {
 	if e.received[id] == nil {
 		off, end := e.m.wordOff[id], e.m.wordOff[id+1]
@@ -434,8 +432,6 @@ func (e *exec) release() {
 
 // hopLink returns the link of hop i of message id, which is also the
 // id of the pool serving it.
-//
-//sysvet:hotpath
 func (e *exec) hopLink(id model.MessageID, hop int) topology.LinkID {
 	return e.m.hops[e.m.hopOff[id]+int32(hop)]
 }
@@ -444,16 +440,12 @@ func (e *exec) hopLink(id model.MessageID, hop int) topology.LinkID {
 // it is not inside a busy window from an earlier cycle's traffic.
 // Callers gate with e.lm != nil so the unit-latency path never loads
 // the table.
-//
-//sysvet:hotpath
 func (e *exec) linkFree(lk topology.LinkID) bool {
 	return e.now >= e.lmNextFree[lk]
 }
 
 // noteLinkHit tallies one word crossing link lk this cycle. Callers
 // gate with e.lm != nil.
-//
-//sysvet:hotpath
 func (e *exec) noteLinkHit(lk topology.LinkID) {
 	if e.lmTally[lk] == 0 {
 		e.lmDirty = append(e.lmDirty, int32(lk))
@@ -466,8 +458,6 @@ func (e *exec) noteLinkHit(lk topology.LinkID) {
 // (nextFree = now + Busy(link, tally)), and the tallies reset.
 // It runs after the release phase — the reference engine runs the
 // identical fold at the identical point.
-//
-//sysvet:hotpath
 func (e *exec) lmEndCycle() {
 	for _, l := range e.lmDirty {
 		nf := e.now + e.lm.Busy(topology.LinkID(l), e.lmTally[l])
@@ -482,8 +472,6 @@ func (e *exec) lmEndCycle() {
 
 // noteWake folds cycle t into this cycle's wake minimum: some
 // candidate is held back by a predicate that cannot flip before t.
-//
-//sysvet:hotpath
 func (e *exec) noteWake(t int) {
 	e.wake = min(e.wake, t)
 }
@@ -491,23 +479,17 @@ func (e *exec) noteWake(t int) {
 // noteGated counts one operation held back by a fault gate that
 // cannot reopen before cycle reopen (fault.Never for a dead cell or a
 // severed link).
-//
-//sysvet:hotpath
 func (e *exec) noteGated(reopen int) {
 	e.stats.GatedOps++
 	e.wake = min(e.wake, reopen)
 }
 
 // pool returns the queue instances of pool p.
-//
-//sysvet:hotpath
 func (e *exec) pool(p int) []queueInst {
 	return e.queues[p*e.queuesPerLink : (p+1)*e.queuesPerLink]
 }
 
 // hopOn returns the route hop of msg served by pool, or -1.
-//
-//sysvet:hotpath
 func (e *exec) hopOn(pool int, msg model.MessageID) int {
 	for i, lk := range e.m.msgHops(msg) {
 		if int(lk) == pool {
@@ -522,8 +504,6 @@ func (e *exec) hopOn(pool int, msg model.MessageID) int {
 // caller, and the transport set's walks (reads, advances) ran earlier
 // in the cycle. An id that is still a member (drained this cycle, not
 // yet dropped) collapses in add.
-//
-//sysvet:hotpath
 func (e *exec) noteTransport(id model.MessageID) {
 	e.transport.add(int(id))
 }
@@ -537,8 +517,6 @@ func (e *exec) noteTransport(id model.MessageID) {
 // go this very cycle, exactly as the reference engine's in-line
 // insertion allows; a pc advance lands after it, in next cycle's
 // snapshot — the cell has issued its one op of this cycle.
-//
-//sysvet:hotpath
 func (e *exec) noteWriter(id model.MessageID) {
 	e.writers.add(int(id))
 }
@@ -548,8 +526,6 @@ func (e *exec) noteWriter(id model.MessageID) {
 // it, while walking the snapshot, so the real set is free to change
 // under the walk; the sender may come back to W(id) later in the same
 // phase (noteWriter) and the entry then stays a member.
-//
-//sysvet:hotpath
 func (e *exec) dropWriter(id model.MessageID) {
 	e.writers.drop(int(id))
 }
@@ -559,24 +535,18 @@ func (e *exec) dropWriter(id model.MessageID) {
 // can make one — collectInterior marks head+1 the first time it sees
 // it. Callers keep the set empty on machines where every route is a
 // single hop, whose interior phases are skipped outright.
-//
-//sysvet:hotpath
 func (e *exec) noteReqCheck(id model.MessageID) {
 	e.reqSet.add(int(id))
 }
 
 // noteMoved records that id's last word departed a hop: that hop's
 // queue is now releasable.
-//
-//sysvet:hotpath
 func (e *exec) noteMoved(id model.MessageID) {
 	e.movedSet.add(int(id))
 }
 
 // noteEvent records per-cycle progress: the cycle saw an event (so the
 // run is not deadlocked) and words hop traversals.
-//
-//sysvet:hotpath
 func (e *exec) noteEvent(words int) {
 	e.moved = true
 	e.stats.WordsMoved += words
@@ -584,8 +554,6 @@ func (e *exec) noteEvent(words int) {
 
 // noteCooling registers a queue whose Pop may have armed an
 // extension-access cooldown.
-//
-//sysvet:hotpath
 func (e *exec) noteCooling(qi *queueInst) {
 	if !qi.cooling && qi.q.Cooling() {
 		qi.cooling = true
@@ -596,24 +564,18 @@ func (e *exec) noteCooling(qi *queueInst) {
 // markCellDirty records a cell whose pc advanced onto a W that still
 // has its first hop to ask for. The next collect reads it; this
 // cycle's already ran.
-//
-//sysvet:hotpath
 func (e *exec) markCellDirty(c int) {
 	e.dirty.add(c)
 }
 
 // issuedNow reports whether cell c has already issued its one op of
 // this cycle.
-//
-//sysvet:hotpath
 func (e *exec) issuedNow(c int) bool {
 	return e.issued[c] == e.now+1
 }
 
 // front returns cell c's front op; ok is false once the cell has
 // issued its whole program.
-//
-//sysvet:hotpath
 func (e *exec) front(c int) (op packedOp, ok bool) {
 	if pc := e.pc[c]; pc < e.m.opOff[c+1] {
 		return e.m.ops[pc], true
@@ -632,8 +594,6 @@ func (e *exec) issuedOps(c int) int {
 // if the message has yet to ask for its first hop, the writer set if
 // that hop is already bound (a reserving policy can make both true at
 // once).
-//
-//sysvet:hotpath
 func (e *exec) advancePC(c int) {
 	e.pc[c]++
 	e.issued[c] = e.now + 1
@@ -741,8 +701,6 @@ func (e *exec) run(maxCycles int) {
 // would have counted gated more GatedOps and ticked every running
 // cooldown once. The target is clamped to maxCycles so a run that
 // times out inside a window still reports Cycles == MaxCycles.
-//
-//sysvet:hotpath
 func (e *exec) fastForward(maxCycles, gated int) {
 	target := e.wake
 	for _, slot := range e.cooling {
@@ -773,8 +731,6 @@ func (e *exec) fastForward(maxCycles, gated int) {
 
 // tickCooling advances extension-penalty cooldowns, compacting
 // entries whose cooldown has expired.
-//
-//sysvet:hotpath
 func (e *exec) tickCooling() {
 	w := 0
 	for _, slot := range e.cooling {
@@ -792,8 +748,6 @@ func (e *exec) tickCooling() {
 
 // anyCooling reports whether some queue is waiting out an
 // extension-access penalty; such cycles are latency, not deadlock.
-//
-//sysvet:hotpath
 func (e *exec) anyCooling() bool {
 	for _, slot := range e.cooling {
 		if e.queues[slot].q.Cooling() {
@@ -813,8 +767,6 @@ func (e *exec) anyCooling() bool {
 // not arm. First-hop checks run over dirty cells in cell order, then
 // interior checks over live messages in message order — the same
 // relative append order the reference full scan produces.
-//
-//sysvet:hotpath
 func (e *exec) collectRequests() {
 	if e.dirty.len() > 0 {
 		e.collectFirstHop()
@@ -828,8 +780,6 @@ func (e *exec) collectRequests() {
 
 // collectFirstHop checks the dirty cells for senders parked at an
 // unrequested W.
-//
-//sysvet:hotpath
 func (e *exec) collectFirstHop() {
 	set, seen := &e.dirty, &e.visits.setWords
 	for w, word := set.scan(0, seen); word != 0; w, word = set.scan(w+1, seen) {
@@ -854,8 +804,6 @@ func (e *exec) collectFirstHop() {
 
 // notePending registers msg's outstanding request on pool; the request
 // changes the pool's pending list, so the pool arms.
-//
-//sysvet:hotpath
 func (e *exec) notePending(pool int, msg model.MessageID) {
 	e.pending[pool] = append(e.pending[pool], msg)
 	e.armed.add(pool)
@@ -871,8 +819,6 @@ func (e *exec) notePending(pool int, msg model.MessageID) {
 // (nothing moves between a transfer phase and the next collect), which
 // is §5's condition. This subset in ascending order appends to the
 // pending lists exactly as the full message scan does.
-//
-//sysvet:hotpath
 func (e *exec) collectInterior() {
 	set, seen := &e.reqSet, &e.visits.setWords
 	for w, word := set.scan(0, seen); word != 0; w, word = set.scan(w+1, seen) {
@@ -897,8 +843,6 @@ func (e *exec) collectInterior() {
 // changes, so every invocation the reference engine's per-cycle sweep
 // would have made that could matter is made here too. Policy instances
 // are stateful and their call order is part of the observable behavior.
-//
-//sysvet:hotpath
 func (e *exec) grantPhase() {
 	if e.armed.len() == 0 {
 		return
@@ -919,8 +863,6 @@ func (e *exec) grantPhase() {
 
 // grantPool is grantPhase's visit to one armed pool: one Grant call and
 // the bindings it asks for.
-//
-//sysvet:hotpath
 func (e *exec) grantPool(pid int) {
 	pool := e.pool(pid)
 	free := 0
@@ -971,7 +913,6 @@ func (e *exec) grantPool(pid int) {
 	}
 }
 
-//sysvet:hotpath
 func (e *exec) removePending(pool int, msg model.MessageID) {
 	lst := e.pending[pool]
 	for i, m := range lst {
@@ -990,8 +931,6 @@ func (e *exec) removePending(pool int, msg model.MessageID) {
 // ascending id order; a cell's front op names exactly one message, so
 // this visits the same actions as the reference engine's cell-order
 // scans.
-//
-//sysvet:hotpath
 func (e *exec) cellAndTransferPhase() {
 	// Snapshot the writer set up front: entries added mid-cycle belong
 	// to cells that have already issued, so deferring them to the next
@@ -1025,8 +964,6 @@ func (e *exec) cellAndTransferPhase() {
 // readPhase serves receiver reads for the transport set. Only messages
 // with buffered words can serve a read; fully drained entries leave the
 // set here.
-//
-//sysvet:hotpath
 func (e *exec) readPhase() {
 	set, seen := &e.transport, &e.visits.setWords
 	for w, word := set.scan(0, seen); word != 0; w, word = set.scan(w+1, seen) {
@@ -1077,8 +1014,6 @@ func (e *exec) readPhase() {
 // set, over each message's occupied-hop window: a hop before tail is
 // released and a hop after head has no word to give, so neither can be
 // the source of a move.
-//
-//sysvet:hotpath
 func (e *exec) advancePhase() {
 	set, seen := &e.transport, &e.visits.setWords
 	for w, word := set.scan(0, seen); word != 0; w, word = set.scan(w+1, seen) {
@@ -1123,8 +1058,6 @@ func (e *exec) advancePhase() {
 
 // writePhase pushes sender words into first-hop queues for the writer
 // snapshot.
-//
-//sysvet:hotpath
 func (e *exec) writePhase() {
 	set, seen := &e.writerSnap, &e.visits.setWords
 	for w, word := set.scan(0, seen); word != 0; w, word = set.scan(w+1, seen) {
@@ -1184,8 +1117,6 @@ func (e *exec) writePhase() {
 // rendezvous matches W(m) senders with R(m) receivers over bound
 // capacity-0 latches: the word passes through without ever being
 // buffered, the paper's "queues are just latches" regime.
-//
-//sysvet:hotpath
 func (e *exec) rendezvous() {
 	// A rendezvous needs the sender parked at W(id) over a bound
 	// latch — precisely the writer set (capacity 0 admits only
@@ -1249,8 +1180,6 @@ func (e *exec) rendezvous() {
 // window: hops complete in route order, so the scan starts at tail and
 // stops at the first hop still waiting for words. Ascending message
 // order is the order of the release-side timeline events.
-//
-//sysvet:hotpath
 func (e *exec) releasePhase() {
 	if e.movedSet.len() == 0 {
 		return
@@ -1363,9 +1292,46 @@ func (e *exec) blockedReport() []CellBlock {
 	return out
 }
 
-// handOver gives the buffers the last Result aliases to that Result:
-// the exec forgets them, so its next run allocates its own.
-func (e *exec) handOver() {
-	e.received, e.arena = nil, nil
-	e.blockedBuf, e.qstatBuf, e.cellBlockBuf = nil, nil, nil
+// handOver makes res, the last run's Result, independent of the exec.
+// A buffer at most twice what the run used goes to res, and the exec
+// forgets it, so its next run allocates its own; a larger one, grown by
+// an earlier run on a larger machine, stays with the exec and res gets
+// an exact copy, so a Result never keeps another machine's tables
+// alive. The received windows go with their arena, or are copied into
+// a new one.
+func (e *exec) handOver(res *Result) {
+	res.Stats.BlockedCycles = handOverBuf(&e.blockedBuf, res.Stats.BlockedCycles)
+	res.Stats.Queues = handOverBuf(&e.qstatBuf, res.Stats.Queues)
+	res.Blocked = handOverBuf(&e.cellBlockBuf, res.Blocked)
+	if fits(e.received) && fits(e.arena) {
+		e.received, e.arena = nil, nil
+		return
+	}
+	words := 0
+	for _, w := range res.Received {
+		words += cap(w)
+	}
+	arena := make([]Word, words)
+	received := make([][]Word, len(res.Received))
+	for id, w := range res.Received {
+		if w != nil {
+			received[id] = append(arena[:0:cap(w)], w...)
+			arena = arena[cap(w):]
+		}
+	}
+	res.Received = received
+}
+
+// fits reports whether s uses at least half of its backing array.
+func fits[T any](s []T) bool { return cap(s) <= 2*len(s) }
+
+// handOverBuf returns what a Result keeps of s, a window on the exec's
+// buffer *buf: s itself when it fits, the exec forgetting *buf, and
+// otherwise an exact copy.
+func handOverBuf[T any](buf *[]T, s []T) []T {
+	if fits(s) {
+		*buf = nil
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }

@@ -275,21 +275,15 @@ type ExecOptions struct {
 // R(id)?" is one compare against readOf(id).
 type packedOp uint32
 
-//sysvet:hotpath
 func packOp(op model.Op) packedOp { return packedOp(op.Msg)<<1 | packedOp(op.Kind) }
 
 // readOf and writeOf are the packed forms of R(id) and W(id).
-//
-//sysvet:hotpath
 func readOf(id model.MessageID) packedOp { return packedOp(id) << 1 }
 
-//sysvet:hotpath
 func writeOf(id model.MessageID) packedOp { return packedOp(id)<<1 | 1 }
 
-//sysvet:hotpath
 func (o packedOp) isWrite() bool { return o&1 != 0 }
 
-//sysvet:hotpath
 func (o packedOp) msg() model.MessageID { return model.MessageID(o >> 1) }
 
 // op rebuilds the model form, for reports.
@@ -661,7 +655,8 @@ func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, flt *fault.Lowered,
 // cycle bound under one configuration. It returns an error only for
 // configuration problems; run-time deadlock is a Result, not an
 // error. Run is safe for concurrent use: it is a one-run Exec whose
-// exec hands the Result its buffers before going back to the pool.
+// exec hands the Result its buffers (see exec.handOver) before going
+// back to the pool.
 func (m *Machine) Run(opts ExecOptions) (*Result, error) {
 	ex := Exec{m: m}
 	res, err := ex.Run(opts)
@@ -669,7 +664,7 @@ func (m *Machine) Run(opts ExecOptions) (*Result, error) {
 	// the pool.
 	if ex.e != nil {
 		if err == nil {
-			ex.e.handOver()
+			ex.e.handOver(res)
 		}
 		returnExec(ex.e)
 	}

@@ -113,7 +113,7 @@ func TestPooledExecMatchesFresh(t *testing.T) {
 			t.Fatalf("%s: the reused exec diverges from a fresh one\ngot:  %+v\nwant: %+v", desc, got, *want)
 		}
 		if handOver {
-			e.handOver()
+			e.handOver(&got)
 			owned = append(owned, kept{desc, &got, want})
 		}
 	}
@@ -181,6 +181,42 @@ func TestPoolDropsOversizedExec(t *testing.T) {
 		}
 		if e.pooled() != c.pooled {
 			t.Errorf("%d queues: an exec holding %d queue slots goes back to the pool: %v, want %v", c.queues, cap(e.queues), e.pooled(), c.pooled)
+		}
+	}
+}
+
+// TestRunResultSizedToItsRun: a Machine.Run Result keeps no buffer a
+// larger machine grew. Batch runs on a 512-cell machine leave their
+// exec in the pool with 512-cell tables; a 4-cell Machine.Run after
+// them, completed or deadlocked, returns a Result whose every slice
+// uses at least half of its backing array.
+func TestRunResultSizedToItsRun(t *testing.T) {
+	big := mustCompile(t, pipeline(t, 512, 4), topology.Linear(512))
+	small := mustCompile(t, pipeline(t, 4, 4), topology.Linear(4))
+	for _, faults := range []*fault.Plan{nil, mustFaults(t, "cell:1:dead")} {
+		opts := fcfs(2, 2)
+		opts.Faults = faults
+		ex := big.NewExec()
+		if _, err := ex.Run(opts); err != nil {
+			t.Fatal(err)
+		}
+		ex.Release()
+		res, err := small.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed == (faults != nil) {
+			t.Fatalf("faults %v: outcome %s", faults, res.Outcome())
+		}
+		for name, lc := range map[string][2]int{
+			"Received":            {len(res.Received), cap(res.Received)},
+			"Blocked":             {len(res.Blocked), cap(res.Blocked)},
+			"Stats.BlockedCycles": {len(res.Stats.BlockedCycles), cap(res.Stats.BlockedCycles)},
+			"Stats.Queues":        {len(res.Stats.Queues), cap(res.Stats.Queues)},
+		} {
+			if lc[1] > 2*lc[0] {
+				t.Errorf("faults %v: %s has len %d cap %d: the Result keeps a larger machine's buffer", faults, name, lc[0], lc[1])
+			}
 		}
 	}
 }

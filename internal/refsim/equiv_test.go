@@ -63,7 +63,7 @@ type equivCase struct {
 // knobs positionally — mutations, workload family, fault class; the
 // family byte is oracle-only (internal/diff replays the families), the
 // other two replay.
-func corpusCases(t *testing.T) []equivCase {
+func corpusCases(t testing.TB) []equivCase {
 	t.Helper()
 	dir := filepath.Join("..", "diff", "testdata", "fuzz", "FuzzOracle")
 	entries, err := os.ReadDir(dir)

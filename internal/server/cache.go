@@ -100,9 +100,17 @@ type analysisKey struct {
 	budget    int // uniform skip budget override; 0 = R2-derived
 }
 
-// runKey maps a request's AnalyzeSpec onto the cache key space.
+// runKey maps a request's AnalyzeSpec onto the cache key space. The
+// analysis reads capacity only to size the lookahead budget, so
+// without lookahead a valid capacity is dropped from the key and every
+// capacity shares one entry; a negative one stays, for Analyze to
+// refuse.
 func runKey(spec AnalyzeSpec) analysisKey {
-	return analysisKey{lookahead: spec.Lookahead, capacity: spec.Capacity}
+	k := analysisKey{lookahead: spec.Lookahead, capacity: spec.Capacity}
+	if !k.lookahead && k.capacity > 0 {
+		k.capacity = 0
+	}
+	return k
 }
 
 // sweepKey maps one sweep lookahead axis value onto the cache key

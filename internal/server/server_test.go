@@ -247,6 +247,35 @@ func TestAnalyzeOptionsSplitTheCache(t *testing.T) {
 	}
 }
 
+// TestCapacityWithoutLookaheadSharesTheCache: the analysis reads its
+// capacity only under lookahead, so without it a capacity is the same
+// scenario as none — one compile, one LRU slot — while a negative one
+// is still refused.
+func TestCapacityWithoutLookaheadSharesTheCache(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	postJSON(t, ts.URL+"/v1/run", RunRequest{Program: relayDSL})
+	resp, body := postRaw(t, ts.URL+"/v1/run", fmt.Sprintf(`{"program": %q, "analyze": {"capacity": 2}}`, relayDSL))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var rr RunResponse
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !rr.Cached {
+		t.Error("a capacity without lookahead missed the cache entry of the same program without one")
+	}
+	var stats StatsResponse
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if stats.CacheMisses != 1 || stats.CacheEntries != 1 {
+		t.Errorf("CacheMisses = %d, CacheEntries = %d, want 1 and 1", stats.CacheMisses, stats.CacheEntries)
+	}
+	resp, body = postRaw(t, ts.URL+"/v1/run", fmt.Sprintf(`{"program": %q, "analyze": {"capacity": -1}}`, relayDSL))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "negative capacity -1") {
+		t.Errorf("negative analysis capacity: status %d, body %s; want 400 naming it", resp.StatusCode, body)
+	}
+}
+
 func TestRunReportsDeadlock(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{

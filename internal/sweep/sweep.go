@@ -555,8 +555,6 @@ func splitSpans(sizes []int, workers int) []span {
 // partial report. The limiter slot is released without defer — the
 // loop holds at most one at a time, and a panicking run is fatal
 // anyway.
-//
-//sysvet:hotpath
 func (g *grid) runSpan(ctx context.Context, sp span) {
 	cl := &g.classes[sp.unit]
 	runner := core.NewRunner(cl.a)
@@ -580,8 +578,6 @@ func (g *grid) runSpan(ctx context.Context, sp span) {
 
 // runPoints is the PerPoint driver's span: a run of one column's points,
 // each an independent core.Execute under its own limiter slot.
-//
-//sysvet:hotpath
 func (g *grid) runPoints(ctx context.Context, sp span) {
 	if col := g.cols[sp.unit]; col.live() {
 		_, _ = col.a.Machine()
@@ -636,8 +632,6 @@ func (g *grid) describe(i int) (Outcome, bool) {
 // the point's own analysis (the PerPoint path). Only scalars are copied
 // out of the Result, so the runner's aliased Result buffers are safe to
 // reuse on the next run and to release when the span ends.
-//
-//sysvet:hotpath
 func (g *grid) runOne(ctx context.Context, i int, runner *core.Runner) Outcome {
 	o, live := g.describe(i)
 	if !live {
