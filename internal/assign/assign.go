@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"systolic/internal/model"
 	"systolic/internal/topology"
@@ -83,9 +82,11 @@ type Policy interface {
 	// granted ahead of its request never appears: once its header
 	// arrives there is nothing left to ask for, so pending holds at
 	// most one entry per message still waiting and never a message
-	// already bound. Grant must return at most free messages, each
-	// either pending or (for reserving policies) competing on the link
-	// and never granted before.
+	// already bound. No built-in policy can tell this list from one that
+	// kept such entries: Compatible and Static ignore pending, and Naive
+	// never grants ahead of a request. Grant must return at most free
+	// messages, each either pending or (for reserving policies)
+	// competing on the link and never granted before.
 	Grant(now int, link topology.LinkID, free int, pending []model.MessageID) []model.MessageID
 }
 
@@ -312,7 +313,8 @@ func (n *naive) Grant(now int, link topology.LinkID, free int, pending []model.M
 	case Random:
 		n.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	case LabelDescending:
-		sort.SliceStable(order, func(i, j int) bool { return n.labels[order[i]] > n.labels[order[j]] })
+		labels := n.labels
+		slices.SortStableFunc(order, func(a, b model.MessageID) int { return cmp.Compare(labels[b], labels[a]) })
 	}
 	if len(order) > free {
 		order = order[:free]

@@ -174,9 +174,11 @@ type state struct {
 	// skips is the one skip buffer of the pass: locate records skipped
 	// writes here, a candidate keeps only its two indexes, and the
 	// picked pair's skips are located again into it before the
-	// observer sees them. Only Run's order copies them out. count holds
-	// how many of them are on each message, for rule R2; allocated at
-	// the first skip.
+	// observer sees them. Only Run's order copies them out. It grows by
+	// append, since no pass knows its deepest window up front: under
+	// lookahead its growth is the only allocation that follows the
+	// program's size. count holds how many of them are on each message,
+	// for rule R2; allocated at the first skip.
 	skips   []Skip
 	count   []int
 	updates int // candidacy checks (one per completion tried): the pass's clock-free cost, for tests

@@ -12,14 +12,14 @@
 // run-time regime.
 //
 // TestRepoIsClean runs every analyzer over the module as part of `go
-// test ./...` and fails on any finding. Two source directives steer
+// test ./...` and fails on any finding. One source directive steers
 // the suite:
 //
-//	//sysvet:ignore <analyzer> -- <reason>   suppress a finding on this or the next line
-//	//sysvet:unordered -- <reason>           assert a map range is order-insensitive (detorder)
+//	//sysvet:unordered -- <reason>   assert a map range is order-insensitive (detorder)
 //
-// ignore and unordered require a non-empty reason after " -- ";
-// a directive without one is itself reported.
+// It requires a non-empty reason after " -- "; a directive without
+// one, or with any other verb, is itself reported. No directive
+// suppresses a finding.
 package lint
 
 import (
@@ -35,8 +35,7 @@ import (
 // Analyzer is one named static check. Run inspects a single package
 // through its Pass and reports findings; it must not retain the Pass.
 type Analyzer struct {
-	// Name identifies the analyzer in output and in
-	// //sysvet:ignore directives.
+	// Name identifies the analyzer in output.
 	Name string
 	// Doc is a one-paragraph description of the contract enforced.
 	Doc string
@@ -98,20 +97,8 @@ func allAnalyzers() []*Analyzer {
 	return []*Analyzer{detorder, grantpure, ctxloop, pkgdoc}
 }
 
-// analyzerNames is consulted when validating //sysvet:ignore
-// directives: suppressing an analyzer that does not exist is a typo
-// worth failing the build over.
-func analyzerNames() map[string]bool {
-	names := make(map[string]bool)
-	for _, a := range allAnalyzers() {
-		names[a.Name] = true
-	}
-	return names
-}
-
-// runPackage runs the given analyzers over one loaded package,
-// applies //sysvet:ignore suppression, and folds in malformed
-// directives as findings of their own.
+// runPackage runs the given analyzers over one loaded package and
+// folds in malformed directives as findings of their own.
 func runPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	dirs := parseDirectives(pkg.Fset, pkg.Files)
 	out := append([]Diagnostic(nil), dirs.Problems()...)
@@ -125,12 +112,7 @@ func runPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			Dirs:     dirs,
 		}
 		a.Run(pass)
-		for _, d := range pass.diags {
-			if dirs.Suppressed(a.Name, d.Pos) {
-				continue
-			}
-			out = append(out, d)
-		}
+		out = append(out, pass.diags...)
 	}
 	return out
 }

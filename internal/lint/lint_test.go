@@ -153,8 +153,8 @@ func TestPkgdocFixtures(t *testing.T) {
 // programmatically: a want comment cannot share a line with the
 // directive it describes, so the fixture's malformed directives are
 // asserted by category here. The load path puts the fixture in a
-// detorder-critical package so the final assertion — a reasonless
-// ignore does not suppress — has a finding to not-suppress.
+// detorder-critical package so the final assertion — an ignore
+// comment does not suppress — has a finding to not-suppress.
 func TestDirectiveValidation(t *testing.T) {
 	pkg := loadFixture(t, "directives", "systolic/internal/refsim")
 	diags := runPackage(pkg, allAnalyzers())
@@ -172,13 +172,12 @@ func TestDirectiveValidation(t *testing.T) {
 		analyzer, substr string
 		want             int
 	}{
-		{"sysvet", "//sysvet:ignore requires a non-empty reason", 3},
+		{"sysvet", `unknown sysvet directive "ignore"`, 2}, // the retired suppression verb
 		{"sysvet", "//sysvet:unordered requires a non-empty reason", 1},
-		{"sysvet", `unknown analyzer "nosuchanalyzer"`, 1},
-		{"sysvet", "usage: //sysvet:ignore <analyzer> -- <reason>", 1},
+		{"sysvet", "usage: //sysvet:unordered -- <reason>", 1},
 		{"sysvet", `unknown sysvet directive "hotpath"`, 1}, // the retired marker
 		{"sysvet", `unknown sysvet directive "frobnicate"`, 1},
-		{"detorder", "map iteration order escapes", 1}, // the malformed ignore must not suppress
+		{"detorder", "map iteration order escapes", 1}, // the ignore comment must not suppress
 	}
 	for _, c := range checks {
 		if got := countBy(c.analyzer, c.substr); got != c.want {
@@ -186,7 +185,7 @@ func TestDirectiveValidation(t *testing.T) {
 				c.analyzer, c.substr, got, c.want, diags)
 		}
 	}
-	if want := 9; len(diags) != want {
+	if want := 7; len(diags) != want {
 		t.Errorf("total findings: got %d, want %d\nall: %v", len(diags), want, diags)
 	}
 }

@@ -116,12 +116,3 @@ func annotatedMin(m map[int]bool) int {
 	}
 	return best
 }
-
-func suppressed(m map[string]int) string {
-	out := ""
-	//sysvet:ignore detorder -- fixture: proves own-line suppression
-	for k := range m {
-		out = k
-	}
-	return out
-}

@@ -140,7 +140,9 @@ type exec struct {
 	queues  []queueInst         // link l's pool occupies [l*Q : (l+1)*Q]
 	pending [][]model.MessageID // per pool, outstanding requests
 	// pendingBuf backs the pending lists: a pool's segment has room for
-	// its whole competing set, which its outstanding requests are among.
+	// its whole competing set, which its outstanding requests are among,
+	// and each list is clipped to its segment's capacity, so one that
+	// outgrew it would move out of the slab, not into its neighbour.
 	pendingBuf []model.MessageID
 
 	msgs     []msgState
@@ -478,7 +480,8 @@ func (e *exec) noteWake(t int) {
 
 // noteGated counts one operation held back by a fault gate that
 // cannot reopen before cycle reopen (fault.Never for a dead cell or a
-// severed link).
+// severed link). An operation behind several gates passes the latest
+// of their reopen cycles.
 func (e *exec) noteGated(reopen int) {
 	e.stats.GatedOps++
 	e.wake = min(e.wake, reopen)
@@ -624,7 +627,9 @@ func (e *exec) advancePC(c int) {
 // and with one departure in host time only: after a no-event cycle
 // that is not a deadlock the loop does not step through the cycles
 // that would repeat it but jumps to the first one that can differ
-// (fastForward).
+// (fastForward). No switch selects the jump: a unit-latency, fault-free
+// run never has a no-event cycle that is not a deadlock, so it pays one
+// untaken branch.
 func (e *exec) run(maxCycles int) {
 	for e.now = 0; e.now < maxCycles; e.now++ {
 		if e.remaining == 0 {

@@ -130,6 +130,8 @@ const (
 
 // CellBlock describes why a cell was stuck when a deadlock was
 // detected. Each engine picks Cause from its own state; Reason words it.
+// An engine stores the cause, never a string, so a warm batch Exec
+// that runs into a deadlock again allocates nothing for its report.
 type CellBlock struct {
 	Cell  model.CellID
 	Op    model.Op

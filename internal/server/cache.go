@@ -55,7 +55,8 @@ func (e *entry) wait() (*core.Analysis, error) {
 // hash of a whole request body (with its route and the tenant's cycle
 // bound) maps to the encoded reply a run of it produced, so a repeated
 // identical request is not decoded and runs nothing — a run is a pure
-// function of its request.
+// function of its request. The body level canonicalizes nothing: a
+// re-spaced or re-ordered body misses it and is answered a level down.
 //
 // Concurrent misses on the same key are deduplicated singleflight
 // style: the first request inserts an in-flight entry and compiles;
@@ -88,7 +89,9 @@ func newScenarioCache(max int) *scenarioCache {
 }
 
 // analysisKey is the analysis-options half of a cache key: everything
-// besides the program that the compiled artifact depends on. The run
+// besides the program that the compiled artifact depends on. Run
+// options (policy, queues, capacity, faults, link model) are not in it,
+// so they never split the cache. The run
 // path maps its AnalyzeSpec here (budget 0, R2-derived); the sweep
 // path maps a lookahead axis value to a uniform budget override —
 // exactly the options the sweep engine's in-engine analyze step would

@@ -787,7 +787,8 @@ func (s *Server) store(w http.ResponseWriter, id string, v any) []byte {
 // repeat form ("cached": true — what every later post of the same body
 // must be told) is also recorded under the body's key, minus the id. A
 // first-contact reply says "cached": false and is not recorded; the
-// body's next post is an alias hit, and that one is.
+// body's next post is an alias hit, and that one is. Only a completed
+// request reaches it: no error reply is ever recorded.
 func (s *Server) storeReply(w http.ResponseWriter, e *entry, key cacheKey, id string, cached bool, v any) {
 	if body := s.store(w, id, v); body != nil && cached {
 		s.cache.recordReply(e, key, body[len(idOpen)+len(id):])

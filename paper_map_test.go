@@ -4,9 +4,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -221,6 +223,53 @@ func TestDocTestNamesExist(t *testing.T) {
 			if !found {
 				t.Errorf("%s names `%s%s`, which no _test.go file declares", doc, name, m[2])
 			}
+		}
+	}
+}
+
+// architectureMaxLines is the most ARCHITECTURE.md may hold. The
+// document is a map of invariants, mechanisms and pinning tests; a
+// mechanism is explained in the doc comment of the code that
+// implements it, not again here.
+const architectureMaxLines = 600
+
+// TestArchitectureMap: ARCHITECTURE.md stays at most
+// architectureMaxLines lines and names, by path, every package
+// directory under internal/, cmd/ and tools/, so the map can neither
+// grow back into a second copy of the code nor drop a layer.
+func TestArchitectureMap(t *testing.T) {
+	text, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(text), "\n"); n > architectureMaxLines {
+		t.Errorf("ARCHITECTURE.md has %d lines, want at most %d: point to the doc comment that explains a mechanism instead of restating it", n, architectureMaxLines)
+	}
+	dirs := map[string]bool{}
+	for _, root := range []string{"internal", "cmd", "tools"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				dirs[filepath.ToSlash(filepath.Dir(path))] = true
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(dirs) == 0 {
+		t.Fatal("found no package directory under internal/, cmd/ or tools/")
+	}
+	for _, dir := range slices.Sorted(maps.Keys(dirs)) {
+		named := regexp.MustCompile(`(^|[^\w/])` + regexp.QuoteMeta(dir) + `($|[^\w])`)
+		if !named.Match(text) {
+			t.Errorf("ARCHITECTURE.md does not name the package directory %s", dir)
 		}
 	}
 }
