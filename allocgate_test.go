@@ -76,13 +76,18 @@ func TestAllocGateExecuteScaleFree(t *testing.T) {
 // exec that comes from the process-wide pool warm and goes back when
 // the span ends; the per-point driver runs all 144 points through
 // core.Execute. Measured: 1.750 and 9.250 allocations per grid point
-// (9.264 when a collection drains the exec pool mid-sweep).
-// Each budget adds half an allocation per execution (27 and 72 per
-// sweep) for the rare pool drain a garbage collection causes, so one
-// more allocation per execution or per point — a message formatted per
-// run, a per-run table — fails its row, as does an O(cycles) or
-// O(cells) per-run regression, a plan that stops sharing (144/54 the
-// runs), or scratch cached per machine or per span again.
+// (9.264 when a collection drains the exec pool mid-sweep). The third
+// row is the planned grid under three link models (432 points, 162
+// executions, 108 of them retimed): 280 allocations, 0.648 per point,
+// because a retimed run lowers its plan into tables the exec keeps;
+// lowering into fresh tables costs 3 allocations per retimed execution
+// (1.398 per point). Each budget adds half an allocation per execution
+// (27, 72 and 81 per sweep) for the rare pool drain a garbage
+// collection causes, so one more allocation per execution or per point
+// — a message formatted per run, a per-run table — fails its row, as
+// does an O(cycles) or O(cells) per-run regression, a plan that stops
+// sharing (144/54 the runs), or scratch cached per machine or per span
+// again.
 func TestAllocGateSweepBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are not meaningful under -race")
@@ -100,17 +105,21 @@ func TestAllocGateSweepBatch(t *testing.T) {
 		Lookaheads: []int{0, 2},
 		Seed:       1,
 	}
-	points := axes.Size(len(cases))
+	retimed := axes
+	retimed.LinkModels = []string{"", "fixed,delay=3", "congestion,delay=1,threshold=2,max=4"}
 	for _, row := range []struct {
 		name     string
+		axes     systolic.SweepAxes
 		perPoint bool
 		budget   float64 // allocations per grid point
 	}{
-		{"planned", false, 1.75 + 27.0/144},
-		{"per-point", true, 9.25 + 72.0/144},
+		{"planned", axes, false, 1.75 + 27.0/144},
+		{"per-point", axes, true, 9.25 + 72.0/144},
+		{"planned, retimed", retimed, false, (280 + 81.0) / 432},
 	} {
+		points := row.axes.Size(len(cases))
 		run := func() {
-			rep, err := systolic.Sweep(context.Background(), cases, axes, systolic.SweepOptions{Workers: 1, PerPoint: row.perPoint})
+			rep, err := systolic.Sweep(context.Background(), cases, row.axes, systolic.SweepOptions{Workers: 1, PerPoint: row.perPoint})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,10 +266,10 @@ func TestAllocGateParse(t *testing.T) {
 // TestAllocGateRunRegimes gates the scheduler's per-cycle code in every
 // run-time regime: each of the six policies runs FFT logN=4 (16 cells,
 // routes up to 8 hops) through a warm core.Runner, whose exec, policy
-// and Result buffers survive from run to run, so a warm run allocates
-// only what its regime needs once per run — the lowered fault or
-// link-model tables, the deadlock report, the timeline — and nothing
-// per cycle. Warm runs are deterministic, so each budget is the
+// and Result buffers survive from run to run — the lowered fault and
+// link-model tables, the fault descriptions and the deadlock report
+// among them — so a warm run allocates only a recorded timeline, which
+// its Result keeps, and nothing per cycle. Warm runs are deterministic, so each budget is the
 // measured count exactly, and one allocation added anywhere a regime
 // reaches — a fault gate, a link-model busy window, a grant, the §8.1
 // penalty — fails its row. Static assignment refuses one queue per
@@ -302,10 +311,10 @@ func TestAllocGateRunRegimes(t *testing.T) {
 		budgets [len(policies)]float64
 	}{
 		{"plain", systolic.ExecOptions{}, "completed", [...]float64{0, 0, 0, 0, 0, 0}},
-		{"periodic faults", systolic.ExecOptions{Faults: faults("cell:3:slow=2,link:5:slow=3@4")}, "completed", [...]float64{13, 13, 13, 13, 13, 13}},
-		{"dead cell", systolic.ExecOptions{Faults: faults("cell:6:dead@3,link:2:slow=2")}, "deadlocked", [...]float64{12, 12, 12, 12, 12, 12}},
-		{"fixed link model", systolic.ExecOptions{LinkModel: linkModel("fixed,delay=2,credit=1")}, "completed", [...]float64{3, 3, 3, 3, 3, 3}},
-		{"congestion link model", systolic.ExecOptions{LinkModel: linkModel("congestion,delay=2,threshold=1,max=4")}, "completed", [...]float64{3, 3, 3, 3, 3, 3}},
+		{"periodic faults", systolic.ExecOptions{Faults: faults("cell:3:slow=2,link:5:slow=3@4")}, "completed", [...]float64{0, 0, 0, 0, 0, 0}},
+		{"dead cell", systolic.ExecOptions{Faults: faults("cell:6:dead@3,link:2:slow=2")}, "deadlocked", [...]float64{0, 0, 0, 0, 0, 0}},
+		{"fixed link model", systolic.ExecOptions{LinkModel: linkModel("fixed,delay=2,credit=1")}, "completed", [...]float64{0, 0, 0, 0, 0, 0}},
+		{"congestion link model", systolic.ExecOptions{LinkModel: linkModel("congestion,delay=2,threshold=1,max=4")}, "completed", [...]float64{0, 0, 0, 0, 0, 0}},
 		{"extension", systolic.ExecOptions{Capacity: 1, ExtCapacity: 2, ExtPenalty: 3}, "completed", [...]float64{0, 0, 0, 0, 0, 0}},
 		{"one queue", systolic.ExecOptions{QueuesPerLink: 1}, "completed", [...]float64{0, -1, 0, 0, 0, 0}},
 		{"timeline", systolic.ExecOptions{RecordTimeline: true}, "completed", [...]float64{10, 10, 9, 9, 8, 9}},

@@ -2,7 +2,6 @@ package systolic
 
 import (
 	"systolic/internal/fault"
-	"systolic/internal/gen"
 	"systolic/internal/verify"
 )
 
@@ -24,8 +23,6 @@ type (
 	// FaultImpact reports one fault's effect on Theorem 1's
 	// guarantees (see DegradedBudgets).
 	FaultImpact = verify.FaultImpact
-	// FaultOptions are the RandomFaultPlan knobs.
-	FaultOptions = gen.FaultOptions
 )
 
 // Fault class names reported in FaultImpact.Class.
@@ -46,13 +43,6 @@ const (
 //
 // An empty spec returns a nil plan. FaultPlan.String is the inverse.
 func ParseFaultSpec(spec string) (*FaultPlan, error) { return fault.ParseSpec(spec) }
-
-// RandomFaultPlan derives a valid, reproducible fault plan for an
-// array with the given cell and link counts — the seeded plans the
-// differential oracle's -faults mode uses.
-func RandomFaultPlan(seed int64, numCells, numLinks int, opts FaultOptions) *FaultPlan {
-	return gen.RandomFaults(seed, numCells, numLinks, opts)
-}
 
 // DegradedBudgets evaluates each fault of plan against an analyzed
 // configuration: periodic faults only delay (the Theorem 1 guarantee

@@ -4,7 +4,8 @@
 // it into dense per-cell and per-link gate tables that both execution
 // engines (the compiled machine and the full-scan reference) consult
 // at identical points, so degraded runs stay byte-identical across
-// engines.
+// engines. The machine lowers into tables its pooled run state keeps;
+// the reference engine lowers into a fresh Lowered per run.
 //
 // Determinism argument: every gate is a pure function of (static
 // plan, cycle number). A slowed element with factor k accepts work
@@ -21,6 +22,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -71,6 +73,29 @@ type LinkFault struct {
 type Plan struct {
 	Cells []CellFault
 	Links []LinkFault
+}
+
+// MaxFactor returns the largest periodic factor in the plan (≥ 1; 1
+// for a nil plan or one without a periodic fault): the multiplier the
+// engines apply to their derived default cycle bound, since a factor-k
+// slowdown stretches any schedule by ≤ k. Dead cells and severed links
+// stretch nothing; they stop it.
+func (p *Plan) MaxFactor() int {
+	f := 1
+	if p == nil {
+		return f
+	}
+	for _, c := range p.Cells {
+		if !c.Dead {
+			f = max(f, c.Factor)
+		}
+	}
+	for _, l := range p.Links {
+		if !l.Severed {
+			f = max(f, l.Factor)
+		}
+	}
+	return f
 }
 
 // IsNoop reports whether the plan (possibly nil) degrades nothing.
@@ -291,30 +316,42 @@ type periodicGate struct {
 // Lowered is a Plan compiled against a concrete array: dense per-cell
 // and per-link tables the engines' hot paths index directly. Factor
 // encoding: 0 = no fault, ≥ 2 = periodic factor, -1 = dead/severed.
-// Immutable after Lower; safe to share read-only across concurrent runs.
+// Lower rewrites it in place, regrowing its tables only when the array
+// outgrows them, so a caller that keeps one Lowered (the machine's
+// pooled run state) lowers a plan per run without allocating; a
+// Lowered belongs to one run at a time.
 type Lowered struct {
 	cellFactor []int32
 	cellFrom   []int32
 	linkFactor []int32
 	linkFrom   []int32
 	periodic   []periodicGate
-	maxFactor  int
-	descs      []string
+	// descs is the canonical form of the active faults of the plan
+	// whose entries descCells and descLinks copy: it is rendered again
+	// only when a plan's entries differ from those.
+	descs     []string
+	descCells []CellFault
+	descLinks []LinkFault
 }
 
 // Lower compiles a validated plan against an array of numCells cells
-// and numLinks links. It returns nil for a no-op plan, so callers can
-// gate every hot-path check on a single nil test.
-func Lower(p *Plan, numCells, numLinks int) *Lowered {
+// and numLinks links into l, which it returns. It returns nil for a
+// no-op plan, so callers can gate every hot-path check on a single nil
+// test.
+func Lower(l *Lowered, p *Plan, numCells, numLinks int) *Lowered {
 	if p.IsNoop() {
 		return nil
 	}
-	l := &Lowered{
-		cellFactor: make([]int32, numCells),
-		cellFrom:   make([]int32, numCells),
-		linkFactor: make([]int32, numLinks),
-		linkFrom:   make([]int32, numLinks),
-		maxFactor:  1,
+	l.cellFactor = zeroed(l.cellFactor, numCells)
+	l.cellFrom = zeroed(l.cellFrom, numCells)
+	l.linkFactor = zeroed(l.linkFactor, numLinks)
+	l.linkFrom = zeroed(l.linkFrom, numLinks)
+	l.periodic = l.periodic[:0]
+	render := !slices.Equal(l.descCells, p.Cells) || !slices.Equal(l.descLinks, p.Links)
+	if render {
+		l.descs = l.descs[:0]
+		l.descCells = append(l.descCells[:0], p.Cells...)
+		l.descLinks = append(l.descLinks[:0], p.Links...)
 	}
 	for _, c := range p.Cells {
 		if !c.Dead && c.Factor <= 1 {
@@ -324,13 +361,12 @@ func Lower(p *Plan, numCells, numLinks int) *Lowered {
 		if !c.Dead {
 			f = int32(c.Factor)
 			l.periodic = append(l.periodic, periodicGate{factor: c.Factor, from: c.From})
-			if c.Factor > l.maxFactor {
-				l.maxFactor = c.Factor
-			}
 		}
 		l.cellFactor[c.Cell] = f
 		l.cellFrom[c.Cell] = int32(c.From)
-		l.descs = append(l.descs, describeCell(c))
+		if render {
+			l.descs = append(l.descs, describeCell(c))
+		}
 	}
 	for _, lf := range p.Links {
 		if !lf.Severed && lf.Factor <= 1 {
@@ -340,15 +376,22 @@ func Lower(p *Plan, numCells, numLinks int) *Lowered {
 		if !lf.Severed {
 			f = int32(lf.Factor)
 			l.periodic = append(l.periodic, periodicGate{factor: lf.Factor, from: lf.From})
-			if lf.Factor > l.maxFactor {
-				l.maxFactor = lf.Factor
-			}
 		}
 		l.linkFactor[lf.Link] = f
 		l.linkFrom[lf.Link] = int32(lf.From)
-		l.descs = append(l.descs, describeLink(lf))
+		if render {
+			l.descs = append(l.descs, describeLink(lf))
+		}
 	}
 	return l
+}
+
+// zeroed returns s resized to n and cleared, reusing its backing array
+// when it is large enough.
+func zeroed(s []int32, n int) []int32 {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // CellOpen reports whether cell c may issue an operation on cycle.
@@ -448,20 +491,10 @@ func (l *Lowered) NextAllOpen(from, limit int) int {
 	return limit
 }
 
-// MaxFactor returns the largest periodic factor in the plan (≥ 1; 1
-// for a nil table): the multiplier the engines apply to their derived
-// default cycle bound, since a factor-k slowdown stretches any
-// schedule by ≤ k.
-func (l *Lowered) MaxFactor() int {
-	if l == nil {
-		return 1
-	}
-	return l.maxFactor
-}
-
 // Descriptions returns the active (non-no-op) faults in canonical
-// spec form, cells first then links, each in plan order. The slice is
-// computed once at Lower and shared; callers must not modify it.
+// spec form, cells first then links, each in plan order. The slice
+// belongs to l: Lower rewrites it when the next plan's entries differ,
+// so a caller copies what it keeps and writes into none of it.
 func (l *Lowered) Descriptions() []string {
 	return l.descs
 }

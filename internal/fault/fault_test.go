@@ -1,8 +1,11 @@
 package fault
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,16 +99,18 @@ func TestIsNoop(t *testing.T) {
 	}
 }
 
+// roundTripSpecs are canonical fault specs; FuzzSpec seeds with them.
+var roundTripSpecs = []string{
+	"cell:2:slow=3",
+	"cell:0:dead",
+	"cell:1:dead@12",
+	"link:4:slow=2@7",
+	"link:3:sever",
+	"cell:2:slow=3,cell:0:dead@5,link:1:slow=4,link:0:sever@9",
+}
+
 func TestParseSpecRoundTrip(t *testing.T) {
-	specs := []string{
-		"cell:2:slow=3",
-		"cell:0:dead",
-		"cell:1:dead@12",
-		"link:4:slow=2@7",
-		"link:3:sever",
-		"cell:2:slow=3,cell:0:dead@5,link:1:slow=4,link:0:sever@9",
-	}
-	for _, s := range specs {
+	for _, s := range roundTripSpecs {
 		p, err := ParseSpec(s)
 		if err != nil {
 			t.Errorf("ParseSpec(%q): %v", s, err)
@@ -155,7 +160,7 @@ func TestLowerGates(t *testing.T) {
 			{Link: 2, Severed: true},      // severed from cycle 0
 		},
 	}
-	l := Lower(plan, 4, 3)
+	l := Lower(new(Lowered), plan, 4, 3)
 	if l == nil {
 		t.Fatal("Lower returned nil for an effective plan")
 	}
@@ -212,11 +217,11 @@ func TestLowerGates(t *testing.T) {
 		}
 	}
 
-	if l.MaxFactor() != 3 {
-		t.Errorf("MaxFactor = %d, want 3", l.MaxFactor())
+	if f := plan.MaxFactor(); f != 3 {
+		t.Errorf("MaxFactor = %d, want 3", f)
 	}
-	if f := Lower(nil, 4, 3).MaxFactor(); f != 1 {
-		t.Errorf("MaxFactor of a nil table = %d, want 1", f)
+	if f := (*Plan)(nil).MaxFactor(); f != 1 {
+		t.Errorf("MaxFactor of a nil plan = %d, want 1", f)
 	}
 
 	// Descriptions: only effective faults, cells first, plan order.
@@ -227,14 +232,118 @@ func TestLowerGates(t *testing.T) {
 }
 
 func TestLowerNoopReturnsNil(t *testing.T) {
-	if Lower(nil, 3, 2) != nil {
+	var l Lowered
+	if Lower(&l, nil, 3, 2) != nil {
 		t.Error("Lower(nil) non-nil")
 	}
-	if Lower(&Plan{}, 3, 2) != nil {
+	if Lower(&l, &Plan{}, 3, 2) != nil {
 		t.Error("Lower(empty) non-nil")
 	}
-	if Lower(&Plan{Cells: []CellFault{{Cell: 0, Factor: 1}}}, 3, 2) != nil {
+	if Lower(&l, &Plan{Cells: []CellFault{{Cell: 0, Factor: 1}}}, 3, 2) != nil {
 		t.Error("Lower(factor-1) non-nil")
+	}
+}
+
+// gates renders every gate of l over cells, links and cycles, and the
+// descriptions, so two lowerings can be compared whole.
+func gates(l *Lowered, cells, links, cycles int) string {
+	var b strings.Builder
+	for cyc := range cycles {
+		for c := range cells {
+			fmt.Fprint(&b, l.CellOpen(model.CellID(c), cyc), l.CellNextOpen(model.CellID(c), cyc), " ")
+		}
+		for lk := range links {
+			fmt.Fprint(&b, l.LinkOpen(topology.LinkID(lk), cyc), l.LinkNextOpen(topology.LinkID(lk), cyc), " ")
+		}
+		fmt.Fprint(&b, l.AllPeriodicOpen(cyc), l.NextAllOpen(cyc, cycles), "\n")
+	}
+	fmt.Fprint(&b, l.Descriptions())
+	return b.String()
+}
+
+// TestLowerReusesTables holds a Lowered that is lowered into again and
+// again — the machine's pooled tables — to a fresh one per plan: on
+// arrays that shrink and grow, on a plan changed in place after it was
+// lowered, and on equal plans at different addresses. Stale gates,
+// periodic entries or descriptions from an earlier plan fail it.
+func TestLowerReusesTables(t *testing.T) {
+	type step struct {
+		plan         *Plan
+		cells, links int
+	}
+	inPlace := &Plan{Cells: []CellFault{{Cell: 1, Factor: 3}}, Links: []LinkFault{{Link: 0, Severed: true, From: 2}}}
+	steps := []step{
+		{inPlace, 4, 3},
+		{&Plan{Cells: []CellFault{{Cell: 0, Dead: true}, {Cell: 5, Factor: 2, From: 4}}}, 6, 1},
+		{&Plan{Links: []LinkFault{{Link: 2, Factor: 4}}}, 2, 3},
+		{inPlace, 4, 3},
+	}
+	var reused Lowered
+	for i, s := range steps {
+		if i == 3 {
+			// The plan the first step lowered, changed in place: same
+			// address, new entries, and one entry a no-op now.
+			inPlace.Cells[0].Factor = 1
+			inPlace.Links[0] = LinkFault{Link: 1, Factor: 5, From: 1}
+		}
+		for _, p := range []*Plan{s.plan, {Cells: slices.Clone(s.plan.Cells), Links: slices.Clone(s.plan.Links)}} {
+			got := gates(Lower(&reused, p, s.cells, s.links), s.cells, s.links, 40)
+			want := gates(Lower(new(Lowered), p, s.cells, s.links), s.cells, s.links, 40)
+			if got != want {
+				t.Fatalf("step %d (%s): reused tables differ from fresh ones:\n%s\nwant\n%s", i, p, got, want)
+			}
+		}
+	}
+}
+
+// TestMaxFactorMatchesLowered holds Plan.MaxFactor, the stretch the
+// engines' cycle bounds read before anything is lowered, to the
+// largest periodic factor of the lowered tables: on every fault spec
+// FuzzSpec seeds with that validates, and on random plans.
+func TestMaxFactorMatchesLowered(t *testing.T) {
+	lowered := func(p *Plan, cells, links int) int {
+		f := 1
+		if l := Lower(new(Lowered), p, cells, links); l != nil {
+			for _, g := range l.periodic {
+				f = max(f, g.factor)
+			}
+		}
+		return f
+	}
+	for _, s := range append(slices.Clone(roundTripSpecs),
+		" cell:1:slow=2 , link:0:sever ", "cell:1:slow=2@0", "link:0:sever@0", "cell:1:slow=2,link:1:slow=2") {
+		p, err := ParseSpec(s)
+		if err != nil || p.Validate(8, 8) != nil {
+			t.Fatalf("seed %q does not give a valid plan: %v", s, err)
+		}
+		if got, want := p.MaxFactor(), lowered(p, 8, 8); got != want {
+			t.Errorf("%q: MaxFactor %d, lowered tables %d", s, got, want)
+		}
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 2000 {
+		cells, links := 1+rng.IntN(6), rng.IntN(6)
+		p := &Plan{}
+		for _, c := range rng.Perm(cells)[:rng.IntN(cells+1)] {
+			f := CellFault{Cell: model.CellID(c), Factor: rng.IntN(6), From: rng.IntN(3)}
+			if f.Factor <= 1 && rng.IntN(2) == 0 {
+				f.Dead = true
+			}
+			p.Cells = append(p.Cells, f)
+		}
+		for _, lk := range rng.Perm(links)[:rng.IntN(links+1)] {
+			f := LinkFault{Link: topology.LinkID(lk), Factor: rng.IntN(6), From: rng.IntN(3)}
+			if f.Factor <= 1 && rng.IntN(2) == 0 {
+				f.Severed = true
+			}
+			p.Links = append(p.Links, f)
+		}
+		if err := p.Validate(cells, links); err != nil {
+			t.Fatalf("generated plan %s: %v", p, err)
+		}
+		if got, want := p.MaxFactor(), lowered(p, cells, links); got != want {
+			t.Fatalf("%s: MaxFactor %d, lowered tables %d", p, got, want)
+		}
 	}
 }
 
@@ -311,7 +420,7 @@ func TestNextOpenAgreesWithStepping(t *testing.T) {
 		Cells: []CellFault{{Cell: 0, Factor: 7}, {Cell: 1, Factor: 13, From: 40}, {Cell: 2, Dead: true, From: 5}},
 		Links: []LinkFault{{Link: 0, Factor: 10, From: 3}, {Link: 1, Severed: true}},
 	}
-	l := Lower(plan, 4, 3)
+	l := Lower(new(Lowered), plan, 4, 3)
 	const horizon = 2000
 	step := func(open func(int) bool, from int) int {
 		for c := from; c < horizon; c++ {

@@ -5,7 +5,9 @@
 // declarative description; Lower compiles it into dense per-link
 // delay and credit tables that both execution engines (the compiled
 // machine and the full-scan reference) consult at identical points,
-// so non-unit-latency runs stay byte-identical across engines.
+// so non-unit-latency runs stay byte-identical across engines. The
+// machine lowers into tables its pooled run state keeps; the reference
+// engine lowers into a fresh Lowered per run.
 //
 // Timing semantics (the occupancy model): a link that served w words
 // on cycle t is busy — no further word may enter its queues — until
@@ -34,6 +36,7 @@ package linkmodel
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -90,10 +93,6 @@ type Plan struct {
 	Overrides []Override
 }
 
-// UnitPlan returns the explicit unit-timing plan ("unit"); nil works
-// everywhere a unit plan does.
-func UnitPlan() *Plan { return &Plan{Kind: Unit} }
-
 // FixedPlan returns a uniform fixed-latency plan.
 func FixedPlan(delay, credit int) *Plan {
 	return &Plan{Kind: Fixed, Delay: delay, Credit: credit}
@@ -102,6 +101,36 @@ func FixedPlan(delay, credit int) *Plan {
 // CongestionPlan returns a congestion-sensitive plan.
 func CongestionPlan(delay, threshold, maxExtra int) *Plan {
 	return &Plan{Kind: Congestion, Delay: delay, Threshold: threshold, MaxExtra: maxExtra}
+}
+
+// MaxFactor returns the largest per-service delay any of numLinks
+// links can incur under the valid plan p (base delay plus the
+// congestion cap, ≥ 1): the multiplier the engines apply to their
+// derived default cycle bound, since every word a link serves holds it
+// for at most MaxFactor cycles. A unit-timing plan, and a topology
+// without links, report 1. The base delay counts only when some link
+// keeps it, that is when fewer than numLinks overrides set a delay.
+func (p *Plan) MaxFactor(numLinks int) int {
+	if p.IsUnit() {
+		return 1
+	}
+	delay, overridden := 0, 0
+	for _, o := range p.Overrides {
+		if o.Delay > 0 {
+			delay = max(delay, o.Delay)
+			overridden++
+		}
+	}
+	if overridden < numLinks {
+		delay = max(delay, p.delayOrUnit())
+	}
+	if delay == 0 {
+		return 1
+	}
+	if p.Kind == Congestion {
+		delay += p.MaxExtra
+	}
+	return delay
 }
 
 // IsUnit reports whether the plan (possibly nil) times every link
@@ -316,38 +345,37 @@ func ParseSpec(text string) (*Plan, error) {
 
 // Lowered is a Plan compiled against a concrete topology: dense
 // per-link delay and credit tables the engines' hot paths index
-// directly, plus the congestion feedback parameters. Immutable after
-// Lower; safe to share read-only across concurrent runs.
+// directly, plus the congestion feedback parameters. Lower rewrites it
+// in place, regrowing its tables only when the topology outgrows them,
+// so a caller that keeps one Lowered (the machine's pooled run state)
+// lowers a plan per run without allocating; a Lowered belongs to one
+// run at a time.
 type Lowered struct {
 	delay      []int32
 	credit     []int32
 	congestion bool
 	threshold  int32
 	maxExtra   int32
-	maxFactor  int
 }
 
 // Lower compiles a validated plan against a topology of numLinks
-// links. It returns nil for a unit-timing plan, so callers can gate
-// every hot-path check on a single nil test.
-func Lower(p *Plan, numLinks int) *Lowered {
+// links into l, which it returns. It returns nil for a unit-timing
+// plan, so callers can gate every hot-path check on a single nil test.
+func Lower(l *Lowered, p *Plan, numLinks int) *Lowered {
 	if p.IsUnit() {
 		return nil
 	}
-	l := &Lowered{
-		delay:     make([]int32, numLinks),
-		credit:    make([]int32, numLinks),
-		threshold: int32(p.thresholdOrDefault()),
-		maxFactor: 1,
+	l.delay = slices.Grow(l.delay[:0], numLinks)[:numLinks]
+	l.credit = slices.Grow(l.credit[:0], numLinks)[:numLinks]
+	l.threshold = int32(p.thresholdOrDefault())
+	l.congestion, l.maxExtra = p.Kind == Congestion, 0
+	if l.congestion {
+		l.maxExtra = int32(p.MaxExtra)
 	}
 	base := int32(p.delayOrUnit())
 	for i := range l.delay {
 		l.delay[i] = base
 		l.credit[i] = int32(p.Credit)
-	}
-	if p.Kind == Congestion {
-		l.congestion = true
-		l.maxExtra = int32(p.MaxExtra)
 	}
 	for _, o := range p.Overrides {
 		if o.Delay > 0 {
@@ -355,11 +383,6 @@ func Lower(p *Plan, numLinks int) *Lowered {
 		}
 		if o.Credit > 0 {
 			l.credit[o.Link] = int32(o.Credit)
-		}
-	}
-	for _, d := range l.delay {
-		if f := int(d) + int(l.maxExtra); f > l.maxFactor {
-			l.maxFactor = f
 		}
 	}
 	return l
@@ -384,16 +407,4 @@ func (l *Lowered) Busy(lk topology.LinkID, tally int32) int {
 		b += int(extra)
 	}
 	return b
-}
-
-// MaxFactor returns the largest per-service delay any link can incur
-// (base delay plus the congestion cap, ≥ 1): the multiplier the
-// engines apply to their derived default cycle bound, since every
-// word a link serves holds it for at most MaxFactor cycles. A nil
-// (unit-timing) table reports 1.
-func (l *Lowered) MaxFactor() int {
-	if l == nil {
-		return 1
-	}
-	return l.maxFactor
 }

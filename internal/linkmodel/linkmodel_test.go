@@ -3,8 +3,10 @@ package linkmodel
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -13,18 +15,21 @@ import (
 	"systolic/internal/topology"
 )
 
+// roundTripSpecs are canonical link-model specs; FuzzSpec seeds with
+// them.
+var roundTripSpecs = []string{
+	"unit",
+	"fixed,delay=1",
+	"fixed,delay=3",
+	"fixed,delay=2,credit=1",
+	"fixed,delay=2,link:3:delay=5",
+	"fixed,delay=1,link:0:delay=4,link:2:credit=1",
+	"congestion,delay=1,threshold=2,max=4",
+	"congestion,delay=2,threshold=1,max=3,credit=2",
+}
+
 func TestParseSpecRoundTrip(t *testing.T) {
-	specs := []string{
-		"unit",
-		"fixed,delay=1",
-		"fixed,delay=3",
-		"fixed,delay=2,credit=1",
-		"fixed,delay=2,link:3:delay=5",
-		"fixed,delay=1,link:0:delay=4,link:2:credit=1",
-		"congestion,delay=1,threshold=2,max=4",
-		"congestion,delay=2,threshold=1,max=3,credit=2",
-	}
-	for _, spec := range specs {
+	for _, spec := range roundTripSpecs {
 		p, err := ParseSpec(spec)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", spec, err)
@@ -54,10 +59,11 @@ func TestParseSpecEmptyAndUnit(t *testing.T) {
 	if !u.IsUnit() {
 		t.Error("unit plan is not IsUnit")
 	}
-	if Lower(u, 4) != nil {
+	var l Lowered
+	if Lower(&l, u, 4) != nil {
 		t.Error("Lower(unit) != nil")
 	}
-	if Lower(nil, 4) != nil {
+	if Lower(&l, nil, 4) != nil {
 		t.Error("Lower(nil) != nil")
 	}
 	// A fixed plan with unit parameters lowers to nil too.
@@ -65,7 +71,7 @@ func TestParseSpecEmptyAndUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Lower(f, 4) != nil {
+	if Lower(&l, f, 4) != nil {
 		t.Error("Lower(fixed,delay=1) != nil")
 	}
 }
@@ -168,11 +174,11 @@ func TestValidate(t *testing.T) {
 }
 
 func TestLoweredBusy(t *testing.T) {
-	p, err := ParseSpec("fixed,delay=3,credit=2,link:1:delay=5,link:2:credit=1")
+	p, err := ParseSpec(overrideSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := Lower(p, 4)
+	l := Lower(new(Lowered), p, 4)
 	if l == nil {
 		t.Fatal("lowered to nil")
 	}
@@ -192,8 +198,8 @@ func TestLoweredBusy(t *testing.T) {
 			t.Errorf("Busy(%d, %d) = %d, want %d", c.link, c.tally, got, c.want)
 		}
 	}
-	if l.MaxFactor() != 5 {
-		t.Errorf("MaxFactor = %d, want 5", l.MaxFactor())
+	if f := p.MaxFactor(4); f != 5 {
+		t.Errorf("MaxFactor = %d, want 5", f)
 	}
 }
 
@@ -202,8 +208,15 @@ func TestLoweredCongestion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := Lower(p, 2)
-	if l == nil {
+	// Lowered into tables a fixed plan with overrides filled first, as
+	// the machine's pooled tables may have been.
+	var l Lowered
+	over, err := ParseSpec(overrideSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Lower(&l, over, 4)
+	if Lower(&l, p, 2) == nil {
 		t.Fatal("lowered to nil")
 	}
 	cases := []struct {
@@ -221,19 +234,66 @@ func TestLoweredCongestion(t *testing.T) {
 			t.Errorf("Busy(0, %d) = %d, want %d", c.tally, got, c.want)
 		}
 	}
-	if l.MaxFactor() != 5 {
-		t.Errorf("MaxFactor = %d, want 5", l.MaxFactor())
+	if f := p.MaxFactor(2); f != 5 {
+		t.Errorf("MaxFactor = %d, want 5", f)
 	}
 }
 
+// overrideSpec is a fixed plan with a delay override and a credit
+// override; FuzzSpec seeds with it.
+const overrideSpec = "fixed,delay=3,credit=2,link:1:delay=5,link:2:credit=1"
+
+// TestMaxFactor holds Plan.MaxFactor, the stretch the engines' cycle
+// bounds and verify.LinkBudgets read without lowering anything, to the
+// lowered tables it stands for — the largest delay any link got, plus
+// the congestion cap — on every link-model spec FuzzSpec seeds with, on
+// fixed plans whose overrides cover every link (the base delay is then
+// on none), and on random plans, each over topologies of 0 to 8 links.
 func TestMaxFactor(t *testing.T) {
-	if f := Lower(FixedPlan(4, 0), 2).MaxFactor(); f != 4 {
-		t.Errorf("fixed delay-4 MaxFactor = %d, want 4", f)
+	lowered := func(p *Plan, links int) int {
+		f := 1
+		if l := Lower(new(Lowered), p, links); l != nil {
+			for _, d := range l.delay {
+				f = max(f, int(d)+int(l.maxExtra))
+			}
+		}
+		return f
 	}
-	if f := Lower(CongestionPlan(1, 2, 3), 2).MaxFactor(); f != 4 {
+	check := func(p *Plan, links int) {
+		t.Helper()
+		if err := p.Validate(links); err != nil {
+			return
+		}
+		if got, want := p.MaxFactor(links), lowered(p, links); got != want {
+			t.Fatalf("%s over %d links: MaxFactor %d, lowered tables %d", p, links, got, want)
+		}
+	}
+	for _, s := range append(slices.Clone(roundTripSpecs), overrideSpec,
+		"fixed,delay=9,link:0:delay=2,link:1:delay=3", "fixed,delay=9,link:0:delay=2,link:1:credit=3") {
+		p, err := ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for links := range 9 {
+			check(p, links)
+		}
+	}
+	if f := (&Plan{Kind: Fixed, Delay: 9, Overrides: []Override{{Link: 0, Delay: 2}, {Link: 1, Delay: 3}}}).MaxFactor(2); f != 3 {
+		t.Errorf("every link overridden: MaxFactor = %d, want 3 (the base delay 9 is on no link)", f)
+	}
+	if f := CongestionPlan(1, 2, 3).MaxFactor(2); f != 4 {
 		t.Errorf("congestion MaxFactor = %d, want 4", f)
 	}
-	if f := Lower(UnitPlan(), 2).MaxFactor(); f != 1 {
-		t.Errorf("unit (nil table) MaxFactor = %d, want 1", f)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 3000 {
+		links := rng.IntN(6)
+		p := &Plan{Kind: Kind(rng.IntN(3)), Delay: rng.IntN(5), Credit: rng.IntN(3) / 2,
+			Threshold: rng.IntN(3), MaxExtra: rng.IntN(4)}
+		if p.Kind == Fixed {
+			for _, lk := range rng.Perm(links)[:rng.IntN(links+1)] {
+				p.Overrides = append(p.Overrides, Override{Link: topology.LinkID(lk), Delay: rng.IntN(7), Credit: rng.IntN(2)})
+			}
+		}
+		check(p, links)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // unreachable.
 //
 // The returned Result (including Received, Stats.BlockedCycles,
-// Stats.Queues, and Blocked) aliases buffers the Exec holds and is
-// valid only until the next Run or Release on the same Exec — after
+// Stats.Queues, Blocked and Faults) aliases buffers the Exec holds and
+// is valid only until the next Run or Release on the same Exec — after
 // Release another run, on any machine, may reuse them. Callers that
 // need a Result to outlive either must deep-copy what they keep. In
 // exchange, a steady-state Run performs no per-run allocations beyond
@@ -43,12 +43,13 @@ func (m *Machine) NewExec() *Exec {
 }
 
 // Run simulates one configuration against the Exec's held state:
-// prepare checks and lowers the options, init sizes the exec for the
-// machine, the policy is set up, and the scheduler loop runs. See the
-// type comment for the Result lifetime contract.
+// prepare checks the options, init sizes the exec for the machine and
+// lowers the run's plans into it, the policy is set up, and the
+// scheduler loop runs. See the type comment for the Result lifetime
+// contract.
 func (ex *Exec) Run(opts ExecOptions) (*Result, error) {
 	m := ex.m
-	maxCycles, flt, lm, err := m.prepare(&opts)
+	maxCycles, err := m.prepare(&opts)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +57,7 @@ func (ex *Exec) Run(opts ExecOptions) (*Result, error) {
 		ex.e = borrowExec()
 	}
 	e := ex.e
-	e.init(m, &opts, flt, lm)
+	e.init(m, &opts)
 	e.ctx = assign.Context{
 		CompetingByPool: m.pools.competingByPool,
 		LabelOrder:      m.pools.labelOrder,

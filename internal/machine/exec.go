@@ -195,28 +195,34 @@ type exec struct {
 	cooling []int // queue slots with a possibly-armed cooldown
 
 	// The buffers a Result aliases: received (windows into arena), the
-	// blocked counts, the queue stats and the deadlock report. Every
-	// run regrows them in place; handOver gives them to a Result that
-	// outlives the exec.
+	// blocked counts, the queue stats, the deadlock report and the
+	// fault descriptions. Every run regrows them in place; handOver
+	// gives them to a Result that outlives the exec.
 	blockedBuf   []int
 	qstatBuf     []QueueStat
 	cellBlockBuf []CellBlock
+	faultBuf     []string
 	received     [][]Word
 	arena        []Word
 
 	ctx assign.Context // per-run policy context; fields are shared read-only views
 
-	// faults holds the run's lowered fault tables; nil on fault-free
-	// runs, so every hot-path gate is a single pointer test. The
-	// tables are immutable. Gates
-	// sit at the four operation-issue sites (reads, interior advances,
-	// sender writes, rendezvous), each checked *after* every fault-free
-	// readiness criterion, so the gated-op count — and therefore every
-	// downstream byte — matches the reference engine's full scan.
-	faults *fault.Lowered
+	// faults points at faultTables, the run's lowered fault plan; nil
+	// on fault-free runs, so every hot-path gate is a single pointer
+	// test. init lowers the plan into faultTables on every faulted run,
+	// reusing their storage, and they are read-only while the run
+	// lasts. Gates sit at the four operation-issue sites (reads,
+	// interior advances, sender writes, rendezvous), each checked
+	// *after* every fault-free readiness criterion, so the gated-op
+	// count — and therefore every downstream byte — matches the
+	// reference engine's full scan.
+	faults      *fault.Lowered
+	faultTables fault.Lowered
 
-	// lm holds the run's lowered link-timing tables; nil under unit
-	// latency, so every hot-path gate is a single pointer test.
+	// lm points at lmTables, the run's lowered link-timing plan; nil
+	// under unit latency, so every hot-path gate is a single pointer
+	// test. Like faultTables, lmTables is lowered again by every
+	// retimed run's init into the storage it already has.
 	// Occupancy state: lmNextFree[l] is the first cycle link l is free
 	// again (words cross only when now ≥ lmNextFree[l]); lmTally[l]
 	// counts the words that crossed l this cycle; lmDirty lists the
@@ -230,6 +236,7 @@ type exec struct {
 	// nothing before the next. A busy-link stall is timing, not
 	// degradation: it does not count toward GatedOps.
 	lm         *linkmodel.Lowered
+	lmTables   linkmodel.Lowered
 	lmNextFree []int
 	lmTally    []int32
 	lmDirty    []int32
@@ -296,18 +303,21 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// init sizes the exec for one run, reusing pooled backing arrays.
-func (e *exec) init(m *Machine, opts *ExecOptions, flt *fault.Lowered, lm *linkmodel.Lowered) {
+// init sizes the exec for one run, reusing pooled backing arrays, and
+// lowers the run's fault and link-timing plans into its own tables.
+// Every run lowers its current plans, so a plan changed in place
+// between runs is always the one that runs.
+func (e *exec) init(m *Machine, opts *ExecOptions) {
 	e.m = m
 	e.logic = opts.Logic
 	e.policy = opts.Policy
 	e.capacity = opts.Capacity
 	e.queuesPerLink = opts.QueuesPerLink
 	e.recordTimeline = opts.RecordTimeline
-	e.faults = flt
-	e.lm = lm
+	e.faults = fault.Lower(&e.faultTables, opts.Faults, m.prog.NumCells(), len(m.links))
+	e.lm = linkmodel.Lower(&e.lmTables, opts.LinkModel, len(m.links))
 	e.lmBusyMax = 0
-	if lm != nil {
+	if e.lm != nil {
 		n := len(m.links)
 		e.lmNextFree = grow(e.lmNextFree, n)
 		e.lmTally = grow(e.lmTally, n)
@@ -1228,9 +1238,10 @@ func (e *exec) result() Result {
 	e.res.Cycles = e.now
 	e.res.Received = e.received
 	if e.faults != nil {
-		// The descriptions are computed once at Lower and shared; the
-		// content equality is what the cross-engine suites compare.
-		e.res.Faults = e.faults.Descriptions()
+		// A copy, so that no write into a Result reaches the rendered
+		// descriptions the exec keeps for its next run of the plan.
+		e.faultBuf = append(e.faultBuf[:0], e.faults.Descriptions()...)
+		e.res.Faults = e.faultBuf
 	}
 
 	// Cycles in which the reference engine's accounting ran: every
@@ -1308,6 +1319,7 @@ func (e *exec) handOver(res *Result) {
 	res.Stats.BlockedCycles = handOverBuf(&e.blockedBuf, res.Stats.BlockedCycles)
 	res.Stats.Queues = handOverBuf(&e.qstatBuf, res.Stats.Queues)
 	res.Blocked = handOverBuf(&e.cellBlockBuf, res.Blocked)
+	res.Faults = handOverBuf(&e.faultBuf, res.Faults)
 	if fits(e.received) && fits(e.arena) {
 		e.received, e.arena = nil, nil
 		return

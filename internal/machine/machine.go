@@ -627,30 +627,26 @@ func CheckOptions(opts *ExecOptions, p *model.Program, routes [][]topology.Hop, 
 	return nil
 }
 
-// prepare checks opts (CheckOptions), applies defaults (Logic,
-// MaxCycles), and lowers the fault and link-timing tables. It is the
-// front half of Exec.Run, and so of Run; core.Execute checks only what
-// needs the analysis and leaves every other option to this
-// ConfigError. The derived cycle bound is the machine's own: the
+// prepare checks opts (CheckOptions) and applies defaults (Logic,
+// MaxCycles). It is the front half of Exec.Run, and so of Run; the
+// fault and link-timing plans are lowered by exec.init, into tables
+// the exec keeps. core.Execute checks only what needs the analysis and
+// leaves every other option to this ConfigError. The derived cycle
+// bound is the machine's own, stretched by the plans' MaxFactor: the
 // reference engine derives it independently.
-func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, flt *fault.Lowered, lm *linkmodel.Lowered, err error) {
+func (m *Machine) prepare(opts *ExecOptions) (maxCycles int, err error) {
 	if err := CheckOptions(opts, m.prog, m.routes, len(m.links), m.multiHopMsg); err != nil {
-		return 0, nil, nil, err
+		return 0, err
 	}
-	flt = fault.Lower(opts.Faults, m.prog.NumCells(), len(m.links))
-	lm = linkmodel.Lower(opts.LinkModel, len(m.links))
 	if opts.Logic == nil {
 		opts.Logic = SyntheticLogic{}
 	}
 	maxCycles = opts.MaxCycles
 	if maxCycles <= 0 {
 		// A user-set MaxCycles is never second-guessed.
-		maxCycles, err = maxCyclesFor(m.totalWords, m.totalHops, lm.MaxFactor(), flt.MaxFactor())
-		if err != nil {
-			return 0, nil, nil, err
-		}
+		return maxCyclesFor(m.totalWords, m.totalHops, opts.LinkModel.MaxFactor(len(m.links)), opts.Faults.MaxFactor())
 	}
-	return maxCycles, flt, lm, nil
+	return maxCycles, nil
 }
 
 // Run simulates the compiled program to completion, deadlock, or the

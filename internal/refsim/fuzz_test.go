@@ -82,7 +82,10 @@ type handedOver struct {
 // count). The bytes pick the scenario (seed, mutations, fault class,
 // cyclic, and an empty program in place of the small one), the first
 // equivConfigs row, and one run per byte of runs: the way in (b%3),
-// the machine (b/3%2) and an offset to the row (b/6).
+// the machine (b/3%2) and an offset to the row (b/6). A byte of 128 or
+// more first changes that machine's fault plan in place (reshape), so
+// the next run lowers new entries from a plan it has seen before —
+// into tables, and past rendered descriptions, an exec may keep.
 func FuzzEquivalence(f *testing.F) {
 	sequence := []byte{0, 4, 2, 3, 1, 5, 6, 10}
 	f.Add(int64(1), uint8(0), uint8(0), false, true, uint8(0), sequence)
@@ -93,6 +96,10 @@ func FuzzEquivalence(f *testing.F) {
 	// small one: the exec the batch gave back still holds the large
 	// machine's tables.
 	f.Add(int64(3), uint8(0), uint8(2), false, false, uint8(0), []byte{4, 0, 0})
+	// The same runs with the fault plans reshaped in place between
+	// them: on the large machine under every way in, then on the small
+	// one, whose plan starts empty.
+	f.Add(int64(3), uint8(0), uint8(2), false, false, uint8(0), []byte{3, 131, 4, 133, 5, 128, 129, 0})
 	f.Fuzz(func(t *testing.T, seed int64, mutations, faultClass uint8, cyclic, empty bool, row uint8, runs []byte) {
 		if len(runs) > 8 {
 			runs = runs[:8]
@@ -128,6 +135,10 @@ func FuzzEquivalence(f *testing.F) {
 			i := (int(row) + int(b/6)) % len(cfgs)
 			cfg, next := cfgs[i], cfgs[(i+1)%len(cfgs)]
 			desc := fmt.Sprintf("step %d (machine %d, row %d)", step, b/3%2, i)
+			if b >= 128 {
+				fm.reshape(step)
+				desc += " after a reshape"
+			}
 			switch b % 3 {
 			case 0:
 				got, err := fm.m.Run(fm.options(cfg))
@@ -169,6 +180,40 @@ func FuzzEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// reshape changes fm's fault plan in place, as a caller may between two
+// runs: the *Plan and its backing arrays stay, every periodic factor
+// and effective-from cycle moves, and on even steps the last cell fault
+// is dropped, on odd ones a dropped one comes back. A machine without a
+// plan gets a slowdowns-only one first.
+func (fm *fuzzMachine) reshape(step int) {
+	if fm.p.NumMessages() == 0 {
+		return
+	}
+	p := fm.faults
+	if p == nil {
+		fm.faults = gen.RandomFaults(int64(step), fm.p.NumCells(), len(fm.topo.Links()), gen.FaultOptions{SlowdownsOnly: true})
+		return
+	}
+	for i := range p.Cells {
+		if c := &p.Cells[i]; !c.Dead {
+			c.Factor = c.Factor%4 + 2
+		}
+		p.Cells[i].From = (p.Cells[i].From + step) % 7
+	}
+	for i := range p.Links {
+		if l := &p.Links[i]; !l.Severed {
+			l.Factor = l.Factor%4 + 2
+		}
+		p.Links[i].From = (p.Links[i].From + step) % 7
+	}
+	switch {
+	case step%2 == 0 && len(p.Cells) > 0:
+		p.Cells = p.Cells[:len(p.Cells)-1]
+	case step%2 == 1 && len(p.Cells) < cap(p.Cells):
+		p.Cells = p.Cells[:len(p.Cells)+1]
+	}
 }
 
 // options gives a config row the machine's fault plan unless the row

@@ -126,8 +126,10 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 	if err := machine.CheckOptions(&cfg, p, routes, len(links), multiHop); err != nil {
 		return nil, err
 	}
-	flt := fault.Lower(cfg.Faults, p.NumCells(), len(links))
-	lmo := linkmodel.Lower(cfg.LinkModel, len(links))
+	// Fresh tables every run: the oracle shares no lowered state with
+	// the machine, which lowers into tables its pooled run state keeps.
+	flt := fault.Lower(new(fault.Lowered), cfg.Faults, p.NumCells(), len(links))
+	lmo := linkmodel.Lower(new(linkmodel.Lowered), cfg.LinkModel, len(links))
 	logic := cfg.Logic
 	if logic == nil {
 		logic = machine.SyntheticLogic{}
@@ -157,7 +159,7 @@ func Run(p *model.Program, t topology.Topology, routes [][]topology.Hop, labels 
 	maxCycles := cfg.MaxCycles
 	if maxCycles <= 0 {
 		var err error
-		if maxCycles, err = defaultMaxCycles(p, routes, lmo.MaxFactor(), flt.MaxFactor()); err != nil {
+		if maxCycles, err = defaultMaxCycles(p, routes, cfg.LinkModel.MaxFactor(len(links)), cfg.Faults.MaxFactor()); err != nil {
 			return nil, err
 		}
 	}

@@ -40,7 +40,7 @@ func FuzzSpec(f *testing.F) {
 				t.Fatalf("fault spec %q: canonical %q re-parses to %q, %v", text, canon, q.String(), err)
 			}
 			if p.Validate(8, 8) == nil {
-				fault.Lower(p, 8, 8)
+				fault.Lower(new(fault.Lowered), p, 8, 8)
 			}
 		}
 		if p, err := linkmodel.ParseSpec(text); err == nil {
@@ -50,7 +50,7 @@ func FuzzSpec(f *testing.F) {
 				t.Fatalf("link model spec %q: canonical %q re-parses to %q, %v", text, canon, q.String(), err)
 			}
 			if p.Validate(8) == nil {
-				linkmodel.Lower(p, 8)
+				linkmodel.Lower(new(linkmodel.Lowered), p, 8)
 			}
 		}
 	})

@@ -47,8 +47,7 @@ type LinkImpact struct {
 // LinkBudgets evaluates a link-timing plan against a labeled, routed
 // program. A nil or unit plan yields nil: there is nothing to report.
 func LinkBudgets(routes [][]topology.Hop, dense []int, plan *linkmodel.Plan, numLinks int) *LinkImpact {
-	lowered := linkmodel.Lower(plan, numLinks)
-	if lowered == nil {
+	if plan.IsUnit() {
 		return nil
 	}
 	var affected []model.MessageID
@@ -64,7 +63,7 @@ func LinkBudgets(routes [][]topology.Hop, dense []int, plan *linkmodel.Plan, num
 	return &LinkImpact{
 		Model:            plan.String(),
 		GuaranteeHolds:   true,
-		MaxFactor:        lowered.MaxFactor(),
+		MaxFactor:        plan.MaxFactor(numLinks),
 		AffectedMessages: affected,
 		MinQueuesDynamic: rep.MaxGroup,
 		MinQueuesStatic:  rep.MaxCompeting,

@@ -13,10 +13,10 @@ func TestLinkBudgetsNoopPlan(t *testing.T) {
 	if got := LinkBudgets(routes, dense, nil, 8); got != nil {
 		t.Errorf("nil plan → %+v impact", got)
 	}
-	if got := LinkBudgets(routes, dense, linkmodel.UnitPlan(), 8); got != nil {
+	if got := LinkBudgets(routes, dense, &linkmodel.Plan{Kind: linkmodel.Unit}, 8); got != nil {
 		t.Errorf("unit plan → %+v impact", got)
 	}
-	// fixed,delay=1 with no credit is unit timing in disguise; Lower
+	// fixed,delay=1 with no credit is unit timing in disguise; IsUnit
 	// recognizes it and the analysis stays silent.
 	if got := LinkBudgets(routes, dense, linkmodel.FixedPlan(1, 0), 8); got != nil {
 		t.Errorf("fixed,delay=1 plan → %+v impact", got)

@@ -39,22 +39,6 @@ type (
 // errors. LinkModelPlan.String is the inverse (canonical form).
 func ParseLinkModelSpec(spec string) (*LinkModelPlan, error) { return linkmodel.ParseSpec(spec) }
 
-// UnitLinkModel returns the explicit unit-latency plan — useful to
-// state "no retiming" in a table of configurations.
-func UnitLinkModel() *LinkModelPlan { return linkmodel.UnitPlan() }
-
-// FixedLinkModel returns a uniform fixed-timing plan: every link
-// serves with the given delay, and credit > 0 bounds the words served
-// per delay window (0 = unlimited).
-func FixedLinkModel(delay, credit int) *LinkModelPlan { return linkmodel.FixedPlan(delay, credit) }
-
-// CongestionLinkModel returns a congestion-sensitive plan: a link that
-// moved w words in a cycle serves the next batch after
-// delay + min(maxExtra, (w-1)/threshold) cycles.
-func CongestionLinkModel(delay, threshold, maxExtra int) *LinkModelPlan {
-	return linkmodel.CongestionPlan(delay, threshold, maxExtra)
-}
-
 // LinkBudgets evaluates a link-timing plan against an analyzed
 // configuration: the worst-case schedule stretch, the messages whose
 // routes the model retimes, and Theorem 1's queue budgets (which
