@@ -16,9 +16,11 @@
 // are crossed later, which is exactly the paper's model of words parked
 // in queue buffers.
 //
-// A pass keeps the executable pairs up to date incrementally and
-// allocates what the program's size determines up front: a cursor per
-// cell, a candidate slot per message, and for Run alone the pick order.
+// A pass keeps the executable pairs up to date incrementally on tables
+// the program's size determines up front — a cursor per cell, a
+// candidate slot per message — which come from one process-wide pool of
+// workspaces, so a pass allocates only what it returns: Run's pick
+// order and the blocked fronts.
 // One admission rule serves both rule sets. A cell offers its window,
 // the uncrossed ops from its cursor through its first read, cut where
 // one more skipped write would break R2; the strict rules allow no
@@ -38,6 +40,8 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
+	"unsafe"
 
 	"systolic/internal/model"
 	"systolic/internal/topology"
@@ -166,31 +170,58 @@ type state struct {
 	opts Options
 	// cursor is each cell's first uncrossed index, the whole crossed
 	// state under the strict rules. An op crossed past its cursor, which
-	// only lookahead locates, is flagged (cell c's from off[c]).
-	cursor  []int
-	crossed []bool
-	off     []int
-	left    int
+	// only lookahead locates, is flagged (cell c's from off[c]);
+	// flagging says a pass has flagged one, and only then are crossed
+	// and off sized, cleared and read.
+	cursor   []int
+	crossed  []bool
+	off      []int
+	flagging bool
+	left     int
 	// skips is the one skip buffer of the pass: locate records skipped
 	// writes here, a candidate keeps only its two indexes, and the
 	// picked pair's skips are located again into it before the
 	// observer sees them. Only Run's order copies them out. It grows by
-	// append, since no pass knows its deepest window up front: under
-	// lookahead its growth is the only allocation that follows the
-	// program's size. count holds how many of them are on each message,
-	// for rule R2; allocated at the first skip.
+	// append, since no pass knows its deepest window up front, and
+	// keeps its array in the pool: a pass grows it only past the
+	// deepest window any earlier pass on its workspace located. count
+	// holds how many of them are on each message, for rule R2.
 	skips   []Skip
 	count   []int
 	updates int // candidacy checks (one per completion tried): the pass's clock-free cost, for tests
 }
 
 func newState(p *model.Program, opts Options) *state {
-	return &state{p: p, opts: opts, cursor: make([]int, p.NumCells()), left: p.TotalOps()}
+	s := new(state)
+	s.reset(p, opts)
+	return s
+}
+
+// reset readies s for a pass over p, reusing its arrays.
+func (s *state) reset(p *model.Program, opts Options) {
+	s.p, s.opts = p, opts
+	s.cursor = resize(s.cursor, p.NumCells())
+	s.count = resize(s.count, p.NumMessages())
+	s.skips = s.skips[:0]
+	s.flagging = false
+	s.left = p.TotalOps()
+	s.updates = 0
+}
+
+// resize returns buf with length n and every entry zero, reusing its
+// array when it is large enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // flagged reports whether op i of cell c was crossed past its cursor.
 func (s *state) flagged(c model.CellID, i int) bool {
-	return s.crossed != nil && s.crossed[s.off[c]+i]
+	return s.flagging && s.crossed[s.off[c]+i]
 }
 
 // budget is rule R2's allowance of skipped writes to message m per
@@ -207,9 +238,6 @@ func (s *state) budget(m model.MessageID) int {
 // and reports whether the pair being located still keeps within m's
 // budget.
 func (s *state) skip(c model.CellID, i int, m model.MessageID) bool {
-	if s.count == nil {
-		s.count = make([]int, s.p.NumMessages())
-	}
 	s.skips = append(s.skips, Skip{Cell: c, Idx: i, Msg: m})
 	s.count[m]++
 	return s.count[m] <= s.budget(m)
@@ -260,7 +288,7 @@ func (s *state) probe(m model.Message) (w, r int, ok bool) {
 // rest.
 func (s *state) cross(pr Pair) {
 	s.left -= 2
-	if s.crossed == nil && pr.WriteIdx == s.cursor[pr.WriteCell] && pr.ReadIdx == s.cursor[pr.ReadCell] {
+	if !s.flagging && pr.WriteIdx == s.cursor[pr.WriteCell] && pr.ReadIdx == s.cursor[pr.ReadCell] {
 		s.cursor[pr.WriteCell]++
 		s.cursor[pr.ReadCell]++
 		return
@@ -269,16 +297,17 @@ func (s *state) cross(pr Pair) {
 	s.flag(pr.ReadCell, pr.ReadIdx)
 }
 
-// flag marks op i of cell c crossed, allocating the flags at the first
-// op crossed past a cursor, and steps the cursor past the flagged ops
-// at it.
+// flag marks op i of cell c crossed, sizing the flags at the first op
+// crossed past a cursor, and steps the cursor past the flagged ops at
+// it.
 func (s *state) flag(c model.CellID, i int) {
-	if s.crossed == nil {
-		s.off = make([]int, s.p.NumCells())
+	if !s.flagging {
+		s.flagging = true
+		s.off = resize(s.off, s.p.NumCells())
 		for c := 1; c < len(s.off); c++ {
 			s.off[c] = s.off[c-1] + len(s.p.Code(model.CellID(c-1)))
 		}
-		s.crossed = make([]bool, s.p.TotalOps())
+		s.crossed = resize(s.crossed, s.p.TotalOps())
 	}
 	s.crossed[s.off[c]+i] = true
 	code := s.p.Code(c)
@@ -320,16 +349,24 @@ type tracker struct {
 }
 
 func newTracker(s *state) *tracker {
-	t := &tracker{s: s, msgs: s.p.Messages()}
-	if s.opts.Picker == nil {
+	t := new(tracker)
+	t.reset(s)
+	return t
+}
+
+// reset readies t for a pass on s, reusing its arrays, and admits at
+// every cell.
+func (t *tracker) reset(s *state) {
+	t.s, t.msgs = s, s.p.Messages()
+	if cap(t.heap) < len(t.msgs) {
 		t.heap = make(minHeap, 0, len(t.msgs))
 	}
-	t.cand = make([]slot, len(t.msgs))
-	t.live = make([]bool, len(t.msgs))
+	t.heap = t.heap[:0]
+	t.cand = resize(t.cand, len(t.msgs))
+	t.live = resize(t.live, len(t.msgs))
 	for c := range s.cursor {
 		t.admit(model.CellID(c))
 	}
-	return t
 }
 
 // slot is a candidate pair's write and read index.
@@ -360,7 +397,7 @@ func (t *tracker) admit(c model.CellID) {
 		}
 		op := code[i]
 		// No write of op.Msg skipped yet: this is its first op here.
-		if !t.live[op.Msg] && (s.count == nil || s.count[op.Msg] == 0) {
+		if !t.live[op.Msg] && s.count[op.Msg] == 0 {
 			s.updates++
 			m := &t.msgs[op.Msg]
 			other, want := m.Receiver, model.Read // c writes m, so it is m's sender
@@ -491,13 +528,60 @@ func (h *minHeap) pop() int {
 	return v
 }
 
-// cross is the crossing-off loop: pick, observe, cross, update, until no
-// executable pair remains. The pairs are appended to order in the order
-// they were crossed, each with its own copy of its skips, unless order
-// is nil.
-func cross(p *model.Program, opts Options, order []Pair) (*state, []Pair) {
-	s := newState(p, opts)
-	t := newTracker(s)
+// workspace is one pass's state and tracker. Every pass borrows one from
+// workspaces, the process-wide pool, and returns it when it ends, so a
+// pass allocates tables only when it outgrows every earlier pass on its
+// workspace.
+type workspace struct {
+	s state
+	t tracker
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// maxPooledBytes bounds the tables a workspace keeps when it goes back
+// to the pool: a larger one is left to the collector, since its tables
+// never shrink and it may serve any pass next. The largest workspace
+// any benchmark workload grows, on run-busy's 17 664-message mesh, keeps
+// 0.6 MB, so no benchmark pass is ever dropped.
+const maxPooledBytes = 4 << 20
+
+// pooled reports whether w may go back to the pool.
+func (w *workspace) pooled() bool {
+	return bytesOf(w.s.cursor)+bytesOf(w.s.off)+bytesOf(w.s.crossed)+bytesOf(w.s.count)+bytesOf(w.s.skips)+
+		bytesOf(w.t.cand)+bytesOf(w.t.live)+bytesOf(w.t.heap)+bytesOf(w.t.pairs)+bytesOf(w.t.skips) <= maxPooledBytes
+}
+
+// bytesOf is the size of s's array.
+func bytesOf[T any](s []T) int { return cap(s) * int(unsafe.Sizeof(*new(T))) }
+
+// outcome is what a pass reports once its workspace is back in the
+// pool.
+type outcome struct {
+	left, updates int
+	order         []Pair
+	blocked       []BlockedOp
+}
+
+// cross is the crossing-off loop on a workspace from the pool: pick,
+// observe, cross, update, until no executable pair remains. The pairs
+// are appended to order in the order they were crossed, each with its
+// own copy of its skips, unless order is nil; the blocked fronts are
+// gathered if blocked is set. Nothing the outcome holds is pooled.
+func cross(p *model.Program, opts Options, order []Pair, blocked bool) outcome {
+	w := workspaces.Get().(*workspace)
+	out := w.cross(p, opts, order, blocked)
+	if w.pooled() {
+		workspaces.Put(w)
+	}
+	return out
+}
+
+// cross is the crossing-off loop on w, whatever its tables held.
+func (w *workspace) cross(p *model.Program, opts Options, order []Pair, blocked bool) outcome {
+	s, t := &w.s, &w.t
+	s.reset(p, opts)
+	t.reset(s)
 	for s.left > 0 {
 		i, ok := t.pick()
 		if !ok {
@@ -515,14 +599,20 @@ func cross(p *model.Program, opts Options, order []Pair) (*state, []Pair) {
 		}
 		t.crossed(pr)
 	}
-	return s, order
+	out := outcome{left: s.left, updates: s.updates, order: order}
+	if blocked {
+		out.blocked = s.blocked()
+	}
+	// The pool keeps no reference to the caller's program or functions.
+	s.p, s.opts, t.s, t.msgs = nil, Options{}, nil, nil
+	return out
 }
 
 // Run performs the crossing-off procedure one pair at a time until no
 // executable pair remains, and reports whether the program is
 // deadlock-free (§3.2).
 func Run(p *model.Program, opts Options) Result {
-	return result(cross(p, opts, make([]Pair, 0, p.TotalOps()/2)))
+	return result(cross(p, opts, make([]Pair, 0, p.TotalOps()/2), true))
 }
 
 // Verdict is Run without the pick order: the same pass, observer
@@ -530,23 +620,22 @@ func Run(p *model.Program, opts Options) Result {
 // (Order is nil). It is the pass of an analysis, which reads the
 // labeling its observer builds and never the order.
 func Verdict(p *model.Program, opts Options) Result {
-	return result(cross(p, opts, nil))
+	return result(cross(p, opts, nil, true))
 }
 
-func result(s *state, order []Pair) Result {
+func result(out outcome) Result {
 	return Result{
-		DeadlockFree: s.left == 0,
-		Order:        order,
-		Blocked:      s.blocked(),
-		RemainingOps: s.left,
+		DeadlockFree: out.left == 0,
+		Order:        out.order,
+		Blocked:      out.blocked,
+		RemainingOps: out.left,
 	}
 }
 
 // Classify answers only the deadlock-free question: the same pass as
 // Run, observer included, without the order and the blocked report.
 func Classify(p *model.Program, opts Options) bool {
-	s, _ := cross(p, opts, nil)
-	return s.left == 0
+	return cross(p, opts, nil, false).left == 0
 }
 
 // Round is one step of the simultaneous schedule: all pairs executable

@@ -34,7 +34,8 @@ func TestLabelerStepsLinearInOps(t *testing.T) {
 			}
 			p := w.Program
 			unions := Related(p).unions
-			l := newLabeler(p)
+			l := newLabeler()
+			l.reset(p)
 			if res := crossoff.Verdict(p, crossoff.Options{Observer: l.observe}); !res.DeadlockFree {
 				t.Fatalf("%s: not deadlock-free", w.Name)
 			}

@@ -28,9 +28,11 @@
 // its state dense — the related classes as one flat index, one
 // remaining-word counter per message, one min-heap of pending labels
 // per cell in a shared array — so labeling a pass costs
-// O(ops + messages·log degree) and a fixed number of allocations, on
-// top of Related's one scan of the program, which joins each pair of
-// adjacent ops at most once: O(ops) unions at any interleaving depth.
+// O(ops + messages·log degree), on top of Related's one scan of the
+// program, which joins each pair of adjacent ops at most once: O(ops)
+// unions at any interleaving depth. Its tables come from one
+// process-wide pool of labelers, so a pass whose greedy labels hold
+// allocates only the labels it returns.
 //
 // Only what a caller reads is built. The greedy labels are checked as
 // dense ranks, which keep their order and ties. A rule-1d skip of a
@@ -49,6 +51,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
+	"unsafe"
 
 	"systolic/internal/crossoff"
 	"systolic/internal/model"
@@ -107,8 +111,16 @@ func Trivial(p *model.Program) Labeling {
 // joined ones, so each adjacency costs one union whatever the
 // interleaving depth: O(ops) unions in all.
 func Related(p *model.Program) *unionFind {
+	uf := new(unionFind)
+	uf.relate(p, nil)
+	return uf
+}
+
+// relate makes u Related(p), with scratch for the pointers below; it
+// returns scratch, grown if it had to be.
+func (u *unionFind) relate(p *model.Program, scratch []int) []int {
 	n := p.NumMessages()
-	uf := newUnionFind(n)
+	u.reset(n)
 	longest := 0
 	for c := 0; c < p.NumCells(); c++ {
 		longest = max(longest, len(p.Code(model.CellID(c))))
@@ -121,7 +133,7 @@ func Related(p *model.Program) *unionFind {
 	// next[k] leads from position k towards the first adjacency (k',
 	// k'+1) at or after it not yet joined: next[k] == k when (k, k+1)
 	// is not.
-	scratch := make([]int, n+longest)
+	scratch = resize(scratch, n+longest)
 	last, next := scratch[:n:n], scratch[n:]
 	base := 0
 	for c := 0; c < p.NumCells(); c++ {
@@ -135,7 +147,7 @@ func Related(p *model.Program) *unionFind {
 				// op.Msg: join j…i.
 				for k := unjoined(next, j); k < i; k = unjoined(next, k+1) {
 					if a, b := code[k].Msg, code[k+1].Msg; a != b {
-						uf.Union(int(a), int(b))
+						u.Union(int(a), int(b))
 					}
 					next[k] = k + 1
 				}
@@ -144,7 +156,7 @@ func Related(p *model.Program) *unionFind {
 		}
 		base += len(code)
 	}
-	return uf
+	return scratch
 }
 
 // unjoined follows the skip pointers from position k to the first
@@ -164,15 +176,18 @@ type classIndex struct {
 	classOf []int32 // message → class
 	start   []int32
 	members []int32
+	next    []int32 // build's scratch
 }
 
-func newClassIndex(uf *unionFind) classIndex {
+// build makes ix uf's partition, reusing its arrays.
+func (ix *classIndex) build(uf *unionFind) {
 	n := len(uf.parent)
-	ix := classIndex{classOf: make([]int32, n), members: make([]int32, n)}
+	ix.classOf, ix.members = resize(ix.classOf, n), resize(ix.members, n)
 	// Number the classes in order of their smallest member. next maps a
 	// representative to 1 + its class here, and a class to its fill
 	// position below.
-	next := make([]int32, n)
+	ix.next = resize(ix.next, n)
+	next := ix.next
 	classes := int32(0)
 	for i := range ix.classOf {
 		r := uf.Find(i)
@@ -182,7 +197,7 @@ func newClassIndex(uf *unionFind) classIndex {
 		}
 		ix.classOf[i] = next[r] - 1
 	}
-	ix.start = make([]int32, classes+1)
+	ix.start = resize(ix.start, int(classes)+1)
 	for _, k := range ix.classOf {
 		ix.start[k+1]++
 	}
@@ -195,7 +210,6 @@ func newClassIndex(uf *unionFind) classIndex {
 		ix.members[next[k]] = int32(i)
 		next[k]++
 	}
-	return ix
 }
 
 // class returns the members of msg's class.
@@ -230,7 +244,20 @@ func Assign(p *model.Program, opts Options) (Labeling, error) {
 // the verdict and the blocked fronts are in the result. The result
 // carries no pick order: nothing an analysis returns reads it.
 func Run(p *model.Program, opts Options) (crossoff.Result, Labeling) {
-	l := newLabeler(p)
+	l := labelers.Get().(*labeler)
+	l.reset(p)
+	res, lab := l.run(opts)
+	// The pool keeps no reference to the caller's program.
+	l.p, l.schemeErr = nil, nil
+	if l.pooled() {
+		labelers.Put(l)
+	}
+	return res, lab
+}
+
+// run is Run on l, reset for p.
+func (l *labeler) run(opts Options) (crossoff.Result, Labeling) {
+	p := l.p
 	// With the default picker the §8.2 rule-1d equalities a fallback
 	// needs are those of this very pass, so the labeler collects them.
 	l.equalities = opts.Lookahead && opts.Picker == nil
@@ -238,7 +265,7 @@ func Run(p *model.Program, opts Options) (crossoff.Result, Labeling) {
 		Lookahead: opts.Lookahead,
 		Budget:    opts.Budget,
 		Picker:    opts.Picker,
-		Observer:  l.observe,
+		Observer:  l.observer,
 	})
 	if !res.DeadlockFree {
 		return res, Labeling{}
@@ -258,7 +285,7 @@ func Run(p *model.Program, opts Options) (crossoff.Result, Labeling) {
 	}
 	// The pass above crossed everything off, so the order-based
 	// construction needs no verdict of its own.
-	fallback := orderLabels(p, eqs)
+	fallback := l.order.labels(p, eqs)
 	fallback.Warnings = append(fallback.Warnings,
 		fmt.Sprintf("label: fell back to order-based labeling (%s)", err))
 	return res, fallback
@@ -272,11 +299,23 @@ var errInconsistent = errors.New("greedy §6 scheme produced an inconsistent lab
 // a crossing-off pass. Every step is O(1) or O(log degree) per pair
 // except rule 1c, which visits a related class once, when its first
 // member is labeled: O(ops + messages·log degree) for the whole pass.
+// Run borrows one from labelers, the process-wide pool, and reset
+// sizes and clears its tables in place.
 type labeler struct {
-	p       *model.Program
-	classes classIndex
+	p *model.Program
+	// related is the related-messages relation, built over relScratch;
+	// classes is its flat index.
+	related    unionFind
+	relScratch []int
+	classes    classIndex
+	// observer is the observe method value, made once per labeler.
+	observer func(crossoff.Pair)
 
+	// labels holds the pass's labels, dense their ranks and idx the
+	// ranking's sort order; labeling returns copies of the first two.
 	labels   []rational.R
+	dense    []int
+	idx      []int
 	labeled  []bool
 	maxInUse rational.R
 	// lastTouched is the label of the last pair crossed at each cell;
@@ -304,24 +343,70 @@ type labeler struct {
 	// pair's. sameLabel drops a pair the ones before it already imply,
 	// so eqs never holds more than messages−1 of them; the order-based
 	// construction merges exactly the same components either way.
+	// sameLabel is reset at the first equality, while eqs is empty.
 	equalities bool
 	eqs        [][2]model.MessageID
-	sameLabel  *unionFind
+	sameLabel  unionFind
+	// order is the order-based fallback's scratch.
+	order orderScratch
 }
 
-func newLabeler(p *model.Program) *labeler {
-	l := &labeler{
-		p:           p,
-		classes:     newClassIndex(Related(p)),
-		labels:      make([]rational.R, p.NumMessages()),
-		labeled:     make([]bool, p.NumMessages()),
-		maxInUse:    rational.FromInt(0),
-		lastTouched: make([]rational.R, p.NumCells()),
-		left:        make([]int32, p.NumMessages()),
-		pending:     make([]int32, 2*p.NumMessages()),
-		heapStart:   make([]int32, p.NumCells()+1),
-		heapLen:     make([]int32, p.NumCells()),
+var labelers = sync.Pool{New: func() any { return newLabeler() }}
+
+// newLabeler returns a labeler with empty tables.
+func newLabeler() *labeler {
+	l := new(labeler)
+	l.observer = l.observe
+	return l
+}
+
+// maxPooledBytes bounds the tables a labeler keeps when it goes back to
+// the pool: a larger one is left to the collector, since its tables
+// never shrink and it may serve any pass next. The largest labeler any
+// benchmark workload grows, on run-busy's 17 664-message mesh, keeps
+// 1.5 MB, so no benchmark pass is ever dropped.
+const maxPooledBytes = 4 << 20
+
+// pooled reports whether l may go back to the pool.
+func (l *labeler) pooled() bool {
+	ix := &l.classes
+	return bytesOf(l.related.buf)+bytesOf(l.relScratch)+bytesOf(ix.classOf)+bytesOf(ix.start)+bytesOf(ix.members)+bytesOf(ix.next)+
+		bytesOf(l.labels)+bytesOf(l.dense)+bytesOf(l.idx)+bytesOf(l.labeled)+bytesOf(l.lastTouched)+bytesOf(l.left)+
+		bytesOf(l.pending)+bytesOf(l.heapStart)+bytesOf(l.heapLen)+bytesOf(l.eqs)+bytesOf(l.sameLabel.buf)+
+		bytesOf(l.order.tables)+bytesOf(l.order.edges) <= maxPooledBytes
+}
+
+// bytesOf is the size of s's array.
+func bytesOf[T any](s []T) int { return cap(s) * int(unsafe.Sizeof(*new(T))) }
+
+// resize returns buf with length n and every entry zero, reusing its
+// array when it is large enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// reset readies l for a pass over p: every table sized for p and
+// cleared, reusing its arrays.
+func (l *labeler) reset(p *model.Program) {
+	n, cells := p.NumMessages(), p.NumCells()
+	l.p = p
+	l.relScratch = l.related.relate(p, l.relScratch)
+	l.classes.build(&l.related)
+	l.labels = resize(l.labels, n)
+	l.labeled = resize(l.labeled, n)
+	l.maxInUse = rational.FromInt(0)
+	l.lastTouched = resize(l.lastTouched, cells)
+	l.left = resize(l.left, n)
+	l.pending = resize(l.pending, 2*n)
+	l.heapStart = resize(l.heapStart, cells+1)
+	l.heapLen = resize(l.heapLen, cells)
+	l.schemeErr, l.visits = nil, 0
+	l.equalities, l.eqs = false, l.eqs[:0]
 	for _, m := range p.Messages() {
 		l.left[m.ID] = int32(m.Words)
 		l.heapStart[m.Sender+1]++
@@ -330,7 +415,6 @@ func newLabeler(p *model.Program) *labeler {
 	for c := 0; c < p.NumCells(); c++ {
 		l.heapStart[c+1] += l.heapStart[c]
 	}
-	return l
 }
 
 // setLabel labels msg and enters it into its endpoints' pending heaps.
@@ -463,9 +547,8 @@ func (l *labeler) collect(pr crossoff.Pair) {
 		if sk.Msg == pr.Msg {
 			continue
 		}
-		if l.sameLabel == nil {
-			l.sameLabel = newUnionFind(l.p.NumMessages())
-			l.eqs = make([][2]model.MessageID, 0, l.p.NumMessages()-1)
+		if len(l.eqs) == 0 {
+			l.sameLabel.reset(l.p.NumMessages())
 		}
 		if !l.sameLabel.Same(int(pr.Msg), int(sk.Msg)) {
 			l.sameLabel.Union(int(pr.Msg), int(sk.Msg))
@@ -488,24 +571,25 @@ func (l *labeler) labeling() (Labeling, error) {
 			return Labeling{}, fmt.Errorf("label: message %s never labeled", l.p.Message(model.MessageID(i)).Name)
 		}
 	}
-	dense := densify(l.labels)
+	l.dense = resize(l.dense, len(l.labels))
+	l.idx = resize(l.idx, len(l.labels))
+	ranks(l.dense, l.idx, l.labels)
 	// The ranks keep the labels' order and ties, so they are what the
 	// consistency check needs, without a rational compare per op.
-	if c, _ := firstDecrease(l.p, dense); c >= 0 {
+	if c, _ := firstDecrease(l.p, l.dense); c >= 0 {
 		return Labeling{}, errInconsistent
 	}
-	return Labeling{ByMessage: l.labels, Dense: dense}, nil
+	return Labeling{ByMessage: slices.Clone(l.labels), Dense: slices.Clone(l.dense)}, nil
 }
 
-// densify converts exact labels to 1-based integer ranks preserving
-// order and ties.
-func densify(labels []rational.R) []int {
-	idx := make([]int, len(labels))
+// ranks writes into dense the 1-based integer ranks of labels, which
+// keep their order and ties, sorting idx (both as long as labels) on
+// the way.
+func ranks(dense, idx []int, labels []rational.R) {
 	for i := range idx {
 		idx[i] = i
 	}
 	slices.SortFunc(idx, func(a, b int) int { return labels[a].Cmp(labels[b]) })
-	dense := make([]int, len(labels))
 	rank := 0
 	for i, id := range idx {
 		if i == 0 || labels[idx[i-1]].Less(labels[id]) {
@@ -513,7 +597,6 @@ func densify(labels []rational.R) []int {
 		}
 		dense[id] = rank
 	}
-	return dense
 }
 
 // Check verifies consistency: every cell program touches messages in
@@ -575,17 +658,18 @@ func decrease(p *model.Program, c model.CellID, i int, cur, prev any) error {
 type unionFind struct {
 	parent []int
 	rank   []int
-	unions int // Union calls, for the cost tests
+	buf    []int // parent and rank's one array
+	unions int   // Union calls, for the cost tests
 }
 
-// newUnionFind returns n singleton sets.
-func newUnionFind(n int) *unionFind {
-	buf := make([]int, 2*n)
-	uf := &unionFind{parent: buf[:n:n], rank: buf[n:]}
-	for i := range uf.parent {
-		uf.parent[i] = i
+// reset makes u n singleton sets, reusing its array.
+func (u *unionFind) reset(n int) {
+	u.buf = resize(u.buf, 2*n)
+	u.parent, u.rank = u.buf[:n:n], u.buf[n:]
+	for i := range u.parent {
+		u.parent[i] = i
 	}
-	return uf
+	u.unions = 0
 }
 
 // Find returns the representative of x's set.

@@ -43,16 +43,27 @@ func assignByOrder(p *model.Program, extraEqualities [][2]model.MessageID) (Labe
 }
 
 // orderLabels is assignByOrder for a program already known to cross
-// off completely. The constraint graph is laid out flat, in
-// compressed-row form both ways, and Kosaraju's two depth-first passes
-// run on explicit stacks, so a fallback costs a fixed number of arrays
-// and no recursion however many messages it labels.
+// off completely, on arrays of its own.
 func orderLabels(p *model.Program, extraEqualities [][2]model.MessageID) Labeling {
+	return new(orderScratch).labels(p, extraEqualities)
+}
+
+// orderScratch holds the order-based construction's two arrays, which a
+// labeler keeps for its fallbacks.
+type orderScratch struct{ tables, edges []int32 }
+
+// labels is orderLabels on o's arrays. The constraint graph is laid out
+// flat, in compressed-row form both ways, and Kosaraju's two
+// depth-first passes run on explicit stacks, so a fallback needs two
+// arrays and no recursion however many messages it labels, and
+// allocates only the labels it returns.
+func (o *orderScratch) labels(p *model.Program, extraEqualities [][2]model.MessageID) Labeling {
 	n := p.NumMessages()
 	// One int32 array cut into the message-sized tables, one into the
 	// edge lists: u → v means label(u) ≤ label(v); u's successors are
 	// succ[out[u]:out[u+1]] and v's predecessors pred[in[v]:in[v+1]].
-	buf := make([]int32, 2*(n+1)+5*n)
+	o.tables = resize(o.tables, 2*(n+1)+5*n)
+	buf := o.tables
 	take := func(k int) []int32 {
 		t := buf[:k:k]
 		buf = buf[k:]
@@ -68,7 +79,8 @@ func orderLabels(p *model.Program, extraEqualities [][2]model.MessageID) Labelin
 		out[m+1] += out[m]
 		in[m+1] += in[m]
 	}
-	edges := make([]int32, 2*out[n])
+	o.edges = resize(o.edges, 2*int(out[n]))
+	edges := o.edges
 	succ, pred := edges[:out[n]], edges[out[n]:]
 	copy(next, out)
 	copy(comp, in) // fill cursors for pred, until the second pass

@@ -198,6 +198,28 @@ func referenceAssignGreedy(p *model.Program, opts Options) (Labeling, error) {
 	return Labeling{ByMessage: labels, Dense: densify(labels), Warnings: warnings}, nil
 }
 
+// densify is the labeler's ranking on arrays of its own: the 1-based
+// integer ranks of labels, same order, same ties.
+func densify(labels []rational.R) []int {
+	dense := make([]int, len(labels))
+	ranks(dense, make([]int, len(labels)), labels)
+	return dense
+}
+
+// newUnionFind returns n singleton sets.
+func newUnionFind(n int) *unionFind {
+	uf := new(unionFind)
+	uf.reset(n)
+	return uf
+}
+
+// newClassIndex is uf's partition on arrays of its own.
+func newClassIndex(uf *unionFind) classIndex {
+	var ix classIndex
+	ix.build(uf)
+	return ix
+}
+
 // refCase is one program the two implementations are compared on.
 type refCase struct {
 	name string

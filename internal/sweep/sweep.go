@@ -113,24 +113,36 @@ type Axes struct {
 
 // DefaultAxes contrasts the naive FCFS baseline with the paper's two
 // compatible policies over small queue and capacity budgets, strict
-// and lookahead-2.
+// and lookahead-2. Its slices are the caller's to edit.
 func DefaultAxes() Axes {
-	return Axes{
-		Policies:   []core.PolicyKind{core.NaiveFCFS, core.StaticAssignment, core.DynamicCompatible},
-		Queues:     []int{0, 1, 2, 3},
-		Capacities: []int{1, 2},
-		Lookaheads: []int{0, 2},
-		LinkModels: []string{""},
-		Seed:       1,
-	}
+	d := defaultAxes
+	d.Policies = slices.Clone(d.Policies)
+	d.Queues = slices.Clone(d.Queues)
+	d.Capacities = slices.Clone(d.Capacities)
+	d.Lookaheads = slices.Clone(d.Lookaheads)
+	d.LinkModels = slices.Clone(d.LinkModels)
+	return d
+}
+
+// defaultAxes is DefaultAxes, read only: WithDefaults fills empty axes
+// from it without allocating.
+var defaultAxes = Axes{
+	Policies:   []core.PolicyKind{core.NaiveFCFS, core.StaticAssignment, core.DynamicCompatible},
+	Queues:     []int{0, 1, 2, 3},
+	Capacities: []int{1, 2},
+	Lookaheads: []int{0, 2},
+	LinkModels: []string{""},
+	Seed:       1,
 }
 
 // WithDefaults resolves empty axes to the DefaultAxes values — the
 // exact grid Run will enumerate. Callers that need the grid's shape
 // before running it (the serving layer sizes quotas and pre-resolves
-// per-lookahead analyses) use this to agree with the engine.
+// per-lookahead analyses) use this to agree with the engine. A filled
+// axis shares the package's default slice, which nobody may edit, so
+// the call allocates nothing.
 func (a Axes) WithDefaults() Axes {
-	d := DefaultAxes()
+	d := &defaultAxes
 	if len(a.Policies) == 0 {
 		a.Policies = d.Policies
 	}

@@ -563,3 +563,39 @@ func TestRunOneObservesContext(t *testing.T) {
 		t.Fatalf("runOne under a live ctx returned %q (err %q), want completed", got.Result, got.Err)
 	}
 }
+
+// TestWithDefaultsAllocatesNothing: WithDefaults fills empty axes from
+// the package's read-only defaults, and Size calls it, so neither
+// allocates, whether every axis is empty or every axis is set; the
+// serving layer resolves a request's axes five times. DefaultAxes still
+// hands out slices a caller may edit.
+func TestWithDefaultsAllocatesNothing(t *testing.T) {
+	full := Axes{
+		Policies:   []core.PolicyKind{core.NaiveFCFS},
+		Queues:     []int{1, 2},
+		Capacities: []int{3},
+		Lookaheads: []int{0, 4},
+		LinkModels: []string{"", "fixed,delay=3"},
+	}
+	for _, tc := range []struct {
+		name string
+		axes Axes
+		size int
+	}{{"empty", Axes{}, 2 * 3 * 4 * 2 * 2}, {"full", full, 2 * 1 * 2 * 1 * 2 * 2}} {
+		var size int
+		if n := testing.AllocsPerRun(100, func() { size = tc.axes.WithDefaults().Size(2) }); n != 0 {
+			t.Errorf("%s axes: WithDefaults and Size allocate %v times", tc.name, n)
+		}
+		if size != tc.size {
+			t.Errorf("%s axes: Size(2) = %d, want %d", tc.name, size, tc.size)
+		}
+	}
+	d := DefaultAxes()
+	d.Queues[0], d.Policies[0], d.LinkModels[0] = 99, core.NaiveLIFO, "fixed,delay=9"
+	if got := (Axes{}).WithDefaults(); got.Queues[0] != 0 || got.Policies[0] != core.NaiveFCFS || got.LinkModels[0] != "" {
+		t.Fatalf("editing DefaultAxes' slices changed the defaults: %+v", got)
+	}
+	if !reflect.DeepEqual(DefaultAxes(), (Axes{Seed: 1}).WithDefaults()) {
+		t.Fatalf("DefaultAxes %+v differs from the resolved empty axes", DefaultAxes())
+	}
+}
